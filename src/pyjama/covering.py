@@ -26,7 +26,7 @@ from .gaussian import (
     theta_set,
     try_exact_div,
 )
-from .polygon import ConvexPolygon
+from .polygon import ConvexPolygon, _canonicalize, _ring_area2
 
 __all__ = [
     "CoveringConfig",
@@ -218,57 +218,110 @@ class CoverReport:
         return lines
 
 
-def _domain_parallelogram(D: GaussianInt) -> ConvexPolygon:
-    zero = Fraction(0)
-    re, im = Fraction(D.re), Fraction(D.im)
-    return ConvexPolygon(
-        [(zero, zero), (re, im), (re - im, im + re), (-im, re)]
-    )
+def _lattice_scale(D: GaussianInt, rotations, eps: Fraction) -> int:
+    """A scale L that puts every vertex of the uncovered region on the
+    integer lattice.  Every boundary line is n.(x, y) = c with integer n and
+    c: the period-cell edges have normals (-D.im, D.re) and (D.re, D.im), and
+    for theta = (a + bi)/d and eps = p/q the stripe edges are
+    q*(a*x - b*y) = d*(q*k -+ p).  Two such lines meet at a point whose
+    coordinates have denominator |det(n_i, n_j)|, so L is their lcm."""
+    q = eps.denominator
+    normals = [(-D.im, D.re), (D.re, D.im)]
+    normals += [(q * t.num.re, -q * t.num.im) for t in rotations]
+    scale = 1
+    for i, (a0, b0) in enumerate(normals):
+        for a1, b1 in normals[i + 1 :]:
+            det = a0 * b1 - a1 * b0
+            if det:
+                scale = math.lcm(scale, abs(det))
+    return scale
 
 
-def _subtract_stripes(
-    pieces: list[ConvexPolygon], rotation: GaussianRational, eps: Fraction
-) -> list[ConvexPolygon]:
-    tr, ti = rotation.re, rotation.im
-    out: list[ConvexPolygon] = []
-    for piece in pieces:
-        fvals = [tr * x - ti * y for x, y in piece.vertices]
-        fmin, fmax = min(fvals), max(fvals)
-        cur: ConvexPolygon | None = piece
-        for k in range(math.ceil(fmin - eps), math.floor(fmax + eps) + 1):
-            left = cur.clip_halfplane(tr, -ti, k - eps)
-            if left is not None:
-                out.append(left)
-            cur = cur.clip_halfplane(-tr, ti, -(k + eps))
-            if cur is None:
+def _clip_lattice(ring, a: int, b: int, c: int) -> list[tuple[int, int]]:
+    """Sutherland-Hodgman clip of a convex ring of integer vertices to the
+    closed halfplane a*X + b*Y <= c: the vertices kept, [] when none are.
+    Each crossing must land on the integer lattice; ArithmeticError when
+    one does not."""
+    f = [a * x + b * y - c for x, y in ring]
+    out = []
+    for i, e in enumerate(ring):
+        s, fs, fe = ring[i - 1], f[i - 1], f[i]
+        if fs <= 0:
+            out.append(s)
+        if (fs < 0 < fe) or (fe < 0 < fs):
+            den = fs - fe
+            x, rx = divmod(fs * e[0] - fe * s[0], den)
+            y, ry = divmod(fs * e[1] - fe * s[1], den)
+            if rx or ry:
+                raise ArithmeticError(
+                    f"the line {a}*X + {b}*Y = {c} crosses the edge {s}-{e} "
+                    "off the integer lattice"
+                )
+            out.append((x, y))
+    return out
+
+
+def _subtract_stripes(pieces, rotation: GaussianRational, eps: Fraction, scale: int):
+    """Cut the open stripes of one rotation out of integer pieces (vertex
+    ring, kind) at the given lattice scale; the pieces left, canonicalized."""
+    a, b, d = rotation.num.re, rotation.num.im, rotation.den
+    p, q = eps.numerator, eps.denominator
+    # h = q*(a*X - b*Y) is q*d*scale times the stripe coordinate Re(z*theta)
+    qa, qb, u = q * a, q * b, d * scale
+    out = []
+    for ring, _kind in pieces:
+        hs = [qa * x - qb * y for x, y in ring]
+        # stripes whose closure meets the piece: ceil(fmin - eps) .. floor(fmax + eps)
+        k_lo = -((u * p - min(hs)) // (q * u))
+        k_hi = (max(hs) + u * p) // (q * u)
+        cur = ring
+        for k in range(k_lo, k_hi + 1):
+            left = _clip_lattice(cur, qa, -qb, u * (q * k - p))
+            if left:
+                out.append(_canonicalize(left))
+            cur = _clip_lattice(cur, -qa, qb, -u * (q * k + p))
+            if not cur:
                 break
-        if cur is not None:
-            out.append(cur)
+        if cur:
+            out.append(_canonicalize(cur))
     return out
 
 
 def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> CoverReport:
     """The closed subset of one period parallelogram missed by every open
-    stripe, as exact convex pieces, with matching obstruction tuples."""
+    stripe, as exact convex pieces, with matching obstruction tuples.
+
+    The stripes are subtracted on integer vertices at the lattice scale of
+    ``_lattice_scale``; every catalog obstruction point is uncovered (each
+    rotation's D*theta is one of the norm-N(D) multipliers that
+    ``verify_obstruction`` ranges over), which is re-checked exactly."""
     if not config.exact_mode:
         raise ValueError("the uncovered-region certificate requires exact mode")
-    pieces = [_domain_parallelogram(config.period)]
+    D, eps = config.period, config.epsilon
+    scale = _lattice_scale(D, config.rotations, eps)
+    dr, di = D.re * scale, D.im * scale
+    pieces = [(((0, 0), (dr, di), (dr - di, di + dr), (-di, dr)), "polygon")]
     for rotation in config.rotations:
-        pieces = _subtract_stripes(pieces, rotation, config.epsilon)
+        pieces = _subtract_stripes(pieces, rotation, eps, scale)
         if not pieces:
             break
-    area = sum((p.area() for p in pieces), Fraction(0))
+    area2 = sum(_ring_area2(ring) for ring, kind in pieces if kind == "polygon")
+    area = Fraction(area2, 2 * scale * scale)
+    polys = tuple(
+        ConvexPolygon([(Fraction(x, scale), Fraction(y, scale)) for x, y in ring], kind)
+        for ring, kind in pieces
+    )
+    report = CoverReport(config, polys, area, ())
     matches = []
-    report = CoverReport(config, tuple(pieces), area, ())
-    normD = config.period.norm()
-    for (a, b, m), _margin in obstruction_catalog(
-        config.epsilon, obstruction_m_max, normD
-    ):
-        point = GaussianRational(GaussianInt(a, b), m) * GaussianRational(config.period)
-        dist_sq = report.distance_sq_to_uncovered(point)
-        if dist_sq is not None:
-            matches.append(((a, b, m), dist_sq))
-    return CoverReport(config, tuple(pieces), area, tuple(matches))
+    for (a, b, m), _margin in obstruction_catalog(eps, obstruction_m_max, D.norm()):
+        point = GaussianRational(GaussianInt(a, b), m) * GaussianRational(D)
+        if not report.contains(point):
+            raise RuntimeError(
+                f"obstruction certificate violated: ({a}, {b}, {m}) is in the "
+                "catalog but its point is not in the uncovered region"
+            )
+        matches.append(((a, b, m), Fraction(0)))
+    return CoverReport(config, polys, area, tuple(matches))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +563,8 @@ def _refined_lattice_dist_sq(
             d = poly.dist_sq_to_point((px, py))
             if best is None or d < best:
                 best = d
-    assert best is not None, "candidate window missed the refined lattice"
+    if best is None:
+        raise RuntimeError("candidate window missed the refined lattice")
     return best
 
 

@@ -27,14 +27,14 @@ class ConvexPolygon:
     __slots__ = ("_vertices", "_kind")
 
     def __init__(self, vertices, kind: str | None = None):
+        if kind is not None:
+            # trusted internal path: vertices already canonical Fraction pairs
+            object.__setattr__(self, "_vertices", tuple(vertices))
+            object.__setattr__(self, "_kind", kind)
+            return
         pts = [(Fraction(x), Fraction(y)) for x, y in vertices]
         if not pts:
             raise ValueError("a convex polygon needs at least one vertex")
-        if kind is not None:
-            # trusted internal path: vertices already canonical
-            object.__setattr__(self, "_vertices", tuple(pts))
-            object.__setattr__(self, "_kind", kind)
-            return
         canon, k = _canonicalize(pts)
         object.__setattr__(self, "_vertices", canon)
         object.__setattr__(self, "_kind", k)
@@ -72,12 +72,7 @@ class ConvexPolygon:
         """Twice the enclosed area (exact, nonnegative)."""
         if self.is_degenerate:
             return Fraction(0)
-        total = Fraction(0)
-        pts = self._vertices
-        for i, (x0, y0) in enumerate(pts):
-            x1, y1 = pts[(i + 1) % len(pts)]
-            total += x0 * y1 - x1 * y0
-        return total
+        return Fraction(_ring_area2(self._vertices))
 
     def area(self) -> Fraction:
         return self.area2() / 2
@@ -182,7 +177,20 @@ def _segment_dist_sq(p: Coord, s: Coord, e: Coord) -> Fraction:
     return _dist_sq(p, q)
 
 
+def _ring_area2(ring) -> Fraction | int:
+    """Signed doubled area of a vertex ring (shoelace); exact for int or
+    Fraction coordinates, and an int for int coordinates."""
+    total = 0
+    for i, (x0, y0) in enumerate(ring):
+        x1, y1 = ring[(i + 1) % len(ring)]
+        total += x0 * y1 - x1 * y0
+    return total
+
+
 def _canonicalize(pts: list[Coord]) -> tuple[tuple[Coord, ...], str]:
+    """Canonical (counterclockwise, no repeated or collinear vertices,
+    lexicographically least vertex first) form of a convex vertex ring and
+    its kind.  Works on int as well as Fraction coordinates."""
     # drop consecutive duplicates (cyclically)
     ring: list[Coord] = []
     for p in pts:
@@ -193,11 +201,7 @@ def _canonicalize(pts: list[Coord]) -> tuple[tuple[Coord, ...], str]:
     distinct = sorted(set(ring))
     if len(distinct) == 1:
         return (distinct[0],), "point"
-    # signed doubled area of the ring as given
-    area2 = Fraction(0)
-    for i, (x0, y0) in enumerate(ring):
-        x1, y1 = ring[(i + 1) % len(ring)]
-        area2 += x0 * y1 - x1 * y0
+    area2 = _ring_area2(ring)
     if area2 == 0:
         return (distinct[0], distinct[-1]), "segment"
     if area2 < 0:

@@ -1,9 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pyjama.gaussian import (
+    P5BAR,
+    P13BAR,
     GaussianInt,
     GaussianRational,
     THETA5,
@@ -11,6 +19,7 @@ from pyjama.gaussian import (
     theta_set,
 )
 from pyjama.polygon import ConvexPolygon
+from pyjama import covering
 from pyjama.covering import (
     CoveringConfig,
     certified_disk_cover,
@@ -98,6 +107,126 @@ def _closed_slab_pieces(domain, rotation, eps):
         if piece is not None:
             pieces.append(piece)
     return pieces
+
+
+def _fraction_uncovered(cfg):
+    """Reference stripe subtraction: each rotation's open stripes cut out of
+    the period cell with exact Fraction halfplane clips."""
+    D = cfg.period
+    pieces = [
+        ConvexPolygon(
+            [(0, 0), (D.re, D.im), (D.re - D.im, D.im + D.re), (-D.im, D.re)]
+        )
+    ]
+    eps = cfg.epsilon
+    for theta in cfg.rotations:
+        tr, ti = theta.re, theta.im
+        out = []
+        for piece in pieces:
+            fvals = [tr * x - ti * y for x, y in piece.vertices]
+            cur = piece
+            for k in range(math.ceil(min(fvals) - eps), math.floor(max(fvals) + eps) + 1):
+                left = cur.clip_halfplane(tr, -ti, k - eps)
+                if left is not None:
+                    out.append(left)
+                cur = cur.clip_halfplane(-tr, ti, -(k + eps))
+                if cur is None:
+                    break
+            if cur is not None:
+                out.append(cur)
+        pieces = out
+    return pieces
+
+
+@st.composite
+def small_configs(draw):
+    """1-3 rotations theta5**a * theta13**b of theta_set(2), eps = p/q in
+    (0, 1/2), and their least common period, of norm 5**a * 13**b <= 325."""
+    box = [(a, b) for a in range(3) for b in range(3) if 5**a * 13**b <= 325]
+    a_max, b_max = draw(st.sampled_from(box))
+    exps = draw(
+        st.lists(
+            st.tuples(st.integers(0, a_max), st.integers(0, b_max)),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    period = P5BAR.generator ** max(a for a, _ in exps) * P13BAR.generator ** max(
+        b for _, b in exps
+    )
+    q = draw(st.integers(3, 60))
+    p = draw(st.integers(1, (q - 1) // 2))
+    thetas = theta_set(2)
+    return CoveringConfig([thetas[3 * a + b] for a, b in exps], F(p, q), period)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_configs())
+def test_lattice_subtraction_matches_fraction_oracle(cfg):
+    report = uncovered_region(cfg, obstruction_m_max=1)
+    oracle = _fraction_uncovered(cfg)
+    assert report.uncovered == tuple(oracle)  # vertices and kind, in order
+    assert report.total_uncovered_area == sum((p.area() for p in oracle), F(0))
+
+
+def test_off_lattice_crossing_raises():
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    assert sorted(covering._clip_lattice(square, 1, 0, 0)) == [(0, 0), (0, 1)]
+    with pytest.raises(ArithmeticError):
+        covering._clip_lattice(square, 2, 0, 1)  # x <= 1/2
+
+
+def test_missing_obstruction_point_raises(monkeypatch):
+    monkeypatch.setattr(covering, "_subtract_stripes", lambda *args: [])
+    with pytest.raises(RuntimeError, match="obstruction certificate"):
+        uncovered_region(figure_config())
+
+
+def test_certificate_checks_survive_optimize_flag():
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from pyjama import covering
+        from pyjama.gaussian import THETA5, GaussianInt
+        assert False, "asserts must be stripped"
+        try:
+            covering._clip_lattice([(0, 0), (1, 0), (1, 1), (0, 1)], 2, 0, 1)
+        except ArithmeticError:
+            pass
+        else:
+            raise SystemExit("off-lattice crossing not detected")
+        cfg = covering.CoveringConfig([1, THETA5], Fraction(1, 4), GaussianInt(1, -2))
+        covering._subtract_stripes = lambda *args: []
+        try:
+            covering.uncovered_region(cfg)
+        except RuntimeError:
+            print("checks kept")
+        else:
+            raise SystemExit("missing obstruction point not detected")
+        """
+    )
+    src = str(Path(covering.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "checks kept"
+
+
+def test_stripe_coordinate_is_re_z_theta():
+    # theta5 = (-3 + 4i)/5: Re(z*theta) = (-3x - 4y)/5 and
+    # Re(z*conj(theta)) = (-3x + 4y)/5 differ in which of these two points
+    # a stripe covers; the uncovered region follows Re(z*theta)
+    report = uncovered_region(CoveringConfig([THETA5], F(1, 4), GaussianInt(1, -2)))
+    on_half = GaussianRational.from_fractions(F(-5, 12), F(-5, 16))  # 1/2 and 0
+    on_zero = GaussianRational.from_fractions(F(-5, 12), F(5, 16))  # 0 and 1/2
+    assert (THETA5 * on_half).re == F(1, 2) and (THETA5 * on_zero).re == 0
+    assert report.contains(on_half)
+    assert not report.contains(on_zero)
 
 
 def test_area_bookkeeping_inclusion_exclusion():
