@@ -273,7 +273,8 @@ def strong_approx(z: complex, b: PadicNumber, delta) -> GaussianRational:
         if abs(_to_complex(q) - z) <= float(delta) and _padic_residual_ok(
             q, b, k, delta
         ):
-            assert in_A(q)
+            if not in_A(q):
+                raise RuntimeError(f"approximation {q} is not in A")
             return q
         f += 1
     raise RuntimeError("approximation certificate failed verification")
@@ -340,7 +341,9 @@ def strong_approx_3way(z: complex, a: PadicNumber, b: PadicNumber,
             cleared = q
             while cleared.den % 7 == 0:
                 cleared = cleared * 7
-            assert in_A(cleared)
+            if not in_A(cleared):
+                raise RuntimeError(
+                    f"approximation {q} is not in A up to powers of 7")
             return q
         t += 1
     raise RuntimeError("approximation certificate failed verification")
@@ -375,7 +378,9 @@ def coset_element(mu, nu, H: CosetSpec) -> GaussianRational:
     )
     # exact magnitudes of the shrinking element at the three places
     log_shrink_c = 0.5 * math.log(float(shrink.abs2()))
-    assert log_shrink_c < 0
+    if not log_shrink_c < 0:
+        raise RuntimeError(
+            "the shrinking element does not shrink at the complex place")
 
     unit_order = (p - 1) * p ** (H.precision_k - 1)
     reps = []
@@ -424,7 +429,8 @@ def coset_element(mu, nu, H: CosetSpec) -> GaussianRational:
             if abs_at(r, site) < nu:
                 continue
             if H.contains(r):
-                assert in_A(r)
+                if not in_A(r):
+                    raise RuntimeError(f"coset representative {r} is not in A")
                 return r
         power = power * shrink
     raise PrecisionError(

@@ -8,7 +8,8 @@ plus any figures into the output directory, and prints a one-line
 ``key=value`` summary on stdout.
 
 Exit codes: 0 = verified/certified, 1 = checked and found false,
-2 = input or precision error.  Nothing is written on exit 2.
+2 = input or precision error, or a certificate that failed its own
+re-check.  Nothing is written on exit 2.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .approx import (
     strong_approx_3way,
 )
 from .covering import (
+    CertificateError,
     CoveringConfig,
     certified_disk_cover,
     obstruction_catalog,
@@ -587,6 +589,10 @@ def run(config: RunConfig) -> int:
     except TorsionUnitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(_summary(config.command, 2, {"error": "torsion-unit"}))
+        return 2
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(_summary(config.command, 2, {"error": "certificate"}))
         return 2
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

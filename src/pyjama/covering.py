@@ -29,6 +29,7 @@ from .gaussian import (
 from .polygon import ConvexPolygon, _canonicalize, _ring_area2
 
 __all__ = [
+    "CertificateError",
     "CoveringConfig",
     "CoverReport",
     "DiskCoverReport",
@@ -46,6 +47,10 @@ __all__ = [
 
 def _to_complex(q: GaussianRational) -> complex:
     return complex(float(q.re), float(q.im))
+
+
+class CertificateError(RuntimeError, ArithmeticError):
+    """An exact certificate failed its own re-check."""
 
 
 class CoveringConfig:
@@ -253,7 +258,7 @@ def _clip_lattice(ring, a: int, b: int, c: int) -> list[tuple[int, int]]:
             x, rx = divmod(fs * e[0] - fe * s[0], den)
             y, ry = divmod(fs * e[1] - fe * s[1], den)
             if rx or ry:
-                raise ArithmeticError(
+                raise CertificateError(
                     f"the line {a}*X + {b}*Y = {c} crosses the edge {s}-{e} "
                     "off the integer lattice"
                 )
@@ -316,7 +321,7 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     for (a, b, m), _margin in obstruction_catalog(eps, obstruction_m_max, D.norm()):
         point = GaussianRational(GaussianInt(a, b), m) * GaussianRational(D)
         if not report.contains(point):
-            raise RuntimeError(
+            raise CertificateError(
                 f"obstruction certificate violated: ({a}, {b}, {m}) is in the "
                 "catalog but its point is not in the uncovered region"
             )
@@ -553,18 +558,32 @@ def _refined_lattice_dist_sq(
     jmax = math.ceil(max(w.re for w in images)) + 1
     kmin = math.floor(min(w.im for w in images)) - 1
     kmax = math.ceil(max(w.im for w in images)) + 1
-    best: Fraction | None = None
+    # exact lower bound on each candidate's distance: its squared distance to
+    # the bounding box, in integers at scale n * m; nearest bound first, and
+    # stop once no candidate can beat the best distance found
+    box = (xmin, xmax, ymin, ymax)
+    m = math.lcm(*(c.denominator for c in box))
+    x0, x1, y0, y1 = (int(c * n * m) for c in box)
+    candidates = []
     for j in range(jmin, jmax + 1):
         for k in range(kmin, kmax + 1):
             if j % n == 0 and k % n == 0:
                 continue
-            px = Fraction(D.re * j - D.im * k, n)
-            py = Fraction(D.im * j + D.re * k, n)
-            d = poly.dist_sq_to_point((px, py))
-            if best is None or d < best:
-                best = d
-    if best is None:
-        raise RuntimeError("candidate window missed the refined lattice")
+            x, y = (D.re * j - D.im * k) * m, (D.im * j + D.re * k) * m
+            dx, dy = max(x0 - x, x - x1, 0), max(y0 - y, y - y1, 0)
+            candidates.append((dx * dx + dy * dy, j, k))
+    if not candidates:
+        raise CertificateError("candidate window missed the refined lattice")
+    candidates.sort()
+    unit = (n * m) ** 2
+    best: Fraction | None = None
+    for bound, j, k in candidates:
+        if best is not None and bound >= best * unit:
+            break
+        point = (Fraction(D.re * j - D.im * k, n), Fraction(D.im * j + D.re * k, n))
+        d = poly.dist_sq_to_point(point)
+        if best is None or d < best:
+            best = d
     return best
 
 

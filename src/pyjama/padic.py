@@ -93,7 +93,9 @@ def sqrt_neg1(p: int, k: int) -> CanonicalRoot:
         m = min(2 * m, k)
         mod = p**m
         x = (x - (x * x + 1) * pow(2 * x, -1, mod)) % mod
-    assert (x * x + 1) % p**k == 0
+    if (x * x + 1) % p**k:
+        raise ArithmeticError(
+            f"Hensel lift {x} is not a square root of -1 mod {p}^{k}")
     return CanonicalRoot(p, k, x)
 
 
@@ -364,7 +366,8 @@ def embed(q: GaussianRational | GaussianInt | int, p: int, k: int) -> PadicNumbe
     root = sqrt_neg1(p, vn + k).digits
     mod = p ** (vn + k)
     n = (q.num.re + q.num.im * root) % mod
-    assert n % p**vn == 0, "numerator valuation disagrees with trial division"
+    if n % p**vn:
+        raise ArithmeticError("numerator valuation disagrees with trial division")
     u = (n // p**vn) * pow(d, -1, p**k) % p**k
     return PadicNumber(PadicContext(p, k), v, u)
 
@@ -388,7 +391,8 @@ def gauss_frac_part(q: GaussianRational | GaussianInt | int, p: int) -> Fraction
     # the numerator has p-adic valuation s - j >= 0; divide it out exactly
     root = sqrt_neg1(p, s + j).digits
     n = (q.num.re + q.num.im * root) % p ** (s + j)
-    assert n % p ** (s - j) == 0
+    if n % p ** (s - j):
+        raise ArithmeticError("numerator valuation disagrees with trial division")
     c = (n // p ** (s - j)) * pow(d, -1, p**j) % p**j
     return Fraction(c, p**j)
 

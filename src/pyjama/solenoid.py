@@ -278,7 +278,8 @@ def _integer_residue(frac: Fraction, p: int, e: int, clear: GaussianInt) -> int:
     c = frac.numerator
     root = sqrt_neg1(p, 2 * e).digits
     image = (clear.re + clear.im * root) % p ** (2 * e)
-    assert image % p**e == 0, "clearing denominator has unexpected valuation"
+    if image % p**e:
+        raise ArithmeticError("clearing denominator has unexpected valuation")
     return 2 * c * (image // p**e) % p**e
 
 
@@ -323,8 +324,9 @@ def reduce_to_fundamental(
             GaussianRational(n), max(x.a.precision_k, x.b.precision_k)
         )
         r = r + n
-    assert shifted.a.is_zero or shifted.a.valuation >= 0
-    assert shifted.b.is_zero or shifted.b.valuation >= 0
+    for part in (shifted.a, shifted.b):
+        if not part.is_zero and part.valuation < 0:
+            raise ArithmeticError("reduced point has a non-integral p-adic part")
     return shifted, r
 
 
@@ -333,7 +335,8 @@ def _p_exp(d: int, p: int) -> int:
     while d % p == 0:
         d //= p
         e += 1
-    assert d == 1, "fractional part denominator is not a prime power"
+    if d != 1:
+        raise ArithmeticError("fractional part denominator is not a prime power")
     return e
 
 

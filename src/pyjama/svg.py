@@ -4,6 +4,8 @@ The picture shows the square window [0, normD]^2 of the complex plane: the
 open stripes of each rotation in alternating gray levels, the uncovered
 polygons (tiled by the period lattice) in black, the certified rational
 obstruction points as black dots, and one cell of the period lattice dashed.
+Only placements of an uncovered piece that cross the window boundary are
+clipped; the rest are skipped or drawn as they are.
 
 The output is presentation only — certificates live in the report file — and
 is byte-deterministic: fixed ordering, fixed styles, every coordinate emitted
@@ -17,7 +19,6 @@ from fractions import Fraction
 
 from .covering import CoverReport
 from .gaussian import GaussianInt, GaussianRational
-from .polygon import ConvexPolygon
 
 __all__ = ["render_svg"]
 
@@ -40,12 +41,12 @@ def _lattice_range(norm: int) -> range:
     return range(-reach, reach + 1)
 
 
-def _clip_to_window(poly: ConvexPolygon, norm: int) -> ConvexPolygon | None:
-    for a, b, c in ((-1, 0, 0), (1, 0, norm), (0, -1, 0), (0, 1, norm)):
-        poly = poly.clip_halfplane(Fraction(a), Fraction(b), Fraction(c))
-        if poly is None:
-            return None
-    return poly
+def _shifts(period: GaussianInt, norm: int) -> list[tuple[int, int]]:
+    """The period-lattice translations period * (a + b*i) that the picture
+    tries, for a, b in ``_lattice_range``, as (x, y) integer pairs."""
+    reach = _lattice_range(norm)
+    return [(period.re * a - period.im * b, period.im * a + period.re * b)
+            for a in reach for b in reach]
 
 
 def _stripe_elements(report: CoverReport, norm: int) -> list[str]:
@@ -72,54 +73,61 @@ def _stripe_elements(report: CoverReport, norm: int) -> list[str]:
     return out
 
 
-def _uncovered_elements(report: CoverReport, norm: int) -> list[str]:
-    period = report.config.period
+def _uncovered_elements(report: CoverReport, norm: int, shifts) -> list[str]:
     out = []
     for poly in report.uncovered:
-        for a in _lattice_range(norm):
-            for b in _lattice_range(norm):
-                shift = period * GaussianInt(a, b)
-                moved = poly.translate(Fraction(shift.re), Fraction(shift.im))
-                clipped = _clip_to_window(moved, norm)
-                if clipped is None:
-                    continue
-                if clipped.kind == "polygon":
-                    pts = " ".join(_xy(x, y, norm) for x, y in clipped.vertices)
-                    out.append(f'<polygon points="{pts}" fill="#000000"/>')
-                elif clipped.kind == "segment":
-                    (x1, y1), (x2, y2) = clipped.vertices
-                    out.append(
-                        f'<line x1="{_fmt(x1)}" y1="{_fmt(norm - y1)}" '
-                        f'x2="{_fmt(x2)}" y2="{_fmt(norm - y2)}" '
-                        'stroke="#000000" stroke-width="0.030000"/>'
-                    )
-                else:
-                    (x, y), = clipped.vertices
-                    out.append(
-                        f'<circle cx="{_fmt(x)}" cy="{_fmt(norm - y)}" '
-                        f'r="{_fmt(_POINT_RADIUS)}" fill="#000000"/>'
-                    )
+        xmin, xmax, ymin, ymax = poly.bounding_box()
+        fx, cx = math.floor(xmin), math.ceil(xmax)
+        fy, cy = math.floor(ymin), math.ceil(ymax)
+        for sx, sy in shifts:
+            if cx + sx < 0 or fx + sx > norm or cy + sy < 0 or fy + sy > norm:
+                continue
+            clipped = poly.translate(sx, sy)
+            # clip only at the window edges the bounding box crosses: a closed
+            # halfplane containing the box leaves the piece as it is
+            for crosses, a, b, c in ((fx + sx < 0, -1, 0, 0),
+                                     (cx + sx > norm, 1, 0, norm),
+                                     (fy + sy < 0, 0, -1, 0),
+                                     (cy + sy > norm, 0, 1, norm)):
+                if crosses and clipped is not None:
+                    clipped = clipped.clip_halfplane(a, b, c)
+            if clipped is None:
+                continue
+            if clipped.kind == "polygon":
+                pts = " ".join(_xy(x, y, norm) for x, y in clipped.vertices)
+                out.append(f'<polygon points="{pts}" fill="#000000"/>')
+            elif clipped.kind == "segment":
+                (x1, y1), (x2, y2) = clipped.vertices
+                out.append(
+                    f'<line x1="{_fmt(x1)}" y1="{_fmt(norm - y1)}" '
+                    f'x2="{_fmt(x2)}" y2="{_fmt(norm - y2)}" '
+                    'stroke="#000000" stroke-width="0.030000"/>'
+                )
+            else:
+                (x, y), = clipped.vertices
+                out.append(
+                    f'<circle cx="{_fmt(x)}" cy="{_fmt(norm - y)}" '
+                    f'r="{_fmt(_POINT_RADIUS)}" fill="#000000"/>'
+                )
     return out
 
 
-def _obstruction_elements(report: CoverReport, norm: int) -> list[str]:
+def _obstruction_elements(report: CoverReport, norm: int, shifts) -> list[str]:
     period = report.config.period
     out = []
     for (a, b, m), dist_sq in report.obstruction_matches:
         if dist_sq != 0:
             continue
         base = GaussianRational(period) * GaussianRational(GaussianInt(a, b), m)
-        for u in _lattice_range(norm):
-            for v in _lattice_range(norm):
-                shift = period * GaussianInt(u, v)
-                x = base.re + shift.re
-                y = base.im + shift.im
-                if 0 <= x <= norm and 0 <= y <= norm:
-                    out.append(
-                        f'<circle cx="{_fmt(x)}" cy="{_fmt(norm - y)}" '
-                        f'r="{_fmt(_DOT_RADIUS)}" fill="#000000" '
-                        'stroke="#ffffff" stroke-width="0.020000"/>'
-                    )
+        for sx, sy in shifts:
+            x = base.re + sx
+            y = base.im + sy
+            if 0 <= x <= norm and 0 <= y <= norm:
+                out.append(
+                    f'<circle cx="{_fmt(x)}" cy="{_fmt(norm - y)}" '
+                    f'r="{_fmt(_DOT_RADIUS)}" fill="#000000" '
+                    'stroke="#ffffff" stroke-width="0.020000"/>'
+                )
     return out
 
 
@@ -166,10 +174,11 @@ def render_svg(report: CoverReport, size: int = 560) -> str:
         '</clipPath></defs>',
         '<g clip-path="url(#window)">',
     ]
+    shifts = _shifts(report.config.period, norm)
     lines.extend(_stripe_elements(report, norm))
-    lines.extend(_uncovered_elements(report, norm))
+    lines.extend(_uncovered_elements(report, norm, shifts))
     lines.append(_period_cell_element(report, norm))
-    lines.extend(_obstruction_elements(report, norm))
+    lines.extend(_obstruction_elements(report, norm, shifts))
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

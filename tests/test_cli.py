@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from pyjama import covering
 from pyjama.cli import RunConfig, main, run
 
 FIGURE_INI = """\
@@ -83,6 +84,24 @@ def test_exit_two_writes_nothing(tmp_path, capsys):
                    "--out", str(out))
     assert code == 2
     assert not out.exists()
+
+
+def test_failed_certificate_exits_two(tmp_path, capsys, monkeypatch):
+    # with no uncovered pieces the catalog obstruction points go missing, so
+    # the certificate's own re-check fails
+    monkeypatch.setattr(covering, "_subtract_stripes", lambda *args: [])
+    cfg = _write(tmp_path / "fig.ini",
+                 FIGURE_INI + "[rationality]\nrefinement = 2\n")
+    out = tmp_path / "out"
+    for command in ("verify-covering", "rationality-check"):
+        code = main([command, "--config", cfg, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == (f"command={command} exit=2 "
+                                "error=certificate\n")
+        assert captured.err.startswith("error: obstruction certificate")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
 
 def test_classify_half_plus_half_i(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -406,6 +407,50 @@ def test_rationality_check():
     assert band.max_distance_sq == 0
     with pytest.raises(ValueError):
         rationality_check(figure_config(), 1)
+
+
+@pytest.mark.parametrize("cfg, n", [
+    (figure_config(), 2),
+    (figure_config(), 3),
+    (CoveringConfig(theta_set(1), F(1, 4), min_period_multiplier(1)), 2),
+    # pieces whose box-nearest candidate is not the nearest one
+    (CoveringConfig(theta_set(1)[::2], F(1, 4), min_period_multiplier(1)), 4),
+    (CoveringConfig(theta_set(1)[1:3], F(2, 5), min_period_multiplier(1)), 3),
+])
+def test_refined_lattice_distance_matches_window_brute_force(cfg, n):
+    D = cfg.period
+    for poly in uncovered_region(cfg, obstruction_m_max=1).uncovered:
+        # every candidate of the window that _refined_lattice_dist_sq scans
+        xmin, xmax, ymin, ymax = poly.bounding_box()
+        pad = F(2 * (math.isqrt(D.norm()) + 1), n)
+        scale = GaussianRational(GaussianInt(n, 0)) / GaussianRational(D)
+        images = [GaussianRational.from_fractions(x, y) * scale
+                  for x in (xmin - pad, xmax + pad) for y in (ymin - pad, ymax + pad)]
+        js = range(math.floor(min(w.re for w in images)) - 1,
+                   math.ceil(max(w.re for w in images)) + 2)
+        ks = range(math.floor(min(w.im for w in images)) - 1,
+                   math.ceil(max(w.im for w in images)) + 2)
+        brute = min(
+            poly.dist_sq_to_point((F(D.re * j - D.im * k, n), F(D.im * j + D.re * k, n)))
+            for j in js for k in ks if j % n or k % n
+        )
+        assert covering._refined_lattice_dist_sq(poly, D, n) == brute
+
+
+def test_certificate_error_is_runtime_and_arithmetic_error():
+    assert issubclass(covering.CertificateError, RuntimeError)
+    assert issubclass(covering.CertificateError, ArithmeticError)
+    with pytest.raises(covering.CertificateError):
+        covering._clip_lattice([(0, 0), (1, 0), (1, 1), (0, 1)], 2, 0, 1)
+
+
+def test_no_assert_statements_in_source():
+    # checks must survive python -O, so none may be an assert statement
+    src = Path(covering.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name}: assert at lines {found}"
 
 
 def test_rationality_monotone_in_refinement():
