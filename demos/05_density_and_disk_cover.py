@@ -55,4 +55,4 @@ assert result.certified
 # A too-small family fails honestly: the failing cells are reported so the
 # caller can see where coverage breaks down.
 small = certified_disk_cover(theta_prime(1, 0), 0.3, 20.0, 0.1, refine_rounds=1)
-print("3-rotation family certified:", small.certified, "| failing cells:", len(small.failing_cells))
+print("3-rotation family certified:", small.certified, "| failing cells:", small.failing_count)

@@ -52,7 +52,7 @@ from .solenoid import (
     SolenoidPoint,
     classify_point,
     orbit_eval_rows,
-    orbit_eval_sweep,
+    orbit_max_gap,
     period_exponent,
 )
 from .svg import render_svg
@@ -301,7 +301,7 @@ def _cmd_irrational_cover(config, parser, artifacts):
                 f"scan n={n} N={N} rotations={len(rotations)} "
                 f"certified={str(result.certified).lower()} "
                 f"cells={result.cells_checked} "
-                f"failing={len(result.failing_cells)}"
+                f"failing={result.failing_count}"
             )
             if result.certified and success is None:
                 success = (n, N)
@@ -358,9 +358,9 @@ def _cmd_orbit(config, parser, artifacts):
     point = SolenoidPoint.from_complex(w, precision_k=precision)
     try:
         rows = orbit_eval_rows(point, m, sweep)
-        gap = orbit_eval_sweep(point, m, sweep)
     except ValueError as exc:
         raise InputError(f"[orbit]: {exc}") from exc
+    gap = orbit_max_gap(rows)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["r", "s", "value"])

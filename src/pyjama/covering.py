@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 import numpy as np
@@ -412,24 +413,41 @@ def theta_prime(n: int, N: int) -> list[complex]:
 
 @dataclass(frozen=True)
 class DiskCoverReport:
-    """Outcome of a grid certification run over a disk."""
+    """Outcome of a grid certification run over a disk.
+
+    ``pitch`` is the cell side of the last round run and ``failing_count``
+    the number of cells at that pitch that no rotation covers; ``certified``
+    means there are none.  ``failing_cells`` lists their centers as sorted
+    float pairs and is built on first access.  Reports compare equal on the
+    scalar fields alone."""
 
     certified: bool
     radius: float
     pitch: float
     rounds_used: int
     cells_checked: int
-    failing_cells: tuple[tuple[float, float], ...] = field(repr=False)
+    failing_count: int
+    _failing: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def failing_cells(self) -> tuple[tuple[float, float], ...]:
+        fx, fy = self._failing
+        order = np.lexsort((fy, fx))
+        return tuple(zip(fx[order].tolist(), fy[order].tolist()))
 
 
-def _coverage_mask(
+def _uncovered(
     xs: np.ndarray, ys: np.ndarray, rotations: list[complex], slack: float
-) -> np.ndarray:
-    covered = np.zeros(xs.shape, dtype=bool)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cells that no rotation holds deeper than ``slack`` inside a stripe;
+    each rotation is tested only on the cells the earlier ones left."""
     for t in rotations:
+        if xs.size == 0:
+            break
         values = t.real * xs - t.imag * ys
-        covered |= np.abs(values - np.rint(values)) < slack
-    return covered
+        left = ~(np.abs(values - np.rint(values)) < slack)
+        xs, ys = xs[left], ys[left]
+    return xs, ys
 
 
 def certified_disk_cover(
@@ -438,7 +456,8 @@ def certified_disk_cover(
     """Certify that the open stripes of the given rotations cover the disk of
     the given radius: a grid cell is certified when some rotation holds its
     center deeper inside a stripe than the cell's own reach (half-diagonal,
-    by 1-Lipschitz continuity of the stripe coordinate)."""
+    by 1-Lipschitz continuity of the stripe coordinate).  Each refinement
+    round splits every failing cell into four and tests them again."""
     rots = []
     for t in rotations:
         q = as_gaussian_rational(t)
@@ -460,8 +479,7 @@ def certified_disk_cover(
     keep = xs * xs + ys * ys <= (R + half_diag) ** 2
     xs, ys = xs[keep], ys[keep]
     checked = xs.size
-    covered = _coverage_mask(xs, ys, rots, eps - half_diag)
-    fx, fy = xs[~covered], ys[~covered]
+    fx, fy = _uncovered(xs, ys, rots, eps - half_diag)
     rounds_used = 0
     cur_h = h
     for _ in range(refine_rounds):
@@ -475,17 +493,16 @@ def certified_disk_cover(
         keep = cx * cx + cy * cy <= (R + half_diag) ** 2
         cx, cy = cx[keep], cy[keep]
         checked += cx.size
-        covered = _coverage_mask(cx, cy, rots, eps - half_diag)
-        fx, fy = cx[~covered], cy[~covered]
+        fx, fy = _uncovered(cx, cy, rots, eps - half_diag)
         rounds_used += 1
-    failing = tuple(sorted((float(x), float(y)) for x, y in zip(fx, fy)))
     return DiskCoverReport(
-        certified=not failing,
+        certified=fx.size == 0,
         radius=R,
         pitch=cur_h,
         rounds_used=rounds_used,
         cells_checked=int(checked),
-        failing_cells=failing,
+        failing_count=int(fx.size),
+        _failing=(fx, fy),
     )
 
 

@@ -522,18 +522,34 @@ def a_clearing_denominator(q: GaussianRational) -> GaussianInt:
     return P5BAR.generator**e * P13BAR.generator**f
 
 
+def _factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def unit_group_order(n: int) -> int:
-    """Order of the unit group of Z[i]/n for a positive rational integer n."""
+    """Order of the unit group of Z[i]/n for a positive rational integer n.
+
+    Multiplicative in n, with factor 2**(2k-1) at 2**k, (p-1)**2 * p**(2k-2)
+    at p**k for p = 1 mod 4 (p splits), and (p**2-1) * p**(2k-2) for
+    p = 3 mod 4 (p stays prime)."""
     if n < 1:
         raise ValueError("modulus must be positive")
-    if n == 1:
-        return 1
-    return sum(
-        1
-        for a in range(n)
-        for b in range(n)
-        if gcd(a * a + b * b, n) == 1
-    )
+    order = 1
+    for p, k in _factorize(n).items():
+        if p == 2:
+            order *= 2 ** (2 * k - 1)
+        else:
+            order *= ((p - 1) ** 2 if p % 4 == 1 else p * p - 1) * p ** (2 * k - 2)
+    return order
 
 
 def gaussian_ints_of_norm(n: int) -> list[GaussianInt]:

@@ -21,6 +21,7 @@ from .gaussian import (
     P13BAR,
     GaussianInt,
     GaussianRational,
+    _factorize,
     valuation,
 )
 
@@ -468,19 +469,6 @@ def pexp(x: PadicNumber) -> PadicNumber:
         fact *= n
         total += Fraction(power, fact)
     return _truncate_absolute(total, p, k)
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def closure_index(u: PadicNumber, k: int | None = None) -> int:

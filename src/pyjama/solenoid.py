@@ -53,6 +53,7 @@ __all__ = [
     "period_exponent",
     "periodic_dense_set",
     "orbit_eval_rows",
+    "orbit_max_gap",
     "orbit_eval_sweep",
     "distance_upper",
 ]
@@ -353,29 +354,51 @@ def _im_of(z) -> Fraction | float:
 # ---------------------------------------------------------------------------
 
 
+def _times(c: PadicNumber, q: GaussianRational) -> PadicNumber:
+    """c * i_p(q); an exact zero stays exact zero at its own precision."""
+    if c.is_zero and c.zero_abs is None:
+        return c
+    return c * embed(q, c.p, c.precision_k)
+
+
+def _frac_times(c: PadicNumber, q: GaussianRational) -> Fraction | int:
+    """The p-adic fractional part of c * i_p(q), which is 0 for exact zero."""
+    if c.is_zero and c.zero_abs is None:
+        return 0
+    return (c * embed(q, c.p, c.precision_k)).frac_part()
+
+
+def _act(qq: GaussianRational, qc: complex, x: SolenoidPoint | ExactPoint):
+    """act(qq, x) for qq in A with complex value qc."""
+    if isinstance(x, ExactPoint):
+        return ExactPoint(qq * x.q, qq * x.offset_w)
+    z = x.z * qq if x.exact_mode else _as_complex_value(x.z) * qc
+    return SolenoidPoint(z, _times(x.a, qq), _times(x.b, qq))
+
+
+def _evaluate(x: SolenoidPoint | ExactPoint, rr: GaussianRational, rc: complex):
+    """evaluate(x, rr) for rr in A with complex value rc."""
+    if isinstance(x, ExactPoint):
+        return x.evaluate(rr)
+    t5 = _frac_times(x.a, rr)
+    t13 = _frac_times(x.b, rr)
+    if x.exact_mode:
+        return (-(x.z * rr).re + t5 + t13) % 1
+    zr = _as_complex_value(x.z) * rc
+    return (-zr.real + float(t5) + float(t13)) % 1.0
+
+
 def act(q, x: SolenoidPoint | ExactPoint):
     """Componentwise multiplication by the three embeddings of q in A."""
     qq = _require_in_A(q)
-    if isinstance(x, ExactPoint):
-        return ExactPoint(qq * x.q, qq * x.offset_w)
-    z = x.z * qq if x.exact_mode else _as_complex_value(x.z) * _to_complex(qq)
-    a = x.a * embed(qq, 5, x.a.precision_k)
-    b = x.b * embed(qq, 13, x.b.precision_k)
-    return SolenoidPoint(z, a, b)
+    return _act(qq, _to_complex(qq), x)
 
 
 def evaluate(x: SolenoidPoint | ExactPoint, r) -> Fraction | float:
     """The pairing value of the point against r in A, in [0, 1); exact when
     the point carries exact data, floating otherwise."""
-    if isinstance(x, ExactPoint):
-        return x.evaluate(r)
     rr = _require_in_A(r)
-    t5 = (x.a * embed(rr, 5, x.a.precision_k)).frac_part()
-    t13 = (x.b * embed(rr, 13, x.b.precision_k)).frac_part()
-    if x.exact_mode:
-        return (-(x.z * rr).re + t5 + t13) % 1
-    zr = _as_complex_value(x.z) * _to_complex(rr)
-    return (-zr.real + float(t5) + float(t13)) % 1.0
+    return _evaluate(x, rr, _to_complex(rr))
 
 
 def stripe_membership(x, theta, epsilon) -> bool:
@@ -515,24 +538,27 @@ def orbit_eval_rows(
     rotation exponents (m*r, m*s) over the full grid 0 <= r, s <= sweep_max."""
     if m < 1 or sweep_max < 1:
         raise ValueError("exponent step and sweep bound must be positive")
-    step5 = theta_power(m, 0)
-    step13 = theta_power(0, m)
+    step5 = _require_in_A(theta_power(m, 0))
+    step13 = _require_in_A(theta_power(0, m))
+    c5, c13 = _to_complex(step5), _to_complex(step13)
+    one = GaussianRational(1)
+    c1 = _to_complex(one)
     rows = []
     row_point = x
     for r in range(sweep_max + 1):
         point = row_point
         for s in range(sweep_max + 1):
-            rows.append((r, s, evaluate(point, 1)))
+            rows.append((r, s, _evaluate(point, one, c1)))
             if s < sweep_max:
-                point = act(step13, point)
+                point = _act(step13, c13, point)
         if r < sweep_max:
-            row_point = act(step5, row_point)
+            row_point = _act(step5, c5, row_point)
     return rows
 
 
-def orbit_eval_sweep(x, m: int, sweep_max: int) -> Fraction | float:
-    """Largest circular gap left by the orbit evaluations on the circle."""
-    values = sorted(v for _, _, v in orbit_eval_rows(x, m, sweep_max))
+def orbit_max_gap(rows) -> Fraction | float:
+    """Largest circular gap that the values of orbit rows leave on the circle."""
+    values = sorted(v for _, _, v in rows)
     first = values[0]
     one = 1.0 if isinstance(first, float) else Fraction(1)
     best = one - values[-1] + first
@@ -541,6 +567,11 @@ def orbit_eval_sweep(x, m: int, sweep_max: int) -> Fraction | float:
         if gap > best:
             best = gap
     return best
+
+
+def orbit_eval_sweep(x, m: int, sweep_max: int) -> Fraction | float:
+    """Largest circular gap left by the orbit evaluations on the circle."""
+    return orbit_max_gap(orbit_eval_rows(x, m, sweep_max))
 
 
 def distance_upper(x: SolenoidPoint, y: SolenoidPoint, search_bound: int) -> float:

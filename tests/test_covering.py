@@ -7,8 +7,9 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pyjama.gaussian import (
     P5BAR,
@@ -375,6 +376,73 @@ def test_certified_disk_cover_refinement():
     rough_area = len(rough.failing_cells) * rough.pitch**2
     refined_area = len(refined.failing_cells) * refined.pitch**2
     assert refined_area <= rough_area
+
+
+def _disk_reference(rotations, eps, R, h, refine_rounds):
+    """Every rotation tested on every cell, the failing cells sorted."""
+    rots = [complex(float(t.re), float(t.im)) if isinstance(t, GaussianRational)
+            else complex(t) for t in rotations]
+
+    def failing(xs, ys, half_diag):
+        covered = np.zeros(xs.shape, dtype=bool)
+        for t in rots:
+            values = t.real * xs - t.imag * ys
+            covered |= np.abs(values - np.rint(values)) < eps - half_diag
+        return xs[~covered], ys[~covered]
+
+    half_diag = h * math.sqrt(2) / 2
+    n = max(1, math.ceil(2 * R / h))
+    centers = -R + h * (np.arange(n) + 0.5)
+    xs, ys = (a.ravel() for a in np.meshgrid(centers, centers))
+    keep = xs * xs + ys * ys <= (R + half_diag) ** 2
+    xs, ys = xs[keep], ys[keep]
+    checked = xs.size
+    fx, fy = failing(xs, ys, half_diag)
+    rounds = 0
+    for _ in range(refine_rounds):
+        if fx.size == 0:
+            break
+        h /= 2
+        off = h / 2
+        cx = np.concatenate([fx - off, fx + off, fx - off, fx + off])
+        cy = np.concatenate([fy - off, fy - off, fy + off, fy + off])
+        half_diag = h * math.sqrt(2) / 2
+        keep = cx * cx + cy * cy <= (R + half_diag) ** 2
+        checked += int(keep.sum())
+        fx, fy = failing(cx[keep], cy[keep], half_diag)
+        rounds += 1
+    cells = tuple(sorted((float(x), float(y)) for x, y in zip(fx, fy)))
+    return not cells, h, rounds, checked, cells
+
+
+@st.composite
+def disk_configs(draw):
+    """1-6 rotations (exact ones of theta_set(2) or float angles), a stripe
+    half-width, a radius of at most 2 and a pitch fine enough for the width."""
+    exact = st.sampled_from(theta_set(2))
+    angle = st.floats(0, 2 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
+    rots = draw(st.lists(st.one_of(exact, angle), min_size=1, max_size=6))
+    eps = draw(st.floats(0.1, 0.49))
+    pitch = eps * math.sqrt(2) * draw(st.floats(0.3, 0.99))
+    radius = draw(st.floats(0.2, 2.0))
+    return rots, eps, radius, pitch, draw(st.integers(0, 3))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(disk_configs())
+@example((theta_prime(1, 1)[:6], 0.35, 2.0, 0.2, 3))  # certified in round 3
+@example((theta_prime(1, 1)[:6], 0.3, 2.0, 0.2, 3))
+def test_certified_disk_cover_matches_full_mask_reference(case):
+    rots, eps, radius, pitch, rounds = case
+    report = certified_disk_cover(rots, eps, radius, pitch, refine_rounds=rounds)
+    certified, h, used, checked, cells = _disk_reference(*case)
+    assert report.certified == certified
+    assert report.pitch == h
+    assert report.rounds_used == used
+    assert report.cells_checked == checked
+    assert report.failing_count == len(cells)
+    assert report.failing_cells == cells
+    assert all(type(x) is float and type(y) is float for x, y in report.failing_cells)
 
 
 def test_snap_to_lattice_round_trip():

@@ -295,6 +295,12 @@ def test_unit_group_order():
     assert unit_group_order(3) == 8
     assert unit_group_order(7) == 48
     assert unit_group_order(49) == 49 * 48
+    # the closed form against a count of the units a + bi of Z[i]/n
+    for n in [*range(2, 151), 2**8, 5**3, 7**3, 13**2]:
+        count = sum(1 for a in range(n) for b in range(n) if gcd(a * a + b * b, n) == 1)
+        assert unit_group_order(n) == count, n
+    with pytest.raises(ValueError):
+        unit_group_order(0)
 
 
 def test_mod_arithmetic():

@@ -17,7 +17,7 @@ from pyjama.gaussian import (
     theta_set,
     unit_group_order,
 )
-from pyjama.padic import PadicNumber, PrecisionError, gauss_frac_part
+from pyjama.padic import PadicNumber, PrecisionError, embed, gauss_frac_part
 from pyjama.solenoid import (
     ExactPoint,
     SolenoidPoint,
@@ -27,6 +27,7 @@ from pyjama.solenoid import (
     evaluate,
     orbit_eval_rows,
     orbit_eval_sweep,
+    orbit_max_gap,
     period_exponent,
     periodic_dense_set,
     reduce_to_fundamental,
@@ -282,6 +283,67 @@ def test_orbit_rows_and_sweep():
     assert isinstance(gap, Fraction) and gap >= Fraction(1, 4)
     with pytest.raises(ValueError):
         orbit_eval_sweep(w, 0, 3)
+
+
+def _rotate_reference(q, z, a, b):
+    z = z * q if isinstance(z, GaussianRational) else z * complex(float(q.re), float(q.im))
+    return z, a * embed(q, 5, a.precision_k), b * embed(q, 13, b.precision_k)
+
+
+def _orbit_reference(x, m, sweep_max):
+    """Orbit rows with every p-adic component multiplied by its embedding and
+    every fractional part taken, zero or not."""
+    step5, step13 = theta_power(m, 0), theta_power(0, m)
+
+    def value(z, a, b):
+        one = GaussianRational(1)
+        t5 = (a * embed(one, 5, a.precision_k)).frac_part()
+        t13 = (b * embed(one, 13, b.precision_k)).frac_part()
+        if isinstance(z, GaussianRational):
+            return (-z.re + t5 + t13) % 1
+        return (-z.real + float(t5) + float(t13)) % 1.0
+
+    rows = []
+    row = (x.z, x.a, x.b)
+    for r in range(sweep_max + 1):
+        point = row
+        for s in range(sweep_max + 1):
+            rows.append((r, s, value(*point)))
+            point = _rotate_reference(step13, *point)
+        row = _rotate_reference(step5, *row)
+    return rows
+
+
+@pytest.mark.parametrize("point", [
+    SolenoidPoint.from_complex(0.3 + 0.2j),
+    SolenoidPoint.from_complex(-0.8 + 0.9j, 16),
+    SolenoidPoint(0.3 + 0.2j, PadicNumber.from_rational(Fraction(3, 25), 5, 24),
+                  PadicNumber.from_rational(Fraction(7, 13), 13, 24)),
+    SolenoidPoint(gr(1, 2, 3), PadicNumber.from_rational(Fraction(2, 5), 5, 12),
+                  PadicNumber.from_rational(Fraction(-4, 169), 13, 12)),
+    SolenoidPoint(0.5 - 0.4j, PadicNumber.zero(5, 24, 20), PadicNumber.zero(13, 24)),
+])
+@pytest.mark.parametrize("m", [1, 2])
+def test_orbit_rows_match_full_padic_reference(point, m):
+    rows = orbit_eval_rows(point, m, 4)
+    expected = _orbit_reference(point, m, 4)
+    assert [(r, s) for r, s, _ in rows] == [(r, s) for r, s, _ in expected]
+    for (_, _, got), (_, _, want) in zip(rows, expected):
+        assert type(got) is type(want) and got == want
+    assert orbit_max_gap(rows) == orbit_eval_sweep(point, m, 4)
+    q = theta_power(m, 1)
+    moved = act(q, point)
+    assert (moved.z, moved.a, moved.b) == _rotate_reference(q, point.z, point.a, point.b)
+
+
+def test_act_and_evaluate_reject_rotations_outside_A():
+    for x in (SolenoidPoint.from_complex(0.3 + 0.2j), SolenoidPoint.zero(),
+              ExactPoint(gr(1, 2, 7))):
+        for q in (gr(1, 0, 3), gr(1, 1, 5), gr(2, 1, 13)):
+            with pytest.raises(ValueError):
+                act(q, x)
+            with pytest.raises(ValueError):
+                evaluate(x, q)
 
 
 def test_distance_upper():
