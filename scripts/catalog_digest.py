@@ -7,8 +7,10 @@ of the fixed schedule seed 0 as well.  It prints one line per job: class,
 job key, exit code (or the name of the exception that escaped), and the
 sha256 (first 16 hex digits) of every artifact a job can write:
 ``report.txt``, ``cover.svg``, ``orbit.csv`` and ``density.csv`` ("-" when a
-file is not written).  Run it on two checkouts and diff the outputs to check
-that a change keeps every byte:
+file is not written), then of the stdout summary line without its
+``report=`` field and of stderr (job directory paths replaced by a fixed
+name), so it covers what a CLI user sees.  Run it on two checkouts and diff
+the outputs to check that a change keeps every byte:
 
     python3 scripts/catalog_digest.py OLD/src adelic-scan > old.txt
     python3 scripts/catalog_digest.py src adelic-scan > new.txt
@@ -43,15 +45,19 @@ for job in jobs:
         ini, out = Path(tmp) / "job.ini", Path(tmp) / "out"
         ini.write_text(job.ini)
         argv = [job.command, "--config", str(ini), "--out", str(out), *job.flags]
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = cli.main(argv)
             except Exception as exc:  # a known defect escapes as a traceback
                 code = type(exc).__name__
+        summary = " ".join(part for part in stdout.getvalue().split()
+                           if not part.startswith("report="))
+        streams = [text.replace(tmp, "TMP").encode()
+                   for text in (summary, stderr.getvalue())]
         digests = [
             hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
             if (out / name).exists() else "-"
             for name in ARTIFACTS
-        ]
+        ] + [hashlib.sha256(data).hexdigest()[:16] for data in streams]
         print(job.cls, job.key, code, *digests, flush=True)

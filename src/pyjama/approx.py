@@ -30,6 +30,7 @@ from .gaussian import (
     THETA13,
     abs_at,
     as_gaussian_rational,
+    crt,
     in_A,
 )
 from .padic import PadicNumber, PrecisionError, embed
@@ -47,10 +48,6 @@ __all__ = [
 
 _BAR = {5: P5BAR, 13: P13BAR}
 _OTHER_PRIME = {5: 13, 13: 5}
-
-
-def _to_complex(q: GaussianRational) -> complex:
-    return complex(float(q.re), float(q.im))
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +262,12 @@ def strong_approx(z: complex, b: PadicNumber, delta) -> GaussianRational:
             beta = b * embed(den, p, K + max(0, -b.valuation) + 2)
             B = _integer_lift(beta, K)
         scale = bar**K
-        w = z * _to_complex(den)
-        quot = (w - B) / _to_complex(GaussianRational(scale))
+        w = z * complex(den)
+        quot = (w - B) / complex(scale)
         h = GaussianInt(round(quot.real), round(quot.imag))
         g = GaussianInt(B, 0) + scale * h
         q = GaussianRational(g) / den
-        if abs(_to_complex(q) - z) <= float(delta) and _padic_residual_ok(
+        if abs(complex(q) - z) <= float(delta) and _padic_residual_ok(
             q, b, k, delta
         ):
             if not in_A(q):
@@ -278,11 +275,6 @@ def strong_approx(z: complex, b: PadicNumber, delta) -> GaussianRational:
             return q
         f += 1
     raise RuntimeError("approximation certificate failed verification")
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    t = (r2 - r1) * pow(m1, -1, m2) % m2
-    return (r1 + m1 * t) % (m1 * m2)
 
 
 def strong_approx_3way(z: complex, a: PadicNumber, b: PadicNumber,
@@ -317,7 +309,7 @@ def strong_approx_3way(z: complex, a: PadicNumber, b: PadicNumber,
         t += 1
 
     W = P5BAR.generator**K5 * P13BAR.generator**K13
-    w_c = _to_complex(GaussianRational(W))
+    w_c = complex(W)
     for _ in range(4):
         den = (
             GaussianRational(P5BAR.generator**j5)
@@ -327,14 +319,14 @@ def strong_approx_3way(z: complex, a: PadicNumber, b: PadicNumber,
         B5 = 0 if a.is_zero else _integer_lift(a * embed(den, 5, K5 + 2), K5)
         B13 = 0 if b.is_zero else _integer_lift(b * embed(den, 13, K13 + 2),
                                                 K13)
-        G = _crt_pair(B5, 5**K5, B13, 13**K13)
-        w = z * _to_complex(den)
+        G = crt(B5, 5**K5, B13, 13**K13)
+        w = z * complex(den)
         quot = (w - G) / w_c
         h = GaussianInt(round(quot.real), round(quot.imag))
         g = GaussianInt(G, 0) + W * h
         q = GaussianRational(g) / den
         if (
-            abs(_to_complex(q) - z) <= float(delta)
+            abs(complex(q) - z) <= float(delta)
             and _padic_residual_ok(q, a, k5, delta)
             and _padic_residual_ok(q, b, k13, delta)
         ):
@@ -496,7 +488,7 @@ def circle_density(theta: GaussianRational, t: complex, M: int) -> DensityReport
         raise ValueError("the sampled point must be nonzero")
     if M < 0:
         raise ValueError("the power count must be nonnegative")
-    step = _to_complex(q)
+    step = complex(q)
     radius = abs(t)
     angles = []
     cur = t

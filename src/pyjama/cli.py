@@ -18,6 +18,7 @@ import argparse
 import configparser
 import csv
 import io
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from .covering import (
     uncovered_region,
     verify_obstruction,
 )
-from .gaussian import GaussianRational
+from .gaussian import GaussianInt, GaussianRational
 from .padic import (
     PadicNumber,
     PrecisionError,
@@ -110,86 +111,93 @@ def _load_ini(path: str) -> configparser.ConfigParser:
     return parser
 
 
-def _require(parser, section: str, key: str) -> str:
-    if not parser.has_section(section):
-        raise InputError(f"missing section [{section}]")
-    if not parser.has_option(section, key):
-        raise InputError(f"missing key '{key}' in section [{section}]")
-    return parser.get(section, key).strip()
-
-
-def _optional(parser, section: str, key: str, default: str | None = None):
-    if parser.has_section(section) and parser.has_option(section, key):
-        return parser.get(section, key).strip()
-    return default
-
-
-def _parse_fraction(text: str, where: str) -> Fraction:
+def _number(text: str) -> float:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{where}: not a rational 'p/q' literal: "
-                         f"{text!r}") from exc
-
-
-def _parse_int(text: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise InputError(f"{where}: not an integer: {text!r}") from exc
-
-
-def _parse_float(text: str, where: str) -> float:
-    try:
-        return float(Fraction(text))
+        value = float(Fraction(text))
     except (ValueError, ZeroDivisionError):
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise InputError(f"{where}: not a number: {text!r}") from exc
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
 
 
-def _parse_grational(text: str, where: str) -> GaussianRational:
-    try:
-        return GaussianRational.parse(text)
-    except ValueError as exc:
-        raise InputError(f"{where}: not a Gaussian rational 'a/d+b/di' "
-                         f"literal: {text!r}") from exc
-
-
-def _parse_complex(text: str, where: str) -> complex:
-    exact = None
+def _point(text: str) -> complex:
     try:
         exact = GaussianRational.parse(text)
     except ValueError:
-        pass
-    if exact is not None:
-        return complex(float(exact.re), float(exact.im))
-    try:
         return complex(text.replace(" ", "").replace("i", "j"))
+    return complex(exact)
+
+
+# (reader, what a literal must be) pairs for _parse and _field; a reader
+# raises ValueError, ZeroDivisionError or OverflowError on a bad literal
+_RATIONAL = (Fraction, "a rational 'p/q' literal")
+_INTEGER = (int, "an integer")
+_NUMBER = (_number, "a finite number")
+_GAUSSIAN = (GaussianRational.parse, "a Gaussian rational 'a/d+b/di' literal")
+_POINT = (_point, "a point literal")
+
+_REQUIRED = object()
+
+
+def _parse(kind, text: str, where: str):
+    read, what = kind
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"{where}: not {what}: {text!r}") from exc
+
+
+def _field(ini, section: str, key: str, kind=None, default=_REQUIRED):
+    """``[section] key`` read by ``kind`` (the raw text when None); a
+    missing key takes ``default`` (a literal, or None for no value), and is
+    an InputError when it has none."""
+    if ini.has_section(section) and ini.has_option(section, key):
+        text = ini.get(section, key).strip()
+    elif default is _REQUIRED:
+        if not ini.has_section(section):
+            raise InputError(f"missing section [{section}]")
+        raise InputError(f"missing key '{key}' in section [{section}]")
+    elif default is None:
+        return None
+    else:
+        text = default
+    return text if kind is None else _parse(kind, text, f"[{section}] {key}")
+
+
+def _period(ini, section: str, default: str) -> GaussianInt:
+    period = _field(ini, section, "period", _GAUSSIAN, default)
+    if not period.is_gaussian_int():
+        raise InputError(f"[{section}] period: must be a Gaussian integer")
+    return period.to_gaussian_int()
+
+
+def _prime_site(ini, section: str) -> int:
+    p = _field(ini, section, "p", _INTEGER, "5")
+    if p not in (5, 13):
+        raise InputError(f"[{section}] p: the prime site must be 5 or 13")
+    return p
+
+
+def _checked(section: str, build, *args):
+    """build(*args), with a ValueError reported against ``[section]``."""
+    try:
+        return build(*args)
     except ValueError as exc:
-        raise InputError(f"{where}: not a point literal: {text!r}") from exc
+        raise InputError(f"[{section}]: {exc}") from exc
 
 
-def _covering_config(parser) -> CoveringConfig:
-    rotations_text = _require(parser, "covering", "rotations")
+def _covering_config(ini) -> CoveringConfig:
     rotations = [
-        _parse_grational(part.strip(), "[covering] rotations")
-        for part in rotations_text.split(";")
+        _parse(_GAUSSIAN, part.strip(), "[covering] rotations")
+        for part in _field(ini, "covering", "rotations").split(";")
         if part.strip()
     ]
     if not rotations:
         raise InputError("[covering] rotations: empty rotation list")
-    epsilon = _parse_fraction(_require(parser, "covering", "epsilon"),
-                              "[covering] epsilon")
-    period_text = _optional(parser, "covering", "period", "1")
-    period_q = _parse_grational(period_text, "[covering] period")
-    if not period_q.is_gaussian_int():
-        raise InputError("[covering] period: must be a Gaussian integer")
-    try:
-        return CoveringConfig(rotations, epsilon, period_q.to_gaussian_int())
-    except ValueError as exc:
-        raise InputError(f"[covering]: {exc}") from exc
+    epsilon = _field(ini, "covering", "epsilon", _RATIONAL)
+    period = _period(ini, "covering", "1")
+    return _checked("covering", CoveringConfig, rotations, epsilon, period)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +210,21 @@ def _text(lines) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _cmd_verify_covering(config, parser, artifacts):
-    cover = _covering_config(parser)
-    m_max = _parse_int(_optional(parser, "covering", "obstruction_m_max", "2"),
-                       "[covering] obstruction_m_max")
-    report = uncovered_region(cover, obstruction_m_max=m_max)
-    lines = list(report.report_lines())
+def _csv(header, rows) -> bytes:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
 
-    audit_points = _parse_int(_optional(parser, "covering", "audit_points",
-                                        "0"), "[covering] audit_points")
+
+def _cmd_verify_covering(config, ini, artifacts):
+    cover = _covering_config(ini)
+    m_max = _field(ini, "covering", "obstruction_m_max", _INTEGER, "2")
+    report = uncovered_region(cover, obstruction_m_max=m_max)
+    lines = report.report_lines()
+
+    audit_points = _field(ini, "covering", "audit_points", _INTEGER, "0")
     mismatches = 0
     if audit_points > 0:
         rng = random.Random(config.seed)
@@ -246,16 +260,10 @@ def _cmd_verify_covering(config, parser, artifacts):
     return (0 if covered else 1), fields
 
 
-def _cmd_obstructions(config, parser, artifacts):
-    epsilon = _parse_fraction(_require(parser, "obstructions", "epsilon"),
-                              "[obstructions] epsilon")
-    m_max = _parse_int(_require(parser, "obstructions", "m_max"),
-                       "[obstructions] m_max")
-    period_text = _optional(parser, "obstructions", "period", "1-2i")
-    period_q = _parse_grational(period_text, "[obstructions] period")
-    if not period_q.is_gaussian_int():
-        raise InputError("[obstructions] period: must be a Gaussian integer")
-    norm = period_q.to_gaussian_int().norm()
+def _cmd_obstructions(config, ini, artifacts):
+    epsilon = _field(ini, "obstructions", "epsilon", _RATIONAL)
+    m_max = _field(ini, "obstructions", "m_max", _INTEGER)
+    norm = _period(ini, "obstructions", "1-2i").norm()
     entries = obstruction_catalog(epsilon, m_max, norm)
     lines = [
         _REPORT_HEADER,
@@ -272,17 +280,15 @@ def _cmd_obstructions(config, parser, artifacts):
     return (0 if entries else 1), {"count": len(entries)}
 
 
-def _cmd_irrational_cover(config, parser, artifacts):
-    epsilon = _parse_float(_require(parser, "disk", "epsilon"),
-                           "[disk] epsilon")
-    radius = _parse_float(_require(parser, "disk", "radius"), "[disk] radius")
-    pitch = _parse_float(_require(parser, "disk", "pitch"), "[disk] pitch")
-    n_max = _parse_int(_require(parser, "disk", "n_max"), "[disk] n_max")
-    N_max = _parse_int(_require(parser, "disk", "N_max"), "[disk] N_max")
+def _cmd_irrational_cover(config, ini, artifacts):
+    epsilon = _field(ini, "disk", "epsilon", _NUMBER)
+    radius = _field(ini, "disk", "radius", _NUMBER)
+    pitch = _field(ini, "disk", "pitch", _NUMBER)
+    n_max = _field(ini, "disk", "n_max", _INTEGER)
+    N_max = _field(ini, "disk", "N_max", _INTEGER)
     rounds = 0
     if config.refine:
-        rounds = _parse_int(_optional(parser, "disk", "refine_rounds", "3"),
-                            "[disk] refine_rounds")
+        rounds = _field(ini, "disk", "refine_rounds", _INTEGER, "3")
     lines = [
         _REPORT_HEADER,
         "kind=disk-cover",
@@ -318,14 +324,10 @@ def _cmd_irrational_cover(config, parser, artifacts):
     return (0 if success is not None else 1), fields
 
 
-def _cmd_rationality_check(config, parser, artifacts):
-    cover = _covering_config(parser)
-    refinement = _parse_int(_optional(parser, "rationality", "refinement",
-                                      "2"), "[rationality] refinement")
-    try:
-        report = rationality_check(cover, refinement)
-    except ValueError as exc:
-        raise InputError(f"[rationality]: {exc}") from exc
+def _cmd_rationality_check(config, ini, artifacts):
+    cover = _covering_config(ini)
+    refinement = _field(ini, "rationality", "refinement", _INTEGER, "2")
+    report = _checked("rationality", rationality_check, cover, refinement)
     lines = [
         _REPORT_HEADER,
         "kind=rationality",
@@ -348,25 +350,16 @@ def _cmd_rationality_check(config, parser, artifacts):
     return (0 if report.within_bound else 1), fields
 
 
-def _cmd_orbit(config, parser, artifacts):
-    w = _parse_complex(_require(parser, "orbit", "w"), "[orbit] w")
-    m = _parse_int(_optional(parser, "orbit", "m", "1"), "[orbit] m")
-    sweep = _parse_int(_optional(parser, "orbit", "sweep", "30"),
-                       "[orbit] sweep")
-    threshold_text = _optional(parser, "orbit", "gap_below")
+def _cmd_orbit(config, ini, artifacts):
+    w = _field(ini, "orbit", "w", _POINT)
+    m = _field(ini, "orbit", "m", _INTEGER, "1")
+    sweep = _field(ini, "orbit", "sweep", _INTEGER, "30")
     precision = config.precision_k or 24
     point = SolenoidPoint.from_complex(w, precision_k=precision)
-    try:
-        rows = orbit_eval_rows(point, m, sweep)
-    except ValueError as exc:
-        raise InputError(f"[orbit]: {exc}") from exc
+    rows = _checked("orbit", orbit_eval_rows, point, m, sweep)
     gap = orbit_max_gap(rows)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["r", "s", "value"])
-    for r, s, value in rows:
-        writer.writerow([r, s, repr(float(value))])
-    artifacts.append(("orbit.csv", buffer.getvalue().encode("utf-8")))
+    artifacts.append(("orbit.csv", _csv(
+        ["r", "s", "value"], ((r, s, repr(float(v))) for r, s, v in rows))))
     lines = [
         _REPORT_HEADER,
         "kind=orbit",
@@ -378,8 +371,8 @@ def _cmd_orbit(config, parser, artifacts):
     ]
     code = 0
     fields = {"max_gap": repr(float(gap)), "samples": len(rows)}
-    if threshold_text is not None:
-        threshold = _parse_float(threshold_text, "[orbit] gap_below")
+    threshold = _field(ini, "orbit", "gap_below", _NUMBER, None)
+    if threshold is not None:
         dense = float(gap) < threshold
         lines.append(f"gap_below={threshold}")
         lines.append(f"dense={str(dense).lower()}")
@@ -389,12 +382,9 @@ def _cmd_orbit(config, parser, artifacts):
     return code, fields
 
 
-def _cmd_classify(config, parser, artifacts):
-    q = _parse_grational(_require(parser, "classify", "q"), "[classify] q")
-    try:
-        result = classify_point(q)
-    except ValueError as exc:
-        raise InputError(f"[classify]: {exc}") from exc
+def _cmd_classify(config, ini, artifacts):
+    q = _field(ini, "classify", "q", _GAUSSIAN)
+    result = _checked("classify", classify_point, q)
     periodic = result.is_periodic
     lines = [
         _REPORT_HEADER,
@@ -418,17 +408,12 @@ def _cmd_classify(config, parser, artifacts):
     return 0, fields
 
 
-def _cmd_density(config, parser, artifacts):
-    kind = _optional(parser, "density", "kind", "semigroup")
+def _cmd_density(config, ini, artifacts):
+    kind = _field(ini, "density", "kind", default="semigroup")
     if kind == "semigroup":
-        eta = _parse_fraction(_require(parser, "density", "eta"),
-                              "[density] eta")
-        delta = _parse_fraction(_require(parser, "density", "delta"),
-                                "[density] delta")
-        try:
-            report = semigroup_density(eta, delta)
-        except ValueError as exc:
-            raise InputError(f"[density]: {exc}") from exc
+        eta = _field(ini, "density", "eta", _RATIONAL)
+        delta = _field(ini, "density", "delta", _RATIONAL)
+        report = _checked("density", semigroup_density, eta, delta)
         verdict = bool(report.is_dense)
         code = 0 if verdict else 1
         fields = {
@@ -437,99 +422,76 @@ def _cmd_density(config, parser, artifacts):
             "dense": str(verdict).lower(),
         }
     elif kind == "circle":
-        theta = _parse_grational(_require(parser, "density", "theta"),
-                                 "[density] theta")
-        t = _parse_complex(_optional(parser, "density", "t", "1"),
-                           "[density] t")
-        M = _parse_int(_require(parser, "density", "M"), "[density] M")
-        try:
-            report = circle_density(theta, t, M)
-        except ValueError as exc:
-            raise InputError(f"[density]: {exc}") from exc
+        theta = _field(ini, "density", "theta", _GAUSSIAN)
+        t = _field(ini, "density", "t", _POINT, "1")
+        M = _field(ini, "density", "M", _INTEGER)
+        report = _checked("density", circle_density, theta, t, M)
         code = 0
         fields = {"kind": "circle", "max_gap": repr(report.max_gap)}
-        threshold_text = _optional(parser, "density", "gap_below")
-        if threshold_text is not None:
-            threshold = _parse_float(threshold_text, "[density] gap_below")
+        threshold = _field(ini, "density", "gap_below", _NUMBER, None)
+        if threshold is not None:
             dense = report.max_gap < threshold
             fields["dense"] = str(dense).lower()
             code = 0 if dense else 1
     else:
         raise InputError(f"[density] kind: unknown density kind {kind!r}")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["field", "value"])
-    for row in report.csv_rows():
-        writer.writerow(row)
-    for index, value in enumerate(report.sample):
-        writer.writerow([f"sample_{index}", str(value)])
-    artifacts.append(("density.csv", buffer.getvalue().encode("utf-8")))
+    samples = ((f"sample_{i}", str(v)) for i, v in enumerate(report.sample))
+    artifacts.append(("density.csv", _csv(
+        ["field", "value"], [*report.csv_rows(), *samples])))
     lines = [_REPORT_HEADER, "kind=density", f"flavor={kind}"]
     lines.extend(f"{k}={v}" for k, v in report.csv_rows())
     artifacts.append(("report.txt", _text(lines)))
     return code, fields
 
 
-def _cmd_approx(config, parser, artifacts):
-    z = _parse_complex(_require(parser, "approx", "z"), "[approx] z")
-    delta = _parse_fraction(_require(parser, "approx", "delta"),
-                            "[approx] delta")
+def _cmd_approx(config, ini, artifacts):
+    z = _field(ini, "approx", "z", _POINT)
+    delta = _field(ini, "approx", "delta", _RATIONAL)
     precision = config.precision_k or 16
-    target5_text = _optional(parser, "approx", "target5")
-    target13_text = _optional(parser, "approx", "target13")
+    target5_text = _field(ini, "approx", "target5", default=None)
+    target13_text = _field(ini, "approx", "target13", default=None)
     lines = [_REPORT_HEADER, "kind=approx", f"z={z}", f"delta={delta}"]
     if target5_text is not None and target13_text is not None:
         a = PadicNumber.from_rational(
-            _parse_fraction(target5_text, "[approx] target5"), 5, precision)
+            _parse(_RATIONAL, target5_text, "[approx] target5"), 5, precision)
         b = PadicNumber.from_rational(
-            _parse_fraction(target13_text, "[approx] target13"), 13,
+            _parse(_RATIONAL, target13_text, "[approx] target13"), 13,
             precision)
         q = strong_approx_3way(z, a, b, delta)
-        residual_c = abs(complex(float(q.re), float(q.im)) - z)
         residual_5 = (embed(q, 5, precision) - a).abs_bound()
         residual_13 = (embed(q, 13, precision) - b).abs_bound()
         lines += [
             f"target5={target5_text}",
             f"target13={target13_text}",
             f"q={q}",
-            f"residual_complex={residual_c!r}",
+            f"residual_complex={abs(complex(q) - z)!r}",
             f"residual_5={residual_5}",
             f"residual_13={residual_13}",
         ]
-        fields = {"q": str(q).replace(" ", "")}
     else:
-        p = _parse_int(_optional(parser, "approx", "p", "5"), "[approx] p")
-        if p not in (5, 13):
-            raise InputError("[approx] p: the prime site must be 5 or 13")
-        target_text = _require(parser, "approx", "target")
+        p = _prime_site(ini, "approx")
+        target_text = _field(ini, "approx", "target")
         b = PadicNumber.from_rational(
-            _parse_fraction(target_text, "[approx] target"), p, precision)
+            _parse(_RATIONAL, target_text, "[approx] target"), p, precision)
         q = strong_approx(z, b, delta)
-        residual_c = abs(complex(float(q.re), float(q.im)) - z)
         residual_p = (embed(q, p, precision) - b).abs_bound()
         lines += [
             f"p={p}",
             f"target={target_text}",
             f"q={q}",
-            f"residual_complex={residual_c!r}",
+            f"residual_complex={abs(complex(q) - z)!r}",
             f"residual_padic={residual_p}",
         ]
-        fields = {"q": str(q).replace(" ", "")}
     lines.append("verified=true")
     artifacts.append(("report.txt", _text(lines)))
-    fields["verified"] = "true"
-    return 0, fields
+    return 0, {"q": str(q).replace(" ", ""), "verified": "true"}
 
 
-def _cmd_closure_index(config, parser, artifacts):
-    p = _parse_int(_optional(parser, "closure-index", "p", "5"),
-                   "[closure-index] p")
-    if p not in (5, 13):
-        raise InputError("[closure-index] p: the prime site must be 5 or 13")
-    k = config.precision_k or _parse_int(
-        _optional(parser, "closure-index", "k", "4"), "[closure-index] k")
-    u_text = _require(parser, "closure-index", "u")
-    u_rational = _parse_fraction(u_text, "[closure-index] u")
+def _cmd_closure_index(config, ini, artifacts):
+    p = _prime_site(ini, "closure-index")
+    k = config.precision_k or _field(ini, "closure-index", "k", _INTEGER, "4")
+    u_text = _field(ini, "closure-index", "u")
+    u_rational = _parse(_RATIONAL, u_text, "[closure-index] u")
     u = PadicNumber.from_rational(u_rational, p, k)
     index = closure_index(u, k)
     lines = [
@@ -568,6 +530,18 @@ def _summary(command: str, code: int, fields: dict) -> str:
     return " ".join(parts)
 
 
+# (exception, summary tag, message prefix), matched in order: the first row
+# an exception is an instance of decides; TorsionUnitError is a ValueError
+_ERRORS = (
+    (InputError, "input", ""),
+    (PrecisionError, "precision", "insufficient precision: "),
+    (TorsionUnitError, "torsion-unit", ""),
+    (CertificateError, "certificate", ""),
+    (ValueError, "input", ""),
+    (TypeError, "input", ""),
+)
+
+
 def run(config: RunConfig) -> int:
     """Execute one command; artifacts are built in memory and written only
     when the run reaches a verdict (exit 0 or 1), never on exit 2."""
@@ -576,27 +550,13 @@ def run(config: RunConfig) -> int:
         return 2
     artifacts: list[tuple[str, bytes]] = []
     try:
-        parser = _load_ini(config.input_path)
-        code, fields = _DISPATCH[config.command](config, parser, artifacts)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(_summary(config.command, 2, {"error": "input"}))
-        return 2
-    except PrecisionError as exc:
-        print(f"error: insufficient precision: {exc}", file=sys.stderr)
-        print(_summary(config.command, 2, {"error": "precision"}))
-        return 2
-    except TorsionUnitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(_summary(config.command, 2, {"error": "torsion-unit"}))
-        return 2
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(_summary(config.command, 2, {"error": "certificate"}))
-        return 2
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(_summary(config.command, 2, {"error": "input"}))
+        ini = _load_ini(config.input_path)
+        code, fields = _DISPATCH[config.command](config, ini, artifacts)
+    except tuple(kind for kind, _, _ in _ERRORS) as exc:
+        tag, prefix = next((tag, prefix) for kind, tag, prefix in _ERRORS
+                           if isinstance(exc, kind))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        print(_summary(config.command, 2, {"error": tag}))
         return 2
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -613,22 +573,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact covering, solenoid-dynamics and approximation "
                     "experiments for Gaussian rotation configurations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, metavar="PATH",
-                         help="INI config file for this command")
-        cmd.add_argument("--out", default=".", metavar="DIR",
-                         help="directory for reports and figures")
-        cmd.add_argument("--seed", type=int, default=0, metavar="N",
-                         help="seed for sampled audits")
-        cmd.add_argument("--precision", type=int, default=None, metavar="K",
-                         help="p-adic working precision (digits)")
-        cmd.add_argument("--refine", action="store_true",
-                         help="enable grid refinement (disk cover)")
-        cmd.add_argument("--svg", default=True,
-                         action=argparse.BooleanOptionalAction,
-                         help="emit SVG figures where applicable")
+    parser.add_argument("command", choices=COMMANDS,
+                        help="experiment to run")
+    parser.add_argument("--config", required=True, metavar="PATH",
+                        help="INI config file for this command")
+    parser.add_argument("--out", default=".", metavar="DIR",
+                        help="directory for reports and figures")
+    parser.add_argument("--seed", type=int, default=0, metavar="N",
+                        help="seed for sampled audits")
+    parser.add_argument("--precision", type=int, default=None, metavar="K",
+                        help="p-adic working precision (digits)")
+    parser.add_argument("--refine", action="store_true",
+                        help="enable grid refinement (disk cover)")
+    parser.add_argument("--svg", default=True,
+                        action=argparse.BooleanOptionalAction,
+                        help="emit SVG figures where applicable")
     return parser
 
 

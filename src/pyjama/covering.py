@@ -46,91 +46,50 @@ __all__ = [
 ]
 
 
-def _to_complex(q: GaussianRational) -> complex:
-    return complex(float(q.re), float(q.im))
-
-
 class CertificateError(RuntimeError, ArithmeticError):
     """An exact certificate failed its own re-check."""
 
 
+@dataclass(frozen=True, slots=True)
 class CoveringConfig:
-    """A stripe configuration: unit-modulus rotations, a stripe half-width
-    epsilon in (0, 1/2), and a Gaussian-integer period multiplier compatible
-    with every exact rotation."""
+    """A stripe configuration: exact unit-modulus rotations, an exact stripe
+    half-width epsilon in (0, 1/2), and a Gaussian-integer period multiplier
+    compatible with every rotation.  Floating rotations or half-widths are
+    rejected with ValueError."""
 
-    __slots__ = ("_rotations", "_epsilon", "_period")
+    rotations: tuple[GaussianRational, ...]
+    epsilon: Fraction
+    period: GaussianInt = GaussianInt(1, 0)
 
-    def __init__(self, rotations, epsilon, period=GaussianInt(1, 0)):
+    def __post_init__(self):
         rots = []
-        exact = True
-        for t in rotations:
+        for t in self.rotations:
             q = as_gaussian_rational(t)
-            if q is not None:
-                rots.append(q)
-            elif isinstance(t, (complex, float)):
-                rots.append(complex(t))
-                exact = False
-            else:
-                raise TypeError(f"cannot use {type(t)!r} as a rotation")
+            if q is None:
+                raise ValueError(f"rotation {t!r} is not an exact Gaussian rational")
+            if q.abs2() != 1:
+                raise ValueError(f"rotation {q} does not have unit modulus")
+            rots.append(q)
         if not rots:
             raise ValueError("at least one rotation is required")
-        if exact:
-            for q in rots:
-                if q.abs2() != 1:
-                    raise ValueError(f"rotation {q} does not have unit modulus")
-        else:
-            if any(isinstance(t, GaussianRational) for t in rots):
-                raise ValueError("rotations must be all exact or all floating")
-            for t in rots:
-                if abs(abs(t) - 1.0) > 1e-9:
-                    raise ValueError(f"rotation {t} does not have unit modulus")
-        if isinstance(epsilon, float):
-            eps: Fraction | float = epsilon
-        else:
-            eps = Fraction(epsilon)
+        if isinstance(self.epsilon, float):
+            raise ValueError("stripe half-width must be an exact rational")
+        eps = Fraction(self.epsilon)
         if not 0 < eps < Fraction(1, 2):
             raise ValueError("stripe half-width must lie in (0, 1/2)")
+        period = self.period
         if isinstance(period, int):
             period = GaussianInt(period, 0)
         if not isinstance(period, GaussianInt) or not period:
             raise TypeError("period multiplier must be a nonzero Gaussian integer")
-        if exact:
-            for q in rots:
-                if not (GaussianRational(period) * q).is_gaussian_int():
-                    raise ValueError(
-                        f"period multiplier {period} is incompatible with rotation {q}"
-                    )
-        object.__setattr__(self, "_rotations", tuple(rots))
-        object.__setattr__(self, "_epsilon", eps)
-        object.__setattr__(self, "_period", period)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoveringConfig is immutable")
-
-    @property
-    def rotations(self) -> tuple:
-        return self._rotations
-
-    @property
-    def epsilon(self) -> Fraction | float:
-        return self._epsilon
-
-    @property
-    def period(self) -> GaussianInt:
-        return self._period
-
-    @property
-    def exact_mode(self) -> bool:
-        return isinstance(self._epsilon, Fraction) and all(
-            isinstance(t, GaussianRational) for t in self._rotations
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"CoveringConfig({list(self._rotations)!r}, {self._epsilon!r}, "
-            f"{self._period!r})"
-        )
+        for q in rots:
+            if not (GaussianRational(period) * q).is_gaussian_int():
+                raise ValueError(
+                    f"period multiplier {period} is incompatible with rotation {q}"
+                )
+        object.__setattr__(self, "rotations", tuple(rots))
+        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "period", period)
 
 
 @dataclass(frozen=True)
@@ -179,29 +138,6 @@ class CoverReport:
                     if poly.contains(p):
                         return True
         return False
-
-    def distance_sq_to_uncovered(self, z) -> Fraction | None:
-        """Exact squared distance from a point to the periodic uncovered set,
-        or None when the uncovered set is empty."""
-        if not self.uncovered:
-            return None
-        q = as_gaussian_rational(z)
-        if q is None:
-            raise TypeError("distance checks need an exact point")
-        D = GaussianRational(self.config.period)
-        w = q / D
-        frac = GaussianRational.from_fractions(w.re % 1, w.im % 1)
-        base = frac * D
-        best: Fraction | None = None
-        for j in (0, -1, 1):
-            for k in (0, -1, 1):
-                shift = D * GaussianRational(GaussianInt(j, k))
-                p = (base.re + shift.re, base.im + shift.im)
-                for poly in self.uncovered:
-                    d = poly.dist_sq_to_point(p)
-                    if best is None or d < best:
-                        best = d
-        return best
 
     def report_lines(self) -> list[str]:
         """Structured-text serialization (versioned, exact)."""
@@ -301,8 +237,6 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     ``_lattice_scale``; every catalog obstruction point is uncovered (each
     rotation's D*theta is one of the norm-N(D) multipliers that
     ``verify_obstruction`` ranges over), which is re-checked exactly."""
-    if not config.exact_mode:
-        raise ValueError("the uncovered-region certificate requires exact mode")
     D, eps = config.period, config.epsilon
     scale = _lattice_scale(D, config.rotations, eps)
     dr, di = D.re * scale, D.im * scale
@@ -402,7 +336,7 @@ def theta_prime(n: int, N: int) -> list[complex]:
     if n < 1 or N < 0:
         raise ValueError("need n >= 1 and N >= 0")
     zetas = irrational_triple(n)
-    grid = [_to_complex(t) for t in theta_set(N)]
+    grid = [complex(t) for t in theta_set(N)]
     return [zeta * t for zeta in zetas for t in grid]
 
 
@@ -458,10 +392,7 @@ def certified_disk_cover(
     center deeper inside a stripe than the cell's own reach (half-diagonal,
     by 1-Lipschitz continuity of the stripe coordinate).  Each refinement
     round splits every failing cell into four and tests them again."""
-    rots = []
-    for t in rotations:
-        q = as_gaussian_rational(t)
-        rots.append(_to_complex(q) if q is not None else complex(t))
+    rots = [complex(t) for t in rotations]
     if not rots:
         raise ValueError("at least one rotation is required")
     eps = float(epsilon)

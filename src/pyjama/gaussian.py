@@ -42,6 +42,7 @@ __all__ = [
     "mod_mul",
     "mod_pow",
     "mod_inv",
+    "crt",
     "mod_from_rational",
     "mod_order",
 ]
@@ -114,7 +115,7 @@ class GaussianInt:
         return GaussianRational(self) / other
 
     def __rtruediv__(self, other) -> "GaussianRational":
-        return _coerce(other) / GaussianRational(self)
+        return as_gaussian_rational(other) / GaussianRational(self)
 
     def exact_div(self, other: "GaussianInt") -> "GaussianInt":
         """Exact quotient self/other in Z[i]; ValueError if not divisible."""
@@ -243,7 +244,7 @@ class GaussianRational:
         return GaussianRational(GaussianInt(-self._a, -self._b), self._d)
 
     def __add__(self, other):
-        o = _coerce(other)
+        o = as_gaussian_rational(other)
         if o is None:
             return NotImplemented
         return GaussianRational(
@@ -254,19 +255,19 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(other)
+        o = as_gaussian_rational(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = _coerce(other)
+        o = as_gaussian_rational(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
-        o = _coerce(other)
+        o = as_gaussian_rational(other)
         if o is None:
             return NotImplemented
         return GaussianRational(
@@ -280,13 +281,13 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _coerce(other)
+        o = as_gaussian_rational(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = _coerce(other)
+        o = as_gaussian_rational(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -304,7 +305,7 @@ class GaussianRational:
         return out
 
     def __eq__(self, other):
-        o = _coerce(other)
+        o = as_gaussian_rational(other)
         if o is None:
             return NotImplemented
         return self._a == o._a and self._b == o._b and self._d == o._d
@@ -364,7 +365,9 @@ class GaussianRational:
         return cls.from_fractions(re_part or Fraction(0), im_part or Fraction(0))
 
 
-def _coerce(x) -> GaussianRational | None:
+def as_gaussian_rational(x) -> GaussianRational | None:
+    """Coerce an int, Fraction, GaussianInt or GaussianRational; None when
+    the value has no exact Gaussian-rational meaning."""
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (GaussianInt, int)):
@@ -372,12 +375,6 @@ def _coerce(x) -> GaussianRational | None:
     if isinstance(x, Fraction):
         return GaussianRational(GaussianInt(x.numerator, 0), x.denominator)
     return None
-
-
-def as_gaussian_rational(x) -> GaussianRational | None:
-    """Coerce an int, Fraction, GaussianInt or GaussianRational; None when
-    the value has no exact Gaussian-rational meaning."""
-    return _coerce(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -420,7 +417,7 @@ def _int_valuation(g: GaussianInt, site: PrimeSite) -> int:
 
 def valuation(q: GaussianRational | GaussianInt | int, site: PrimeSite) -> int:
     """Exponent of the site's prime in q.  Additive: v(qr) = v(q) + v(r)."""
-    qq = _coerce(q)
+    qq = as_gaussian_rational(q)
     if qq is None:
         raise TypeError(f"cannot take a valuation of {type(q)!r}")
     if not qq:
@@ -495,7 +492,7 @@ def in_A(q: GaussianRational | GaussianInt | int) -> bool:
     """Membership in the ring A = Z[i][1/P5bar.generator, 1/P13bar.generator]:
     denominator supported on {5, 13} and nonnegative valuation at the two
     unbarred sites."""
-    qq = _coerce(q)
+    qq = as_gaussian_rational(q)
     if qq is None:
         raise TypeError(f"cannot test A-membership of {type(q)!r}")
     if not qq:
@@ -512,7 +509,7 @@ def in_A(q: GaussianRational | GaussianInt | int) -> bool:
 def a_clearing_denominator(q: GaussianRational) -> GaussianInt:
     """Smallest product of barred-site generators d with q*d in Z[i].
     Raises ValueError when q is not in A."""
-    qq = _coerce(q)
+    qq = as_gaussian_rational(q)
     if qq is None or not in_A(qq):
         raise ValueError(f"{q} is not in A")
     if not qq:
@@ -624,6 +621,13 @@ def mod_inv(g: GaussianInt, n: int) -> GaussianInt:
         raise ValueError(f"{g} is not invertible mod {n}")
     s = pow(t, -1, n)
     return mod_reduce(g.conj() * s, n)
+
+
+def crt(r1: int, m1: int, r2: int, m2: int) -> int:
+    """The residue in [0, m1*m2) that is r1 mod m1 and r2 mod m2, for
+    coprime positive moduli."""
+    t = (r2 - r1) * pow(m1, -1, m2) % m2
+    return (r1 + m1 * t) % (m1 * m2)
 
 
 def mod_from_rational(q: GaussianRational, n: int) -> GaussianInt:

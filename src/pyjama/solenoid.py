@@ -30,6 +30,8 @@ from .gaussian import (
     P13,
     P13BAR,
     abs_at,
+    as_gaussian_rational,
+    crt,
     in_A,
     mod_from_rational,
     mod_order,
@@ -62,22 +64,8 @@ __all__ = [
 DEFAULT_PRECISION = 24
 
 
-def _as_rational(x) -> GaussianRational | None:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (GaussianInt, int)):
-        return GaussianRational(x)
-    if isinstance(x, Fraction):
-        return GaussianRational(GaussianInt(x.numerator, 0), x.denominator)
-    return None
-
-
-def _to_complex(q: GaussianRational) -> complex:
-    return complex(float(q.re), float(q.im))
-
-
 def _require_in_A(q) -> GaussianRational:
-    qq = _as_rational(q)
+    qq = as_gaussian_rational(q)
     if qq is None:
         raise TypeError(f"expected a Gaussian rational, got {type(q)!r}")
     if not in_A(qq):
@@ -94,7 +82,7 @@ class SolenoidPoint:
     __slots__ = ("_z", "_a", "_b")
 
     def __init__(self, z, a, b):
-        zq = _as_rational(z)
+        zq = as_gaussian_rational(z)
         if zq is None:
             if isinstance(z, (complex, float)):
                 zq = complex(z)
@@ -146,7 +134,7 @@ class SolenoidPoint:
     @classmethod
     def from_complex(cls, w, precision_k: int = DEFAULT_PRECISION) -> "SolenoidPoint":
         """The purely complex point; evaluate(from_complex(w), r) = Re(w*r) mod 1."""
-        wq = _as_rational(w)
+        wq = as_gaussian_rational(w)
         z: GaussianRational | complex
         if wq is not None:
             z = -wq
@@ -162,7 +150,7 @@ class SolenoidPoint:
     def diagonal(cls, q, precision_k: int = DEFAULT_PRECISION) -> "SolenoidPoint":
         """The twisted diagonal triple (q, i5(q/2), i13(q/2)); it evaluates to
         zero against every element of A exactly when q itself lies in A."""
-        qq = _as_rational(q)
+        qq = as_gaussian_rational(q)
         if qq is None:
             raise TypeError(f"cannot embed {type(q)!r} diagonally")
         half = qq / 2
@@ -176,7 +164,7 @@ class SolenoidPoint:
         if self.exact_mode and other.exact_mode:
             z = self._z + other._z
         else:
-            z = _as_complex_value(self._z) + _as_complex_value(other._z)
+            z = complex(self._z) + complex(other._z)
         return SolenoidPoint(z, self._a + other._a, self._b + other._b)
 
     def __sub__(self, other: "SolenoidPoint") -> "SolenoidPoint":
@@ -185,7 +173,7 @@ class SolenoidPoint:
         if self.exact_mode and other.exact_mode:
             z = self._z - other._z
         else:
-            z = _as_complex_value(self._z) - _as_complex_value(other._z)
+            z = complex(self._z) - complex(other._z)
         return SolenoidPoint(z, self._a - other._a, self._b - other._b)
 
     def __neg__(self) -> "SolenoidPoint":
@@ -214,12 +202,6 @@ class SolenoidPoint:
         )
 
 
-def _as_complex_value(z) -> complex:
-    if isinstance(z, GaussianRational):
-        return _to_complex(z)
-    return complex(z)
-
-
 @dataclass(frozen=True)
 class ExactPoint:
     """A diagonal point shifted by a purely complex offset, kept fully exact.
@@ -232,8 +214,8 @@ class ExactPoint:
     offset_w: GaussianRational = GaussianRational(0)
 
     def __post_init__(self):
-        qq = _as_rational(self.q)
-        ww = _as_rational(self.offset_w)
+        qq = as_gaussian_rational(self.q)
+        ww = as_gaussian_rational(self.offset_w)
         if qq is None or ww is None:
             raise TypeError("ExactPoint components must be Gaussian rationals")
         object.__setattr__(self, "q", qq)
@@ -284,19 +266,6 @@ def _integer_residue(frac: Fraction, p: int, e: int, clear: GaussianInt) -> int:
     return 2 * c * (image // p**e) % p**e
 
 
-def _crt(b1: int, m1: int, b2: int, m2: int) -> int:
-    if m1 == 1:
-        return b2 % m2
-    if m2 == 1:
-        return b1 % m1
-    t = (b2 - b1) * pow(m1, -1, m2) % m2
-    return b1 + m1 * t
-
-
-def _floor_component(x) -> int:
-    return math.floor(x)
-
-
 def reduce_to_fundamental(
     x: SolenoidPoint | ExactPoint,
 ) -> tuple[SolenoidPoint, GaussianRational]:
@@ -315,11 +284,11 @@ def reduce_to_fundamental(
     clear = P5BAR.generator**e * P13BAR.generator**f
     b5 = _integer_residue(f5, 5, e, clear)
     b13 = _integer_residue(f13, 13, f, clear)
-    g = _crt(b5, 5**e, b13, 13**f)
+    g = crt(b5, 5**e, b13, 13**f)
     r = GaussianRational(GaussianInt(g, 0)) / GaussianRational(clear)
 
     shifted = x - SolenoidPoint.diagonal(r, max(x.a.precision_k, x.b.precision_k))
-    n = GaussianInt(_floor_component(_re_of(shifted.z)), _floor_component(_im_of(shifted.z)))
+    n = GaussianInt(math.floor(_re_of(shifted.z)), math.floor(_im_of(shifted.z)))
     if n:
         shifted = shifted - SolenoidPoint.diagonal(
             GaussianRational(n), max(x.a.precision_k, x.b.precision_k)
@@ -372,7 +341,7 @@ def _act(qq: GaussianRational, qc: complex, x: SolenoidPoint | ExactPoint):
     """act(qq, x) for qq in A with complex value qc."""
     if isinstance(x, ExactPoint):
         return ExactPoint(qq * x.q, qq * x.offset_w)
-    z = x.z * qq if x.exact_mode else _as_complex_value(x.z) * qc
+    z = x.z * qq if x.exact_mode else complex(x.z) * qc
     return SolenoidPoint(z, _times(x.a, qq), _times(x.b, qq))
 
 
@@ -384,21 +353,21 @@ def _evaluate(x: SolenoidPoint | ExactPoint, rr: GaussianRational, rc: complex):
     t13 = _frac_times(x.b, rr)
     if x.exact_mode:
         return (-(x.z * rr).re + t5 + t13) % 1
-    zr = _as_complex_value(x.z) * rc
+    zr = complex(x.z) * rc
     return (-zr.real + float(t5) + float(t13)) % 1.0
 
 
 def act(q, x: SolenoidPoint | ExactPoint):
     """Componentwise multiplication by the three embeddings of q in A."""
     qq = _require_in_A(q)
-    return _act(qq, _to_complex(qq), x)
+    return _act(qq, complex(qq), x)
 
 
 def evaluate(x: SolenoidPoint | ExactPoint, r) -> Fraction | float:
     """The pairing value of the point against r in A, in [0, 1); exact when
     the point carries exact data, floating otherwise."""
     rr = _require_in_A(r)
-    return _evaluate(x, rr, _to_complex(rr))
+    return _evaluate(x, rr, complex(rr))
 
 
 def stripe_membership(x, theta, epsilon) -> bool:
@@ -439,7 +408,7 @@ def _diagonal_rational(q) -> GaussianRational:
         if q.offset_w:
             raise ValueError("classification requires a zero complex offset")
         return q.q
-    qq = _as_rational(q)
+    qq = as_gaussian_rational(q)
     if qq is None:
         raise TypeError(f"cannot classify {type(q)!r}")
     return qq
@@ -540,9 +509,9 @@ def orbit_eval_rows(
         raise ValueError("exponent step and sweep bound must be positive")
     step5 = _require_in_A(theta_power(m, 0))
     step13 = _require_in_A(theta_power(0, m))
-    c5, c13 = _to_complex(step5), _to_complex(step13)
+    c5, c13 = complex(step5), complex(step13)
     one = GaussianRational(1)
-    c1 = _to_complex(one)
+    c1 = complex(one)
     rows = []
     row_point = x
     for r in range(sweep_max + 1):
@@ -597,7 +566,7 @@ def distance_upper(x: SolenoidPoint, y: SolenoidPoint, search_bound: int) -> flo
                     r = GaussianRational(GaussianInt(u, v)) / den
                     shifted = diff - SolenoidPoint.diagonal(r, prec)
                     size = (
-                        abs(_as_complex_value(shifted.z))
+                        abs(complex(shifted.z))
                         + float(shifted.a.abs_bound())
                         + float(shifted.b.abs_bound())
                     )

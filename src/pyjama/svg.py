@@ -55,8 +55,7 @@ def _stripe_elements(report: CoverReport, norm: int) -> list[str]:
                (float(norm), float(norm))]
     out = []
     for index, rotation in enumerate(report.config.rotations):
-        theta = complex(float(rotation.re), float(rotation.im)) \
-            if isinstance(rotation, GaussianRational) else complex(rotation)
+        theta = complex(rotation)
         conj = theta.conjugate()
         fvals = [(theta * complex(x, y)).real for x, y in corners]
         svals = [(theta * complex(x, y)).imag for x, y in corners]

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from pyjama import covering
-from pyjama.cli import RunConfig, main, run
+from pyjama import cli, covering
+from pyjama.cli import COMMANDS, RunConfig, main, run
 
 FIGURE_INI = """\
 [covering]
@@ -296,3 +296,59 @@ def test_unknown_command_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["not-a-command", "--config", "x.ini"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, ini", [
+    ("irrational-cover", "[disk]\nepsilon = 0.45\nradius = inf\npitch = 0.05\n"
+                         "n_max = 1\nN_max = 0\n"),
+    ("irrational-cover", "[disk]\nepsilon = nan\nradius = 1.0\npitch = 0.05\n"
+                         "n_max = 1\nN_max = 0\n"),
+    ("orbit", "[orbit]\nw = 1\nm = 1\nsweep = 3\ngap_below = nan\n"),
+], ids=["radius-inf", "epsilon-nan", "gap-below-nan"])
+def test_non_finite_numbers_exit_two(tmp_path, capsys, command, ini):
+    cfg = _write(tmp_path / "n.ini", ini)
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == f"command={command} exit=2 error=input\n"
+    assert "not a finite number" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, ini, argv, tag, message", [
+    # a target known to one 5-adic digit cannot meet delta = 1/10
+    ("approx", "[approx]\nz = 0\np = 5\ntarget = 1/5\ndelta = 1/10\n",
+     ["--precision", "1"], "precision", "error: insufficient precision: "),
+    # -1 is a root of unity, so the closure of its powers is finite
+    ("closure-index", "[closure-index]\nu = -1\np = 5\n", [],
+     "torsion-unit", "error: 624 mod 5^4 is a root of unity"),
+    # a ValueError raised inside the catalog builder, not by the config reader
+    ("obstructions", "[obstructions]\nepsilon = 1/4\nm_max = 0\n", [],
+     "input", "error: m_max must be positive"),
+], ids=["precision", "torsion-unit", "input"])
+def test_error_tags(tmp_path, capsys, command, ini, argv, tag, message):
+    cfg = _write(tmp_path / "e.ini", ini)
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out), *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == f"command={command} exit=2 error={tag}\n"
+    assert captured.err.startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_options(monkeypatch, command):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+    assert main([command, "--config", "c.ini", "--out", "o", "--no-svg",
+                 "--refine", "--seed", "5", "--precision", "7"]) == 0
+    assert seen == [RunConfig(command=command, input_path="c.ini",
+                              output_dir="o", seed=5, precision_k=7,
+                              refine=True, svg=False)]
+    assert main([command, "--config", "c.ini"]) == 0
+    assert seen[1] == RunConfig(command=command, input_path="c.ini")
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2

@@ -58,12 +58,12 @@ def test_config_validation():
         CoveringConfig([1, 0.6 + 0.8j], F(1, 4))  # mixed exact/floating
     with pytest.raises(ValueError):
         CoveringConfig([0.5 + 0.5j], F(1, 4))  # not unit modulus
-    cfg = CoveringConfig([0.6 + 0.8j], 0.25)
-    assert not cfg.exact_mode
     with pytest.raises(ValueError):
-        uncovered_region(cfg)
+        CoveringConfig([0.6 + 0.8j], F(1, 4))  # floating rotation
+    with pytest.raises(ValueError):
+        CoveringConfig([1], 0.25)  # floating half-width
     cfg = figure_config()
-    assert cfg.exact_mode and cfg.period == GaussianInt(1, -2)
+    assert cfg.period == GaussianInt(1, -2)
 
 
 def test_single_band():

@@ -18,6 +18,7 @@ from pyjama.gaussian import (
     a_clearing_denominator,
     abs_at,
     conjugate_site,
+    crt,
     gaussian_ints_of_norm,
     in_A,
     is_sum_of_two_squares,
@@ -336,3 +337,52 @@ def test_nearest_gaussian_int():
     assert nearest_gaussian_int(q) == GaussianInt(2, -1)
     assert nearest_gaussian_int(GaussianRational(GaussianInt(1, -1), 2)) == GaussianInt(1, 0)
     assert nearest_gaussian_int(GaussianRational(GaussianInt(5, 5))) == GaussianInt(5, 5)
+
+
+def _complex_or_overflow(convert):
+    try:
+        z = convert()
+    except OverflowError:
+        return "overflow"
+    return z.real.hex(), z.imag.hex()
+
+
+def test_complex_conversion_is_componentwise_float():
+    """complex(q) rounds each part exactly as float() of that part does,
+    bit for bit, and overflows in exactly the same cases."""
+    r = rng(41)
+    cases = [
+        GaussianRational(GaussianInt(1, -1), 10**320),  # subnormal parts
+        GaussianRational(GaussianInt(10**400, 1)),  # real part overflows
+        GaussianRational(GaussianInt(3, -(10**309)), 7),  # imaginary overflows
+        GaussianRational(GaussianInt(2**1024 - 2**970, 0)),  # just rounds up to inf
+        GaussianRational(GaussianInt(2**1024 - 2**971, 0)),  # largest finite
+    ]
+    for _ in range(400):
+        cases.append(random_gaussian_rational(r, 10**6, 10**6))
+    for _ in range(400):
+        digits = r.choice((20, 300, 1000))
+        a, b = (r.randrange(-(10**digits), 10**digits) for _ in range(2))
+        d = r.randrange(1, 10 ** r.choice((1, 300, 1000)))
+        cases.append(GaussianRational(GaussianInt(a, b), d))
+    overflows = 0
+    for q in cases:
+        got = _complex_or_overflow(lambda: complex(q))
+        want = _complex_or_overflow(lambda: complex(float(q.re), float(q.im)))
+        assert got == want, q
+        overflows += got == "overflow"
+    assert overflows > 10
+
+
+def test_crt_against_brute_force():
+    for m1 in range(1, 16):
+        for m2 in range(1, 16):
+            if gcd(m1, m2) != 1:
+                continue
+            for r1 in range(-m1, 2 * m1, 3):
+                for r2 in range(-m2, 2 * m2, 2):
+                    want = next(x for x in range(m1 * m2)
+                                if (x - r1) % m1 == 0 and (x - r2) % m2 == 0)
+                    assert crt(r1, m1, r2, m2) == want
+    assert crt(7, 5**3, 11, 13**2) % 5**3 == 7
+    assert crt(0, 1, 12, 13) == 12 and crt(3, 5, 0, 1) == 3
