@@ -15,6 +15,7 @@ re-check.  Nothing is written on exit 2.
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import csv
 import io
@@ -122,11 +123,16 @@ def _number(text: str) -> float:
 
 
 def _point(text: str) -> complex:
+    """An exact Gaussian-rational literal, or else a finite complex float
+    literal with the imaginary unit written ``i`` (such as ``0.3+0.7i``)."""
     try:
-        exact = GaussianRational.parse(text)
+        return complex(GaussianRational.parse(text))
     except ValueError:
-        return complex(text.replace(" ", "").replace("i", "j"))
-    return complex(exact)
+        literal = text.replace(" ", "")
+        value = complex(literal[:-1] + "j" if literal.endswith("i") else literal)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 # (reader, what a literal must be) pairs for _parse and _field; a reader
@@ -229,29 +235,24 @@ def _cmd_verify_covering(config, ini, artifacts):
     if audit_points > 0:
         rng = random.Random(config.seed)
         grid = 8 * cover.period.norm()
-        period = GaussianRational(cover.period)
+        p, q = cover.epsilon.numerator, cover.epsilon.denominator
         for _ in range(audit_points):
-            x = Fraction(rng.randrange(grid), grid)
-            y = Fraction(rng.randrange(grid), grid)
-            z = GaussianRational.from_fractions(x, y) * period
-            direct = True
-            for theta in cover.rotations:
-                v = (theta * z).re % 1
-                if min(v, 1 - v) < cover.epsilon:
-                    direct = False
-                    break
-            if report.contains(z) != direct:
-                mismatches += 1
+            # the point z/grid of the cell; Re(theta*z/grid) mod 1 is r/M
+            z = GaussianInt(rng.randrange(grid), rng.randrange(grid)) * cover.period
+            values = ((t.num.re * z.re - t.num.im * z.im, t.den * grid)
+                      for t in cover.rotations)
+            direct = all(min(r % M, -r % M) * q >= p * M for r, M in values)
+            mismatches += report.contains(GaussianRational(z, grid)) != direct
         lines.append(f"audit points={audit_points} seed={config.seed} "
                      f"mismatches={mismatches}")
 
     artifacts.append(("report.txt", _text(lines)))
     if config.svg:
         artifacts.append(("cover.svg", render_svg(report).encode("utf-8")))
-    covered = not report.uncovered
+    covered = not report.pieces
     fields = {
         "covered": str(covered).lower(),
-        "uncovered_pieces": len(report.uncovered),
+        "uncovered_pieces": len(report.pieces),
         "area": report.total_uncovered_area,
         "obstructions": len(report.obstruction_matches),
     }

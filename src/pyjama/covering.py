@@ -7,9 +7,11 @@ snapping, and the rationality experiment.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -27,7 +29,14 @@ from .gaussian import (
     theta_set,
     try_exact_div,
 )
-from .polygon import ConvexPolygon, _canonicalize, _ring_area2
+from .polygon import (
+    ConvexPolygon,
+    Ring,
+    _canonicalize,
+    _ring_area2,
+    _ring_contains,
+    _ring_dist_sq,
+)
 
 __all__ = [
     "CertificateError",
@@ -92,28 +101,53 @@ class CoveringConfig:
         object.__setattr__(self, "period", period)
 
 
+class _Polygons(Sequence):
+    """Integer pieces at one scale as ConvexPolygons, each built when read."""
+
+    def __init__(self, pieces, scale: int):
+        self._pieces, self._scale = pieces, scale
+
+    def __len__(self) -> int:
+        return len(self._pieces)
+
+    def __getitem__(self, index: int) -> ConvexPolygon:
+        ring, kind = self._pieces[operator.index(index)]
+        return ConvexPolygon(ring, kind, self._scale)
+
+
 @dataclass(frozen=True)
 class CoverReport:
-    """Exact certificate for the uncovered part of one period parallelogram."""
+    """Exact certificate for the uncovered part of one period parallelogram.
+
+    ``pieces`` are its closed convex pieces as (ring, kind) pairs: canonical
+    integer rings at the lattice scale ``scale`` (a vertex (X, Y) is the
+    point (X + iY)/scale).  Membership, distances, the report text and the
+    SVG all work on them; ``uncovered`` shows them as ConvexPolygons."""
 
     config: CoveringConfig
-    uncovered: tuple[ConvexPolygon, ...]
+    pieces: tuple[tuple[Ring, str], ...]
+    scale: int
     total_uncovered_area: Fraction
     obstruction_matches: tuple[tuple[tuple[int, int, int], Fraction], ...]
 
-    def _bucket_index(self) -> dict:
-        """Unit-grid spatial hash of the pieces, built lazily: bucket (i, j)
-        lists every piece whose bounding box meets [i, i+1) x [j, j+1)."""
-        cached = self.__dict__.get("_buckets")
-        if cached is not None:
-            return cached
-        buckets: dict[tuple[int, int], list[ConvexPolygon]] = {}
-        for poly in self.uncovered:
-            xmin, xmax, ymin, ymax = poly.bounding_box()
-            for ix in range(math.floor(xmin), math.floor(xmax) + 1):
-                for iy in range(math.floor(ymin), math.floor(ymax) + 1):
-                    buckets.setdefault((ix, iy), []).append(poly)
-        object.__setattr__(self, "_buckets", buckets)
+    @property
+    def uncovered(self) -> Sequence[ConvexPolygon]:
+        return _Polygons(self.pieces, self.scale)
+
+    @cached_property
+    def _buckets(self) -> dict:
+        """Unit-grid spatial hash of the pieces: bucket (i, j) lists
+        (ring, kind, integer bounding box) for every piece whose box meets
+        [i, i+1) x [j, j+1)."""
+        L = self.scale
+        buckets: dict[tuple[int, int], list] = {}
+        for ring, kind in self.pieces:
+            xs = [x for x, _ in ring]
+            ys = [y for _, y in ring]
+            entry = (ring, kind, (min(xs), max(xs), min(ys), max(ys)))
+            for ix in range(min(xs) // L, max(xs) // L + 1):
+                for iy in range(min(ys) // L, max(ys) // L + 1):
+                    buckets.setdefault((ix, iy), []).append(entry)
         return buckets
 
     def contains(self, z) -> bool:
@@ -121,27 +155,34 @@ class CoverReport:
         q = as_gaussian_rational(z)
         if q is None:
             raise TypeError("membership checks need an exact point")
-        buckets = self._bucket_index()
-        D = GaussianRational(self.config.period)
-        w = q / D
-        frac = GaussianRational.from_fractions(w.re % 1, w.im % 1)
-        base = frac * D
-        for j in (0, -1, 1):
-            for k in (0, -1, 1):
-                shift = D * GaussianRational(GaussianInt(j, k))
-                p = (base.re + shift.re, base.im + shift.im)
-                cell = (math.floor(p[0]), math.floor(p[1]))
-                for poly in buckets.get(cell, ()):
-                    xmin, xmax, ymin, ymax = poly.bounding_box()
-                    if not (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax):
-                        continue
-                    if poly.contains(p):
+        # z = (a + bi)/m is reduced modulo the period D and tested, with its
+        # shifts by D and iD, in integers at scale m*N(D)
+        a, b, m = q.num.re, q.num.im, q.den
+        D, L = self.config.period, self.scale
+        dr, di = D.re, D.im
+        M = m * D.norm()
+        # (a + bi)/(m*D) = (u + iv)/M, reduced to the cell coordinates [0, 1)
+        u = (a * dr + b * di) % M
+        v = (b * dr - a * di) % M
+        buckets = self._buckets
+        for j in (u, u - M, u + M):
+            for k in (v, v - M, v + M):
+                x, y = j * dr - k * di, j * di + k * dr  # the point (x + iy)/M
+                xl, yl = x * L, y * L
+                for ring, kind, (x0, x1, y0, y1) in buckets.get((x // M, y // M), ()):
+                    if (M * x0 <= xl <= M * x1 and M * y0 <= yl <= M * y1
+                            and _ring_contains(ring, kind, xl, yl, M)):
                         return True
         return False
 
     def report_lines(self) -> list[str]:
         """Structured-text serialization (versioned, exact)."""
-        cfg = self.config
+        cfg, L = self.config, self.scale
+
+        def frac(v: int) -> str:  # str(Fraction(v, L)), without the Fraction
+            g = gcd(v, L)
+            return str(v // g) if g == L else f"{v // g}/{L // g}"
+
         lines = [
             "pyjama-report v1",
             "kind=cover",
@@ -149,12 +190,12 @@ class CoverReport:
             f"period={cfg.period}",
             f"period_norm={cfg.period.norm()}",
             f"rotations={';'.join(str(t) for t in cfg.rotations)}",
-            f"uncovered_count={len(self.uncovered)}",
+            f"uncovered_count={len(self.pieces)}",
             f"total_uncovered_area={self.total_uncovered_area}",
         ]
-        for i, poly in enumerate(self.uncovered):
-            verts = ";".join(f"{x},{y}" for x, y in poly.vertices)
-            lines.append(f"polygon {i} kind={poly.kind} vertices={verts}")
+        for i, (ring, kind) in enumerate(self.pieces):
+            verts = ";".join(f"{frac(x)},{frac(y)}" for x, y in ring)
+            lines.append(f"polygon {i} kind={kind} vertices={verts}")
         for (a, b, m), dist_sq in self.obstruction_matches:
             lines.append(f"obstruction a={a} b={b} m={m} distance_sq={dist_sq}")
         return lines
@@ -245,28 +286,37 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
         pieces = _subtract_stripes(pieces, rotation, eps, scale)
         if not pieces:
             break
-    area2 = sum(_ring_area2(ring) for ring, kind in pieces if kind == "polygon")
-    area = Fraction(area2, 2 * scale * scale)
-    polys = tuple(
-        ConvexPolygon([(Fraction(x, scale), Fraction(y, scale)) for x, y in ring], kind)
-        for ring, kind in pieces
-    )
-    report = CoverReport(config, polys, area, ())
-    matches = []
-    for (a, b, m), _margin in obstruction_catalog(eps, obstruction_m_max, D.norm()):
-        point = GaussianRational(GaussianInt(a, b), m) * GaussianRational(D)
-        if not report.contains(point):
+    area = Fraction(sum(_ring_area2(ring) for ring, _ in pieces), 2 * scale * scale)
+    catalog = obstruction_catalog(eps, obstruction_m_max, D.norm())
+    matches = tuple((abm, Fraction(0)) for abm, _margin in catalog)
+    report = CoverReport(config, tuple(pieces), scale, area, matches)
+    for (a, b, m), _ in matches:
+        if not report.contains(GaussianRational(GaussianInt(a, b) * D, m)):
             raise CertificateError(
                 f"obstruction certificate violated: ({a}, {b}, {m}) is in the "
                 "catalog but its point is not in the uncovered region"
             )
-        matches.append(((a, b, m), Fraction(0)))
-    return CoverReport(config, polys, area, tuple(matches))
+    return report
 
 
 # ---------------------------------------------------------------------------
 # obstruction certificates
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _multipliers(normD: int) -> tuple[tuple[int, int], ...]:
+    """The period multipliers of norm normD as (re, im) pairs."""
+    if not is_sum_of_two_squares(normD):
+        raise ValueError(f"no Gaussian integers have norm {normD}")
+    return tuple((g.re, g.im) for g in gaussian_ints_of_norm(normD))
+
+
+def _margin(a: int, b: int, m: int, multipliers) -> int:
+    """m times the obstruction margin of (a + bi)/m: the least circle
+    distance min(r, m - r) of r = (g.re*a - g.im*b) mod m over the
+    multipliers g."""
+    return min(min(r, m - r) for r in ((gr * a - gi * b) % m for gr, gi in multipliers))
 
 
 def verify_obstruction(
@@ -277,18 +327,10 @@ def verify_obstruction(
     verdict together with the exact minimal distance (the margin)."""
     if m < 1:
         raise ValueError("denominator m must be positive")
-    if gcd(gcd(a, b), m) != 1:
+    if gcd(a, b, m) != 1:
         raise ValueError(f"({a}, {b}, {m}) is not gcd-normalized")
-    if not is_sum_of_two_squares(normD):
-        raise ValueError(f"no Gaussian integers have norm {normD}")
-    eps = Fraction(epsilon)
-    margin: Fraction | None = None
-    for g in gaussian_ints_of_norm(normD):
-        v = Fraction(g.re * a - g.im * b, m) % 1
-        dist = min(v, 1 - v)
-        if margin is None or dist < margin:
-            margin = dist
-    return margin >= eps, margin
+    margin = Fraction(_margin(a, b, m, _multipliers(normD)), m)
+    return margin >= Fraction(epsilon), margin
 
 
 def obstruction_catalog(
@@ -301,15 +343,17 @@ def obstruction_catalog(
         raise ValueError("stripe half-width must lie in (0, 1/2)")
     if m_max < 1:
         raise ValueError("m_max must be positive")
+    multipliers = _multipliers(normD)
+    p, q = eps.numerator, eps.denominator
     found = []
     for m in range(1, m_max + 1):
         for a in range(m):
             for b in range(m):
-                if gcd(gcd(a, b), m) != 1:
+                if gcd(a, b, m) != 1:
                     continue
-                ok, margin = verify_obstruction(a, b, m, normD, eps)
-                if ok:
-                    found.append(((a, b, m), margin))
+                r = _margin(a, b, m, multipliers)
+                if r * q >= p * m:
+                    found.append(((a, b, m), Fraction(r, m)))
     found.sort(key=lambda item: (-item[1], item[0]))
     return found
 
@@ -489,50 +533,45 @@ class RationalityReport:
     period_exceeds_threshold: bool
 
 
-def _refined_lattice_dist_sq(
-    poly: ConvexPolygon, D: GaussianInt, n: int
-) -> Fraction:
-    xmin, xmax, ymin, ymax = poly.bounding_box()
-    pad = Fraction(2 * (isqrt(D.norm()) + 1), n)
-    corners = [
-        (xmin - pad, ymin - pad),
-        (xmax + pad, ymin - pad),
-        (xmax + pad, ymax + pad),
-        (xmin - pad, ymax + pad),
-    ]
-    scale = GaussianRational(GaussianInt(n, 0)) / GaussianRational(D)
-    images = [GaussianRational.from_fractions(cx, cy) * scale for cx, cy in corners]
-    jmin = math.floor(min(w.re for w in images)) - 1
-    jmax = math.ceil(max(w.re for w in images)) + 1
-    kmin = math.floor(min(w.im for w in images)) - 1
-    kmax = math.ceil(max(w.im for w in images)) + 1
-    # exact lower bound on each candidate's distance: its squared distance to
-    # the bounding box, in integers at scale n * m; nearest bound first, and
-    # stop once no candidate can beat the best distance found
-    box = (xmin, xmax, ymin, ymax)
-    m = math.lcm(*(c.denominator for c in box))
-    x0, x1, y0, y1 = (int(c * n * m) for c in box)
+def _refined_lattice_dist_sq(ring, kind: str, scale: int, D: GaussianInt, n: int) -> Fraction:
+    """Exact squared distance from the piece (ring, kind) at ``scale`` to the
+    nearest point of D*Z[i]/n that is not a period point; in integers at
+    scale S = scale*n, with the vertices n*(X, Y) and the candidate
+    D*(j + ki)/n at scale*D*(j + ki)."""
+    dr, di, T = D.re, D.im, scale * D.norm()
+    pts = [(n * x, n * y) for x, y in ring]
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    # a first candidate: the refined point nearest the box center, moved off
+    # the period lattice; (x + iy)/S has the coordinates
+    # (x*dr + y*di, y*dr - x*di)/T in the basis D/n
+    cx, cy = x0 + x1, y0 + y1  # twice the center
+    j, k = (cx * dr + cy * di + T) // (2 * T), (cy * dr - cx * di + T) // (2 * T)
+    if j % n == 0 and k % n == 0:
+        j += 1
+    best = _ring_dist_sq(pts, kind, scale * (dr * j - di * k), scale * (di * j + dr * k))
+    # every candidate that can do better lies within r of the box: scan the
+    # box padded by r, nearest bound (squared distance to the box) first
+    r = isqrt(best[0] // best[1]) + 1
+    corners = [(x, y) for x in (x0 - r, x1 + r) for y in (y0 - r, y1 + r)]
+    js = [x * dr + y * di for x, y in corners]
+    ks = [y * dr - x * di for x, y in corners]
     candidates = []
-    for j in range(jmin, jmax + 1):
-        for k in range(kmin, kmax + 1):
-            if j % n == 0 and k % n == 0:
-                continue
-            x, y = (D.re * j - D.im * k) * m, (D.im * j + D.re * k) * m
+    for j in range(min(js) // T, -(-max(js) // T) + 1):
+        for k in range(min(ks) // T, -(-max(ks) // T) + 1):
+            x, y = scale * (dr * j - di * k), scale * (di * j + dr * k)
             dx, dy = max(x0 - x, x - x1, 0), max(y0 - y, y - y1, 0)
-            candidates.append((dx * dx + dy * dy, j, k))
-    if not candidates:
-        raise CertificateError("candidate window missed the refined lattice")
+            if (j % n or k % n) and (dx * dx + dy * dy) * best[1] < best[0]:
+                candidates.append((dx * dx + dy * dy, x, y))
     candidates.sort()
-    unit = (n * m) ** 2
-    best: Fraction | None = None
-    for bound, j, k in candidates:
-        if best is not None and bound >= best * unit:
+    for bound, x, y in candidates:
+        if bound * best[1] >= best[0]:
             break
-        point = (Fraction(D.re * j - D.im * k, n), Fraction(D.im * j + D.re * k, n))
-        d = poly.dist_sq_to_point(point)
-        if best is None or d < best:
-            best = d
-    return best
+        num, den = _ring_dist_sq(pts, kind, x, y)
+        if num * best[1] < best[0] * den:
+            best = num, den
+    return Fraction(best[0], best[1] * (scale * n) ** 2)
 
 
 def rationality_check(config: CoveringConfig, n: int) -> RationalityReport:
@@ -544,13 +583,14 @@ def rationality_check(config: CoveringConfig, n: int) -> RationalityReport:
     report = uncovered_region(config)
     D = config.period
     distances = tuple(
-        _refined_lattice_dist_sq(poly, D, n) for poly in report.uncovered
+        _refined_lattice_dist_sq(ring, kind, report.scale, D, n)
+        for ring, kind in report.pieces
     )
     max_d = max(distances, default=Fraction(0))
     threshold = 40 * n * n + 20 * n
     return RationalityReport(
         refinement=n,
-        polygon_count=len(report.uncovered),
+        polygon_count=len(report.pieces),
         distances_sq=distances,
         max_distance_sq=max_d,
         within_bound=max_d <= 400,

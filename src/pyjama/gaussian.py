@@ -115,7 +115,8 @@ class GaussianInt:
         return GaussianRational(self) / other
 
     def __rtruediv__(self, other) -> "GaussianRational":
-        return as_gaussian_rational(other) / GaussianRational(self)
+        q = as_gaussian_rational(other)
+        return NotImplemented if q is None else q / GaussianRational(self)
 
     def exact_div(self, other: "GaussianInt") -> "GaussianInt":
         """Exact quotient self/other in Z[i]; ValueError if not divisible."""

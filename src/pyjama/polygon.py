@@ -1,50 +1,56 @@
-"""Exact rational convex-polygon primitives: canonical construction, closed
-halfplane clipping, point distances, and area bookkeeping.
+"""Exact convex pieces on an integer lattice: canonical construction, closed
+membership, point distances, and area bookkeeping.
 
-Degenerate (zero-area) results of clipping are kept and flagged as segments
-or points rather than discarded: parts of an uncovered-region certificate can
+A piece is a ring of integer vertices at a positive scale L, the vertex
+(X, Y) standing for the point (X/L, Y/L); every predicate below is an
+integer cross or dot product, so it is exact at no extra cost.
+``ConvexPolygon`` shows such a ring with ``Fraction`` vertices.
+
+Degenerate (zero-area) pieces are kept and flagged as segments or points
+rather than discarded: parts of an uncovered-region certificate can
 legitimately have empty interior.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = ["ConvexPolygon"]
 
 Coord = tuple[Fraction, Fraction]
-
-
-def _cross(o: Coord, a: Coord, b: Coord) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+Ring = tuple[tuple[int, int], ...]
 
 
 class ConvexPolygon:
-    """A closed convex region given by exact rational vertices in
+    """A closed convex region with exact rational vertices in
     counterclockwise cyclic order; degenerate regions carry kind "segment"
-    or "point" instead of "polygon"."""
+    or "point" instead of "polygon".  It is stored as a canonical integer
+    ring at the least scale that holds its vertices.  With ``kind`` given,
+    ``vertices`` must already be a canonical integer ring at ``scale``."""
 
-    __slots__ = ("_vertices", "_kind")
+    __slots__ = ("_ring", "_scale", "_kind")
 
-    def __init__(self, vertices, kind: str | None = None):
-        if kind is not None:
-            # trusted internal path: vertices already canonical Fraction pairs
-            object.__setattr__(self, "_vertices", tuple(vertices))
-            object.__setattr__(self, "_kind", kind)
-            return
-        pts = [(Fraction(x), Fraction(y)) for x, y in vertices]
-        if not pts:
-            raise ValueError("a convex polygon needs at least one vertex")
-        canon, k = _canonicalize(pts)
-        object.__setattr__(self, "_vertices", canon)
-        object.__setattr__(self, "_kind", k)
+    def __init__(self, vertices, kind: str | None = None, scale: int = 1):
+        if kind is None:
+            pts = [(Fraction(x), Fraction(y)) for x, y in vertices]
+            if not pts:
+                raise ValueError("a convex polygon needs at least one vertex")
+            scale = math.lcm(*(c.denominator for p in pts for c in p))
+            vertices, kind = _canonicalize([(int(x * scale), int(y * scale))
+                                            for x, y in pts])
+        g = math.gcd(scale, *(c for v in vertices for c in v))
+        object.__setattr__(self, "_ring", tuple((x // g, y // g) for x, y in vertices))
+        object.__setattr__(self, "_scale", scale // g)
+        object.__setattr__(self, "_kind", kind)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexPolygon is immutable")
 
     @property
     def vertices(self) -> tuple[Coord, ...]:
-        return self._vertices
+        L = self._scale
+        return tuple((Fraction(x, L), Fraction(y, L)) for x, y in self._ring)
 
     @property
     def kind(self) -> str:
@@ -57,145 +63,110 @@ class ConvexPolygon:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexPolygon):
             return NotImplemented
-        return self._vertices == other._vertices and self._kind == other._kind
+        return (self._ring, self._scale, self._kind) == (
+            other._ring, other._scale, other._kind)
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._kind))
+        return hash((self._ring, self._scale, self._kind))
 
     def __repr__(self) -> str:
-        pts = ", ".join(f"({x}, {y})" for x, y in self._vertices)
+        pts = ", ".join(f"({x}, {y})" for x, y in self.vertices)
         return f"ConvexPolygon[{self._kind}]({pts})"
 
     # -- measurements --------------------------------------------------------
 
     def area2(self) -> Fraction:
-        """Twice the enclosed area (exact, nonnegative)."""
-        if self.is_degenerate:
-            return Fraction(0)
-        return Fraction(_ring_area2(self._vertices))
+        """Twice the enclosed area (exact, nonnegative; 0 when degenerate)."""
+        return Fraction(_ring_area2(self._ring), self._scale**2)
 
     def area(self) -> Fraction:
         return self.area2() / 2
 
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        xs = [x for x, _ in self._vertices]
-        ys = [y for _, y in self._vertices]
-        return min(xs), max(xs), min(ys), max(ys)
+        xs = [x for x, _ in self._ring]
+        ys = [y for _, y in self._ring]
+        L = self._scale
+        return (Fraction(min(xs), L), Fraction(max(xs), L),
+                Fraction(min(ys), L), Fraction(max(ys), L))
 
     # -- predicates ----------------------------------------------------------
 
+    def _point(self, point) -> tuple[int, int, int]:
+        """(X, Y, m) with the point (X/m, Y/m) in the ring's units."""
+        x, y = Fraction(point[0]), Fraction(point[1])
+        m = math.lcm(x.denominator, y.denominator)
+        return int(x * m * self._scale), int(y * m * self._scale), m
+
     def contains(self, point) -> bool:
         """Closed membership test."""
-        p = (Fraction(point[0]), Fraction(point[1]))
-        pts = self._vertices
-        if self._kind == "point":
-            return p == pts[0]
-        if self._kind == "segment":
-            s, e = pts
-            if _cross(s, e, p) != 0:
-                return False
-            return (
-                min(s[0], e[0]) <= p[0] <= max(s[0], e[0])
-                and min(s[1], e[1]) <= p[1] <= max(s[1], e[1])
-            )
-        for i, v in enumerate(pts):
-            w = pts[(i + 1) % len(pts)]
-            if _cross(v, w, p) < 0:
-                return False
-        return True
+        return _ring_contains(self._ring, self._kind, *self._point(point))
 
     def dist_sq_to_point(self, point) -> Fraction:
         """Exact squared Euclidean distance from the closed region."""
-        p = (Fraction(point[0]), Fraction(point[1]))
-        if self.contains(p):
-            return Fraction(0)
-        pts = self._vertices
-        if self._kind == "point":
-            return _dist_sq(p, pts[0])
-        best = None
-        edges = [(pts[0], pts[1])] if self._kind == "segment" else [
-            (pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))
-        ]
-        for s, e in edges:
-            d = _segment_dist_sq(p, s, e)
-            if best is None or d < best:
-                best = d
-        return best
-
-    # -- constructions -------------------------------------------------------
-
-    def translate(self, dx, dy) -> "ConvexPolygon":
-        dx, dy = Fraction(dx), Fraction(dy)
-        return ConvexPolygon(
-            [(x + dx, y + dy) for x, y in self._vertices], self._kind
-        )
-
-    def clip_halfplane(self, a, b, c) -> "ConvexPolygon | None":
-        """Intersection with the closed halfplane a*x + b*y <= c, or None
-        when the intersection is empty."""
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        pts = self._vertices
-        if self._kind == "point":
-            (x, y) = pts[0]
-            return self if a * x + b * y <= c else None
-        ring = list(pts) if self._kind == "polygon" else [pts[0], pts[1]]
-        out: list[Coord] = []
-        n = len(ring)
-        for i in range(n):
-            s = ring[i]
-            e = ring[(i + 1) % n]
-            fs = a * s[0] + b * s[1] - c
-            fe = a * e[0] + b * e[1] - c
-            if fs <= 0:
-                out.append(s)
-                if fe > 0:
-                    out.append(_crossing(s, e, fs, fe))
-            elif fe < 0:
-                out.append(_crossing(s, e, fs, fe))
-        if not out:
-            return None
-        return ConvexPolygon(out)
+        x, y, m = self._point(point)
+        ring = [(m * vx, m * vy) for vx, vy in self._ring]
+        num, den = _ring_dist_sq(ring, self._kind, x, y)
+        return Fraction(num, den * (m * self._scale) ** 2)
 
 
-def _crossing(s: Coord, e: Coord, fs: Fraction, fe: Fraction) -> Coord:
-    t = fs / (fs - fe)
-    return (s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1]))
+def _ring_contains(ring, kind: str, x: int, y: int, m: int = 1) -> bool:
+    """Closed membership of the point (x/m, y/m), in the ring's units, in
+    the canonical piece (ring, kind); m > 0."""
+    if kind == "point":
+        (px, py), = ring
+        return px * m == x and py * m == y
+    if kind == "segment":
+        (x0, y0), (x1, y1) = ring
+        return ((x1 - x0) * (y - m * y0) == (y1 - y0) * (x - m * x0)
+                and m * min(x0, x1) <= x <= m * max(x0, x1)
+                and m * min(y0, y1) <= y <= m * max(y0, y1))
+    x0, y0 = ring[-1]
+    for x1, y1 in ring:
+        if (x1 - x0) * (y - m * y0) < (y1 - y0) * (x - m * x0):
+            return False
+        x0, y0 = x1, y1
+    return True
 
 
-def _dist_sq(p: Coord, q: Coord) -> Fraction:
-    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+def _ring_dist_sq(ring, kind: str, x: int, y: int) -> tuple[int, int]:
+    """Squared distance from the point (x, y) to the closed piece, all in
+    the ring's units, as an integer fraction (num, den) with den > 0."""
+    if kind == "polygon" and _ring_contains(ring, kind, x, y):
+        return 0, 1
+    best = None
+    sx, sy = ring[-1]
+    for ex, ey in ring:
+        dx, dy, px, py = ex - sx, ey - sy, x - sx, y - sy
+        t, d2 = px * dx + py * dy, dx * dx + dy * dy
+        if t <= 0:
+            num, den = px * px + py * py, 1
+        elif t >= d2:
+            num, den = (x - ex) ** 2 + (y - ey) ** 2, 1
+        else:  # the foot of the perpendicular lies inside the edge
+            c = px * dy - py * dx
+            num, den = c * c, d2
+        if best is None or num * best[1] < best[0] * den:
+            best = num, den
+        sx, sy = ex, ey
+    return best
 
 
-def _segment_dist_sq(p: Coord, s: Coord, e: Coord) -> Fraction:
-    dx, dy = e[0] - s[0], e[1] - s[1]
-    d2 = dx * dx + dy * dy
-    if d2 == 0:
-        return _dist_sq(p, s)
-    t = ((p[0] - s[0]) * dx + (p[1] - s[1]) * dy) / d2
-    t = max(Fraction(0), min(Fraction(1), t))
-    q = (s[0] + t * dx, s[1] + t * dy)
-    return _dist_sq(p, q)
-
-
-def _ring_area2(ring) -> Fraction | int:
-    """Signed doubled area of a vertex ring (shoelace); exact for int or
-    Fraction coordinates, and an int for int coordinates."""
+def _ring_area2(ring) -> int:
+    """Signed doubled area (shoelace) of an integer ring; 0 if degenerate."""
+    x0, y0 = ring[-1]
     total = 0
-    for i, (x0, y0) in enumerate(ring):
-        x1, y1 = ring[(i + 1) % len(ring)]
+    for x1, y1 in ring:
         total += x0 * y1 - x1 * y0
+        x0, y0 = x1, y1
     return total
 
 
-def _canonicalize(pts: list[Coord]) -> tuple[tuple[Coord, ...], str]:
+def _canonicalize(pts: list[tuple[int, int]]) -> tuple[Ring, str]:
     """Canonical (counterclockwise, no repeated or collinear vertices,
-    lexicographically least vertex first) form of a convex vertex ring and
-    its kind.  Works on int as well as Fraction coordinates."""
+    lexicographically least vertex first) form of a convex ring of integer
+    vertices, and its kind."""
     # drop consecutive duplicates (cyclically)
-    ring: list[Coord] = []
-    for p in pts:
-        if not ring or p != ring[-1]:
-            ring.append(p)
+    ring = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
     while len(ring) > 1 and ring[0] == ring[-1]:
         ring.pop()
     distinct = sorted(set(ring))
@@ -206,18 +177,10 @@ def _canonicalize(pts: list[Coord]) -> tuple[tuple[Coord, ...], str]:
         return (distinct[0], distinct[-1]), "segment"
     if area2 < 0:
         ring.reverse()
-    # drop collinear middle vertices
-    changed = True
-    while changed and len(ring) > 2:
-        changed = False
-        for i in range(len(ring)):
-            prev = ring[i - 1]
-            cur = ring[i]
-            nxt = ring[(i + 1) % len(ring)]
-            if _cross(prev, cur, nxt) == 0:
-                ring.pop(i)
-                changed = True
-                break
+    # drop collinear middle vertices: on a convex ring these are exactly the
+    # vertices that are not corners
+    ring = [q for p, q, r in zip(ring[-1:] + ring[:-1], ring, ring[1:] + ring[:1])
+            if (q[0] - p[0]) * (r[1] - p[1]) != (q[1] - p[1]) * (r[0] - p[0])]
     if len(ring) < 3:
         distinct = sorted(set(ring))
         return (distinct[0], distinct[-1]), "segment"

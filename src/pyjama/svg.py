@@ -2,29 +2,32 @@
 
 The picture shows the square window [0, normD]^2 of the complex plane: the
 open stripes of each rotation in alternating gray levels, the uncovered
-polygons (tiled by the period lattice) in black, the certified rational
+pieces (tiled by the period lattice) in black, the certified rational
 obstruction points as black dots, and one cell of the period lattice dashed.
-Only placements of an uncovered piece that cross the window boundary are
-clipped; the rest are skipped or drawn as they are.
+
+The uncovered pieces of one cell are written once, inside
+``<defs><g id="cell">``, and placed by one ``<use>`` per period-lattice
+shift at which their joint bounding box meets the window; the window's
+``clipPath`` clips what sticks out.  Each ``<use>`` names the cell by both
+``href`` (SVG 2) and ``xlink:href`` (for SVG 1.1 viewers).  The obstruction
+dots are one ``<circle>`` per placement inside the window.  Shifts, dots and
+the period cell are computed in integers.
 
 The output is presentation only — certificates live in the report file — and
-is byte-deterministic: fixed ordering, fixed styles, every coordinate emitted
-with six decimal places.
+is byte-deterministic: fixed ordering, fixed styles, every plane coordinate
+emitted with six decimal places and every ``<use>`` offset as an integer.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .covering import CoverReport
-from .gaussian import GaussianInt, GaussianRational
+from .gaussian import GaussianInt
 
 __all__ = ["render_svg"]
 
 _STRIPE_GRAYS = ("#dcdcdc", "#c4c4c4")
-_DOT_RADIUS = Fraction(1, 10)
-_POINT_RADIUS = Fraction(3, 50)
 
 
 def _fmt(value) -> str:
@@ -72,43 +75,42 @@ def _stripe_elements(report: CoverReport, norm: int) -> list[str]:
     return out
 
 
-def _uncovered_elements(report: CoverReport, norm: int, shifts) -> list[str]:
+def _cell_elements(report: CoverReport, norm: int) -> list[str]:
+    """The uncovered pieces of one cell, for ``<g id="cell">``."""
+    L = report.scale
+    top = L * norm
     out = []
-    for poly in report.uncovered:
-        xmin, xmax, ymin, ymax = poly.bounding_box()
-        fx, cx = math.floor(xmin), math.ceil(xmax)
-        fy, cy = math.floor(ymin), math.ceil(ymax)
-        for sx, sy in shifts:
-            if cx + sx < 0 or fx + sx > norm or cy + sy < 0 or fy + sy > norm:
-                continue
-            clipped = poly.translate(sx, sy)
-            # clip only at the window edges the bounding box crosses: a closed
-            # halfplane containing the box leaves the piece as it is
-            for crosses, a, b, c in ((fx + sx < 0, -1, 0, 0),
-                                     (cx + sx > norm, 1, 0, norm),
-                                     (fy + sy < 0, 0, -1, 0),
-                                     (cy + sy > norm, 0, 1, norm)):
-                if crosses and clipped is not None:
-                    clipped = clipped.clip_halfplane(a, b, c)
-            if clipped is None:
-                continue
-            if clipped.kind == "polygon":
-                pts = " ".join(_xy(x, y, norm) for x, y in clipped.vertices)
-                out.append(f'<polygon points="{pts}" fill="#000000"/>')
-            elif clipped.kind == "segment":
-                (x1, y1), (x2, y2) = clipped.vertices
-                out.append(
-                    f'<line x1="{_fmt(x1)}" y1="{_fmt(norm - y1)}" '
-                    f'x2="{_fmt(x2)}" y2="{_fmt(norm - y2)}" '
-                    'stroke="#000000" stroke-width="0.030000"/>'
-                )
-            else:
-                (x, y), = clipped.vertices
-                out.append(
-                    f'<circle cx="{_fmt(x)}" cy="{_fmt(norm - y)}" '
-                    f'r="{_fmt(_POINT_RADIUS)}" fill="#000000"/>'
-                )
+    for ring, kind in report.pieces:
+        pts = [(_fmt(x / L), _fmt((top - y) / L)) for x, y in ring]
+        if kind == "polygon":
+            points = " ".join(f"{x},{y}" for x, y in pts)
+            out.append(f'<polygon points="{points}" fill="#000000"/>')
+        elif kind == "segment":
+            (x1, y1), (x2, y2) = pts
+            out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                       'stroke="#000000" stroke-width="0.030000"/>')
+        else:
+            (x, y), = pts
+            out.append(f'<circle cx="{x}" cy="{y}" r="0.060000" fill="#000000"/>')
     return out
+
+
+def _use_elements(report: CoverReport, norm: int, shifts) -> list[str]:
+    """One ``<use>`` of the cell per shift at which the pieces' bounding box
+    meets the window; a plane shift (sx, sy) is (sx, -sy) in SVG units."""
+    if not report.pieces:
+        return []
+    L = report.scale
+    xs = [x for ring, _ in report.pieces for x, _ in ring]
+    ys = [y for ring, _ in report.pieces for _, y in ring]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    top = L * norm
+    return [
+        f'<use href="#cell" xlink:href="#cell" x="{sx}" y="{-sy}"/>'
+        for sx, sy in shifts
+        if x0 + L * sx <= top and x1 + L * sx >= 0
+        and y0 + L * sy <= top and y1 + L * sy >= 0
+    ]
 
 
 def _obstruction_elements(report: CoverReport, norm: int, shifts) -> list[str]:
@@ -117,42 +119,30 @@ def _obstruction_elements(report: CoverReport, norm: int, shifts) -> list[str]:
     for (a, b, m), dist_sq in report.obstruction_matches:
         if dist_sq != 0:
             continue
-        base = GaussianRational(period) * GaussianRational(GaussianInt(a, b), m)
+        # the point (a + bi)/m * period is (bx + i*by)/m
+        bx = a * period.re - b * period.im
+        by = a * period.im + b * period.re
         for sx, sy in shifts:
-            x = base.re + sx
-            y = base.im + sy
-            if 0 <= x <= norm and 0 <= y <= norm:
+            x, y = bx + m * sx, by + m * sy
+            if 0 <= x <= m * norm and 0 <= y <= m * norm:
                 out.append(
-                    f'<circle cx="{_fmt(x)}" cy="{_fmt(norm - y)}" '
-                    f'r="{_fmt(_DOT_RADIUS)}" fill="#000000" '
+                    f'<circle cx="{_fmt(x / m)}" cy="{_fmt((m * norm - y) / m)}" '
+                    'r="0.100000" fill="#000000" '
                     'stroke="#ffffff" stroke-width="0.020000"/>'
                 )
     return out
 
 
 def _period_cell_element(report: CoverReport, norm: int) -> str:
-    period = report.config.period
-    d = (Fraction(period.re), Fraction(period.im))
-    di = (Fraction(-period.im), Fraction(period.re))
-    anchor = (Fraction(0), Fraction(0))
-    for a in _lattice_range(norm):
-        found = None
-        for b in _lattice_range(norm):
-            ax = a * d[0] + b * di[0]
-            ay = a * d[1] + b * di[1]
-            corners = [(ax, ay), (ax + d[0], ay + d[1]),
-                       (ax + d[0] + di[0], ay + d[1] + di[1]),
-                       (ax + di[0], ay + di[1])]
-            if all(0 <= x <= norm and 0 <= y <= norm for x, y in corners):
-                found = (ax, ay)
-                break
-        if found is not None:
-            anchor = found
-            break
-    ax, ay = anchor
-    corners = [(ax, ay), (ax + d[0], ay + d[1]),
-               (ax + d[0] + di[0], ay + d[1] + di[1]),
-               (ax + di[0], ay + di[1])]
+    """The first cell of the period lattice, in ``_lattice_range`` order,
+    that lies wholly inside the window (the cell at 0 when none does)."""
+    p = report.config.period
+    offsets = [(0, 0), (p.re, p.im), (p.re - p.im, p.im + p.re), (-p.im, p.re)]
+    reach = _lattice_range(norm)
+    cells = ([(a * p.re - b * p.im + dx, a * p.im + b * p.re + dy) for dx, dy in offsets]
+             for a in reach for b in reach)
+    corners = next((c for c in cells
+                    if all(0 <= x <= norm and 0 <= y <= norm for x, y in c)), offsets)
     pts = " ".join(_xy(x, y, norm) for x, y in corners)
     return (
         f'<polygon points="{pts}" fill="none" stroke="#333333" '
@@ -163,21 +153,25 @@ def _period_cell_element(report: CoverReport, norm: int) -> str:
 def render_svg(report: CoverReport, size: int = 560) -> str:
     """Render a covering report as a standalone SVG document (a string)."""
     norm = report.config.period.norm()
+    shifts = _shifts(report.config.period, norm)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {norm} {norm}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        'xmlns:xlink="http://www.w3.org/1999/xlink" '
+        f'width="{size}" height="{size}" viewBox="0 0 {norm} {norm}">',
         f'<rect x="0" y="0" width="{norm}" height="{norm}" fill="#ffffff"/>',
         '<defs><clipPath id="window">'
         f'<rect x="0" y="0" width="{norm}" height="{norm}"/>'
-        '</clipPath></defs>',
+        '</clipPath>',
+        '<g id="cell">',
+        *_cell_elements(report, norm),
+        '</g></defs>',
         '<g clip-path="url(#window)">',
+        *_stripe_elements(report, norm),
+        *_use_elements(report, norm, shifts),
+        _period_cell_element(report, norm),
+        *_obstruction_elements(report, norm, shifts),
+        "</g>",
+        "</svg>",
     ]
-    shifts = _shifts(report.config.period, norm)
-    lines.extend(_stripe_elements(report, norm))
-    lines.extend(_uncovered_elements(report, norm, shifts))
-    lines.append(_period_cell_element(report, norm))
-    lines.extend(_obstruction_elements(report, norm, shifts))
-    lines.append("</g>")
-    lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,10 +1,15 @@
-"""Shared helpers for the seeded randomized tests."""
+"""Shared helpers for the seeded randomized tests, and Fraction oracles
+for the integer geometry kernels."""
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
+from pyjama.covering import CoverReport
 from pyjama.gaussian import P5BAR, P13BAR, GaussianInt, GaussianRational
+from pyjama.polygon import ConvexPolygon
 
 
 def rng(seed: int = 0) -> random.Random:
@@ -41,3 +46,93 @@ def random_a_element(
         q = GaussianRational(g) / GaussianRational(den)
         if q or not nonzero:
             return q
+
+
+# -- Fraction oracles for the integer geometry kernels ------------------------
+#
+# The package keeps its pieces as integer rings; these helpers redo the same
+# geometry directly on Fraction vertices, the way it was first written, so
+# that tests can compare the integer kernels against them.
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def translate(poly: ConvexPolygon, dx, dy) -> ConvexPolygon:
+    """The piece moved by (dx, dy)."""
+    dx, dy = Fraction(dx), Fraction(dy)
+    return ConvexPolygon([(x + dx, y + dy) for x, y in poly.vertices])
+
+
+def _crossing(s, e, fs, fe):
+    t = fs / (fs - fe)
+    return (s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1]))
+
+
+def clip_halfplane(poly: ConvexPolygon, a, b, c) -> ConvexPolygon | None:
+    """Sutherland-Hodgman intersection of the piece with the closed
+    halfplane a*x + b*y <= c, or None when it is empty."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    pts = poly.vertices
+    if poly.kind == "point":
+        (x, y), = pts
+        return poly if a * x + b * y <= c else None
+    ring = list(pts) if poly.kind == "polygon" else [pts[0], pts[1]]
+    out = []
+    for i, s in enumerate(ring):
+        e = ring[(i + 1) % len(ring)]
+        fs = a * s[0] + b * s[1] - c
+        fe = a * e[0] + b * e[1] - c
+        if fs <= 0:
+            out.append(s)
+            if fe > 0:
+                out.append(_crossing(s, e, fs, fe))
+        elif fe < 0:
+            out.append(_crossing(s, e, fs, fe))
+    return ConvexPolygon(out) if out else None
+
+
+def fraction_contains(poly: ConvexPolygon, point) -> bool:
+    """Closed membership of a Fraction point in the piece."""
+    p = (Fraction(point[0]), Fraction(point[1]))
+    pts = poly.vertices
+    if poly.kind == "point":
+        return p == pts[0]
+    if poly.kind == "segment":
+        s, e = pts
+        return (_cross(s, e, p) == 0
+                and min(s[0], e[0]) <= p[0] <= max(s[0], e[0])
+                and min(s[1], e[1]) <= p[1] <= max(s[1], e[1]))
+    return all(_cross(pts[i], pts[(i + 1) % len(pts)], p) >= 0
+               for i in range(len(pts)))
+
+
+def _segment_dist_sq(p, s, e) -> Fraction:
+    dx, dy = e[0] - s[0], e[1] - s[1]
+    d2 = dx * dx + dy * dy
+    t = Fraction(0) if d2 == 0 else ((p[0] - s[0]) * dx + (p[1] - s[1]) * dy) / d2
+    t = max(Fraction(0), min(Fraction(1), t))
+    return (p[0] - s[0] - t * dx) ** 2 + (p[1] - s[1] - t * dy) ** 2
+
+
+def fraction_dist_sq(poly: ConvexPolygon, point) -> Fraction:
+    """Squared Euclidean distance from a Fraction point to the piece."""
+    p = (Fraction(point[0]), Fraction(point[1]))
+    if fraction_contains(poly, p):
+        return Fraction(0)
+    pts = poly.vertices
+    return min(_segment_dist_sq(p, pts[i - 1], pts[i]) for i in range(len(pts)))
+
+
+def with_pieces(report: CoverReport, polys) -> CoverReport:
+    """The report with the given ConvexPolygons as its pieces, as integer
+    rings at their least common scale."""
+    polys = list(polys)
+    scale = math.lcm(*(c.denominator for p in polys for v in p.vertices for c in v))
+    pieces = tuple(
+        (tuple((int(x * scale), int(y * scale)) for x, y in p.vertices), p.kind)
+        for p in polys
+    )
+    return CoverReport(report.config, pieces, scale, report.total_uncovered_area,
+                       report.obstruction_matches)

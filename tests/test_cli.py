@@ -316,6 +316,40 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys, command, ini):
     assert not out.exists()
 
 
+_POINT_INIS = {
+    "orbit-w": ("orbit", "[orbit]\nw = {}\nm = 1\nsweep = 3\n"),
+    "density-t": ("density", "[density]\nkind = circle\ntheta = -3/5+4/5i\n"
+                             "t = {}\nM = 10\n"),
+    "approx-z": ("approx", "[approx]\nz = {}\np = 5\ntarget = 1/5\ndelta = 1/10\n"),
+}
+
+
+@pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "nan+1i", "1+infi"])
+@pytest.mark.parametrize("field", sorted(_POINT_INIS))
+def test_non_finite_points_exit_two(tmp_path, capsys, field, literal):
+    command, ini = _POINT_INIS[field]
+    cfg = _write(tmp_path / "p.ini", ini.format(literal))
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == f"command={command} exit=2 error=input\n"
+    assert "not a point literal" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", sorted(_POINT_INIS))
+def test_finite_float_points_still_parse(tmp_path, capsys, field):
+    command, ini = _POINT_INIS[field]
+    cfg = _write(tmp_path / "p.ini", ini.format("0.6 + 0.8i"))
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    assert code in (0, 1), capsys.readouterr()
+    assert (out / "report.txt").exists()
+    assert cli._point("0.6 + 0.8i") == complex(0.6, 0.8)
+    assert cli._point("-2.5i") == complex(0, -2.5)
+
+
 @pytest.mark.parametrize("command, ini, argv, tag, message", [
     # a target known to one 5-adic digit cannot meet delta = 1/10
     ("approx", "[approx]\nz = 0\np = 5\ntarget = 1/5\ndelta = 1/10\n",

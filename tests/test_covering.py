@@ -17,6 +17,7 @@ from pyjama.gaussian import (
     GaussianInt,
     GaussianRational,
     THETA5,
+    gaussian_ints_of_norm,
     min_period_multiplier,
     theta_set,
 )
@@ -34,7 +35,7 @@ from pyjama.covering import (
     verify_obstruction,
 )
 
-from _util import rng
+from _util import clip_halfplane, fraction_contains, fraction_dist_sq, rng, with_pieces
 
 F = Fraction
 
@@ -103,9 +104,9 @@ def _closed_slab_pieces(domain, rotation, eps):
     fvals = [tr * x - ti * y for x, y in domain.vertices]
     pieces = []
     for k in range(math.ceil(min(fvals) - eps), math.floor(max(fvals) + eps) + 1):
-        piece = domain.clip_halfplane(tr, -ti, k + eps)
+        piece = clip_halfplane(domain, tr, -ti, k + eps)
         if piece is not None:
-            piece = piece.clip_halfplane(-tr, ti, -(k - eps))
+            piece = clip_halfplane(piece, -tr, ti, -(k - eps))
         if piece is not None:
             pieces.append(piece)
     return pieces
@@ -113,7 +114,7 @@ def _closed_slab_pieces(domain, rotation, eps):
 
 def _fraction_uncovered(cfg):
     """Reference stripe subtraction: each rotation's open stripes cut out of
-    the period cell with exact Fraction halfplane clips."""
+    the period cell with the exact Fraction halfplane clip oracle."""
     D = cfg.period
     pieces = [
         ConvexPolygon(
@@ -128,10 +129,10 @@ def _fraction_uncovered(cfg):
             fvals = [tr * x - ti * y for x, y in piece.vertices]
             cur = piece
             for k in range(math.ceil(min(fvals) - eps), math.floor(max(fvals) + eps) + 1):
-                left = cur.clip_halfplane(tr, -ti, k - eps)
+                left = clip_halfplane(cur, tr, -ti, k - eps)
                 if left is not None:
                     out.append(left)
-                cur = cur.clip_halfplane(-tr, ti, -(k + eps))
+                cur = clip_halfplane(cur, -tr, ti, -(k + eps))
                 if cur is None:
                     break
             if cur is not None:
@@ -168,7 +169,7 @@ def small_configs(draw):
 def test_lattice_subtraction_matches_fraction_oracle(cfg):
     report = uncovered_region(cfg, obstruction_m_max=1)
     oracle = _fraction_uncovered(cfg)
-    assert report.uncovered == tuple(oracle)  # vertices and kind, in order
+    assert tuple(report.uncovered) == tuple(oracle)  # vertices and kind, in order
     assert report.total_uncovered_area == sum((p.area() for p in oracle), F(0))
 
 
@@ -486,23 +487,172 @@ def test_rationality_check():
     (CoveringConfig(theta_set(1)[1:3], F(2, 5), min_period_multiplier(1)), 3),
 ])
 def test_refined_lattice_distance_matches_window_brute_force(cfg, n):
+    report = uncovered_region(cfg, obstruction_m_max=1)
+    for (ring, kind), poly in zip(report.pieces, report.uncovered):
+        got = covering._refined_lattice_dist_sq(ring, kind, report.scale, cfg.period, n)
+        assert got == _window_brute_force(poly, cfg.period, n)
+
+
+def _window_brute_force(poly, D, n):
+    """The least Fraction-oracle distance from the piece to every candidate
+    of the window that _refined_lattice_dist_sq scans."""
+    xmin, xmax, ymin, ymax = poly.bounding_box()
+    pad = F(2 * (math.isqrt(D.norm()) + 1), n)
+    scale = GaussianRational(GaussianInt(n, 0)) / GaussianRational(D)
+    images = [GaussianRational.from_fractions(x, y) * scale
+              for x in (xmin - pad, xmax + pad) for y in (ymin - pad, ymax + pad)]
+    js = range(math.floor(min(w.re for w in images)) - 1,
+               math.ceil(max(w.re for w in images)) + 2)
+    ks = range(math.floor(min(w.im for w in images)) - 1,
+               math.ceil(max(w.im for w in images)) + 2)
+    return min(
+        fraction_dist_sq(poly, (F(D.re * j - D.im * k, n), F(D.im * j + D.re * k, n)))
+        for j in js for k in ks if j % n or k % n
+    )
+
+
+@st.composite
+def rationality_cases(draw):
+    """A small config (N(D) <= 65), a refinement 2..4 and up to six of its
+    pieces."""
+    cfg = draw(small_configs().filter(lambda c: c.period.norm() <= 65))
+    n = draw(st.integers(2, 4))
+    report = uncovered_region(cfg, obstruction_m_max=1)
+    start = draw(st.integers(0, max(0, len(report.pieces) - 6)))
+    return report, n, range(start, min(start + 6, len(report.pieces)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rationality_cases())
+def test_integer_rationality_distance_matches_fraction_brute_force(case):
+    report, n, chosen = case
+    D = report.config.period
+    for i in chosen:
+        ring, kind = report.pieces[i]
+        got = covering._refined_lattice_dist_sq(ring, kind, report.scale, D, n)
+        assert got == _window_brute_force(report.uncovered[i], D, n)
+
+
+_near = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_near, _near), min_size=1, max_size=4),
+       st.sampled_from([GaussianInt(1, 0), GaussianInt(1, -2), GaussianInt(2, -3),
+                        GaussianInt(-3, -4)]),
+       st.integers(2, 4))
+def test_rationality_distance_of_any_piece_matches_fraction_brute_force(points, D, n):
+    # thin triangles, segments and points anywhere near the cell, so that the
+    # nearest candidate often lies outside the piece's bounding box
+    poly = ConvexPolygon(points)
+    scale = math.lcm(*(c.denominator for v in poly.vertices for c in v))
+    ring = tuple((int(x * scale), int(y * scale)) for x, y in poly.vertices)
+    got = covering._refined_lattice_dist_sq(ring, poly.kind, scale, D, n)
+    assert got == _window_brute_force(poly, D, n)
+
+
+def _stripe_uncovered(cfg, z):
+    """Direct evaluation: no rotation's open stripe holds z."""
+    for theta in cfg.rotations:
+        v = (theta * z).re % 1
+        if min(v, 1 - v) < cfg.epsilon:
+            return False
+    return True
+
+
+def _fraction_periodic_contains(report, polys, z):
+    """Fraction-oracle membership of z in the period translates of the given
+    pieces: z reduced to the cell, then tried at the nine shifts by
+    D*(j + ki), j, k in {-1, 0, 1}."""
+    D = GaussianRational(report.config.period)
+    w = z / D
+    base = GaussianRational.from_fractions(w.re % 1, w.im % 1) * D
+    for j in (-1, 0, 1):
+        for k in (-1, 0, 1):
+            p = base + D * GaussianRational(GaussianInt(j, k))
+            if any(fraction_contains(poly, (p.re, p.im)) for poly in polys):
+                return True
+    return False
+
+
+@st.composite
+def membership_cases(draw):
+    """A certificate of N(D) <= 65 plus up to three extra pieces (points,
+    segments, triangles on a quarter grid around the cell), random exact
+    points around the cell, and up to ten certificate pieces and the extras
+    to probe at."""
+    cfg = draw(small_configs().filter(lambda c: c.period.norm() <= 65))
+    report = uncovered_region(cfg, obstruction_m_max=1)
     D = cfg.period
-    for poly in uncovered_region(cfg, obstruction_m_max=1).uncovered:
-        # every candidate of the window that _refined_lattice_dist_sq scans
-        xmin, xmax, ymin, ymax = poly.bounding_box()
-        pad = F(2 * (math.isqrt(D.norm()) + 1), n)
-        scale = GaussianRational(GaussianInt(n, 0)) / GaussianRational(D)
-        images = [GaussianRational.from_fractions(x, y) * scale
-                  for x in (xmin - pad, xmax + pad) for y in (ymin - pad, ymax + pad)]
-        js = range(math.floor(min(w.re for w in images)) - 1,
-                   math.ceil(max(w.re for w in images)) + 2)
-        ks = range(math.floor(min(w.im for w in images)) - 1,
-                   math.ceil(max(w.im for w in images)) + 2)
-        brute = min(
-            poly.dist_sq_to_point((F(D.re * j - D.im * k, n), F(D.im * j + D.re * k, n)))
-            for j in js for k in ks if j % n or k % n
-        )
-        assert covering._refined_lattice_dist_sq(poly, D, n) == brute
+    reach = abs(D.re) + abs(D.im)
+    coord = st.integers(-4 * reach, 4 * reach).map(lambda v: F(v, 4))
+    extras = [
+        ConvexPolygon(v)
+        for v in draw(st.lists(st.lists(st.tuples(coord, coord), min_size=1, max_size=3),
+                               max_size=3))
+    ]
+    exact = st.builds(F, st.integers(-30 * reach, 30 * reach), st.integers(1, 12))
+    points = draw(st.lists(st.tuples(exact, exact), max_size=30))
+    start = draw(st.integers(0, max(0, len(report.pieces) - 10)))
+    return (report, extras, [GaussianRational.from_fractions(x, y) for x, y in points],
+            list(report.uncovered)[start:start + 10] + extras)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(membership_cases())
+def test_integer_membership_matches_fraction_oracle(case):
+    report, extras, points, probed = case
+    cfg = report.config
+    D = GaussianRational(cfg.period)
+    alone = with_pieces(report, extras)
+    mixed = with_pieces(report, list(report.uncovered) + extras)
+    probes = list(points)
+    for poly in probed:
+        # every vertex, every edge midpoint, and the points just past each
+        # edge's ends on its line
+        verts = poly.vertices
+        for i, (x, y) in enumerate(verts):
+            px, py = verts[i - 1]
+            for u, v in ((x, y), ((x + px) / 2, (y + py) / 2),
+                         (2 * x - px, 2 * y - py), (2 * px - x, 2 * py - y)):
+                probes.append(GaussianRational.from_fractions(u, v))
+    shifts = [GaussianRational(0), D, -D, D * GaussianInt(0, 1), -D * GaussianInt(0, 1)]
+    for z in probes:
+        for s in shifts:
+            w = z + s
+            # the certificate's pieces tile the stripe complement exactly
+            stripes = _stripe_uncovered(cfg, w)
+            assert report.contains(w) == stripes
+            extra = _fraction_periodic_contains(report, extras, w)
+            assert alone.contains(w) == extra
+            assert mixed.contains(w) == (stripes or extra)
+
+
+def test_obstruction_margin_matches_fraction_formula():
+    # every gcd-normalized (a, b, m) with m <= 8, against the Fraction margin
+    # min over g of the circle distance of (g.re*a - g.im*b)/m mod 1
+    for norm in (5, 13, 25, 65, 325):
+        gs = gaussian_ints_of_norm(norm)
+        for m in range(1, 9):
+            for a in range(m):
+                for b in range(m):
+                    if math.gcd(a, b, m) != 1:
+                        continue
+                    values = [F(g.re * a - g.im * b, m) % 1 for g in gs]
+                    margin = min(min(v, 1 - v) for v in values)
+                    for eps in (F(1, 8), F(1, 4), F(1, 3)):
+                        assert verify_obstruction(a, b, m, norm, eps) == (margin >= eps, margin)
+        for eps in (F(1, 8), F(2, 9), F(1, 4), F(3, 10), F(1, 3)):
+            want = []
+            for m in range(1, 9):
+                for a in range(m):
+                    for b in range(m):
+                        if math.gcd(a, b, m) == 1:
+                            ok, margin = verify_obstruction(a, b, m, norm, eps)
+                            if ok:
+                                want.append(((a, b, m), margin))
+            want.sort(key=lambda item: (-item[1], item[0]))
+            assert obstruction_catalog(eps, 8, norm) == want
 
 
 def test_certificate_error_is_runtime_and_arithmetic_error():

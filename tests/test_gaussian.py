@@ -386,3 +386,13 @@ def test_crt_against_brute_force():
                     assert crt(r1, m1, r2, m2) == want
     assert crt(7, 5**3, 11, 13**2) % 5**3 == 7
     assert crt(0, 1, 12, 13) == 12 and crt(3, 5, 0, 1) == 3
+
+
+def test_reflected_division_by_gaussian_int_rejects_floats():
+    with pytest.raises(TypeError) as err:
+        1.5 / GaussianInt(1, 2)
+    message = str(err.value)
+    assert "'float'" in message and "'GaussianInt'" in message
+    assert "NoneType" not in message
+    assert GaussianInt(1, 2).__rtruediv__(1.5) is NotImplemented
+    assert 5 / GaussianInt(1, 2) == GaussianRational(GaussianInt(1, -2))

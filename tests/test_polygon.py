@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pyjama.polygon import ConvexPolygon
+
+from _util import clip_halfplane, fraction_contains, fraction_dist_sq, translate
 
 F = Fraction
 
@@ -54,25 +57,26 @@ def test_contains_closed():
 
 
 def test_clip_halfplane():
+    # the Fraction clip oracle of tests/_util.py
     sq = unit_square()
-    left = sq.clip_halfplane(1, 0, F(1, 2))  # x <= 1/2
+    left = clip_halfplane(sq, 1, 0, F(1, 2))  # x <= 1/2
     assert left == ConvexPolygon([(0, 0), (F(1, 2), 0), (F(1, 2), 1), (0, 1)])
     assert left.area() == F(1, 2)
     # clipping to the boundary line leaves a flagged segment
-    edge = sq.clip_halfplane(1, 0, 0)  # x <= 0
+    edge = clip_halfplane(sq, 1, 0, 0)  # x <= 0
     assert edge.kind == "segment"
     assert edge.vertices == ((F(0), F(0)), (F(0), F(1)))
-    assert sq.clip_halfplane(1, 0, -1) is None
+    assert clip_halfplane(sq, 1, 0, -1) is None
     # diagonal cut through two vertices
-    tri = sq.clip_halfplane(1, 1, 1)  # x + y <= 1
+    tri = clip_halfplane(sq, 1, 1, 1)  # x + y <= 1
     assert tri.area() == F(1, 2)
     # clipping degenerate pieces
     seg = ConvexPolygon([(0, 0), (2, 0)])
-    half = seg.clip_halfplane(1, 0, 1)
+    half = clip_halfplane(seg, 1, 0, 1)
     assert half.kind == "segment" and half.vertices == ((F(0), F(0)), (F(1), F(0)))
     pt = ConvexPolygon([(1, 1)])
-    assert pt.clip_halfplane(1, 0, 0) is None
-    assert pt.clip_halfplane(1, 0, 2) == pt
+    assert clip_halfplane(pt, 1, 0, 0) is None
+    assert clip_halfplane(pt, 1, 0, 2) == pt
 
 
 def test_dist_sq_to_point():
@@ -88,9 +92,64 @@ def test_dist_sq_to_point():
 
 
 def test_translate():
-    sq = unit_square().translate(F(1, 2), -1)
+    sq = translate(unit_square(), F(1, 2), -1)
     assert sq.vertices[0] == (F(1, 2), -1)
     assert sq.kind == "polygon" and sq.area() == 1
-    seg = ConvexPolygon([(0, 0), (1, 0)]).translate(0, 1)
+    seg = translate(ConvexPolygon([(0, 0), (1, 0)]), 0, 1)
     assert seg.kind == "segment"
     assert seg.vertices == ((F(0), F(1)), (F(1), F(1)))
+
+
+def test_least_scale_and_immutability():
+    # the same region from vertices at any common denominator is one value
+    half = ConvexPolygon([(F(1, 2), 0), (1, 0), (1, F(3, 4))])
+    same = ConvexPolygon([(F(2, 4), F(0, 7)), (F(8, 8), 0), (1, F(6, 8))])
+    assert half == same and hash(half) == hash(same)
+    assert half.vertices == ((F(1, 2), 0), (1, 0), (1, F(3, 4)))
+    assert half.area() == F(3, 16)
+    with pytest.raises(AttributeError):
+        half.kind = "point"
+
+
+_coord = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=6),
+       st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8))
+@example([(0, 1), (F(5, 2), 1)], [(3, 1), (-1, 1), (1, F(3, 2))])  # horizontal
+@example([(1, 0), (1, F(5, 2))], [(1, 3), (1, -1), (F(3, 2), 1)])  # vertical
+def test_integer_predicates_match_fraction_oracle(vertices, points):
+    # hulls of random points (polygons, segments and points), probed at
+    # random points, at every vertex and edge midpoint, and just past each
+    # edge's ends on its line
+    poly = ConvexPolygon(_hull(vertices))
+    verts = poly.vertices
+    probes = list(points)
+    for (px, py), (x, y) in zip(verts[-1:] + verts[:-1], verts):
+        probes += [(x, y), ((x + px) / 2, (y + py) / 2),
+                   (2 * x - px, 2 * y - py), (2 * px - x, 2 * py - y)]
+    for p in probes:
+        assert poly.contains(p) == fraction_contains(poly, p)
+        assert poly.dist_sq_to_point(p) == fraction_dist_sq(poly, p)
+
+
+def _hull(points):
+    """Convex hull (monotone chain) of Fraction points, counterclockwise."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower, upper = half(pts), half(reversed(pts))
+    return lower[:-1] + upper[:-1] or pts[:1]

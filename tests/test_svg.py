@@ -1,9 +1,11 @@
+import xml.etree.ElementTree as ET
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from pyjama import svg
-from pyjama.covering import CoverReport, CoveringConfig, uncovered_region
+from pyjama.covering import CoveringConfig, uncovered_region
 from pyjama.gaussian import (
     P5BAR,
     P13BAR,
@@ -14,54 +16,80 @@ from pyjama.gaussian import (
 )
 from pyjama.polygon import ConvexPolygon
 
+from _util import clip_halfplane, translate, with_pieces
+
 F = Fraction
+SVG = "{http://www.w3.org/2000/svg}"
+XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
 
 
-def _reference_svg(report, size=560):
-    """The picture drawn the direct way: every uncovered piece and every
-    obstruction point at every shift of ``svg._lattice_range``, each piece
-    clipped to the window by all four closed halfplanes."""
+def _fmt(value) -> str:
+    return "%.6f" % float(value)
+
+
+def _window_clip(piece, norm):
+    """The piece clipped to the closed window [0, norm]^2 by the Fraction
+    oracle, or None."""
+    for a, b, c in ((-1, 0, 0), (1, 0, norm), (0, -1, 0), (0, 1, norm)):
+        if piece is not None:
+            piece = clip_halfplane(piece, a, b, c)
+    return piece
+
+
+def _reference(report):
+    """The picture drawn the direct way, in Fraction arithmetic: the header
+    and stripe lines, the period cell and the obstruction dots as document
+    lines, and the multiset of non-empty window-clipped pieces of every
+    uncovered piece at every shift of ``svg._lattice_range``."""
     period = report.config.period
     norm = period.norm()
     reach = svg._lattice_range(norm)
     shifts = [period * GaussianInt(a, b) for a in reach for b in reach]
-    lines = [
+    placed = Counter()
+    for poly in report.uncovered:
+        for shift in shifts:
+            piece = _window_clip(translate(poly, shift.re, shift.im), norm)
+            if piece is not None:
+                placed[piece] += 1
+    head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {norm} {norm}">',
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        'xmlns:xlink="http://www.w3.org/1999/xlink" '
+        f'width="560" height="560" viewBox="0 0 {norm} {norm}">',
         f'<rect x="0" y="0" width="{norm}" height="{norm}" fill="#ffffff"/>',
         '<defs><clipPath id="window">'
         f'<rect x="0" y="0" width="{norm}" height="{norm}"/>'
-        '</clipPath></defs>',
+        '</clipPath>',
+        '<g id="cell">',
+        '</g></defs>',
         '<g clip-path="url(#window)">',
     ]
-    lines += svg._stripe_elements(report, norm)
-    fmt, xy = svg._fmt, svg._xy
-    for poly in report.uncovered:
-        for shift in shifts:
-            piece = poly.translate(shift.re, shift.im)
-            for a, b, c in ((-1, 0, 0), (1, 0, norm), (0, -1, 0), (0, 1, norm)):
-                if piece is not None:
-                    piece = piece.clip_halfplane(a, b, c)
-            if piece is None:
-                continue
-            if piece.kind == "polygon":
-                pts = " ".join(xy(x, y, norm) for x, y in piece.vertices)
-                lines.append(f'<polygon points="{pts}" fill="#000000"/>')
-            elif piece.kind == "segment":
-                (x1, y1), (x2, y2) = piece.vertices
-                lines.append(
-                    f'<line x1="{fmt(x1)}" y1="{fmt(norm - y1)}" '
-                    f'x2="{fmt(x2)}" y2="{fmt(norm - y2)}" '
-                    'stroke="#000000" stroke-width="0.030000"/>'
-                )
-            else:
-                (x, y), = piece.vertices
-                lines.append(
-                    f'<circle cx="{fmt(x)}" cy="{fmt(norm - y)}" '
-                    f'r="{fmt(svg._POINT_RADIUS)}" fill="#000000"/>'
-                )
-    lines.append(svg._period_cell_element(report, norm))
+    head += svg._stripe_elements(report, norm)
+    # the first cell of the lattice, in range order, inside the window
+    d = (F(period.re), F(period.im))
+    di = (F(-period.im), F(period.re))
+    anchor = (F(0), F(0))
+    for a in reach:
+        found = None
+        for b in reach:
+            ax, ay = a * d[0] + b * di[0], a * d[1] + b * di[1]
+            corners = [(ax, ay), (ax + d[0], ay + d[1]),
+                       (ax + d[0] + di[0], ay + d[1] + di[1]),
+                       (ax + di[0], ay + di[1])]
+            if all(0 <= x <= norm and 0 <= y <= norm for x, y in corners):
+                found = (ax, ay)
+                break
+        if found is not None:
+            anchor = found
+            break
+    ax, ay = anchor
+    corners = [(ax, ay), (ax + d[0], ay + d[1]),
+               (ax + d[0] + di[0], ay + d[1] + di[1]), (ax + di[0], ay + di[1])]
+    pts = " ".join(f"{_fmt(x)},{_fmt(norm - y)}" for x, y in corners)
+    tail = [
+        f'<polygon points="{pts}" fill="none" stroke="#333333" '
+        'stroke-width="0.030000" stroke-dasharray="0.150000,0.100000"/>'
+    ]
     for (a, b, m), dist_sq in report.obstruction_matches:
         if dist_sq != 0:
             continue
@@ -69,13 +97,66 @@ def _reference_svg(report, size=560):
         for shift in shifts:
             x, y = base.re + shift.re, base.im + shift.im
             if 0 <= x <= norm and 0 <= y <= norm:
-                lines.append(
-                    f'<circle cx="{fmt(x)}" cy="{fmt(norm - y)}" '
-                    f'r="{fmt(svg._DOT_RADIUS)}" fill="#000000" '
+                tail.append(
+                    f'<circle cx="{_fmt(x)}" cy="{_fmt(norm - y)}" '
+                    'r="0.100000" fill="#000000" '
                     'stroke="#ffffff" stroke-width="0.020000"/>'
                 )
-    lines += ["</g>", "</svg>"]
-    return "\n".join(lines) + "\n"
+    return head + tail + ["</g>", "</svg>"], placed
+
+
+def _cell_element(poly, norm):
+    """(tag, attributes) of a piece as the ``<defs>`` cell must draw it."""
+    pts = [(_fmt(x), _fmt(norm - y)) for x, y in poly.vertices]
+    if poly.kind == "polygon":
+        points = " ".join(f"{x},{y}" for x, y in pts)
+        return "polygon", {"points": points, "fill": "#000000"}
+    if poly.kind == "segment":
+        (x1, y1), (x2, y2) = pts
+        return "line", {"x1": x1, "y1": y1, "x2": x2, "y2": y2,
+                        "stroke": "#000000", "stroke-width": "0.030000"}
+    (x, y), = pts
+    return "circle", {"cx": x, "cy": y, "r": "0.060000", "fill": "#000000"}
+
+
+def _check_against_reference(report):
+    """Render the report; the ``<defs>`` cell must hold exactly its pieces,
+    every ``<use>`` of it expanded at its offset and clipped at the window
+    must give the reference's placed pieces, and every other line must be
+    the reference's."""
+    norm = report.config.period.norm()
+    text = svg.render_svg(report)
+    want_lines, want_placed = _reference(report)
+
+    lines = text.splitlines()
+    start, end = lines.index('<g id="cell">'), lines.index("</g></defs>")
+    other = lines[:start + 1] + lines[end:]
+    assert [line for line in other if not line.startswith("<use ")] == want_lines
+    assert text.endswith("\n")
+
+    root = ET.fromstring(text)
+    cell = root.find(f"{SVG}defs/{SVG}g")
+    assert cell.get("id") == "cell"
+    pieces = list(report.uncovered)
+    drawn = [(el.tag, el.attrib) for el in cell]
+    assert drawn == [(SVG + tag, attrs)
+                     for tag, attrs in (_cell_element(p, norm) for p in pieces)]
+    group = root.find(f"{SVG}g")
+    assert group.get("clip-path") == "url(#window)"
+    placed = Counter()
+    uses = [el for el in group if el.tag == SVG + "use"]
+    assert len(uses) == sum(line.startswith("<use ") for line in lines)
+    D = report.config.period
+    for use in uses:
+        assert use.get("href") == use.get(XLINK_HREF) == "#cell"
+        sx, sy = int(use.get("x")), -int(use.get("y"))
+        assert (GaussianRational(GaussianInt(sx, sy)) / GaussianRational(D)).is_gaussian_int()
+        for poly in pieces:
+            piece = _window_clip(translate(poly, sx, sy), norm)
+            if piece is not None:
+                placed[piece] += 1
+    assert placed == want_placed
+    return text
 
 
 @st.composite
@@ -84,8 +165,8 @@ def svg_reports(draw):
     theta_set(2) at eps = p/q < 1/2 and their least period (N(D) <= 65),
     plus up to two extra pieces with 1-3 vertices on a half-integer grid
     around the period cell (points, segments and triangles), many of them on
-    the window edges once shifted.  The direct renderer places every piece
-    at every shift, so the pieces are capped at about 2,000 placements."""
+    the window edges once shifted.  The reference places every piece at
+    every shift, so the pieces are capped at about 2,000 placements."""
     box = [(a, b) for a in range(3) for b in range(2) if 5**a * 13**b <= 65]
     a_max, b_max = draw(st.sampled_from(box))
     exps = draw(
@@ -114,17 +195,15 @@ def svg_reports(draw):
     )
     extras = draw(st.lists(st.lists(coord, min_size=1, max_size=3), max_size=2))
     room = max(1, 2000 // len(svg._lattice_range(period.norm())) ** 2 - len(extras))
-    start = draw(st.integers(0, max(0, len(report.uncovered) - room)))
-    pieces = report.uncovered[start : start + room]
-    pieces += tuple(ConvexPolygon(v) for v in extras)
-    return CoverReport(cfg, pieces, report.total_uncovered_area,
-                       report.obstruction_matches)
+    start = draw(st.integers(0, max(0, len(report.pieces) - room)))
+    pieces = list(report.uncovered)[start : start + room]
+    return with_pieces(report, pieces + [ConvexPolygon(v) for v in extras])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(svg_reports())
 def test_render_svg_matches_direct_placement(report):
-    assert svg.render_svg(report) == _reference_svg(report)
+    _check_against_reference(report)
 
 
 def test_render_svg_edge_pieces():
@@ -132,16 +211,18 @@ def test_render_svg_edge_pieces():
     # lattice corner, segments along the cell edges, the whole cell
     cfg = CoveringConfig([1, THETA5], F(1, 4), GaussianInt(1, -2))
     report = uncovered_region(cfg)
-    extras = (
+    extras = [
         ConvexPolygon([(0, 0)]),
         ConvexPolygon([(0, 0), (1, -2)]),
         ConvexPolygon([(0, 0), (2, 1)]),
         ConvexPolygon([(F(1, 2), F(1, 2))]),
         ConvexPolygon([(0, 0), (1, -2), (3, -1), (2, 1)]),
-    )
+    ]
     assert {p.kind for p in extras} == {"point", "segment", "polygon"}
-    edge = CoverReport(cfg, report.uncovered + extras,
-                       report.total_uncovered_area, report.obstruction_matches)
-    drawn = svg.render_svg(edge)
-    assert drawn == _reference_svg(edge)
+    edge = with_pieces(report, list(report.uncovered) + extras)
+    drawn = _check_against_reference(edge)
     assert drawn.count("<line ") > 0 and drawn.count('r="0.060000"') > 0
+    # one dot per obstruction placement inside the window
+    assert drawn.count('r="0.100000"') == sum(
+        line.count('r="0.100000"') for line in _reference(edge)[0])
+    assert drawn.count('r="0.100000"') > 0
