@@ -31,7 +31,9 @@ from .gaussian import (
     abs_at,
     as_gaussian_rational,
     crt,
+    exact_gaussian_rational,
     in_A,
+    nearest_gaussian_int,
 )
 from .padic import PadicNumber, PrecisionError, embed
 
@@ -226,19 +228,21 @@ def _padic_residual_ok(q: GaussianRational, b: PadicNumber, k: int,
     return (image - b).abs_bound() <= delta
 
 
-def strong_approx(z: complex, b: PadicNumber, delta) -> GaussianRational:
+def strong_approx(z, b: PadicNumber, delta) -> GaussianRational:
     """Find q in the base ring with |q - z| <= delta in the complex plane and
     |q - b| <= delta at the prime of ``b`` (5-adically or 13-adically).
 
-    Both bounds are re-verified before returning; a target known to fewer
-    digits than the tolerance requires raises PrecisionError.
+    The complex target is taken exactly (``exact_gaussian_rational``), so
+    the closest-vector rounding and both residual checks are exact at every
+    tolerance.  Both bounds are re-verified before returning; a target known
+    to fewer digits than the tolerance requires raises PrecisionError.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("tolerance must be positive")
     if not isinstance(b, PadicNumber):
         raise TypeError("the local target must be a p-adic number")
-    z = complex(z)
+    z = exact_gaussian_rational(z)
     p = b.p
     other = _OTHER_PRIME[p]
     bar = _BAR[p].generator
@@ -249,42 +253,38 @@ def strong_approx(z: complex, b: PadicNumber, delta) -> GaussianRational:
     j = 0 if b.is_zero else max(0, -b.valuation)
     K = k + j
 
+    # rounding in the lattice bar^K*Z[i]/den leaves |q - z|^2 at most
+    # N(bar^K)/(2*N(den)) = p^k/(2*other^f), which this f brings below delta^2
     f = 0
     while Fraction(other) ** f * 2 * delta * delta < p**k:
         f += 1
 
-    for _ in range(4):
-        den = GaussianRational(bar**j) * GaussianRational(other_bar**f)
-        # residue constraint: the numerator must land in B + bar^K * Z[i]
-        if b.is_zero:
-            B = 0
-        else:
-            beta = b * embed(den, p, K + max(0, -b.valuation) + 2)
-            B = _integer_lift(beta, K)
-        scale = bar**K
-        w = z * complex(den)
-        quot = (w - B) / complex(scale)
-        h = GaussianInt(round(quot.real), round(quot.imag))
-        g = GaussianInt(B, 0) + scale * h
-        q = GaussianRational(g) / den
-        if abs(complex(q) - z) <= float(delta) and _padic_residual_ok(
-            q, b, k, delta
-        ):
-            if not in_A(q):
-                raise RuntimeError(f"approximation {q} is not in A")
-            return q
-        f += 1
-    raise RuntimeError("approximation certificate failed verification")
+    den = GaussianRational(bar**j) * GaussianRational(other_bar**f)
+    # residue constraint: the numerator must land in B + bar^K * Z[i]
+    if b.is_zero:
+        B = 0
+    else:
+        beta = b * embed(den, p, K + max(0, -b.valuation) + 2)
+        B = _integer_lift(beta, K)
+    scale = bar**K
+    h = nearest_gaussian_int((z * den - B) / scale)
+    q = GaussianRational(GaussianInt(B, 0) + scale * h) / den
+    if (q - z).abs2() > delta * delta or not _padic_residual_ok(q, b, k, delta):
+        raise RuntimeError("approximation certificate failed verification")
+    if not in_A(q):
+        raise RuntimeError(f"approximation {q} is not in A")
+    return q
 
 
-def strong_approx_3way(z: complex, a: PadicNumber, b: PadicNumber,
+def strong_approx_3way(z, a: PadicNumber, b: PadicNumber,
                        delta) -> GaussianRational:
     """Find q in the base ring extended by 1/7 approximating a complex, a
     5-adic and a 13-adic target simultaneously, all residuals <= delta.
 
     The inert prime 7 is invisible at both finite sites, so widening the
     denominator by powers of 7 shrinks the complex covering radius without
-    disturbing the residue constraints.
+    disturbing the residue constraints.  As in ``strong_approx`` the complex
+    target is taken exactly.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -293,7 +293,7 @@ def strong_approx_3way(z: complex, a: PadicNumber, b: PadicNumber,
         raise TypeError("first local target must be 5-adic")
     if not isinstance(b, PadicNumber) or b.p != 13:
         raise TypeError("second local target must be 13-adic")
-    z = complex(z)
+    z = exact_gaussian_rational(z)
 
     k5 = _min_exponent(5, delta)
     k13 = _min_exponent(13, delta)
@@ -303,42 +303,32 @@ def strong_approx_3way(z: complex, a: PadicNumber, b: PadicNumber,
     j13 = 0 if b.is_zero else max(0, -b.valuation)
     K5, K13 = k5 + j5, k13 + j13
 
+    # as in strong_approx, |q - z|^2 <= 5^k5*13^k13/(2*49^t) <= delta^2
     t = 0
     need = 5**k5 * 13**k13
     while 2 * delta * delta * 49**t < need:
         t += 1
 
     W = P5BAR.generator**K5 * P13BAR.generator**K13
-    w_c = complex(W)
-    for _ in range(4):
-        den = (
-            GaussianRational(P5BAR.generator**j5)
-            * GaussianRational(P13BAR.generator**j13)
-            * GaussianRational(GaussianInt(7, 0) ** t)
-        )
-        B5 = 0 if a.is_zero else _integer_lift(a * embed(den, 5, K5 + 2), K5)
-        B13 = 0 if b.is_zero else _integer_lift(b * embed(den, 13, K13 + 2),
-                                                K13)
-        G = crt(B5, 5**K5, B13, 13**K13)
-        w = z * complex(den)
-        quot = (w - G) / w_c
-        h = GaussianInt(round(quot.real), round(quot.imag))
-        g = GaussianInt(G, 0) + W * h
-        q = GaussianRational(g) / den
-        if (
-            abs(complex(q) - z) <= float(delta)
-            and _padic_residual_ok(q, a, k5, delta)
-            and _padic_residual_ok(q, b, k13, delta)
-        ):
-            cleared = q
-            while cleared.den % 7 == 0:
-                cleared = cleared * 7
-            if not in_A(cleared):
-                raise RuntimeError(
-                    f"approximation {q} is not in A up to powers of 7")
-            return q
-        t += 1
-    raise RuntimeError("approximation certificate failed verification")
+    den = (
+        GaussianRational(P5BAR.generator**j5)
+        * GaussianRational(P13BAR.generator**j13)
+        * GaussianRational(GaussianInt(7, 0) ** t)
+    )
+    B5 = 0 if a.is_zero else _integer_lift(a * embed(den, 5, K5 + 2), K5)
+    B13 = 0 if b.is_zero else _integer_lift(b * embed(den, 13, K13 + 2), K13)
+    G = crt(B5, 5**K5, B13, 13**K13)
+    h = nearest_gaussian_int((z * den - G) / W)
+    q = GaussianRational(GaussianInt(G, 0) + W * h) / den
+    if ((q - z).abs2() > delta * delta or not _padic_residual_ok(q, a, k5, delta)
+            or not _padic_residual_ok(q, b, k13, delta)):
+        raise RuntimeError("approximation certificate failed verification")
+    cleared = q
+    while cleared.den % 7 == 0:
+        cleared = cleared * 7
+    if not in_A(cleared):
+        raise RuntimeError(f"approximation {q} is not in A up to powers of 7")
+    return q
 
 
 # ---------------------------------------------------------------------------

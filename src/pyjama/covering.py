@@ -220,53 +220,64 @@ def _lattice_scale(D: GaussianInt, rotations, eps: Fraction) -> int:
     return scale
 
 
-def _clip_lattice(ring, a: int, b: int, c: int) -> list[tuple[int, int]]:
-    """Sutherland-Hodgman clip of a convex ring of integer vertices to the
-    closed halfplane a*X + b*Y <= c: the vertices kept, [] when none are.
-    Each crossing must land on the integer lattice; ArithmeticError when
-    one does not."""
-    f = [a * x + b * y - c for x, y in ring]
-    out = []
-    for i, e in enumerate(ring):
-        s, fs, fe = ring[i - 1], f[i - 1], f[i]
+def _clip_stripe(ring, hs, c: int, below: bool):
+    """Sutherland-Hodgman clip of a convex ring of integer vertices with
+    stripe values ``hs`` to the closed halfplane h <= c (``below``) or
+    h >= c: the vertices kept and their values.  A crossing's value is c, so
+    no dot product is needed; CertificateError when one is off the lattice."""
+    f = [h - c for h in hs] if below else [c - h for h in hs]
+    kept, kept_h = [], []
+    s, h_s, fs = ring[-1], hs[-1], f[-1]
+    for e, h_e, fe in zip(ring, hs, f):
         if fs <= 0:
-            out.append(s)
+            kept.append(s)
+            kept_h.append(h_s)
         if (fs < 0 < fe) or (fe < 0 < fs):
             den = fs - fe
             x, rx = divmod(fs * e[0] - fe * s[0], den)
             y, ry = divmod(fs * e[1] - fe * s[1], den)
             if rx or ry:
                 raise CertificateError(
-                    f"the line {a}*X + {b}*Y = {c} crosses the edge {s}-{e} "
+                    f"the stripe line h = {c} crosses the edge {s}-{e} "
                     "off the integer lattice"
                 )
-            out.append((x, y))
-    return out
+            kept.append((x, y))
+            kept_h.append(c)
+        s, h_s, fs = e, h_e, fe
+    return kept, kept_h
 
 
-def _subtract_stripes(pieces, rotation: GaussianRational, eps: Fraction, scale: int):
-    """Cut the open stripes of one rotation out of integer pieces (vertex
-    ring, kind) at the given lattice scale; the pieces left, canonicalized."""
+def _subtract_stripes(rings, rotation: GaussianRational, eps: Fraction, scale: int):
+    """Cut the open stripes of one rotation out of convex integer rings at
+    the given lattice scale; the rings left, raw as the clips made them.
+
+    For theta = (a + bi)/d and eps = p/q, a vertex's stripe value
+    h = q*(a*X - b*Y) is q*u times Re(z*theta), u = d*scale, and stripe k is
+    the open band u*(q*k - p) < h < u*(q*k + p).  The values are computed
+    once per piece and carried through its cuts.  [min h, max h] decides
+    before any clip: a piece that meets no stripe closure passes unchanged,
+    and a piece inside one open stripe is dropped."""
     a, b, d = rotation.num.re, rotation.num.im, rotation.den
     p, q = eps.numerator, eps.denominator
-    # h = q*(a*X - b*Y) is q*d*scale times the stripe coordinate Re(z*theta)
     qa, qb, u = q * a, q * b, d * scale
+    up, uq = u * p, u * q
     out = []
-    for ring, _kind in pieces:
+    for ring in rings:
         hs = [qa * x - qb * y for x, y in ring]
-        # stripes whose closure meets the piece: ceil(fmin - eps) .. floor(fmax + eps)
-        k_lo = -((u * p - min(hs)) // (q * u))
-        k_hi = (max(hs) + u * p) // (q * u)
-        cur = ring
+        lo, hi = min(hs), max(hs)
+        # stripes whose closure meets the piece: k_lo .. k_hi
+        k_lo, k_hi = -((up - lo) // uq), (hi + up) // uq
+        if k_lo == k_hi and uq * k_lo - up < lo and hi < uq * k_lo + up:
+            continue
         for k in range(k_lo, k_hi + 1):
-            left = _clip_lattice(cur, qa, -qb, u * (q * k - p))
+            left, _ = _clip_stripe(ring, hs, uq * k - up, True)
             if left:
-                out.append(_canonicalize(left))
-            cur = _clip_lattice(cur, -qa, qb, -u * (q * k + p))
-            if not cur:
+                out.append(left)
+            ring, hs = _clip_stripe(ring, hs, uq * k + up, False)
+            if not ring:
                 break
-        if cur:
-            out.append(_canonicalize(cur))
+        if ring:
+            out.append(ring)
     return out
 
 
@@ -275,17 +286,22 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     stripe, as exact convex pieces, with matching obstruction tuples.
 
     The stripes are subtracted on integer vertices at the lattice scale of
-    ``_lattice_scale``; every catalog obstruction point is uncovered (each
-    rotation's D*theta is one of the norm-N(D) multipliers that
-    ``verify_obstruction`` ranges over), which is re-checked exactly."""
+    ``_lattice_scale`` by ``_subtract_stripes``, which carries each piece's
+    stripe values through the cuts and drops a piece inside one open stripe
+    unclipped.  The raw clip rings are canonicalized once, after the last
+    rotation (the canonical form depends only on the point set).  Every
+    catalog obstruction point is uncovered (each rotation's D*theta is one
+    of the norm-N(D) multipliers that ``verify_obstruction`` ranges over),
+    which is re-checked exactly."""
     D, eps = config.period, config.epsilon
     scale = _lattice_scale(D, config.rotations, eps)
     dr, di = D.re * scale, D.im * scale
-    pieces = [(((0, 0), (dr, di), (dr - di, di + dr), (-di, dr)), "polygon")]
+    rings = [[(0, 0), (dr, di), (dr - di, di + dr), (-di, dr)]]
     for rotation in config.rotations:
-        pieces = _subtract_stripes(pieces, rotation, eps, scale)
-        if not pieces:
+        rings = _subtract_stripes(rings, rotation, eps, scale)
+        if not rings:
             break
+    pieces = [_canonicalize(ring) for ring in rings]
     area = Fraction(sum(_ring_area2(ring) for ring, _ in pieces), 2 * scale * scale)
     catalog = obstruction_catalog(eps, obstruction_m_max, D.norm())
     matches = tuple((abm, Fraction(0)) for abm, _margin in catalog)

@@ -378,6 +378,16 @@ def as_gaussian_rational(x) -> GaussianRational | None:
     return None
 
 
+def exact_gaussian_rational(z) -> GaussianRational:
+    """``as_gaussian_rational``, with a float or complex taken at its exact
+    binary value (``Fraction(float)`` is exact)."""
+    q = as_gaussian_rational(z)
+    if q is None:
+        z = complex(z)
+        q = GaussianRational.from_fractions(z.real, z.imag)
+    return q
+
+
 @dataclass(frozen=True, slots=True)
 class PrimeSite:
     """One of the four fixed primes of Z[i] above 5 and 13."""

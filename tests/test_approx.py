@@ -308,3 +308,80 @@ def test_circle_density_rejects_torsion():
         circle_density(GaussianRational(GaussianInt(1, 1)), 1 + 0j, 10)
     with pytest.raises(ValueError):
         circle_density(THETA5, 0j, 10)
+
+
+# ---------------------------------------------------------------------------
+# exact residuals at tolerances far below float resolution
+# ---------------------------------------------------------------------------
+
+
+def _image_of_i(site, n):
+    """The image of i in Z/p^n at the completion of ``site`` (the barred
+    sites are the ones ``embed`` measures): the root of
+    x^2 = -1 with g.re + g.im*x = 0 mod p for its generator g, lifted by
+    Newton's iteration."""
+    p, g, mod = site.residue_norm, site.generator, site.residue_norm**n
+    x = -g.re * pow(g.im, -1, p) % p
+    for _ in range(n.bit_length() + 1):
+        x = (x - (x * x + 1) * pow(2 * x, -1, mod)) % mod
+    return x
+
+
+def _assert_local_residual(q, site, target, delta):
+    """v_P(q - target) >= k, the least k with p^-k <= delta, checked in
+    integers: with q = (A + Bi)/d and p^s exactly dividing d, that is
+    p^(k+s) | (A + B*x)*target.den - target.num*d for x the image of i."""
+    p = site.residue_norm
+    k = 0
+    while F(1, p**k) > delta:
+        k += 1
+    d, A, B = q.den, q.num.re, q.num.im
+    s = 0
+    while d % p ** (s + 1) == 0:
+        s += 1
+    x = _image_of_i(site, k + s)
+    t = F(target)
+    assert ((A + B * x) * t.denominator - t.numerator * d) % p ** (k + s) == 0
+
+
+_EXACT_Z = {
+    "zero": GaussianRational(0),
+    "rational": GaussianRational.parse("-337077/12560691-6571169/12560691i"),
+    "float": 0.3 + 0.7j,
+}
+_DELTAS = [F(1, 10**3), F(1, 10**18), F(1, 10**40)]
+
+
+@pytest.mark.parametrize("delta", _DELTAS, ids=["1e-3", "1e-18", "1e-40"])
+@pytest.mark.parametrize("zname", sorted(_EXACT_Z))
+@pytest.mark.parametrize("site, target", [
+    (P5BAR, F(0)), (P5BAR, F(244, 5 * 71)), (P13BAR, F(0)), (P13BAR, F(-2, 13 * 3)),
+], ids=["5-zero", "5-fraction", "13-zero", "13-fraction"])
+def test_strong_approx_exact_residuals(site, target, zname, delta):
+    z = _EXACT_Z[zname]
+    b = PadicNumber.from_rational(target, site.residue_norm, 80)
+    q = strong_approx(z, b, delta)
+    assert in_A(q)
+    zr, zi = (F(z.real), F(z.imag)) if isinstance(z, complex) else (z.re, z.im)
+    assert (q.re - zr) ** 2 + (q.im - zi) ** 2 <= delta * delta
+    _assert_local_residual(q, site, target, delta)
+
+
+@pytest.mark.parametrize("delta", _DELTAS, ids=["1e-3", "1e-18", "1e-40"])
+@pytest.mark.parametrize("zname", sorted(_EXACT_Z))
+@pytest.mark.parametrize("t5, t13", [
+    (F(0), F(0)), (F(7, 25), F(0)), (F(0), F(5, 169)), (F(-3, 10), F(11, 26)),
+], ids=["zero-zero", "fraction-zero", "zero-fraction", "fraction-fraction"])
+def test_three_way_exact_residuals(t5, t13, zname, delta):
+    z = _EXACT_Z[zname]
+    a = PadicNumber.from_rational(t5, 5, 80)
+    b = PadicNumber.from_rational(t13, 13, 80)
+    q = strong_approx_3way(z, a, b, delta)
+    zr, zi = (F(z.real), F(z.imag)) if isinstance(z, complex) else (z.re, z.im)
+    assert (q.re - zr) ** 2 + (q.im - zi) ** 2 <= delta * delta
+    _assert_local_residual(q, P5BAR, t5, delta)
+    _assert_local_residual(q, P13BAR, t13, delta)
+    cleared = q
+    while cleared.den % 7 == 0:
+        cleared = cleared * 7
+    assert in_A(cleared)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as F
 
 import pytest
 
@@ -104,6 +105,34 @@ def test_failed_certificate_exits_two(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_unexpected_exception_exits_two_internal(tmp_path, capsys, monkeypatch):
+    # any exception outside the known error kinds is a fault of the program:
+    # exit 2 with error=internal, one error line, no traceback, no artifact
+    def broken(config, ini, artifacts):
+        artifacts.append(("report.txt", b"partial\n"))
+        raise KeyError("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "obstructions", broken)
+    cfg = _write(tmp_path / "ob.ini", "[obstructions]\nepsilon = 1/4\nm_max = 2\n")
+    out = tmp_path / "out"
+    code = main(["obstructions", "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "command=obstructions exit=2 error=internal\n"
+    assert captured.err.splitlines() == ["error: internal: 'boom'"]
+    assert not out.exists()
+
+
+def test_parser_is_built_once_and_keeps_its_defaults(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+    main(["obstructions", "--config", "x.ini", "--no-svg", "--seed", "3"])
+    main(["obstructions", "--config", "x.ini"])
+    assert cli._build_parser() is cli._build_parser()
+    assert (seen[0].svg, seen[0].seed) == (False, 3)
+    assert seen[1] == RunConfig(command="obstructions", input_path="x.ini")
+
+
 def test_classify_half_plus_half_i(tmp_path, capsys):
     cfg = _write(tmp_path / "c.ini", "[classify]\nq = 1/2+1/2i\n")
     out = tmp_path / "out"
@@ -198,6 +227,39 @@ def test_obstructions_command(tmp_path, capsys):
     assert "count=1" in summary
     report = (out / "report.txt").read_text()
     assert "obstruction a=1 b=1 m=2 margin=1/2 verified=true" in report
+
+
+@pytest.mark.parametrize("dr, di", [(1, -2), (2, -3), (-4, -7), (-18, 1)],
+                         ids=["N5", "N13", "N65", "N325"])
+def test_obstructions_report_matches_circle_distance_oracle(tmp_path, capsys, dr, di):
+    # every listed margin against the least circle distance of
+    # Fraction(g.re*a - g.im*b, m) % 1 over the multipliers g of norm N(D),
+    # found here by brute force, for all gcd-normalized (a, b, m) with m <= 8
+    period = f"{dr}{di:+d}i"
+    norm = dr * dr + di * di
+    r = math.isqrt(norm)
+    gs = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1) if x * x + y * y == norm]
+    for eps in (F(1, 8), F(1, 4), F(3, 10)):
+        cfg = _write(tmp_path / "ob.ini",
+                     f"[obstructions]\nepsilon = {eps}\nm_max = 8\nperiod = {period}\n")
+        out = tmp_path / "out"
+        main(["obstructions", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        listed = [dict(part.split("=") for part in line.split()[1:])
+                  for line in (out / "report.txt").read_text().splitlines()
+                  if line.startswith("obstruction ")]
+        want = []
+        for m in range(1, 9):
+            for a in range(m):
+                for b in range(m):
+                    if math.gcd(a, b, m) == 1:
+                        values = [F(gr * a - gi * b, m) % 1 for gr, gi in gs]
+                        margin = min(min(v, 1 - v) for v in values)
+                        if margin >= eps:
+                            want.append((-margin, (a, b, m)))
+        assert [(-F(e["margin"]), (int(e["a"]), int(e["b"]), int(e["m"])))
+                for e in listed] == sorted(want)
+        assert all(e["verified"] == "true" for e in listed)
 
 
 def test_rationality_command(tmp_path, capsys):

@@ -17,11 +17,12 @@ from pyjama.gaussian import (
     GaussianInt,
     GaussianRational,
     THETA5,
+    THETA13,
     gaussian_ints_of_norm,
     min_period_multiplier,
     theta_set,
 )
-from pyjama.polygon import ConvexPolygon
+from pyjama.polygon import ConvexPolygon, _ring_area2
 from pyjama import covering
 from pyjama.covering import (
     CoveringConfig,
@@ -142,15 +143,16 @@ def _fraction_uncovered(cfg):
 
 
 @st.composite
-def small_configs(draw):
-    """1-3 rotations theta5**a * theta13**b of theta_set(2), eps = p/q in
-    (0, 1/2), and their least common period, of norm 5**a * 13**b <= 325."""
+def small_configs(draw, min_rotations=1, epsilons=None):
+    """1-3 rotations theta5**a * theta13**b of theta_set(2) (at least
+    ``min_rotations``), eps = p/q in (0, 1/2) or drawn from ``epsilons``,
+    and their least common period, of norm 5**a * 13**b <= 325."""
     box = [(a, b) for a in range(3) for b in range(3) if 5**a * 13**b <= 325]
     a_max, b_max = draw(st.sampled_from(box))
     exps = draw(
         st.lists(
             st.tuples(st.integers(0, a_max), st.integers(0, b_max)),
-            min_size=1,
+            min_size=min_rotations,
             max_size=3,
             unique=True,
         )
@@ -158,14 +160,29 @@ def small_configs(draw):
     period = P5BAR.generator ** max(a for a, _ in exps) * P13BAR.generator ** max(
         b for _, b in exps
     )
-    q = draw(st.integers(3, 60))
-    p = draw(st.integers(1, (q - 1) // 2))
+    if epsilons is None:
+        q = draw(st.integers(3, 60))
+        eps = F(draw(st.integers(1, (q - 1) // 2)), q)
+    else:
+        eps = draw(epsilons)
     thetas = theta_set(2)
-    return CoveringConfig([thetas[3 * a + b] for a, b in exps], F(p, q), period)
+    return CoveringConfig([thetas[3 * a + b] for a, b in exps], eps, period)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(small_configs())
+# At these half-widths the stripe edges of one rotation pass through the
+# crossings of the others' (at 1/4, 42 of the 2- and 3-rotation configs of
+# small_configs leave point pieces, TOUCHING_CONFIG among them).  Segment
+# pieces cannot occur in a period cell: no two stripe edges of distinct
+# rotations are parallel, and a stripe edge parallel to a cell edge would lie
+# on a stripe center.
+_TOUCHING_EPS = (F(1, 8), F(1, 6), F(1, 4), F(1, 3), F(3, 8))
+TOUCHING_CONFIG = CoveringConfig([THETA13, THETA5 * THETA13], F(1, 4),
+                                 P5BAR.generator * P13BAR.generator)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_configs() | small_configs(min_rotations=2, epsilons=st.sampled_from(_TOUCHING_EPS)))
+@example(TOUCHING_CONFIG)
 def test_lattice_subtraction_matches_fraction_oracle(cfg):
     report = uncovered_region(cfg, obstruction_m_max=1)
     oracle = _fraction_uncovered(cfg)
@@ -173,11 +190,87 @@ def test_lattice_subtraction_matches_fraction_oracle(cfg):
     assert report.total_uncovered_area == sum((p.area() for p in oracle), F(0))
 
 
+def test_touching_stripes_leave_point_pieces():
+    kinds = [kind for _, kind in uncovered_region(TOUCHING_CONFIG, obstruction_m_max=1).pieces]
+    assert kinds.count("point") == 2 and "segment" not in kinds
+
+
 def test_off_lattice_crossing_raises():
     square = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    assert sorted(covering._clip_lattice(square, 1, 0, 0)) == [(0, 0), (0, 1)]
+    kept, _ = covering._clip_stripe(square, [x for x, _ in square], 0, True)
+    assert sorted(kept) == [(0, 0), (0, 1)]
     with pytest.raises(ArithmeticError):
-        covering._clip_lattice(square, 2, 0, 1)  # x <= 1/2
+        covering._clip_stripe(square, [2 * x for x, _ in square], 1, True)  # x <= 1/2
+
+
+# convex integer rings, counterclockwise, down to a segment and a point
+_SHAPES = (
+    [(0, 0), (3, 0), (0, 2)],
+    [(0, 0), (2, 0), (2, 2), (0, 2)],
+    [(1, 0), (3, 0), (4, 2), (3, 4), (1, 4), (0, 2)],
+    [(0, 0), (3, 1)],
+    [(1, 1)],
+)
+
+
+@st.composite
+def clip_cases(draw):
+    """An integer affine image (positive determinant) of one of _SHAPES and
+    an integer halfplane a*x + b*y <= c."""
+    d, e = st.integers(1, 3), st.integers(-3, 3)
+    m = draw(st.tuples(d, e, e, d).filter(lambda m: m[0] * m[3] > m[1] * m[2]))
+    if draw(st.booleans()):  # a half turn keeps the determinant
+        m = [-v for v in m]
+    tx, ty = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    shape = draw(st.sampled_from(_SHAPES))
+    ring = [(m[0] * x + m[1] * y + tx, m[2] * x + m[3] * y + ty) for x, y in shape]
+    a, b = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+    c = draw(st.integers(-30, 30))
+    return ring, a, b, c
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(clip_cases())
+@example(([(0, 0), (2, 0), (2, 2), (0, 2)], 1, 0, 0))  # the edge x = 0
+@example(([(0, 0), (2, 0), (2, 2), (0, 2)], 1, 1, 0))  # the corner (0, 0)
+@example(([(0, 0), (3, 1)], 1, -3, 0))  # the line through the segment
+def test_stripe_clip_area_additivity(case):
+    ring, a, b, c = case
+    # a scale that puts every crossing of a*x + b*y = c on the lattice
+    steps = [a * (x0 - x1) + b * (y0 - y1) for (x0, y0), (x1, y1) in zip(ring, ring[-1:] + ring[:-1])]
+    L = math.lcm(1, *(abs(v) for v in steps if v))
+    scaled = [(L * x, L * y) for x, y in ring]
+    hs = [a * x + b * y for x, y in scaled]
+    poly = ConvexPolygon(ring)
+    area2 = 0
+    for sign in (1, -1):  # the halfplane and its closed complement
+        kept, kept_h = covering._clip_stripe(scaled, hs, L * c, sign == 1)
+        assert kept_h == [a * x + b * y for x, y in kept]  # the carried values
+        oracle = clip_halfplane(poly, sign * a, sign * b, sign * c)
+        assert (oracle is None) == (not kept)
+        if kept:
+            assert ConvexPolygon([(F(x, L), F(y, L)) for x, y in kept]) == oracle
+            area2 += _ring_area2(kept)
+    assert area2 == L * L * _ring_area2(ring)
+    pieces = [clip_halfplane(poly, a, b, c), clip_halfplane(poly, -a, -b, -c)]
+    assert sum((p.area() for p in pieces if p is not None), F(0)) == poly.area()
+
+
+def test_subtract_stripes_decides_from_the_value_range(monkeypatch):
+    # rotation 1 and eps = 1/4 at scale 8: h = 4X, and stripe k is the open
+    # band 8k - 2 < X < 8k + 2
+    clips = []
+    real_clip = covering._clip_stripe
+    monkeypatch.setattr(covering, "_clip_stripe", lambda *args: clips.append(args) or real_clip(*args))
+    inside = [(-1, 0), (1, 0), (1, 5), (-1, 5)]
+    between = [(3, 0), (5, 0), (5, 5), (3, 5)]
+    across = [(1, 0), (3, 0), (3, 1), (1, 1)]
+    subtract = covering._subtract_stripes
+    assert subtract([inside], GaussianRational(1), F(1, 4), 8) == []
+    assert subtract([between], GaussianRational(1), F(1, 4), 8) == [between]
+    assert clips == []
+    out = subtract([across], GaussianRational(1), F(1, 4), 8)
+    assert [ConvexPolygon(ring) for ring in out] == [ConvexPolygon([(2, 0), (3, 0), (3, 1), (2, 1)])]
 
 
 def test_missing_obstruction_point_raises(monkeypatch):
@@ -194,7 +287,7 @@ def test_certificate_checks_survive_optimize_flag():
         from pyjama.gaussian import THETA5, GaussianInt
         assert False, "asserts must be stripped"
         try:
-            covering._clip_lattice([(0, 0), (1, 0), (1, 1), (0, 1)], 2, 0, 1)
+            covering._clip_stripe([(0, 0), (1, 0), (1, 1), (0, 1)], [0, 2, 2, 0], 1, True)
         except ArithmeticError:
             pass
         else:
@@ -659,7 +752,7 @@ def test_certificate_error_is_runtime_and_arithmetic_error():
     assert issubclass(covering.CertificateError, RuntimeError)
     assert issubclass(covering.CertificateError, ArithmeticError)
     with pytest.raises(covering.CertificateError):
-        covering._clip_lattice([(0, 0), (1, 0), (1, 1), (0, 1)], 2, 0, 1)
+        covering._clip_stripe([(0, 0), (1, 0), (1, 1), (0, 1)], [0, 2, 2, 0], 1, True)
 
 
 def test_no_assert_statements_in_source():
