@@ -220,43 +220,64 @@ def _lattice_scale(D: GaussianInt, rotations, eps: Fraction) -> int:
     return scale
 
 
-def _clip_stripe(ring, hs, c: int, below: bool):
-    """Sutherland-Hodgman clip of a convex ring of integer vertices with
-    stripe values ``hs`` to the closed halfplane h <= c (``below``) or
-    h >= c: the vertices kept and their values.  A crossing's value is c, so
-    no dot product is needed; CertificateError when one is off the lattice."""
-    f = [h - c for h in hs] if below else [c - h for h in hs]
-    kept, kept_h = [], []
-    s, h_s, fs = ring[-1], hs[-1], f[-1]
-    for e, h_e, fe in zip(ring, hs, f):
-        if fs <= 0:
-            kept.append(s)
-            kept_h.append(h_s)
-        if (fs < 0 < fe) or (fe < 0 < fs):
-            den = fs - fe
-            x, rx = divmod(fs * e[0] - fe * s[0], den)
-            y, ry = divmod(fs * e[1] - fe * s[1], den)
-            if rx or ry:
-                raise CertificateError(
-                    f"the stripe line h = {c} crosses the edge {s}-{e} "
-                    "off the integer lattice"
-                )
-            kept.append((x, y))
-            kept_h.append(c)
-        s, h_s, fs = e, h_e, fe
-    return kept, kept_h
+def _split_slabs(ring, hs, up: int, uq: int):
+    """Split a convex ring of integer vertices with stripe values ``hs`` into
+    its parts in the closed slabs uq*j + up <= h <= uq*(j + 1) - up between
+    the open stripes, in one walk: the nonempty parts, in increasing j.
+
+    A vertex's level comes from w = h + up = uq*k + r: 4k on the line
+    h = uq*k - up (r = 0), 4k + 1 inside stripe k, 4k + 2 on the line
+    h = uq*k + up and 4k + 3 inside slab k, so slab j holds the levels
+    4j + 2 .. 4j + 4 and the even levels are the slab edges.  Each vertex goes
+    to the slab of its level, and an edge crosses a slab edge exactly where an
+    even level lies strictly between the levels of its ends; the crossing
+    goes to that slab.  Walking the ring once thus gives each slab its points
+    in cyclic order.  CertificateError when a crossing is off the lattice."""
+    up2 = 2 * up
+    levels = []
+    for h in hs:
+        k, r = divmod(h + up, uq)
+        levels.append(4 * k + (3 if r > up2 else 2 if r == up2 else 1 if r else 0))
+    first = (min(levels) - 2) // 4
+    slabs = [[] for _ in range((max(levels) - 2) // 4 - first + 1)]
+    s, h_s, l_s = ring[-1], hs[-1], levels[-1]
+    for e, h_e, l_e in zip(ring, hs, levels):
+        if l_s & 3 != 1:
+            slabs[(l_s - 2) // 4 - first].append(s)
+        if l_e > l_s + 1 or l_s > l_e + 1:
+            # the crossing with the line h = h_s + t is s + t*(e - s)/(h_e - h_s),
+            # a lattice point exactly when (h_e - h_s)/g divides t, where
+            # g = gcd(e - s, h_e - h_s)
+            sx, sy = s
+            dx, dy, den = e[0] - sx, e[1] - sy, h_e - h_s
+            g = gcd(dx, dy, den)
+            dx, dy, den = dx // g, dy // g, den // g
+            # the even levels strictly between l_s and l_e, from s towards e
+            step = 2 if l_e > l_s else -2
+            for level in range(l_s + step - (l_s & 1) * step // 2, l_e, step):
+                t = uq * (level >> 2) + (up if level & 2 else -up) - h_s
+                if t % den:
+                    raise CertificateError(
+                        f"the stripe line h = {h_s + t} crosses the edge {s}-{e} "
+                        "off the integer lattice"
+                    )
+                n = t // den
+                slabs[(level - 2) // 4 - first].append((sx + n * dx, sy + n * dy))
+        s, h_s, l_s = e, h_e, l_e
+    return [part for part in slabs if part]
 
 
 def _subtract_stripes(rings, rotation: GaussianRational, eps: Fraction, scale: int):
     """Cut the open stripes of one rotation out of convex integer rings at
-    the given lattice scale; the rings left, raw as the clips made them.
+    the given lattice scale; the rings left, raw as the walks made them.
 
     For theta = (a + bi)/d and eps = p/q, a vertex's stripe value
     h = q*(a*X - b*Y) is q*u times Re(z*theta), u = d*scale, and stripe k is
-    the open band u*(q*k - p) < h < u*(q*k + p).  The values are computed
-    once per piece and carried through its cuts.  [min h, max h] decides
-    before any clip: a piece that meets no stripe closure passes unchanged,
-    and a piece inside one open stripe is dropped."""
+    the open band u*(q*k - p) < h < u*(q*k + p).  [min h, max h] decides
+    first: a piece that meets no stripe closure passes unchanged, and a piece
+    inside one open stripe is dropped.  Any other piece is split into its
+    parts in the closed slabs between the stripes by one ``_split_slabs``
+    walk, which emits them in increasing h, the order the report lists."""
     a, b, d = rotation.num.re, rotation.num.im, rotation.den
     p, q = eps.numerator, eps.denominator
     qa, qb, u = q * a, q * b, d * scale
@@ -267,17 +288,10 @@ def _subtract_stripes(rings, rotation: GaussianRational, eps: Fraction, scale: i
         lo, hi = min(hs), max(hs)
         # stripes whose closure meets the piece: k_lo .. k_hi
         k_lo, k_hi = -((up - lo) // uq), (hi + up) // uq
-        if k_lo == k_hi and uq * k_lo - up < lo and hi < uq * k_lo + up:
-            continue
-        for k in range(k_lo, k_hi + 1):
-            left, _ = _clip_stripe(ring, hs, uq * k - up, True)
-            if left:
-                out.append(left)
-            ring, hs = _clip_stripe(ring, hs, uq * k + up, False)
-            if not ring:
-                break
-        if ring:
+        if k_lo > k_hi:
             out.append(ring)
+        elif k_lo < k_hi or lo <= uq * k_lo - up or uq * k_lo + up <= hi:
+            out += _split_slabs(ring, hs, up, uq)
     return out
 
 
@@ -286,10 +300,11 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     stripe, as exact convex pieces, with matching obstruction tuples.
 
     The stripes are subtracted on integer vertices at the lattice scale of
-    ``_lattice_scale`` by ``_subtract_stripes``, which carries each piece's
-    stripe values through the cuts and drops a piece inside one open stripe
-    unclipped.  The raw clip rings are canonicalized once, after the last
-    rotation (the canonical form depends only on the point set).  Every
+    ``_lattice_scale`` by ``_subtract_stripes``: each piece passes whole,
+    is dropped inside one open stripe, or is split into its closed slabs in
+    one walk that sorts its vertices and edge crossings by their slab level.
+    The raw rings are canonicalized once, after the last rotation (the
+    canonical form depends only on the point set).  Every
     catalog obstruction point is uncovered (each rotation's D*theta is one
     of the norm-N(D) multipliers that ``verify_obstruction`` ranges over),
     which is re-checked exactly."""

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pyjama.gaussian import (
     P5BAR,
@@ -196,11 +196,13 @@ def test_touching_stripes_leave_point_pieces():
 
 
 def test_off_lattice_crossing_raises():
+    # h = 2x - 1 on the unit square, and the stripe -1 < h < 1 (up = 1, uq = 4):
+    # the slab below keeps the edge x = 0, the slab above the edge x = 1
     square = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    kept, _ = covering._clip_stripe(square, [x for x, _ in square], 0, True)
-    assert sorted(kept) == [(0, 0), (0, 1)]
+    parts = covering._split_slabs(square, [2 * x - 1 for x, _ in square], 1, 4)
+    assert [sorted(part) for part in parts] == [[(0, 0), (0, 1)], [(1, 0), (1, 1)]]
     with pytest.raises(ArithmeticError):
-        covering._clip_stripe(square, [2 * x for x, _ in square], 1, True)  # x <= 1/2
+        covering._split_slabs(square, [2 * x for x, _ in square], 1, 4)  # h = 1 at x = 1/2
 
 
 # convex integer rings, counterclockwise, down to a segment and a point
@@ -213,64 +215,122 @@ _SHAPES = (
 )
 
 
-@st.composite
-def clip_cases(draw):
-    """An integer affine image (positive determinant) of one of _SHAPES and
-    an integer halfplane a*x + b*y <= c."""
+def _affine_image(draw):
+    """An integer affine image (positive determinant) of one of _SHAPES."""
     d, e = st.integers(1, 3), st.integers(-3, 3)
     m = draw(st.tuples(d, e, e, d).filter(lambda m: m[0] * m[3] > m[1] * m[2]))
     if draw(st.booleans()):  # a half turn keeps the determinant
         m = [-v for v in m]
     tx, ty = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
     shape = draw(st.sampled_from(_SHAPES))
-    ring = [(m[0] * x + m[1] * y + tx, m[2] * x + m[3] * y + ty) for x, y in shape]
+    return [(m[0] * x + m[1] * y + tx, m[2] * x + m[3] * y + ty) for x, y in shape]
+
+
+def _lattice_split(ring, a, b, t, w, period):
+    """``_split_slabs`` of the ring for the stripes
+    period*k - w < a*x + b*y + t < period*k + w, at a scale L that puts every
+    crossing on the lattice: the parts as ConvexPolygons, the raw parts and L."""
+    steps = [a * (x0 - x1) + b * (y0 - y1) for (x0, y0), (x1, y1) in zip(ring, ring[-1:] + ring[:-1])]
+    L = math.lcm(1, *(abs(v) for v in steps if v))
+    scaled = [(L * x, L * y) for x, y in ring]
+    hs = [a * x + b * y + L * t for x, y in scaled]
+    parts = covering._split_slabs(scaled, hs, L * w, L * period)
+    return [ConvexPolygon([(F(x, L), F(y, L)) for x, y in part]) for part in parts], parts, L
+
+
+@st.composite
+def clip_cases(draw):
+    """An affine image of one of _SHAPES and one stripe c - w < a*x + b*y < c + w."""
     a, b = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
-    c = draw(st.integers(-30, 30))
-    return ring, a, b, c
+    return _affine_image(draw), a, b, draw(st.integers(-30, 30)), draw(st.integers(1, 3))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(clip_cases())
-@example(([(0, 0), (2, 0), (2, 2), (0, 2)], 1, 0, 0))  # the edge x = 0
-@example(([(0, 0), (2, 0), (2, 2), (0, 2)], 1, 1, 0))  # the corner (0, 0)
-@example(([(0, 0), (3, 1)], 1, -3, 0))  # the line through the segment
+@example(([(0, 0), (2, 0), (2, 2), (0, 2)], 1, 0, 1, 1))  # the edges x = 0 and x = 2
+@example(([(0, 0), (2, 0), (2, 2), (0, 2)], 1, 1, 1, 1))  # the corner (0, 0)
+@example(([(0, 0), (3, 1)], 1, -3, 1, 1))  # a stripe edge through the segment
 def test_stripe_clip_area_additivity(case):
-    ring, a, b, c = case
-    # a scale that puts every crossing of a*x + b*y = c on the lattice
-    steps = [a * (x0 - x1) + b * (y0 - y1) for (x0, y0), (x1, y1) in zip(ring, ring[-1:] + ring[:-1])]
-    L = math.lcm(1, *(abs(v) for v in steps if v))
-    scaled = [(L * x, L * y) for x, y in ring]
-    hs = [a * x + b * y for x, y in scaled]
+    ring, a, b, c, w = case
+    # one stripe: the others of its family (period 1000) miss every ring
+    split, parts, L = _lattice_split(ring, a, b, -c, w, 1000)
     poly = ConvexPolygon(ring)
-    area2 = 0
-    for sign in (1, -1):  # the halfplane and its closed complement
-        kept, kept_h = covering._clip_stripe(scaled, hs, L * c, sign == 1)
-        assert kept_h == [a * x + b * y for x, y in kept]  # the carried values
-        oracle = clip_halfplane(poly, sign * a, sign * b, sign * c)
-        assert (oracle is None) == (not kept)
-        if kept:
-            assert ConvexPolygon([(F(x, L), F(y, L)) for x, y in kept]) == oracle
-            area2 += _ring_area2(kept)
-    assert area2 == L * L * _ring_area2(ring)
-    pieces = [clip_halfplane(poly, a, b, c), clip_halfplane(poly, -a, -b, -c)]
+    below = clip_halfplane(poly, a, b, c - w)
+    above = clip_halfplane(poly, -a, -b, -(c + w))
+    assert split == [p for p in (below, above) if p is not None]
+    stripe = clip_halfplane(poly, a, b, c + w)
+    if stripe is not None:
+        stripe = clip_halfplane(stripe, -a, -b, -(c - w))
+    stripe_area2 = 0 if stripe is None else L * L * stripe.area2()
+    assert sum(_ring_area2(part) for part in parts) + stripe_area2 == L * L * _ring_area2(ring)
+    pieces = [below, above, stripe]
     assert sum((p.area() for p in pieces if p is not None), F(0)) == poly.area()
+
+
+@st.composite
+def slab_cases(draw):
+    """An affine image of one of _SHAPES and a stripe family
+    period*k - w < a*x + b*y + t < period*k + w whose closures meet it 1-4
+    times."""
+    ring = _affine_image(draw)
+    a, b = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+    w = draw(st.integers(1, 3))
+    period = draw(st.integers(2 * w + 1, 2 * w + 10))
+    t = draw(st.integers(0, period - 1))
+    hs = [a * x + b * y + t for x, y in ring]
+    met = (max(hs) + w) // period + (w - min(hs)) // period + 1
+    assume(1 <= met <= 4)
+    return ring, a, b, t, w, period
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(slab_cases())
+@example(([(0, 0), (2, 0), (2, 2), (0, 2)], 1, 1, 0, 1, 3))  # vertices on stripe edges
+@example(([(0, 0), (3, 0), (0, 2)], 1, 0, 2, 1, 4))  # a slab that is one point
+@example(([(0, 0), (2, 0), (2, 2), (0, 2)], 1, 0, 3, 1, 4))  # two slabs that are segments
+@example(([(0, 0), (3, 1)], 1, 0, 0, 1, 3))  # a segment ring
+@example(([(1, 1)], 1, 0, 0, 1, 3))  # a point ring on a stripe edge
+@example(([(1, 1)], 1, 0, 1, 1, 3))  # a point ring inside a stripe
+def test_split_slabs_matches_fraction_oracle(case):
+    ring, a, b, t, w, period = case
+    split, parts, L = _lattice_split(ring, a, b, t, w, period)
+    poly = ConvexPolygon(ring)
+    hs = [a * x + b * y + t for x, y in ring]
+    oracle, slabs = [], []
+    for j in range((min(hs) + w) // period - 1, (max(hs) + w) // period + 1):
+        # the closed slab period*j + w <= a*x + b*y + t <= period*(j + 1) - w
+        part = clip_halfplane(poly, -a, -b, t - period * j - w)
+        if part is not None:
+            part = clip_halfplane(part, a, b, period * (j + 1) - w - t)
+        if part is not None:
+            oracle.append(part)
+            slabs.append(j)
+    assert split == oracle  # vertices and kind, in increasing h
+    for j, part in zip(slabs, parts):
+        # each raw part lies in its slab and is a convex ring in cyclic order
+        assert all(L * (period * j + w) <= a * x + b * y + L * t <= L * (period * (j + 1) - w)
+                   for x, y in part)
+        assert all((q[0] - p[0]) * (r[1] - p[1]) >= (q[1] - p[1]) * (r[0] - p[0])
+                   for p, q, r in zip(part[-1:] + part[:-1], part, part[1:] + part[:1]))
+    assert [_ring_area2(part) for part in parts] == [L * L * p.area2() for p in oracle]
 
 
 def test_subtract_stripes_decides_from_the_value_range(monkeypatch):
     # rotation 1 and eps = 1/4 at scale 8: h = 4X, and stripe k is the open
     # band 8k - 2 < X < 8k + 2
-    clips = []
-    real_clip = covering._clip_stripe
-    monkeypatch.setattr(covering, "_clip_stripe", lambda *args: clips.append(args) or real_clip(*args))
+    calls = []
+    real_split = covering._split_slabs
+    monkeypatch.setattr(covering, "_split_slabs", lambda *args: calls.append(args) or real_split(*args))
     inside = [(-1, 0), (1, 0), (1, 5), (-1, 5)]
     between = [(3, 0), (5, 0), (5, 5), (3, 5)]
     across = [(1, 0), (3, 0), (3, 1), (1, 1)]
     subtract = covering._subtract_stripes
     assert subtract([inside], GaussianRational(1), F(1, 4), 8) == []
     assert subtract([between], GaussianRational(1), F(1, 4), 8) == [between]
-    assert clips == []
+    assert calls == []
     out = subtract([across], GaussianRational(1), F(1, 4), 8)
     assert [ConvexPolygon(ring) for ring in out] == [ConvexPolygon([(2, 0), (3, 0), (3, 1), (2, 1)])]
+    assert len(calls) == 1
 
 
 def test_missing_obstruction_point_raises(monkeypatch):
@@ -287,7 +347,7 @@ def test_certificate_checks_survive_optimize_flag():
         from pyjama.gaussian import THETA5, GaussianInt
         assert False, "asserts must be stripped"
         try:
-            covering._clip_stripe([(0, 0), (1, 0), (1, 1), (0, 1)], [0, 2, 2, 0], 1, True)
+            covering._split_slabs([(0, 0), (1, 0), (1, 1), (0, 1)], [0, 2, 2, 0], 1, 4)
         except ArithmeticError:
             pass
         else:
@@ -752,7 +812,7 @@ def test_certificate_error_is_runtime_and_arithmetic_error():
     assert issubclass(covering.CertificateError, RuntimeError)
     assert issubclass(covering.CertificateError, ArithmeticError)
     with pytest.raises(covering.CertificateError):
-        covering._clip_stripe([(0, 0), (1, 0), (1, 1), (0, 1)], [0, 2, 2, 0], 1, True)
+        covering._split_slabs([(0, 0), (1, 0), (1, 1), (0, 1)], [0, 2, 2, 0], 1, 4)
 
 
 def test_no_assert_statements_in_source():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pyjama.gaussian import (
     P5,
@@ -115,6 +116,16 @@ def test_serialization_canonical_form():
     for _ in range(200):
         q = random_gaussian_rational(r, max_coeff=200, max_den=120)
         assert GaussianRational.parse(str(q)) == q
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.fractions(), st.fractions())
+@example(Fraction(0), Fraction(0))
+@example(Fraction(-3, 5), Fraction(-4, 5))
+@example(Fraction(-7), Fraction(1, 3))
+def test_parse_str_round_trip(re_part, im_part):
+    q = GaussianRational.from_fractions(re_part, im_part)
+    assert GaussianRational.parse(str(q)) == q
 
 
 def test_parse_accepts_loose_forms():

@@ -1,8 +1,10 @@
 """p-adic arithmetic: canonical roots, embeddings, precision tracking."""
 
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pyjama.gaussian import (
     P5BAR,
@@ -132,6 +134,76 @@ def test_serialization_roundtrip():
             continue
         x = PadicNumber.from_unit(5, 6, r.randint(-5, 5), u)
         assert PadicNumber.parse(str(x)) == x
+
+
+def _valuation(x: Fraction, p: int) -> int:
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([5, 13]), st.integers(1, 8), st.sampled_from(["unit", "marker", "exact"]),
+       st.integers(-10, 10), st.integers(1, 13**8 - 1))
+@example(5, 1, "marker", 0, 1)  # "0 mod 5^0"
+@example(13, 3, "marker", -4, 1)  # a negative absolute precision
+@example(5, 2, "exact", 0, 1)
+@example(5, 8, "unit", -10, 5**8 - 1)
+def test_padic_parse_round_trip(p, k, form, v, u):
+    if form == "unit":
+        u %= p**k
+        x = PadicNumber.from_unit(p, k, v, u if u % p else u + 1)
+        assert PadicNumber.parse(str(x)) == x
+    else:
+        x = PadicNumber.zero(p, k, v if form == "marker" else None)
+        if form == "marker":
+            assert str(x) == f"0 mod {p}^{v}"
+    assert PadicNumber.parse(str(x), p=p, precision=k) == x
+
+
+# nonzero rationals n/d * p**e; n and d may hold more factors of p
+_RATIONALS = st.tuples(st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6),
+                       st.integers(-4, 4))
+_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@pytest.mark.parametrize("p", [5, 13])
+@pytest.mark.parametrize("k", range(1, 9))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_RATIONALS, _RATIONALS)
+@example((1, 1, 0), (-1, 1, 0))  # x + y = 0
+@example((1 + 5**3, 1, 0), (1, 1, 0))  # at p = 5, x - y = 5^3 is O(5^k) for k <= 3
+@example((3, 1, -4), (7, 2, 4))  # valuations far apart
+def test_padic_arithmetic_matches_fraction_oracle(p, k, x, y):
+    x, y = (Fraction(n, d) * Fraction(p) ** e for n, d, e in (x, y))
+    vx, vy = _valuation(x, p), _valuation(y, p)
+    X, Y = PadicNumber.from_rational(x, p, k), PadicNumber.from_rational(y, p, k)
+    for op in _OPS:
+        want, got = op(x, y), op(X, Y)
+        assert got.agrees(PadicNumber.from_rational(want, p, k)), (op, x, y)
+        if op in (operator.mul, operator.truediv):
+            # valuations add, and no digit is lost
+            assert got.valuation == _valuation(want, p) and got.precision_k == k
+            continue
+        # the sum is known to the coarser absolute precision of its terms
+        known = min(vx, vy) + k
+        if got.is_zero:
+            assert got.zero_abs == known and (want == 0 or _valuation(want, p) >= known)
+        else:
+            assert got.valuation == _valuation(want, p) and got.valuation + got.precision_k == known
+    # a divisor that is zero at the stored precision
+    close = PadicNumber.from_rational(y + Fraction(p) ** (vy + k) * Fraction(1, 1 + p), p, k)
+    blur = Y - close
+    assert blur.is_zero and blur.zero_abs == vy + k
+    with pytest.raises(PrecisionError):
+        X / blur
+    with pytest.raises(ZeroDivisionError):
+        X / PadicNumber.from_rational(0, p, k)
 
 
 def test_addition_and_cancellation():
