@@ -445,18 +445,53 @@ class DiskCoverReport:
         return tuple(zip(fx[order].tolist(), fy[order].tolist()))
 
 
-def _uncovered(
-    xs: np.ndarray, ys: np.ndarray, rotations: list[complex], slack: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The cells that no rotation holds deeper than ``slack`` inside a stripe;
-    each rotation is tested only on the cells the earlier ones left."""
+# offsets of a cell's four children in units of half the child pitch, in the
+# order (-,-), (+,-), (-,+), (+,+); x + (-off) is exactly x - off
+_CHILD_DX = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+_CHILD_DY = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+
+
+def _failing_level(
+    xs: np.ndarray, ys: np.ndarray, reach_sq: float, rotations: list[complex], slack: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One refinement level: the cells whose center lies within the disk's
+    reach (``x*x + y*y <= reach_sq``) and that no rotation holds deeper than
+    ``slack`` inside a stripe, in their given order, and the number of cells
+    in the disk.
+
+    The in-disk test and every rotation's stripe test AND into one mask,
+    computed with in-place ufuncs in buffers allocated once per level.  The
+    cells are compacted only when fewer than half of them are still alive,
+    and once at the end, so each cell goes through the same float operations
+    as when every rotation is tested on every cell.  The test is
+    ``~(d < slack)``: a rotation with a NaN part covers no cell."""
+    v, w = np.empty((2, xs.size))
+    hit, alive = np.empty((2, xs.size), dtype=bool)
+    np.multiply(xs, xs, out=v)
+    np.multiply(ys, ys, out=w)
+    np.add(v, w, out=v)
+    np.less_equal(v, reach_sq, out=alive)
+    checked = live = int(np.count_nonzero(alive))
     for t in rotations:
-        if xs.size == 0:
+        if live == 0:
             break
-        values = t.real * xs - t.imag * ys
-        left = ~(np.abs(values - np.rint(values)) < slack)
-        xs, ys = xs[left], ys[left]
-    return xs, ys
+        if 2 * live < xs.size:
+            keep = np.flatnonzero(alive)
+            xs, ys = xs.take(keep), ys.take(keep)
+            v, w, hit, alive = v[:live], w[:live], hit[:live], alive[:live]
+            alive.fill(True)
+        np.multiply(xs, t.real, out=v)
+        np.multiply(ys, t.imag, out=w)
+        np.subtract(v, w, out=v)
+        np.rint(v, out=w)
+        np.subtract(v, w, out=v)
+        np.abs(v, out=v)
+        np.less(v, slack, out=hit)
+        np.logical_not(hit, out=hit)
+        np.logical_and(alive, hit, out=alive)
+        live = int(np.count_nonzero(alive))
+    keep = np.flatnonzero(alive)
+    return xs.take(keep), ys.take(keep), checked
 
 
 def certified_disk_cover(
@@ -466,7 +501,9 @@ def certified_disk_cover(
     the given radius: a grid cell is certified when some rotation holds its
     center deeper inside a stripe than the cell's own reach (half-diagonal,
     by 1-Lipschitz continuity of the stripe coordinate).  Each refinement
-    round splits every failing cell into four and tests them again."""
+    round splits every failing cell into four and tests them again.  Each
+    level (the grid, then each round's children) is one pass of
+    ``_failing_level``, whose cost falls as the rotations cover cells."""
     rots = [complex(t) for t in rotations]
     if not rots:
         raise ValueError("at least one rotation is required")
@@ -480,12 +517,8 @@ def certified_disk_cover(
         raise ValueError("pitch too coarse for this stripe half-width")
     n = max(1, math.ceil(2 * R / h))
     centers = -R + h * (np.arange(n) + 0.5)
-    xs, ys = np.meshgrid(centers, centers)
-    xs, ys = xs.ravel(), ys.ravel()
-    keep = xs * xs + ys * ys <= (R + half_diag) ** 2
-    xs, ys = xs[keep], ys[keep]
-    checked = xs.size
-    fx, fy = _uncovered(xs, ys, rots, eps - half_diag)
+    xs, ys = (a.ravel() for a in np.meshgrid(centers, centers))
+    fx, fy, checked = _failing_level(xs, ys, (R + half_diag) ** 2, rots, eps - half_diag)
     rounds_used = 0
     cur_h = h
     for _ in range(refine_rounds):
@@ -493,20 +526,18 @@ def certified_disk_cover(
             break
         cur_h /= 2
         off = cur_h / 2
-        cx = np.concatenate([fx - off, fx + off, fx - off, fx + off])
-        cy = np.concatenate([fy - off, fy - off, fy + off, fy + off])
         half_diag = cur_h * math.sqrt(2) / 2
-        keep = cx * cx + cy * cy <= (R + half_diag) ** 2
-        cx, cy = cx[keep], cy[keep]
-        checked += cx.size
-        fx, fy = _uncovered(cx, cy, rots, eps - half_diag)
+        fx, fy, cells = _failing_level((fx + off * _CHILD_DX).ravel(),
+                                       (fy + off * _CHILD_DY).ravel(),
+                                       (R + half_diag) ** 2, rots, eps - half_diag)
+        checked += cells
         rounds_used += 1
     return DiskCoverReport(
         certified=fx.size == 0,
         radius=R,
         pitch=cur_h,
         rounds_used=rounds_used,
-        cells_checked=int(checked),
+        cells_checked=checked,
         failing_count=int(fx.size),
         _failing=(fx, fy),
     )

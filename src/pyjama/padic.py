@@ -319,15 +319,17 @@ class PadicNumber:
     def __str__(self) -> str:
         p, k = self.p, self.precision_k
         if self.is_zero:
-            if self.zero_abs is None:
+            n = self.zero_abs
+            if n is None:
                 return "0"
-            return f"0 mod {p}^{self.zero_abs}"
+            # the precision is implied when it is max(1, n)
+            return f"0 mod {p}^{n}" + (f" k={k}" if k != max(1, n) else "")
         return f"{p}^{self.valuation} * {self.unit_digits} mod {p}^{k}"
 
     _FORM = _re.compile(
         r"^(\d+)\^(-?\d+) \* (\d+) mod (\d+)\^(\d+)$"
     )
-    _ZERO_FORM = _re.compile(r"^0 mod (\d+)\^(-?\d+)$")
+    _ZERO_FORM = _re.compile(r"^0 mod (\d+)\^(-?\d+)(?: k=(\d+))?$")
 
     @classmethod
     def parse(cls, text: str, *, p: int | None = None, precision: int | None = None) -> "PadicNumber":
@@ -338,8 +340,9 @@ class PadicNumber:
             return cls.zero(p, precision)
         m = cls._ZERO_FORM.match(s)
         if m:
-            pp, n = int(m.group(1)), int(m.group(2))
-            return cls.zero(pp, precision or max(1, n), n)
+            pp, n, k = m.groups()
+            n = int(n)
+            return cls.zero(int(pp), int(k) if k else precision or max(1, n), n)
         m = cls._FORM.match(s)
         if m is None:
             raise ValueError(f"cannot parse p-adic literal {text!r}")

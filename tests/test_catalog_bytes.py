@@ -1,8 +1,9 @@
 """Every cover-build catalog job of the benchmark writes the report bytes
-recorded in ``perfbench/expected.json``: each job runs through
-``pyjama.cli.main`` in this process, and its exit code and the sha256 (first
-16 hex digits) of its ``report.txt`` must match the recorded entry.  The
-benchmark's files are only read."""
+recorded in ``perfbench/expected.json``, and every adelic-scan disk job
+(``irrational-cover``, whose verdict alone is recorded there) writes the
+report bytes pinned below: each job runs through ``pyjama.cli.main`` in this
+process, and its exit code and the sha256 (first 16 hex digits) of its
+``report.txt`` must match.  The benchmark's files are only read."""
 
 import contextlib
 import hashlib
@@ -27,8 +28,25 @@ def _load_workloads():
     return module
 
 
-JOBS = [job for _, jobs in sorted(_load_workloads().catalog("cover-build").items()) for job in jobs]
+WORKLOADS = _load_workloads()
+JOBS = [job for _, jobs in sorted(WORKLOADS.catalog("cover-build").items()) for job in jobs]
+DISK_JOBS = WORKLOADS.catalog("adelic-scan")["disk"]
 EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())
+# report.txt digests of the disk jobs, from scripts/catalog_digest.py
+DISK_DIGESTS = {
+    "0e88c49a8c4b6244": "fcf492729c693aee",
+    "2fb7081c516db00d": "56315d6a8b46cc1f",
+    "f6f647bde6619770": "91cbe44883cfd956",
+}
+
+
+def _run(job, tmp_path):
+    """The exit code and report digest of one job."""
+    ini, out = tmp_path / "job.ini", tmp_path / "out"
+    ini.write_text(job.ini)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([job.command, "--config", str(ini), "--out", str(out), *job.flags])
+    return code, hashlib.sha256((out / "report.txt").read_bytes()).hexdigest()[:16]
 
 
 def test_catalog_has_every_cover_build_job():
@@ -38,9 +56,13 @@ def test_catalog_has_every_cover_build_job():
 
 @pytest.mark.parametrize("job", JOBS, ids=lambda job: f"{job.cls}-{job.key}")
 def test_cover_build_report_bytes(job, tmp_path):
-    ini, out = tmp_path / "job.ini", tmp_path / "out"
-    ini.write_text(job.ini)
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main([job.command, "--config", str(ini), "--out", str(out), *job.flags])
-    digest = hashlib.sha256((out / "report.txt").read_bytes()).hexdigest()[:16]
-    assert (code, digest) == (EXPECTED[job.key]["exit"], EXPECTED[job.key]["digest"])
+    assert _run(job, tmp_path) == (EXPECTED[job.key]["exit"], EXPECTED[job.key]["digest"])
+
+
+def test_catalog_has_every_disk_job():
+    assert sorted(job.key for job in DISK_JOBS) == sorted(DISK_DIGESTS)
+
+
+@pytest.mark.parametrize("job", DISK_JOBS, ids=lambda job: f"{job.cls}-{job.key}")
+def test_disk_report_bytes(job, tmp_path):
+    assert _run(job, tmp_path) == (EXPECTED[job.key]["exit"], DISK_DIGESTS[job.key])

@@ -532,6 +532,15 @@ def test_certified_disk_cover_refinement():
     assert refined_area <= rough_area
 
 
+def test_certified_disk_cover_nan_rotation_covers_nothing():
+    # a NaN stripe coordinate is not deeper than the slack: every cell the
+    # other rotation leaves stays failing
+    report = certified_disk_cover([complex("nan"), 1j], 0.45, 3.0, 0.1)
+    assert not report.certified
+    assert report.failing_count == 600
+    assert report == certified_disk_cover([1j], 0.45, 3.0, 0.1)
+
+
 def _disk_reference(rotations, eps, R, h, refine_rounds):
     """Every rotation tested on every cell, the failing cells sorted."""
     rots = [complex(float(t.re), float(t.im)) if isinstance(t, GaussianRational)
@@ -586,6 +595,10 @@ def disk_configs(draw):
 @given(disk_configs())
 @example((theta_prime(1, 1)[:6], 0.35, 2.0, 0.2, 3))  # certified in round 3
 @example((theta_prime(1, 1)[:6], 0.3, 2.0, 0.2, 3))
+# benchmark-size levels that cross the compaction rule many times
+@example((theta_prime(1, 3), 0.2, 20.0, 0.2, 2))
+@example((theta_prime(2, 0), 0.2, 20.0, 0.25, 2))
+@example(([1 + 0j, 1j], 0.2, 0.3, 0.2, 3))  # the disk keeps 9 cells
 def test_certified_disk_cover_matches_full_mask_reference(case):
     rots, eps, radius, pitch, rounds = case
     report = certified_disk_cover(rots, eps, radius, pitch, refine_rounds=rounds)

@@ -154,6 +154,8 @@ def _valuation(x: Fraction, p: int) -> int:
 @example(13, 3, "marker", -4, 1)  # a negative absolute precision
 @example(5, 2, "exact", 0, 1)
 @example(5, 8, "unit", -10, 5**8 - 1)
+@example(5, 3, "marker", 1, 1)  # "0 mod 5^1 k=3"
+@example(13, 1, "marker", -2, 1)  # k = max(1, n): "0 mod 13^-2"
 def test_padic_parse_round_trip(p, k, form, v, u):
     if form == "unit":
         u %= p**k
@@ -162,7 +164,10 @@ def test_padic_parse_round_trip(p, k, form, v, u):
     else:
         x = PadicNumber.zero(p, k, v if form == "marker" else None)
         if form == "marker":
-            assert str(x) == f"0 mod {p}^{v}"
+            # a marker writes its precision unless it is max(1, n), and reads back whole
+            suffix = "" if k == max(1, v) else f" k={k}"
+            assert str(x) == f"0 mod {p}^{v}{suffix}"
+            assert PadicNumber.parse(str(x)) == x
     assert PadicNumber.parse(str(x), p=p, precision=k) == x
 
 
