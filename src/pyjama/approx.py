@@ -186,12 +186,16 @@ class DensityReport:
 # ---------------------------------------------------------------------------
 
 
-def _min_exponent(base: int, bound: Fraction) -> int:
-    """Least k >= 0 with base**(-k) <= bound."""
-    k = 0
-    while Fraction(base) ** (-k) > bound:
-        k += 1
-    return k
+def _least_power(base: int, lo: int, hi: int) -> int:
+    """Least e >= 0 with lo * base**e >= hi, for integers base >= 2 and
+    lo >= 1.  One running integer power, so e steps cost e multiplications;
+    each exponent search below is this with its condition cross-multiplied
+    by the tolerance's denominator."""
+    e, power = 0, lo
+    while power < hi:
+        power *= base
+        e += 1
+    return e
 
 
 def _integer_lift(x: PadicNumber, exponent: int) -> int:
@@ -248,16 +252,15 @@ def strong_approx(z, b: PadicNumber, delta) -> GaussianRational:
     bar = _BAR[p].generator
     other_bar = _BAR[other].generator
 
-    k = _min_exponent(p, delta)
+    dn, dd = delta.numerator, delta.denominator
+    k = _least_power(p, dn, dd)  # least k with p^-k <= delta
     _check_target_precision(b, k, delta)
     j = 0 if b.is_zero else max(0, -b.valuation)
     K = k + j
 
     # rounding in the lattice bar^K*Z[i]/den leaves |q - z|^2 at most
     # N(bar^K)/(2*N(den)) = p^k/(2*other^f), which this f brings below delta^2
-    f = 0
-    while Fraction(other) ** f * 2 * delta * delta < p**k:
-        f += 1
+    f = _least_power(other, 2 * dn * dn, p**k * dd * dd)
 
     den = GaussianRational(bar**j) * GaussianRational(other_bar**f)
     # residue constraint: the numerator must land in B + bar^K * Z[i]
@@ -295,8 +298,9 @@ def strong_approx_3way(z, a: PadicNumber, b: PadicNumber,
         raise TypeError("second local target must be 13-adic")
     z = exact_gaussian_rational(z)
 
-    k5 = _min_exponent(5, delta)
-    k13 = _min_exponent(13, delta)
+    dn, dd = delta.numerator, delta.denominator
+    k5 = _least_power(5, dn, dd)
+    k13 = _least_power(13, dn, dd)
     _check_target_precision(a, k5, delta)
     _check_target_precision(b, k13, delta)
     j5 = 0 if a.is_zero else max(0, -a.valuation)
@@ -304,10 +308,7 @@ def strong_approx_3way(z, a: PadicNumber, b: PadicNumber,
     K5, K13 = k5 + j5, k13 + j13
 
     # as in strong_approx, |q - z|^2 <= 5^k5*13^k13/(2*49^t) <= delta^2
-    t = 0
-    need = 5**k5 * 13**k13
-    while 2 * delta * delta * 49**t < need:
-        t += 1
+    t = _least_power(49, 2 * dn * dn, 5**k5 * 13**k13 * dd * dd)
 
     W = P5BAR.generator**K5 * P13BAR.generator**K13
     den = (
@@ -323,10 +324,8 @@ def strong_approx_3way(z, a: PadicNumber, b: PadicNumber,
     if ((q - z).abs2() > delta * delta or not _padic_residual_ok(q, a, k5, delta)
             or not _padic_residual_ok(q, b, k13, delta)):
         raise RuntimeError("approximation certificate failed verification")
-    cleared = q
-    while cleared.den % 7 == 0:
-        cleared = cleared * 7
-    if not in_A(cleared):
+    # q * 7**v with v = v_7(q.den): q.den divides N(den) = 5^j5*13^j13*49^t
+    if not in_A(q * math.gcd(q.den, 49**t)):
         raise RuntimeError(f"approximation {q} is not in A up to powers of 7")
     return q
 

@@ -360,7 +360,7 @@ def _cmd_orbit(config, ini, artifacts):
     w = _field(ini, "orbit", "w", _POINT)
     m = _field(ini, "orbit", "m", _INTEGER, "1")
     sweep = _field(ini, "orbit", "sweep", _INTEGER, "30")
-    precision = config.precision_k or 24
+    precision = 24 if config.precision_k is None else config.precision_k
     point = SolenoidPoint.from_complex(w, precision_k=precision)
     rows = _checked("orbit", orbit_eval_rows, point, m, sweep)
     gap = orbit_max_gap(rows)
@@ -453,7 +453,7 @@ def _cmd_density(config, ini, artifacts):
 def _cmd_approx(config, ini, artifacts):
     z = _field(ini, "approx", "z", _EXACT_POINT)
     delta = _field(ini, "approx", "delta", _RATIONAL)
-    precision = config.precision_k or 16
+    precision = 16 if config.precision_k is None else config.precision_k
     target5_text = _field(ini, "approx", "target5", default=None)
     target13_text = _field(ini, "approx", "target13", default=None)
     lines = [_REPORT_HEADER, "kind=approx", f"z={z}", f"delta={delta}"]
@@ -496,7 +496,8 @@ def _cmd_approx(config, ini, artifacts):
 
 def _cmd_closure_index(config, ini, artifacts):
     p = _prime_site(ini, "closure-index")
-    k = config.precision_k or _field(ini, "closure-index", "k", _INTEGER, "4")
+    k = (_field(ini, "closure-index", "k", _INTEGER, "4")
+         if config.precision_k is None else config.precision_k)
     u_text = _field(ini, "closure-index", "u")
     u_rational = _parse(_RATIONAL, u_text, "[closure-index] u")
     u = PadicNumber.from_rational(u_rational, p, k)
@@ -558,6 +559,9 @@ def run(config: RunConfig) -> int:
         return 2
     artifacts: list[tuple[str, bytes]] = []
     try:
+        if config.precision_k is not None and config.precision_k < 1:
+            raise InputError(
+                f"--precision must be at least 1, got {config.precision_k}")
         ini = _load_ini(config.input_path)
         code, fields = _DISPATCH[config.command](config, ini, artifacts)
     except tuple(kind for kind, _, _ in _ERRORS) as exc:

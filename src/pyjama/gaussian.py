@@ -502,19 +502,26 @@ def unit_circle_elements(t_max: int) -> list[GaussianRational]:
 def in_A(q: GaussianRational | GaussianInt | int) -> bool:
     """Membership in the ring A = Z[i][1/P5bar.generator, 1/P13bar.generator]:
     denominator supported on {5, 13} and nonnegative valuation at the two
-    unbarred sites."""
+    unbarred sites.
+
+    With e = v_p(den), the valuation at the unbarred site pi over p is
+    v_pi(num) - e, so it is nonnegative exactly when pi**e divides the
+    numerator: one exact-division test (num * conj(pi)**e = 0 mod p**e)
+    instead of stripping pi one factor at a time."""
     qq = as_gaussian_rational(q)
     if qq is None:
         raise TypeError(f"cannot test A-membership of {type(q)!r}")
     if not qq:
         return True
     d = qq.den
-    for p in (5, 13):
-        while d % p == 0:
-            d //= p
-    if d != 1:
-        return False
-    return valuation(qq, P5) >= 0 and valuation(qq, P13) >= 0
+    for site in (P5, P13):
+        e = 0
+        while d % site.residue_norm == 0:
+            d //= site.residue_norm
+            e += 1
+        if e and try_exact_div(qq.num, site.generator**e) is None:
+            return False
+    return d == 1
 
 
 def a_clearing_denominator(q: GaussianRational) -> GaussianInt:

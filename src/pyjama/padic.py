@@ -134,13 +134,15 @@ class PadicNumber:
 
     @classmethod
     def from_unit(cls, p: int, k: int, valuation: int, unit: int) -> "PadicNumber":
+        context = PadicContext(p, k)  # checks p and k before p**k is formed
         u = unit % p**k
         if u == 0 or u % p == 0:
             raise ValueError(f"{unit} is not a unit mod {p}^{k}")
-        return cls(PadicContext(p, k), valuation, u)
+        return cls(context, valuation, u)
 
     @classmethod
     def from_rational(cls, x: Fraction | int, p: int, k: int) -> "PadicNumber":
+        context = PadicContext(p, k)  # checks p and k before p**k is formed
         x = Fraction(x)
         if x == 0:
             return cls.zero(p, k)
@@ -153,7 +155,7 @@ class PadicNumber:
             den //= p
             v -= 1
         u = num * pow(den, -1, p**k) % p**k
-        return cls(PadicContext(p, k), v, u)
+        return cls(context, v, u)
 
     # -- basic queries -------------------------------------------------------
 

@@ -1,5 +1,5 @@
-"""Shared helpers for the seeded randomized tests, and Fraction oracles
-for the integer geometry kernels."""
+"""Shared helpers for the seeded randomized tests, a valuation oracle for
+A-membership, and Fraction oracles for the integer geometry kernels."""
 
 from __future__ import annotations
 
@@ -8,7 +8,16 @@ import random
 from fractions import Fraction
 
 from pyjama.covering import CoverReport
-from pyjama.gaussian import P5BAR, P13BAR, GaussianInt, GaussianRational
+from pyjama.gaussian import (
+    P5,
+    P5BAR,
+    P13,
+    P13BAR,
+    GaussianInt,
+    GaussianRational,
+    as_gaussian_rational,
+    valuation,
+)
 from pyjama.polygon import ConvexPolygon
 
 
@@ -46,6 +55,24 @@ def random_a_element(
         q = GaussianRational(g) / GaussianRational(den)
         if q or not nonzero:
             return q
+
+
+def in_A_oracle(q) -> bool:
+    """``in_A`` as first written: the denominator must be supported on
+    {5, 13}, and the valuations at the unbarred sites, found by stripping
+    their prime one factor at a time, must be nonnegative."""
+    qq = as_gaussian_rational(q)
+    if qq is None:
+        raise TypeError(f"cannot test A-membership of {type(q)!r}")
+    if not qq:
+        return True
+    d = qq.den
+    for p in (5, 13):
+        while d % p == 0:
+            d //= p
+    if d != 1:
+        return False
+    return valuation(qq, P5) >= 0 and valuation(qq, P13) >= 0
 
 
 # -- Fraction oracles for the integer geometry kernels ------------------------

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pyjama.gaussian import (
     GaussianInt,
@@ -15,6 +16,7 @@ from pyjama.gaussian import (
 from pyjama.padic import PadicNumber, PrecisionError, embed
 from pyjama.approx import (
     CosetSpec,
+    _least_power,
     circle_density,
     coset_element,
     semigroup_density,
@@ -385,3 +387,47 @@ def test_three_way_exact_residuals(t5, t13, zname, delta):
     while cleared.den % 7 == 0:
         cleared = cleared * 7
     assert in_A(cleared)
+
+
+# ---------------------------------------------------------------------------
+# exponent searches in integers against their Fraction definitions
+# ---------------------------------------------------------------------------
+
+
+def _least(holds) -> int:
+    e = 0
+    while not holds(e):
+        e += 1
+    return e
+
+
+# p^-k exactly, just above and just below it; delta >= 1; denominators that
+# are not powers of ten; and every tolerance 10^-e the benchmark schedules
+_BOUNDARY_DELTAS = [
+    (1, 5**7), (10**20 + 1, 5**7 * 10**20), (10**20 - 1, 5**7 * 10**20),
+    (1, 13**9), (10**20 + 1, 13**9 * 10**20), (10**20 - 1, 13**9 * 10**20),
+    (1, 1), (7, 2), (10**9, 3),
+    (3, 7**30), (2, 3), (1, 2**61 - 1), (5, 13**12),
+] + [(1, 10**e) for e in (3, 6, 9, 12, 18, 20, 24, 28, 32, 36, 40)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10**6), st.integers(1, 10**45))
+def test_least_power_matches_fraction_searches(dn, dd):
+    """k, f (both sites) and t from ``_least_power`` on delta = dn/dd equal
+    the least exponents the Fraction conditions of strong_approx and
+    strong_approx_3way define."""
+    delta = F(dn, dd)
+    k = {}
+    for p, other in ((5, 13), (13, 5)):
+        k[p] = _least_power(p, dn, dd)
+        assert k[p] == _least(lambda e: F(p) ** (-e) <= delta)
+        f = _least_power(other, 2 * dn * dn, p ** k[p] * dd * dd)
+        assert f == _least(lambda e: F(other) ** e * 2 * delta * delta >= p ** k[p])
+    t = _least_power(49, 2 * dn * dn, 5 ** k[5] * 13 ** k[13] * dd * dd)
+    assert t == _least(lambda e: 2 * delta * delta * 49**e >= 5 ** k[5] * 13 ** k[13])
+
+
+for _dn, _dd in _BOUNDARY_DELTAS:
+    test_least_power_matches_fraction_searches = example(_dn, _dd)(
+        test_least_power_matches_fraction_searches)

@@ -1,9 +1,11 @@
 """Every cover-build catalog job of the benchmark writes the report bytes
 recorded in ``perfbench/expected.json``, and every adelic-scan disk job
-(``irrational-cover``, whose verdict alone is recorded there) writes the
-report bytes pinned below: each job runs through ``pyjama.cli.main`` in this
-process, and its exit code and the sha256 (first 16 hex digits) of its
-``report.txt`` must match.  The benchmark's files are only read."""
+(``irrational-cover``, whose verdict alone is recorded there) and every
+approximation job of the first round of schedule seed 0 (which the benchmark
+checks only with oracles) writes the report bytes pinned below: each job
+runs through ``pyjama.cli.main`` in this process, and its exit code and the
+sha256 (first 16 hex digits) of its ``report.txt`` must match.  The
+benchmark's files are only read."""
 
 import contextlib
 import hashlib
@@ -38,6 +40,34 @@ DISK_DIGESTS = {
     "2fb7081c516db00d": "56315d6a8b46cc1f",
     "f6f647bde6619770": "91cbe44883cfd956",
 }
+# the approx jobs that scripts/catalog_digest.py runs, and their
+# (exit code, report.txt digest) from that script
+APPROX_JOBS = [job for job in WORKLOADS.schedule("adelic-scan", 0, 1)[0]
+               if job.cls.startswith("approx")]
+APPROX_DIGESTS = {
+    "bb51bf0ff88ced74": (0, "40208af56fd08255"),
+    "de5daf78cb8330f5": (0, "0c9796fcc178c553"),
+    "d6e8c2ef7c3fe719": (0, "9e2ed562612ae54d"),
+    "8a3e32470645c5d5": (0, "fbc4b707bd41718e"),
+    "879e38ecce4adea3": (0, "d971bd5d9d42be63"),
+    "44814915dccdea77": (0, "c8168c0486c7379a"),
+    "31bbf107986541e0": (0, "a91d3e7c70dbfcc7"),
+    "366fb78bcc893fc4": (0, "e92e52caabe7d325"),
+    "7561894939b4c724": (0, "2f5d36c2576a97f6"),
+    "c726f62e64b8dd00": (0, "b15bc2fe4b4e4c98"),
+    "3393c8f2e8cb906c": (0, "a0477caaa522b113"),
+    "9bf3ece35536e341": (0, "10975b2fb6ff9cf5"),
+    "9b76626fd9bb1312": (0, "27802fe2161f757c"),
+    "cf7d0764f50d23b4": (0, "b660f24134f58551"),
+    "83f19d73428d18ba": (0, "a8fc0b23ce2f7893"),
+    "8a80e38ca239e5f7": (0, "89d061466d02df05"),
+    "50cd7e732fcdafc4": (0, "86a16b8ff93ea7ea"),
+    "22df54437720190f": (0, "9c3daef60c759f1f"),
+    "20c714958449c61c": (0, "e0ee12b4733cd396"),
+    "8bc5ce80eb39b9df": (0, "8e297f68b1b7bf87"),
+    "11c5dc5f05e39848": (0, "5a79a6c6e33d613e"),
+    "fecf948aab836afe": (0, "dfb295382b986ecc"),
+}
 
 
 def _run(job, tmp_path):
@@ -66,3 +96,12 @@ def test_catalog_has_every_disk_job():
 @pytest.mark.parametrize("job", DISK_JOBS, ids=lambda job: f"{job.cls}-{job.key}")
 def test_disk_report_bytes(job, tmp_path):
     assert _run(job, tmp_path) == (EXPECTED[job.key]["exit"], DISK_DIGESTS[job.key])
+
+
+def test_schedule_has_every_pinned_approx_job():
+    assert sorted(job.key for job in APPROX_JOBS) == sorted(APPROX_DIGESTS)
+
+
+@pytest.mark.parametrize("job", APPROX_JOBS, ids=lambda job: f"{job.cls}-{job.key}")
+def test_approx_report_bytes(job, tmp_path):
+    assert _run(job, tmp_path) == APPROX_DIGESTS[job.key]

@@ -422,7 +422,13 @@ def test_finite_float_points_still_parse(tmp_path, capsys, field):
     # a ValueError raised inside the catalog builder, not by the config reader
     ("obstructions", "[obstructions]\nepsilon = 1/4\nm_max = 0\n", [],
      "input", "error: m_max must be positive"),
-], ids=["precision", "torsion-unit", "input"])
+    # a precision below one digit is refused before the command runs, not
+    # replaced by the command's default
+    ("approx", "[approx]\nz = 0\np = 5\ntarget = 1/5\ndelta = 1/10\n",
+     ["--precision", "0"], "input", "error: --precision must be at least 1, got 0\n"),
+    ("closure-index", "[closure-index]\nu = 6\np = 5\n", ["--precision", "-3"],
+     "input", "error: --precision must be at least 1, got -3\n"),
+], ids=["precision", "torsion-unit", "input", "precision-zero", "precision-negative"])
 def test_error_tags(tmp_path, capsys, command, ini, argv, tag, message):
     cfg = _write(tmp_path / "e.ini", ini)
     out = tmp_path / "out"

@@ -37,7 +37,7 @@ from pyjama.gaussian import (
     valuation,
 )
 
-from _util import rng, random_gaussian_int, random_gaussian_rational
+from _util import in_A_oracle, rng, random_gaussian_int, random_gaussian_rational
 
 
 def test_site_constants():
@@ -277,6 +277,38 @@ def test_in_A():
         e, f = r.randint(0, 3), r.randint(0, 3)
         q = GaussianRational(g) / GaussianRational(P5BAR.generator**e * P13BAR.generator**f)
         assert in_A(q)
+
+
+_A_FACTORS = (P5.generator, P5BAR.generator, P13.generator, P13BAR.generator,
+              GaussianInt(7, 0), GaussianInt(3, 0), GaussianInt(1, 1))
+_UNITS = (GaussianInt(1, 0), GaussianInt(0, 1), GaussianInt(-1, 0), GaussianInt(0, -1))
+_A_PRODUCT = st.tuples(st.sampled_from(_UNITS),
+                       st.lists(st.integers(0, 12), min_size=7, max_size=7))
+
+
+def _a_product(unit_and_exponents) -> GaussianInt:
+    unit, exponents = unit_and_exponents
+    for factor, e in zip(_A_FACTORS, exponents):
+        unit = unit * factor**e
+    return unit
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_A_PRODUCT, _A_PRODUCT)
+@example((GaussianInt(1, 0), [0] * 7), (GaussianInt(1, 0), [0] * 7))
+@example((GaussianInt(0, 1), [3, 0, 0, 0, 0, 0, 0]), (GaussianInt(1, 0), [0] * 7))
+@example((GaussianInt(1, 0), [0] * 7), (GaussianInt(1, 0), [1, 0, 0, 0, 0, 0, 0]))
+@example((GaussianInt(1, 0), [12, 0, 12, 0, 0, 0, 0]), (GaussianInt(-1, 0), [0, 12, 0, 12, 0, 0, 0]))
+@example((GaussianInt(1, 0), [11, 0, 12, 0, 0, 0, 0]), (GaussianInt(1, 0), [12, 12, 12, 12, 0, 0, 0]))
+@example((GaussianInt(1, 0), [0, 0, 0, 0, 2, 0, 0]), (GaussianInt(1, 0), [0, 0, 0, 0, 1, 0, 0]))
+def test_in_A_matches_valuation_oracle(num, den):
+    """in_A agrees with the stripping oracle on quotients of products of the
+    four sites' generators, 7, 3, 1+i and the units, and on their
+    numerators given as GaussianInt and int."""
+    num, den = _a_product(num), _a_product(den)
+    q = GaussianRational(num) / GaussianRational(den)
+    for value in (q, num, num.re, 0, GaussianInt(0, 0), GaussianRational(0)):
+        assert in_A(value) == in_A_oracle(value), value
 
 
 def test_a_clearing_denominator():

@@ -112,6 +112,18 @@ def test_from_rational():
     assert PadicNumber.from_rational(0, 5, 2).is_zero
 
 
+@pytest.mark.parametrize("k", [0, -3])
+@pytest.mark.parametrize("make", [
+    lambda k: PadicNumber.from_rational(Fraction(7, 3), 5, k),
+    lambda k: PadicNumber.from_rational(0, 5, k),
+    lambda k: PadicNumber.from_unit(5, k, 0, 7),
+    lambda k: PadicNumber.zero(5, k),
+], ids=["from_rational", "from_rational-zero", "from_unit", "zero"])
+def test_constructors_reject_precision_below_one(make, k):
+    with pytest.raises(ValueError, match="precision_k must be >= 1"):
+        make(k)
+
+
 def test_serialization_roundtrip():
     x = PadicNumber.from_unit(5, 2, -1, 18)
     assert str(x) == "5^-1 * 18 mod 5^2"
