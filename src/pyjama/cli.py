@@ -177,6 +177,14 @@ def _field(ini, section: str, key: str, kind=None, default=_REQUIRED):
     return text if kind is None else _parse(kind, text, f"[{section}] {key}")
 
 
+def _least(ini, section: str, key: str, least: int, default=_REQUIRED) -> int:
+    """``[section] key`` as an integer of at least ``least``."""
+    value = _field(ini, section, key, _INTEGER, default)
+    if value < least:
+        raise InputError(f"[{section}] {key}: must be at least {least}, got {value}")
+    return value
+
+
 def _period(ini, section: str, default: str) -> GaussianInt:
     period = _field(ini, section, "period", _GAUSSIAN, default)
     if not period.is_gaussian_int():
@@ -290,11 +298,11 @@ def _cmd_irrational_cover(config, ini, artifacts):
     epsilon = _field(ini, "disk", "epsilon", _NUMBER)
     radius = _field(ini, "disk", "radius", _NUMBER)
     pitch = _field(ini, "disk", "pitch", _NUMBER)
-    n_max = _field(ini, "disk", "n_max", _INTEGER)
-    N_max = _field(ini, "disk", "N_max", _INTEGER)
+    n_max = _least(ini, "disk", "n_max", 1)
+    N_max = _least(ini, "disk", "N_max", 0)
     rounds = 0
     if config.refine:
-        rounds = _field(ini, "disk", "refine_rounds", _INTEGER, "3")
+        rounds = _least(ini, "disk", "refine_rounds", 0, "3")
     lines = [
         _REPORT_HEADER,
         "kind=disk-cover",
@@ -305,10 +313,11 @@ def _cmd_irrational_cover(config, ini, artifacts):
     ]
     success = None
     for n in range(1, n_max + 1):
+        result = None  # theta_prime(n, N - 1) is a sub-family of theta_prime(n, N)
         for N in range(0, N_max + 1):
             rotations = theta_prime(n, N)
             result = certified_disk_cover(rotations, epsilon, radius, pitch,
-                                          refine_rounds=rounds)
+                                          refine_rounds=rounds, prior=result)
             lines.append(
                 f"scan n={n} N={N} rotations={len(rotations)} "
                 f"certified={str(result.certified).lower()} "
@@ -496,7 +505,7 @@ def _cmd_approx(config, ini, artifacts):
 
 def _cmd_closure_index(config, ini, artifacts):
     p = _prime_site(ini, "closure-index")
-    k = (_field(ini, "closure-index", "k", _INTEGER, "4")
+    k = (_least(ini, "closure-index", "k", 1, "4")
          if config.precision_k is None else config.precision_k)
     u_text = _field(ini, "closure-index", "u")
     u_rational = _parse(_RATIONAL, u_text, "[closure-index] u")

@@ -428,7 +428,12 @@ class DiskCoverReport:
     the number of cells at that pitch that no rotation covers; ``certified``
     means there are none.  ``failing_cells`` lists their centers as sorted
     float pairs and is built on first access.  Reports compare equal on the
-    scalar fields alone."""
+    scalar fields alone.
+
+    A report also keeps what a later run over a larger rotation family can
+    start from (see ``certified_disk_cover``'s ``prior``): the grid cells
+    that failed before any refinement, the number of grid cells in the disk,
+    ``(epsilon, radius, pitch)`` as floats and the set of rotations tested."""
 
     certified: bool
     radius: float
@@ -437,6 +442,10 @@ class DiskCoverReport:
     cells_checked: int
     failing_count: int
     _failing: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    _grid_failing: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    _grid_in_disk: int = field(repr=False, compare=False)
+    _grid: tuple[float, float, float] = field(repr=False, compare=False)
+    _tested: frozenset = field(repr=False, compare=False)
 
     @cached_property
     def failing_cells(self) -> tuple[tuple[float, float], ...]:
@@ -460,7 +469,7 @@ def _failing_level(
     in the disk.
 
     The in-disk test and every rotation's stripe test AND into one mask,
-    computed with in-place ufuncs in buffers allocated once per level.  The
+    computed with in-place ufuncs in buffers allocated once per call.  The
     cells are compacted only when fewer than half of them are still alive,
     and once at the end, so each cell goes through the same float operations
     as when every rotation is tested on every cell.  The test is
@@ -494,16 +503,50 @@ def _failing_level(
     return xs.take(keep), ys.take(keep), checked
 
 
+# cells per call of _failing_level: a block's centers and its two float64
+# work buffers take 1 MiB, which stays in a 2 MiB per-core L2 cache
+_BLOCK = 2**15
+
+
+def _failing_blocks(
+    xs: np.ndarray, ys: np.ndarray, reach_sq: float, rotations: list[complex], slack: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_failing_level`` on consecutive blocks of ``_BLOCK`` cells (an
+    empty level is one empty block), its results joined in order: the same
+    cells and count as one pass."""
+    fx, fy, checked = zip(*(
+        _failing_level(xs[i:i + _BLOCK], ys[i:i + _BLOCK], reach_sq, rotations, slack)
+        for i in range(0, max(xs.size, 1), _BLOCK)))
+    return np.concatenate(fx), np.concatenate(fy), sum(checked)
+
+
+def _rotation_key(t: complex) -> tuple[str, str]:
+    """A rotation by the bits of its parts (a signed zero is kept apart),
+    except that every NaN part is one key."""
+    return t.real.hex(), t.imag.hex()
+
+
 def certified_disk_cover(
-    rotations, epsilon, radius, pitch, refine_rounds: int = 0
+    rotations, epsilon, radius, pitch, refine_rounds: int = 0,
+    prior: DiskCoverReport | None = None,
 ) -> DiskCoverReport:
     """Certify that the open stripes of the given rotations cover the disk of
     the given radius: a grid cell is certified when some rotation holds its
     center deeper inside a stripe than the cell's own reach (half-diagonal,
     by 1-Lipschitz continuity of the stripe coordinate).  Each refinement
     round splits every failing cell into four and tests them again.  Each
-    level (the grid, then each round's children) is one pass of
-    ``_failing_level``, whose cost falls as the rotations cover cells."""
+    level (the grid, then each round's children) goes through
+    ``_failing_level`` in cache-sized blocks, whose cost falls as the
+    rotations cover cells.
+
+    ``prior``, a report of this function on the same epsilon, radius and
+    pitch for a sub-family of these rotations, carries its grid level: only
+    the grid cells that failed there are tested, and only against the
+    rotations it did not test.  A cell's failing is the AND of one test per
+    rotation, so the result, ``_failing`` order included, is that of a run
+    without ``prior``.  Refinement tests every rotation.  A ``prior`` on
+    other parameters or with a rotation not in this family is a
+    ValueError."""
     rots = [complex(t) for t in rotations]
     if not rots:
         raise ValueError("at least one rotation is required")
@@ -515,10 +558,23 @@ def certified_disk_cover(
     half_diag = h * math.sqrt(2) / 2
     if eps - half_diag <= 0:
         raise ValueError("pitch too coarse for this stripe half-width")
-    n = max(1, math.ceil(2 * R / h))
-    centers = -R + h * (np.arange(n) + 0.5)
-    xs, ys = (a.ravel() for a in np.meshgrid(centers, centers))
-    fx, fy, checked = _failing_level(xs, ys, (R + half_diag) ** 2, rots, eps - half_diag)
+    tested = frozenset(map(_rotation_key, rots))
+    reach_sq, slack = (R + half_diag) ** 2, eps - half_diag
+    if prior is None:
+        n = max(1, math.ceil(2 * R / h))
+        centers = -R + h * (np.arange(n) + 0.5)
+        xs, ys = (a.ravel() for a in np.meshgrid(centers, centers))
+        fx, fy, in_disk = _failing_blocks(xs, ys, reach_sq, rots, slack)
+    else:
+        if prior._grid != (eps, R, h):
+            raise ValueError("prior report is on another epsilon, radius or pitch")
+        if not prior._tested <= tested:
+            raise ValueError("prior report tested a rotation not in this family")
+        fresh = [t for t in rots if _rotation_key(t) not in prior._tested]
+        fx, fy, _ = _failing_blocks(*prior._grid_failing, reach_sq, fresh, slack)
+        in_disk = prior._grid_in_disk
+    grid_failing = fx, fy
+    checked = in_disk
     rounds_used = 0
     cur_h = h
     for _ in range(refine_rounds):
@@ -527,9 +583,9 @@ def certified_disk_cover(
         cur_h /= 2
         off = cur_h / 2
         half_diag = cur_h * math.sqrt(2) / 2
-        fx, fy, cells = _failing_level((fx + off * _CHILD_DX).ravel(),
-                                       (fy + off * _CHILD_DY).ravel(),
-                                       (R + half_diag) ** 2, rots, eps - half_diag)
+        fx, fy, cells = _failing_blocks((fx + off * _CHILD_DX).ravel(),
+                                        (fy + off * _CHILD_DY).ravel(),
+                                        (R + half_diag) ** 2, rots, eps - half_diag)
         checked += cells
         rounds_used += 1
     return DiskCoverReport(
@@ -540,6 +596,10 @@ def certified_disk_cover(
         cells_checked=checked,
         failing_count=int(fx.size),
         _failing=(fx, fy),
+        _grid_failing=grid_failing,
+        _grid_in_disk=in_disk,
+        _grid=(eps, R, h),
+        _tested=tested,
     )
 
 

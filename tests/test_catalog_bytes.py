@@ -1,6 +1,7 @@
 """Every cover-build catalog job of the benchmark writes the report bytes
 recorded in ``perfbench/expected.json``, and every adelic-scan disk job
-(``irrational-cover``, whose verdict alone is recorded there) and every
+(``irrational-cover``, whose verdict alone is recorded there), one longer
+disk scan and every
 approximation job of the first round of schedule seed 0 (which the benchmark
 checks only with oracles) writes the report bytes pinned below: each job
 runs through ``pyjama.cli.main`` in this process, and its exit code and the
@@ -96,6 +97,15 @@ def test_catalog_has_every_disk_job():
 @pytest.mark.parametrize("job", DISK_JOBS, ids=lambda job: f"{job.cls}-{job.key}")
 def test_disk_report_bytes(job, tmp_path):
     assert _run(job, tmp_path) == (EXPECTED[job.key]["exit"], DISK_DIGESTS[job.key])
+
+
+# a scan longer than the catalog's: five families at n = 1, the last certified,
+# each started from the grid cells the family before it left failing
+LONG_DISK_JOB = WORKLOADS.disk_job("disk", "0.15", "0.1", 2, 4, 2)
+
+
+def test_long_disk_scan_report_bytes(tmp_path):
+    assert _run(LONG_DISK_JOB, tmp_path) == (0, "84cdf928365310a3")
 
 
 def test_schedule_has_every_pinned_approx_job():

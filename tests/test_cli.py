@@ -412,6 +412,10 @@ def test_finite_float_points_still_parse(tmp_path, capsys, field):
     assert cli._point("-2.5i") == complex(0, -2.5)
 
 
+_DISK_INI = ("[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
+             "n_max = {n_max}\nN_max = {N_max}\nrefine_rounds = {rounds}\n")
+
+
 @pytest.mark.parametrize("command, ini, argv, tag, message", [
     # a target known to one 5-adic digit cannot meet delta = 1/10
     ("approx", "[approx]\nz = 0\np = 5\ntarget = 1/5\ndelta = 1/10\n",
@@ -428,7 +432,17 @@ def test_finite_float_points_still_parse(tmp_path, capsys, field):
      ["--precision", "0"], "input", "error: --precision must be at least 1, got 0\n"),
     ("closure-index", "[closure-index]\nu = 6\np = 5\n", ["--precision", "-3"],
      "input", "error: --precision must be at least 1, got -3\n"),
-], ids=["precision", "torsion-unit", "input", "precision-zero", "precision-negative"])
+    # scan bounds that would scan nothing, or run no refinement round
+    ("irrational-cover", _DISK_INI.format(n_max=0, N_max=0, rounds=1), [],
+     "input", "error: [disk] n_max: must be at least 1, got 0\n"),
+    ("irrational-cover", _DISK_INI.format(n_max=1, N_max=-1, rounds=1), [],
+     "input", "error: [disk] N_max: must be at least 0, got -1\n"),
+    ("irrational-cover", _DISK_INI.format(n_max=1, N_max=0, rounds=-2), ["--refine"],
+     "input", "error: [disk] refine_rounds: must be at least 0, got -2\n"),
+    ("closure-index", "[closure-index]\nu = 6\np = 5\nk = 0\n", [],
+     "input", "error: [closure-index] k: must be at least 1, got 0\n"),
+], ids=["precision", "torsion-unit", "input", "precision-zero", "precision-negative",
+        "disk-n-max", "disk-N-max", "disk-refine-rounds", "closure-index-k"])
 def test_error_tags(tmp_path, capsys, command, ini, argv, tag, message):
     cfg = _write(tmp_path / "e.ini", ini)
     out = tmp_path / "out"

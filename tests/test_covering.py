@@ -542,7 +542,8 @@ def test_certified_disk_cover_nan_rotation_covers_nothing():
 
 
 def _disk_reference(rotations, eps, R, h, refine_rounds):
-    """Every rotation tested on every cell, the failing cells sorted."""
+    """Every rotation tested on every cell: the failing cells sorted, and
+    as raw arrays in the order the kernel keeps them."""
     rots = [complex(float(t.re), float(t.im)) if isinstance(t, GaussianRational)
             else complex(t) for t in rotations]
 
@@ -575,7 +576,7 @@ def _disk_reference(rotations, eps, R, h, refine_rounds):
         fx, fy = failing(cx[keep], cy[keep], half_diag)
         rounds += 1
     cells = tuple(sorted((float(x), float(y)) for x, y in zip(fx, fy)))
-    return not cells, h, rounds, checked, cells
+    return not cells, h, rounds, checked, cells, (fx, fy)
 
 
 @st.composite
@@ -602,7 +603,7 @@ def disk_configs(draw):
 def test_certified_disk_cover_matches_full_mask_reference(case):
     rots, eps, radius, pitch, rounds = case
     report = certified_disk_cover(rots, eps, radius, pitch, refine_rounds=rounds)
-    certified, h, used, checked, cells = _disk_reference(*case)
+    certified, h, used, checked, cells, raw = _disk_reference(*case)
     assert report.certified == certified
     assert report.pitch == h
     assert report.rounds_used == used
@@ -610,6 +611,77 @@ def test_certified_disk_cover_matches_full_mask_reference(case):
     assert report.failing_count == len(cells)
     assert report.failing_cells == cells
     assert all(type(x) is float and type(y) is float for x, y in report.failing_cells)
+    assert [a.tobytes() for a in report._failing] == [a.tobytes() for a in raw]
+
+
+def test_certified_disk_cover_in_blocks_of_seven(monkeypatch):
+    # block edges fall inside every level, the grid's and each round's
+    monkeypatch.setattr(covering, "_BLOCK", 7)
+    test_certified_disk_cover_matches_full_mask_reference()
+
+
+def _assert_same_disk_cover(report, fresh):
+    assert report == fresh  # every scalar field
+    for got, want in zip(report._failing, fresh._failing):
+        assert got.tobytes() == want.tobytes()  # the same cells in the same order
+
+
+# a NaN rotation, which covers no cell, and rotations with a -0.0 part
+_ODD_ROTATIONS = (complex(math.nan, 0.0), complex(1.0, -0.0), complex(0.6, -0.0))
+
+
+@st.composite
+def disk_families(draw):
+    """A disk config, a family of 1-8 rotations with duplicates, and a
+    sub-family of it in any order."""
+    _, eps, radius, pitch, rounds = draw(disk_configs())
+    exact = st.sampled_from(theta_set(2))
+    angle = st.floats(0, 2 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
+    rots = draw(st.lists(st.one_of(exact, angle, st.sampled_from(_ODD_ROTATIONS)),
+                         min_size=1, max_size=6))
+    rots += draw(st.lists(st.sampled_from(rots), max_size=2))
+    sub = draw(st.lists(st.sampled_from(rots), min_size=1, max_size=len(rots)))
+    return sub, draw(st.permutations(rots)), eps, radius, pitch, rounds
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(disk_families())
+@example(([complex(math.nan, 0.0), 1j], [1j, complex(math.nan, 0.0), 1 + 0j, complex(1.0, -0.0)],
+          0.3, 2.0, 0.2, 2))
+@example(([1 + 0j], [1 + 0j], 0.45, 0.42, 0.1, 3))  # no rotation left to test
+def test_certified_disk_cover_prior_matches_fresh_run(case):
+    sub, full, eps, radius, pitch, rounds = case
+    prior = certified_disk_cover(sub, eps, radius, pitch, refine_rounds=rounds)
+    report = certified_disk_cover(full, eps, radius, pitch, refine_rounds=rounds,
+                                  prior=prior)
+    _assert_same_disk_cover(report, certified_disk_cover(full, eps, radius, pitch,
+                                                         refine_rounds=rounds))
+    # a report made from a prior carries the whole family's grid level
+    again = certified_disk_cover(full, eps, radius, pitch, prior=report)
+    _assert_same_disk_cover(again, certified_disk_cover(full, eps, radius, pitch))
+
+
+def test_certified_disk_cover_prior_must_match():
+    prior = certified_disk_cover([1 + 0j], 0.3, 2.0, 0.2)
+    for eps, radius, pitch in ((0.31, 2.0, 0.2), (0.3, 2.5, 0.2), (0.3, 2.0, 0.1)):
+        with pytest.raises(ValueError, match="another epsilon, radius or pitch"):
+            certified_disk_cover([1 + 0j, 1j], eps, radius, pitch, prior=prior)
+    for family in ([1j], [1j, 0.6 + 0.8j], [complex(1.0, -0.0)]):
+        with pytest.raises(ValueError, match="not in this family"):
+            certified_disk_cover(family, 0.3, 2.0, 0.2, prior=prior)
+
+
+@pytest.mark.parametrize("eps, pitch, n_max", [(0.2, 0.2, 2), (0.2, 0.25, 2), (0.25, 0.1, 1)])
+def test_certified_disk_cover_chained_scan(eps, pitch, n_max):
+    # the benchmark's disk configs, each step started from the one before
+    for n in range(1, n_max + 1):
+        report = None
+        for N in range(4):
+            rotations = theta_prime(n, N)
+            report = certified_disk_cover(rotations, eps, 20, pitch, refine_rounds=2,
+                                          prior=report)
+            _assert_same_disk_cover(report, certified_disk_cover(rotations, eps, 20, pitch,
+                                                                 refine_rounds=2))
 
 
 def test_snap_to_lattice_round_trip():
