@@ -26,7 +26,6 @@ from .gaussian import (  # noqa: F401
 )
 from .padic import (  # noqa: F401
     CanonicalRoot,
-    PadicContext,
     PadicNumber,
     PrecisionError,
     TorsionUnitError,

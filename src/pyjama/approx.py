@@ -17,15 +17,16 @@ Gaussian-integer grid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .gaussian import (
+    _BARRED,
     GaussianInt,
     GaussianRational,
-    P5BAR,
-    P13BAR,
+    PrimeSite,
     THETA5,
     THETA13,
     abs_at,
@@ -48,8 +49,9 @@ __all__ = [
 ]
 
 
-_BAR = {5: P5BAR, 13: P13BAR}
 _OTHER_PRIME = {5: 13, 13: 5}
+# the inert prime 7: a unit at both barred sites, with residue field of 49
+_SEVEN = PrimeSite("7", GaussianInt(7, 0), 49)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +228,42 @@ def _check_target_precision(b: PadicNumber, k: int, delta: Fraction) -> None:
         )
 
 
-def _padic_residual_ok(q: GaussianRational, b: PadicNumber, k: int,
-                       delta: Fraction) -> bool:
-    image = embed(q, b.p, k + 2)
-    return (image - b).abs_bound() <= delta
+def _approximate(z: GaussianRational, targets, shrink: PrimeSite,
+                 delta: Fraction) -> tuple[GaussianRational, int]:
+    """q = (G + W*h)/den within delta of z and of every p-adic target, and
+    the exponent e of ``shrink`` in den; every residual is re-checked.
+
+    A target b at p needs K = k + j digits at the barred site above p, where
+    p^-k <= delta and p^j clears b's denominator: den carries bar^j, and the
+    numerator lands in G + W*Z[i] with W = prod bar^K.  ``shrink`` is a unit
+    at every target's prime; rounding in the lattice W*Z[i]/den leaves
+    |q - z|^2 at most prod p^k / (2*N(shrink)^e), below delta^2 for this e.
+    """
+    dn, dd = delta.numerator, delta.denominator
+    sites = []  # (target, k, K) per target
+    for b in targets:
+        k = _least_power(b.p, dn, dd)  # least k with p^-k <= delta
+        _check_target_precision(b, k, delta)
+        sites.append((b, k, k if b.is_zero else k + max(0, -b.valuation)))
+    e = _least_power(shrink.residue_norm, 2 * dn * dn,
+                     math.prod(b.p**k for b, k, _ in sites) * dd * dd)
+    den = reduce(operator.mul,
+                 [GaussianRational(_BARRED[b.p].generator**(K - k)) for b, k, K in sites],
+                 GaussianRational(shrink.generator**e))
+    W = reduce(operator.mul, [_BARRED[b.p].generator**K for b, _, K in sites])
+    # the numerator's residue mod p^K at each site, joined by crt
+    lifts = [(0 if b.is_zero else _integer_lift(b * embed(den, b.p, K + 2), K), b.p**K)
+             for b, _, K in sites]
+    G, M = lifts[0]
+    for B, m in lifts[1:]:
+        G, M = crt(G, M, B, m), M * m
+    h = nearest_gaussian_int((z * den - G) / W)
+    q = GaussianRational(GaussianInt(G, 0) + W * h) / den
+    # embed counts digits from q's valuation, -j like b's: K + 2 reach p^(k+2)
+    if (q - z).abs2() > delta * delta or not all(
+            (embed(q, b.p, K + 2) - b).abs_bound() <= delta for b, _, K in sites):
+        raise RuntimeError("approximation certificate failed verification")
+    return q, e
 
 
 def strong_approx(z, b: PadicNumber, delta) -> GaussianRational:
@@ -246,34 +280,9 @@ def strong_approx(z, b: PadicNumber, delta) -> GaussianRational:
         raise ValueError("tolerance must be positive")
     if not isinstance(b, PadicNumber):
         raise TypeError("the local target must be a p-adic number")
-    z = exact_gaussian_rational(z)
-    p = b.p
-    other = _OTHER_PRIME[p]
-    bar = _BAR[p].generator
-    other_bar = _BAR[other].generator
-
-    dn, dd = delta.numerator, delta.denominator
-    k = _least_power(p, dn, dd)  # least k with p^-k <= delta
-    _check_target_precision(b, k, delta)
-    j = 0 if b.is_zero else max(0, -b.valuation)
-    K = k + j
-
-    # rounding in the lattice bar^K*Z[i]/den leaves |q - z|^2 at most
-    # N(bar^K)/(2*N(den)) = p^k/(2*other^f), which this f brings below delta^2
-    f = _least_power(other, 2 * dn * dn, p**k * dd * dd)
-
-    den = GaussianRational(bar**j) * GaussianRational(other_bar**f)
-    # residue constraint: the numerator must land in B + bar^K * Z[i]
-    if b.is_zero:
-        B = 0
-    else:
-        beta = b * embed(den, p, K + max(0, -b.valuation) + 2)
-        B = _integer_lift(beta, K)
-    scale = bar**K
-    h = nearest_gaussian_int((z * den - B) / scale)
-    q = GaussianRational(GaussianInt(B, 0) + scale * h) / den
-    if (q - z).abs2() > delta * delta or not _padic_residual_ok(q, b, k, delta):
-        raise RuntimeError("approximation certificate failed verification")
+    # powers of the other barred generator shrink the complex radius
+    q, _ = _approximate(exact_gaussian_rational(z), (b,),
+                        _BARRED[_OTHER_PRIME[b.p]], delta)
     if not in_A(q):
         raise RuntimeError(f"approximation {q} is not in A")
     return q
@@ -296,34 +305,7 @@ def strong_approx_3way(z, a: PadicNumber, b: PadicNumber,
         raise TypeError("first local target must be 5-adic")
     if not isinstance(b, PadicNumber) or b.p != 13:
         raise TypeError("second local target must be 13-adic")
-    z = exact_gaussian_rational(z)
-
-    dn, dd = delta.numerator, delta.denominator
-    k5 = _least_power(5, dn, dd)
-    k13 = _least_power(13, dn, dd)
-    _check_target_precision(a, k5, delta)
-    _check_target_precision(b, k13, delta)
-    j5 = 0 if a.is_zero else max(0, -a.valuation)
-    j13 = 0 if b.is_zero else max(0, -b.valuation)
-    K5, K13 = k5 + j5, k13 + j13
-
-    # as in strong_approx, |q - z|^2 <= 5^k5*13^k13/(2*49^t) <= delta^2
-    t = _least_power(49, 2 * dn * dn, 5**k5 * 13**k13 * dd * dd)
-
-    W = P5BAR.generator**K5 * P13BAR.generator**K13
-    den = (
-        GaussianRational(P5BAR.generator**j5)
-        * GaussianRational(P13BAR.generator**j13)
-        * GaussianRational(GaussianInt(7, 0) ** t)
-    )
-    B5 = 0 if a.is_zero else _integer_lift(a * embed(den, 5, K5 + 2), K5)
-    B13 = 0 if b.is_zero else _integer_lift(b * embed(den, 13, K13 + 2), K13)
-    G = crt(B5, 5**K5, B13, 13**K13)
-    h = nearest_gaussian_int((z * den - G) / W)
-    q = GaussianRational(GaussianInt(G, 0) + W * h) / den
-    if ((q - z).abs2() > delta * delta or not _padic_residual_ok(q, a, k5, delta)
-            or not _padic_residual_ok(q, b, k13, delta)):
-        raise RuntimeError("approximation certificate failed verification")
+    q, t = _approximate(exact_gaussian_rational(z), (a, b), _SEVEN, delta)
     # q * 7**v with v = v_7(q.den): q.den divides N(den) = 5^j5*13^j13*49^t
     if not in_A(q * math.gcd(q.den, 49**t)):
         raise RuntimeError(f"approximation {q} is not in A up to powers of 7")
@@ -351,8 +333,8 @@ def coset_element(mu, nu, H: CosetSpec) -> GaussianRational:
         raise ValueError("magnitude bounds must be positive")
     p = H.p
     other = _OTHER_PRIME[p]
-    site = _BAR[p]
-    other_site = _BAR[other]
+    site = _BARRED[p]
+    other_site = _BARRED[other]
     uniform = GaussianRational(site.generator)
     shrink = GaussianRational(other_site.generator) / GaussianRational(
         site.generator**10

@@ -553,6 +553,9 @@ def certified_disk_cover(
     eps = float(epsilon)
     R = float(radius)
     h = float(pitch)
+    for name, value in (("epsilon", eps), ("radius", R), ("pitch", h)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if R <= 0 or h <= 0:
         raise ValueError("radius and pitch must be positive")
     half_diag = h * math.sqrt(2) / 2

@@ -390,7 +390,7 @@ def exact_gaussian_rational(z) -> GaussianRational:
 
 @dataclass(frozen=True, slots=True)
 class PrimeSite:
-    """One of the four fixed primes of Z[i] above 5 and 13."""
+    """A prime of Z[i]: a generator and the size of its residue field."""
 
     tag: str
     generator: GaussianInt
@@ -407,10 +407,20 @@ P13BAR = PrimeSite("P13bar", GaussianInt(2, -3), 13)
 SITES = (P5, P5BAR, P13, P13BAR)
 
 _CONJ = {P5: P5BAR, P5BAR: P5, P13: P13BAR, P13BAR: P13}
+_BARRED = {5: P5BAR, 13: P13BAR}  # the site each embedding makes a non-unit
 
 
 def conjugate_site(site: PrimeSite) -> PrimeSite:
     return _CONJ[site]
+
+
+def _split_power(n: int, p: int) -> tuple[int, int]:
+    """(e, m) with n = p**e * m and p not dividing m, for nonzero n."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
 
 
 def _int_valuation(g: GaussianInt, site: PrimeSite) -> int:
@@ -433,12 +443,7 @@ def valuation(q: GaussianRational | GaussianInt | int, site: PrimeSite) -> int:
         raise TypeError(f"cannot take a valuation of {type(q)!r}")
     if not qq:
         raise ValueError("valuation of zero undefined")
-    v = _int_valuation(qq.num, site)
-    d, p = qq.den, site.residue_norm
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _int_valuation(qq.num, site) - _split_power(qq.den, site.residue_norm)[0]
 
 
 def abs_at(q, site: PrimeSite) -> Fraction:
@@ -515,10 +520,7 @@ def in_A(q: GaussianRational | GaussianInt | int) -> bool:
         return True
     d = qq.den
     for site in (P5, P13):
-        e = 0
-        while d % site.residue_norm == 0:
-            d //= site.residue_norm
-            e += 1
+        e, d = _split_power(d, site.residue_norm)
         if e and try_exact_div(qq.num, site.generator**e) is None:
             return False
     return d == 1

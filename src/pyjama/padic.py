@@ -1,7 +1,8 @@
 """Finite-precision arithmetic in the 5-adic and 13-adic fields.
 
-Values carry an integer valuation plus a unit part stored modulo p**k
-(``PadicNumber``), with a distinguished zero marker that remembers the
+``PadicNumber(p, precision_k, valuation, unit_digits)`` is the one p-adic
+value type: an integer valuation plus a unit part stored modulo
+p**precision_k, with a distinguished zero marker that remembers the
 absolute precision at which a cancellation happened.  The module also owns
 the canonical Hensel lifts of sqrt(-1) (one per prime, sign fixed so the
 barred prime site becomes the non-unit under embedding), the embedding of
@@ -17,18 +18,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .gaussian import (
-    P5BAR,
-    P13BAR,
+    _BARRED,
     GaussianInt,
     GaussianRational,
     _factorize,
+    _split_power,
     valuation,
 )
 
 __all__ = [
     "PrecisionError",
     "TorsionUnitError",
-    "PadicContext",
     "CanonicalRoot",
     "PadicNumber",
     "sqrt_neg1",
@@ -51,16 +51,11 @@ class TorsionUnitError(ValueError):
     subgroup does not have finite index."""
 
 
-@dataclass(frozen=True, slots=True)
-class PadicContext:
-    p: int
-    precision_k: int
-
-    def __post_init__(self):
-        if self.p not in _SUPPORTED:
-            raise ValueError(f"unsupported prime {self.p}; expected one of {_SUPPORTED}")
-        if self.precision_k < 1:
-            raise ValueError("precision_k must be >= 1")
+def _check_site(p: int, k: int) -> None:
+    if p not in _SUPPORTED:
+        raise ValueError(f"unsupported prime {p}; expected one of {_SUPPORTED}")
+    if k < 1:
+        raise ValueError("precision_k must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,12 +73,8 @@ def sqrt_neg1(p: int, k: int) -> CanonicalRoot:
     to a non-unit: for the generator g = re + im*i this is the root x with
     re + im*x = 0 mod p.
     """
-    if p not in _SUPPORTED:
-        raise ValueError(f"unsupported prime {p}")
-    if k < 1:
-        raise ValueError("precision must be >= 1")
-    bar = P5BAR if p == 5 else P13BAR
-    g = bar.generator
+    _check_site(p, k)
+    g = _BARRED[p].generator
     x = next(
         x
         for x in range(p)
@@ -109,13 +100,15 @@ class PadicNumber:
     ``zero_abs is None`` means exactly zero.
     """
 
-    context: PadicContext
+    p: int
+    precision_k: int
     valuation: int | None
     unit_digits: int
     zero_abs: int | None = None
 
     def __post_init__(self):
-        p, k = self.context.p, self.context.precision_k
+        p, k = self.p, self.precision_k
+        _check_site(p, k)
         if self.valuation is None:
             if self.unit_digits != 0:
                 raise ValueError("zero marker must carry unit_digits 0")
@@ -130,42 +123,27 @@ class PadicNumber:
 
     @classmethod
     def zero(cls, p: int, k: int, abs_prec: int | None = None) -> "PadicNumber":
-        return cls(PadicContext(p, k), None, 0, abs_prec)
+        return cls(p, k, None, 0, abs_prec)
 
     @classmethod
     def from_unit(cls, p: int, k: int, valuation: int, unit: int) -> "PadicNumber":
-        context = PadicContext(p, k)  # checks p and k before p**k is formed
+        _check_site(p, k)  # before p**k is formed
         u = unit % p**k
         if u == 0 or u % p == 0:
             raise ValueError(f"{unit} is not a unit mod {p}^{k}")
-        return cls(context, valuation, u)
+        return cls(p, k, valuation, u)
 
     @classmethod
     def from_rational(cls, x: Fraction | int, p: int, k: int) -> "PadicNumber":
-        context = PadicContext(p, k)  # checks p and k before p**k is formed
+        _check_site(p, k)  # before p**k is formed
         x = Fraction(x)
         if x == 0:
             return cls.zero(p, k)
-        num, den = x.numerator, x.denominator
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        u = num * pow(den, -1, p**k) % p**k
-        return cls(context, v, u)
+        e, num = _split_power(x.numerator, p)
+        s, den = _split_power(x.denominator, p)
+        return cls(p, k, e - s, num * pow(den, -1, p**k) % p**k)
 
     # -- basic queries -------------------------------------------------------
-
-    @property
-    def p(self) -> int:
-        return self.context.p
-
-    @property
-    def precision_k(self) -> int:
-        return self.context.precision_k
 
     @property
     def is_zero(self) -> bool:
@@ -194,7 +172,7 @@ class PadicNumber:
         if self.is_zero:
             return self
         p, k = self.p, self.precision_k
-        return PadicNumber(self.context, self.valuation, (-self.unit_digits) % p**k)
+        return PadicNumber(p, k, self.valuation, (-self.unit_digits) % p**k)
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
         if not isinstance(other, PadicNumber):
@@ -219,9 +197,7 @@ class PadicNumber:
                 return PadicNumber.zero(
                     p, min(self.precision_k, other.precision_k), z.zero_abs
                 )
-            return PadicNumber(
-                PadicContext(p, digits), x.valuation, x.unit_digits % p**digits
-            )
+            return PadicNumber(p, digits, x.valuation, x.unit_digits % p**digits)
         lo, hi = (self, other) if self.valuation <= other.valuation else (other, self)
         shift = hi.valuation - lo.valuation
         digits = min(lo.precision_k, shift + hi.precision_k)
@@ -230,11 +206,8 @@ class PadicNumber:
         if t == 0:
             return PadicNumber.zero(p, min(self.precision_k, other.precision_k),
                                     lo.valuation + digits)
-        c = 0
-        while t % p == 0:
-            t //= p
-            c += 1
-        return PadicNumber(PadicContext(p, digits - c), lo.valuation + c, t % p**(digits - c))
+        c, t = _split_power(t, p)
+        return PadicNumber(p, digits - c, lo.valuation + c, t % p**(digits - c))
 
     def __sub__(self, other: "PadicNumber") -> "PadicNumber":
         if not isinstance(other, PadicNumber):
@@ -262,7 +235,7 @@ class PadicNumber:
                 bounds.append(z.zero_abs + shift)
             return PadicNumber.zero(p, k, min(bounds))
         u = self.unit_digits * other.unit_digits % p**k
-        return PadicNumber(PadicContext(p, k), self.valuation + other.valuation, u)
+        return PadicNumber(p, k, self.valuation + other.valuation, u)
 
     def __truediv__(self, other: "PadicNumber") -> "PadicNumber":
         if not isinstance(other, PadicNumber):
@@ -281,7 +254,7 @@ class PadicNumber:
                 return PadicNumber.zero(p, k)
             return PadicNumber.zero(p, k, self.zero_abs - other.valuation)
         u = self.unit_digits * pow(other.unit_digits, -1, p**k) % p**k
-        return PadicNumber(PadicContext(p, k), self.valuation - other.valuation, u)
+        return PadicNumber(p, k, self.valuation - other.valuation, u)
 
     def __pow__(self, e: int) -> "PadicNumber":
         if self.is_zero:
@@ -292,7 +265,7 @@ class PadicNumber:
             raise ZeroDivisionError("nonpositive power of p-adic zero")
         p, k = self.p, self.precision_k
         u = pow(self.unit_digits, e, p**k)
-        return PadicNumber(self.context, self.valuation * e, u)
+        return PadicNumber(p, k, self.valuation * e, u)
 
     # -- fractional part ----------------------------------------------------
 
@@ -351,7 +324,7 @@ class PadicNumber:
         p1, v, u, p2, k = (int(g) for g in m.groups())
         if p1 != p2:
             raise ValueError(f"mismatched primes in {text!r}")
-        return cls(PadicContext(p1, k), v, u)
+        return cls(p1, k, v, u)
 
 
 def embed(q: GaussianRational | GaussianInt | int, p: int, k: int) -> PadicNumber:
@@ -359,15 +332,11 @@ def embed(q: GaussianRational | GaussianInt | int, p: int, k: int) -> PadicNumbe
     the absolute value of the image equals abs_at(q, barred site)."""
     if isinstance(q, (int, GaussianInt)):
         q = GaussianRational(q)
+    _check_site(p, k)
     if not q:
         return PadicNumber.zero(p, k)
-    bar = P5BAR if p == 5 else P13BAR
-    v = valuation(q, bar)
-    d = q.den
-    s = 0
-    while d % p == 0:
-        d //= p
-        s += 1
+    v = valuation(q, _BARRED[p])
+    s, d = _split_power(q.den, p)
     vn = v + s  # valuation of the numerator a + b*i_p
     root = sqrt_neg1(p, vn + k).digits
     mod = p ** (vn + k)
@@ -375,32 +344,19 @@ def embed(q: GaussianRational | GaussianInt | int, p: int, k: int) -> PadicNumbe
     if n % p**vn:
         raise ArithmeticError("numerator valuation disagrees with trial division")
     u = (n // p**vn) * pow(d, -1, p**k) % p**k
-    return PadicNumber(PadicContext(p, k), v, u)
+    return PadicNumber(p, k, v, u)
 
 
 def gauss_frac_part(q: GaussianRational | GaussianInt | int, p: int) -> Fraction:
-    """Exact p-adic fractional part of the embedding of q, computed without
-    constructing a PadicNumber."""
+    """Exact p-adic fractional part of the embedding of q, read from the
+    embedding at the -valuation digits it needs."""
     if isinstance(q, (int, GaussianInt)):
         q = GaussianRational(q)
+    _check_site(p, 1)
     if not q:
         return Fraction(0)
-    bar = P5BAR if p == 5 else P13BAR
-    j = max(0, -valuation(q, bar))
-    if j == 0:
-        return Fraction(0)
-    d = q.den
-    s = 0
-    while d % p == 0:
-        d //= p
-        s += 1
-    # the numerator has p-adic valuation s - j >= 0; divide it out exactly
-    root = sqrt_neg1(p, s + j).digits
-    n = (q.num.re + q.num.im * root) % p ** (s + j)
-    if n % p ** (s - j):
-        raise ArithmeticError("numerator valuation disagrees with trial division")
-    c = (n // p ** (s - j)) * pow(d, -1, p**j) % p**j
-    return Fraction(c, p**j)
+    j = -valuation(q, _BARRED[p])
+    return embed(q, p, j).frac_part() if j > 0 else Fraction(0)
 
 
 def _series_terms_log(k: int) -> int:
@@ -417,18 +373,10 @@ def _truncate_absolute(x: Fraction, p: int, k: int) -> PadicNumber:
     """x as a PadicNumber claiming correctness mod p**k and no more."""
     if x == 0:
         return PadicNumber.zero(p, k, k)
-    num, den, v = x.numerator, x.denominator, 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    v = _split_power(x.numerator, p)[0] - _split_power(x.denominator, p)[0]
     if v >= k:
         return PadicNumber.zero(p, k, k)
-    digits = k - v
-    u = num * pow(den, -1, p**digits) % p**digits
-    return PadicNumber(PadicContext(p, digits), v, u)
+    return PadicNumber.from_rational(x, p, k - v)
 
 
 def plog(u: PadicNumber) -> PadicNumber:
@@ -461,7 +409,7 @@ def pexp(x: PadicNumber) -> PadicNumber:
             return PadicNumber.from_unit(p, x.precision_k, 0, 1)
         if x.zero_abs < 1:
             raise PrecisionError("pexp argument not known to lie in pZ_p")
-        return PadicNumber(PadicContext(p, x.zero_abs), 0, 1)
+        return PadicNumber(p, x.zero_abs, 0, 1)
     if x.valuation < 1:
         raise ValueError("pexp domain: need valuation >= 1")
     k = x.valuation + x.precision_k

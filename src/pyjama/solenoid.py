@@ -29,6 +29,7 @@ from .gaussian import (
     P5BAR,
     P13,
     P13BAR,
+    _split_power,
     abs_at,
     as_gaussian_rational,
     crt,
@@ -39,7 +40,7 @@ from .gaussian import (
     unit_group_order,
     valuation,
 )
-from .padic import PadicNumber, embed, gauss_frac_part, sqrt_neg1
+from .padic import PadicNumber, embed, gauss_frac_part
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -258,12 +259,10 @@ def _integer_residue(frac: Fraction, p: int, e: int, clear: GaussianInt) -> int:
     i_p into 2 * frac * i_p(clear) + p**e * Z_p."""
     if e == 0:
         return 0
-    c = frac.numerator
-    root = sqrt_neg1(p, 2 * e).digits
-    image = (clear.re + clear.im * root) % p ** (2 * e)
-    if image % p**e:
+    image = embed(clear, p, e)
+    if image.valuation != e:
         raise ArithmeticError("clearing denominator has unexpected valuation")
-    return 2 * c * (image // p**e) % p**e
+    return 2 * frac.numerator * image.unit_digits % p**e
 
 
 def reduce_to_fundamental(
@@ -301,11 +300,8 @@ def reduce_to_fundamental(
 
 
 def _p_exp(d: int, p: int) -> int:
-    e = 0
-    while d % p == 0:
-        d //= p
-        e += 1
-    if d != 1:
+    e, rest = _split_power(d, p)
+    if rest != 1:
         raise ArithmeticError("fractional part denominator is not a prime power")
     return e
 

@@ -358,7 +358,10 @@ _DELTAS = [F(1, 10**3), F(1, 10**18), F(1, 10**40)]
 @pytest.mark.parametrize("zname", sorted(_EXACT_Z))
 @pytest.mark.parametrize("site, target", [
     (P5BAR, F(0)), (P5BAR, F(244, 5 * 71)), (P13BAR, F(0)), (P13BAR, F(-2, 13 * 3)),
-], ids=["5-zero", "5-fraction", "13-zero", "13-fraction"])
+    (P5BAR, F(1, 3)), (P13BAR, F(-1, 2)), (P5BAR, F(50, 3)), (P13BAR, F(26, 7)),
+    (P5BAR, F(3, 5**4 * 7)), (P13BAR, F(-2, 13**3)),
+], ids=["5-zero", "5-fraction", "13-zero", "13-fraction",
+        "5-unit", "13-unit", "5-positive", "13-positive", "5-deep", "13-deep"])
 def test_strong_approx_exact_residuals(site, target, zname, delta):
     z = _EXACT_Z[zname]
     b = PadicNumber.from_rational(target, site.residue_norm, 80)
@@ -373,7 +376,10 @@ def test_strong_approx_exact_residuals(site, target, zname, delta):
 @pytest.mark.parametrize("zname", sorted(_EXACT_Z))
 @pytest.mark.parametrize("t5, t13", [
     (F(0), F(0)), (F(7, 25), F(0)), (F(0), F(5, 169)), (F(-3, 10), F(11, 26)),
-], ids=["zero-zero", "fraction-zero", "zero-fraction", "fraction-fraction"])
+    (F(1, 3), F(-1, 2)), (F(50, 3), F(26, 7)), (F(-3, 10), F(26, 7)),
+    (F(1, 3 * 5**3), F(7, 13**4)),
+], ids=["zero-zero", "fraction-zero", "zero-fraction", "fraction-fraction",
+        "unit-unit", "positive-positive", "fraction-positive", "deep-deep"])
 def test_three_way_exact_residuals(t5, t13, zname, delta):
     z = _EXACT_Z[zname]
     a = PadicNumber.from_rational(t5, 5, 80)

@@ -513,6 +513,22 @@ def test_certified_disk_cover_positive_and_soundness():
         certified_disk_cover([1 + 0j], 0.05, 1.0, 0.2)  # pitch too coarse
 
 
+@pytest.mark.parametrize("name, args", [
+    ("epsilon", (math.nan, 1.0, 0.1)),
+    ("epsilon", (math.inf, 1.0, 0.1)),
+    ("epsilon", (-math.inf, 1.0, 0.1)),
+    ("radius", (0.1, math.nan, 0.1)),
+    ("radius", (0.1, math.inf, 0.1)),
+    ("pitch", (0.1, 1.0, math.nan)),
+    ("pitch", (0.1, 1.0, math.inf)),
+])
+def test_certified_disk_cover_rejects_non_finite(name, args):
+    # NaN compares false with everything and inf passes every bound, so a
+    # non-finite value must be rejected before the grid is laid out
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        certified_disk_cover([1 + 0j], *args)
+
+
 def test_certified_disk_cover_refinement():
     # a disk covered with a slim margin: the coarse pass cannot certify its rim
     # cells, refinement rounds settle them

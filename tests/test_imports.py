@@ -1,0 +1,57 @@
+"""Every name a source module imports is used in that module.
+
+A deletion that leaves its import behind (a constant, a helper) shows up
+here.  ``__init__.py`` is skipped: its imports are the package's public
+names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pyjama"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _quoted_names(annotation: ast.expr):
+    """Names read inside the quoted parts of an annotation ("PadicNumber")."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from (n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                        if isinstance(n, ast.Name))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module's imports that no ``Name`` node, quoted
+    annotation or ``__all__`` entry names."""
+    imported, used = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            used.update(_quoted_names(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used.update(_quoted_names(node.returns))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_guard_finds_an_unused_import():
+    source = "from .gaussian import P5BAR, P13BAR, valuation\n\nvaluation(1, P13BAR)\n"
+    assert unused_imports(source) == ["P5BAR (line 1)"]
+    assert unused_imports("import numpy as np\nx: 'np.ndarray'\n") == []
+    assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert unused_imports((SRC / module).read_text()) == []

@@ -14,10 +14,10 @@ from pyjama.gaussian import (
     GaussianRational,
     abs_at,
     conjugate_site,
+    valuation,
 )
 from pyjama.padic import (
     CanonicalRoot,
-    PadicContext,
     PadicNumber,
     PrecisionError,
     TorsionUnitError,
@@ -50,6 +50,19 @@ def test_sqrt_neg1_rejects():
         sqrt_neg1(7, 1)
     with pytest.raises(ValueError):
         sqrt_neg1(5, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sqrt_neg1(7, 1),
+    lambda: embed(GaussianInt(2, 1), 7, 3),
+    lambda: gauss_frac_part(GaussianRational(GaussianInt(1, 0), 13), 7),
+    lambda: gauss_frac_part(GaussianInt(2, 1), 7),
+    lambda: PadicNumber.from_rational(Fraction(1, 3), 7, 2),
+], ids=["sqrt_neg1", "embed", "gauss_frac_part-fractional",
+        "gauss_frac_part-integral", "from_rational"])
+def test_unsupported_prime_is_rejected(call):
+    with pytest.raises(ValueError, match="unsupported prime 7; expected one of"):
+        call()
 
 
 def test_embed_pins():
@@ -97,9 +110,9 @@ def test_padic_value_construction():
     with pytest.raises(ValueError):
         PadicNumber.from_unit(5, 3, 0, 10)  # divisible by 5
     with pytest.raises(ValueError):
-        PadicContext(7, 2)
+        PadicNumber(7, 2, 0, 1)
     with pytest.raises(ValueError):
-        PadicNumber(PadicContext(5, 2), None, 3)
+        PadicNumber(5, 2, None, 3)
 
 
 def test_from_rational():
@@ -296,10 +309,34 @@ def test_gauss_frac_part_matches_embedding():
     r = rng(24)
     for _ in range(200):
         q = random_gaussian_rational(r, nonzero=True)
-        for p in (5, 13):
-            assert gauss_frac_part(q, p) == embed(q, p, 16).frac_part()
+        for p, bar in ((5, P5BAR), (13, P13BAR)):
+            f = gauss_frac_part(q, p)
+            assert f == embed(q, p, 16).frac_part()
+            # the defining properties, independent of embed: f in [0, 1) with
+            # a p-power denominator, and q - f integral at the barred site
+            assert 0 <= f < 1
+            d = f.denominator
+            while d % p == 0:
+                d //= p
+            assert d == 1
+            assert q == f or valuation(q - f, bar) >= 0
     assert gauss_frac_part(GaussianRational(GaussianInt(1, 2), 10), 5) == Fraction(1, 5)
     assert gauss_frac_part(GaussianRational(0), 13) == 0
+
+
+_HIGH_POWERS = st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
+    lambda e: 5 ** e[0] * 13 ** e[1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(-10**6, 10**6), _HIGH_POWERS, st.integers(1, 10**6), _HIGH_POWERS,
+       st.sampled_from((5, 13)), st.integers(1, 40))
+def test_from_rational_matches_embed(num, num_power, den, den_power, p, k):
+    """The two routes from a rational to Q_p agree digit for digit: Fraction
+    arithmetic in ``from_rational`` and the Gaussian embedding in ``embed``."""
+    x = Fraction(num * num_power, den * den_power)
+    assert PadicNumber.from_rational(x, p, k) == embed(
+        GaussianRational.from_fractions(x), p, k)
 
 
 def test_plog_pexp():
