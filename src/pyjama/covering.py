@@ -428,7 +428,9 @@ class DiskCoverReport:
     the number of cells at that pitch that no rotation covers; ``certified``
     means there are none.  ``failing_cells`` lists their centers as sorted
     float pairs and is built on first access.  Reports compare equal on the
-    scalar fields alone.
+    scalar fields alone.  The grid is centred on the disk, so the failing
+    cells, in their raw order, pair cell k with its mirror image -z at
+    size - 1 - k.
 
     A report also keeps what a later run over a larger rotation family can
     start from (see ``certified_disk_cover``'s ``prior``): the grid cells
@@ -454,10 +456,11 @@ class DiskCoverReport:
         return tuple(zip(fx[order].tolist(), fy[order].tolist()))
 
 
-# offsets of a cell's four children in units of half the child pitch, in the
-# order (-,-), (+,-), (-,+), (+,+); x + (-off) is exactly x - off
-_CHILD_DX = np.array([[-1.0], [1.0], [-1.0], [1.0]])
-_CHILD_DY = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+# offsets of a cell's (-,-) and (+,-) children in units of half the child
+# pitch; x + (-off) is exactly x - off.  In a level's children, ordered
+# (-,-), (+,-), (-,+), (+,+), the last two blocks mirror the first two.
+_CHILD_DX = np.array([[-1.0], [1.0]])
+_CHILD_DY = np.array([[-1.0], [-1.0]])
 
 
 def _failing_level(
@@ -496,8 +499,7 @@ def _failing_level(
         np.subtract(v, w, out=v)
         np.abs(v, out=v)
         np.less(v, slack, out=hit)
-        np.logical_not(hit, out=hit)
-        np.logical_and(alive, hit, out=alive)
+        np.greater(alive, hit, out=alive)  # alive and not hit
         live = int(np.count_nonzero(alive))
     keep = np.flatnonzero(alive)
     return xs.take(keep), ys.take(keep), checked
@@ -511,13 +513,31 @@ _BLOCK = 2**15
 def _failing_blocks(
     xs: np.ndarray, ys: np.ndarray, reach_sq: float, rotations: list[complex], slack: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """``_failing_level`` on consecutive blocks of ``_BLOCK`` cells (an
-    empty level is one empty block), its results joined in order: the same
-    cells and count as one pass."""
-    fx, fy, checked = zip(*(
-        _failing_level(xs[i:i + _BLOCK], ys[i:i + _BLOCK], reach_sq, rotations, slack)
-        for i in range(0, max(xs.size, 1), _BLOCK)))
-    return np.concatenate(fx), np.concatenate(fy), sum(checked)
+    """The failing cells and the in-disk count of a level closed under
+    z -> -z (cell k is the negative of cell size - 1 - k), given its first
+    half ``xs, ys``; a middle cell (0, 0), its own mirror, ends the half.
+    ``_failing_level`` runs on consecutive blocks of ``_BLOCK`` cells of the
+    half; their survivors, then the survivors' mirror images in reverse
+    order, fill one output pair.  ``0.0 - x`` keeps a +0.0 coordinate +0.0,
+    as in the whole level."""
+    out = np.empty((2, 2 * xs.size))
+    m = checked = 0
+    for i in range(0, xs.size, _BLOCK):
+        fx, fy, cells = _failing_level(xs[i:i + _BLOCK], ys[i:i + _BLOCK], reach_sq,
+                                       rotations, slack)
+        out[0, m:m + fx.size] = fx
+        out[1, m:m + fx.size] = fy
+        m += fx.size
+        checked += cells
+    middle = int(xs.size > 0 and xs[-1] == ys[-1] == 0)  # in the disk: reach_sq > 0
+    k = m - int(m > 0 and out[0, m - 1] == out[1, m - 1] == 0)
+    np.subtract(0.0, out[:, :k][:, ::-1], out=out[:, m:m + k])
+    return out[0, :m + k], out[1, :m + k], 2 * checked - middle
+
+
+def _half(a: np.ndarray) -> np.ndarray:
+    """The first half of a level closed under z -> -z, its middle cell included."""
+    return a[:(a.size + 1) // 2]
 
 
 def _rotation_key(t: complex) -> tuple[str, str]:
@@ -534,17 +554,26 @@ def certified_disk_cover(
     the given radius: a grid cell is certified when some rotation holds its
     center deeper inside a stripe than the cell's own reach (half-diagonal,
     by 1-Lipschitz continuity of the stripe coordinate).  Each refinement
-    round splits every failing cell into four and tests them again.  Each
-    level (the grid, then each round's children) goes through
-    ``_failing_level`` in cache-sized blocks, whose cost falls as the
-    rotations cover cells.
+    round splits every failing cell into four and tests them again.
+
+    The grid's n = max(1, ceil(2R/pitch)) columns and rows are centred on
+    the disk, at pitch * (j - (n - 1)/2); when 2R/pitch is not an integer
+    the overhang n * pitch - 2R is split evenly between both sides.  Every
+    stripe |x - k| < epsilon is symmetric under x -> -x, so a rotated
+    stripe set is symmetric under z -> -z, and so is the disk: a cell and
+    its mirror image get the same verdict, bit for bit, since negation is
+    exact in floats.  Each level (the grid, then each round's children) is
+    closed under negation, its cell k being cell size - 1 - k negated, so
+    only its first half goes through ``_failing_level``, in cache-sized
+    blocks whose cost falls as the rotations cover cells; the other half's
+    failing cells are the mirror images.
 
     ``prior``, a report of this function on the same epsilon, radius and
     pitch for a sub-family of these rotations, carries its grid level: only
-    the grid cells that failed there are tested, and only against the
-    rotations it did not test.  A cell's failing is the AND of one test per
-    rotation, so the result, ``_failing`` order included, is that of a run
-    without ``prior``.  Refinement tests every rotation.  A ``prior`` on
+    the first half of the grid cells that failed there is tested, and only
+    against the rotations it did not test.  A cell's failing is the AND of
+    one test per rotation, so the result, ``_failing`` order included, is
+    that of a run without ``prior``.  Refinement tests every rotation.  A ``prior`` on
     other parameters or with a rotation not in this family is a
     ValueError."""
     rots = [complex(t) for t in rotations]
@@ -565,8 +594,8 @@ def certified_disk_cover(
     reach_sq, slack = (R + half_diag) ** 2, eps - half_diag
     if prior is None:
         n = max(1, math.ceil(2 * R / h))
-        centers = -R + h * (np.arange(n) + 0.5)
-        xs, ys = (a.ravel() for a in np.meshgrid(centers, centers))
+        centers = h * (np.arange(n) - (n - 1) / 2)
+        xs, ys = (_half(a.ravel()) for a in np.meshgrid(centers, centers))
         fx, fy, in_disk = _failing_blocks(xs, ys, reach_sq, rots, slack)
     else:
         if prior._grid != (eps, R, h):
@@ -574,7 +603,7 @@ def certified_disk_cover(
         if not prior._tested <= tested:
             raise ValueError("prior report tested a rotation not in this family")
         fresh = [t for t in rots if _rotation_key(t) not in prior._tested]
-        fx, fy, _ = _failing_blocks(*prior._grid_failing, reach_sq, fresh, slack)
+        fx, fy, _ = _failing_blocks(*map(_half, prior._grid_failing), reach_sq, fresh, slack)
         in_disk = prior._grid_in_disk
     grid_failing = fx, fy
     checked = in_disk

@@ -108,6 +108,19 @@ def test_long_disk_scan_report_bytes(tmp_path):
     assert _run(LONG_DISK_JOB, tmp_path) == (0, "84cdf928365310a3")
 
 
+# an odd grid: 25 x 25 cells at R = 2.5, pitch 0.2, so one cell sits at the
+# centre; digest recorded before the grid was laid out centred on the disk
+ODD_GRID_DISK_JOB = WORKLOADS.Job(
+    "disk", "irrational-cover",
+    WORKLOADS._ini("disk", epsilon="0.15", radius="2.5", pitch="0.2", n_max=2, N_max=4,
+                   refine_rounds=2),
+    ("--refine",))
+
+
+def test_odd_grid_disk_scan_report_bytes(tmp_path):
+    assert _run(ODD_GRID_DISK_JOB, tmp_path) == (0, "e623bc263e80096f")
+
+
 def test_schedule_has_every_pinned_approx_job():
     assert sorted(job.key for job in APPROX_JOBS) == sorted(APPROX_DIGESTS)
 

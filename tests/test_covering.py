@@ -572,7 +572,7 @@ def _disk_reference(rotations, eps, R, h, refine_rounds):
 
     half_diag = h * math.sqrt(2) / 2
     n = max(1, math.ceil(2 * R / h))
-    centers = -R + h * (np.arange(n) + 0.5)
+    centers = h * (np.arange(n) - (n - 1) / 2)
     xs, ys = (a.ravel() for a in np.meshgrid(centers, centers))
     keep = xs * xs + ys * ys <= (R + half_diag) ** 2
     xs, ys = xs[keep], ys[keep]
@@ -616,6 +616,7 @@ def disk_configs(draw):
 @example((theta_prime(1, 3), 0.2, 20.0, 0.2, 2))
 @example((theta_prime(2, 0), 0.2, 20.0, 0.25, 2))
 @example(([1 + 0j, 1j], 0.2, 0.3, 0.2, 3))  # the disk keeps 9 cells
+@example(([complex(math.nan, 0.0)], 0.3, 1.1, 0.2, 1))  # the centre cell fails
 def test_certified_disk_cover_matches_full_mask_reference(case):
     rots, eps, radius, pitch, rounds = case
     report = certified_disk_cover(rots, eps, radius, pitch, refine_rounds=rounds)
@@ -634,6 +635,39 @@ def test_certified_disk_cover_in_blocks_of_seven(monkeypatch):
     # block edges fall inside every level, the grid's and each round's
     monkeypatch.setattr(covering, "_BLOCK", 7)
     test_certified_disk_cover_matches_full_mask_reference()
+
+
+def _assert_mirrored(fx, fy):
+    """Raw cell k is cell size - 1 - k negated, byte for byte; a middle
+    cell is (+0.0, +0.0), which 0.0 - x maps to itself."""
+    for a in (fx, fy):
+        assert a.tobytes() == (0.0 - a[::-1]).tobytes()
+    if fx.size % 2:
+        assert fx[fx.size // 2].hex() == fy[fy.size // 2].hex() == "0x0.0p+0"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(disk_configs())
+@example(([1j], 0.3, 1.1, 0.2, 0))  # 11 x 11 grid: a failing centre column of +0.0
+@example(([1j], 0.3, 1.1, 0.2, 2))
+@example(([complex(math.nan, 0.0)], 0.3, 1.1, 0.2, 0))  # the centre cell fails
+@example(([complex(math.nan, 0.0)], 0.3, 0.05, 0.2, 1))  # n = 1
+@example(([1 + 0j, 0.6 + 0.8j], 0.3, 0.7, 0.2, 3))  # n = 7
+def test_certified_disk_cover_fails_mirror_pairs(case):
+    rots, eps, radius, pitch, rounds = case
+    report = certified_disk_cover(rots, eps, radius, pitch, refine_rounds=rounds)
+    _assert_mirrored(*report._failing)
+    _assert_mirrored(*report._grid_failing)
+
+
+def test_certified_disk_cover_centres_the_grid():
+    # 2R/pitch = 8.4: the nine columns overhang the disk by 0.04 on each
+    # side, so the failing cells near x = +-0.4 form a set closed under
+    # z -> -z (with the overhang on one side only, they did not)
+    report = certified_disk_cover([1 + 0j], 0.45, 0.42, 0.1)
+    cells = set(report.failing_cells)
+    assert cells and cells == {(0.0 - x, 0.0 - y) for x, y in cells}
+    assert all(abs(abs(x) - 0.4) < 1e-12 for x, _ in cells)
 
 
 def _assert_same_disk_cover(report, fresh):
@@ -665,6 +699,8 @@ def disk_families(draw):
 @example(([complex(math.nan, 0.0), 1j], [1j, complex(math.nan, 0.0), 1 + 0j, complex(1.0, -0.0)],
           0.3, 2.0, 0.2, 2))
 @example(([1 + 0j], [1 + 0j], 0.45, 0.42, 0.1, 3))  # no rotation left to test
+# an odd grid whose centre cell fails the sub-family only
+@example(([complex(math.nan, 0.0)], [complex(math.nan, 0.0), 1j], 0.3, 1.1, 0.2, 1))
 def test_certified_disk_cover_prior_matches_fresh_run(case):
     sub, full, eps, radius, pitch, rounds = case
     prior = certified_disk_cover(sub, eps, radius, pitch, refine_rounds=rounds)
@@ -698,6 +734,22 @@ def test_certified_disk_cover_chained_scan(eps, pitch, n_max):
                                           prior=report)
             _assert_same_disk_cover(report, certified_disk_cover(rotations, eps, 20, pitch,
                                                                  refine_rounds=2))
+
+
+# (N, cells, failing) of the eps = 0.05 scan at n = 1, recorded before the
+# disk cover tested half of each level and mirrored the other
+_EPS_005_SCAN = ((0, 9074380, 6239368), (1, 5730456, 3001652), (2, 2950482, 940584),
+                 (3, 1454134, 202352), (4, 829708, 30198), (5, 610764, 3042),
+                 (6, 534528, 98), (7, 511444, 0))
+
+
+def test_certified_disk_cover_small_epsilon_scan():
+    report = None
+    for N, cells, failing in _EPS_005_SCAN:
+        report = certified_disk_cover(theta_prime(1, N), 0.05, 20, 0.05, refine_rounds=2,
+                                      prior=report)
+        assert (report.cells_checked, report.failing_count) == (cells, failing)
+    assert report.certified
 
 
 def test_snap_to_lattice_round_trip():

@@ -339,6 +339,25 @@ def test_from_rational_matches_embed(num, num_power, den, den_power, p, k):
         GaussianRational.from_fractions(x), p, k)
 
 
+def test_embed_coerces_a_fraction():
+    third = Fraction(1, 3)
+    assert embed(third, 5, 4) == PadicNumber.from_rational(third, 5, 4)
+    assert gauss_frac_part(Fraction(7, 65), 13) == gauss_frac_part(
+        GaussianRational(GaussianInt(7, 0), 65), 13)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: embed(0.5, 5, 4),
+    lambda: embed(1j, 13, 2),
+    lambda: gauss_frac_part(0.5, 5),
+], ids=["embed-float", "embed-complex", "gauss_frac_part-float"])
+def test_embed_rejects_an_inexact_value(call):
+    # a float is not taken at its binary value: the caller converts explicitly
+    with pytest.raises(TypeError, match="expected an int, Fraction, GaussianInt or "
+                                        "GaussianRational, got (float|complex)$"):
+        call()
+
+
 def test_plog_pexp():
     for p in (5, 13):
         k = 8
