@@ -429,12 +429,14 @@ class DiskCoverReport:
     means there are none.  ``failing_cells`` lists their centers as sorted
     float pairs and is built on first access.  Reports compare equal on the
     scalar fields alone.  The grid is centred on the disk, so the failing
-    cells, in their raw order, pair cell k with its mirror image -z at
-    size - 1 - k.
+    cells, in their raw order (``_failing``), pair cell k with its mirror
+    image -z at size - 1 - k.  A report holds only the first half of them,
+    about 8 bytes per failing cell, and ``_failing`` unfolds it on each read.
 
     A report also keeps what a later run over a larger rotation family can
-    start from (see ``certified_disk_cover``'s ``prior``): the grid cells
-    that failed before any refinement, the number of grid cells in the disk,
+    start from (see ``certified_disk_cover``'s ``prior``): the first half of
+    the grid cells that failed before any refinement (``_grid_failing``
+    unfolds it), the number of grid cells in the disk,
     ``(epsilon, radius, pitch)`` as floats and the set of rotations tested."""
 
     certified: bool
@@ -443,11 +445,19 @@ class DiskCoverReport:
     rounds_used: int
     cells_checked: int
     failing_count: int
-    _failing: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
-    _grid_failing: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    _failing_half: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    _grid_half: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     _grid_in_disk: int = field(repr=False, compare=False)
     _grid: tuple[float, float, float] = field(repr=False, compare=False)
     _tested: frozenset = field(repr=False, compare=False)
+
+    @property
+    def _failing(self) -> tuple[np.ndarray, np.ndarray]:
+        return _unfold(*self._failing_half)
+
+    @property
+    def _grid_failing(self) -> tuple[np.ndarray, np.ndarray]:
+        return _unfold(*self._grid_half)
 
     @cached_property
     def failing_cells(self) -> tuple[tuple[float, float], ...]:
@@ -456,11 +466,52 @@ class DiskCoverReport:
         return tuple(zip(fx[order].tolist(), fy[order].tolist()))
 
 
-# offsets of a cell's (-,-) and (+,-) children in units of half the child
-# pitch; x + (-off) is exactly x - off.  In a level's children, ordered
-# (-,-), (+,-), (-,+), (+,+), the last two blocks mirror the first two.
-_CHILD_DX = np.array([[-1.0], [1.0]])
-_CHILD_DY = np.array([[-1.0], [-1.0]])
+def _level_size(hx: np.ndarray, hy: np.ndarray) -> int:
+    """The number of cells of a level closed under z -> -z (cell k is the
+    negative of cell size - 1 - k) whose first half is ``hx, hy``; a last
+    cell (0, 0) is the level's middle cell, its own mirror."""
+    m = hx.size
+    return 2 * m - int(m > 0 and hx[-1] == hy[-1] == 0)
+
+
+def _mirrored_slice(h: np.ndarray, size: int, a: int, b: int) -> np.ndarray:
+    """One coordinate of the cells a..b-1 of a level of ``size`` cells closed
+    under z -> -z, given that coordinate ``h`` of its first half.  Cell
+    i >= h.size is ``0.0 - h[size - 1 - i]``: ``0.0 - x`` keeps a +0.0
+    coordinate +0.0, as the whole level has it."""
+    m = h.size
+    if b <= m:
+        return h[a:b]
+    mirrored = np.subtract(0.0, h[size - b:size - max(a, m)][::-1])
+    return np.concatenate((h[a:m], mirrored)) if a < m else mirrored
+
+
+def _unfold(hx: np.ndarray, hy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The whole level closed under z -> -z whose first half is ``hx, hy``."""
+    size = _level_size(hx, hy)
+    return _mirrored_slice(hx, size, 0, size), _mirrored_slice(hy, size, 0, size)
+
+
+def _children(hx: np.ndarray, hy: np.ndarray, off: float):
+    """The first half of the children of the level whose first half is
+    ``hx, hy``, as ``(size, cells)`` with ``cells(a, b)`` its cells a..b-1:
+    the (-,-) child of every cell of the level, then the (+,-) child, each
+    ``off`` from the parent along both axes.  The (-,+) and (+,+) children
+    are their mirror images."""
+    size = _level_size(hx, hy)
+
+    def cells(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        xs, ys = [], []
+        for first, dx in ((0, -off), (size, off)):
+            i, j = max(a - first, 0), min(b - first, size)
+            if i < j:
+                xs.append(_mirrored_slice(hx, size, i, j) + dx)
+                ys.append(_mirrored_slice(hy, size, i, j) - off)
+        if len(xs) == 1:
+            return xs[0], ys[0]
+        return np.concatenate(xs), np.concatenate(ys)
+
+    return 2 * size, cells
 
 
 def _failing_level(
@@ -510,34 +561,25 @@ def _failing_level(
 _BLOCK = 2**15
 
 
-def _failing_blocks(
-    xs: np.ndarray, ys: np.ndarray, reach_sq: float, rotations: list[complex], slack: float
+def _failing_half(
+    size: int, cells, reach_sq: float, rotations: list[complex], slack: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The failing cells and the in-disk count of a level closed under
-    z -> -z (cell k is the negative of cell size - 1 - k), given its first
-    half ``xs, ys``; a middle cell (0, 0), its own mirror, ends the half.
-    ``_failing_level`` runs on consecutive blocks of ``_BLOCK`` cells of the
-    half; their survivors, then the survivors' mirror images in reverse
-    order, fill one output pair.  ``0.0 - x`` keeps a +0.0 coordinate +0.0,
-    as in the whole level."""
-    out = np.empty((2, 2 * xs.size))
-    m = checked = 0
-    for i in range(0, xs.size, _BLOCK):
-        fx, fy, cells = _failing_level(xs[i:i + _BLOCK], ys[i:i + _BLOCK], reach_sq,
-                                       rotations, slack)
-        out[0, m:m + fx.size] = fx
-        out[1, m:m + fx.size] = fy
-        m += fx.size
-        checked += cells
-    middle = int(xs.size > 0 and xs[-1] == ys[-1] == 0)  # in the disk: reach_sq > 0
-    k = m - int(m > 0 and out[0, m - 1] == out[1, m - 1] == 0)
-    np.subtract(0.0, out[:, :k][:, ::-1], out=out[:, m:m + k])
-    return out[0, :m + k], out[1, :m + k], 2 * checked - middle
-
-
-def _half(a: np.ndarray) -> np.ndarray:
-    """The first half of a level closed under z -> -z, its middle cell included."""
-    return a[:(a.size + 1) // 2]
+    """The failing cells of the first half of a level closed under z -> -z
+    and the level's in-disk count.  The half has ``size`` cells and
+    ``cells(a, b)`` makes its cells a..b-1; a middle cell (0, 0), its own
+    mirror, ends it.  ``_failing_level`` runs on blocks of ``_BLOCK``
+    consecutive cells, all full but the last, so a level is never held whole:
+    only the survivors of its blocks are kept, joined at the end."""
+    fx, fy = [np.empty(0)], [np.empty(0)]
+    checked = 0
+    for a in range(0, size, _BLOCK):
+        xs, ys = cells(a, min(a + _BLOCK, size))
+        x, y, n = _failing_level(xs, ys, reach_sq, rotations, slack)
+        fx.append(x)
+        fy.append(y)
+        checked += n
+    middle = int(size > 0 and xs[-1] == ys[-1] == 0)  # in the disk: reach_sq > 0
+    return np.concatenate(fx), np.concatenate(fy), 2 * checked - middle
 
 
 def _rotation_key(t: complex) -> tuple[str, str]:
@@ -564,21 +606,29 @@ def certified_disk_cover(
     its mirror image get the same verdict, bit for bit, since negation is
     exact in floats.  Each level (the grid, then each round's children) is
     closed under negation, its cell k being cell size - 1 - k negated, so
-    only its first half goes through ``_failing_level``, in cache-sized
-    blocks whose cost falls as the rotations cover cells; the other half's
-    failing cells are the mirror images.
+    only its first half goes through ``_failing_level`` and only the first
+    half of its failing cells is kept; the other half's failing cells are
+    the mirror images.  That half streams through cache-sized blocks, whose
+    cost falls as the rotations cover cells: grid cells are made from their
+    index, children from their parent's cells, so the grid and a level's
+    children are never held whole.  Memory follows the failing half of the
+    level being tested and of its parent level (at epsilon = pitch = 0.05
+    and R = 20, a scan over theta_prime(1, N) for N <= 7 with two rounds
+    peaks at 144 MiB of RSS, its first step holding 6.2 M failing cells).
 
     ``prior``, a report of this function on the same epsilon, radius and
     pitch for a sub-family of these rotations, carries its grid level: only
     the first half of the grid cells that failed there is tested, and only
     against the rotations it did not test.  A cell's failing is the AND of
     one test per rotation, so the result, ``_failing`` order included, is
-    that of a run without ``prior``.  Refinement tests every rotation.  A ``prior`` on
-    other parameters or with a rotation not in this family is a
-    ValueError."""
+    that of a run without ``prior``.  Refinement tests every rotation.  A
+    ``prior`` on other parameters or with a rotation not in this family, and
+    a negative ``refine_rounds``, are a ValueError."""
     rots = [complex(t) for t in rotations]
     if not rots:
         raise ValueError("at least one rotation is required")
+    if refine_rounds < 0:
+        raise ValueError(f"refine_rounds must be at least 0, got {refine_rounds}")
     eps = float(epsilon)
     R = float(radius)
     h = float(pitch)
@@ -595,17 +645,24 @@ def certified_disk_cover(
     if prior is None:
         n = max(1, math.ceil(2 * R / h))
         centers = h * (np.arange(n) - (n - 1) / 2)
-        xs, ys = (_half(a.ravel()) for a in np.meshgrid(centers, centers))
-        fx, fy, in_disk = _failing_blocks(xs, ys, reach_sq, rots, slack)
+
+        def grid(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+            # cell k of meshgrid(centers, centers), raveled
+            row, col = np.divmod(np.arange(a, b), n)
+            return centers.take(col), centers.take(row)
+
+        fx, fy, in_disk = _failing_half((n * n + 1) // 2, grid, reach_sq, rots, slack)
     else:
         if prior._grid != (eps, R, h):
             raise ValueError("prior report is on another epsilon, radius or pitch")
         if not prior._tested <= tested:
             raise ValueError("prior report tested a rotation not in this family")
         fresh = [t for t in rots if _rotation_key(t) not in prior._tested]
-        fx, fy, _ = _failing_blocks(*map(_half, prior._grid_failing), reach_sq, fresh, slack)
+        px, py = prior._grid_half
+        fx, fy, _ = _failing_half(px.size, lambda a, b: (px[a:b], py[a:b]),
+                                  reach_sq, fresh, slack)
         in_disk = prior._grid_in_disk
-    grid_failing = fx, fy
+    grid_half = fx, fy
     checked = in_disk
     rounds_used = 0
     cur_h = h
@@ -613,11 +670,9 @@ def certified_disk_cover(
         if fx.size == 0:
             break
         cur_h /= 2
-        off = cur_h / 2
         half_diag = cur_h * math.sqrt(2) / 2
-        fx, fy, cells = _failing_blocks((fx + off * _CHILD_DX).ravel(),
-                                        (fy + off * _CHILD_DY).ravel(),
-                                        (R + half_diag) ** 2, rots, eps - half_diag)
+        fx, fy, cells = _failing_half(*_children(fx, fy, cur_h / 2),
+                                      (R + half_diag) ** 2, rots, eps - half_diag)
         checked += cells
         rounds_used += 1
     return DiskCoverReport(
@@ -626,9 +681,9 @@ def certified_disk_cover(
         pitch=cur_h,
         rounds_used=rounds_used,
         cells_checked=checked,
-        failing_count=int(fx.size),
-        _failing=(fx, fy),
-        _grid_failing=grid_failing,
+        failing_count=_level_size(fx, fy),
+        _failing_half=(fx, fy),
+        _grid_half=grid_half,
         _grid_in_disk=in_disk,
         _grid=(eps, R, h),
         _tested=tested,

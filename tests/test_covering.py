@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -529,6 +530,13 @@ def test_certified_disk_cover_rejects_non_finite(name, args):
         certified_disk_cover([1 + 0j], *args)
 
 
+@pytest.mark.parametrize("rounds", [-1, -3])
+def test_certified_disk_cover_rejects_negative_refine_rounds(rounds):
+    # the CLI exits 2 on the same value; a negative count is not 0 rounds
+    with pytest.raises(ValueError, match=f"^refine_rounds must be at least 0, got {rounds}$"):
+        certified_disk_cover([1 + 0j], 0.3, 1.0, 0.2, refine_rounds=rounds)
+
+
 def test_certified_disk_cover_refinement():
     # a disk covered with a slim margin: the coarse pass cannot certify its rim
     # cells, refinement rounds settle them
@@ -653,6 +661,9 @@ def _assert_mirrored(fx, fy):
 @example(([complex(math.nan, 0.0)], 0.3, 1.1, 0.2, 0))  # the centre cell fails
 @example(([complex(math.nan, 0.0)], 0.3, 0.05, 0.2, 1))  # n = 1
 @example(([1 + 0j, 0.6 + 0.8j], 0.3, 0.7, 0.2, 3))  # n = 7
+# 13 x 13 grid: the failing centre cell is grid cell 84, alone in the last
+# block when blocks have 7 cells
+@example(([complex(math.nan, 0.0)], 0.3, 1.25, 0.2, 2))
 def test_certified_disk_cover_fails_mirror_pairs(case):
     rots, eps, radius, pitch, rounds = case
     report = certified_disk_cover(rots, eps, radius, pitch, refine_rounds=rounds)
@@ -711,6 +722,59 @@ def test_certified_disk_cover_prior_matches_fresh_run(case):
     # a report made from a prior carries the whole family's grid level
     again = certified_disk_cover(full, eps, radius, pitch, prior=report)
     _assert_same_disk_cover(again, certified_disk_cover(full, eps, radius, pitch))
+
+
+def test_certified_disk_cover_mirror_pairs_in_blocks_of_seven(monkeypatch):
+    monkeypatch.setattr(covering, "_BLOCK", 7)
+    test_certified_disk_cover_fails_mirror_pairs()
+
+
+def test_certified_disk_cover_prior_in_blocks_of_seven(monkeypatch):
+    monkeypatch.setattr(covering, "_BLOCK", 7)
+    test_certified_disk_cover_prior_matches_fresh_run()
+
+
+@pytest.mark.parametrize("rotations, eps, radius", [
+    ([complex(math.nan, 0.0)], 0.3, 1.1),  # odd grid: the half ends in the centre cell
+    ([complex(math.nan, 0.0)], 0.3, 1.0),  # even grid, no middle cell
+    ([1j], 0.3, 1.1),  # a failing centre column of +0.0
+])
+def test_children_stream_matches_the_whole_level(rotations, eps, radius):
+    # the first half of a level's children, cut into blocks of every size:
+    # blocks cross the half/mirror seam of the parent level and the seam
+    # between the (-,-) and (+,-) children at every offset
+    report = certified_disk_cover(rotations, eps, radius, 0.2)
+    fx, fy = report._grid_failing
+    off = 0.05
+    want_x = np.concatenate([fx + -off, fx + off])
+    want_y = np.concatenate([fy + -off, fy + -off])
+    size, cells = covering._children(*report._grid_half, off)
+    assert size == want_x.size == 2 * report.failing_count
+    for block in range(1, size + 1):
+        got = [cells(a, min(a + block, size)) for a in range(0, size, block)]
+        assert np.concatenate([x for x, _ in got]).tobytes() == want_x.tobytes()
+        assert np.concatenate([y for _, y in got]).tobytes() == want_y.tobytes()
+
+
+def test_certified_disk_cover_memory_follows_the_failing_half():
+    # a 400 x 400 grid, 80,000 cells in its tested half, and two rounds: the
+    # peak allocation follows the failing cells, 16 bytes each, not the levels
+    rotations = theta_prime(1, 0)
+    tracemalloc.start()
+    try:
+        report = certified_disk_cover(rotations, 0.25, 20, 0.1, refine_rounds=2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cell = 16  # bytes of one (x, y) pair of float64
+    assert report.failing_count == 194344
+    assert peak < 2 * cell * report.failing_count
+    # the report keeps the first half of its failing cells and of its grid
+    # level's failing cells, and unfolds the rest only when read
+    half = sum(a.nbytes for a in report._failing_half)
+    grid = sum(a.nbytes for a in report._grid_half)
+    assert half == cell * report.failing_count // 2
+    assert held < half + grid + 2**16
 
 
 def test_certified_disk_cover_prior_must_match():
