@@ -244,7 +244,7 @@ def _cmd_verify_covering(config, ini, artifacts):
     report = uncovered_region(cover, obstruction_m_max=m_max)
     lines = report.report_lines()
 
-    audit_points = _field(ini, "covering", "audit_points", _INTEGER, "0")
+    audit_points = _least(ini, "covering", "audit_points", 0, "0")
     mismatches = 0
     if audit_points > 0:
         rng = random.Random(config.seed)

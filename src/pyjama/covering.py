@@ -277,7 +277,14 @@ def _subtract_stripes(rings, rotation: GaussianRational, eps: Fraction, scale: i
     first: a piece that meets no stripe closure passes unchanged, and a piece
     inside one open stripe is dropped.  Any other piece is split into its
     parts in the closed slabs between the stripes by one ``_split_slabs``
-    walk, which emits them in increasing h, the order the report lists."""
+    walk, which emits them in increasing h; the rings come out in the order
+    of their input, each one's parts in increasing h.
+
+    Every part is the piece's point set cut by one closed slab, so the output
+    depends only on the point sets, not on how a raw ring lists them.  Under
+    the half-turn s(z) = (1+i)D - z of ``uncovered_region`` h becomes
+    u*q*Re((1+i)D*theta) - h, a multiple of u*q minus h: s maps the stripe
+    family onto itself and reverses the order of the slabs."""
     a, b, d = rotation.num.re, rotation.num.im, rotation.den
     p, q = eps.numerator, eps.denominator
     qa, qb, u = q * a, q * b, d * scale
@@ -295,6 +302,16 @@ def _subtract_stripes(rings, rotation: GaussianRational, eps: Fraction, scale: i
     return out
 
 
+def _mirrored(piece, cx: int, cy: int):
+    """The canonical piece s(piece) for the half-turn s(X, Y) = (cx - X, cy - Y):
+    the mapped ring rotated to its least vertex.  A half-turn keeps a ring
+    counterclockwise and reverses the lexicographic order, so this also
+    swaps a segment's two ends and maps a point."""
+    ring = [(cx - x, cy - y) for x, y in piece[0]]
+    k = ring.index(min(ring))
+    return tuple(ring[k:] + ring[:k]), piece[1]
+
+
 def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> CoverReport:
     """The closed subset of one period parallelogram missed by every open
     stripe, as exact convex pieces, with matching obstruction tuples.
@@ -303,21 +320,47 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     ``_lattice_scale`` by ``_subtract_stripes``: each piece passes whole,
     is dropped inside one open stripe, or is split into its closed slabs in
     one walk that sorts its vertices and edge crossings by their slab level.
-    The raw rings are canonicalized once, after the last rotation (the
-    canonical form depends only on the point set).  Every
-    catalog obstruction point is uncovered (each rotation's D*theta is one
-    of the norm-N(D) multipliers that ``verify_obstruction`` ranges over),
-    which is re-checked exactly."""
+
+    Only half of the cell is walked.  Since D*theta is a Gaussian integer
+    for every rotation, each stripe family is symmetric under the half-turn
+    s(z) = (1+i)D - z about the cell's centre (1+i)D/2, and s maps the cell
+    onto itself.  The first rotation cuts the cell into slabs in increasing
+    h, and s maps the j-th of n slabs onto the (n-1-j)-th.  The later
+    rotations run on the lower n // 2 slabs and, when n is odd, on the
+    middle slab, which s maps onto itself.  Each walk emits its parts in
+    increasing h and s reverses h under every rotation, so by induction over
+    the rotations the upper slabs' pieces are the mirror images of the lower
+    slabs' pieces in reverse order.  The pieces are listed as the whole-cell
+    walk lists them: lower, middle, then the mirrored lower half reversed.
+    With D*theta = a + bi for the first rotation, the centre's stripe value
+    is (a - b)/2.  When N(D) is odd, a - b is odd, the centre lies mid-slab
+    and n is odd; when 1+i divides D, a - b is even, the centre lies on a
+    stripe's centre line, and n is even with no middle slab.  The raw rings are
+    canonicalized once, after the last rotation (the canonical form depends
+    only on the point set), and a mirrored canonical piece needs only its
+    least vertex brought to the front (``_mirrored``).
+
+    Every catalog obstruction point is uncovered (each rotation's D*theta is
+    one of the norm-N(D) multipliers that ``verify_obstruction`` ranges
+    over), which is re-checked exactly."""
     D, eps = config.period, config.epsilon
     scale = _lattice_scale(D, config.rotations, eps)
     dr, di = D.re * scale, D.im * scale
-    rings = [[(0, 0), (dr, di), (dr - di, di + dr), (-di, dr)]]
-    for rotation in config.rotations:
-        rings = _subtract_stripes(rings, rotation, eps, scale)
-        if not rings:
-            break
-    pieces = [_canonicalize(ring) for ring in rings]
-    area = Fraction(sum(_ring_area2(ring) for ring, _ in pieces), 2 * scale * scale)
+    cell = [[(0, 0), (dr, di), (dr - di, di + dr), (-di, dr)]]
+    first, *rest = config.rotations
+    slabs = _subtract_stripes(cell, first, eps, scale)
+    k = len(slabs) // 2
+    lower, middle = slabs[:k], slabs[k : len(slabs) - k]
+    for rotation in rest:
+        lower = _subtract_stripes(lower, rotation, eps, scale)
+        middle = _subtract_stripes(middle, rotation, eps, scale)
+    lower = [_canonicalize(ring) for ring in lower]
+    middle = [_canonicalize(ring) for ring in middle]
+    upper = [_mirrored(piece, dr - di, dr + di) for piece in reversed(lower)]
+    pieces = lower + middle + upper
+    area2 = 2 * sum(_ring_area2(ring) for ring, _ in lower)
+    area2 += sum(_ring_area2(ring) for ring, _ in middle)
+    area = Fraction(area2, 2 * scale * scale)
     catalog = obstruction_catalog(eps, obstruction_m_max, D.norm())
     matches = tuple((abm, Fraction(0)) for abm, _margin in catalog)
     report = CoverReport(config, tuple(pieces), scale, area, matches)

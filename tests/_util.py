@@ -7,7 +7,7 @@ import math
 import random
 from fractions import Fraction
 
-from pyjama.covering import CoverReport
+from pyjama.covering import CoverReport, _lattice_scale, _subtract_stripes
 from pyjama.gaussian import (
     P5,
     P5BAR,
@@ -18,7 +18,7 @@ from pyjama.gaussian import (
     as_gaussian_rational,
     valuation,
 )
-from pyjama.polygon import ConvexPolygon
+from pyjama.polygon import ConvexPolygon, _canonicalize, _ring_area2
 
 
 def rng(seed: int = 0) -> random.Random:
@@ -163,3 +163,18 @@ def with_pieces(report: CoverReport, polys) -> CoverReport:
     )
     return CoverReport(report.config, pieces, scale, report.total_uncovered_area,
                        report.obstruction_matches)
+
+
+def whole_cell_pieces(config):
+    """``uncovered_region``'s pieces and area as first written: every
+    rotation's stripes subtracted from the whole period cell, with no
+    mirroring."""
+    D, eps = config.period, config.epsilon
+    scale = _lattice_scale(D, config.rotations, eps)
+    dr, di = D.re * scale, D.im * scale
+    rings = [[(0, 0), (dr, di), (dr - di, di + dr), (-di, dr)]]
+    for rotation in config.rotations:
+        rings = _subtract_stripes(rings, rotation, eps, scale)
+    pieces = tuple(_canonicalize(ring) for ring in rings)
+    area = Fraction(sum(_ring_area2(ring) for ring, _ in pieces), 2 * scale * scale)
+    return pieces, area

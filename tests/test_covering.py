@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -23,7 +24,7 @@ from pyjama.gaussian import (
     min_period_multiplier,
     theta_set,
 )
-from pyjama.polygon import ConvexPolygon, _ring_area2
+from pyjama.polygon import ConvexPolygon, _canonicalize, _ring_area2, _ring_contains
 from pyjama import covering
 from pyjama.covering import (
     CoveringConfig,
@@ -37,7 +38,14 @@ from pyjama.covering import (
     verify_obstruction,
 )
 
-from _util import clip_halfplane, fraction_contains, fraction_dist_sq, rng, with_pieces
+from _util import (
+    clip_halfplane,
+    fraction_contains,
+    fraction_dist_sq,
+    rng,
+    whole_cell_pieces,
+    with_pieces,
+)
 
 F = Fraction
 
@@ -314,6 +322,93 @@ def test_split_slabs_matches_fraction_oracle(case):
         assert all((q[0] - p[0]) * (r[1] - p[1]) >= (q[1] - p[1]) * (r[0] - p[0])
                    for p, q, r in zip(part[-1:] + part[:-1], part, part[1:] + part[:1]))
     assert [_ring_area2(part) for part in parts] == [L * L * p.area2() for p in oracle]
+
+
+# extra period factors: 1+i, 1-i and 2 make N(D) even (an even slab count),
+# 1, i and 3 keep it odd (an odd one)
+_PERIOD_FACTORS = tuple(GaussianInt(*g) for g in ((1, 0), (1, 1), (1, -1), (0, 1), (2, 0), (3, 0)))
+# half-widths near 0 and near 1/2, and those that leave point pieces.  No
+# half-width leaves a segment piece in a period cell (see _TOUCHING_EPS), so
+# the segment case of the mirror is checked on its own below.
+_MIRROR_EPS = (F(1, 100), F(1, 60), F(49, 100), F(29, 60)) + _TOUCHING_EPS
+_UNITS = tuple(GaussianRational(GaussianInt(*u)) for u in ((1, 0), (0, 1), (-1, 0), (0, -1)))
+
+
+@st.composite
+def mirror_configs(draw):
+    """1-3 rotations u*theta5**a*theta13**b of theta_set(2), repeats allowed,
+    with a unit u; the least common period of norm <= 65 times one of
+    _PERIOD_FACTORS; eps drawn from _MIRROR_EPS or any p/q in (0, 1/2)."""
+    exps = draw(st.lists(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]),
+                         min_size=1, max_size=3))
+    units = draw(st.lists(st.sampled_from(_UNITS), min_size=len(exps), max_size=len(exps)))
+    period = P5BAR.generator ** max(a for a, _ in exps) * P13BAR.generator ** max(
+        b for _, b in exps
+    )
+    period = period * draw(st.sampled_from(_PERIOD_FACTORS))
+    if draw(st.booleans()):
+        eps = draw(st.sampled_from(_MIRROR_EPS))
+    else:
+        q = draw(st.integers(3, 60))
+        eps = F(draw(st.integers(1, (q - 1) // 2)), q)
+    thetas = theta_set(2)
+    return CoveringConfig([u * thetas[3 * a + b] for u, (a, b) in zip(units, exps)], eps, period)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mirror_configs())
+@example(CoveringConfig([1], F(1, 4)))  # one slab: the middle slab is the whole cut
+@example(CoveringConfig([1], F(1, 4), GaussianInt(1, 1)))  # two slabs, no middle
+@example(CoveringConfig([THETA5, THETA5], F(1, 100), GaussianInt(1, -2)))  # a repeat
+@example(TOUCHING_CONFIG)  # point pieces
+@example(CoveringConfig([THETA13, THETA5 * THETA13], F(1, 4),
+                        P5BAR.generator * P13BAR.generator * GaussianInt(1, 1)))
+def test_half_cell_walk_matches_the_whole_cell(cfg):
+    report = uncovered_region(cfg, obstruction_m_max=1)
+    pieces, area = whole_cell_pieces(cfg)
+    assert report.pieces == pieces  # the same rings and kinds, in the same order
+    assert report.total_uncovered_area == area
+    whole = dataclasses.replace(report, pieces=pieces, total_uncovered_area=area)
+    assert report.report_lines() == whole.report_lines()
+
+
+def _cut_by_one_rotation(rotation, eps, D):
+    """The first rotation's raw slabs of the period cell, and the scale."""
+    L = covering._lattice_scale(D, [rotation], eps)
+    dr, di = D.re * L, D.im * L
+    cell = [[(0, 0), (dr, di), (dr - di, di + dr), (-di, dr)]]
+    return covering._subtract_stripes(cell, rotation, eps, L), L
+
+
+@pytest.mark.parametrize("eps", [F(1, 100), F(1, 4), F(49, 100)])
+@pytest.mark.parametrize("index", range(9))
+def test_middle_slab_holds_the_cell_centre(index, eps):
+    theta = theta_set(2)[index]
+    D = min_period_multiplier(2)
+    for period in (D, D * GaussianInt(2, 1), D * GaussianInt(0, 1)):  # odd N(D)
+        slabs, L = _cut_by_one_rotation(theta, eps, period)
+        n = len(slabs)
+        assert n % 2 == 1
+        # the centre (1+i)D/2 at scale 2L lies in the middle slab and no other
+        centre = (L * (period.re - period.im), L * (period.re + period.im), 2)
+        inside = [_ring_contains(*_canonicalize(ring), *centre) for ring in slabs]
+        assert inside == [j == n // 2 for j in range(n)]
+        # s maps the j-th slab onto the (n-1-j)-th
+        canonical = [_canonicalize(ring) for ring in slabs]
+        mirrored = [covering._mirrored(piece, *centre[:2]) for piece in canonical]
+        assert mirrored == canonical[::-1]
+    for period in (D * GaussianInt(1, 1), D * GaussianInt(2, 0)):  # (1+i) | D
+        slabs, _ = _cut_by_one_rotation(theta, eps, period)
+        assert len(slabs) % 2 == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mirrored_piece_is_the_canonical_mirror_image(data):
+    ring = _affine_image(data.draw)
+    cx, cy = data.draw(st.integers(-20, 20)), data.draw(st.integers(-20, 20))
+    image = [(cx - x, cy - y) for x, y in ring]
+    assert covering._mirrored(_canonicalize(ring), cx, cy) == _canonicalize(image)
 
 
 def test_subtract_stripes_decides_from_the_value_range(monkeypatch):
