@@ -51,18 +51,19 @@ print("all fixed by theta5^m and theta13^m exactly")
 
 # Purely complex points behave very differently depending on modulus.
 # On the unit circle the rotation orbit fills the value circle densely...
+# (a float w is taken at its binary value, so the sweep is exact; its gaps
+# are fractions hundreds of digits long, printed here as floats)
 import math
 
 on_circle = SolenoidPoint.from_complex(complex(math.cos(1.0), math.sin(1.0)))
-print("orbit gap, |w| = 1, sweep 100:", orbit_eval_sweep(on_circle, 1, 100))
+print("orbit gap, |w| = 1, sweep 100:", float(orbit_eval_sweep(on_circle, 1, 100)))
 
 # ...while at modulus 1/4 the values are trapped in [-1/4, 1/4] mod 1 and
 # a gap of at least 1/2 persists forever.
 inside = SolenoidPoint.from_complex(0.25 + 0j)
-print("orbit gap, |w| = 1/4, sweep 100:", orbit_eval_sweep(inside, 1, 100))
+print("orbit gap, |w| = 1/4, sweep 100:", float(orbit_eval_sweep(inside, 1, 100)))
 
-# evaluate() also accepts exact inputs, in which case the result is an
-# exact Fraction.
+# evaluate() returns an exact Fraction, for diagonal points as for any other.
 x = ExactPoint(GaussianRational(GaussianInt(1, 1), 2))
 print("exact pairing of the half-odd point against 1:", evaluate(x, GaussianRational(1)))
 assert evaluate(x, GaussianRational(1)) == Fraction(1, 2)

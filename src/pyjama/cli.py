@@ -52,9 +52,8 @@ from .padic import (
     embed,
 )
 from .solenoid import (
-    SolenoidPoint,
     classify_point,
-    orbit_eval_rows,
+    float_orbit_rows,
     orbit_max_gap,
     period_exponent,
 )
@@ -369,12 +368,10 @@ def _cmd_orbit(config, ini, artifacts):
     w = _field(ini, "orbit", "w", _POINT)
     m = _field(ini, "orbit", "m", _INTEGER, "1")
     sweep = _field(ini, "orbit", "sweep", _INTEGER, "30")
-    precision = 24 if config.precision_k is None else config.precision_k
-    point = SolenoidPoint.from_complex(w, precision_k=precision)
-    rows = _checked("orbit", orbit_eval_rows, point, m, sweep)
+    rows = _checked("orbit", float_orbit_rows, w, m, sweep)
     gap = orbit_max_gap(rows)
     artifacts.append(("orbit.csv", _csv(
-        ["r", "s", "value"], ((r, s, repr(float(v))) for r, s, v in rows))))
+        ["r", "s", "value"], ((r, s, repr(v)) for r, s, v in rows))))
     lines = [
         _REPORT_HEADER,
         "kind=orbit",
@@ -382,13 +379,13 @@ def _cmd_orbit(config, ini, artifacts):
         f"m={m}",
         f"sweep={sweep}",
         f"samples={len(rows)}",
-        f"max_gap={float(gap)!r}",
+        f"max_gap={gap!r}",
     ]
     code = 0
-    fields = {"max_gap": repr(float(gap)), "samples": len(rows)}
+    fields = {"max_gap": repr(gap), "samples": len(rows)}
     threshold = _field(ini, "orbit", "gap_below", _NUMBER, None)
     if threshold is not None:
-        dense = float(gap) < threshold
+        dense = gap < threshold
         lines.append(f"gap_below={threshold}")
         lines.append(f"dense={str(dense).lower()}")
         fields["dense"] = str(dense).lower()

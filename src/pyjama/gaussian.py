@@ -9,6 +9,8 @@ unit-modulus rotations and enumerations that drive the rest of the package.
 
 from __future__ import annotations
 
+import cmath
+import numbers
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -380,12 +382,17 @@ def as_gaussian_rational(x) -> GaussianRational | None:
 
 def exact_gaussian_rational(z) -> GaussianRational:
     """``as_gaussian_rational``, with a float or complex taken at its exact
-    binary value (``Fraction(float)`` is exact)."""
+    binary value (``Fraction(float)`` is exact).  Raises ValueError for a
+    float or complex that is not finite and TypeError for a non-number."""
     q = as_gaussian_rational(z)
-    if q is None:
-        z = complex(z)
-        q = GaussianRational.from_fractions(z.real, z.imag)
-    return q
+    if q is not None:
+        return q
+    if not isinstance(z, numbers.Complex):
+        raise TypeError(f"expected a number, got {type(z)!r}")
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{z} is not finite")
+    return GaussianRational.from_fractions(z.real, z.imag)
 
 
 @dataclass(frozen=True, slots=True)

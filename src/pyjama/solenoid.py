@@ -29,13 +29,17 @@ from .gaussian import (
     P5BAR,
     P13,
     P13BAR,
+    _factorize,
     _split_power,
     abs_at,
     as_gaussian_rational,
     crt,
+    exact_gaussian_rational,
     in_A,
     mod_from_rational,
+    mod_mul,
     mod_order,
+    mod_pow,
     theta_power,
     unit_group_order,
     valuation,
@@ -56,6 +60,7 @@ __all__ = [
     "period_exponent",
     "periodic_dense_set",
     "orbit_eval_rows",
+    "float_orbit_rows",
     "orbit_max_gap",
     "orbit_eval_sweep",
     "distance_upper",
@@ -77,18 +82,14 @@ def _require_in_A(q) -> GaussianRational:
 
 
 class SolenoidPoint:
-    """A representative triple (z, a, b) with z complex (exact Gaussian
-    rational or floating), a a 5-adic number and b a 13-adic number."""
+    """A representative triple (z, a, b) with z an exact Gaussian rational
+    (a float or complex is taken at its binary value), a a 5-adic number
+    and b a 13-adic number."""
 
     __slots__ = ("_z", "_a", "_b")
 
     def __init__(self, z, a, b):
-        zq = as_gaussian_rational(z)
-        if zq is None:
-            if isinstance(z, (complex, float)):
-                zq = complex(z)
-            else:
-                raise TypeError(f"cannot use {type(z)!r} as the complex component")
+        zq = exact_gaussian_rational(z)
         if isinstance(a, (int, Fraction)):
             a = PadicNumber.from_rational(a, 5, DEFAULT_PRECISION)
         if isinstance(b, (int, Fraction)):
@@ -107,7 +108,7 @@ class SolenoidPoint:
     # -- components ----------------------------------------------------------
 
     @property
-    def z(self) -> GaussianRational | complex:
+    def z(self) -> GaussianRational:
         return self._z
 
     @property
@@ -117,10 +118,6 @@ class SolenoidPoint:
     @property
     def b(self) -> PadicNumber:
         return self._b
-
-    @property
-    def exact_mode(self) -> bool:
-        return isinstance(self._z, GaussianRational)
 
     # -- constructors --------------------------------------------------------
 
@@ -134,15 +131,10 @@ class SolenoidPoint:
 
     @classmethod
     def from_complex(cls, w, precision_k: int = DEFAULT_PRECISION) -> "SolenoidPoint":
-        """The purely complex point; evaluate(from_complex(w), r) = Re(w*r) mod 1."""
-        wq = as_gaussian_rational(w)
-        z: GaussianRational | complex
-        if wq is not None:
-            z = -wq
-        else:
-            z = -complex(w)
+        """The purely complex point; evaluate(from_complex(w), r) = Re(w*r) mod 1,
+        with a float or complex w taken at its binary value."""
         return cls(
-            z,
+            -exact_gaussian_rational(w),
             PadicNumber.zero(5, precision_k),
             PadicNumber.zero(13, precision_k),
         )
@@ -162,20 +154,12 @@ class SolenoidPoint:
     def __add__(self, other: "SolenoidPoint") -> "SolenoidPoint":
         if not isinstance(other, SolenoidPoint):
             return NotImplemented
-        if self.exact_mode and other.exact_mode:
-            z = self._z + other._z
-        else:
-            z = complex(self._z) + complex(other._z)
-        return SolenoidPoint(z, self._a + other._a, self._b + other._b)
+        return SolenoidPoint(self._z + other._z, self._a + other._a, self._b + other._b)
 
     def __sub__(self, other: "SolenoidPoint") -> "SolenoidPoint":
         if not isinstance(other, SolenoidPoint):
             return NotImplemented
-        if self.exact_mode and other.exact_mode:
-            z = self._z - other._z
-        else:
-            z = complex(self._z) - complex(other._z)
-        return SolenoidPoint(z, self._a - other._a, self._b - other._b)
+        return SolenoidPoint(self._z - other._z, self._a - other._a, self._b - other._b)
 
     def __neg__(self) -> "SolenoidPoint":
         return SolenoidPoint(-self._z, -self._a, -self._b)
@@ -287,7 +271,7 @@ def reduce_to_fundamental(
     r = GaussianRational(GaussianInt(g, 0)) / GaussianRational(clear)
 
     shifted = x - SolenoidPoint.diagonal(r, max(x.a.precision_k, x.b.precision_k))
-    n = GaussianInt(math.floor(_re_of(shifted.z)), math.floor(_im_of(shifted.z)))
+    n = GaussianInt(math.floor(shifted.z.re), math.floor(shifted.z.im))
     if n:
         shifted = shifted - SolenoidPoint.diagonal(
             GaussianRational(n), max(x.a.precision_k, x.b.precision_k)
@@ -304,14 +288,6 @@ def _p_exp(d: int, p: int) -> int:
     if rest != 1:
         raise ArithmeticError("fractional part denominator is not a prime power")
     return e
-
-
-def _re_of(z) -> Fraction | float:
-    return z.re if isinstance(z, GaussianRational) else z.real
-
-
-def _im_of(z) -> Fraction | float:
-    return z.im if isinstance(z, GaussianRational) else z.imag
 
 
 # ---------------------------------------------------------------------------
@@ -333,51 +309,40 @@ def _frac_times(c: PadicNumber, q: GaussianRational) -> Fraction | int:
     return (c * embed(q, c.p, c.precision_k)).frac_part()
 
 
-def _act(qq: GaussianRational, qc: complex, x: SolenoidPoint | ExactPoint):
-    """act(qq, x) for qq in A with complex value qc."""
+def _act(qq: GaussianRational, x: SolenoidPoint | ExactPoint):
+    """act(qq, x) for qq in A."""
     if isinstance(x, ExactPoint):
         return ExactPoint(qq * x.q, qq * x.offset_w)
-    z = x.z * qq if x.exact_mode else complex(x.z) * qc
-    return SolenoidPoint(z, _times(x.a, qq), _times(x.b, qq))
+    return SolenoidPoint(x.z * qq, _times(x.a, qq), _times(x.b, qq))
 
 
-def _evaluate(x: SolenoidPoint | ExactPoint, rr: GaussianRational, rc: complex):
-    """evaluate(x, rr) for rr in A with complex value rc."""
+def _evaluate(x: SolenoidPoint | ExactPoint, rr: GaussianRational) -> Fraction:
+    """evaluate(x, rr) for rr in A."""
     if isinstance(x, ExactPoint):
         return x.evaluate(rr)
-    t5 = _frac_times(x.a, rr)
-    t13 = _frac_times(x.b, rr)
-    if x.exact_mode:
-        return (-(x.z * rr).re + t5 + t13) % 1
-    zr = complex(x.z) * rc
-    return (-zr.real + float(t5) + float(t13)) % 1.0
+    return (-(x.z * rr).re + _frac_times(x.a, rr) + _frac_times(x.b, rr)) % 1
 
 
 def act(q, x: SolenoidPoint | ExactPoint):
     """Componentwise multiplication by the three embeddings of q in A."""
-    qq = _require_in_A(q)
-    return _act(qq, complex(qq), x)
+    return _act(_require_in_A(q), x)
 
 
-def evaluate(x: SolenoidPoint | ExactPoint, r) -> Fraction | float:
-    """The pairing value of the point against r in A, in [0, 1); exact when
-    the point carries exact data, floating otherwise."""
-    rr = _require_in_A(r)
-    return _evaluate(x, rr, complex(rr))
+def evaluate(x: SolenoidPoint | ExactPoint, r) -> Fraction:
+    """The exact pairing value of the point against r in A, in [0, 1)."""
+    return _evaluate(x, _require_in_A(r))
 
 
 def stripe_membership(x, theta, epsilon) -> bool:
     """Whether the pairing value against theta lies strictly within epsilon of
-    zero on the circle."""
-    eps = Fraction(epsilon) if not isinstance(epsilon, float) else epsilon
+    zero on the circle; a float epsilon is taken at its binary value."""
+    if isinstance(epsilon, float) and not math.isfinite(epsilon):
+        raise ValueError(f"stripe half-width {epsilon} is not finite")
+    eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("stripe half-width must lie in (0, 1/2)")
     v = evaluate(x, theta)
-    one = 1.0 if isinstance(v, float) else 1
-    dist = min(v, one - v)
-    if isinstance(v, float) or isinstance(eps, float):
-        return float(dist) < float(eps)
-    return dist < eps
+    return min(v, 1 - v) < eps
 
 
 # ---------------------------------------------------------------------------
@@ -433,43 +398,32 @@ def torsion_to_periodic(q) -> GaussianRational:
     return theta_power(r, s)
 
 
-def _minimal_clearing_integer(q: GaussianRational) -> int:
-    d = q.den
-    for n in sorted(_divisors(d)):
-        if in_A(q * n):
-            return n
-    raise AssertionError("denominator does not clear itself")
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
-
-
 def period_exponent(q) -> int:
     """The least m >= 1 such that both generator rotations to the m-th power
     fix the (periodic) diagonal point; divides the unit group order of the
-    Gaussian integers modulo the clearing integer."""
+    Gaussian integers modulo the clearing integer n, the least n with n*q in
+    A: the denominator without its 5- and 13-parts, which at a periodic
+    point are powers of the barred primes, units of A.  So A/nA = Z[i]/n,
+    and the search divides that order by its primes while the rotations
+    still fix the residue x of n*q, computed with mod_pow."""
     qq = _diagonal_rational(q)
     cls = classify_point(qq)
     if not cls.is_periodic:
         raise ValueError(f"{qq} is not periodic (witness {cls.abs_p5}, {cls.abs_p13})")
     if not qq:
         return 1
-    n = _minimal_clearing_integer(qq)
-    bound = unit_group_order(n)
-    one = GaussianRational(1)
-    for m in sorted(_divisors(bound)):
-        if in_A((theta_power(m, 0) - one) * qq) and in_A((theta_power(0, m) - one) * qq):
-            return m
-    raise AssertionError("period exponent must divide the unit group order")
+    n = _split_power(_split_power(qq.den, 5)[1], 13)[1]
+    x = mod_from_rational(qq * n, n)
+    gens = [mod_from_rational(theta_power(*e), n) for e in ((1, 0), (0, 1))]
+
+    def fixes(m: int) -> bool:
+        return all(mod_mul(mod_pow(g, m, n), x, n) == x for g in gens)
+
+    m = unit_group_order(n)
+    for p in _factorize(m):
+        while m % p == 0 and fixes(m // p):
+            m //= p
+    return m
 
 
 def periodic_dense_set(n: int) -> tuple[list[ExactPoint], int]:
@@ -498,35 +452,50 @@ def periodic_dense_set(n: int) -> tuple[list[ExactPoint], int]:
 
 def orbit_eval_rows(
     x: SolenoidPoint | ExactPoint, m: int, sweep_max: int
-) -> list[tuple[int, int, Fraction | float]]:
+) -> list[tuple[int, int, Fraction]]:
     """Rows (r, s, value) of the pairing of the rotated point against 1, for
     rotation exponents (m*r, m*s) over the full grid 0 <= r, s <= sweep_max."""
     if m < 1 or sweep_max < 1:
         raise ValueError("exponent step and sweep bound must be positive")
-    step5 = _require_in_A(theta_power(m, 0))
-    step13 = _require_in_A(theta_power(0, m))
-    c5, c13 = complex(step5), complex(step13)
+    step5 = theta_power(m, 0)
+    step13 = theta_power(0, m)
     one = GaussianRational(1)
-    c1 = complex(one)
     rows = []
     row_point = x
     for r in range(sweep_max + 1):
         point = row_point
         for s in range(sweep_max + 1):
-            rows.append((r, s, _evaluate(point, one, c1)))
+            rows.append((r, s, _evaluate(point, one)))
             if s < sweep_max:
-                point = _act(step13, c13, point)
+                point = _act(step13, point)
         if r < sweep_max:
-            row_point = _act(step5, c5, row_point)
+            row_point = _act(step5, row_point)
+    return rows
+
+
+def float_orbit_rows(w: complex, m: int, sweep_max: int) -> list[tuple[int, int, float]]:
+    """``orbit_eval_rows(SolenoidPoint.from_complex(w), m, sweep_max)`` in
+    floats: the value at (r, s) is -Re(z) mod 1 for z = -w times the rotation,
+    stepped by one rounded complex product per row and per sample."""
+    if m < 1 or sweep_max < 1:
+        raise ValueError("exponent step and sweep bound must be positive")
+    step5 = complex(theta_power(m, 0))
+    step13 = complex(theta_power(0, m))
+    rows = []
+    row_z = -complex(w)
+    for r in range(sweep_max + 1):
+        z = row_z
+        for s in range(sweep_max + 1):
+            rows.append((r, s, (-z.real) % 1.0))
+            z *= step13
+        row_z *= step5
     return rows
 
 
 def orbit_max_gap(rows) -> Fraction | float:
     """Largest circular gap that the values of orbit rows leave on the circle."""
     values = sorted(v for _, _, v in rows)
-    first = values[0]
-    one = 1.0 if isinstance(first, float) else Fraction(1)
-    best = one - values[-1] + first
+    best = 1 - values[-1] + values[0]
     for lo, hi in zip(values, values[1:]):
         gap = hi - lo
         if gap > best:
@@ -534,7 +503,7 @@ def orbit_max_gap(rows) -> Fraction | float:
     return best
 
 
-def orbit_eval_sweep(x, m: int, sweep_max: int) -> Fraction | float:
+def orbit_eval_sweep(x, m: int, sweep_max: int) -> Fraction:
     """Largest circular gap left by the orbit evaluations on the circle."""
     return orbit_max_gap(orbit_eval_rows(x, m, sweep_max))
 

@@ -376,7 +376,7 @@ def test_criterion_14_orbit_sweep_gap_dichotomy():
     dt = _elapsed(t0)
     assert dt < 30.0
     print(
-        f"ACCEPTANCE 14: PASS — gap {gap:.4f} < 0.05 at |w| = 1, gap >= 1/4 "
+        f"ACCEPTANCE 14: PASS — gap {float(gap):.4f} < 0.05 at |w| = 1, gap >= 1/4 "
         f"at every sweep size for |w| = 1/4 ({dt:.2f}s)"
     )
 

@@ -101,6 +101,19 @@ def test_strong_approx_precision_errors():
         strong_approx(0j, PadicNumber.zero(5, 6), F(0))
 
 
+def test_strong_approx_rejects_non_finite_and_non_numbers():
+    b = PadicNumber.from_rational(F(1, 5), 5, 10)
+    a = PadicNumber.zero(5, 8)
+    c = PadicNumber.zero(13, 8)
+    for bad in (float("inf"), float("nan"), complex(0, float("-inf"))):
+        with pytest.raises(ValueError):
+            strong_approx(bad, b, F(1, 10))
+        with pytest.raises(ValueError):
+            strong_approx_3way(bad, a, c, F(1, 10))
+    with pytest.raises(TypeError):
+        strong_approx("0.5", b, F(1, 10))
+
+
 # ---------------------------------------------------------------------------
 # strong approximation, both finite sites at once
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ recorded in ``perfbench/expected.json``, and every adelic-scan disk job
 (``irrational-cover``, whose verdict alone is recorded there), one longer
 disk scan and every
 approximation job of the first round of schedule seed 0 (which the benchmark
-checks only with oracles) writes the report bytes pinned below: each job
-runs through ``pyjama.cli.main`` in this process, and its exit code and the
-sha256 (first 16 hex digits) of its ``report.txt`` must match.  The
+checks only with oracles) writes the report bytes pinned below, as every
+adelic-scan orbit job does its ``report.txt`` and ``orbit.csv`` bytes: each
+job runs through ``pyjama.cli.main`` in this process, and its exit code and
+the sha256 (first 16 hex digits) of those files must match.  The
 benchmark's files are only read."""
 
 import contextlib
@@ -69,15 +70,37 @@ APPROX_DIGESTS = {
     "11c5dc5f05e39848": (0, "5a79a6c6e33d613e"),
     "fecf948aab836afe": (0, "dfb295382b986ecc"),
 }
+# the orbit jobs' (exit code, report.txt digest, orbit.csv digest), from
+# scripts/catalog_digest.py
+ORBIT_JOBS = WORKLOADS.catalog("adelic-scan")["orbit"]
+ORBIT_DIGESTS = {
+    "da391bef85f0efdc": (0, "3a69e2718c10dbf0", "cab2ccc4baa5ea88"),
+    "ea42bdb48cd8ee63": (0, "8ff3509364743bfb", "88a867b215fa761c"),
+    "fc16c12f22d4ee3b": (0, "2e9dc52fb2835eea", "23c5d033d61bdd2e"),
+    "17d9c5a8e279c7df": (0, "1c3153ce9f1fa60f", "db89ed3c47bf85d4"),
+    "9f389a2e5b2b0481": (0, "bbf1904d5d97f596", "1bf71074a17ad827"),
+    "05848c2b9e3287aa": (0, "22e8e655b95a093a", "0dcdb1ef20115533"),
+    "a63751617dd368f0": (0, "8c918fbc5d01178e", "288d489a8c783059"),
+    "8ede82cd95cb8a41": (0, "7dcdd490b769ac0d", "d2821a5497be79f3"),
+    "e28fa12846a42f86": (1, "045041a1baeff14d", "e5349fb3db4ca4df"),
+    "bb9a3d924aa51429": (1, "a7cd5b03e86bc311", "1c11db8b73b515d1"),
+    "e96aacc855944e4f": (0, "bdf790c286aa6256", "686d75111e0a6506"),
+    "3a75f28f40f6be60": (0, "9252881c74e9e88b", "f61531497daa74fb"),
+    "7c4c9fa8a3c2320a": (0, "88ff779b2eea0091", "367e54199dac9d7c"),
+    "cae0253b1169898d": (0, "c2ef3b0af7096802", "ab7aad8f15c38f97"),
+    "0bb8c2e56ee0112a": (0, "5b6d44d72dcb8f4c", "9a91eb69f15bf12e"),
+    "7713c9ff54f00d44": (0, "682b35e135e42c31", "dedfa8b135195306"),
+}
 
 
-def _run(job, tmp_path):
-    """The exit code and report digest of one job."""
+def _run(job, tmp_path, names=("report.txt",)):
+    """The exit code and the digests of the named artifacts of one job."""
     ini, out = tmp_path / "job.ini", tmp_path / "out"
     ini.write_text(job.ini)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([job.command, "--config", str(ini), "--out", str(out), *job.flags])
-    return code, hashlib.sha256((out / "report.txt").read_bytes()).hexdigest()[:16]
+    return (code, *(hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+                    for name in names))
 
 
 def test_catalog_has_every_cover_build_job():
@@ -128,3 +151,12 @@ def test_schedule_has_every_pinned_approx_job():
 @pytest.mark.parametrize("job", APPROX_JOBS, ids=lambda job: f"{job.cls}-{job.key}")
 def test_approx_report_bytes(job, tmp_path):
     assert _run(job, tmp_path) == APPROX_DIGESTS[job.key]
+
+
+def test_catalog_has_every_pinned_orbit_job():
+    assert sorted(job.key for job in ORBIT_JOBS) == sorted(ORBIT_DIGESTS)
+
+
+@pytest.mark.parametrize("job", ORBIT_JOBS, ids=lambda job: f"{job.cls}-{job.key}")
+def test_orbit_report_and_csv_bytes(job, tmp_path):
+    assert _run(job, tmp_path, ("report.txt", "orbit.csv")) == ORBIT_DIGESTS[job.key]

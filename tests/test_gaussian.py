@@ -20,6 +20,7 @@ from pyjama.gaussian import (
     abs_at,
     conjugate_site,
     crt,
+    exact_gaussian_rational,
     gaussian_ints_of_norm,
     in_A,
     is_sum_of_two_squares,
@@ -439,3 +440,16 @@ def test_reflected_division_by_gaussian_int_rejects_floats():
     assert "NoneType" not in message
     assert GaussianInt(1, 2).__rtruediv__(1.5) is NotImplemented
     assert 5 / GaussianInt(1, 2) == GaussianRational(GaussianInt(1, -2))
+
+
+def test_exact_gaussian_rational_errors():
+    assert exact_gaussian_rational(0.75 - 0.5j) == GaussianRational(GaussianInt(3, -2), 4)
+    assert exact_gaussian_rational(0.1) == GaussianRational.from_fractions(Fraction(0.1))
+    assert exact_gaussian_rational(Fraction(2, 3)) == GaussianRational(GaussianInt(2, 0), 3)
+    for bad in (float("nan"), float("inf"), -float("inf"), complex(1, float("nan")),
+                complex(float("inf"), 0)):
+        with pytest.raises(ValueError):
+            exact_gaussian_rational(bad)
+    for bad in ("1", "1+2j", None, [1.0]):
+        with pytest.raises(TypeError):
+            exact_gaussian_rational(bad)

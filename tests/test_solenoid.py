@@ -1,6 +1,9 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pyjama.gaussian import (
     GaussianInt,
@@ -25,6 +28,7 @@ from pyjama.solenoid import (
     classify_point,
     distance_upper,
     evaluate,
+    float_orbit_rows,
     orbit_eval_rows,
     orbit_eval_sweep,
     orbit_max_gap,
@@ -44,16 +48,27 @@ def gr(re, im=0, den=1):
 
 def test_modes_and_constructors():
     x = SolenoidPoint.zero()
-    assert x.exact_mode
+    assert x.z == 0 and isinstance(x.z, GaussianRational)
     assert x.a.is_zero and x.b.is_zero
+    # a float or complex component is taken at its binary value
     y = SolenoidPoint(0.25 + 0.5j, PadicNumber.zero(5, 8), PadicNumber.zero(13, 8))
-    assert not y.exact_mode
+    assert y.z == gr(1, 2, 4)
+    assert SolenoidPoint(0.1, 0, 0).z == GaussianRational.from_fractions(Fraction(0.1))
     w = gr(1, 1, 2)
     fc = SolenoidPoint.from_complex(w)
-    assert fc.exact_mode and fc.z == -w
-    assert SolenoidPoint.from_complex(0.5 + 0.0j).z == -0.5 - 0.0j
+    assert fc.z == -w
+    assert SolenoidPoint.from_complex(0.5 + 0.0j).z == gr(-1, 0, 2)
+    assert SolenoidPoint.from_complex(0.3 - 0.7j).z == -GaussianRational.from_fractions(
+        Fraction(0.3), Fraction(-0.7))
     with pytest.raises(TypeError):
         SolenoidPoint("x", PadicNumber.zero(5, 4), PadicNumber.zero(13, 4))
+    with pytest.raises(TypeError):
+        SolenoidPoint.from_complex("0.5")
+    for bad in (float("nan"), float("inf"), complex(0, float("-inf"))):
+        with pytest.raises(ValueError):
+            SolenoidPoint(bad, 0, 0)
+        with pytest.raises(ValueError):
+            SolenoidPoint.from_complex(bad)
     with pytest.raises(TypeError):
         SolenoidPoint(0, PadicNumber.zero(13, 4), PadicNumber.zero(13, 4))
     # immutability and value semantics
@@ -87,8 +102,11 @@ def test_evaluate_from_complex_and_pins():
     # and a purely complex 1/2 point misses the width-1/4 stripe
     assert not stripe_membership(SolenoidPoint.from_complex(gr(1, 0, 2)), 1, Fraction(1, 4))
     assert stripe_membership(SolenoidPoint.zero(), THETA5, Fraction(1, 100))
-    with pytest.raises(ValueError):
-        stripe_membership(x, 1, Fraction(1, 2))
+    # a float half-width is taken at its binary value, and 0.2 lies above 1/5
+    assert stripe_membership(x, 1, 0.2) and not stripe_membership(x, 1, 0.125)
+    for bad in (Fraction(1, 2), 0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            stripe_membership(x, 1, bad)
     with pytest.raises(ValueError):
         evaluate(x, gr(1, 0, 3))  # 1/3 is not in the base ring
 
@@ -179,11 +197,15 @@ def test_reduce_diagonal_lands_on_zero_class():
 
 
 def test_reduce_float_mode():
+    # a float input is the exact point at its binary value, reduced exactly
     x = SolenoidPoint(2.75 - 0.5j, Fraction(7, 25), Fraction(1, 13))
+    assert x == SolenoidPoint(gr(11, -2, 4), Fraction(7, 25), Fraction(1, 13))
     out, r = reduce_to_fundamental(x)
     assert in_A(r)
-    assert not out.exact_mode
-    assert 0 <= out.z.real < 1 and 0 <= out.z.imag < 1
+    assert isinstance(out.z, GaussianRational)
+    assert 0 <= out.z.re < 1 and 0 <= out.z.im < 1
+    assert (out, r) == reduce_to_fundamental(
+        SolenoidPoint(gr(11, -2, 4), Fraction(7, 25), Fraction(1, 13)))
     assert out.a.valuation is None or out.a.valuation >= 0
     assert out.b.valuation is None or out.b.valuation >= 0
 
@@ -226,11 +248,39 @@ def test_torsion_to_periodic():
 
 
 def _brute_period(q, cap):
-    one = GaussianRational(1)
+    """The least m >= 1 with (theta5**m - 1) q and (theta13**m - 1) q in A."""
+    one = t5 = t13 = GaussianRational(1)
     for m in range(1, cap + 1):
-        if in_A((theta_power(m, 0) - one) * q) and in_A((theta_power(0, m) - one) * q):
+        t5, t13 = t5 * THETA5, t13 * THETA13
+        if in_A((t5 - one) * q) and in_A((t13 - one) * q):
             return m
     raise AssertionError("no period within cap")
+
+
+def test_period_exponent_large_clearing_integer():
+    # clearing integer 3**12: the unit group of Z[i]/3**12 has order 8 * 3**22
+    t0 = time.monotonic()
+    assert period_exponent(gr(1, 0, 3**12)) == 4 * 3**11
+    # (1+2i)(2+3i) / (3**40 * 65): the 5- and 13-parts of the denominator clear
+    assert period_exponent(gr(-4, 7, 3**40 * 65)) == 4 * 3**39
+    assert time.monotonic() - t0 < 1.0
+    # 4 * 3**(k - 1) at 1/3**k, checked against the definition for small k
+    for k in (1, 2, 3):
+        assert period_exponent(gr(1, 0, 3**k)) == _brute_period(gr(1, 0, 3**k), 4 * 3**(k - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 29), st.integers(0, 29),
+       st.integers(-2, 2), st.integers(-1, 1))
+def test_period_exponent_matches_definition(den, re, im, e5, e13):
+    # (re + im i) / den rotated by theta5**e5 * theta13**e13: periodic
+    # unless a negative power puts an unbarred prime in the denominator
+    q = gr(re, im, den) * theta_power(e5, e13)
+    if not classify_point(q).is_periodic:
+        with pytest.raises(ValueError):
+            period_exponent(q)
+        return
+    assert period_exponent(q) == _brute_period(q, unit_group_order(den))
 
 
 def test_period_exponent():
@@ -286,8 +336,7 @@ def test_orbit_rows_and_sweep():
 
 
 def _rotate_reference(q, z, a, b):
-    z = z * q if isinstance(z, GaussianRational) else z * complex(float(q.re), float(q.im))
-    return z, a * embed(q, 5, a.precision_k), b * embed(q, 13, b.precision_k)
+    return z * q, a * embed(q, 5, a.precision_k), b * embed(q, 13, b.precision_k)
 
 
 def _orbit_reference(x, m, sweep_max):
@@ -299,9 +348,7 @@ def _orbit_reference(x, m, sweep_max):
         one = GaussianRational(1)
         t5 = (a * embed(one, 5, a.precision_k)).frac_part()
         t13 = (b * embed(one, 13, b.precision_k)).frac_part()
-        if isinstance(z, GaussianRational):
-            return (-z.re + t5 + t13) % 1
-        return (-z.real + float(t5) + float(t13)) % 1.0
+        return (-z.re + t5 + t13) % 1
 
     rows = []
     row = (x.z, x.a, x.b)
@@ -329,11 +376,42 @@ def test_orbit_rows_match_full_padic_reference(point, m):
     expected = _orbit_reference(point, m, 4)
     assert [(r, s) for r, s, _ in rows] == [(r, s) for r, s, _ in expected]
     for (_, _, got), (_, _, want) in zip(rows, expected):
-        assert type(got) is type(want) and got == want
+        assert type(got) is Fraction and got == want
     assert orbit_max_gap(rows) == orbit_eval_sweep(point, m, 4)
     q = theta_power(m, 1)
     moved = act(q, point)
     assert (moved.z, moved.a, moved.b) == _rotate_reference(q, point.z, point.a, point.b)
+
+
+def _circle_dist(u, v):
+    d = abs(u - v) % 1.0
+    return min(d, 1.0 - d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+       st.integers(1, 2), st.integers(1, 30))
+def test_float_orbit_rows_error_budget(w, m, sweep_max):
+    # the CLI's float sweep stays within 1e-12 (circular) of the exact rows
+    # for |w| <= 2, m <= 2 and sweeps up to 30
+    rows = float_orbit_rows(w, m, sweep_max)
+    exact = orbit_eval_rows(SolenoidPoint.from_complex(w), m, sweep_max)
+    assert [(r, s) for r, s, _ in rows] == [(r, s) for r, s, _ in exact]
+    for (_, _, got), (_, _, want) in zip(rows, exact):
+        assert type(got) is float and 0.0 <= got <= 1.0  # (-tiny) % 1.0 is 1.0
+        assert _circle_dist(got, float(want)) <= 1e-12
+    assert _circle_dist(orbit_max_gap(rows), float(orbit_max_gap(exact))) <= 2e-12
+
+
+def test_float_orbit_rows_pins():
+    assert float_orbit_rows(0, 1, 1) == [(0, 0, 0.0), (0, 1, 0.0), (1, 0, 0.0), (1, 1, 0.0)]
+    rows = float_orbit_rows(0.25 + 0.5j, 2, 3)
+    assert rows[0] == (0, 0, 0.25)
+    assert all(math.isfinite(v) for _, _, v in rows)
+    with pytest.raises(ValueError):
+        float_orbit_rows(1, 0, 3)
+    with pytest.raises(ValueError):
+        float_orbit_rows(1, 1, 0)
 
 
 def test_act_and_evaluate_reject_rotations_outside_A():
