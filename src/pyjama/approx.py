@@ -124,10 +124,7 @@ class CosetSpec:
         """Decide membership of ``x`` (a p-adic number, or any exact value
         embeddable at this prime) at this spec's precision."""
         if not isinstance(x, PadicNumber):
-            q = as_gaussian_rational(x)
-            if q is None:
-                raise TypeError(f"cannot test membership of {x!r}")
-            x = embed(q, self.p, self.precision_k)
+            x = embed(x, self.p, self.precision_k)
         if x.p != self.p:
             raise ValueError("value lives at a different prime")
         if x.is_zero:
@@ -444,9 +441,13 @@ def semigroup_density(eta, delta) -> DensityReport:
 
 def circle_density(theta: GaussianRational, t: complex, M: int) -> DensityReport:
     """Sample theta^r * t for 0 <= r <= M and report the largest angular gap
-    (radians) between consecutive sample points on their common circle."""
-    q = as_gaussian_rational(theta)
-    if q is None or q.abs2() != 1:
+    (radians) between consecutive sample points on their common circle.
+    The sampled angles lie in [0, 2*pi)."""
+    try:
+        q = as_gaussian_rational(theta)
+    except TypeError:
+        raise ValueError("the rotation must be an exact Gaussian rational") from None
+    if q.abs2() != 1:
         raise ValueError("the rotation must have unit modulus exactly")
     power = GaussianRational(1)
     for _ in range(12):
@@ -461,14 +462,15 @@ def circle_density(theta: GaussianRational, t: complex, M: int) -> DensityReport
         raise ValueError("the power count must be nonnegative")
     step = complex(q)
     radius = abs(t)
+    tau = 2 * math.pi
     angles = []
     cur = t
     for _ in range(M + 1):
-        angles.append(math.atan2(cur.imag, cur.real) % (2 * math.pi))
+        a = math.atan2(cur.imag, cur.real) % tau  # tau for a tiny negative angle
+        angles.append(a if a < tau else 0.0)
         cur *= step
         cur *= radius / abs(cur)
     angles.sort()
-    tau = 2 * math.pi
     best_gap = angles[0] + tau - angles[-1]
     witness = (angles[-1], angles[0])
     for lo, hi in zip(angles, angles[1:]):

@@ -73,9 +73,10 @@ class CoveringConfig:
     def __post_init__(self):
         rots = []
         for t in self.rotations:
-            q = as_gaussian_rational(t)
-            if q is None:
-                raise ValueError(f"rotation {t!r} is not an exact Gaussian rational")
+            try:
+                q = as_gaussian_rational(t)
+            except TypeError:
+                raise ValueError(f"rotation {t!r} is not an exact Gaussian rational") from None
             if q.abs2() != 1:
                 raise ValueError(f"rotation {q} does not have unit modulus")
             rots.append(q)
@@ -153,8 +154,6 @@ class CoverReport:
     def contains(self, z) -> bool:
         """Exact membership of a complex point in the (periodic) uncovered set."""
         q = as_gaussian_rational(z)
-        if q is None:
-            raise TypeError("membership checks need an exact point")
         # z = (a + bi)/m is reduced modulo the period D and tested, with its
         # shifts by D and iD, in integers at scale m*N(D)
         a, b, m = q.num.re, q.num.im, q.den
@@ -743,8 +742,6 @@ def snap_to_lattice(x, a: int, b: int, eta) -> GaussianRational:
     rotation in the (a, b) exponent box keeps x within eta of the integer
     lattice (checked exactly; the snap then lands on the sublattice)."""
     q = as_gaussian_rational(x)
-    if q is None:
-        raise TypeError("snap needs an exact point")
     if a < 0 or b < 0:
         raise ValueError("exponent bounds must be nonnegative")
     eta = Fraction(eta)

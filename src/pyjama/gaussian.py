@@ -40,13 +40,8 @@ __all__ = [
     "gaussian_ints_of_norm",
     "is_sum_of_two_squares",
     "nearest_gaussian_int",
-    "mod_reduce",
-    "mod_mul",
-    "mod_pow",
-    "mod_inv",
     "crt",
     "mod_from_rational",
-    "mod_order",
 ]
 
 
@@ -101,23 +96,36 @@ class GaussianInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "GaussianInt":
-        if e < 0:
-            raise ValueError("negative power of a GaussianInt; use GaussianRational")
-        out = GaussianInt(1, 0)
+    def __mod__(self, n: int) -> "GaussianInt":
+        """Both parts reduced into [0, n): the residue in Z[i]/n."""
+        return GaussianInt(self.re % n, self.im % n)
+
+    def __pow__(self, e: int, n: int | None = None) -> "GaussianInt":
+        """self**e, or pow(self, e, n) in Z[i]/n, where a negative e inverts
+        through the conjugate (ValueError for a non-unit)."""
         base = self
-        while e:
+        if e < 0:
+            if n is None:
+                raise ValueError("negative power of a GaussianInt; use GaussianRational")
+            t = self.norm() % n
+            if gcd(t, n) != 1:
+                raise ValueError(f"{self} is not invertible mod {n}")
+            base, e = self.conj() * pow(t, -1, n), -e
+        reduce = (lambda g: g) if n is None else (lambda g: g % n)
+        out, base = reduce(GaussianInt(1, 0)), reduce(base)
+        while True:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = reduce(out * base)
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = reduce(base * base)
 
     def __truediv__(self, other) -> "GaussianRational":
         return GaussianRational(self) / other
 
     def __rtruediv__(self, other) -> "GaussianRational":
-        q = as_gaussian_rational(other)
+        q = _coerce(other)
         return NotImplemented if q is None else q / GaussianRational(self)
 
     def exact_div(self, other: "GaussianInt") -> "GaussianInt":
@@ -247,7 +255,7 @@ class GaussianRational:
         return GaussianRational(GaussianInt(-self._a, -self._b), self._d)
 
     def __add__(self, other):
-        o = as_gaussian_rational(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return GaussianRational(
@@ -258,19 +266,19 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = as_gaussian_rational(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = as_gaussian_rational(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
-        o = as_gaussian_rational(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return GaussianRational(
@@ -284,31 +292,26 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = as_gaussian_rational(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = as_gaussian_rational(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
 
     def __pow__(self, e: int) -> "GaussianRational":
+        # the constructor's gcd reduction restores lowest terms:
+        # ((1+i)/2)**2 = 2i/4 = i/2
         if e < 0:
             return self.inverse() ** (-e)
-        out = GaussianRational(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return GaussianRational(self.num**e, self._d**e)
 
     def __eq__(self, other):
-        o = as_gaussian_rational(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self._a == o._a and self._b == o._b and self._d == o._d
@@ -368,9 +371,9 @@ class GaussianRational:
         return cls.from_fractions(re_part or Fraction(0), im_part or Fraction(0))
 
 
-def as_gaussian_rational(x) -> GaussianRational | None:
-    """Coerce an int, Fraction, GaussianInt or GaussianRational; None when
-    the value has no exact Gaussian-rational meaning."""
+def _coerce(x) -> GaussianRational | None:
+    """``as_gaussian_rational`` with None in place of the TypeError, for
+    the operators to return NotImplemented on."""
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (GaussianInt, int)):
@@ -380,15 +383,23 @@ def as_gaussian_rational(x) -> GaussianRational | None:
     return None
 
 
+def as_gaussian_rational(x) -> GaussianRational:
+    """The one exact-value gate: an int, Fraction, GaussianInt or
+    GaussianRational as a GaussianRational; TypeError for anything else,
+    a float or complex included."""
+    q = _coerce(x)
+    if q is None:
+        raise TypeError("expected an int, Fraction, GaussianInt or GaussianRational, "
+                        f"got {type(x).__name__}")
+    return q
+
+
 def exact_gaussian_rational(z) -> GaussianRational:
     """``as_gaussian_rational``, with a float or complex taken at its exact
     binary value (``Fraction(float)`` is exact).  Raises ValueError for a
     float or complex that is not finite and TypeError for a non-number."""
-    q = as_gaussian_rational(z)
-    if q is not None:
-        return q
-    if not isinstance(z, numbers.Complex):
-        raise TypeError(f"expected a number, got {type(z)!r}")
+    if not isinstance(z, numbers.Complex) or isinstance(z, (int, Fraction)):
+        return as_gaussian_rational(z)
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"{z} is not finite")
@@ -446,8 +457,6 @@ def _int_valuation(g: GaussianInt, site: PrimeSite) -> int:
 def valuation(q: GaussianRational | GaussianInt | int, site: PrimeSite) -> int:
     """Exponent of the site's prime in q.  Additive: v(qr) = v(q) + v(r)."""
     qq = as_gaussian_rational(q)
-    if qq is None:
-        raise TypeError(f"cannot take a valuation of {type(q)!r}")
     if not qq:
         raise ValueError("valuation of zero undefined")
     return _int_valuation(qq.num, site) - _split_power(qq.den, site.residue_norm)[0]
@@ -521,8 +530,6 @@ def in_A(q: GaussianRational | GaussianInt | int) -> bool:
     numerator: one exact-division test (num * conj(pi)**e = 0 mod p**e)
     instead of stripping pi one factor at a time."""
     qq = as_gaussian_rational(q)
-    if qq is None:
-        raise TypeError(f"cannot test A-membership of {type(q)!r}")
     if not qq:
         return True
     d = qq.den
@@ -536,7 +543,7 @@ def in_A(q: GaussianRational | GaussianInt | int) -> bool:
 def a_clearing_denominator(q: GaussianRational) -> GaussianInt:
     """Smallest product of barred-site generators d with q*d in Z[i].
     Raises ValueError when q is not in A."""
-    qq = as_gaussian_rational(q)
+    qq = _coerce(q)
     if qq is None or not in_A(qq):
         raise ValueError(f"{q} is not in A")
     if not qq:
@@ -617,37 +624,7 @@ def nearest_gaussian_int(q: GaussianRational) -> GaussianInt:
     return GaussianInt(a, b)
 
 
-# --- arithmetic in Z[i]/n for a rational integer modulus n -----------------
-
-
-def mod_reduce(g: GaussianInt, n: int) -> GaussianInt:
-    return GaussianInt(g.re % n, g.im % n)
-
-
-def mod_mul(g: GaussianInt, h: GaussianInt, n: int) -> GaussianInt:
-    return mod_reduce(g * h, n)
-
-
-def mod_pow(g: GaussianInt, e: int, n: int) -> GaussianInt:
-    if e < 0:
-        return mod_pow(mod_inv(g, n), -e, n)
-    out = GaussianInt(1 % n, 0)
-    base = mod_reduce(g, n)
-    while e:
-        if e & 1:
-            out = mod_mul(out, base, n)
-        base = mod_mul(base, base, n)
-        e >>= 1
-    return out
-
-
-def mod_inv(g: GaussianInt, n: int) -> GaussianInt:
-    """Inverse in Z[i]/n via the conjugate; ValueError if not a unit."""
-    t = g.norm() % n
-    if gcd(t, n) != 1:
-        raise ValueError(f"{g} is not invertible mod {n}")
-    s = pow(t, -1, n)
-    return mod_reduce(g.conj() * s, n)
+# --- arithmetic in Z[i]/n for a rational integer modulus n: g % n, pow(g, e, n)
 
 
 def crt(r1: int, m1: int, r2: int, m2: int) -> int:
@@ -661,16 +638,4 @@ def mod_from_rational(q: GaussianRational, n: int) -> GaussianInt:
     """Reduce q mod n; requires gcd(den, n) = 1."""
     if gcd(q.den, n) != 1:
         raise ValueError(f"denominator of {q} is not invertible mod {n}")
-    s = pow(q.den, -1, n)
-    return mod_reduce(q.num * s, n)
-
-
-def mod_order(g: GaussianInt, n: int, cap: int) -> int:
-    """Multiplicative order of g in Z[i]/n; ValueError if it exceeds cap."""
-    one = GaussianInt(1 % n, 0)
-    acc = mod_reduce(g, n)
-    for e in range(1, cap + 1):
-        if acc == one:
-            return e
-        acc = mod_mul(acc, g, n)
-    raise ValueError(f"order of {g} mod {n} exceeds cap {cap}")
+    return q.num * pow(q.den, -1, n) % n

@@ -328,19 +328,10 @@ class PadicNumber:
         return cls(p1, k, v, u)
 
 
-def _exact(q) -> GaussianRational:
-    """``as_gaussian_rational``, rejecting what it does not take."""
-    x = as_gaussian_rational(q)
-    if x is None:
-        raise TypeError("expected an int, Fraction, GaussianInt or GaussianRational, "
-                        f"got {type(q).__name__}")
-    return x
-
-
 def embed(q: GaussianRational | GaussianInt | Fraction | int, p: int, k: int) -> PadicNumber:
     """The field embedding of Q(i) determined by the canonical sqrt(-1):
     the absolute value of the image equals abs_at(q, barred site)."""
-    q = _exact(q)
+    q = as_gaussian_rational(q)
     _check_site(p, k)
     if not q:
         return PadicNumber.zero(p, k)
@@ -359,7 +350,7 @@ def embed(q: GaussianRational | GaussianInt | Fraction | int, p: int, k: int) ->
 def gauss_frac_part(q: GaussianRational | GaussianInt | Fraction | int, p: int) -> Fraction:
     """Exact p-adic fractional part of the embedding of q, read from the
     embedding at the -valuation digits it needs."""
-    q = _exact(q)
+    q = as_gaussian_rational(q)
     _check_site(p, 1)
     if not q:
         return Fraction(0)

@@ -37,9 +37,6 @@ from .gaussian import (
     exact_gaussian_rational,
     in_A,
     mod_from_rational,
-    mod_mul,
-    mod_order,
-    mod_pow,
     theta_power,
     unit_group_order,
     valuation,
@@ -72,8 +69,6 @@ DEFAULT_PRECISION = 24
 
 def _require_in_A(q) -> GaussianRational:
     qq = as_gaussian_rational(q)
-    if qq is None:
-        raise TypeError(f"expected a Gaussian rational, got {type(q)!r}")
     if not in_A(qq):
         raise ValueError(
             f"{qq} lies outside the base ring; its action/evaluation is not well-defined"
@@ -144,8 +139,6 @@ class SolenoidPoint:
         """The twisted diagonal triple (q, i5(q/2), i13(q/2)); it evaluates to
         zero against every element of A exactly when q itself lies in A."""
         qq = as_gaussian_rational(q)
-        if qq is None:
-            raise TypeError(f"cannot embed {type(q)!r} diagonally")
         half = qq / 2
         return cls(qq, embed(half, 5, precision_k), embed(half, 13, precision_k))
 
@@ -199,12 +192,8 @@ class ExactPoint:
     offset_w: GaussianRational = GaussianRational(0)
 
     def __post_init__(self):
-        qq = as_gaussian_rational(self.q)
-        ww = as_gaussian_rational(self.offset_w)
-        if qq is None or ww is None:
-            raise TypeError("ExactPoint components must be Gaussian rationals")
-        object.__setattr__(self, "q", qq)
-        object.__setattr__(self, "offset_w", ww)
+        object.__setattr__(self, "q", as_gaussian_rational(self.q))
+        object.__setattr__(self, "offset_w", as_gaussian_rational(self.offset_w))
 
     def evaluate(self, r) -> Fraction:
         """Exact pairing value in [0, 1)."""
@@ -369,10 +358,7 @@ def _diagonal_rational(q) -> GaussianRational:
         if q.offset_w:
             raise ValueError("classification requires a zero complex offset")
         return q.q
-    qq = as_gaussian_rational(q)
-    if qq is None:
-        raise TypeError(f"cannot classify {type(q)!r}")
-    return qq
+    return as_gaussian_rational(q)
 
 
 def classify_point(q) -> PointClassification:
@@ -405,7 +391,7 @@ def period_exponent(q) -> int:
     A: the denominator without its 5- and 13-parts, which at a periodic
     point are powers of the barred primes, units of A.  So A/nA = Z[i]/n,
     and the search divides that order by its primes while the rotations
-    still fix the residue x of n*q, computed with mod_pow."""
+    still fix the residue x of n*q."""
     qq = _diagonal_rational(q)
     cls = classify_point(qq)
     if not cls.is_periodic:
@@ -417,7 +403,7 @@ def period_exponent(q) -> int:
     gens = [mod_from_rational(theta_power(*e), n) for e in ((1, 0), (0, 1))]
 
     def fixes(m: int) -> bool:
-        return all(mod_mul(mod_pow(g, m, n), x, n) == x for g in gens)
+        return all(pow(g, m, n) * x % n == x for g in gens)
 
     m = unit_group_order(n)
     for p in _factorize(m):
@@ -438,11 +424,9 @@ def periodic_dense_set(n: int) -> tuple[list[ExactPoint], int]:
         for a in range(mod)
         for b in range(mod)
     ]
-    cap = unit_group_order(mod)
-    m5 = mod_order(mod_from_rational(theta_power(1, 0), mod), mod, cap)
-    m13 = mod_order(mod_from_rational(theta_power(0, 1), mod), mod, cap)
-    m = math.lcm(m5, m13)
-    return points, m
+    # x = 1/mod has residue 1, so its period exponent is lcm(ord theta5,
+    # ord theta13) in Z[i]/mod, which fixes every point of the layer
+    return points, period_exponent(GaussianRational(1, mod))
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +459,9 @@ def orbit_eval_rows(
 
 def float_orbit_rows(w: complex, m: int, sweep_max: int) -> list[tuple[int, int, float]]:
     """``orbit_eval_rows(SolenoidPoint.from_complex(w), m, sweep_max)`` in
-    floats: the value at (r, s) is -Re(z) mod 1 for z = -w times the rotation,
-    stepped by one rounded complex product per row and per sample."""
+    floats: the value at (r, s) is -Re(z) mod 1, in [0, 1), for z = -w times
+    the rotation, stepped by one rounded complex product per row and per
+    sample."""
     if m < 1 or sweep_max < 1:
         raise ValueError("exponent step and sweep bound must be positive")
     step5 = complex(theta_power(m, 0))
@@ -486,7 +471,8 @@ def float_orbit_rows(w: complex, m: int, sweep_max: int) -> list[tuple[int, int,
     for r in range(sweep_max + 1):
         z = row_z
         for s in range(sweep_max + 1):
-            rows.append((r, s, (-z.real) % 1.0))
+            v = (-z.real) % 1.0  # 1.0 when -z.real is a tiny negative number
+            rows.append((r, s, v if v < 1.0 else 0.0))
             z *= step13
         row_z *= step5
     return rows

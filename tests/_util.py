@@ -62,8 +62,6 @@ def in_A_oracle(q) -> bool:
     {5, 13}, and the valuations at the unbarred sites, found by stripping
     their prime one factor at a time, must be nonnegative."""
     qq = as_gaussian_rational(q)
-    if qq is None:
-        raise TypeError(f"cannot test A-membership of {type(q)!r}")
     if not qq:
         return True
     d = qq.den
@@ -73,6 +71,14 @@ def in_A_oracle(q) -> bool:
     if d != 1:
         return False
     return valuation(qq, P5) >= 0 and valuation(qq, P13) >= 0
+
+
+def order_oracle(g: GaussianInt, n: int) -> int:
+    """Multiplicative order of a unit g of Z[i]/n, by repeated multiplication."""
+    one, acc, e = GaussianInt(1, 0) % n, g % n, 1
+    while acc != one:
+        acc, e = acc * g % n, e + 1
+    return e
 
 
 # -- Fraction oracles for the integer geometry kernels ------------------------

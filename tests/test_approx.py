@@ -308,6 +308,15 @@ def test_circle_density_aperiodic_rotation():
     assert gap == pytest.approx(report.max_gap)
 
 
+def test_circle_density_folds_two_pi_to_zero():
+    # atan2 of a tiny negative angle, mod 2*pi, rounds to exactly 2*pi
+    theta = GaussianRational(GaussianInt(-3, 4), 5)
+    report = circle_density(theta, 1e-300 - 1e-320j, 3)
+    assert report.sample[0] == 0.0
+    assert all(0.0 <= a < 2 * math.pi for a in report.sample)
+    assert report.max_gap == 2.214297435588181
+
+
 def test_circle_density_rotation_invariance():
     base = circle_density(THETA5, 2 + 1j, 150)
     spun = circle_density(THETA5, (2 + 1j) * complex(math.cos(0.7), math.sin(0.7)), 150)

@@ -18,6 +18,7 @@ from pyjama.gaussian import (
     GaussianRational,
     a_clearing_denominator,
     abs_at,
+    as_gaussian_rational,
     conjugate_site,
     crt,
     exact_gaussian_rational,
@@ -26,10 +27,6 @@ from pyjama.gaussian import (
     is_sum_of_two_squares,
     min_period_multiplier,
     mod_from_rational,
-    mod_inv,
-    mod_mul,
-    mod_order,
-    mod_pow,
     nearest_gaussian_int,
     theta_power,
     theta_set,
@@ -38,7 +35,18 @@ from pyjama.gaussian import (
     valuation,
 )
 
-from _util import in_A_oracle, rng, random_gaussian_int, random_gaussian_rational
+from pyjama.approx import CosetSpec, circle_density
+from pyjama.covering import CoveringConfig, snap_to_lattice, uncovered_region
+from pyjama.padic import PadicNumber, embed, gauss_frac_part
+from pyjama.solenoid import ExactPoint, SolenoidPoint, _require_in_A, classify_point
+
+from _util import (
+    in_A_oracle,
+    order_oracle,
+    rng,
+    random_gaussian_int,
+    random_gaussian_rational,
+)
 
 
 def test_site_constants():
@@ -356,13 +364,103 @@ def test_mod_arithmetic():
             g = random_gaussian_int(r, n)
             if gcd(g.norm(), n) != 1:
                 continue
-            assert mod_mul(mod_inv(g, n), g, n) == one
-            assert mod_pow(g, 5, n) == mod_mul(mod_pow(g, 4, n), g, n)
+            assert pow(g, -1, n) * g % n == one
+            assert pow(g, 5, n) == pow(g, 4, n) * g % n
     t5 = mod_from_rational(THETA5, 7)
     assert t5 == GaussianInt(5, 5)
-    assert 48 % mod_order(t5, 7, 48) == 0
+    assert 48 % order_oracle(t5, 7) == 0
     with pytest.raises(ValueError):
-        mod_inv(GaussianInt(1, 2), 5)
+        pow(GaussianInt(1, 2), -1, 5)
+
+
+_gints = st.builds(GaussianInt, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gints, st.integers(0, 40), st.integers(1, 400))
+def test_modular_pow_matches_plain_power(g, e, n):
+    assert pow(g, e, n) == (g**e) % n
+    r = pow(g, e, n)
+    assert 0 <= r.re < n and 0 <= r.im < n
+    if gcd(g.norm(), n) == 1:
+        assert pow(g, -e, n) * pow(g, e, n) % n == GaussianInt(1, 0) % n
+    else:
+        with pytest.raises(ValueError):
+            pow(g, -1 - e, n)
+
+
+def test_plain_power_rejects_a_negative_exponent():
+    with pytest.raises(ValueError):
+        GaussianInt(2, 1) ** -1
+
+
+def test_rational_power_matches_repeated_multiplication():
+    cases = [
+        GaussianRational(GaussianInt(1, 1), 2),  # (1+i)/2: ((1+i)/2)**2 = i/2
+        GaussianRational(GaussianInt(3, 3), 4),
+        GaussianRational(GaussianInt(2, 0), 6),
+        THETA5,
+        THETA13 / 7,
+    ]
+    r = rng(17)
+    cases += [random_gaussian_rational(r, nonzero=True) for _ in range(40)]
+    for q in cases:
+        for e in range(-6, 7):
+            base = q if e >= 0 else q.inverse()
+            want = GaussianRational(1)
+            for _ in range(abs(e)):
+                want = want * base
+            assert q**e == want, (q, e)
+    assert GaussianRational(GaussianInt(1, 1), 2) ** 2 == GaussianRational(GaussianInt(0, 1), 2)
+
+
+_ONE_MESSAGE = ("expected an int, Fraction, GaussianInt or GaussianRational, "
+                "got (float|complex|str)$")
+
+
+def _spec():
+    return CosetSpec(p=5, m=1, representative=PadicNumber.from_rational(1, 5, 3),
+                     precision_k=3)
+
+
+def _cover():
+    return uncovered_region(CoveringConfig([1, THETA5], Fraction(1, 4), GaussianInt(1, -2)))
+
+
+_GATES = {
+    "as_gaussian_rational": as_gaussian_rational,
+    "valuation": lambda x: valuation(x, P5),
+    "in_A": in_A,
+    "require_in_A": _require_in_A,
+    "SolenoidPoint.diagonal": SolenoidPoint.diagonal,
+    "ExactPoint.q": ExactPoint,
+    "ExactPoint.offset_w": lambda x: ExactPoint(GaussianRational(1), x),
+    "classify_point": classify_point,
+    "CoverReport.contains": lambda x: _cover().contains(x),
+    "snap_to_lattice": lambda x: snap_to_lattice(x, 0, 0, Fraction(1, 100)),
+    "CosetSpec.contains": lambda x: _spec().contains(x),
+    "embed": lambda x: embed(x, 5, 4),
+    "gauss_frac_part": lambda x: gauss_frac_part(x, 13),
+}
+
+_VALUE_ERROR_GATES = {
+    "CoveringConfig": lambda x: CoveringConfig([x], Fraction(1, 4)),
+    "circle_density": lambda x: circle_density(x, 1 + 0j, 3),
+    "a_clearing_denominator": a_clearing_denominator,
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.5 + 0j, "1/2"], ids=["float", "complex", "str"])
+@pytest.mark.parametrize("name", sorted(_GATES) + sorted(_VALUE_ERROR_GATES))
+def test_one_exact_value_gate(name, bad):
+    # every entry point takes an exact value through as_gaussian_rational and
+    # raises its one TypeError; three documented sites raise ValueError
+    if name in _GATES:
+        with pytest.raises(TypeError, match=_ONE_MESSAGE):
+            _GATES[name](bad)
+    else:
+        with pytest.raises(ValueError):
+            _VALUE_ERROR_GATES[name](bad)
 
 
 def test_gaussian_ints_of_norm():

@@ -1,11 +1,17 @@
-"""Every name a source module imports is used in that module.
+"""Every name a source module imports is used in that module, and every
+name a module exports resolves.
 
 A deletion that leaves its import behind (a constant, a helper) shows up
-here.  ``__init__.py`` is skipped: its imports are the package's public
-names.
+here.  ``__init__.py`` is skipped by the unused-import check: its imports
+are the package's public names.  The other direction catches a deletion
+that leaves its ``__all__`` entry or its package import behind, which would
+break ``from pyjama.gaussian import *`` and every tool that reads
+``__all__``.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -55,3 +61,35 @@ def test_guard_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unresolved_exports(module: types.ModuleType) -> list[str]:
+    """The module's ``__all__`` entries that it does not define."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def unresolved_package_imports(source: str) -> list[str]:
+    """``module.name`` for every ``from .module import name`` of a package
+    ``__init__`` source that the module does not define."""
+    return [f"{node.module}.{alias.name}" for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+            if not hasattr(importlib.import_module(f"pyjama.{node.module}"), alias.name)]
+
+
+def test_guard_finds_a_stale_export():
+    planted = types.ModuleType("planted")
+    planted.kept = 1
+    planted.__all__ = ["kept", "removed"]
+    assert unresolved_exports(planted) == ["removed"]
+    source = "from .gaussian import GaussianInt, removed\n"
+    assert unresolved_package_imports(source) == ["gaussian.removed"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_export_resolves(module):
+    assert unresolved_exports(importlib.import_module(f"pyjama.{module[:-3]}")) == []
+
+
+def test_every_package_import_resolves():
+    assert unresolved_package_imports((SRC / "__init__.py").read_text()) == []

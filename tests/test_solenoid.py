@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pyjama.gaussian import (
     GaussianInt,
@@ -16,6 +16,7 @@ from pyjama.gaussian import (
     P5,
     P13,
     in_A,
+    mod_from_rational,
     theta_power,
     theta_set,
     unit_group_order,
@@ -39,7 +40,7 @@ from pyjama.solenoid import (
     torsion_to_periodic,
 )
 
-from _util import rng, random_a_element, random_gaussian_rational
+from _util import order_oracle, rng, random_a_element, random_gaussian_rational
 
 
 def gr(re, im=0, den=1):
@@ -283,6 +284,13 @@ def test_period_exponent_matches_definition(den, re, im, e5, e13):
     assert period_exponent(q) == _brute_period(q, unit_group_order(den))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_periodic_dense_set_exponent_is_lcm_of_orders(n):
+    mod = 7**n
+    orders = [order_oracle(mod_from_rational(t, mod), mod) for t in (THETA5, THETA13)]
+    assert periodic_dense_set(n)[1] == math.lcm(*orders)
+
+
 def test_period_exponent():
     assert period_exponent(0) == 1
     q = gr(1, 1, 2)
@@ -391,6 +399,7 @@ def _circle_dist(u, v):
 @settings(max_examples=25, deadline=None)
 @given(st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
        st.integers(1, 2), st.integers(1, 30))
+@example(w=4.2e-88, m=1, sweep_max=1)
 def test_float_orbit_rows_error_budget(w, m, sweep_max):
     # the CLI's float sweep stays within 1e-12 (circular) of the exact rows
     # for |w| <= 2, m <= 2 and sweeps up to 30
@@ -398,7 +407,7 @@ def test_float_orbit_rows_error_budget(w, m, sweep_max):
     exact = orbit_eval_rows(SolenoidPoint.from_complex(w), m, sweep_max)
     assert [(r, s) for r, s, _ in rows] == [(r, s) for r, s, _ in exact]
     for (_, _, got), (_, _, want) in zip(rows, exact):
-        assert type(got) is float and 0.0 <= got <= 1.0  # (-tiny) % 1.0 is 1.0
+        assert type(got) is float and 0.0 <= got < 1.0
         assert _circle_dist(got, float(want)) <= 1e-12
     assert _circle_dist(orbit_max_gap(rows), float(orbit_max_gap(exact))) <= 2e-12
 
@@ -408,6 +417,9 @@ def test_float_orbit_rows_pins():
     rows = float_orbit_rows(0.25 + 0.5j, 2, 3)
     assert rows[0] == (0, 0, 0.25)
     assert all(math.isfinite(v) for _, _, v in rows)
+    # (-tiny) % 1.0 rounds to 1.0, the same point of the circle as 0.0
+    assert float_orbit_rows(4.2e-88, 1, 1) == [
+        (0, 0, 4.2e-88), (0, 1, 0.0), (1, 0, 0.0), (1, 1, 0.0)]
     with pytest.raises(ValueError):
         float_orbit_rows(1, 0, 3)
     with pytest.raises(ValueError):
