@@ -43,7 +43,6 @@ from .solenoid import (  # noqa: F401
     SolenoidPoint,
     act,
     classify_point,
-    distance_upper,
     evaluate,
     orbit_eval_rows,
     orbit_eval_sweep,
@@ -59,6 +58,7 @@ from .covering import (  # noqa: F401
     DiskCoverReport,
     RationalityReport,
     certified_disk_cover,
+    disk_cover_scan,
     irrational_triple,
     obstruction_catalog,
     rationality_check,

@@ -37,10 +37,9 @@ from .approx import (
 from .covering import (
     CertificateError,
     CoveringConfig,
-    certified_disk_cover,
+    disk_cover_scan,
     obstruction_catalog,
     rationality_check,
-    theta_prime,
     uncovered_region,
 )
 from .gaussian import GaussianInt, GaussianRational, exact_gaussian_rational
@@ -310,32 +309,22 @@ def _cmd_irrational_cover(config, ini, artifacts):
         f"pitch={pitch}",
         f"refine_rounds={rounds}",
     ]
-    success = None
-    for n in range(1, n_max + 1):
-        result = None  # theta_prime(n, N - 1) is a sub-family of theta_prime(n, N)
-        for N in range(0, N_max + 1):
-            rotations = theta_prime(n, N)
-            result = certified_disk_cover(rotations, epsilon, radius, pitch,
-                                          refine_rounds=rounds, prior=result)
-            lines.append(
-                f"scan n={n} N={N} rotations={len(rotations)} "
-                f"certified={str(result.certified).lower()} "
-                f"cells={result.cells_checked} "
-                f"failing={result.failing_count}"
-            )
-            if result.certified and success is None:
-                success = (n, N)
-                break
-        if success is not None:
-            break
-    if success is not None:
-        lines.append(f"certified_pair n={success[0]} N={success[1]}")
+    rows = _checked("disk", disk_cover_scan, epsilon, radius, pitch, n_max, N_max, rounds)
+    for n, N, rotations, certified, cells, failing in rows:
+        lines.append(
+            f"scan n={n} N={N} rotations={rotations} "
+            f"certified={str(certified).lower()} "
+            f"cells={cells} "
+            f"failing={failing}"
+        )
+    n, N, _, certified, _, _ = rows[-1]
+    if certified:
+        lines.append(f"certified_pair n={n} N={N}")
     artifacts.append(("report.txt", _text(lines)))
-    fields = {"certified": str(success is not None).lower()}
-    if success is not None:
-        fields["n"] = success[0]
-        fields["N"] = success[1]
-    return (0 if success is not None else 1), fields
+    fields = {"certified": str(certified).lower()}
+    if certified:
+        fields.update(n=n, N=N)
+    return (0 if certified else 1), fields
 
 
 def _cmd_rationality_check(config, ini, artifacts):

@@ -50,6 +50,7 @@ __all__ = [
     "irrational_triple",
     "theta_prime",
     "certified_disk_cover",
+    "disk_cover_scan",
     "snap_to_lattice",
     "rationality_check",
 ]
@@ -473,13 +474,7 @@ class DiskCoverReport:
     scalar fields alone.  The grid is centred on the disk, so the failing
     cells, in their raw order (``_failing``), pair cell k with its mirror
     image -z at size - 1 - k.  A report holds only the first half of them,
-    about 8 bytes per failing cell, and ``_failing`` unfolds it on each read.
-
-    A report also keeps what a later run over a larger rotation family can
-    start from (see ``certified_disk_cover``'s ``prior``): the first half of
-    the grid cells that failed before any refinement (``_grid_failing``
-    unfolds it), the number of grid cells in the disk,
-    ``(epsilon, radius, pitch)`` as floats and the set of rotations tested."""
+    about 8 bytes per failing cell, and ``_failing`` unfolds it on each read."""
 
     certified: bool
     radius: float
@@ -488,18 +483,10 @@ class DiskCoverReport:
     cells_checked: int
     failing_count: int
     _failing_half: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
-    _grid_half: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
-    _grid_in_disk: int = field(repr=False, compare=False)
-    _grid: tuple[float, float, float] = field(repr=False, compare=False)
-    _tested: frozenset = field(repr=False, compare=False)
 
     @property
     def _failing(self) -> tuple[np.ndarray, np.ndarray]:
         return _unfold(*self._failing_half)
-
-    @property
-    def _grid_failing(self) -> tuple[np.ndarray, np.ndarray]:
-        return _unfold(*self._grid_half)
 
     @cached_property
     def failing_cells(self) -> tuple[tuple[float, float], ...]:
@@ -604,14 +591,17 @@ _BLOCK = 2**15
 
 
 def _failing_half(
-    size: int, cells, reach_sq: float, rotations: list[complex], slack: float
+    size: int, cells, epsilon: float, radius: float, pitch: float, rotations: list[complex]
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The failing cells of the first half of a level closed under z -> -z
-    and the level's in-disk count.  The half has ``size`` cells and
-    ``cells(a, b)`` makes its cells a..b-1; a middle cell (0, 0), its own
-    mirror, ends it.  ``_failing_level`` runs on blocks of ``_BLOCK``
-    consecutive cells, all full but the last, so a level is never held whole:
-    only the survivors of its blocks are kept, joined at the end."""
+    """The failing cells of the first half of a level of cells of side
+    ``pitch``, closed under z -> -z, and the level's in-disk count.  The half
+    has ``size`` cells and ``cells(a, b)`` makes its cells a..b-1; a middle
+    cell (0, 0), its own mirror, ends it.  ``_failing_level`` runs on blocks
+    of ``_BLOCK`` consecutive cells, all full but the last, so a level is
+    never held whole: only the survivors of its blocks are kept, joined at
+    the end."""
+    half_diag = pitch * math.sqrt(2) / 2
+    reach_sq, slack = (radius + half_diag) ** 2, epsilon - half_diag
     fx, fy = [np.empty(0)], [np.empty(0)]
     checked = 0
     for a in range(0, size, _BLOCK):
@@ -624,15 +614,63 @@ def _failing_half(
     return np.concatenate(fx), np.concatenate(fy), 2 * checked - middle
 
 
-def _rotation_key(t: complex) -> tuple[str, str]:
-    """A rotation by the bits of its parts (a signed zero is kept apart),
-    except that every NaN part is one key."""
-    return t.real.hex(), t.imag.hex()
+def _grid(radius: float, pitch: float):
+    """The first half of the grid level, as ``_children`` gives a level's
+    children: cell k of the raveled meshgrid of the centred grid."""
+    n = max(1, math.ceil(2 * radius / pitch))
+    centers = pitch * (np.arange(n) - (n - 1) / 2)
+
+    def cells(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        row, col = np.divmod(np.arange(a, b), n)
+        return centers.take(col), centers.take(row)
+
+    return (n * n + 1) // 2, cells
+
+
+def _disk_parameters(epsilon, radius, pitch, refine_rounds: int) -> tuple[float, float, float]:
+    """``(epsilon, radius, pitch)`` as floats, once checked."""
+    if refine_rounds < 0:
+        raise ValueError(f"refine_rounds must be at least 0, got {refine_rounds}")
+    eps, R, h = float(epsilon), float(radius), float(pitch)
+    for name, value in (("epsilon", eps), ("radius", R), ("pitch", h)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not 0 < eps < 0.5:
+        raise ValueError("stripe half-width must lie in (0, 1/2)")
+    if R <= 0 or h <= 0:
+        raise ValueError("radius and pitch must be positive")
+    if eps - h * math.sqrt(2) / 2 <= 0:
+        raise ValueError("pitch too coarse for this stripe half-width")
+    return eps, R, h
+
+
+def _refined(fx, fy, in_disk: int, eps: float, R: float, h: float,
+             rotations: list[complex], refine_rounds: int) -> DiskCoverReport:
+    """The report of a run whose grid level left the first half ``fx, fy``
+    failing out of ``in_disk`` grid cells in the disk, after up to
+    ``refine_rounds`` rounds that split each failing cell into four."""
+    checked = in_disk
+    rounds_used = 0
+    for _ in range(refine_rounds):
+        if fx.size == 0:
+            break
+        h /= 2
+        fx, fy, cells = _failing_half(*_children(fx, fy, h / 2), eps, R, h, rotations)
+        checked += cells
+        rounds_used += 1
+    return DiskCoverReport(
+        certified=fx.size == 0,
+        radius=R,
+        pitch=h,
+        rounds_used=rounds_used,
+        cells_checked=checked,
+        failing_count=_level_size(fx, fy),
+        _failing_half=(fx, fy),
+    )
 
 
 def certified_disk_cover(
-    rotations, epsilon, radius, pitch, refine_rounds: int = 0,
-    prior: DiskCoverReport | None = None,
+    rotations, epsilon, radius, pitch, refine_rounds: int = 0
 ) -> DiskCoverReport:
     """Certify that the open stripes of the given rotations cover the disk of
     the given radius: a grid cell is certified when some rotation holds its
@@ -655,81 +693,59 @@ def certified_disk_cover(
     index, children from their parent's cells, so the grid and a level's
     children are never held whole.  Memory follows the failing half of the
     level being tested and of its parent level (at epsilon = pitch = 0.05
-    and R = 20, a scan over theta_prime(1, N) for N <= 7 with two rounds
-    peaks at 144 MiB of RSS, its first step holding 6.2 M failing cells).
-
-    ``prior``, a report of this function on the same epsilon, radius and
-    pitch for a sub-family of these rotations, carries its grid level: only
-    the first half of the grid cells that failed there is tested, and only
-    against the rotations it did not test.  A cell's failing is the AND of
-    one test per rotation, so the result, ``_failing`` order included, is
-    that of a run without ``prior``.  Refinement tests every rotation.  A
-    ``prior`` on other parameters or with a rotation not in this family, and
-    a negative ``refine_rounds``, are a ValueError."""
+    and R = 20, ``disk_cover_scan`` over theta_prime(1, N) for N <= 7 with
+    two rounds peaks at 144 MiB of RSS, its first step holding 6.2 M failing
+    cells).  An empty rotation list or a parameter out of range (epsilon
+    must lie in (0, 1/2)) is a ValueError."""
     rots = [complex(t) for t in rotations]
     if not rots:
         raise ValueError("at least one rotation is required")
-    if refine_rounds < 0:
-        raise ValueError(f"refine_rounds must be at least 0, got {refine_rounds}")
-    eps = float(epsilon)
-    R = float(radius)
-    h = float(pitch)
-    for name, value in (("epsilon", eps), ("radius", R), ("pitch", h)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if R <= 0 or h <= 0:
-        raise ValueError("radius and pitch must be positive")
-    half_diag = h * math.sqrt(2) / 2
-    if eps - half_diag <= 0:
-        raise ValueError("pitch too coarse for this stripe half-width")
-    tested = frozenset(map(_rotation_key, rots))
-    reach_sq, slack = (R + half_diag) ** 2, eps - half_diag
-    if prior is None:
-        n = max(1, math.ceil(2 * R / h))
-        centers = h * (np.arange(n) - (n - 1) / 2)
+    eps, R, h = _disk_parameters(epsilon, radius, pitch, refine_rounds)
+    fx, fy, in_disk = _failing_half(*_grid(R, h), eps, R, h, rots)
+    return _refined(fx, fy, in_disk, eps, R, h, rots, refine_rounds)
 
-        def grid(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-            # cell k of meshgrid(centers, centers), raveled
-            row, col = np.divmod(np.arange(a, b), n)
-            return centers.take(col), centers.take(row)
 
-        fx, fy, in_disk = _failing_half((n * n + 1) // 2, grid, reach_sq, rots, slack)
-    else:
-        if prior._grid != (eps, R, h):
-            raise ValueError("prior report is on another epsilon, radius or pitch")
-        if not prior._tested <= tested:
-            raise ValueError("prior report tested a rotation not in this family")
-        fresh = [t for t in rots if _rotation_key(t) not in prior._tested]
-        px, py = prior._grid_half
-        fx, fy, _ = _failing_half(px.size, lambda a, b: (px[a:b], py[a:b]),
-                                  reach_sq, fresh, slack)
-        in_disk = prior._grid_in_disk
-    grid_half = fx, fy
-    checked = in_disk
-    rounds_used = 0
-    cur_h = h
-    for _ in range(refine_rounds):
-        if fx.size == 0:
-            break
-        cur_h /= 2
-        half_diag = cur_h * math.sqrt(2) / 2
-        fx, fy, cells = _failing_half(*_children(fx, fy, cur_h / 2),
-                                      (R + half_diag) ** 2, rots, eps - half_diag)
-        checked += cells
-        rounds_used += 1
-    return DiskCoverReport(
-        certified=fx.size == 0,
-        radius=R,
-        pitch=cur_h,
-        rounds_used=rounds_used,
-        cells_checked=checked,
-        failing_count=_level_size(fx, fy),
-        _failing_half=(fx, fy),
-        _grid_half=grid_half,
-        _grid_in_disk=in_disk,
-        _grid=(eps, R, h),
-        _tested=tested,
-    )
+def disk_cover_scan(epsilon, radius, pitch, n_max: int, N_max: int,
+                    refine_rounds: int = 0) -> list[tuple[int, int, int, bool, int, int]]:
+    """Grow the rotation families theta_prime(n, N), n = 1..n_max and
+    N = 0..N_max for each n, until one certifies the disk.  Each step is
+    ``certified_disk_cover(theta_prime(n, N), epsilon, radius, pitch,
+    refine_rounds)``, and its row is ``(n, N, rotations, certified,
+    cells_checked, failing_count)``; the rows end with the first certified
+    step.
+
+    Within one n, theta_prime(n, N - 1) is a sub-family of theta_prime(n, N),
+    and a cell fails when every rotation fails it.  So each step carries
+    only the first half of the grid cells still failing and their in-disk
+    count, and tests on them only the 3(2N + 1) rotations new at N, those
+    zeta * theta5**r * theta13**s with max(r, s) = N; refinement tests every
+    rotation.  The rows, and the failing cells in their order, are those of
+    fresh runs.  No finished step's failing cells are kept.  The parameters
+    are checked as by ``certified_disk_cover``; n_max below 1 or N_max below
+    0 is a ValueError."""
+    eps, R, h = _disk_parameters(epsilon, radius, pitch, refine_rounds)
+    if n_max < 1 or N_max < 0:
+        raise ValueError("need n_max >= 1 and N_max >= 0")
+    rows = []
+    for n in range(1, n_max + 1):
+        zetas = irrational_triple(n)
+        rots = []
+        level = _grid(R, h)
+        for N in range(N_max + 1):
+            new = [zeta * complex(theta_power(r, s)) for zeta in zetas
+                   for r in range(N + 1) for s in range(N + 1) if max(r, s) == N]
+            rots += new
+            gx, gy, count = _failing_half(*level, eps, R, h, new)
+            if N == 0:
+                in_disk = count
+            level = gx.size, lambda a, b, gx=gx, gy=gy: (gx[a:b], gy[a:b])
+            report = _refined(gx, gy, in_disk, eps, R, h, rots, refine_rounds)
+            rows.append((n, N, len(rots), report.certified, report.cells_checked,
+                         report.failing_count))
+            if report.certified:
+                return rows
+            del report  # freed before the next step runs
+    return rows
 
 
 # ---------------------------------------------------------------------------

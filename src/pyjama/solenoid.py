@@ -1,7 +1,7 @@
 """The limit space for the stripe dynamics: points of the quotient
 (C x Q5 x Q13) / (twisted diagonal image of A), reduction to the fundamental
 domain, the rotation action, character evaluation, torsion/periodic
-classification, dense periodic sets, orbit sweeps, and metric upper bounds.
+classification, dense periodic sets and orbit sweeps.
 
 A point is interpreted through its evaluation pairing with A: a triple
 (z, a, b) sends r in A to
@@ -60,7 +60,6 @@ __all__ = [
     "float_orbit_rows",
     "orbit_max_gap",
     "orbit_eval_sweep",
-    "distance_upper",
 ]
 
 #: p-adic digits carried by points constructed without an explicit precision.
@@ -492,35 +491,3 @@ def orbit_max_gap(rows) -> Fraction | float:
 def orbit_eval_sweep(x, m: int, sweep_max: int) -> Fraction:
     """Largest circular gap left by the orbit evaluations on the circle."""
     return orbit_max_gap(orbit_eval_rows(x, m, sweep_max))
-
-
-def distance_upper(x: SolenoidPoint, y: SolenoidPoint, search_bound: int) -> float:
-    """An upper bound for the translation-invariant metric between two points:
-    the smallest combined size |z| + |a|_5 + |b|_13 of any representative of
-    x - y shifted by candidate ring elements with numerator window and
-    denominator exponents up to search_bound."""
-    if isinstance(x, ExactPoint):
-        x = x.to_solenoid()
-    if isinstance(y, ExactPoint):
-        y = y.to_solenoid()
-    if x == y:
-        return 0.0
-    diff = x - y
-    prec = max(diff.a.precision_k, diff.b.precision_k)
-    best = math.inf
-    bound = search_bound
-    for e in range(bound + 1):
-        for f in range(bound + 1):
-            den = GaussianRational(P5BAR.generator**e * P13BAR.generator**f)
-            for u in range(-bound, bound + 1):
-                for v in range(-bound, bound + 1):
-                    r = GaussianRational(GaussianInt(u, v)) / den
-                    shifted = diff - SolenoidPoint.diagonal(r, prec)
-                    size = (
-                        abs(complex(shifted.z))
-                        + float(shifted.a.abs_bound())
-                        + float(shifted.b.abs_bound())
-                    )
-                    if size < best:
-                        best = size
-    return best

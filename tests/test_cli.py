@@ -439,13 +439,20 @@ _DISK_INI = ("[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
      "input", "error: [disk] N_max: must be at least 0, got -1\n"),
     ("irrational-cover", _DISK_INI.format(n_max=1, N_max=0, rounds=-2), ["--refine"],
      "input", "error: [disk] refine_rounds: must be at least 0, got -2\n"),
+    # a ValueError of the scan itself: one stripe family of half-width 1/2
+    # or more covers the plane, and a negative one covers nothing
+    ("irrational-cover", _DISK_INI.format(n_max=1, N_max=0, rounds=0).replace("0.45", "0.7"),
+     [], "input", "error: [disk]: stripe half-width must lie in (0, 1/2)\n"),
+    ("irrational-cover", _DISK_INI.format(n_max=1, N_max=0, rounds=0).replace("0.45", "-0.3"),
+     [], "input", "error: [disk]: stripe half-width must lie in (0, 1/2)\n"),
     ("closure-index", "[closure-index]\nu = 6\np = 5\nk = 0\n", [],
      "input", "error: [closure-index] k: must be at least 1, got 0\n"),
     # a negative count would run no audit yet print audit_mismatches=0
     ("verify-covering", FIGURE_INI + "audit_points = -1\n", ["--no-svg"],
      "input", "error: [covering] audit_points: must be at least 0, got -1\n"),
 ], ids=["precision", "torsion-unit", "input", "precision-zero", "precision-negative",
-        "disk-n-max", "disk-N-max", "disk-refine-rounds", "closure-index-k",
+        "disk-n-max", "disk-N-max", "disk-refine-rounds", "disk-epsilon-wide",
+        "disk-epsilon-negative", "closure-index-k",
         "covering-audit-points"])
 def test_error_tags(tmp_path, capsys, command, ini, argv, tag, message):
     cfg = _write(tmp_path / "e.ini", ini)

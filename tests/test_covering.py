@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -29,6 +30,7 @@ from pyjama import covering
 from pyjama.covering import (
     CoveringConfig,
     certified_disk_cover,
+    disk_cover_scan,
     irrational_triple,
     obstruction_catalog,
     rationality_check,
@@ -763,7 +765,7 @@ def test_certified_disk_cover_fails_mirror_pairs(case):
     rots, eps, radius, pitch, rounds = case
     report = certified_disk_cover(rots, eps, radius, pitch, refine_rounds=rounds)
     _assert_mirrored(*report._failing)
-    _assert_mirrored(*report._grid_failing)
+    _assert_mirrored(*certified_disk_cover(rots, eps, radius, pitch)._failing)  # the grid level
 
 
 def test_certified_disk_cover_centres_the_grid():
@@ -782,51 +784,9 @@ def _assert_same_disk_cover(report, fresh):
         assert got.tobytes() == want.tobytes()  # the same cells in the same order
 
 
-# a NaN rotation, which covers no cell, and rotations with a -0.0 part
-_ODD_ROTATIONS = (complex(math.nan, 0.0), complex(1.0, -0.0), complex(0.6, -0.0))
-
-
-@st.composite
-def disk_families(draw):
-    """A disk config, a family of 1-8 rotations with duplicates, and a
-    sub-family of it in any order."""
-    _, eps, radius, pitch, rounds = draw(disk_configs())
-    exact = st.sampled_from(theta_set(2))
-    angle = st.floats(0, 2 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
-    rots = draw(st.lists(st.one_of(exact, angle, st.sampled_from(_ODD_ROTATIONS)),
-                         min_size=1, max_size=6))
-    rots += draw(st.lists(st.sampled_from(rots), max_size=2))
-    sub = draw(st.lists(st.sampled_from(rots), min_size=1, max_size=len(rots)))
-    return sub, draw(st.permutations(rots)), eps, radius, pitch, rounds
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(disk_families())
-@example(([complex(math.nan, 0.0), 1j], [1j, complex(math.nan, 0.0), 1 + 0j, complex(1.0, -0.0)],
-          0.3, 2.0, 0.2, 2))
-@example(([1 + 0j], [1 + 0j], 0.45, 0.42, 0.1, 3))  # no rotation left to test
-# an odd grid whose centre cell fails the sub-family only
-@example(([complex(math.nan, 0.0)], [complex(math.nan, 0.0), 1j], 0.3, 1.1, 0.2, 1))
-def test_certified_disk_cover_prior_matches_fresh_run(case):
-    sub, full, eps, radius, pitch, rounds = case
-    prior = certified_disk_cover(sub, eps, radius, pitch, refine_rounds=rounds)
-    report = certified_disk_cover(full, eps, radius, pitch, refine_rounds=rounds,
-                                  prior=prior)
-    _assert_same_disk_cover(report, certified_disk_cover(full, eps, radius, pitch,
-                                                         refine_rounds=rounds))
-    # a report made from a prior carries the whole family's grid level
-    again = certified_disk_cover(full, eps, radius, pitch, prior=report)
-    _assert_same_disk_cover(again, certified_disk_cover(full, eps, radius, pitch))
-
-
 def test_certified_disk_cover_mirror_pairs_in_blocks_of_seven(monkeypatch):
     monkeypatch.setattr(covering, "_BLOCK", 7)
     test_certified_disk_cover_fails_mirror_pairs()
-
-
-def test_certified_disk_cover_prior_in_blocks_of_seven(monkeypatch):
-    monkeypatch.setattr(covering, "_BLOCK", 7)
-    test_certified_disk_cover_prior_matches_fresh_run()
 
 
 @pytest.mark.parametrize("rotations, eps, radius", [
@@ -838,12 +798,12 @@ def test_children_stream_matches_the_whole_level(rotations, eps, radius):
     # the first half of a level's children, cut into blocks of every size:
     # blocks cross the half/mirror seam of the parent level and the seam
     # between the (-,-) and (+,-) children at every offset
-    report = certified_disk_cover(rotations, eps, radius, 0.2)
-    fx, fy = report._grid_failing
+    report = certified_disk_cover(rotations, eps, radius, 0.2)  # the grid level
+    fx, fy = report._failing
     off = 0.05
     want_x = np.concatenate([fx + -off, fx + off])
     want_y = np.concatenate([fy + -off, fy + -off])
-    size, cells = covering._children(*report._grid_half, off)
+    size, cells = covering._children(*report._failing_half, off)
     assert size == want_x.size == 2 * report.failing_count
     for block in range(1, size + 1):
         got = [cells(a, min(a + block, size)) for a in range(0, size, block)]
@@ -864,35 +824,90 @@ def test_certified_disk_cover_memory_follows_the_failing_half():
     cell = 16  # bytes of one (x, y) pair of float64
     assert report.failing_count == 194344
     assert peak < 2 * cell * report.failing_count
-    # the report keeps the first half of its failing cells and of its grid
-    # level's failing cells, and unfolds the rest only when read
+    # the report keeps the first half of its failing cells and unfolds the
+    # rest only when read
     half = sum(a.nbytes for a in report._failing_half)
-    grid = sum(a.nbytes for a in report._grid_half)
     assert half == cell * report.failing_count // 2
-    assert held < half + grid + 2**16
+    assert held < half + 2**16
 
 
-def test_certified_disk_cover_prior_must_match():
-    prior = certified_disk_cover([1 + 0j], 0.3, 2.0, 0.2)
-    for eps, radius, pitch in ((0.31, 2.0, 0.2), (0.3, 2.5, 0.2), (0.3, 2.0, 0.1)):
-        with pytest.raises(ValueError, match="another epsilon, radius or pitch"):
-            certified_disk_cover([1 + 0j, 1j], eps, radius, pitch, prior=prior)
-    for family in ([1j], [1j, 0.6 + 0.8j], [complex(1.0, -0.0)]):
-        with pytest.raises(ValueError, match="not in this family"):
-            certified_disk_cover(family, 0.3, 2.0, 0.2, prior=prior)
+def _assert_scan_matches_fresh_runs(monkeypatch, eps, radius, pitch, n_max, N_max, rounds):
+    """Every row of the scan is a fresh run of theta_prime(n, N), the step's
+    report is that run's byte for byte, and the grid half the step carries
+    is, byte for byte, the failing half of a fresh run without refinement."""
+    steps = []
+
+    def spy(gx, gy, *args):
+        report = refined(gx, gy, *args)
+        steps.append(((gx, gy), report))
+        return report
+
+    refined = covering._refined
+    with monkeypatch.context() as m:
+        m.setattr(covering, "_refined", spy)
+        rows = disk_cover_scan(eps, radius, pitch, n_max, N_max, refine_rounds=rounds)
+    assert len(rows) == len(steps)
+    certified = [row[3] for row in rows]
+    assert not any(certified[:-1])  # the rows end with the first certified step
+    if not certified[-1]:
+        assert len(rows) == n_max * (N_max + 1)
+    for (n, N, count, *scalars), (grid_half, report) in zip(rows, steps):
+        rotations = theta_prime(n, N)
+        fresh = certified_disk_cover(rotations, eps, radius, pitch, refine_rounds=rounds)
+        assert count == len(rotations)
+        assert scalars == [fresh.certified, fresh.cells_checked, fresh.failing_count]
+        _assert_same_disk_cover(report, fresh)
+        grid = certified_disk_cover(rotations, eps, radius, pitch)._failing_half
+        assert [a.tobytes() for a in grid_half] == [a.tobytes() for a in grid]
 
 
 @pytest.mark.parametrize("eps, pitch, n_max", [(0.2, 0.2, 2), (0.2, 0.25, 2), (0.25, 0.1, 1)])
-def test_certified_disk_cover_chained_scan(eps, pitch, n_max):
-    # the benchmark's disk configs, each step started from the one before
-    for n in range(1, n_max + 1):
-        report = None
-        for N in range(4):
-            rotations = theta_prime(n, N)
-            report = certified_disk_cover(rotations, eps, 20, pitch, refine_rounds=2,
-                                          prior=report)
-            _assert_same_disk_cover(report, certified_disk_cover(rotations, eps, 20, pitch,
-                                                                 refine_rounds=2))
+def test_certified_disk_cover_chained_scan(monkeypatch, eps, pitch, n_max):
+    # the benchmark's disk configs
+    _assert_scan_matches_fresh_runs(monkeypatch, eps, 20, pitch, n_max, 3, 2)
+
+
+# small scans: certified at (n, N) = (1, 1), at (1, 2) after one round, at
+# (2, 1) on an odd 11 x 11 grid, and never
+_SMALL_SCANS = ((0.35, 2.0, 0.2, 2, 3, 2), (0.3, 3.0, 0.2, 2, 2, 1), (0.3, 1.1, 0.2, 2, 1, 2),
+                (0.2, 4.0, 0.25, 1, 2, 2))
+
+
+@pytest.mark.parametrize("case", _SMALL_SCANS)
+def test_disk_cover_scan_small_configs(monkeypatch, case):
+    _assert_scan_matches_fresh_runs(monkeypatch, *case)
+
+
+def test_disk_cover_scan_in_blocks_of_seven(monkeypatch):
+    # block edges fall inside every carried grid half and every round (the
+    # benchmark's R = 20 configs take seconds a scan in blocks of seven)
+    monkeypatch.setattr(covering, "_BLOCK", 7)
+    for case in _SMALL_SCANS:
+        _assert_scan_matches_fresh_runs(monkeypatch, *case)
+
+
+@pytest.mark.parametrize("epsilon", [-0.3, 0.0, 0.5, 0.7])
+def test_disk_cover_rejects_half_width_out_of_range(epsilon):
+    # a half-width of 1/2 or more lets one stripe family cover the plane and
+    # one of 0 or less covers nothing: neither is a question of the pitch
+    message = r"^stripe half-width must lie in \(0, 1/2\)$"
+    with pytest.raises(ValueError, match=message):
+        certified_disk_cover([1 + 0j], epsilon, 1.0, 0.05)
+    with pytest.raises(ValueError, match=message):
+        disk_cover_scan(epsilon, 1.0, 0.05, 1, 0)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.3, 1.0, 0.2, 0, 0), "need n_max >= 1 and N_max >= 0"),
+    ((0.3, 1.0, 0.2, 1, -1), "need n_max >= 1 and N_max >= 0"),
+    ((0.3, 1.0, 0.2, 1, 0, -1), "refine_rounds must be at least 0, got -1"),
+    ((math.nan, 1.0, 0.2, 1, 0), "epsilon must be finite, got nan"),
+    ((0.3, 0.0, 0.2, 1, 0), "radius and pitch must be positive"),
+    ((0.05, 1.0, 0.2, 1, 0), "pitch too coarse for this stripe half-width"),
+])
+def test_disk_cover_scan_rejects(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        disk_cover_scan(*args)
 
 
 # (N, cells, failing) of the eps = 0.05 scan at n = 1, recorded before the
@@ -903,12 +918,9 @@ _EPS_005_SCAN = ((0, 9074380, 6239368), (1, 5730456, 3001652), (2, 2950482, 9405
 
 
 def test_certified_disk_cover_small_epsilon_scan():
-    report = None
-    for N, cells, failing in _EPS_005_SCAN:
-        report = certified_disk_cover(theta_prime(1, N), 0.05, 20, 0.05, refine_rounds=2,
-                                      prior=report)
-        assert (report.cells_checked, report.failing_count) == (cells, failing)
-    assert report.certified
+    rows = disk_cover_scan(0.05, 20, 0.05, 1, 7, refine_rounds=2)
+    assert [(N, cells, failing) for _, N, _, _, cells, failing in rows] == list(_EPS_005_SCAN)
+    assert rows[-1][3]
 
 
 def test_snap_to_lattice_round_trip():

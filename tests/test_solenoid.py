@@ -27,7 +27,6 @@ from pyjama.solenoid import (
     SolenoidPoint,
     act,
     classify_point,
-    distance_upper,
     evaluate,
     float_orbit_rows,
     orbit_eval_rows,
@@ -434,28 +433,6 @@ def test_act_and_evaluate_reject_rotations_outside_A():
                 act(q, x)
             with pytest.raises(ValueError):
                 evaluate(x, q)
-
-
-def test_distance_upper():
-    x = SolenoidPoint.diagonal(gr(3, 5, 7), 16)
-    assert distance_upper(x, x, 1) == 0.0
-    r_ = rng(20)
-    for _ in range(6):
-        w = random_gaussian_rational(r_, max_coeff=3, max_den=4)
-        d = distance_upper(SolenoidPoint.from_complex(w, 8), SolenoidPoint.zero(8), 1)
-        assert d <= abs(complex(float(w.re), float(w.im))) + 1e-12
-    x = SolenoidPoint(0, Fraction(1, 5), 0)
-    zero = SolenoidPoint.zero()
-    d2 = distance_upper(x, zero, 2)
-    assert d2 <= 5.0
-    assert d2 < 5.0  # shifting by ring elements improves on the raw triple
-    assert distance_upper(x, zero, 1) >= d2
-    # translation invariance for exact shifts
-    t = SolenoidPoint.diagonal(gr(1, 2, 5), 24)
-    y = SolenoidPoint.from_complex(gr(1, 1, 3), 24)
-    lhs = distance_upper(x + t, y + t, 1)
-    rhs = distance_upper(x, y, 1)
-    assert abs(lhs - rhs) < 1e-9
 
 
 def test_torsion_orbits_are_finite():
