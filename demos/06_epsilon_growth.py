@@ -5,12 +5,16 @@ How the finite rotation family grows as epsilon shrinks
 For every epsilon > 0 finitely many rotations of the pyjama stripe cover
 the plane, but the proof gives no bound on how many.  The certified disk
 cover measures it: for each stripe half-width epsilon this runs the
-``irrational-cover`` scan over theta_prime(n, N) on the disk of radius 20,
+``irrational-cover`` scan over theta_prime(n, N) on the disk of radius R,
 at grid pitch epsilon with two refinement rounds, and reports the least
 certifying (n, N), the number of rotations, the cells checked, the wall
 time and the peak RSS.  Each scan runs as a CLI command in its own process
 (through ``scripts/peak_rss.py``), so its peak memory is its own; the wall
 time includes the interpreter's start-up, printed first.
+
+    python3 demos/06_epsilon_growth.py [R]
+
+R defaults to 20.
 """
 
 import re
@@ -21,10 +25,11 @@ from pathlib import Path
 
 PEAK_RSS = Path(__file__).resolve().parents[1] / "scripts" / "peak_rss.py"
 EPSILONS = ("0.3", "0.25", "0.2", "0.15", "0.1", "0.05")
+RADIUS = sys.argv[1] if len(sys.argv) > 1 else "20"
 CONFIG = """\
 [disk]
 epsilon = {eps}
-radius = 20
+radius = {radius}
 pitch = {eps}
 n_max = 2
 N_max = 8
@@ -43,12 +48,13 @@ def peak_rss(*args: str) -> dict[str, str]:
 start = peak_rss("--help")
 print(f"start-up (pyjama --help): {float(start['wall_s']):.2f} s, "
       f"{float(start['peak_rss_mib']):.1f} MiB")
+print(f"radius {RADIUS}")
 print(f"{'epsilon':>7}  {'(n, N)':>7}  {'rotations':>9}  {'cells':>10}  "
       f"{'scan cells':>10}  {'wall s':>6}  {'peak MiB':>8}")
 with tempfile.TemporaryDirectory() as tmp:
     for eps in EPSILONS:
         config, out = Path(tmp) / f"eps-{eps}.ini", Path(tmp) / eps
-        config.write_text(CONFIG.format(eps=eps))
+        config.write_text(CONFIG.format(eps=eps, radius=RADIUS))
         measured = peak_rss("irrational-cover", "--config", str(config),
                             "--out", str(out), "--refine")
         report = (out / "report.txt").read_text()

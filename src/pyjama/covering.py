@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -473,8 +473,13 @@ class DiskCoverReport:
     float pairs and is built on first access.  Reports compare equal on the
     scalar fields alone.  The grid is centred on the disk, so the failing
     cells, in their raw order (``_failing``), pair cell k with its mirror
-    image -z at size - 1 - k.  A report holds only the first half of them,
-    about 8 bytes per failing cell, and ``_failing`` unfolds it on each read."""
+    image -z at size - 1 - k.  A report holds no cell of a refined last
+    level: when that level has failing cells, the report keeps the first
+    half of their parents, the previous level's failing cells (about 8 bytes
+    per parent), with the rotations and epsilon, and ``_failing`` tests the
+    parents' children again on each read, giving the same cells in the same
+    order.  A report that ends on the grid level keeps the first half of the
+    grid's failing cells, and ``_failing`` unfolds it on each read."""
 
     certified: bool
     radius: float
@@ -482,7 +487,18 @@ class DiskCoverReport:
     rounds_used: int
     cells_checked: int
     failing_count: int
-    _failing_half: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    _held: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    # (epsilon, rotations) when ``_held`` is the parent level's failing half
+    _counted: tuple[float, tuple[complex, ...]] | None = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def _failing_half(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._counted is None:
+            return self._held
+        eps, rotations = self._counted
+        level = _children(*self._held, self.pitch / 2)
+        return _failing_half(*level, eps, self.radius, self.pitch, rotations)[:2]
 
     @property
     def _failing(self) -> tuple[np.ndarray, np.ndarray]:
@@ -590,28 +606,49 @@ def _failing_level(
 _BLOCK = 2**15
 
 
-def _failing_half(
-    size: int, cells, epsilon: float, radius: float, pitch: float, rotations: list[complex]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The failing cells of the first half of a level of cells of side
-    ``pitch``, closed under z -> -z, and the level's in-disk count.  The half
-    has ``size`` cells and ``cells(a, b)`` makes its cells a..b-1; a middle
-    cell (0, 0), its own mirror, ends it.  ``_failing_level`` runs on blocks
-    of ``_BLOCK`` consecutive cells, all full but the last, so a level is
-    never held whole: only the survivors of its blocks are kept, joined at
-    the end."""
+def _blocks(size: int, cells, epsilon: float, radius: float, pitch: float,
+            rotations) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """``_failing_level`` on the first half of a level of cells of side
+    ``pitch``, closed under z -> -z, in blocks of ``_BLOCK`` consecutive
+    cells, all full but the last: each block's failing cells and in-disk
+    count.  The half has ``size`` cells and ``cells(a, b)`` makes its cells
+    a..b-1, so a level is never held whole."""
     half_diag = pitch * math.sqrt(2) / 2
     reach_sq, slack = (radius + half_diag) ** 2, epsilon - half_diag
-    fx, fy = [np.empty(0)], [np.empty(0)]
-    checked = 0
     for a in range(0, size, _BLOCK):
-        xs, ys = cells(a, min(a + _BLOCK, size))
-        x, y, n = _failing_level(xs, ys, reach_sq, rotations, slack)
+        yield _failing_level(*cells(a, min(a + _BLOCK, size)), reach_sq, rotations, slack)
+
+
+def _failing_half(
+    size: int, cells, epsilon: float, radius: float, pitch: float, rotations
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The failing cells of the first half of a level (``_blocks``), the
+    blocks' survivors joined, and the level's in-disk count.  A middle cell
+    (0, 0), its own mirror and in the disk (reach_sq > 0), ends the half."""
+    fx, fy, checked = [np.empty(0)], [np.empty(0)], 0
+    for x, y, n in _blocks(size, cells, epsilon, radius, pitch, rotations):
         fx.append(x)
         fy.append(y)
         checked += n
-    middle = int(size > 0 and xs[-1] == ys[-1] == 0)  # in the disk: reach_sq > 0
+    middle = size > 0 and all(a[0] == 0 for a in cells(size - 1, size))
     return np.concatenate(fx), np.concatenate(fy), 2 * checked - middle
+
+
+def _failing_count(
+    size: int, cells, epsilon: float, radius: float, pitch: float, rotations
+) -> tuple[int, int]:
+    """The number of failing cells and of cells in the disk of a refined
+    level whose first half is as in ``_blocks``; no cell is kept.  Each is
+    twice the half's, since a refined level has no middle cell: a child of
+    side h lies h/2 from its parent along each axis, and each coordinate of
+    its parent is 0 (a grid cell) or at least h in magnitude, so each of the
+    child's is at least h/2, h/2 being a float."""
+    failing = checked = 0
+    for x, _, n in _blocks(size, cells, epsilon, radius, pitch, rotations):
+        failing += x.size
+        checked += n
+        del x, _  # freed before the next block is made
+    return 2 * failing, 2 * checked
 
 
 def _grid(radius: float, pitch: float):
@@ -641,6 +678,8 @@ def _disk_parameters(epsilon, radius, pitch, refine_rounds: int) -> tuple[float,
         raise ValueError("radius and pitch must be positive")
     if eps - h * math.sqrt(2) / 2 <= 0:
         raise ValueError("pitch too coarse for this stripe half-width")
+    if not math.isfinite(2 * R / h):
+        raise ValueError("grid too large: 2 * radius / pitch must be finite")
     return eps, R, h
 
 
@@ -648,24 +687,35 @@ def _refined(fx, fy, in_disk: int, eps: float, R: float, h: float,
              rotations: list[complex], refine_rounds: int) -> DiskCoverReport:
     """The report of a run whose grid level left the first half ``fx, fy``
     failing out of ``in_disk`` grid cells in the disk, after up to
-    ``refine_rounds`` rounds that split each failing cell into four."""
+    ``refine_rounds`` rounds that split each failing cell into four.  Each
+    round but the last keeps its failing half for the next; the last round
+    only counts its failing cells, and the report keeps their parents'."""
     checked = in_disk
     rounds_used = 0
-    for _ in range(refine_rounds):
-        if fx.size == 0:
-            break
+    while rounds_used < refine_rounds - 1 and fx.size:
         h /= 2
         fx, fy, cells = _failing_half(*_children(fx, fy, h / 2), eps, R, h, rotations)
         checked += cells
         rounds_used += 1
+    failing, counted = _level_size(fx, fy), None
+    if rounds_used < refine_rounds and fx.size:
+        h /= 2
+        failing, cells = _failing_count(*_children(fx, fy, h / 2), eps, R, h, rotations)
+        checked += cells
+        rounds_used += 1
+        if failing:
+            counted = eps, tuple(rotations)  # a copy: the scan extends its list
+        else:
+            fx = fy = np.empty(0)
     return DiskCoverReport(
-        certified=fx.size == 0,
+        certified=failing == 0,
         radius=R,
         pitch=h,
         rounds_used=rounds_used,
         cells_checked=checked,
-        failing_count=_level_size(fx, fy),
-        _failing_half=(fx, fy),
+        failing_count=failing,
+        _held=(fx, fy),
+        _counted=counted,
     )
 
 
@@ -686,17 +736,20 @@ def certified_disk_cover(
     its mirror image get the same verdict, bit for bit, since negation is
     exact in floats.  Each level (the grid, then each round's children) is
     closed under negation, its cell k being cell size - 1 - k negated, so
-    only its first half goes through ``_failing_level`` and only the first
-    half of its failing cells is kept; the other half's failing cells are
-    the mirror images.  That half streams through cache-sized blocks, whose
-    cost falls as the rotations cover cells: grid cells are made from their
-    index, children from their parent's cells, so the grid and a level's
-    children are never held whole.  Memory follows the failing half of the
-    level being tested and of its parent level (at epsilon = pitch = 0.05
+    only its first half goes through ``_failing_level``; the other half's
+    failing cells are the mirror images.  That half streams through
+    cache-sized blocks, whose cost falls as the rotations cover cells: grid
+    cells are made from their index, children from their parent's cells, so
+    the grid and a level's children are never held whole.  Each level but
+    the last keeps the first half of its failing cells for the next round;
+    the last refinement round only counts its failing cells, which the
+    report rebuilds from their parents when read.  So memory follows the
+    failing half of the parent of the last level (at epsilon = pitch = 0.05
     and R = 20, ``disk_cover_scan`` over theta_prime(1, N) for N <= 7 with
-    two rounds peaks at 144 MiB of RSS, its first step holding 6.2 M failing
-    cells).  An empty rotation list or a parameter out of range (epsilon
-    must lie in (0, 1/2)) is a ValueError."""
+    two rounds peaks at 61 MiB of RSS: its first step keeps 1.7 M failing
+    cells of round one and counts 6.2 M of round two).  An empty rotation
+    list, a parameter out of range (epsilon must lie in (0, 1/2)) or a grid
+    of infinitely many columns (2R/pitch not finite) is a ValueError."""
     rots = [complex(t) for t in rotations]
     if not rots:
         raise ValueError("at least one rotation is required")

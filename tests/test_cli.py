@@ -445,6 +445,13 @@ _DISK_INI = ("[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
      [], "input", "error: [disk]: stripe half-width must lie in (0, 1/2)\n"),
     ("irrational-cover", _DISK_INI.format(n_max=1, N_max=0, rounds=0).replace("0.45", "-0.3"),
      [], "input", "error: [disk]: stripe half-width must lie in (0, 1/2)\n"),
+    # a grid of 2 * radius / pitch = inf columns
+    ("irrational-cover", _DISK_INI.format(n_max=1, N_max=0, rounds=0).replace(
+        "radius = 1.0\npitch = 0.05", "radius = 1e300\npitch = 1e-300"),
+     [], "input", "error: [disk]: grid too large: 2 * radius / pitch must be finite\n"),
+    ("irrational-cover", _DISK_INI.format(n_max=1, N_max=0, rounds=0).replace(
+        "0.45", "1e-320").replace("pitch = 0.05", "pitch = 1e-321"),
+     [], "input", "error: [disk]: grid too large: 2 * radius / pitch must be finite\n"),
     ("closure-index", "[closure-index]\nu = 6\np = 5\nk = 0\n", [],
      "input", "error: [closure-index] k: must be at least 1, got 0\n"),
     # a negative count would run no audit yet print audit_mismatches=0
@@ -452,7 +459,7 @@ _DISK_INI = ("[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
      "input", "error: [covering] audit_points: must be at least 0, got -1\n"),
 ], ids=["precision", "torsion-unit", "input", "precision-zero", "precision-negative",
         "disk-n-max", "disk-N-max", "disk-refine-rounds", "disk-epsilon-wide",
-        "disk-epsilon-negative", "closure-index-k",
+        "disk-epsilon-negative", "disk-grid-overflow", "disk-grid-subnormal", "closure-index-k",
         "covering-audit-points"])
 def test_error_tags(tmp_path, capsys, command, ini, argv, tag, message):
     cfg = _write(tmp_path / "e.ini", ini)

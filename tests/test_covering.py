@@ -824,11 +824,41 @@ def test_certified_disk_cover_memory_follows_the_failing_half():
     cell = 16  # bytes of one (x, y) pair of float64
     assert report.failing_count == 194344
     assert peak < 2 * cell * report.failing_count
-    # the report keeps the first half of its failing cells and unfolds the
-    # rest only when read
-    half = sum(a.nbytes for a in report._failing_half)
-    assert half == cell * report.failing_count // 2
+    assert peak < 3 * 2**20  # 3.79 MiB when a report held its last round's failing half
+    # the last round is counted: the report keeps the first half of the
+    # first round's failing cells, byte for byte, and nothing of the second
+    parent = certified_disk_cover(rotations, 0.25, 20, 0.1, refine_rounds=1)
+    assert [a.tobytes() for a in report._held] == [a.tobytes() for a in parent._failing_half]
+    half = sum(a.nbytes for a in report._held)
+    assert half == cell * parent.failing_count // 2
     assert held < half + 2**16
+
+
+def test_certified_disk_cover_rebuilds_its_last_round(monkeypatch):
+    rotations = theta_prime(1, 1)[:6]
+    # still failing after its last round: each read of the failing cells
+    # tests the held parents' children again, with the same bytes
+    report = certified_disk_cover(rotations, 0.3, 2.0, 0.2, refine_rounds=2)
+    assert not report.certified and report.rounds_used == 2
+    first, second = report._failing, report._failing
+    assert first[0] is not second[0]
+    assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
+    assert report.failing_count == len(report.failing_cells) == first[0].size == 54
+    # certified in its last round: the report holds nothing
+    report = certified_disk_cover(rotations, 0.35, 2.0, 0.2, refine_rounds=3)
+    assert report.certified and report.rounds_used == 3
+    assert [a.size for a in report._held] == [0, 0] and report._counted is None
+    assert report.failing_cells == ()
+    # certified in round 3 of 5: no round is counted, each keeps its half
+    counted = []
+    count = covering._failing_count
+    monkeypatch.setattr(covering, "_failing_count",
+                        lambda *args: counted.append(args) or count(*args))
+    early = certified_disk_cover(rotations, 0.35, 2.0, 0.2, refine_rounds=5)
+    assert early == report and early.rounds_used == 3 and not counted
+    assert [a.size for a in early._held] == [0, 0] and early._counted is None
+    assert certified_disk_cover(rotations, 0.35, 2.0, 0.2, refine_rounds=3) == report
+    assert len(counted) == 1
 
 
 def _assert_scan_matches_fresh_runs(monkeypatch, eps, radius, pitch, n_max, N_max, rounds):
@@ -908,6 +938,16 @@ def test_disk_cover_rejects_half_width_out_of_range(epsilon):
 def test_disk_cover_scan_rejects(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         disk_cover_scan(*args)
+
+
+@pytest.mark.parametrize("epsilon, radius, pitch", [(0.45, 1e300, 1e-300), (1e-320, 20, 1e-321)])
+def test_disk_cover_rejects_an_infinite_grid(epsilon, radius, pitch):
+    # 2 * radius / pitch overflows to inf, which no grid size can take
+    message = r"^grid too large: 2 \* radius / pitch must be finite$"
+    with pytest.raises(ValueError, match=message):
+        certified_disk_cover([1 + 0j], epsilon, radius, pitch)
+    with pytest.raises(ValueError, match=message):
+        disk_cover_scan(epsilon, radius, pitch, 1, 0)
 
 
 # (N, cells, failing) of the eps = 0.05 scan at n = 1, recorded before the
