@@ -647,7 +647,6 @@ def _failing_count(
     for x, _, n in _blocks(size, cells, epsilon, radius, pitch, rotations):
         failing += x.size
         checked += n
-        del x, _  # freed before the next block is made
     return 2 * failing, 2 * checked
 
 
