@@ -644,6 +644,9 @@ def _failing_count(
     its parent is 0 (a grid cell) or at least h in magnitude, so each of the
     child's is at least h/2, h/2 being a float."""
     failing = checked = 0
+    # each block's survivors live until the next block's replace them: freed
+    # at once, they left the heap top free, and the allocator gave it back
+    # to the system only for the next block to fault it in again
     for x, _, n in _blocks(size, cells, epsilon, radius, pitch, rotations):
         failing += x.size
         checked += n
