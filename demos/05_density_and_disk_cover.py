@@ -52,7 +52,11 @@ print(
 )
 assert result.certified
 
-# A too-small family fails honestly: the failing cells are reported so the
-# caller can see where coverage breaks down.
+# A too-small family fails honestly, and proves it: the report names a
+# witness, a cell centre in the disk that lies outside every stripe of every
+# rotation, checked in exact arithmetic.  No refinement could cover it, so
+# the run stops on the grid.
 small = certified_disk_cover(theta_prime(1, 0), 0.3, 20.0, 0.1, refine_rounds=1)
 print("3-rotation family certified:", small.certified, "| failing cells:", small.failing_count)
+print("3-rotation family witness:", small.witness)
+assert small.witness is not None and small.witness.abs2() <= 20**2

@@ -8,7 +8,9 @@ cover measures it: for each stripe half-width epsilon this runs the
 ``irrational-cover`` scan over theta_prime(n, N) on the disk of radius R,
 at grid pitch epsilon with two refinement rounds, and reports the least
 certifying (n, N), the number of rotations, the cells checked, the wall
-time and the peak RSS.  Each scan runs as a CLI command in its own process
+time and the peak RSS.  "N - 1 lost" says whether the step before it names
+a witness, an uncovered point that proves theta_prime(n, N - 1) misses the
+disk, so that N is proven least for its n.  Each scan runs as a CLI command in its own process
 (through ``scripts/peak_rss.py``), so its peak memory is its own; the wall
 time includes the interpreter's start-up, printed first.
 
@@ -50,7 +52,7 @@ print(f"start-up (pyjama --help): {float(start['wall_s']):.2f} s, "
       f"{float(start['peak_rss_mib']):.1f} MiB")
 print(f"radius {RADIUS}")
 print(f"{'epsilon':>7}  {'(n, N)':>7}  {'rotations':>9}  {'cells':>10}  "
-      f"{'scan cells':>10}  {'wall s':>6}  {'peak MiB':>8}")
+      f"{'scan cells':>10}  {'wall s':>6}  {'peak MiB':>8}  {'N - 1 lost':>10}")
 with tempfile.TemporaryDirectory() as tmp:
     for eps in EPSILONS:
         config, out = Path(tmp) / f"eps-{eps}.ini", Path(tmp) / eps
@@ -59,10 +61,13 @@ with tempfile.TemporaryDirectory() as tmp:
                             "--out", str(out), "--refine")
         report = (out / "report.txt").read_text()
         # the last scan line is the certifying step: "scan n=.. N=.. rotations=.. ..."
-        steps = re.findall(r"^scan n=(\d+) N=(\d+) rotations=(\d+) .* cells=(\d+)",
-                           report, re.M)
-        n, N, rotations, cells = steps[-1]
-        total = sum(int(step[3]) for step in steps)
+        steps = re.findall(r"^scan n=(\d+) N=(\d+) rotations=(\d+) certified=\S+ ?(\S*) "
+                           r"cells=(\d+)", report, re.M)
+        n, N, rotations, _, cells = steps[-1]
+        total = sum(int(step[4]) for step in steps)
+        # the step before, at the same n: "witness=none" when it is undecided
+        lost = "-" if N == "0" else "no" if steps[-2][3] == "witness=none" else "yes"
         print(f"{eps:>7}  {f'({n}, {N})':>7}  {rotations:>9}  {cells:>10}  {total:>10}  "
-              f"{float(measured['wall_s']):>6.2f}  {float(measured['peak_rss_mib']):>8.1f}")
+              f"{float(measured['wall_s']):>6.2f}  {float(measured['peak_rss_mib']):>8.1f}  "
+              f"{lost:>10}")
         assert "certified_pair" in report

@@ -310,14 +310,16 @@ def _cmd_irrational_cover(config, ini, artifacts):
         f"refine_rounds={rounds}",
     ]
     rows = _checked("disk", disk_cover_scan, epsilon, radius, pitch, n_max, N_max, rounds)
-    for n, N, rotations, certified, cells, failing in rows:
+    for n, N, rotations, certified, cells, failing, witness in rows:
+        # a witness is an uncovered point of the disk: the step is proven lost
+        verdict = "true" if certified else f"false witness={'none' if witness is None else witness}"
         lines.append(
             f"scan n={n} N={N} rotations={rotations} "
-            f"certified={str(certified).lower()} "
+            f"certified={verdict} "
             f"cells={cells} "
             f"failing={failing}"
         )
-    n, N, _, certified, _, _ = rows[-1]
+    n, N, _, certified, *_ = rows[-1]
     if certified:
         lines.append(f"certified_pair n={n} N={N}")
     artifacts.append(("report.txt", _text(lines)))

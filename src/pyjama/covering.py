@@ -22,6 +22,7 @@ from .gaussian import (
     P5BAR,
     P13BAR,
     as_gaussian_rational,
+    exact_gaussian_rational,
     gaussian_ints_of_norm,
     is_sum_of_two_squares,
     nearest_gaussian_int,
@@ -469,7 +470,13 @@ class DiskCoverReport:
 
     ``pitch`` is the cell side of the last round run and ``failing_count``
     the number of cells at that pitch that no rotation covers; ``certified``
-    means there are none.  ``failing_cells`` lists their centers as sorted
+    means there are none.  ``witness`` is None or an uncovered point: the
+    centre z of a failing cell, exact as a Gaussian rational with a
+    power-of-two denominator, that lies in the disk and outside every open
+    stripe of every rotation.  It proves that the rotations miss the disk,
+    so no refinement could certify it; it is checked exactly (see
+    ``_clear``), also against the decimal literals that the float half-width
+    and radius round.  ``failing_cells`` lists the failing centers as sorted
     float pairs and is built on first access.  Reports compare equal on the
     scalar fields alone.  The grid is centred on the disk, so the failing
     cells, in their raw order (``_failing``), pair cell k with its mirror
@@ -487,6 +494,7 @@ class DiskCoverReport:
     rounds_used: int
     cells_checked: int
     failing_count: int
+    witness: GaussianRational | None
     _held: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     # (epsilon, rotations) when ``_held`` is the parent level's failing half
     _counted: tuple[float, tuple[complex, ...]] | None = field(
@@ -653,6 +661,70 @@ def _failing_count(
     return 2 * failing, 2 * checked
 
 
+# bits of the enclosure sqrt(4n^2 - 1) in [s, s + 1] / 2**_ROOT_BITS that
+# ``_clear`` uses for the irrational rotations
+_ROOT_BITS = 64
+
+
+def _rotation_form(theta: GaussianRational, n: int = 0, sign: int = 0, root: int = 0):
+    """zeta * theta in the form ``_clear`` reads, for zeta = 1 (sign 0) or
+    zeta = (1 + sign*i*sqrt(4n^2 - 1))/(2n) (sign +-1), ``root`` enclosing
+    the square root: (theta + sign*i*theta*sqrt(4n^2 - 1))/(2n)."""
+    a, b, c = theta.num.re, theta.num.im, theta.den
+    if sign == 0:
+        return a, b, 0, 0, c, 0
+    return a, b, -sign * b, sign * a, 2 * n * c, root
+
+
+def _clear(x: float, y: float, radius: Fraction, clearance: Fraction, exact) -> bool:
+    """Whether the point x + iy, exact as floats are, lies in the disk
+    |z| <= radius and at least ``clearance`` from the nearest integer in
+    Re(z*t) for every rotation t of ``exact``, decided in integers.
+
+    A rotation is (ar, ai, br, bi, d, s): t = (A + B*sqrt(m))/d with
+    Gaussian integers A = ar + ai*i and B = br + bi*i, and sqrt(m) enclosed
+    in [s, s + 1] / 2**_ROOT_BITS (B = 0 for a rational rotation); None
+    covers nothing.  With z = (X + iY)/2**k, Re(z*t) lies in
+    [lo, lo + |Q|] / (d * 2**(k + _ROOT_BITS)), where P = Re((X + iY)*A),
+    Q = Re((X + iY)*B) and lo = P*2**_ROOT_BITS + Q*s + min(Q, 0); the whole
+    interval must keep ``clearance`` from the integers around it."""
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    den = max(xd, yd)  # both are powers of two
+    X, Y = xn * (den // xd), yn * (den // yd)
+    if (X * X + Y * Y) * radius.denominator ** 2 > (radius.numerator * den) ** 2:
+        return False
+    cn, cd = clearance.numerator, clearance.denominator
+    for form in exact:
+        if form is None:
+            continue
+        ar, ai, br, bi, d, s = form
+        q = X * br - Y * bi
+        lo = ((X * ar - Y * ai) << _ROOT_BITS) + q * s + min(q, 0)
+        span = d * den << _ROOT_BITS
+        k = lo // span
+        if (lo - k * span) * cd < cn * span or ((k + 1) * span - lo - abs(q)) * cd < cn * span:
+            return False
+    return True
+
+
+def _witness(fx, fy, epsilon: float, radius: float, rotations, exact):
+    """The first of the failing half ``fx, fy``'s centres, block by block,
+    that ``_failing_level`` finds in the disk and at least ``epsilon`` from
+    the nearest integer under every rotation, and that ``_clear`` confirms
+    for clearance eps + ulp(eps) within radius R - ulp(R), which also hold
+    for the decimal literals that round to the floats eps and R: a Gaussian
+    rational, or None.  A candidate that ``_clear`` rejects is passed over."""
+    clearance = Fraction(epsilon) + Fraction(math.ulp(epsilon))
+    inside = Fraction(radius) - Fraction(math.ulp(radius))
+    for a in range(0, fx.size, _BLOCK):
+        xs, ys, _ = _failing_level(fx[a:a + _BLOCK], fy[a:a + _BLOCK], radius * radius,
+                                   rotations, epsilon)
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            if _clear(x, y, inside, clearance, exact):
+                return GaussianRational.from_fractions(x, y)
+    return None
+
+
 def _grid(radius: float, pitch: float):
     """The first half of the grid level, as ``_children`` gives a level's
     children: cell k of the raveled meshgrid of the centred grid."""
@@ -666,8 +738,15 @@ def _grid(radius: float, pitch: float):
     return (n * n + 1) // 2, cells
 
 
+# the most grid columns (and rows) a disk cover lays out: 2**40 cells, more
+# than any scan could test, whose centres and cell indices still fit numpy's
+# arrays and int64
+_MAX_COLUMNS = 2**20
+
+
 def _disk_parameters(epsilon, radius, pitch, refine_rounds: int) -> tuple[float, float, float]:
-    """``(epsilon, radius, pitch)`` as floats, once checked."""
+    """``(epsilon, radius, pitch)`` as floats, once checked, before any
+    cell is made."""
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be at least 0, got {refine_rounds}")
     eps, R, h = float(epsilon), float(radius), float(pitch)
@@ -680,27 +759,37 @@ def _disk_parameters(epsilon, radius, pitch, refine_rounds: int) -> tuple[float,
         raise ValueError("radius and pitch must be positive")
     if eps - h * math.sqrt(2) / 2 <= 0:
         raise ValueError("pitch too coarse for this stripe half-width")
-    if not math.isfinite(2 * R / h):
+    columns = 2 * R / h
+    if not math.isfinite(columns):
         raise ValueError("grid too large: 2 * radius / pitch must be finite")
+    if columns > _MAX_COLUMNS:
+        raise ValueError(f"grid too large: 2 * radius / pitch must be at most "
+                         f"{_MAX_COLUMNS}, got {columns:.6g}")
     return eps, R, h
 
 
 def _refined(fx, fy, in_disk: int, eps: float, R: float, h: float,
-             rotations: list[complex], refine_rounds: int) -> DiskCoverReport:
+             rotations: list[complex], exact: list, refine_rounds: int) -> DiskCoverReport:
     """The report of a run whose grid level left the first half ``fx, fy``
     failing out of ``in_disk`` grid cells in the disk, after up to
-    ``refine_rounds`` rounds that split each failing cell into four.  Each
-    round but the last keeps its failing half for the next; the last round
-    only counts its failing cells, and the report keeps their parents'."""
+    ``refine_rounds`` rounds that split each failing cell into four.  The
+    grid level and each level kept for a next round are searched for a
+    witness first (``_witness``, with ``exact`` the rotations in the form
+    ``_clear`` reads), and the run stops at the first level that holds one.
+    Each round but the last keeps its failing half for the next; the last
+    round only counts its failing cells, and the report keeps their
+    parents'."""
     checked = in_disk
     rounds_used = 0
-    while rounds_used < refine_rounds - 1 and fx.size:
+    witness = _witness(fx, fy, eps, R, rotations, exact)
+    while witness is None and rounds_used < refine_rounds - 1 and fx.size:
         h /= 2
         fx, fy, cells = _failing_half(*_children(fx, fy, h / 2), eps, R, h, rotations)
         checked += cells
         rounds_used += 1
+        witness = _witness(fx, fy, eps, R, rotations, exact)
     failing, counted = _level_size(fx, fy), None
-    if rounds_used < refine_rounds and fx.size:
+    if witness is None and rounds_used < refine_rounds and fx.size:
         h /= 2
         failing, cells = _failing_count(*_children(fx, fy, h / 2), eps, R, h, rotations)
         checked += cells
@@ -716,6 +805,7 @@ def _refined(fx, fy, in_disk: int, eps: float, R: float, h: float,
         rounds_used=rounds_used,
         cells_checked=checked,
         failing_count=failing,
+        witness=witness,
         _held=(fx, fy),
         _counted=counted,
     )
@@ -729,6 +819,15 @@ def certified_disk_cover(
     center deeper inside a stripe than the cell's own reach (half-diagonal,
     by 1-Lipschitz continuity of the stripe coordinate).  Each refinement
     round splits every failing cell into four and tests them again.
+
+    Before the grid level and each level that a further round would refine
+    are refined, their failing cells are searched for a witness, a failing
+    centre in the disk that no open stripe holds (see ``DiskCoverReport``).
+    The float test proposes it and ``_clear`` confirms it exactly against
+    the rotations as given: a Gaussian rational exactly, a float or complex
+    at its binary value; a rotation that is not finite covers nothing.  A
+    level that holds a witness ends the run, not certified; the last round
+    is counted and not searched.
 
     The grid's n = max(1, ceil(2R/pitch)) columns and rows are centred on
     the disk, at pitch * (j - (n - 1)/2); when 2R/pitch is not an integer
@@ -746,57 +845,78 @@ def certified_disk_cover(
     the last keeps the first half of its failing cells for the next round;
     the last refinement round only counts its failing cells, which the
     report rebuilds from their parents when read.  So memory follows the
-    failing half of the parent of the last level (at epsilon = pitch = 0.05
-    and R = 20, ``disk_cover_scan`` over theta_prime(1, N) for N <= 7 with
-    two rounds peaks at 61 MiB of RSS: its first step keeps 1.7 M failing
-    cells of round one and counts 6.2 M of round two).  An empty rotation
-    list, a parameter out of range (epsilon must lie in (0, 1/2)) or a grid
-    of infinitely many columns (2R/pitch not finite) is a ValueError."""
-    rots = [complex(t) for t in rotations]
-    if not rots:
+    failing half of the parent of the last level.  An empty rotation list,
+    a parameter out of range (epsilon must lie in (0, 1/2)) or a grid of
+    more than 2**20 columns (2R/pitch above it, or not finite) is a
+    ValueError."""
+    given = list(rotations)
+    if not given:
         raise ValueError("at least one rotation is required")
+    rots = [complex(t) for t in given]
     eps, R, h = _disk_parameters(epsilon, radius, pitch, refine_rounds)
     fx, fy, in_disk = _failing_half(*_grid(R, h), eps, R, h, rots)
-    return _refined(fx, fy, in_disk, eps, R, h, rots, refine_rounds)
+    exact = []
+    for t in given:  # exactly, a float at its binary value; not finite covers nothing
+        try:
+            exact.append(_rotation_form(exact_gaussian_rational(t)))
+        except ValueError:
+            exact.append(None)
+    return _refined(fx, fy, in_disk, eps, R, h, rots, exact, refine_rounds)
 
 
-def disk_cover_scan(epsilon, radius, pitch, n_max: int, N_max: int,
-                    refine_rounds: int = 0) -> list[tuple[int, int, int, bool, int, int]]:
+def disk_cover_scan(epsilon, radius, pitch, n_max: int, N_max: int, refine_rounds: int = 0
+                    ) -> list[tuple[int, int, int, bool, int, int, GaussianRational | None]]:
     """Grow the rotation families theta_prime(n, N), n = 1..n_max and
     N = 0..N_max for each n, until one certifies the disk.  Each step is
     ``certified_disk_cover(theta_prime(n, N), epsilon, radius, pitch,
     refine_rounds)``, and its row is ``(n, N, rotations, certified,
-    cells_checked, failing_count)``; the rows end with the first certified
-    step.
+    cells_checked, failing_count, witness)``; the rows end with the first
+    certified step.
+
+    A step stops at the first level that holds a witness and the scan goes
+    on to N + 1: a point of the disk that no open stripe of theta_prime(n, N)
+    holds.  Its exact check takes each rotation as the true
+    zeta * theta5**r * theta13**s, theta5**r * theta13**s exact and
+    sqrt(4n^2 - 1) enclosed by ``isqrt`` to 2**-64, so the witness holds
+    for the rotations of the paper, not only for their float images.  A step
+    without a witness is undecided when it does not certify.
 
     Within one n, theta_prime(n, N - 1) is a sub-family of theta_prime(n, N),
     and a cell fails when every rotation fails it.  So each step carries
     only the first half of the grid cells still failing and their in-disk
     count, and tests on them only the 3(2N + 1) rotations new at N, those
-    zeta * theta5**r * theta13**s with max(r, s) = N; refinement tests every
-    rotation.  The rows, and the failing cells in their order, are those of
-    fresh runs.  No finished step's failing cells are kept.  The parameters
-    are checked as by ``certified_disk_cover``; n_max below 1 or N_max below
-    0 is a ValueError."""
+    zeta * theta5**r * theta13**s with max(r, s) = N; the witness search and
+    refinement test every rotation.  The rows, and the failing cells in
+    their order, are those of fresh runs, but for the exact check of a
+    witness, which a fresh run makes against the float rotations.  No
+    finished step's failing cells are kept.  The parameters are checked as by ``certified_disk_cover``;
+    n_max below 1 or N_max below 0 is a ValueError."""
     eps, R, h = _disk_parameters(epsilon, radius, pitch, refine_rounds)
     if n_max < 1 or N_max < 0:
         raise ValueError("need n_max >= 1 and N_max >= 0")
     rows = []
+    shells = []  # shells[N]: the theta5**r * theta13**s with max(r, s) = N, made once
     for n in range(1, n_max + 1):
         zetas = irrational_triple(n)
-        rots = []
+        root = isqrt((4 * n * n - 1) << 2 * _ROOT_BITS)
+        rots, exact = [], []
         level = _grid(R, h)
         for N in range(N_max + 1):
-            new = [zeta * complex(theta_power(r, s)) for zeta in zetas
-                   for r in range(N + 1) for s in range(N + 1) if max(r, s) == N]
+            if N == len(shells):
+                shells.append([theta_power(r, s) for r in range(N + 1) for s in range(N + 1)
+                               if max(r, s) == N])
+            new = [zeta * complex(theta) for zeta in zetas for theta in shells[N]]
+            # the signs of irrational_triple's zeta, conj(zeta) and 1
+            exact += [_rotation_form(theta, n, sign, root) for sign in (1, -1, 0)
+                      for theta in shells[N]]
             rots += new
             gx, gy, count = _failing_half(*level, eps, R, h, new)
             if N == 0:
                 in_disk = count
             level = gx.size, lambda a, b, gx=gx, gy=gy: (gx[a:b], gy[a:b])
-            report = _refined(gx, gy, in_disk, eps, R, h, rots, refine_rounds)
+            report = _refined(gx, gy, in_disk, eps, R, h, rots, exact, refine_rounds)
             rows.append((n, N, len(rots), report.certified, report.cells_checked,
-                         report.failing_count))
+                         report.failing_count, report.witness))
             if report.certified:
                 return rows
             del report  # freed before the next step runs

@@ -1,8 +1,10 @@
 """Shared helpers for the seeded randomized tests, a valuation oracle for
-A-membership, and Fraction oracles for the integer geometry kernels."""
+A-membership, Fraction oracles for the integer geometry kernels, and a
+Fraction oracle for the uncovered points of a disk cover."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -16,6 +18,7 @@ from pyjama.gaussian import (
     GaussianInt,
     GaussianRational,
     as_gaussian_rational,
+    theta_set,
     valuation,
 )
 from pyjama.polygon import ConvexPolygon, _canonicalize, _ring_area2
@@ -184,3 +187,66 @@ def whole_cell_pieces(config):
     pieces = tuple(_canonicalize(ring) for ring in rings)
     area = Fraction(sum(_ring_area2(ring) for ring, _ in pieces), 2 * scale * scale)
     return pieces, area
+
+
+# -- a Fraction oracle for disk-cover witnesses --------------------------------
+#
+# A rotation is a form (a, b, n, sign): zeta*(a + bi) with Fractions a, b and
+# zeta = 1 when sign is 0, else (1 + sign*i*sqrt(4n^2 - 1))/(2n), the
+# irrational_triple directions.  None is a rotation that covers nothing.
+
+
+def plain_forms(rotations) -> list:
+    """The forms of rotations given as Gaussian rationals (exactly) or as
+    floats and complexes (at their binary values); None for a rotation that
+    is not finite."""
+    forms = []
+    for t in rotations:
+        if isinstance(t, GaussianRational):
+            forms.append((t.re, t.im, 0, 0))
+        else:
+            z = complex(t)
+            forms.append((Fraction(z.real), Fraction(z.imag), 0, 0) if cmath.isfinite(z) else None)
+    return forms
+
+
+def theta_prime_forms(n: int, N: int) -> list:
+    """theta_prime(n, N) as the exact rotations it rounds, in its order."""
+    return [(t.re, t.im, n, sign) for sign in (1, -1, 0) for t in theta_set(N)]
+
+
+def uncovered_oracle(point, clearance, radius, forms, bits: int = 256) -> bool:
+    """Whether the point (a Gaussian rational, or a pair of numbers taken
+    exactly) lies in the disk |z| <= radius with Re(z*t) at least
+    ``clearance`` from every integer, for every rotation t of ``forms``:
+    in Fractions, with sqrt(4n^2 - 1) enclosed to 2**-bits."""
+    if isinstance(point, GaussianRational):
+        x, y = point.re, point.im
+    else:
+        x, y = (Fraction(c) for c in point)
+    clearance, radius = Fraction(clearance), Fraction(radius)
+    if x * x + y * y > radius * radius:
+        return False
+    for form in forms:
+        if form is None:
+            continue
+        a, b, n, sign = form
+        wr, wi = x * a - y * b, x * b + y * a  # z*(a + bi)
+        if sign == 0:
+            lo = hi = wr
+        else:
+            s = math.isqrt((4 * n * n - 1) << (2 * bits))
+            # Re((wr + i*wi)*(1 + sign*i*r)/(2n)) for r = sqrt(4n^2 - 1)
+            ends = [(wr - sign * wi * Fraction(r, 1 << bits)) / (2 * n) for r in (s, s + 1)]
+            lo, hi = min(ends), max(ends)
+        k = math.floor(lo)
+        if lo - k < clearance or k + 1 - hi < clearance:
+            return False
+    return True
+
+
+def float_literal_bounds(epsilon: float, radius: float) -> tuple[Fraction, Fraction]:
+    """A clearance and a radius that hold for every decimal literal that
+    rounds to the floats epsilon and radius: eps + ulp(eps), R - ulp(R)."""
+    return (Fraction(epsilon) + Fraction(math.ulp(epsilon)),
+            Fraction(radius) - Fraction(math.ulp(radius)))

@@ -20,6 +20,9 @@ from pathlib import Path
 import pytest
 
 from pyjama import cli
+from pyjama.gaussian import GaussianRational
+
+from _util import theta_prime_forms, uncovered_oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -36,11 +39,12 @@ WORKLOADS = _load_workloads()
 JOBS = [job for _, jobs in sorted(WORKLOADS.catalog("cover-build").items()) for job in jobs]
 DISK_JOBS = WORKLOADS.catalog("adelic-scan")["disk"]
 EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())
-# report.txt digests of the disk jobs, from scripts/catalog_digest.py
+# report.txt digests of the disk jobs, from scripts/catalog_digest.py; their
+# non-certified scan rows name a witness or "none"
 DISK_DIGESTS = {
-    "0e88c49a8c4b6244": "fcf492729c693aee",
-    "2fb7081c516db00d": "56315d6a8b46cc1f",
-    "f6f647bde6619770": "91cbe44883cfd956",
+    "0e88c49a8c4b6244": "04ea4de0e71dfbdd",
+    "2fb7081c516db00d": "c818e69c33a3ed5c",
+    "f6f647bde6619770": "1cbc68bed636bf7c",
 }
 # the approx jobs that scripts/catalog_digest.py runs, and their
 # (exit code, report.txt digest) from that script
@@ -128,11 +132,12 @@ LONG_DISK_JOB = WORKLOADS.disk_job("disk", "0.15", "0.1", 2, 4, 2)
 
 
 def test_long_disk_scan_report_bytes(tmp_path):
-    assert _run(LONG_DISK_JOB, tmp_path) == (0, "84cdf928365310a3")
+    assert _run(LONG_DISK_JOB, tmp_path) == (0, "c80d1a3b79e56579")
 
 
 # an odd grid: 25 x 25 cells at R = 2.5, pitch 0.2, so one cell sits at the
-# centre; digest recorded before the grid was laid out centred on the disk
+# centre; its certifying rows as recorded before the grid was laid out
+# centred on the disk
 ODD_GRID_DISK_JOB = WORKLOADS.Job(
     "disk", "irrational-cover",
     WORKLOADS._ini("disk", epsilon="0.15", radius="2.5", pitch="0.2", n_max=2, N_max=4,
@@ -141,7 +146,27 @@ ODD_GRID_DISK_JOB = WORKLOADS.Job(
 
 
 def test_odd_grid_disk_scan_report_bytes(tmp_path):
-    assert _run(ODD_GRID_DISK_JOB, tmp_path) == (0, "e623bc263e80096f")
+    assert _run(ODD_GRID_DISK_JOB, tmp_path) == (0, "c6a3ea3f85946d2a")
+
+
+@pytest.mark.parametrize("job", [*DISK_JOBS, LONG_DISK_JOB, ODD_GRID_DISK_JOB],
+                         ids=lambda job: f"{job.cls}-{job.key}")
+def test_disk_scan_witnesses_are_uncovered(job, tmp_path):
+    # every witness a pinned scan names misses every open stripe of the
+    # exact theta_prime(n, N) at the config's decimal half-width, within its
+    # decimal radius: re-checked by the tests' own Fraction oracle
+    assert _run(job, tmp_path)[0] == 0
+    config = dict(line.split(" = ") for line in job.ini.splitlines() if " = " in line)
+    rows = [dict(part.split("=", 1) for part in line.split()[1:])
+            for line in (tmp_path / "out" / "report.txt").read_text().splitlines()
+            if line.startswith("scan ")]
+    witnesses = [row for row in rows if row["certified"] == "false" and row["witness"] != "none"]
+    assert witnesses
+    for row in witnesses:
+        assert int(row["failing"]) > 0
+        point = GaussianRational.parse(row["witness"])
+        forms = theta_prime_forms(int(row["n"]), int(row["N"]))
+        assert uncovered_oracle(point, config["epsilon"], config["radius"], forms)
 
 
 def test_schedule_has_every_pinned_approx_job():

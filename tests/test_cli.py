@@ -5,6 +5,9 @@ import pytest
 
 from pyjama import cli, covering
 from pyjama.cli import COMMANDS, RunConfig, main, run
+from pyjama.gaussian import GaussianRational
+
+from _util import theta_prime_forms, uncovered_oracle
 
 FIGURE_INI = """\
 [covering]
@@ -301,6 +304,11 @@ def test_irrational_cover_failure(tmp_path, capsys):
                          "--out", str(out))
     assert code == 1
     assert "certified=false" in summary
+    # the three rotations miss the disk, and the row names a point they miss
+    row = (out / "report.txt").read_text().splitlines()[-1]
+    assert row.startswith("scan n=1 N=0 rotations=3 certified=false witness=")
+    witness = GaussianRational.parse(row.split("witness=")[1].split()[0])
+    assert uncovered_oracle(witness, "0.2", "2.0", theta_prime_forms(1, 0))
 
 
 def test_approx_command(tmp_path, capsys):
@@ -452,6 +460,15 @@ _DISK_INI = ("[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
     ("irrational-cover", _DISK_INI.format(n_max=1, N_max=0, rounds=0).replace(
         "0.45", "1e-320").replace("pitch = 0.05", "pitch = 1e-321"),
      [], "input", "error: [disk]: grid too large: 2 * radius / pitch must be finite\n"),
+    # finite grids of more columns than the stated limit: 4e20 and 2e10
+    ("irrational-cover", _DISK_INI.format(n_max=1, N_max=0, rounds=0).replace(
+        "radius = 1.0\npitch = 0.05", "radius = 1e20\npitch = 0.5"),
+     [], "input", "error: [disk]: grid too large: 2 * radius / pitch must be at most 1048576, "
+                  "got 4e+20\n"),
+    ("irrational-cover", _DISK_INI.format(n_max=1, N_max=0, rounds=0).replace(
+        "radius = 1.0\npitch = 0.05", "radius = 5e9\npitch = 0.5"),
+     [], "input", "error: [disk]: grid too large: 2 * radius / pitch must be at most 1048576, "
+                  "got 2e+10\n"),
     ("closure-index", "[closure-index]\nu = 6\np = 5\nk = 0\n", [],
      "input", "error: [closure-index] k: must be at least 1, got 0\n"),
     # a negative count would run no audit yet print audit_mismatches=0
@@ -459,7 +476,8 @@ _DISK_INI = ("[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
      "input", "error: [covering] audit_points: must be at least 0, got -1\n"),
 ], ids=["precision", "torsion-unit", "input", "precision-zero", "precision-negative",
         "disk-n-max", "disk-N-max", "disk-refine-rounds", "disk-epsilon-wide",
-        "disk-epsilon-negative", "disk-grid-overflow", "disk-grid-subnormal", "closure-index-k",
+        "disk-epsilon-negative", "disk-grid-overflow", "disk-grid-subnormal", "disk-grid-huge",
+        "disk-grid-wide", "closure-index-k",
         "covering-audit-points"])
 def test_error_tags(tmp_path, capsys, command, ini, argv, tag, message):
     cfg = _write(tmp_path / "e.ini", ini)

@@ -42,9 +42,13 @@ from pyjama.covering import (
 
 from _util import (
     clip_halfplane,
+    float_literal_bounds,
     fraction_contains,
     fraction_dist_sq,
+    plain_forms,
     rng,
+    theta_prime_forms,
+    uncovered_oracle,
     whole_cell_pieces,
     with_pieces,
 )
@@ -662,18 +666,34 @@ def test_certified_disk_cover_nan_rotation_covers_nothing():
     assert report == certified_disk_cover([1j], 0.45, 3.0, 0.1)
 
 
-def _disk_reference(rotations, eps, R, h, refine_rounds):
+def _disk_reference(rotations, eps, R, h, refine_rounds, stop=True):
     """Every rotation tested on every cell: the failing cells sorted, and
-    as raw arrays in the order the kernel keeps them."""
+    as raw arrays in the order the kernel keeps them, and the witness as a
+    float pair or None.  With ``stop``, the grid level and each level that a
+    further round refines are searched for a witness first: the first
+    centre of the level's first half in the disk and at least eps from the
+    nearest integer under every rotation in floats that ``uncovered_oracle``
+    confirms, and a level that holds one ends the run."""
     rots = [complex(float(t.re), float(t.im)) if isinstance(t, GaussianRational)
             else complex(t) for t in rotations]
+    forms = plain_forms(rotations)
+    clearance, inside = float_literal_bounds(eps, R)
 
-    def failing(xs, ys, half_diag):
+    def failing(xs, ys, slack):
         covered = np.zeros(xs.shape, dtype=bool)
         for t in rots:
             values = t.real * xs - t.imag * ys
-            covered |= np.abs(values - np.rint(values)) < eps - half_diag
+            covered |= np.abs(values - np.rint(values)) < slack
         return xs[~covered], ys[~covered]
+
+    def witness(fx, fy):
+        half = (fx.size + 1) // 2
+        cx, cy = fx[:half], fy[:half]
+        keep = cx * cx + cy * cy <= R * R
+        for x, y in zip(*failing(cx[keep], cy[keep], eps)):
+            if uncovered_oracle((x, y), clearance, inside, forms):
+                return float(x), float(y)
+        return None
 
     half_diag = h * math.sqrt(2) / 2
     n = max(1, math.ceil(2 * R / h))
@@ -682,10 +702,11 @@ def _disk_reference(rotations, eps, R, h, refine_rounds):
     keep = xs * xs + ys * ys <= (R + half_diag) ** 2
     xs, ys = xs[keep], ys[keep]
     checked = xs.size
-    fx, fy = failing(xs, ys, half_diag)
+    fx, fy = failing(xs, ys, eps - half_diag)
+    found = witness(fx, fy) if stop else None
     rounds = 0
     for _ in range(refine_rounds):
-        if fx.size == 0:
+        if fx.size == 0 or found:
             break
         h /= 2
         off = h / 2
@@ -694,10 +715,12 @@ def _disk_reference(rotations, eps, R, h, refine_rounds):
         half_diag = h * math.sqrt(2) / 2
         keep = cx * cx + cy * cy <= (R + half_diag) ** 2
         checked += int(keep.sum())
-        fx, fy = failing(cx[keep], cy[keep], half_diag)
+        fx, fy = failing(cx[keep], cy[keep], eps - half_diag)
         rounds += 1
+        if stop and rounds < refine_rounds:
+            found = witness(fx, fy)
     cells = tuple(sorted((float(x), float(y)) for x, y in zip(fx, fy)))
-    return not cells, h, rounds, checked, cells, (fx, fy)
+    return not cells, h, rounds, checked, cells, (fx, fy), found
 
 
 @st.composite
@@ -725,7 +748,7 @@ def disk_configs(draw):
 def test_certified_disk_cover_matches_full_mask_reference(case):
     rots, eps, radius, pitch, rounds = case
     report = certified_disk_cover(rots, eps, radius, pitch, refine_rounds=rounds)
-    certified, h, used, checked, cells, raw = _disk_reference(*case)
+    certified, h, used, checked, cells, raw, witness = _disk_reference(*case)
     assert report.certified == certified
     assert report.pitch == h
     assert report.rounds_used == used
@@ -734,12 +757,83 @@ def test_certified_disk_cover_matches_full_mask_reference(case):
     assert report.failing_cells == cells
     assert all(type(x) is float and type(y) is float for x, y in report.failing_cells)
     assert [a.tobytes() for a in report._failing] == [a.tobytes() for a in raw]
+    assert report.witness == (None if witness is None else GaussianRational.from_fractions(*witness))
 
 
 def test_certified_disk_cover_in_blocks_of_seven(monkeypatch):
     # block edges fall inside every level, the grid's and each round's
     monkeypatch.setattr(covering, "_BLOCK", 7)
     test_certified_disk_cover_matches_full_mask_reference()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(disk_configs())
+@example((theta_prime(1, 1)[:6], 0.35, 2.0, 0.2, 3))  # certified in round 3
+@example((theta_prime(1, 1)[:6], 0.3, 2.0, 0.2, 3))  # no witness, not certified
+@example(([1 + 0j, 1j], 0.4, 1.0, 0.2, 2))  # a witness on the grid
+@example(([1 + 0j], 0.375, 1.0, 0.25, 2))  # a witness in round 1 (see below)
+@example(([complex(math.nan, 0.0), 1j], 0.45, 3.0, 0.1, 0))
+def test_certified_disk_cover_witness_is_uncovered(case):
+    # a witness is an uncovered point: the oracle confirms it, and the run
+    # without the stop rule does not certify at any depth up to 3; a run
+    # that certifies by then names none
+    rots, eps, radius, pitch, rounds = case
+    report = certified_disk_cover(rots, eps, radius, pitch, refine_rounds=rounds)
+    deepest = _disk_reference(rots, eps, radius, pitch, 3, stop=False)
+    if report.witness is not None:
+        assert not report.certified and report.failing_count > 0
+        assert uncovered_oracle(report.witness, *float_literal_bounds(eps, radius),
+                                plain_forms(rots))
+        assert not deepest[0]
+    if deepest[0] or report.certified:
+        assert report.witness is None
+
+
+def test_certified_disk_cover_witness_in_blocks_of_seven(monkeypatch):
+    monkeypatch.setattr(covering, "_BLOCK", 7)
+    test_certified_disk_cover_witness_is_uncovered()
+
+
+def test_certified_disk_cover_passes_over_a_rejected_candidate(monkeypatch):
+    # stripes |x - k| < 3/8 and grid centres at odd multiples of 1/8: the
+    # columns x = +-3/8, +-5/8 lie exactly float(eps) from a stripe, so the
+    # float test proposes their centres and the exact test, which asks for
+    # eps + ulp(eps), rejects every one.  No grid centre is uncovered, and
+    # the run refines as without the witness search: a child at 7/16 is
+    # uncovered, found when round 1 is kept for round 2.
+    checked = []
+    clear = covering._clear
+    monkeypatch.setattr(covering, "_clear",
+                        lambda x, y, *args: checked.append((x, y, clear(x, y, *args))) or checked[-1][2])
+    report = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25, refine_rounds=1)
+    assert checked and not any(ok for _, _, ok in checked)
+    assert {abs(x) for x, _, _ in checked} <= {0.375, 0.625}
+    assert report.witness is None and report.rounds_used == 1
+    certified, h, used, cells_checked, cells, _, _ = _disk_reference([1 + 0j], 0.375, 1.0, 0.25, 1,
+                                                                     stop=False)
+    assert (report.pitch, report.cells_checked, report.failing_count) == (h, cells_checked, len(cells))
+    deeper = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25, refine_rounds=2)
+    assert deeper.rounds_used == 1 and abs(deeper.witness.re) in (F(7, 16), F(9, 16))
+
+
+def test_disk_cover_witness_under_optimize():
+    # the exact re-check is an if, not an assert: under -O the rejected
+    # candidates stay rejected and a scan names the same witnesses
+    script = textwrap.dedent("""
+        from pyjama.covering import certified_disk_cover, disk_cover_scan
+        rejected = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25, refine_rounds=1)
+        print(rejected.witness, rejected.rounds_used)
+        for row in disk_cover_scan(0.2, 4.0, 0.25, 1, 1, refine_rounds=2):
+            print(row[-1])
+    """)
+    src = str(Path(covering.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = disk_cover_scan(0.2, 4.0, 0.25, 1, 1, refine_rounds=2)
+    assert all(row[-1] is not None for row in rows)
+    assert done.stdout.splitlines() == ["None 1", *(str(row[-1]) for row in rows)]
 
 
 def _assert_mirrored(fx, fy):
@@ -811,10 +905,14 @@ def test_children_stream_matches_the_whole_level(rotations, eps, radius):
         assert np.concatenate([y for _, y in got]).tobytes() == want_y.tobytes()
 
 
-def test_certified_disk_cover_memory_follows_the_failing_half():
+def test_certified_disk_cover_memory_follows_the_failing_half(monkeypatch):
     # a 400 x 400 grid, 80,000 cells in its tested half, and two rounds: the
     # peak allocation follows the failing cells, 16 bytes each, not the levels
     rotations = theta_prime(1, 0)
+    # its grid holds a witness, which ends the run there; the refinement
+    # that a step without one goes through is measured with the search off
+    assert certified_disk_cover(rotations, 0.25, 20, 0.1, refine_rounds=2).rounds_used == 0
+    monkeypatch.setattr(covering, "_witness", lambda *args: None)
     tracemalloc.start()
     try:
         report = certified_disk_cover(rotations, 0.25, 20, 0.1, refine_rounds=2)
@@ -885,8 +983,15 @@ def _assert_scan_matches_fresh_runs(monkeypatch, eps, radius, pitch, n_max, N_ma
         rotations = theta_prime(n, N)
         fresh = certified_disk_cover(rotations, eps, radius, pitch, refine_rounds=rounds)
         assert count == len(rotations)
-        assert scalars == [fresh.certified, fresh.cells_checked, fresh.failing_count]
+        assert scalars == [fresh.certified, fresh.cells_checked, fresh.failing_count,
+                           fresh.witness]
         _assert_same_disk_cover(report, fresh)
+        # the fresh run checks its witness against the float rotations, the
+        # scan against the rotations they round: both hold
+        if report.witness is not None:
+            bounds = float_literal_bounds(eps, radius)
+            assert uncovered_oracle(report.witness, *bounds, theta_prime_forms(n, N))
+            assert uncovered_oracle(report.witness, *bounds, plain_forms(rotations))
         grid = certified_disk_cover(rotations, eps, radius, pitch)._failing_half
         assert [a.tobytes() for a in grid_half] == [a.tobytes() for a in grid]
 
@@ -950,17 +1055,43 @@ def test_disk_cover_rejects_an_infinite_grid(epsilon, radius, pitch):
         disk_cover_scan(epsilon, radius, pitch, 1, 0)
 
 
-# (N, cells, failing) of the eps = 0.05 scan at n = 1, recorded before the
-# disk cover tested half of each level and mirrored the other
-_EPS_005_SCAN = ((0, 9074380, 6239368), (1, 5730456, 3001652), (2, 2950482, 940584),
-                 (3, 1454134, 202352), (4, 829708, 30198), (5, 610764, 3042),
+@pytest.mark.parametrize("radius, pitch, columns", [(1e20, 0.5, "4e+20"), (5e9, 0.5, "2e+10")])
+def test_disk_cover_rejects_a_huge_grid(monkeypatch, radius, pitch, columns):
+    # a finite grid of more columns than the stated limit is refused before
+    # any cell is laid out: a grid made here would fail the test
+    def no_grid(*args):
+        raise AssertionError("the grid was laid out")
+
+    monkeypatch.setattr(covering, "_grid", no_grid)
+    message = "^" + re.escape(f"grid too large: 2 * radius / pitch must be at most 1048576, "
+                              f"got {columns}") + "$"
+    with pytest.raises(ValueError, match=message):
+        certified_disk_cover([1 + 0j], 0.45, radius, pitch)
+    with pytest.raises(ValueError, match=message):
+        disk_cover_scan(0.45, radius, pitch, 1, 0)
+    assert covering._MAX_COLUMNS == 2**20
+    # the largest grid allowed passes the check
+    assert covering._disk_parameters(0.45, 2**19 * 0.5, 0.5, 0) == (0.45, 2**19 * 0.5, 0.5)
+
+
+# (N, cells, failing) of the eps = 0.05 scan at n = 1.  N = 0..5 stop on the
+# grid at a witness (their rows were (9074380, 6239368), (5730456, 3001652),
+# (2950482, 940584), (1454134, 202352), (829708, 30198) and (610764, 3042)
+# when every step ran both rounds); N = 6 holds no witness and keeps its row,
+# recorded before the disk cover tested half of each level and mirrored the
+# other, as does the certifying N = 7
+_EPS_005_SCAN = ((0, 504372, 475092), (1, 504372, 367328), (2, 504372, 238658),
+                 (3, 504372, 130334), (4, 504372, 59440), (5, 504372, 23180),
                  (6, 534528, 98), (7, 511444, 0))
 
 
 def test_certified_disk_cover_small_epsilon_scan():
     rows = disk_cover_scan(0.05, 20, 0.05, 1, 7, refine_rounds=2)
-    assert [(N, cells, failing) for _, N, _, _, cells, failing in rows] == list(_EPS_005_SCAN)
+    assert [(N, cells, failing) for _, N, _, _, cells, failing, _ in rows] == list(_EPS_005_SCAN)
     assert rows[-1][3]
+    assert [witness is not None for *_, witness in rows] == [True] * 6 + [False] * 2
+    for n, N, *_, witness in rows[:6]:
+        assert uncovered_oracle(witness, *float_literal_bounds(0.05, 20.0), theta_prime_forms(n, N))
 
 
 def test_snap_to_lattice_round_trip():
