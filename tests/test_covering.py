@@ -799,21 +799,25 @@ def test_certified_disk_cover_passes_over_a_rejected_candidate(monkeypatch):
     # columns x = +-3/8, +-5/8 lie exactly float(eps) from a stripe, so the
     # float test proposes their centres and the exact test, which asks for
     # eps + ulp(eps), rejects every one.  No grid centre is uncovered, and
-    # the run refines as without the witness search: a child at 7/16 is
-    # uncovered, found when round 1 is kept for round 2.
+    # the run refines as without the witness search; the child at
+    # x = -7/16 is uncovered, found when round 1 is kept for round 2
     checked = []
     clear = covering._clear
-    monkeypatch.setattr(covering, "_clear",
-                        lambda x, y, *args: checked.append((x, y, clear(x, y, *args))) or checked[-1][2])
+
+    def spy(x, y, *args):
+        checked.append((x, clear(x, y, *args)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(covering, "_clear", spy)
     report = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25, refine_rounds=1)
-    assert checked and not any(ok for _, _, ok in checked)
-    assert {abs(x) for x, _, _ in checked} <= {0.375, 0.625}
+    assert checked and {(abs(x), ok) for x, ok in checked} <= {(0.375, False), (0.625, False)}
     assert report.witness is None and report.rounds_used == 1
-    certified, h, used, cells_checked, cells, _, _ = _disk_reference([1 + 0j], 0.375, 1.0, 0.25, 1,
-                                                                     stop=False)
+    _, h, _, cells_checked, cells, _, _ = _disk_reference([1 + 0j], 0.375, 1.0, 0.25, 1,
+                                                           stop=False)
     assert (report.pitch, report.cells_checked, report.failing_count) == (h, cells_checked, len(cells))
     deeper = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25, refine_rounds=2)
-    assert deeper.rounds_used == 1 and abs(deeper.witness.re) in (F(7, 16), F(9, 16))
+    assert deeper.rounds_used == 1 and deeper.witness == GaussianRational.from_fractions(F(-7, 16),
+                                                                                         F(-11, 16))
 
 
 def test_disk_cover_witness_under_optimize():
