@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -568,94 +568,148 @@ def _children(hx: np.ndarray, hy: np.ndarray, off: float):
 
 
 def _failing_level(
-    xs: np.ndarray, ys: np.ndarray, reach_sq: float, rotations: list[complex], slack: float
-) -> tuple[np.ndarray, np.ndarray, int]:
+    xs: np.ndarray, ys: np.ndarray, reach_sq: float, rotations: list[complex], slack: float,
+    clear_at: tuple[float, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None]:
     """One refinement level: the cells whose center lies within the disk's
     reach (``x*x + y*y <= reach_sq``) and that no rotation holds deeper than
-    ``slack`` inside a stripe, in their given order, and the number of cells
-    in the disk.
+    ``slack`` inside a stripe, in their given order, the number of cells in
+    the disk, and the survivors' clear mask (None without ``clear_at``).
+
+    With ``clear_at = (disk_sq, eps)`` the same pass keeps a second mask: the
+    cell lies in the disk (``x*x + y*y <= disk_sq``) and no rotation holds
+    it less than ``eps`` from the nearest integer, two more ufuncs per
+    rotation on the same distances.  Its cells are the witness candidates;
+    with disk_sq <= reach_sq and slack <= eps, every one survives.
 
     The in-disk test and every rotation's stripe test AND into one mask,
     computed with in-place ufuncs in buffers allocated once per call.  The
     cells are compacted only when fewer than half of them are still alive,
-    and once at the end, so each cell goes through the same float operations
-    as when every rotation is tested on every cell.  The test is
-    ``~(d < slack)``: a rotation with a NaN part covers no cell."""
+    and once at the end.  Once the live cells times the rotations left are
+    at most ``_BATCH``, the live cells are compacted and those rotations
+    tested in one 2-D pass, whose ``np.fmin`` over the rotations feeds both
+    tests.  Each cell goes through the same float operations as when every
+    rotation is tested on every cell, so both masks are those of separate
+    passes.  The test is ``~(d < slack)``: a rotation with a NaN part covers
+    no cell, and ``np.fmin`` passes over its NaN."""
     v, w = np.empty((2, xs.size))
     hit, alive = np.empty((2, xs.size), dtype=bool)
     np.multiply(xs, xs, out=v)
     np.multiply(ys, ys, out=w)
     np.add(v, w, out=v)
     np.less_equal(v, reach_sq, out=alive)
+    clear = None if clear_at is None else v <= clear_at[0]
     checked = live = int(np.count_nonzero(alive))
-    for t in rotations:
+    for i, t in enumerate(rotations):
         if live == 0:
             break
-        if 2 * live < xs.size:
+        batch = live * (len(rotations) - i) <= _BATCH
+        if batch or 2 * live < xs.size:
             keep = np.flatnonzero(alive)
             xs, ys = xs.take(keep), ys.take(keep)
+            if clear is not None:
+                clear = clear.take(keep)
             v, w, hit, alive = v[:live], w[:live], hit[:live], alive[:live]
             alive.fill(True)
-        np.multiply(xs, t.real, out=v)
-        np.multiply(ys, t.imag, out=w)
-        np.subtract(v, w, out=v)
-        np.rint(v, out=w)
-        np.subtract(v, w, out=v)
-        np.abs(v, out=v)
+        if batch:  # the rest at once, as a live x rotations table
+            rest = np.array(rotations[i:], dtype=complex)
+            d = np.multiply.outer(xs, rest.real)
+            e = np.multiply.outer(ys, rest.imag)
+            np.subtract(d, e, out=d)
+            np.rint(d, out=e)
+            np.subtract(d, e, out=d)
+            np.abs(d, out=d)
+            np.fmin.reduce(d, axis=1, out=v)
+        else:
+            np.multiply(xs, t.real, out=v)
+            np.multiply(ys, t.imag, out=w)
+            np.subtract(v, w, out=v)
+            np.rint(v, out=w)
+            np.subtract(v, w, out=v)
+            np.abs(v, out=v)
         np.less(v, slack, out=hit)
         np.greater(alive, hit, out=alive)  # alive and not hit
+        if clear is not None:
+            np.less(v, clear_at[1], out=hit)
+            np.greater(clear, hit, out=clear)
         live = int(np.count_nonzero(alive))
+        if batch:
+            break
     keep = np.flatnonzero(alive)
-    return xs.take(keep), ys.take(keep), checked
+    return xs.take(keep), ys.take(keep), checked, None if clear is None else clear.take(keep)
 
 
 # cells per call of _failing_level: a block's centers and its two float64
-# work buffers take 1 MiB, which stays in a 2 MiB per-core L2 cache
+# work buffers take 1 MiB and its three masks 96 KiB, which stay in a 2 MiB
+# per-core L2 cache
 _BLOCK = 2**15
+# live cells times rotations left at or below which _failing_level tests the
+# rest of a block's rotations in one 2-D pass: its two float64 tables take
+# 32 KiB, and a pass per rotation would pay numpy's per-call overhead on
+# short arrays
+_BATCH = 2048
 
 
-def _blocks(size: int, cells, epsilon: float, radius: float, pitch: float,
-            rotations) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """``_failing_level`` on the first half of a level of cells of side
-    ``pitch``, closed under z -> -z, in blocks of ``_BLOCK`` consecutive
-    cells, all full but the last: each block's failing cells and in-disk
-    count.  The half has ``size`` cells and ``cells(a, b)`` makes its cells
-    a..b-1, so a level is never held whole."""
+def _reach_and_slack(epsilon: float, radius: float, pitch: float) -> tuple[float, float]:
+    """The squared reach and the slack of ``_failing_level`` for cells of
+    side ``pitch``: radius and epsilon moved by the cell's half-diagonal."""
     half_diag = pitch * math.sqrt(2) / 2
-    reach_sq, slack = (radius + half_diag) ** 2, epsilon - half_diag
-    for a in range(0, size, _BLOCK):
-        yield _failing_level(*cells(a, min(a + _BLOCK, size)), reach_sq, rotations, slack)
+    return (radius + half_diag) ** 2, epsilon - half_diag
 
 
 def _failing_half(
-    size: int, cells, epsilon: float, radius: float, pitch: float, rotations
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The failing cells of the first half of a level (``_blocks``), the
-    blocks' survivors joined, and the level's in-disk count.  A middle cell
-    (0, 0), its own mirror and in the disk (reach_sq > 0), ends the half."""
-    fx, fy, checked = [np.empty(0)], [np.empty(0)], 0
-    for x, y, n in _blocks(size, cells, epsilon, radius, pitch, rotations):
+    size: int, cells, epsilon: float, radius: float, pitch: float, rotations,
+    exact: list | None = None, earlier: list[complex] = (),
+) -> tuple[np.ndarray, np.ndarray, int, GaussianRational | None]:
+    """``_failing_level`` on the first half of a level of cells of side
+    ``pitch``, closed under z -> -z, in blocks of ``_BLOCK`` consecutive
+    cells, all full but the last: the failing cells, the blocks' survivors
+    joined, the level's in-disk count and its witness.  The half has
+    ``size`` cells and ``cells(a, b)`` makes its cells a..b-1, so a level is
+    never held whole.  A middle cell (0, 0), its own mirror and in the disk
+    (reach_sq > 0), ends the half.
+
+    With ``exact`` (every rotation of the step, in the form ``_clear``
+    reads) the level is searched for a witness in the same pass: each
+    block's candidates, the cells of its clear mask at eps and R**2, go to
+    ``_witness`` in turn, with ``earlier`` the rotations the blocks' cells
+    were not tested with here, until one is confirmed; later blocks build no
+    mask.  Without ``exact``, or when no candidate is confirmed, the witness
+    is None."""
+    reach_sq, slack = _reach_and_slack(epsilon, radius, pitch)
+    clear_at = None if exact is None else (radius * radius, epsilon)
+    fx, fy, checked, witness = [np.empty(0)], [np.empty(0)], 0, None
+    for a in range(0, size, _BLOCK):
+        x, y, n, clear = _failing_level(*cells(a, min(a + _BLOCK, size)), reach_sq,
+                                        rotations, slack, clear_at)
         fx.append(x)
         fy.append(y)
         checked += n
+        if clear is not None and clear.any():
+            witness = _witness(x[clear], y[clear], epsilon, radius, earlier, exact)
+            if witness is not None:
+                clear_at = None
     middle = size > 0 and all(a[0] == 0 for a in cells(size - 1, size))
-    return np.concatenate(fx), np.concatenate(fy), 2 * checked - middle
+    return np.concatenate(fx), np.concatenate(fy), 2 * checked - middle, witness
 
 
 def _failing_count(
     size: int, cells, epsilon: float, radius: float, pitch: float, rotations
 ) -> tuple[int, int]:
     """The number of failing cells and of cells in the disk of a refined
-    level whose first half is as in ``_blocks``; no cell is kept.  Each is
-    twice the half's, since a refined level has no middle cell: a child of
-    side h lies h/2 from its parent along each axis, and each coordinate of
-    its parent is 0 (a grid cell) or at least h in magnitude, so each of the
-    child's is at least h/2, h/2 being a float."""
+    level whose first half is as in ``_failing_half``; no cell is kept and
+    none is searched.  Each is twice the half's, since a refined level has
+    no middle cell: a child of side h lies h/2 from its parent along each
+    axis, and each coordinate of its parent is 0 (a grid cell) or at least h
+    in magnitude, so each of the child's is at least h/2, h/2 being a
+    float."""
+    reach_sq, slack = _reach_and_slack(epsilon, radius, pitch)
     failing = checked = 0
     # each block's survivors live until the next block's replace them: freed
     # at once, they left the heap top free, and the allocator gave it back
     # to the system only for the next block to fault it in again
-    for x, _, n in _blocks(size, cells, epsilon, radius, pitch, rotations):
+    for a in range(0, size, _BLOCK):
+        x, _, n, _ = _failing_level(*cells(a, min(a + _BLOCK, size)), reach_sq, rotations, slack)
         failing += x.size
         checked += n
     return 2 * failing, 2 * checked
@@ -707,21 +761,21 @@ def _clear(x: float, y: float, radius: Fraction, clearance: Fraction, exact) -> 
     return True
 
 
-def _witness(fx, fy, epsilon: float, radius: float, rotations, exact):
-    """The first of the failing half ``fx, fy``'s centres, block by block,
-    that ``_failing_level`` finds in the disk and at least ``epsilon`` from
-    the nearest integer under every rotation, and that ``_clear`` confirms
-    for clearance eps + ulp(eps) within radius R - ulp(R), which also hold
-    for the decimal literals that round to the floats eps and R: a Gaussian
-    rational, or None.  A candidate that ``_clear`` rejects is passed over."""
+def _witness(xs, ys, epsilon: float, radius: float, earlier, exact):
+    """The first of a block's candidates ``xs, ys`` (in the disk and at
+    least ``epsilon`` from the nearest integer under every rotation the
+    block was tested with) that is float-clear of the ``earlier`` rotations
+    too and that ``_clear`` confirms for clearance eps + ulp(eps) within
+    radius R - ulp(R), which also hold for the decimal literals that round to
+    the floats eps and R: a Gaussian rational, or None.  A candidate that
+    ``_clear`` rejects is passed over."""
+    if earlier:
+        xs, ys, _, _ = _failing_level(xs, ys, radius * radius, earlier, epsilon)
     clearance = Fraction(epsilon) + Fraction(math.ulp(epsilon))
     inside = Fraction(radius) - Fraction(math.ulp(radius))
-    for a in range(0, fx.size, _BLOCK):
-        xs, ys, _ = _failing_level(fx[a:a + _BLOCK], fy[a:a + _BLOCK], radius * radius,
-                                   rotations, epsilon)
-        for x, y in zip(xs.tolist(), ys.tolist()):
-            if _clear(x, y, inside, clearance, exact):
-                return GaussianRational.from_fractions(x, y)
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        if _clear(x, y, inside, clearance, exact):
+            return GaussianRational.from_fractions(x, y)
     return None
 
 
@@ -768,26 +822,25 @@ def _disk_parameters(epsilon, radius, pitch, refine_rounds: int) -> tuple[float,
     return eps, R, h
 
 
-def _refined(fx, fy, in_disk: int, eps: float, R: float, h: float,
+def _refined(fx, fy, in_disk: int, witness, eps: float, R: float, h: float,
              rotations: list[complex], exact: list, refine_rounds: int) -> DiskCoverReport:
     """The report of a run whose grid level left the first half ``fx, fy``
-    failing out of ``in_disk`` grid cells in the disk, after up to
-    ``refine_rounds`` rounds that split each failing cell into four.  The
-    grid level and each level kept for a next round are searched for a
-    witness first (``_witness``, with ``exact`` the rotations in the form
-    ``_clear`` reads), and the run stops at the first level that holds one.
-    Each round but the last keeps its failing half for the next; the last
-    round only counts its failing cells, and the report keeps their
-    parents'."""
+    failing out of ``in_disk`` grid cells in the disk, and named ``witness``
+    (None or a Gaussian rational), after up to ``refine_rounds`` rounds that
+    split each failing cell into four.  A level that holds a witness ends
+    the run.  Each level kept for a next round is searched for one as its
+    cells are tested (``_failing_half`` with ``exact``, the rotations in the
+    form ``_clear`` reads).  Each round but the last keeps its failing half
+    for the next; the last round only counts its failing cells, and is not
+    searched, and the report keeps their parents'."""
     checked = in_disk
     rounds_used = 0
-    witness = _witness(fx, fy, eps, R, rotations, exact)
     while witness is None and rounds_used < refine_rounds - 1 and fx.size:
         h /= 2
-        fx, fy, cells = _failing_half(*_children(fx, fy, h / 2), eps, R, h, rotations)
+        fx, fy, cells, witness = _failing_half(*_children(fx, fy, h / 2), eps, R, h,
+                                               rotations, exact)
         checked += cells
         rounds_used += 1
-        witness = _witness(fx, fy, eps, R, rotations, exact)
     failing, counted = _level_size(fx, fy), None
     if witness is None and rounds_used < refine_rounds and fx.size:
         h /= 2
@@ -820,14 +873,14 @@ def certified_disk_cover(
     by 1-Lipschitz continuity of the stripe coordinate).  Each refinement
     round splits every failing cell into four and tests them again.
 
-    Before the grid level and each level that a further round would refine
-    are refined, their failing cells are searched for a witness, a failing
-    centre in the disk that no open stripe holds (see ``DiskCoverReport``).
-    The float test proposes it and ``_clear`` confirms it exactly against
-    the rotations as given: a Gaussian rational exactly, a float or complex
-    at its binary value; a rotation that is not finite covers nothing.  A
-    level that holds a witness ends the run, not certified; the last round
-    is counted and not searched.
+    The grid level and each level that a further round would refine are
+    searched for a witness, a failing centre in the disk that no open stripe
+    holds (see ``DiskCoverReport``), in the pass that tests their cells: the
+    kernel's clear mask proposes it, block by block, and ``_clear`` confirms
+    it exactly against the rotations as given: a Gaussian rational exactly,
+    a float or complex at its binary value; a rotation that is not finite
+    covers nothing.  A level that holds a witness ends the run, not
+    certified; the last round is counted and not searched.
 
     The grid's n = max(1, ceil(2R/pitch)) columns and rows are centred on
     the disk, at pitch * (j - (n - 1)/2); when 2R/pitch is not an integer
@@ -854,14 +907,14 @@ def certified_disk_cover(
         raise ValueError("at least one rotation is required")
     rots = [complex(t) for t in given]
     eps, R, h = _disk_parameters(epsilon, radius, pitch, refine_rounds)
-    fx, fy, in_disk = _failing_half(*_grid(R, h), eps, R, h, rots)
     exact = []
     for t in given:  # exactly, a float at its binary value; not finite covers nothing
         try:
             exact.append(_rotation_form(exact_gaussian_rational(t)))
         except ValueError:
             exact.append(None)
-    return _refined(fx, fy, in_disk, eps, R, h, rots, exact, refine_rounds)
+    fx, fy, in_disk, witness = _failing_half(*_grid(R, h), eps, R, h, rots, exact)
+    return _refined(fx, fy, in_disk, witness, eps, R, h, rots, exact, refine_rounds)
 
 
 def disk_cover_scan(epsilon, radius, pitch, n_max: int, N_max: int, refine_rounds: int = 0
@@ -885,12 +938,16 @@ def disk_cover_scan(epsilon, radius, pitch, n_max: int, N_max: int, refine_round
     and a cell fails when every rotation fails it.  So each step carries
     only the first half of the grid cells still failing and their in-disk
     count, and tests on them only the 3(2N + 1) rotations new at N, those
-    zeta * theta5**r * theta13**s with max(r, s) = N; the witness search and
-    refinement test every rotation.  The rows, and the failing cells in
-    their order, are those of fresh runs, but for the exact check of a
-    witness, which a fresh run makes against the float rotations.  No
-    finished step's failing cells are kept.  The parameters are checked as by ``certified_disk_cover``;
-    n_max below 1 or N_max below 0 is a ValueError."""
+    zeta * theta5**r * theta13**s with max(r, s) = N; refinement tests every
+    rotation.  The grid pass searches the carried cells as it tests them,
+    and so sees only the new rotations: a block's candidates go through
+    ``_failing_level`` once more, at slack epsilon and reach R**2, with the
+    rotations from before N, and then through ``_clear``.  The rows, and
+    the failing cells in their order, are those of fresh runs, but for the
+    exact check of a witness, which a fresh run makes against the float
+    rotations.  No finished step's failing cells are kept.  The parameters
+    are checked as by ``certified_disk_cover``; n_max below 1 or N_max below
+    0 is a ValueError."""
     eps, R, h = _disk_parameters(epsilon, radius, pitch, refine_rounds)
     if n_max < 1 or N_max < 0:
         raise ValueError("need n_max >= 1 and N_max >= 0")
@@ -909,12 +966,12 @@ def disk_cover_scan(epsilon, radius, pitch, n_max: int, N_max: int, refine_round
             # the signs of irrational_triple's zeta, conj(zeta) and 1
             exact += [_rotation_form(theta, n, sign, root) for sign in (1, -1, 0)
                       for theta in shells[N]]
+            gx, gy, count, witness = _failing_half(*level, eps, R, h, new, exact, rots)
             rots += new
-            gx, gy, count = _failing_half(*level, eps, R, h, new)
             if N == 0:
                 in_disk = count
             level = gx.size, lambda a, b, gx=gx, gy=gy: (gx[a:b], gy[a:b])
-            report = _refined(gx, gy, in_disk, eps, R, h, rots, exact, refine_rounds)
+            report = _refined(gx, gy, in_disk, witness, eps, R, h, rots, exact, refine_rounds)
             rows.append((n, N, len(rots), report.certified, report.cells_checked,
                          report.failing_count, report.witness))
             if report.certified:

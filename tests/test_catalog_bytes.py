@@ -14,12 +14,15 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pyjama import cli
+from pyjama import cli, covering
+from pyjama.covering import theta_prime
 from pyjama.gaussian import GaussianRational
 
 from _util import theta_prime_forms, uncovered_oracle
@@ -167,6 +170,33 @@ def test_disk_scan_witnesses_are_uncovered(job, tmp_path):
         point = GaussianRational.parse(row["witness"])
         forms = theta_prime_forms(int(row["n"]), int(row["N"]))
         assert uncovered_oracle(point, config["epsilon"], config["radius"], forms)
+
+
+@pytest.mark.parametrize("job", [*DISK_JOBS, LONG_DISK_JOB, ODD_GRID_DISK_JOB],
+                         ids=lambda job: f"{job.cls}-{job.key}")
+def test_disk_scan_candidates_are_float_clear(job, tmp_path, monkeypatch):
+    # every point the scan hands to the exact check lies in the disk and at
+    # least epsilon from the nearest integer under every float rotation of
+    # its step, those from before N included: the exact check passes over a
+    # bad candidate quietly, so no report byte would show one
+    steps, seen = [], []
+    triple, clear = covering.irrational_triple, covering._clear
+    monkeypatch.setattr(covering, "irrational_triple", lambda n: steps.append(n) or triple(n))
+    monkeypatch.setattr(covering, "_clear",
+                        lambda x, y, radius, clearance, exact:
+                        seen.append((steps[-1], len(exact), x, y))
+                        or clear(x, y, radius, clearance, exact))
+    assert _run(job, tmp_path)[0] == 0
+    config = dict(line.split(" = ") for line in job.ini.splitlines() if " = " in line)
+    eps, radius = float(config["epsilon"]), float(config["radius"])
+    assert seen
+    for n, count, x, y in seen:
+        N = math.isqrt(count // 3) - 1
+        assert count == 3 * (N + 1) ** 2
+        rotations = np.array(theta_prime(n, N))
+        values = x * rotations.real - y * rotations.imag
+        assert x * x + y * y <= radius * radius
+        assert not (np.abs(values - np.rint(values)) < eps).any(), (n, N, x, y)
 
 
 def test_schedule_has_every_pinned_approx_job():

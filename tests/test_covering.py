@@ -840,6 +840,94 @@ def test_disk_cover_witness_under_optimize():
     assert done.stdout.splitlines() == ["None 1", *(str(row[-1]) for row in rows)]
 
 
+@st.composite
+def kernel_cases(draw):
+    """A k x k grid of centres at the pitch, k = 1..40, and up to 24 cells
+    anywhere near the disk, in drawn order; 0-7 rotations (float images of
+    theta_prime(1, 1), float angles, a NaN rotation); a half-width, a
+    radius of at most 3 and a pitch fine enough for the width."""
+    eps = draw(st.floats(0.05, 0.49))
+    pitch = eps * math.sqrt(2) * draw(st.floats(0.3, 0.99))
+    radius = draw(st.floats(0.2, 3.0))
+    k = draw(st.integers(1, 40))
+    centres = pitch * (np.arange(k) - (k - 1) / 2)
+    xs, ys = (a.ravel() for a in np.meshgrid(centres, centres))
+    near = st.floats(-radius - 1, radius + 1)
+    extra = draw(st.lists(st.tuples(near, near), max_size=24))
+    xs = np.concatenate([xs, [x for x, _ in extra]])
+    ys = np.concatenate([ys, [y for _, y in extra]])
+    order = draw(st.permutations(range(xs.size)))
+    angle = st.floats(0, 2 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
+    rotation = st.one_of(st.sampled_from(theta_prime(1, 1)), angle,
+                         st.just(complex(math.nan, 0.0)))
+    rots = draw(st.lists(rotation, max_size=7))
+    return xs[list(order)], ys[list(order)], rots, eps, radius, pitch
+
+
+def _two_passes(xs, ys, rotations, bound_sq, depth):
+    """The cells within ``bound_sq`` of the origin that no rotation holds
+    less than ``depth`` from the nearest integer: every rotation tested on
+    every cell, as a mask."""
+    keep = xs * xs + ys * ys <= bound_sq
+    for t in rotations:
+        values = xs * t.real - ys * t.imag
+        keep &= ~(np.abs(values - np.rint(values)) < depth)
+    return keep
+
+
+# an 8 x 8 grid at odd multiples of 1/8 and stripes of half-width 3/8: the
+# columns x = +-3/8, +-5/8 lie exactly eps from a stripe of rotation 1
+_TIES = (np.tile(np.arange(-7, 8, 2) / 8, 8), np.repeat(np.arange(-7, 8, 2) / 8, 8),
+         [1 + 0j, complex(math.nan, 0.0)], 0.375, 1.0, 0.25)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kernel_cases())
+@example(_TIES)
+# 1,600 cells and 12 rotations: the default threshold is crossed mid-block
+@example((*(a.ravel() for a in np.meshgrid(*2 * [0.1 * (np.arange(40) - 19.5)])),
+          theta_prime(1, 1), 0.2, 2.0, 0.1))
+def test_failing_level_matches_two_separate_passes(case):
+    # the kernel's survivors and clear mask, in one pass, are byte for byte
+    # those of two passes over every cell, one at the slack and reach, one
+    # at eps and R**2; in blocks, each block's candidates go to _witness
+    xs, ys, rots, eps, radius, pitch = case
+    reach_sq, slack = covering._reach_and_slack(eps, radius, pitch)
+    alive = _two_passes(xs, ys, rots, reach_sq, slack)
+    clear = _two_passes(xs, ys, rots, radius * radius, eps)
+    assert not (clear & ~alive).any()
+    fx, fy, checked, got = covering._failing_level(xs, ys, reach_sq, rots, slack,
+                                                   (radius * radius, eps))
+    assert [fx.tobytes(), fy.tobytes()] == [xs[alive].tobytes(), ys[alive].tobytes()]
+    assert got.tobytes() == clear[alive].tobytes()
+    assert checked == np.count_nonzero(xs * xs + ys * ys <= reach_sq)
+    plain = covering._failing_level(xs, ys, reach_sq, rots, slack)
+    assert [a.tobytes() for a in plain[:2]] == [fx.tobytes(), fy.tobytes()]
+    assert plain[2:] == (checked, None)
+    # in blocks: no candidate is confirmed, so every block's go to _witness
+    seen = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(covering, "_witness", lambda x, y, *args: seen.append((x, y)))
+        hx, hy, _, found = covering._failing_half(xs.size, lambda a, b: (xs[a:b], ys[a:b]),
+                                                  eps, radius, pitch, rots, exact=[])
+    assert found is None
+    assert [hx.tobytes(), hy.tobytes()] == [fx.tobytes(), fy.tobytes()]
+    assert all(x.size for x, _ in seen)
+    cx, cy = (np.concatenate([np.empty(0), *(cell[i] for cell in seen)]) for i in (0, 1))
+    assert [cx.tobytes(), cy.tobytes()] == [xs[clear].tobytes(), ys[clear].tobytes()]
+
+
+@pytest.mark.parametrize("block, batch", [(7, None), (None, 0), (None, 2**30), (7, 2**30)])
+def test_failing_level_in_blocks_and_batches(monkeypatch, block, batch):
+    # blocks of seven cells, the per-rotation pass alone (threshold 0) and
+    # the 2-D pass alone (threshold 2**30)
+    if block is not None:
+        monkeypatch.setattr(covering, "_BLOCK", block)
+    if batch is not None:
+        monkeypatch.setattr(covering, "_BATCH", batch)
+    test_failing_level_matches_two_separate_passes()
+
+
 def _assert_mirrored(fx, fy):
     """Raw cell k is cell size - 1 - k negated, byte for byte; a middle
     cell is (+0.0, +0.0), which 0.0 - x maps to itself."""
