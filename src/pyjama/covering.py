@@ -659,7 +659,7 @@ def _reach_and_slack(epsilon: float, radius: float, pitch: float) -> tuple[float
 
 def _failing_half(
     size: int, cells, epsilon: float, radius: float, pitch: float, rotations,
-    exact: list | None = None, earlier: list[complex] = (),
+    exact: list | None = None, earlier: Sequence[complex] = (),
 ) -> tuple[np.ndarray, np.ndarray, int, GaussianRational | None]:
     """``_failing_level`` on the first half of a level of cells of side
     ``pitch``, closed under z -> -z, in blocks of ``_BLOCK`` consecutive
