@@ -12,14 +12,8 @@ margin.
 
 from fractions import Fraction
 
-from pyjama import (
-    THETA5,
-    certified_disk_cover,
-    circle_density,
-    irrational_triple,
-    semigroup_density,
-    theta_prime,
-)
+from pyjama import THETA5, circle_density, semigroup_density
+from pyjama.disk import certified_disk_cover, irrational_triple, theta_prime
 
 # Products eta * 2^r * 3^s fill (0, 1] densely: at scale eta = 10^-4 the
 # largest gap between consecutive products below 1 is certified exactly.

@@ -12,7 +12,8 @@ time and the peak RSS.  "N - 1 lost" says whether the step before it names
 a witness, an uncovered point that proves theta_prime(n, N - 1) misses the
 disk, so that N is proven least for its n.  Each scan runs as a CLI command in its own process
 (through ``scripts/peak_rss.py``), so its peak memory is its own; the wall
-time includes the interpreter's start-up, printed first.
+time includes the start-up, printed first: an ``irrational-cover`` run on
+a one-cell grid, which imports numpy as every scan does.
 
     python3 demos/06_epsilon_growth.py [R]
 
@@ -46,14 +47,17 @@ def peak_rss(*args: str) -> dict[str, str]:
     return dict(part.split("=") for part in run.stdout.splitlines()[-1].split())
 
 
-# what every row pays before its scan starts: the interpreter and the imports
-start = peak_rss("--help")
-print(f"start-up (pyjama --help): {float(start['wall_s']):.2f} s, "
-      f"{float(start['peak_rss_mib']):.1f} MiB")
-print(f"radius {RADIUS}")
-print(f"{'epsilon':>7}  {'(n, N)':>7}  {'rotations':>9}  {'cells':>10}  "
-      f"{'scan cells':>10}  {'wall s':>6}  {'peak MiB':>8}  {'N - 1 lost':>10}")
 with tempfile.TemporaryDirectory() as tmp:
+    # what every row pays before its scan starts: the interpreter and the
+    # imports, numpy's included, measured on a grid of one cell
+    config = Path(tmp) / "start.ini"
+    config.write_text(CONFIG.format(eps="0.45", radius="0.1"))
+    start = peak_rss("irrational-cover", "--config", str(config), "--out", str(Path(tmp) / "start"))
+    print(f"start-up (irrational-cover on one cell): {float(start['wall_s']):.2f} s, "
+          f"{float(start['peak_rss_mib']):.1f} MiB")
+    print(f"radius {RADIUS}")
+    print(f"{'epsilon':>7}  {'(n, N)':>7}  {'rotations':>9}  {'cells':>10}  "
+          f"{'scan cells':>10}  {'wall s':>6}  {'peak MiB':>8}  {'N - 1 lost':>10}")
     for eps in EPSILONS:
         config, out = Path(tmp) / f"eps-{eps}.ini", Path(tmp) / eps
         config.write_text(CONFIG.format(eps=eps, radius=RADIUS))

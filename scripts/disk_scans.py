@@ -7,8 +7,10 @@ PARENT and CHANGE (default HEAD) into one temporary directory (``TMPDIR``
 picks where), as ``scripts/ab_pairs.py`` does.  Each pass starts one fresh
 process per side, alternating which side goes first, and each process
 imports its side's ``src`` and runs K rounds of the scans below, one after
-the other, timing each call of ``covering.disk_cover_scan`` with
-``time.perf_counter`` and counting its minor page faults (``ru_minflt``):
+the other, timing each call of ``disk_cover_scan`` with
+``time.perf_counter`` and counting its minor page faults (``ru_minflt``).
+The scan is taken from ``pyjama.disk``, or from ``pyjama.covering`` in a
+revision from before the disk cover had its own module:
 
     catalog-1  disk_cover_scan(0.2, 20, 0.2, 2, 3, 2)     the three
     catalog-2  disk_cover_scan(0.2, 20, 0.25, 2, 3, 2)    adelic-scan disk
@@ -44,7 +46,10 @@ SCANS = {
 # one side's process: K rounds of every scan; prints one JSON document
 CHILD = """
 import json, resource, sys, time
-from pyjama.covering import disk_cover_scan
+try:
+    from pyjama.disk import disk_cover_scan
+except ModuleNotFoundError:
+    from pyjama.covering import disk_cover_scan
 scans, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
 out = {name: {"ms": [], "minflt": [], "rows": None} for name in scans}
 for _ in range(repeats):

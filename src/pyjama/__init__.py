@@ -1,7 +1,9 @@
 """Exact pyjama-stripe covering toolkit.
 
 Gaussian-rational arithmetic, 5- and 13-adic embeddings, solenoid dynamics,
-constructive approximation, and certified plane-covering reports.
+constructive approximation, and certified plane-covering reports.  The
+float disk cover is in ``pyjama.disk``, the one module that imports numpy,
+and is not imported here.
 """
 
 from .gaussian import (  # noqa: F401
@@ -55,15 +57,10 @@ from .solenoid import (  # noqa: F401
 from .covering import (  # noqa: F401
     CoveringConfig,
     CoverReport,
-    DiskCoverReport,
     RationalityReport,
-    certified_disk_cover,
-    disk_cover_scan,
-    irrational_triple,
     obstruction_catalog,
     rationality_check,
     snap_to_lattice,
-    theta_prime,
     uncovered_region,
     verify_obstruction,
 )

@@ -39,12 +39,11 @@ from pyjama.solenoid import (
 )
 from pyjama.covering import (
     CoveringConfig,
-    certified_disk_cover,
     snap_to_lattice,
-    theta_prime,
     uncovered_region,
     verify_obstruction,
 )
+from pyjama.disk import certified_disk_cover, theta_prime
 from pyjama.approx import circle_density, semigroup_density, strong_approx
 from pyjama import cli
 

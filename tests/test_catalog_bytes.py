@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pyjama import cli, covering
-from pyjama.covering import theta_prime
+from pyjama import cli, disk
+from pyjama.disk import theta_prime
 from pyjama.gaussian import GaussianRational
 
 from _util import theta_prime_forms, uncovered_oracle
@@ -180,9 +180,9 @@ def test_disk_scan_candidates_are_float_clear(job, tmp_path, monkeypatch):
     # its step, those from before N included: the exact check passes over a
     # bad candidate quietly, so no report byte would show one
     steps, seen = [], []
-    triple, clear = covering.irrational_triple, covering._clear
-    monkeypatch.setattr(covering, "irrational_triple", lambda n: steps.append(n) or triple(n))
-    monkeypatch.setattr(covering, "_clear",
+    triple, clear = disk.irrational_triple, disk._clear
+    monkeypatch.setattr(disk, "irrational_triple", lambda n: steps.append(n) or triple(n))
+    monkeypatch.setattr(disk, "_clear",
                         lambda x, y, radius, clearance, exact:
                         seen.append((steps[-1], len(exact), x, y))
                         or clear(x, y, radius, clearance, exact))

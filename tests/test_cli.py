@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +314,56 @@ def test_irrational_cover_failure(tmp_path, capsys):
     assert row.startswith("scan n=1 N=0 rotations=3 certified=false witness=")
     witness = GaussianRational.parse(row.split("witness=")[1].split()[0])
     assert uncovered_oracle(witness, "0.2", "2.0", theta_prime_forms(1, 0))
+
+
+# one small config per command that does not scan a disk
+_NO_DISK_RUNS = [
+    ("verify-covering", FIGURE_INI),
+    ("obstructions", "[obstructions]\nepsilon = 9/20\nm_max = 2\nperiod = 1-2i\n"),
+    ("rationality-check", FIGURE_INI + "\n[rationality]\nrefinement = 2\n"),
+    ("approx", "[approx]\nz = 0\np = 5\ntarget = 1/5\ndelta = 1/10\n"),
+    ("approx", "[approx]\nz = 0\ntarget5 = 1/5\ntarget13 = 0\ndelta = 1/10\n"),
+    ("classify", "[classify]\nq = 1/2+1/2i\n"),
+    ("orbit", "[orbit]\nw = 1\nm = 1\nsweep = 10\ngap_below = 0.9\n"),
+    ("density", "[density]\neta = 1/1000000\ndelta = 1/10\n"),
+    ("density", "[density]\nkind = circle\ntheta = -3/5+4/5i\nt = 1\nM = 200\n"),
+    ("closure-index", "[closure-index]\nu = 6\np = 5\n"),
+]
+
+# runs the commands in turn in one fresh process; after each it prints its
+# exit code and whether numpy has been imported
+_NUMPY_PROBE = """
+import json, sys
+from pathlib import Path
+from pyjama.cli import main
+tmp, runs = Path(sys.argv[1]), json.loads(sys.argv[2])
+for i, (command, ini) in enumerate(runs):
+    config = tmp / f"{i}.ini"
+    config.write_text(ini)
+    code = main([command, "--config", str(config), "--out", str(tmp / str(i))])
+    print(f"probe {command} exit={code} numpy={'numpy' in sys.modules}")
+"""
+
+
+def test_only_irrational_cover_imports_numpy(tmp_path):
+    # the float disk cover is the one user of numpy, so every other command
+    # runs without importing it; irrational-cover imports it when it runs
+    disk = ("irrational-cover", "[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
+                                "n_max = 1\nN_max = 0\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(tmp_path),
+                           json.dumps(_NO_DISK_RUNS + [disk])],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    probes = [line for line in done.stdout.splitlines() if line.startswith("probe ")]
+    summaries = [line for line in done.stdout.splitlines() if line.startswith("command=")]
+    # the figure config is not covered (exit 1); every other run exits 0
+    assert probes[:-1] == [f"probe {command} exit={int(command == 'verify-covering')} "
+                           "numpy=False" for command, _ in _NO_DISK_RUNS]
+    assert probes[-1] == "probe irrational-cover exit=0 numpy=True"
+    assert summaries[-1] == ("command=irrational-cover exit=0 certified=true n=1 N=0 "
+                             f"report={tmp_path / str(len(_NO_DISK_RUNS)) / 'report.txt'}")
 
 
 def test_approx_command(tmp_path, capsys):

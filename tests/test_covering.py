@@ -26,19 +26,16 @@ from pyjama.gaussian import (
     theta_set,
 )
 from pyjama.polygon import ConvexPolygon, _canonicalize, _ring_area2, _ring_contains
-from pyjama import covering
+from pyjama import covering, disk
 from pyjama.covering import (
     CoveringConfig,
-    certified_disk_cover,
-    disk_cover_scan,
-    irrational_triple,
     obstruction_catalog,
     rationality_check,
     snap_to_lattice,
-    theta_prime,
     uncovered_region,
     verify_obstruction,
 )
+from pyjama.disk import certified_disk_cover, disk_cover_scan, irrational_triple, theta_prime
 
 from _util import (
     clip_halfplane,
@@ -762,7 +759,7 @@ def test_certified_disk_cover_matches_full_mask_reference(case):
 
 def test_certified_disk_cover_in_blocks_of_seven(monkeypatch):
     # block edges fall inside every level, the grid's and each round's
-    monkeypatch.setattr(covering, "_BLOCK", 7)
+    monkeypatch.setattr(disk, "_BLOCK", 7)
     test_certified_disk_cover_matches_full_mask_reference()
 
 
@@ -790,7 +787,7 @@ def test_certified_disk_cover_witness_is_uncovered(case):
 
 
 def test_certified_disk_cover_witness_in_blocks_of_seven(monkeypatch):
-    monkeypatch.setattr(covering, "_BLOCK", 7)
+    monkeypatch.setattr(disk, "_BLOCK", 7)
     test_certified_disk_cover_witness_is_uncovered()
 
 
@@ -802,13 +799,13 @@ def test_certified_disk_cover_passes_over_a_rejected_candidate(monkeypatch):
     # the run refines as without the witness search; the child at
     # x = -7/16 is uncovered, found when round 1 is kept for round 2
     checked = []
-    clear = covering._clear
+    clear = disk._clear
 
     def spy(x, y, *args):
         checked.append((x, clear(x, y, *args)))
         return checked[-1][1]
 
-    monkeypatch.setattr(covering, "_clear", spy)
+    monkeypatch.setattr(disk, "_clear", spy)
     report = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25, refine_rounds=1)
     assert checked and {(abs(x), ok) for x, ok in checked} <= {(0.375, False), (0.625, False)}
     assert report.witness is None and report.rounds_used == 1
@@ -824,13 +821,13 @@ def test_disk_cover_witness_under_optimize():
     # the exact re-check is an if, not an assert: under -O the rejected
     # candidates stay rejected and a scan names the same witnesses
     script = textwrap.dedent("""
-        from pyjama.covering import certified_disk_cover, disk_cover_scan
+        from pyjama.disk import certified_disk_cover, disk_cover_scan
         rejected = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25, refine_rounds=1)
         print(rejected.witness, rejected.rounds_used)
         for row in disk_cover_scan(0.2, 4.0, 0.25, 1, 1, refine_rounds=2):
             print(row[-1])
     """)
-    src = str(Path(covering.__file__).resolve().parents[1])
+    src = str(Path(disk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
@@ -892,24 +889,24 @@ def test_failing_level_matches_two_separate_passes(case):
     # those of two passes over every cell, one at the slack and reach, one
     # at eps and R**2; in blocks, each block's candidates go to _witness
     xs, ys, rots, eps, radius, pitch = case
-    reach_sq, slack = covering._reach_and_slack(eps, radius, pitch)
+    reach_sq, slack = disk._reach_and_slack(eps, radius, pitch)
     alive = _two_passes(xs, ys, rots, reach_sq, slack)
     clear = _two_passes(xs, ys, rots, radius * radius, eps)
     assert not (clear & ~alive).any()
-    fx, fy, checked, got = covering._failing_level(xs, ys, reach_sq, rots, slack,
-                                                   (radius * radius, eps))
+    fx, fy, checked, got = disk._failing_level(xs, ys, reach_sq, rots, slack,
+                                               (radius * radius, eps))
     assert [fx.tobytes(), fy.tobytes()] == [xs[alive].tobytes(), ys[alive].tobytes()]
     assert got.tobytes() == clear[alive].tobytes()
     assert checked == np.count_nonzero(xs * xs + ys * ys <= reach_sq)
-    plain = covering._failing_level(xs, ys, reach_sq, rots, slack)
+    plain = disk._failing_level(xs, ys, reach_sq, rots, slack)
     assert [a.tobytes() for a in plain[:2]] == [fx.tobytes(), fy.tobytes()]
     assert plain[2:] == (checked, None)
     # in blocks: no candidate is confirmed, so every block's go to _witness
     seen = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(covering, "_witness", lambda x, y, *args: seen.append((x, y)))
-        hx, hy, _, found = covering._failing_half(xs.size, lambda a, b: (xs[a:b], ys[a:b]),
-                                                  eps, radius, pitch, rots, exact=[])
+        m.setattr(disk, "_witness", lambda x, y, *args: seen.append((x, y)))
+        hx, hy, _, found = disk._failing_half(xs.size, lambda a, b: (xs[a:b], ys[a:b]),
+                                              eps, radius, pitch, rots, exact=[])
     assert found is None
     assert [hx.tobytes(), hy.tobytes()] == [fx.tobytes(), fy.tobytes()]
     assert all(x.size for x, _ in seen)
@@ -922,9 +919,9 @@ def test_failing_level_in_blocks_and_batches(monkeypatch, block, batch):
     # blocks of seven cells, the per-rotation pass alone (threshold 0) and
     # the 2-D pass alone (threshold 2**30)
     if block is not None:
-        monkeypatch.setattr(covering, "_BLOCK", block)
+        monkeypatch.setattr(disk, "_BLOCK", block)
     if batch is not None:
-        monkeypatch.setattr(covering, "_BATCH", batch)
+        monkeypatch.setattr(disk, "_BATCH", batch)
     test_failing_level_matches_two_separate_passes()
 
 
@@ -971,7 +968,7 @@ def _assert_same_disk_cover(report, fresh):
 
 
 def test_certified_disk_cover_mirror_pairs_in_blocks_of_seven(monkeypatch):
-    monkeypatch.setattr(covering, "_BLOCK", 7)
+    monkeypatch.setattr(disk, "_BLOCK", 7)
     test_certified_disk_cover_fails_mirror_pairs()
 
 
@@ -989,7 +986,7 @@ def test_children_stream_matches_the_whole_level(rotations, eps, radius):
     off = 0.05
     want_x = np.concatenate([fx + -off, fx + off])
     want_y = np.concatenate([fy + -off, fy + -off])
-    size, cells = covering._children(*report._failing_half, off)
+    size, cells = disk._children(*report._failing_half, off)
     assert size == want_x.size == 2 * report.failing_count
     for block in range(1, size + 1):
         got = [cells(a, min(a + block, size)) for a in range(0, size, block)]
@@ -1004,7 +1001,7 @@ def test_certified_disk_cover_memory_follows_the_failing_half(monkeypatch):
     # its grid holds a witness, which ends the run there; the refinement
     # that a step without one goes through is measured with the search off
     assert certified_disk_cover(rotations, 0.25, 20, 0.1, refine_rounds=2).rounds_used == 0
-    monkeypatch.setattr(covering, "_witness", lambda *args: None)
+    monkeypatch.setattr(disk, "_witness", lambda *args: None)
     tracemalloc.start()
     try:
         report = certified_disk_cover(rotations, 0.25, 20, 0.1, refine_rounds=2)
@@ -1041,8 +1038,8 @@ def test_certified_disk_cover_rebuilds_its_last_round(monkeypatch):
     assert report.failing_cells == ()
     # certified in round 3 of 5: no round is counted, each keeps its half
     counted = []
-    count = covering._failing_count
-    monkeypatch.setattr(covering, "_failing_count",
+    count = disk._failing_count
+    monkeypatch.setattr(disk, "_failing_count",
                         lambda *args: counted.append(args) or count(*args))
     early = certified_disk_cover(rotations, 0.35, 2.0, 0.2, refine_rounds=5)
     assert early == report and early.rounds_used == 3 and not counted
@@ -1062,9 +1059,9 @@ def _assert_scan_matches_fresh_runs(monkeypatch, eps, radius, pitch, n_max, N_ma
         steps.append(((gx, gy), report))
         return report
 
-    refined = covering._refined
+    refined = disk._refined
     with monkeypatch.context() as m:
-        m.setattr(covering, "_refined", spy)
+        m.setattr(disk, "_refined", spy)
         rows = disk_cover_scan(eps, radius, pitch, n_max, N_max, refine_rounds=rounds)
     assert len(rows) == len(steps)
     certified = [row[3] for row in rows]
@@ -1108,7 +1105,7 @@ def test_disk_cover_scan_small_configs(monkeypatch, case):
 def test_disk_cover_scan_in_blocks_of_seven(monkeypatch):
     # block edges fall inside every carried grid half and every round (the
     # benchmark's R = 20 configs take seconds a scan in blocks of seven)
-    monkeypatch.setattr(covering, "_BLOCK", 7)
+    monkeypatch.setattr(disk, "_BLOCK", 7)
     for case in _SMALL_SCANS:
         _assert_scan_matches_fresh_runs(monkeypatch, *case)
 
@@ -1154,16 +1151,16 @@ def test_disk_cover_rejects_a_huge_grid(monkeypatch, radius, pitch, columns):
     def no_grid(*args):
         raise AssertionError("the grid was laid out")
 
-    monkeypatch.setattr(covering, "_grid", no_grid)
+    monkeypatch.setattr(disk, "_grid", no_grid)
     message = "^" + re.escape(f"grid too large: 2 * radius / pitch must be at most 1048576, "
                               f"got {columns}") + "$"
     with pytest.raises(ValueError, match=message):
         certified_disk_cover([1 + 0j], 0.45, radius, pitch)
     with pytest.raises(ValueError, match=message):
         disk_cover_scan(0.45, radius, pitch, 1, 0)
-    assert covering._MAX_COLUMNS == 2**20
+    assert disk._MAX_COLUMNS == 2**20
     # the largest grid allowed passes the check
-    assert covering._disk_parameters(0.45, 2**19 * 0.5, 0.5, 0) == (0.45, 2**19 * 0.5, 0.5)
+    assert disk._disk_parameters(0.45, 2**19 * 0.5, 0.5, 0) == (0.45, 2**19 * 0.5, 0.5)
 
 
 # (N, cells, failing) of the eps = 0.05 scan at n = 1.  N = 0..5 stop on the

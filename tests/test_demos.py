@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pyjama.covering import theta_prime
+from pyjama.disk import theta_prime
 from pyjama.gaussian import GaussianRational
 
 from _util import plain_forms, theta_prime_forms, uncovered_oracle

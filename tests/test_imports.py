@@ -2,7 +2,7 @@
 name a module exports resolves.
 
 A deletion that leaves its import behind (a constant, a helper) shows up
-here.  ``__init__.py`` is skipped by the unused-import check: its imports
+here, and so does a numpy import outside ``disk.py``.  ``__init__.py`` is skipped by the unused-import check: its imports
 are the package's public names.  The other direction catches a deletion
 that leaves its ``__all__`` entry or its package import behind, which would
 break ``from pyjama.gaussian import *`` and every tool that reads
@@ -61,6 +61,25 @@ def test_guard_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def numpy_importers() -> list[str]:
+    """The source modules, ``__init__.py`` included, that import numpy
+    anywhere, inside a function as well as at the top."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(path.name)
+                break
+    return found
+
+
+def test_only_the_disk_cover_imports_numpy():
+    # every command but irrational-cover starts without numpy's import
+    assert numpy_importers() == ["disk.py"]
 
 
 def unresolved_exports(module: types.ModuleType) -> list[str]:
