@@ -52,7 +52,8 @@ with tempfile.TemporaryDirectory() as tmp:
     # imports, numpy's included, measured on a grid of one cell
     config = Path(tmp) / "start.ini"
     config.write_text(CONFIG.format(eps="0.45", radius="0.1"))
-    start = peak_rss("irrational-cover", "--config", str(config), "--out", str(Path(tmp) / "start"))
+    start = peak_rss("irrational-cover", "--config", str(config),
+                     "--out", str(Path(tmp) / "start"))
     print(f"start-up (irrational-cover on one cell): {float(start['wall_s']):.2f} s, "
           f"{float(start['peak_rss_mib']):.1f} MiB")
     print(f"radius {RADIUS}")
