@@ -2,11 +2,11 @@
 name a module exports resolves.
 
 A deletion that leaves its import behind (a constant, a helper) shows up
-here, and so does a numpy import outside ``disk.py``.  ``__init__.py`` is skipped by the unused-import check: its imports
-are the package's public names.  The other direction catches a deletion
-that leaves its ``__all__`` entry or its package import behind, which would
-break ``from pyjama.gaussian import *`` and every tool that reads
-``__all__``.
+here, and so does a numpy import outside ``disk.py``.  ``__init__.py`` is
+skipped by the unused-import check: its imports are the package's public
+names.  The other direction catches a deletion that leaves its ``__all__``
+entry or its package import behind, which would break ``from
+pyjama.gaussian import *`` and every tool that reads ``__all__``.
 """
 
 import ast
