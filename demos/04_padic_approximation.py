@@ -28,8 +28,8 @@ from pyjama import (
 # Canonical square roots of -1: the Newton lift of 3 mod 5 and 5 mod 13.
 for p, k in ((5, 6), (13, 6)):
     root = sqrt_neg1(p, k)
-    print(f"sqrt(-1) in Z_{p} at precision {k}: ...{root.digits % p**3} (mod {p}^3)")
-    assert (root.digits**2 + 1) % p**k == 0
+    print(f"sqrt(-1) in Z_{p} at precision {k}: ...{root % p**3} (mod {p}^3)")
+    assert (root**2 + 1) % p**k == 0
 
 # Under these roots the barred generators become the non-units: they embed
 # with valuation 1, while their conjugates embed as units.

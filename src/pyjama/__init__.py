@@ -20,22 +20,18 @@ from .gaussian import (  # noqa: F401
     abs_at,
     as_gaussian_rational,
     in_A,
-    min_period_multiplier,
     theta_power,
     theta_set,
     unit_circle_elements,
     valuation,
 )
 from .padic import (  # noqa: F401
-    CanonicalRoot,
     PadicNumber,
     PrecisionError,
     TorsionUnitError,
     closure_index,
     embed,
     gauss_frac_part,
-    pexp,
-    plog,
     sqrt_neg1,
 )
 from .polygon import ConvexPolygon  # noqa: F401
@@ -50,9 +46,7 @@ from .solenoid import (  # noqa: F401
     orbit_eval_sweep,
     period_exponent,
     periodic_dense_set,
-    reduce_to_fundamental,
     stripe_membership,
-    torsion_to_periodic,
 )
 from .covering import (  # noqa: F401
     CoveringConfig,

@@ -372,7 +372,10 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
 
 @lru_cache(maxsize=64)
 def _multipliers(normD: int) -> tuple[tuple[int, int], ...]:
-    """The period multipliers of norm normD as (re, im) pairs."""
+    """The period multipliers of norm normD as (re, im) pairs.  Norm 0 is
+    refused: its one multiplier 0 would give every point margin 0."""
+    if normD < 1:
+        raise ValueError(f"period norm must be at least 1, got {normD}")
     if not is_sum_of_two_squares(normD):
         raise ValueError(f"no Gaussian integers have norm {normD}")
     return tuple((g.re, g.im) for g in gaussian_ints_of_norm(normD))

@@ -27,15 +27,12 @@ __all__ = [
     "SITES",
     "THETA5",
     "THETA13",
-    "conjugate_site",
     "valuation",
     "abs_at",
     "theta_power",
     "theta_set",
-    "min_period_multiplier",
     "unit_circle_elements",
     "in_A",
-    "a_clearing_denominator",
     "unit_group_order",
     "gaussian_ints_of_norm",
     "is_sum_of_two_squares",
@@ -424,12 +421,7 @@ P13 = PrimeSite("P13", GaussianInt(2, 3), 13)
 P13BAR = PrimeSite("P13bar", GaussianInt(2, -3), 13)
 SITES = (P5, P5BAR, P13, P13BAR)
 
-_CONJ = {P5: P5BAR, P5BAR: P5, P13: P13BAR, P13BAR: P13}
 _BARRED = {5: P5BAR, 13: P13BAR}  # the site each embedding makes a non-unit
-
-
-def conjugate_site(site: PrimeSite) -> PrimeSite:
-    return _CONJ[site]
 
 
 def _split_power(n: int, p: int) -> tuple[int, int]:
@@ -485,13 +477,6 @@ def theta_set(N: int) -> list[GaussianRational]:
     return [p5 * p13 for p5 in powers5 for p13 in powers13]
 
 
-def min_period_multiplier(N: int) -> GaussianInt:
-    """Smallest D with D*theta in Z[i] for every theta in theta_set(N)."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    return (P5BAR.generator * P13BAR.generator) ** N
-
-
 def unit_circle_elements(t_max: int) -> list[GaussianRational]:
     """All unit-modulus elements of Q(i) with reduced denominator <= t_max.
 
@@ -538,19 +523,6 @@ def in_A(q: GaussianRational | GaussianInt | int) -> bool:
         if e and try_exact_div(qq.num, site.generator**e) is None:
             return False
     return d == 1
-
-
-def a_clearing_denominator(q: GaussianRational) -> GaussianInt:
-    """Smallest product of barred-site generators d with q*d in Z[i].
-    Raises ValueError when q is not in A."""
-    qq = _coerce(q)
-    if qq is None or not in_A(qq):
-        raise ValueError(f"{q} is not in A")
-    if not qq:
-        return GaussianInt(1, 0)
-    e = max(0, -valuation(qq, P5BAR))
-    f = max(0, -valuation(qq, P13BAR))
-    return P5BAR.generator**e * P13BAR.generator**f
 
 
 def _factorize(n: int) -> dict[int, int]:

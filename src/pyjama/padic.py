@@ -6,8 +6,8 @@ p**precision_k, with a distinguished zero marker that remembers the
 absolute precision at which a cancellation happened.  The module also owns
 the canonical Hensel lifts of sqrt(-1) (one per prime, sign fixed so the
 barred prime site becomes the non-unit under embedding), the embedding of
-Q(i) into each field, exact p-adic fractional parts, log/exp, and
-multiplicative closure indices.
+Q(i) into each field, exact p-adic fractional parts and multiplicative
+closure indices.
 """
 
 from __future__ import annotations
@@ -30,13 +30,10 @@ from .gaussian import (
 __all__ = [
     "PrecisionError",
     "TorsionUnitError",
-    "CanonicalRoot",
     "PadicNumber",
     "sqrt_neg1",
     "embed",
     "gauss_frac_part",
-    "plog",
-    "pexp",
     "closure_index",
 ]
 
@@ -59,16 +56,10 @@ def _check_site(p: int, k: int) -> None:
         raise ValueError("precision_k must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalRoot:
-    p: int
-    precision_k: int
-    digits: int
-
-
 @lru_cache(maxsize=None)
-def sqrt_neg1(p: int, k: int) -> CanonicalRoot:
-    """The canonical root of -1 mod p**k, lifted by Newton iteration.
+def sqrt_neg1(p: int, k: int) -> int:
+    """The canonical root of -1 mod p**k, an integer in [0, p**k), lifted by
+    Newton iteration.
 
     The sign is fixed by requiring that the barred generator above p maps
     to a non-unit: for the generator g = re + im*i this is the root x with
@@ -89,7 +80,7 @@ def sqrt_neg1(p: int, k: int) -> CanonicalRoot:
     if (x * x + 1) % p**k:
         raise ArithmeticError(
             f"Hensel lift {x} is not a square root of -1 mod {p}^{k}")
-    return CanonicalRoot(p, k, x)
+    return x
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,7 +329,7 @@ def embed(q: GaussianRational | GaussianInt | Fraction | int, p: int, k: int) ->
     v = valuation(q, _BARRED[p])
     s, d = _split_power(q.den, p)
     vn = v + s  # valuation of the numerator a + b*i_p
-    root = sqrt_neg1(p, vn + k).digits
+    root = sqrt_neg1(p, vn + k)
     mod = p ** (vn + k)
     n = (q.num.re + q.num.im * root) % mod
     if n % p**vn:
@@ -356,71 +347,6 @@ def gauss_frac_part(q: GaussianRational | GaussianInt | Fraction | int, p: int) 
         return Fraction(0)
     j = -valuation(q, _BARRED[p])
     return embed(q, p, j).frac_part() if j > 0 else Fraction(0)
-
-
-def _series_terms_log(k: int) -> int:
-    # v_p(t^n / n) >= n - log_p(n) >= k once n >= k + 6 for p >= 5, k <= 120
-    return k + 6
-
-
-def _series_terms_exp(k: int) -> int:
-    # v_p(t^n / n!) >= n(p-2)/(p-1) >= 3n/4 for p >= 5
-    return (4 * (k + 1)) // 3 + 2
-
-
-def _truncate_absolute(x: Fraction, p: int, k: int) -> PadicNumber:
-    """x as a PadicNumber claiming correctness mod p**k and no more."""
-    if x == 0:
-        return PadicNumber.zero(p, k, k)
-    v = _split_power(x.numerator, p)[0] - _split_power(x.denominator, p)[0]
-    if v >= k:
-        return PadicNumber.zero(p, k, k)
-    return PadicNumber.from_rational(x, p, k - v)
-
-
-def plog(u: PadicNumber) -> PadicNumber:
-    """p-adic logarithm on 1 + pZ_p, by exact series evaluation.
-
-    The result is correct modulo p**k for the input's stored precision k
-    (absolute), and claims exactly that much.
-    """
-    p, k = u.p, u.precision_k
-    if u.is_zero or u.valuation != 0 or u.unit_digits % p != 1:
-        raise ValueError("plog domain: need a unit congruent to 1 mod p")
-    t = u.unit_digits - 1
-    total = Fraction(0)
-    power = 1
-    for n in range(1, _series_terms_log(k) + 1):
-        power *= t
-        term = Fraction(power, n)
-        total += term if n % 2 else -term
-    return _truncate_absolute(total, p, k)
-
-
-def pexp(x: PadicNumber) -> PadicNumber:
-    """p-adic exponential on pZ_p, by exact series evaluation.
-
-    Correct modulo p**n where n is the input's absolute precision
-    (valuation + stored digits)."""
-    p = x.p
-    if x.is_zero:
-        if x.zero_abs is None:
-            return PadicNumber.from_unit(p, x.precision_k, 0, 1)
-        if x.zero_abs < 1:
-            raise PrecisionError("pexp argument not known to lie in pZ_p")
-        return PadicNumber(p, x.zero_abs, 0, 1)
-    if x.valuation < 1:
-        raise ValueError("pexp domain: need valuation >= 1")
-    k = x.valuation + x.precision_k
-    t = p**x.valuation * x.unit_digits
-    total = Fraction(1)
-    power = 1
-    fact = 1
-    for n in range(1, _series_terms_exp(k) + 1):
-        power *= t
-        fact *= n
-        total += Fraction(power, fact)
-    return _truncate_absolute(total, p, k)
 
 
 def closure_index(u: PadicNumber, k: int | None = None) -> int:

@@ -1,7 +1,7 @@
 """The limit space for the stripe dynamics: points of the quotient
-(C x Q5 x Q13) / (twisted diagonal image of A), reduction to the fundamental
-domain, the rotation action, character evaluation, torsion/periodic
-classification, dense periodic sets and orbit sweeps.
+(C x Q5 x Q13) / (twisted diagonal image of A), the rotation action,
+character evaluation, torsion/periodic classification, dense periodic sets
+and orbit sweeps.
 
 A point is interpreted through its evaluation pairing with A: a triple
 (z, a, b) sends r in A to
@@ -26,20 +26,16 @@ from .gaussian import (
     GaussianInt,
     GaussianRational,
     P5,
-    P5BAR,
     P13,
-    P13BAR,
     _factorize,
     _split_power,
     abs_at,
     as_gaussian_rational,
-    crt,
     exact_gaussian_rational,
     in_A,
     mod_from_rational,
     theta_power,
     unit_group_order,
-    valuation,
 )
 from .padic import PadicNumber, embed, gauss_frac_part
 
@@ -48,12 +44,10 @@ __all__ = [
     "SolenoidPoint",
     "ExactPoint",
     "PointClassification",
-    "reduce_to_fundamental",
     "act",
     "evaluate",
     "stripe_membership",
     "classify_point",
-    "torsion_to_periodic",
     "period_exponent",
     "periodic_dense_set",
     "orbit_eval_rows",
@@ -221,64 +215,6 @@ class ExactPoint:
 
 
 # ---------------------------------------------------------------------------
-# reduction to the fundamental domain
-# ---------------------------------------------------------------------------
-
-
-def _integer_residue(frac: Fraction, p: int, e: int, clear: GaussianInt) -> int:
-    """The integer B mod p**e with B = 2 * c * i_p(clear) / p**e in Z_p, where
-    frac = c / p**e; any rational integer congruent to B mod p**e maps under
-    i_p into 2 * frac * i_p(clear) + p**e * Z_p."""
-    if e == 0:
-        return 0
-    image = embed(clear, p, e)
-    if image.valuation != e:
-        raise ArithmeticError("clearing denominator has unexpected valuation")
-    return 2 * frac.numerator * image.unit_digits % p**e
-
-
-def reduce_to_fundamental(
-    x: SolenoidPoint | ExactPoint,
-) -> tuple[SolenoidPoint, GaussianRational]:
-    """The unique equivalent representative with a, b p-adic integers and both
-    coordinates of z in [0, 1), together with the ring element r subtracted
-    (diagonally) to get there.
-
-    Raises PrecisionError when the p-adic fractional parts are undetermined.
-    """
-    if isinstance(x, ExactPoint):
-        x = x.to_solenoid()
-    f5 = x.a.frac_part()
-    f13 = x.b.frac_part()
-    e = 0 if f5 == 0 else _p_exp(f5.denominator, 5)
-    f = 0 if f13 == 0 else _p_exp(f13.denominator, 13)
-    clear = P5BAR.generator**e * P13BAR.generator**f
-    b5 = _integer_residue(f5, 5, e, clear)
-    b13 = _integer_residue(f13, 13, f, clear)
-    g = crt(b5, 5**e, b13, 13**f)
-    r = GaussianRational(GaussianInt(g, 0)) / GaussianRational(clear)
-
-    shifted = x - SolenoidPoint.diagonal(r, max(x.a.precision_k, x.b.precision_k))
-    n = GaussianInt(math.floor(shifted.z.re), math.floor(shifted.z.im))
-    if n:
-        shifted = shifted - SolenoidPoint.diagonal(
-            GaussianRational(n), max(x.a.precision_k, x.b.precision_k)
-        )
-        r = r + n
-    for part in (shifted.a, shifted.b):
-        if not part.is_zero and part.valuation < 0:
-            raise ArithmeticError("reduced point has a non-integral p-adic part")
-    return shifted, r
-
-
-def _p_exp(d: int, p: int) -> int:
-    e, rest = _split_power(d, p)
-    if rest != 1:
-        raise ArithmeticError("fractional part denominator is not a prime power")
-    return e
-
-
-# ---------------------------------------------------------------------------
 # action and evaluation
 # ---------------------------------------------------------------------------
 
@@ -370,17 +306,6 @@ def classify_point(q) -> PointClassification:
     a13 = abs_at(qq, P13)
     kind = "periodic" if a5 <= 1 and a13 <= 1 else "torsion_only"
     return PointClassification(kind, a5, a13)
-
-
-def torsion_to_periodic(q) -> GaussianRational:
-    """The canonical rotation moving a torsion point onto a periodic one:
-    clears the unbarred prime powers from the denominator."""
-    qq = _diagonal_rational(q)
-    if not qq:
-        return GaussianRational(1)
-    r = max(0, -valuation(qq, P5))
-    s = max(0, -valuation(qq, P13))
-    return theta_power(r, s)
 
 
 def period_exponent(q) -> int:

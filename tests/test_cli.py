@@ -489,6 +489,9 @@ _DISK_INI = ("[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
     # a ValueError raised inside the catalog builder, not by the config reader
     ("obstructions", "[obstructions]\nepsilon = 1/4\nm_max = 0\n", [],
      "input", "error: m_max must be positive"),
+    # the zero period has no cell: not a catalog with every margin 0 (exit 1)
+    ("obstructions", "[obstructions]\nepsilon = 1/4\nm_max = 2\nperiod = 0\n", [],
+     "input", "error: period norm must be at least 1, got 0\n"),
     # a precision below one digit is refused before the command runs, not
     # replaced by the command's default
     ("approx", "[approx]\nz = 0\np = 5\ntarget = 1/5\ndelta = 1/10\n",
@@ -529,7 +532,8 @@ _DISK_INI = ("[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
     # a negative count would run no audit yet print audit_mismatches=0
     ("verify-covering", FIGURE_INI + "audit_points = -1\n", ["--no-svg"],
      "input", "error: [covering] audit_points: must be at least 0, got -1\n"),
-], ids=["precision", "torsion-unit", "input", "precision-zero", "precision-negative",
+], ids=["precision", "torsion-unit", "input", "obstructions-period-zero",
+        "precision-zero", "precision-negative",
         "disk-n-max", "disk-N-max", "disk-refine-rounds", "disk-epsilon-wide",
         "disk-epsilon-negative", "disk-grid-overflow", "disk-grid-subnormal", "disk-grid-huge",
         "disk-grid-wide", "closure-index-k",

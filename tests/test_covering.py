@@ -22,7 +22,6 @@ from pyjama.gaussian import (
     THETA5,
     THETA13,
     gaussian_ints_of_norm,
-    min_period_multiplier,
     theta_set,
 )
 from pyjama.polygon import ConvexPolygon, _canonicalize, _ring_area2, _ring_contains
@@ -387,7 +386,7 @@ def _cut_by_one_rotation(rotation, eps, D):
 @pytest.mark.parametrize("index", range(9))
 def test_middle_slab_holds_the_cell_centre(index, eps):
     theta = theta_set(2)[index]
-    D = min_period_multiplier(2)
+    D = (P5BAR.generator * P13BAR.generator) ** 2
     for period in (D, D * GaussianInt(2, 1), D * GaussianInt(0, 1)):  # odd N(D)
         slabs, L = _cut_by_one_rotation(theta, eps, period)
         n = len(slabs)
@@ -543,6 +542,16 @@ def test_verify_obstruction_pins():
     for norm in (5, 13, 25, 65, 169):
         ok, margin = verify_obstruction(1, 1, 2, norm, F(1, 4))
         assert ok and margin == F(1, 2)
+
+
+def test_zero_period_norm_is_refused():
+    # the zero period's one multiplier 0 would give every point margin 0,
+    # a false verdict for a period that has no cell
+    for norm in (0, -5):
+        with pytest.raises(ValueError, match="period norm must be at least 1"):
+            verify_obstruction(1, 1, 2, norm, F(1, 4))
+        with pytest.raises(ValueError, match="period norm must be at least 1"):
+            obstruction_catalog(F(1, 4), 2, norm)
 
 
 def test_obstruction_catalog():
@@ -1218,10 +1227,10 @@ def test_rationality_check():
 @pytest.mark.parametrize("cfg, n", [
     (figure_config(), 2),
     (figure_config(), 3),
-    (CoveringConfig(theta_set(1), F(1, 4), min_period_multiplier(1)), 2),
+    (CoveringConfig(theta_set(1), F(1, 4), P5BAR.generator * P13BAR.generator), 2),
     # pieces whose box-nearest candidate is not the nearest one
-    (CoveringConfig(theta_set(1)[::2], F(1, 4), min_period_multiplier(1)), 4),
-    (CoveringConfig(theta_set(1)[1:3], F(2, 5), min_period_multiplier(1)), 3),
+    (CoveringConfig(theta_set(1)[::2], F(1, 4), P5BAR.generator * P13BAR.generator), 4),
+    (CoveringConfig(theta_set(1)[1:3], F(2, 5), P5BAR.generator * P13BAR.generator), 3),
 ])
 def test_refined_lattice_distance_matches_window_brute_force(cfg, n):
     report = uncovered_region(cfg, obstruction_m_max=1)
@@ -1411,7 +1420,7 @@ def test_no_assert_statements_in_source():
 def test_rationality_monotone_in_refinement():
     # doubling the refinement only adds candidate lattice points, so the
     # per-polygon distances cannot grow
-    cfg = CoveringConfig(theta_set(1), F(1, 4), min_period_multiplier(1))
+    cfg = CoveringConfig(theta_set(1), F(1, 4), P5BAR.generator * P13BAR.generator)
     coarse = rationality_check(cfg, 2)
     fine = rationality_check(cfg, 4)
     assert fine.polygon_count == coarse.polygon_count

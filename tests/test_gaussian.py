@@ -16,16 +16,13 @@ from pyjama.gaussian import (
     THETA13,
     GaussianInt,
     GaussianRational,
-    a_clearing_denominator,
     abs_at,
     as_gaussian_rational,
-    conjugate_site,
     crt,
     exact_gaussian_rational,
     gaussian_ints_of_norm,
     in_A,
     is_sum_of_two_squares,
-    min_period_multiplier,
     mod_from_rational,
     nearest_gaussian_int,
     theta_power,
@@ -56,8 +53,8 @@ def test_site_constants():
     assert P13BAR.generator == GaussianInt(2, -3)
     assert P5.generator.norm() == 5
     assert P13.generator.norm() == 13
-    for site in SITES:
-        assert conjugate_site(conjugate_site(site)) is site
+    for site, bar in ((P5, P5BAR), (P13, P13BAR)):
+        assert bar.generator == site.generator.conj()
 
 
 def test_gaussian_int_arithmetic_matches_complex():
@@ -177,7 +174,9 @@ def test_valuation_additivity_and_conjugation():
         w = random_gaussian_rational(r, nonzero=True)
         for site in SITES:
             assert valuation(q * w, site) == valuation(q, site) + valuation(w, site)
-            assert valuation(q, site) == valuation(q.conj(), conjugate_site(site))
+        for site, bar in ((P5, P5BAR), (P13, P13BAR)):
+            assert valuation(q, site) == valuation(q.conj(), bar)
+            assert valuation(q, bar) == valuation(q.conj(), site)
 
 
 def test_abs_at():
@@ -209,14 +208,15 @@ def test_theta_set():
 
 
 def test_min_period_multiplier():
-    assert min_period_multiplier(0) == GaussianInt(1, 0)
-    assert min_period_multiplier(1) == GaussianInt(-4, -7)
+    # (P5bar * P13bar)**N, the period of the covering tests, clears every
+    # rotation of theta_set(N); at N = 1 no proper divisor does
+    base = P5BAR.generator * P13BAR.generator
+    assert base == GaussianInt(-4, -7)
     for n in range(3):
-        D = min_period_multiplier(n)
+        D = base**n
         assert D.norm() == 5**n * 13**n
         for t in theta_set(n):
             assert (GaussianRational(D) * t).is_gaussian_int()
-    # minimality at N=1: no proper divisor clears every rotation
     for d in (GaussianInt(1, 0), P5BAR.generator, P13BAR.generator):
         assert any(
             not (GaussianRational(d) * t).is_gaussian_int() for t in theta_set(1)
@@ -318,28 +318,6 @@ def test_in_A_matches_valuation_oracle(num, den):
     q = GaussianRational(num) / GaussianRational(den)
     for value in (q, num, num.re, 0, GaussianInt(0, 0), GaussianRational(0)):
         assert in_A(value) == in_A_oracle(value), value
-
-
-def test_a_clearing_denominator():
-    one = GaussianRational(1)
-    assert a_clearing_denominator(one) == GaussianInt(1, 0)
-    assert a_clearing_denominator(one / GaussianRational(P5BAR.generator)) == P5BAR.generator
-    with pytest.raises(ValueError):
-        a_clearing_denominator(GaussianRational(GaussianInt(1, 1), 2))
-    r = rng(8)
-    for _ in range(60):
-        g = random_gaussian_int(r, 10)
-        if not g:
-            continue
-        q = GaussianRational(g) / GaussianRational(P5BAR.generator ** r.randint(0, 3) * P13BAR.generator ** r.randint(0, 3))
-        d = a_clearing_denominator(q)
-        qd = q * GaussianRational(d)
-        assert qd.is_gaussian_int()
-        # minimality: when a generator power was needed, it is used up exactly
-        if valuation(GaussianRational(d), P5BAR) > 0:
-            assert valuation(qd, P5BAR) == 0
-        if valuation(GaussianRational(d), P13BAR) > 0:
-            assert valuation(qd, P13BAR) == 0
 
 
 def test_unit_group_order():
@@ -446,7 +424,6 @@ _GATES = {
 _VALUE_ERROR_GATES = {
     "CoveringConfig": lambda x: CoveringConfig([x], Fraction(1, 4)),
     "circle_density": lambda x: circle_density(x, 1 + 0j, 3),
-    "a_clearing_denominator": a_clearing_denominator,
 }
 
 
@@ -454,7 +431,7 @@ _VALUE_ERROR_GATES = {
 @pytest.mark.parametrize("name", sorted(_GATES) + sorted(_VALUE_ERROR_GATES))
 def test_one_exact_value_gate(name, bad):
     # every entry point takes an exact value through as_gaussian_rational and
-    # raises its one TypeError; three documented sites raise ValueError
+    # raises its one TypeError; two documented sites raise ValueError
     if name in _GATES:
         with pytest.raises(TypeError, match=_ONE_MESSAGE):
             _GATES[name](bad)

@@ -1,12 +1,15 @@
-"""Every name a source module imports is used in that module, and every
+"""Every name a source module imports is used in that module, every
+private module-level name is used somewhere in the package, and every
 name a module exports resolves.
 
 A deletion that leaves its import behind (a constant, a helper) shows up
 here, and so does a numpy import outside ``disk.py``.  ``__init__.py`` is
 skipped by the unused-import check: its imports are the package's public
-names.  The other direction catches a deletion that leaves its ``__all__``
-entry or its package import behind, which would break ``from
-pyjama.gaussian import *`` and every tool that reads ``__all__``.
+names.  A deletion that leaves a private helper, class or constant with no
+caller in ``src/pyjama`` shows up too.  The other direction catches a
+deletion that leaves its ``__all__`` entry or its package import behind,
+which would break ``from pyjama.gaussian import *`` and every tool that
+reads ``__all__``.
 """
 
 import ast
@@ -61,6 +64,71 @@ def test_guard_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, statement) for each private function, class or constant that
+    the module's top level defines; dunder names such as ``__version__``
+    are not private helpers."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            nodes = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def _referenced_names(stmt: ast.stmt) -> set[str]:
+    """The names a top-level statement reads: plain names, attributes such
+    as ``covering._margin``, imported names and quoted annotations."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            names.update(_quoted_names(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            names.update(_quoted_names(node.returns))
+    return names
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private module-level name that no other
+    top-level statement of any source names; a function that only calls
+    itself is orphaned too."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [(stmt, _referenced_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    return [f"{module}.{name} (line {stmt.lineno})"
+            for module, tree in sorted(trees.items())
+            for name, stmt in _private_definitions(tree)
+            if not any(name in names for other, names in reads if other is not stmt)]
+
+
+def test_guard_finds_an_orphaned_private_name():
+    sources = {
+        "a": ("_USED = 1\n"
+              "_LEFT = 2\n"
+              "_READ_ELSEWHERE = 3\n"
+              "__version__ = '1'\n"
+              "def _helper():\n    return _helper()\n"
+              "def public():\n    return _USED\n"),
+        "b": "from . import a\nclass _Kept:\n    pass\nx = a._READ_ELSEWHERE, _Kept\n",
+    }
+    assert orphaned_private_names(sources) == ["a._LEFT (line 2)", "a._helper (line 5)"]
+
+
+def test_no_orphaned_private_names():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert orphaned_private_names(sources) == []
 
 
 def numpy_importers() -> list[str]:

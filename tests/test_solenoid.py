@@ -9,19 +9,16 @@ from pyjama.gaussian import (
     GaussianInt,
     GaussianRational,
     P5BAR,
-    P13BAR,
     THETA5,
     THETA13,
-    abs_at,
     P5,
-    P13,
     in_A,
     mod_from_rational,
     theta_power,
     theta_set,
     unit_group_order,
 )
-from pyjama.padic import PadicNumber, PrecisionError, embed, gauss_frac_part
+from pyjama.padic import PadicNumber, embed
 from pyjama.solenoid import (
     ExactPoint,
     SolenoidPoint,
@@ -34,9 +31,7 @@ from pyjama.solenoid import (
     orbit_max_gap,
     period_exponent,
     periodic_dense_set,
-    reduce_to_fundamental,
     stripe_membership,
-    torsion_to_periodic,
 )
 
 from _util import order_oracle, rng, random_a_element, random_gaussian_rational
@@ -166,57 +161,6 @@ def test_exact_point_pairing_matches_solenoid():
         assert p.evaluate(r) == evaluate(p.to_solenoid(40), r)
 
 
-def test_reduce_trivial_and_pinned():
-    x = SolenoidPoint.zero()
-    out, r = reduce_to_fundamental(x)
-    assert r == 0 and out == x
-
-    x = SolenoidPoint(0, Fraction(1, 5), 0)
-    out, r = reduce_to_fundamental(x)
-    assert in_A(r)
-    assert out.a.valuation is None or out.a.valuation >= 0
-    assert out.b.valuation is None or out.b.valuation >= 0
-    assert Fraction(0) <= out.z.re < 1 and Fraction(0) <= out.z.im < 1
-    # the subtracted element hits the 5-adic fractional part through the
-    # halved diagonal; its raw embedding lands on 2/5 rather than 1/5
-    assert gauss_frac_part(r / 2, 5) == Fraction(1, 5)
-    assert gauss_frac_part(r, 5) == Fraction(2, 5)
-    assert gauss_frac_part(r / 2, 13) == 0
-
-
-def test_reduce_diagonal_lands_on_zero_class():
-    r_ = rng(17)
-    for _ in range(12):
-        q = random_a_element(r_)
-        out, r = reduce_to_fundamental(SolenoidPoint.diagonal(q, 32))
-        for _ in range(4):
-            s = random_a_element(r_)
-            assert evaluate(out, s) == 0
-        assert in_A(r)
-        assert Fraction(0) <= out.z.re < 1 and Fraction(0) <= out.z.im < 1
-
-
-def test_reduce_float_mode():
-    # a float input is the exact point at its binary value, reduced exactly
-    x = SolenoidPoint(2.75 - 0.5j, Fraction(7, 25), Fraction(1, 13))
-    assert x == SolenoidPoint(gr(11, -2, 4), Fraction(7, 25), Fraction(1, 13))
-    out, r = reduce_to_fundamental(x)
-    assert in_A(r)
-    assert isinstance(out.z, GaussianRational)
-    assert 0 <= out.z.re < 1 and 0 <= out.z.im < 1
-    assert (out, r) == reduce_to_fundamental(
-        SolenoidPoint(gr(11, -2, 4), Fraction(7, 25), Fraction(1, 13)))
-    assert out.a.valuation is None or out.a.valuation >= 0
-    assert out.b.valuation is None or out.b.valuation >= 0
-
-
-def test_reduce_precision_error():
-    deep = PadicNumber.from_rational(Fraction(1, 5**6), 5, 4)
-    x = SolenoidPoint(0, deep, PadicNumber.zero(13, 4))
-    with pytest.raises(PrecisionError):
-        reduce_to_fundamental(x)
-
-
 def test_classify_pins():
     res = classify_point(gr(1, 1, 2))
     assert res.kind == "periodic" and res.is_periodic
@@ -228,23 +172,6 @@ def test_classify_pins():
     assert classify_point(ExactPoint(gr(1, 1, 2))).is_periodic
     with pytest.raises(ValueError):
         classify_point(ExactPoint(gr(1), gr(1, 1)))
-
-
-def test_torsion_to_periodic():
-    assert torsion_to_periodic(gr(1, 1, 2)) == 1
-    assert torsion_to_periodic(0) == 1
-    q = GaussianRational(1) / GaussianRational(P5.generator)
-    assert torsion_to_periodic(q) == THETA5
-    assert THETA5 * q == GaussianRational(1) / GaussianRational(P5BAR.generator)
-    q = GaussianRational(1) / (
-        GaussianRational(P5.generator) ** 2 * GaussianRational(P13.generator)
-    )
-    assert torsion_to_periodic(q) == theta_power(2, 1)
-    r_ = rng(18)
-    for _ in range(30):
-        q = random_gaussian_rational(r_, max_den=40)
-        theta = torsion_to_periodic(q)
-        assert classify_point(theta * q).is_periodic
 
 
 def _brute_period(q, cap):
