@@ -29,6 +29,7 @@ from .gaussian import (
     PrimeSite,
     THETA5,
     THETA13,
+    _least_exponent,
     abs_at,
     as_gaussian_rational,
     crt,
@@ -60,25 +61,16 @@ _SEVEN = PrimeSite("7", GaussianInt(7, 0), 49)
 
 
 @lru_cache(maxsize=None)
-def _unit_subgroup(p: int, m: int, k: int) -> frozenset:
-    """Subgroup of (Z/p^k)^x generated by the unit parts of the m-th powers
-    of the two standard rotations, viewed p-adically."""
-    mod = p**k
-    gens = []
-    for theta in (THETA5, THETA13):
-        # the unit part of the embedded rotation, with any uniformizer power
-        # stripped, is exactly its stored digit expansion
-        gens.append(pow(embed(theta, p, k).unit_digits, m, mod))
-    group = {1}
-    frontier = [1]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = (cur * g) % mod
-            if nxt not in group:
-                group.add(nxt)
-                frontier.append(nxt)
-    return frozenset(group)
+def _subgroup_order(p: int, m: int, k: int) -> int:
+    """Order of the subgroup of (Z/p^k)^x generated by the unit parts of the
+    m-th powers of the two standard rotations, viewed p-adically.  The group
+    is cyclic for odd p, so that is the lcm of the two generators' orders,
+    and a unit lies in the subgroup exactly when that power of it is 1."""
+    mod, n = p**k, (p - 1) * p ** (k - 1)
+    # the unit part of an embedded rotation, with any uniformizer power
+    # stripped, is exactly its stored digit expansion
+    gens = [pow(embed(theta, p, k).unit_digits, m, mod) for theta in (THETA5, THETA13)]
+    return math.lcm(*(_least_exponent(n, lambda e: pow(g, e, mod) == 1) for g in gens))
 
 
 @dataclass(frozen=True)
@@ -88,8 +80,8 @@ class CosetSpec:
     of the two standard rotations.
 
     Membership is decided at the stored precision: a valuation congruence
-    modulo ``m`` plus unit-part membership in the subgroup enumerated modulo
-    ``p**precision_k``.
+    modulo ``m`` plus unit-part membership in the subgroup modulo
+    ``p**precision_k``, decided by the subgroup's order.
     """
 
     p: int
@@ -117,9 +109,6 @@ class CosetSpec:
                 "precision requires"
             )
 
-    def unit_subgroup(self) -> frozenset:
-        return _unit_subgroup(self.p, self.m, self.precision_k)
-
     def contains(self, x) -> bool:
         """Decide membership of ``x`` (a p-adic number, or any exact value
         embeddable at this prime) at this spec's precision."""
@@ -143,7 +132,8 @@ class CosetSpec:
             return False
         mod = self.p**self.precision_k
         ratio = x.unit_digits * pow(rep.unit_digits, -1, mod) % mod
-        return ratio in self.unit_subgroup()
+        order = _subgroup_order(self.p, self.m, self.precision_k)
+        return pow(ratio, order, mod) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +439,9 @@ def circle_density(theta: GaussianRational, t: complex, M: int) -> DensityReport
         raise ValueError("the rotation must be an exact Gaussian rational") from None
     if q.abs2() != 1:
         raise ValueError("the rotation must have unit modulus exactly")
-    power = GaussianRational(1)
-    for _ in range(12):
-        power = power * q
-        if power == GaussianRational(1):
-            raise ValueError("the rotation is a root of unity; its orbit is "
-                             "finite and never dense")
+    if q**4 == 1:  # the roots of unity in Q(i) are +-1 and +-i
+        raise ValueError("the rotation is a root of unity; its orbit is "
+                         "finite and never dense")
     t = complex(t)
     if t == 0:
         raise ValueError("the sampled point must be nonzero")

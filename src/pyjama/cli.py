@@ -59,18 +59,6 @@ from .svg import render_svg
 
 __all__ = ["RunConfig", "run", "main", "console"]
 
-COMMANDS = (
-    "verify-covering",
-    "obstructions",
-    "irrational-cover",
-    "rationality-check",
-    "orbit",
-    "classify",
-    "density",
-    "approx",
-    "closure-index",
-)
-
 _REPORT_HEADER = "pyjama-report v1"
 
 
@@ -218,8 +206,9 @@ def _covering_config(ini) -> CoveringConfig:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (exit_code, summary_fields) and appends
-# (filename, bytes) artifacts to be written only on success
+# command handlers: each returns (exit_code, summary_fields, report lines from
+# ``kind=`` on) and appends any other (filename, bytes) artifacts; ``run``
+# adds the report header, and writes every artifact only on success
 # ---------------------------------------------------------------------------
 
 
@@ -257,7 +246,6 @@ def _cmd_verify_covering(config, ini, artifacts):
         lines.append(f"audit points={audit_points} seed={config.seed} "
                      f"mismatches={mismatches}")
 
-    artifacts.append(("report.txt", _text(lines)))
     if config.svg:
         artifacts.append(("cover.svg", render_svg(report).encode("utf-8")))
     covered = not report.pieces
@@ -269,7 +257,7 @@ def _cmd_verify_covering(config, ini, artifacts):
     }
     if audit_points:
         fields["audit_mismatches"] = mismatches
-    return (0 if covered else 1), fields
+    return (0 if covered else 1), fields, lines
 
 
 def _cmd_obstructions(config, ini, artifacts):
@@ -278,7 +266,6 @@ def _cmd_obstructions(config, ini, artifacts):
     norm = _period(ini, "obstructions", "1-2i").norm()
     entries = obstruction_catalog(epsilon, m_max, norm)
     lines = [
-        _REPORT_HEADER,
         "kind=obstructions",
         f"epsilon={epsilon}",
         f"m_max={m_max}",
@@ -287,8 +274,7 @@ def _cmd_obstructions(config, ini, artifacts):
     # the catalog keeps only the tuples whose exact margin meets epsilon
     for (a, b, m), margin in entries:
         lines.append(f"obstruction a={a} b={b} m={m} margin={margin} verified=true")
-    artifacts.append(("report.txt", _text(lines)))
-    return (0 if entries else 1), {"count": len(entries)}
+    return (0 if entries else 1), {"count": len(entries)}, lines
 
 
 def _cmd_irrational_cover(config, ini, artifacts):
@@ -305,7 +291,6 @@ def _cmd_irrational_cover(config, ini, artifacts):
     if config.refine:
         rounds = _least(ini, "disk", "refine_rounds", 0, "3")
     lines = [
-        _REPORT_HEADER,
         "kind=disk-cover",
         f"epsilon={epsilon}",
         f"radius={radius}",
@@ -325,11 +310,10 @@ def _cmd_irrational_cover(config, ini, artifacts):
     n, N, _, certified, *_ = rows[-1]
     if certified:
         lines.append(f"certified_pair n={n} N={N}")
-    artifacts.append(("report.txt", _text(lines)))
     fields = {"certified": str(certified).lower()}
     if certified:
         fields.update(n=n, N=N)
-    return (0 if certified else 1), fields
+    return (0 if certified else 1), fields, lines
 
 
 def _cmd_rationality_check(config, ini, artifacts):
@@ -337,7 +321,6 @@ def _cmd_rationality_check(config, ini, artifacts):
     refinement = _field(ini, "rationality", "refinement", _INTEGER, "2")
     report = _checked("rationality", rationality_check, cover, refinement)
     lines = [
-        _REPORT_HEADER,
         "kind=rationality",
         f"refinement={report.refinement}",
         f"polygon_count={report.polygon_count}",
@@ -350,12 +333,11 @@ def _cmd_rationality_check(config, ini, artifacts):
     ]
     for index, dist in enumerate(report.distances_sq):
         lines.append(f"polygon {index} distance_sq={dist}")
-    artifacts.append(("report.txt", _text(lines)))
     fields = {
         "within_bound": str(report.within_bound).lower(),
         "max_distance_sq": report.max_distance_sq,
     }
-    return (0 if report.within_bound else 1), fields
+    return (0 if report.within_bound else 1), fields, lines
 
 
 def _cmd_orbit(config, ini, artifacts):
@@ -367,7 +349,6 @@ def _cmd_orbit(config, ini, artifacts):
     artifacts.append(("orbit.csv", _csv(
         ["r", "s", "value"], ((r, s, repr(v)) for r, s, v in rows))))
     lines = [
-        _REPORT_HEADER,
         "kind=orbit",
         f"w={w}",
         f"m={m}",
@@ -384,8 +365,7 @@ def _cmd_orbit(config, ini, artifacts):
         lines.append(f"dense={str(dense).lower()}")
         fields["dense"] = str(dense).lower()
         code = 0 if dense else 1
-    artifacts.append(("report.txt", _text(lines)))
-    return code, fields
+    return code, fields, lines
 
 
 def _cmd_classify(config, ini, artifacts):
@@ -393,7 +373,6 @@ def _cmd_classify(config, ini, artifacts):
     result = _checked("classify", classify_point, q)
     periodic = result.is_periodic
     lines = [
-        _REPORT_HEADER,
         "kind=classify",
         f"q={q}",
         "torsion=true",
@@ -410,8 +389,7 @@ def _cmd_classify(config, ini, artifacts):
         m = period_exponent(q)
         lines.append(f"m={m}")
         fields["m"] = m
-    artifacts.append(("report.txt", _text(lines)))
-    return 0, fields
+    return 0, fields, lines
 
 
 def _cmd_density(config, ini, artifacts):
@@ -444,10 +422,9 @@ def _cmd_density(config, ini, artifacts):
     samples = ((f"sample_{i}", str(v)) for i, v in enumerate(report.sample))
     artifacts.append(("density.csv", _csv(
         ["field", "value"], [*report.csv_rows(), *samples])))
-    lines = [_REPORT_HEADER, "kind=density", f"flavor={kind}"]
+    lines = ["kind=density", f"flavor={kind}"]
     lines.extend(f"{k}={v}" for k, v in report.csv_rows())
-    artifacts.append(("report.txt", _text(lines)))
-    return code, fields
+    return code, fields, lines
 
 
 def _cmd_approx(config, ini, artifacts):
@@ -456,7 +433,7 @@ def _cmd_approx(config, ini, artifacts):
     precision = 16 if config.precision_k is None else config.precision_k
     target5_text = _field(ini, "approx", "target5", default=None)
     target13_text = _field(ini, "approx", "target13", default=None)
-    lines = [_REPORT_HEADER, "kind=approx", f"z={z}", f"delta={delta}"]
+    lines = ["kind=approx", f"z={z}", f"delta={delta}"]
     z = exact_gaussian_rational(z)  # a float literal at its exact binary value
     if target5_text is not None and target13_text is not None:
         a = PadicNumber.from_rational(
@@ -490,8 +467,7 @@ def _cmd_approx(config, ini, artifacts):
             f"residual_padic={residual_p}",
         ]
     lines.append("verified=true")
-    artifacts.append(("report.txt", _text(lines)))
-    return 0, {"q": str(q).replace(" ", ""), "verified": "true"}
+    return 0, {"q": str(q).replace(" ", ""), "verified": "true"}, lines
 
 
 def _cmd_closure_index(config, ini, artifacts):
@@ -503,15 +479,13 @@ def _cmd_closure_index(config, ini, artifacts):
     u = PadicNumber.from_rational(u_rational, p, k)
     index = closure_index(u, k)
     lines = [
-        _REPORT_HEADER,
         "kind=closure-index",
         f"p={p}",
         f"k={k}",
         f"u={u_text}",
         f"index={index}",
     ]
-    artifacts.append(("report.txt", _text(lines)))
-    return 0, {"index": index, "k": k}
+    return 0, {"index": index, "k": k}, lines
 
 
 _DISPATCH = {
@@ -525,6 +499,7 @@ _DISPATCH = {
     "approx": _cmd_approx,
     "closure-index": _cmd_closure_index,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +538,14 @@ def run(config: RunConfig) -> int:
             raise InputError(
                 f"--precision must be at least 1, got {config.precision_k}")
         ini = _load_ini(config.input_path)
-        code, fields = _DISPATCH[config.command](config, ini, artifacts)
+        code, fields, lines = _DISPATCH[config.command](config, ini, artifacts)
     except tuple(kind for kind, _, _ in _ERRORS) as exc:
         tag, prefix = next((tag, prefix) for kind, tag, prefix in _ERRORS
                            if isinstance(exc, kind))
         print(f"error: {prefix}{exc}", file=sys.stderr)
         print(_summary(config.command, 2, {"error": tag}))
         return 2
+    artifacts.append(("report.txt", _text([_REPORT_HEADER, *lines])))
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, data in artifacts:
@@ -589,12 +565,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS,
                         help="experiment to run")
     parser.add_argument("--config", required=True, metavar="PATH",
+                        dest="input_path",
                         help="INI config file for this command")
     parser.add_argument("--out", default=".", metavar="DIR",
+                        dest="output_dir",
                         help="directory for reports and figures")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="seed for sampled audits")
     parser.add_argument("--precision", type=int, default=None, metavar="K",
+                        dest="precision_k",
                         help="p-adic working precision (digits)")
     parser.add_argument("--refine", action="store_true",
                         help="enable grid refinement (disk cover)")
@@ -605,17 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        input_path=args.config,
-        output_dir=args.out,
-        seed=args.seed,
-        precision_k=args.precision,
-        refine=args.refine,
-        svg=args.svg,
-    )
-    return run(config)
+    return run(RunConfig(**vars(_build_parser().parse_args(argv))))
 
 
 def console() -> None:

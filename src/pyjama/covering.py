@@ -77,9 +77,7 @@ class CoveringConfig:
             raise ValueError("at least one rotation is required")
         if isinstance(self.epsilon, float):
             raise ValueError("stripe half-width must be an exact rational")
-        eps = Fraction(self.epsilon)
-        if not 0 < eps < Fraction(1, 2):
-            raise ValueError("stripe half-width must lie in (0, 1/2)")
+        eps = _half_width(self.epsilon)
         period = self.period
         if isinstance(period, int):
             period = GaussianInt(period, 0)
@@ -122,7 +120,7 @@ class CoverReport:
     pieces: tuple[tuple[Ring, str], ...]
     scale: int
     total_uncovered_area: Fraction
-    obstruction_matches: tuple[tuple[tuple[int, int, int], Fraction], ...]
+    obstruction_matches: tuple[tuple[int, int, int], ...]
 
     @property
     def uncovered(self) -> Sequence[ConvexPolygon]:
@@ -168,7 +166,7 @@ class CoverReport:
         return False
 
     def report_lines(self) -> list[str]:
-        """Structured-text serialization (versioned, exact)."""
+        """Structured-text serialization (exact), from the ``kind=`` line on."""
         cfg, L = self.config, self.scale
 
         def frac(v: int) -> str:  # str(Fraction(v, L)), without the Fraction
@@ -176,7 +174,6 @@ class CoverReport:
             return str(v // g) if g == L else f"{v // g}/{L // g}"
 
         lines = [
-            "pyjama-report v1",
             "kind=cover",
             f"epsilon={cfg.epsilon}",
             f"period={cfg.period}",
@@ -188,8 +185,9 @@ class CoverReport:
         for i, (ring, kind) in enumerate(self.pieces):
             verts = ";".join(f"{frac(x)},{frac(y)}" for x, y in ring)
             lines.append(f"polygon {i} kind={kind} vertices={verts}")
-        for (a, b, m), dist_sq in self.obstruction_matches:
-            lines.append(f"obstruction a={a} b={b} m={m} distance_sq={dist_sq}")
+        # every catalog point lies in the uncovered region: distance 0
+        for a, b, m in self.obstruction_matches:
+            lines.append(f"obstruction a={a} b={b} m={m} distance_sq=0")
         return lines
 
 
@@ -353,10 +351,9 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     area2 = 2 * sum(_ring_area2(ring) for ring, _ in lower)
     area2 += sum(_ring_area2(ring) for ring, _ in middle)
     area = Fraction(area2, 2 * scale * scale)
-    catalog = obstruction_catalog(eps, obstruction_m_max, D.norm())
-    matches = tuple((abm, Fraction(0)) for abm, _margin in catalog)
+    matches = tuple(abm for abm, _ in obstruction_catalog(eps, obstruction_m_max, D.norm()))
     report = CoverReport(config, tuple(pieces), scale, area, matches)
-    for (a, b, m), _ in matches:
+    for a, b, m in matches:
         if not report.contains(GaussianRational(GaussianInt(a, b) * D, m)):
             raise CertificateError(
                 f"obstruction certificate violated: ({a}, {b}, {m}) is in the "
@@ -368,6 +365,17 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
 # ---------------------------------------------------------------------------
 # obstruction certificates
 # ---------------------------------------------------------------------------
+
+
+def _half_width(epsilon) -> Fraction:
+    """The stripe half-width as an exact Fraction in (0, 1/2); a float is
+    taken at its binary value, and a non-finite one is refused."""
+    if isinstance(epsilon, float) and not math.isfinite(epsilon):
+        raise ValueError(f"stripe half-width must be finite, got {epsilon}")
+    eps = Fraction(epsilon)
+    if not 0 < eps < Fraction(1, 2):
+        raise ValueError("stripe half-width must lie in (0, 1/2)")
+    return eps
 
 
 @lru_cache(maxsize=64)
@@ -392,14 +400,16 @@ def verify_obstruction(
     a: int, b: int, m: int, normD: int, epsilon
 ) -> tuple[bool, Fraction]:
     """Whether the point (a + b*i)/m times any norm-normD period multiplier
-    stays at circle-distance >= epsilon from the integer stripes; returns the
-    verdict together with the exact minimal distance (the margin)."""
+    stays at circle-distance >= epsilon, a half-width in (0, 1/2), from the
+    integer stripes; returns the verdict together with the exact minimal
+    distance (the margin)."""
     if m < 1:
         raise ValueError("denominator m must be positive")
     if gcd(a, b, m) != 1:
         raise ValueError(f"({a}, {b}, {m}) is not gcd-normalized")
+    eps = _half_width(epsilon)
     margin = Fraction(_margin(a, b, m, _multipliers(normD)), m)
-    return margin >= Fraction(epsilon), margin
+    return margin >= eps, margin
 
 
 def obstruction_catalog(
@@ -407,9 +417,7 @@ def obstruction_catalog(
 ) -> list[tuple[tuple[int, int, int], Fraction]]:
     """All gcd-normalized tuples (a, b, m) with m <= m_max whose obstruction
     margin meets epsilon, sorted by margin descending."""
-    eps = Fraction(epsilon)
-    if not 0 < eps < Fraction(1, 2):
-        raise ValueError("stripe half-width must lie in (0, 1/2)")
+    eps = _half_width(epsilon)
     if m_max < 1:
         raise ValueError("m_max must be positive")
     multipliers = _multipliers(normD)

@@ -538,6 +538,17 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _least_exponent(n: int, holds) -> int:
+    """The least divisor m of n with holds(m), for a predicate that holds at
+    n and at every divisor of n that a holding m divides (as g**m == 1 does):
+    n divided by each of its primes while holds still holds."""
+    m = n
+    for p in _factorize(n):
+        while m % p == 0 and holds(m // p):
+            m //= p
+    return m
+
+
 def unit_group_order(n: int) -> int:
     """Order of the unit group of Z[i]/n for a positive rational integer n.
 

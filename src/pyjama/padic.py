@@ -21,7 +21,7 @@ from .gaussian import (
     _BARRED,
     GaussianInt,
     GaussianRational,
-    _factorize,
+    _least_exponent,
     _split_power,
     as_gaussian_rational,
     valuation,
@@ -369,11 +369,4 @@ def closure_index(u: PadicNumber, k: int | None = None) -> int:
             f"{U} mod {p}^{k} is a root of unity: index not finite at this precision"
         )
     group_order = p ** (k - 1) * (p - 1)
-    order = group_order
-    for prime, mult in _factorize(group_order).items():
-        for _ in range(mult):
-            if pow(U, order // prime, mod) == 1:
-                order //= prime
-            else:
-                break
-    return group_order // order
+    return group_order // _least_exponent(group_order, lambda m: pow(U, m, mod) == 1)

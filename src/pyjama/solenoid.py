@@ -27,7 +27,7 @@ from .gaussian import (
     GaussianRational,
     P5,
     P13,
-    _factorize,
+    _least_exponent,
     _split_power,
     abs_at,
     as_gaussian_rational,
@@ -326,14 +326,8 @@ def period_exponent(q) -> int:
     x = mod_from_rational(qq * n, n)
     gens = [mod_from_rational(theta_power(*e), n) for e in ((1, 0), (0, 1))]
 
-    def fixes(m: int) -> bool:
-        return all(pow(g, m, n) * x % n == x for g in gens)
-
-    m = unit_group_order(n)
-    for p in _factorize(m):
-        while m % p == 0 and fixes(m // p):
-            m //= p
-    return m
+    return _least_exponent(unit_group_order(n),
+                           lambda m: all(pow(g, m, n) * x % n == x for g in gens))
 
 
 def periodic_dense_set(n: int) -> tuple[list[ExactPoint], int]:

@@ -116,9 +116,7 @@ def _use_elements(report: CoverReport, norm: int, shifts) -> list[str]:
 def _obstruction_elements(report: CoverReport, norm: int, shifts) -> list[str]:
     period = report.config.period
     out = []
-    for (a, b, m), dist_sq in report.obstruction_matches:
-        if dist_sq != 0:
-            continue
+    for a, b, m in report.obstruction_matches:
         # the point (a + bi)/m * period is (bx + i*by)/m
         bx = a * period.re - b * period.im
         by = a * period.im + b * period.re

@@ -15,12 +15,15 @@ from pyjama.gaussian import (
     P5BAR,
     P13,
     P13BAR,
+    THETA5,
+    THETA13,
     GaussianInt,
     GaussianRational,
     as_gaussian_rational,
     theta_set,
     valuation,
 )
+from pyjama.padic import embed
 from pyjama.polygon import ConvexPolygon, _canonicalize, _ring_area2
 
 
@@ -82,6 +85,22 @@ def order_oracle(g: GaussianInt, n: int) -> int:
     while acc != one:
         acc, e = acc * g % n, e + 1
     return e
+
+
+def unit_subgroup_oracle(p: int, m: int, k: int) -> frozenset:
+    """The subgroup of (Z/p^k)^x generated by the unit parts of THETA5**m
+    and THETA13**m embedded at p, enumerated by a breadth-first search."""
+    mod = p**k
+    gens = [pow(embed(theta, p, k).unit_digits, m, mod) for theta in (THETA5, THETA13)]
+    group, frontier = {1}, [1]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = cur * g % mod
+            if nxt not in group:
+                group.add(nxt)
+                frontier.append(nxt)
+    return frozenset(group)
 
 
 # -- Fraction oracles for the integer geometry kernels ------------------------

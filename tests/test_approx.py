@@ -12,6 +12,7 @@ from pyjama.gaussian import (
     THETA5,
     abs_at,
     in_A,
+    unit_circle_elements,
 )
 from pyjama.padic import PadicNumber, PrecisionError, embed
 from pyjama.approx import (
@@ -24,7 +25,7 @@ from pyjama.approx import (
     strong_approx_3way,
 )
 
-from _util import rng, random_a_element
+from _util import rng, random_a_element, unit_subgroup_oracle
 
 F = Fraction
 
@@ -198,6 +199,25 @@ def test_coset_spec_detects_nonmembers():
     assert not H.contains(THETA5)
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((5, 13)), m=st.integers(1, 4), k=st.integers(1, 3),
+       units=st.tuples(st.integers(1, 13**3), st.integers(1, 13**3)),
+       valuations=st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+@example(p=5, m=2, k=3, units=(1, 1), valuations=(0, 0))
+@example(p=13, m=4, k=2, units=(2, 1), valuations=(1, -3))
+def test_coset_membership_matches_enumeration(p, m, k, units, valuations):
+    # the subgroup's order decides membership; the oracle enumerates it
+    mod = p**k
+    ux, ur = (u % mod + (u % p == 0) for u in units)  # a multiple of p moves up by 1
+    vx, vr = valuations
+    x, rep = (PadicNumber.from_rational(F(u) * F(p) ** v, p, k)
+              for u, v in ((ux, vx), (ur, vr)))
+    H = CosetSpec(p=p, m=m, representative=rep, precision_k=k)
+    ratio = ux * pow(ur, -1, mod) % mod
+    expected = (vx - vr) % m == 0 and ratio in unit_subgroup_oracle(p, m, k)
+    assert H.contains(x) == expected
+
+
 def test_coset_element_full_group():
     H = _full_group_spec()
     r = coset_element(1, 1, H)
@@ -332,6 +352,18 @@ def test_circle_density_rejects_torsion():
         circle_density(GaussianRational(GaussianInt(1, 1)), 1 + 0j, 10)
     with pytest.raises(ValueError):
         circle_density(THETA5, 0j, 10)
+
+
+def test_circle_density_refuses_exactly_the_roots_of_unity():
+    roots = {GaussianRational(GaussianInt(a, b)) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+    elements = unit_circle_elements(50)
+    assert roots <= set(elements)
+    for q in elements:
+        if q in roots:
+            with pytest.raises(ValueError, match="root of unity"):
+                circle_density(q, 1 + 0j, 3)
+        else:
+            assert len(circle_density(q, 1 + 0j, 3).sample) == 4
 
 
 # ---------------------------------------------------------------------------

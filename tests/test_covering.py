@@ -101,7 +101,7 @@ def test_figure_configuration():
     period = GaussianRational(GaussianInt(1, -2))
     obstruction = GaussianRational(GaussianInt(1, 1), 2) * period
     assert report.contains(obstruction)
-    assert ((1, 1, 2), F(0)) in report.obstruction_matches
+    assert (1, 1, 2) in report.obstruction_matches
     assert report.total_uncovered_area == F(5, 4)
     # every undercut piece survives translation by the period lattice
     for poly in report.uncovered:
@@ -554,6 +554,22 @@ def test_zero_period_norm_is_refused():
             obstruction_catalog(F(1, 4), 2, norm)
 
 
+@pytest.mark.parametrize("epsilon", [F(0), F(-1), F(1, 2), F(3, 4), 0.5,
+                                     float("inf"), float("nan")])
+def test_half_width_outside_its_interval_is_refused(epsilon):
+    with pytest.raises(ValueError, match="stripe half-width must"):
+        verify_obstruction(1, 1, 2, 5, epsilon)
+    with pytest.raises(ValueError, match="stripe half-width must"):
+        obstruction_catalog(epsilon, 2, 5)
+
+
+def test_half_width_float_is_taken_at_its_binary_value():
+    # 0.1 is a little above 1/10, so a margin of exactly 1/10 misses it
+    assert verify_obstruction(1, 0, 10, 5, 0.1) == (False, F(1, 10))
+    assert verify_obstruction(1, 0, 10, 5, F(1, 10)) == (True, F(1, 10))
+    assert obstruction_catalog(0.25, 2, 5) == obstruction_catalog(F(1, 4), 2, 5)
+
+
 def test_obstruction_catalog():
     assert obstruction_catalog(F(9, 20), 2, 25) == [((1, 1, 2), F(1, 2))]
     wide = obstruction_catalog(F(9, 20), 3, 25)
@@ -568,8 +584,6 @@ def test_obstruction_catalog():
             GaussianInt(1, -2)
         )
         assert report.contains(point)
-    for _, dist_sq in report.obstruction_matches:
-        assert dist_sq == 0
 
 
 def test_irrational_triple():
@@ -1432,8 +1446,7 @@ def test_rationality_monotone_in_refinement():
 def test_report_serialization():
     report = uncovered_region(figure_config())
     lines = report.report_lines()
-    assert lines[0] == "pyjama-report v1"
-    assert "kind=cover" in lines[1]
+    assert lines[0] == "kind=cover"
     assert any(line.startswith("polygon 0 ") for line in lines)
     assert any(line.startswith("obstruction ") for line in lines)
     assert lines == uncovered_region(figure_config()).report_lines()

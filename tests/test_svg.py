@@ -90,9 +90,7 @@ def _reference(report):
         f'<polygon points="{pts}" fill="none" stroke="#333333" '
         'stroke-width="0.030000" stroke-dasharray="0.150000,0.100000"/>'
     ]
-    for (a, b, m), dist_sq in report.obstruction_matches:
-        if dist_sq != 0:
-            continue
+    for a, b, m in report.obstruction_matches:
         base = GaussianRational(period) * GaussianRational(GaussianInt(a, b), m)
         for shift in shifts:
             x, y = base.re + shift.re, base.im + shift.im
