@@ -555,7 +555,7 @@ def test_zero_period_norm_is_refused():
 
 
 @pytest.mark.parametrize("epsilon", [F(0), F(-1), F(1, 2), F(3, 4), 0.5,
-                                     float("inf"), float("nan")])
+                                     float("inf"), float("nan")], ids=str)
 def test_half_width_outside_its_interval_is_refused(epsilon):
     with pytest.raises(ValueError, match="stripe half-width must"):
         verify_obstruction(1, 1, 2, 5, epsilon)
