@@ -15,6 +15,7 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 from .gaussian import (
+    CertificateError,
     GaussianInt,
     GaussianRational,
     P5BAR,
@@ -46,10 +47,6 @@ __all__ = [
     "snap_to_lattice",
     "rationality_check",
 ]
-
-
-class CertificateError(RuntimeError, ArithmeticError):
-    """An exact certificate failed its own re-check."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -39,7 +39,24 @@ __all__ = [
     "nearest_gaussian_int",
     "crt",
     "mod_from_rational",
+    "PrecisionError",
+    "TorsionUnitError",
+    "CertificateError",
 ]
+
+
+# the package's errors live here, in the one module that every command loads
+class PrecisionError(ArithmeticError):
+    """The requested quantity is not determined at the stored precision."""
+
+
+class TorsionUnitError(ValueError):
+    """The unit is a root of unity at the tested precision; its generated
+    subgroup does not have finite index."""
+
+
+class CertificateError(RuntimeError, ArithmeticError):
+    """An exact certificate failed its own re-check."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,6 +21,8 @@ from .gaussian import (
     _BARRED,
     GaussianInt,
     GaussianRational,
+    PrecisionError,
+    TorsionUnitError,
     _least_exponent,
     _split_power,
     as_gaussian_rational,
@@ -38,15 +40,6 @@ __all__ = [
 ]
 
 _SUPPORTED = (5, 13)
-
-
-class PrecisionError(ArithmeticError):
-    """The requested quantity is not determined at the stored precision."""
-
-
-class TorsionUnitError(ValueError):
-    """The unit is a root of unity at the tested precision; its generated
-    subgroup does not have finite index."""
 
 
 def _check_site(p: int, k: int) -> None:

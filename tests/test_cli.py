@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pyjama import cli, covering
+from pyjama import cli, covering, gaussian, padic
 from pyjama.cli import COMMANDS, RunConfig, main, run
 from pyjama.gaussian import GaussianRational
 
@@ -316,54 +316,82 @@ def test_irrational_cover_failure(tmp_path, capsys):
     assert uncovered_oracle(witness, "0.2", "2.0", theta_prime_forms(1, 0))
 
 
-# one small config per command that does not scan a disk
-_NO_DISK_RUNS = [
-    ("verify-covering", FIGURE_INI),
-    ("obstructions", "[obstructions]\nepsilon = 9/20\nm_max = 2\nperiod = 1-2i\n"),
-    ("rationality-check", FIGURE_INI + "\n[rationality]\nrefinement = 2\n"),
-    ("approx", "[approx]\nz = 0\np = 5\ntarget = 1/5\ndelta = 1/10\n"),
-    ("approx", "[approx]\nz = 0\ntarget5 = 1/5\ntarget13 = 0\ndelta = 1/10\n"),
-    ("classify", "[classify]\nq = 1/2+1/2i\n"),
-    ("orbit", "[orbit]\nw = 1\nm = 1\nsweep = 10\ngap_below = 0.9\n"),
-    ("density", "[density]\neta = 1/1000000\ndelta = 1/10\n"),
-    ("density", "[density]\nkind = circle\ntheta = -3/5+4/5i\nt = 1\nM = 200\n"),
-    ("closure-index", "[closure-index]\nu = 6\np = 5\n"),
+# one small config per command, its options, its exit code, and the pyjama
+# modules it loads besides cli and gaussian; only irrational-cover loads numpy
+_COVER = {"covering", "polygon"}
+_COMMAND_MODULES = [
+    ("verify-covering", FIGURE_INI, ["--no-svg"], 1, _COVER),
+    ("verify-covering", FIGURE_INI + "audit_points = 4\n", [], 1, _COVER | {"svg"}),
+    ("obstructions", "[obstructions]\nepsilon = 9/20\nm_max = 2\nperiod = 1-2i\n", [], 0,
+     _COVER),
+    ("rationality-check", FIGURE_INI + "\n[rationality]\nrefinement = 2\n", [], 0, _COVER),
+    ("approx", "[approx]\nz = 0\np = 5\ntarget = 1/5\ndelta = 1/10\n", [], 0,
+     {"approx", "padic"}),
+    ("approx", "[approx]\nz = 0\ntarget5 = 1/5\ntarget13 = 0\ndelta = 1/10\n", [], 0,
+     {"approx", "padic"}),
+    ("classify", "[classify]\nq = 1/2+1/2i\n", [], 0, {"solenoid", "padic"}),
+    ("orbit", "[orbit]\nw = 1\nm = 1\nsweep = 10\ngap_below = 0.9\n", [], 0,
+     {"solenoid", "padic"}),
+    ("density", "[density]\neta = 1/1000000\ndelta = 1/10\n", [], 0, {"approx", "padic"}),
+    ("density", "[density]\nkind = circle\ntheta = -3/5+4/5i\nt = 1\nM = 200\n", [], 0,
+     {"approx", "padic"}),
+    ("closure-index", "[closure-index]\nu = 6\np = 5\n", [], 0, {"padic"}),
+    ("irrational-cover", "[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
+                         "n_max = 1\nN_max = 0\n", [], 0, {"disk", "numpy"}),
 ]
 
-# runs the commands in turn in one fresh process; after each it prints its
-# exit code and whether numpy has been imported
-_NUMPY_PROBE = """
+# runs one command in a fresh process, then prints its exit code and the
+# pyjama modules and numpy that are loaded
+_MODULE_PROBE = """
 import json, sys
-from pathlib import Path
 from pyjama.cli import main
-tmp, runs = Path(sys.argv[1]), json.loads(sys.argv[2])
-for i, (command, ini) in enumerate(runs):
-    config = tmp / f"{i}.ini"
-    config.write_text(ini)
-    code = main([command, "--config", str(config), "--out", str(tmp / str(i))])
-    print(f"probe {command} exit={code} numpy={'numpy' in sys.modules}")
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m == "numpy" or m.split(".")[0] == "pyjama")]))
 """
 
 
-def test_only_irrational_cover_imports_numpy(tmp_path):
-    # the float disk cover is the one user of numpy, so every other command
-    # runs without importing it; irrational-cover imports it when it runs
-    disk = ("irrational-cover", "[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
-                                "n_max = 1\nN_max = 0\n")
+@pytest.mark.parametrize("command, ini, argv, exit_code, loads", _COMMAND_MODULES,
+                         ids=["verify-covering-no-svg", "verify-covering-svg", "obstructions",
+                              "rationality-check", "approx", "approx-3way", "classify", "orbit",
+                              "density-semigroup", "density-circle", "closure-index",
+                              "irrational-cover"])
+def test_each_command_loads_only_its_modules(tmp_path, command, ini, argv, exit_code, loads):
+    # pyjama/__init__.py imports nothing, and cli imports each command's
+    # modules in its handler, so a command loads only what it runs
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(tmp_path),
-                           json.dumps(_NO_DISK_RUNS + [disk])],
+    config, out = _write(tmp_path / "c.ini", ini), tmp_path / "out"
+    done = subprocess.run([sys.executable, "-c", _MODULE_PROBE, command, "--config", config,
+                           "--out", str(out), *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    probes = [line for line in done.stdout.splitlines() if line.startswith("probe ")]
-    summaries = [line for line in done.stdout.splitlines() if line.startswith("command=")]
-    # the figure config is not covered (exit 1); every other run exits 0
-    assert probes[:-1] == [f"probe {command} exit={int(command == 'verify-covering')} "
-                           "numpy=False" for command, _ in _NO_DISK_RUNS]
-    assert probes[-1] == "probe irrational-cover exit=0 numpy=True"
-    assert summaries[-1] == ("command=irrational-cover exit=0 certified=true n=1 N=0 "
-                             f"report={tmp_path / str(len(_NO_DISK_RUNS)) / 'report.txt'}")
+    summary, probe = done.stdout.splitlines()
+    assert summary.startswith(f"command={command} exit={exit_code} ")
+    expected = {"pyjama", "pyjama.cli", "pyjama.gaussian"}
+    expected |= {m if m == "numpy" else f"pyjama.{m}" for m in loads}
+    assert json.loads(probe) == [exit_code, sorted(expected)]
+    assert (out / "cover.svg").exists() == ("svg" in loads)
+
+
+def test_padic_errors_keep_their_tags(tmp_path, capsys, monkeypatch):
+    # the error classes live in gaussian, the one module every command
+    # loads; padic and covering re-export the same classes
+    assert padic.PrecisionError is gaussian.PrecisionError
+    assert padic.TorsionUnitError is gaussian.TorsionUnitError
+    assert covering.CertificateError is gaussian.CertificateError
+
+    def short(u, k):
+        raise padic.PrecisionError(f"need {k + 1} digits, only {k} stored")
+
+    monkeypatch.setattr(padic, "closure_index", short)
+    cfg = _write(tmp_path / "c.ini", "[closure-index]\nu = 6\np = 5\n")
+    code = main(["closure-index", "--config", cfg, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "command=closure-index exit=2 error=precision\n"
+    assert captured.err == "error: insufficient precision: need 5 digits, only 4 stored\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_approx_command(tmp_path, capsys):
