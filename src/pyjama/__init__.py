@@ -13,11 +13,10 @@ __version__ = "0.1.0"
 # each public name under the module that defines it
 _EXPORTS = {
     "gaussian": ("P5", "P5BAR", "P13", "P13BAR", "SITES", "THETA5", "THETA13",
-                 "GaussianInt", "GaussianRational", "PrimeSite", "abs_at",
-                 "as_gaussian_rational", "in_A", "theta_power", "theta_set",
-                 "unit_circle_elements", "valuation"),
-    "padic": ("PadicNumber", "PrecisionError", "TorsionUnitError",
-              "closure_index", "embed", "gauss_frac_part", "sqrt_neg1"),
+                 "GaussianInt", "GaussianRational", "PrecisionError", "PrimeSite",
+                 "TorsionUnitError", "abs_at", "as_gaussian_rational", "in_A",
+                 "theta_power", "theta_set", "unit_circle_elements", "valuation"),
+    "padic": ("PadicNumber", "closure_index", "embed", "gauss_frac_part", "sqrt_neg1"),
     "polygon": ("ConvexPolygon",),
     "solenoid": ("ExactPoint", "PointClassification", "SolenoidPoint", "act",
                  "classify_point", "evaluate", "orbit_eval_rows",

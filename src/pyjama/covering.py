@@ -20,6 +20,7 @@ from .gaussian import (
     GaussianRational,
     P5BAR,
     P13BAR,
+    _half_width,
     as_gaussian_rational,
     gaussian_ints_of_norm,
     is_sum_of_two_squares,
@@ -362,17 +363,6 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
 # ---------------------------------------------------------------------------
 # obstruction certificates
 # ---------------------------------------------------------------------------
-
-
-def _half_width(epsilon) -> Fraction:
-    """The stripe half-width as an exact Fraction in (0, 1/2); a float is
-    taken at its binary value, and a non-finite one is refused."""
-    if isinstance(epsilon, float) and not math.isfinite(epsilon):
-        raise ValueError(f"stripe half-width must be finite, got {epsilon}")
-    eps = Fraction(epsilon)
-    if not 0 < eps < Fraction(1, 2):
-        raise ValueError("stripe half-width must lie in (0, 1/2)")
-    return eps
 
 
 @lru_cache(maxsize=64)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -71,17 +70,8 @@ class DiskCoverReport:
     stripe of every rotation.  It proves that the rotations miss the disk,
     so no refinement could certify it; it is checked exactly (see
     ``_clear``), also against the decimal literals that the float half-width
-    and radius round.  ``failing_cells`` lists the failing centers as sorted
-    float pairs and is built on first access.  Reports compare equal on the
-    scalar fields alone.  The grid is centred on the disk, so the failing
-    cells, in their raw order (``_failing``), pair cell k with its mirror
-    image -z at size - 1 - k.  A report holds no cell of a refined last
-    level: when that level has failing cells, the report keeps the first
-    half of their parents, the previous level's failing cells (about 8 bytes
-    per parent), with the rotations and epsilon, and ``_failing`` tests the
-    parents' children again on each read, giving the same cells in the same
-    order.  A report that ends on the grid level keeps the first half of the
-    grid's failing cells, and ``_failing`` unfolds it on each read."""
+    and radius round.  A report holds these scalars and no cell; they are
+    all that the CLI prints."""
 
     certified: bool
     radius: float
@@ -90,28 +80,6 @@ class DiskCoverReport:
     cells_checked: int
     failing_count: int
     witness: GaussianRational | None
-    _held: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
-    # (epsilon, rotations) when ``_held`` is the parent level's failing half
-    _counted: tuple[float, tuple[complex, ...]] | None = field(
-        default=None, repr=False, compare=False)
-
-    @property
-    def _failing_half(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._counted is None:
-            return self._held
-        eps, rotations = self._counted
-        level = _children(*self._held, self.pitch / 2)
-        return _failing_half(*level, eps, self.radius, self.pitch, rotations)[:2]
-
-    @property
-    def _failing(self) -> tuple[np.ndarray, np.ndarray]:
-        return _unfold(*self._failing_half)
-
-    @cached_property
-    def failing_cells(self) -> tuple[tuple[float, float], ...]:
-        fx, fy = self._failing
-        order = np.lexsort((fy, fx))
-        return tuple(zip(fx[order].tolist(), fy[order].tolist()))
 
 
 def _level_size(hx: np.ndarray, hy: np.ndarray) -> int:
@@ -132,12 +100,6 @@ def _mirrored_slice(h: np.ndarray, size: int, a: int, b: int) -> np.ndarray:
         return h[a:b]
     mirrored = np.subtract(0.0, h[size - b:size - max(a, m)][::-1])
     return np.concatenate((h[a:m], mirrored)) if a < m else mirrored
-
-
-def _unfold(hx: np.ndarray, hy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The whole level closed under z -> -z whose first half is ``hx, hy``."""
-    size = _level_size(hx, hy)
-    return _mirrored_slice(hx, size, 0, size), _mirrored_slice(hy, size, 0, size)
 
 
 def _children(hx: np.ndarray, hy: np.ndarray, off: float):
@@ -427,7 +389,7 @@ def _refined(fx, fy, in_disk: int, witness, eps: float, R: float, h: float,
     cells are tested (``_failing_half`` with ``exact``, the rotations in the
     form ``_clear`` reads).  Each round but the last keeps its failing half
     for the next; the last round only counts its failing cells, and is not
-    searched, and the report keeps their parents'."""
+    searched.  The report keeps no cell."""
     checked = in_disk
     rounds_used = 0
     while witness is None and rounds_used < refine_rounds - 1 and fx.size:
@@ -436,16 +398,12 @@ def _refined(fx, fy, in_disk: int, witness, eps: float, R: float, h: float,
                                                rotations, exact)
         checked += cells
         rounds_used += 1
-    failing, counted = _level_size(fx, fy), None
+    failing = _level_size(fx, fy)
     if witness is None and rounds_used < refine_rounds and fx.size:
         h /= 2
         failing, cells = _failing_count(*_children(fx, fy, h / 2), eps, R, h, rotations)
         checked += cells
         rounds_used += 1
-        if failing:
-            counted = eps, tuple(rotations)  # a copy: the scan extends its list
-        else:
-            fx = fy = np.empty(0)
     return DiskCoverReport(
         certified=failing == 0,
         radius=R,
@@ -454,8 +412,6 @@ def _refined(fx, fy, in_disk: int, witness, eps: float, R: float, h: float,
         cells_checked=checked,
         failing_count=failing,
         witness=witness,
-        _held=(fx, fy),
-        _counted=counted,
     )
 
 
@@ -491,12 +447,12 @@ def certified_disk_cover(
     cells are made from their index, children from their parent's cells, so
     the grid and a level's children are never held whole.  Each level but
     the last keeps the first half of its failing cells for the next round;
-    the last refinement round only counts its failing cells, which the
-    report rebuilds from their parents when read.  So memory follows the
-    failing half of the parent of the last level.  An empty rotation list,
-    a parameter out of range (epsilon must lie in (0, 1/2)) or a grid of
-    more than 2**20 columns (2R/pitch above it, or not finite) is a
-    ValueError."""
+    the last refinement round only counts its failing cells, and the
+    report keeps counts and the witness only.  So memory follows the
+    failing half of the parent of the last level, and is given back on
+    return.  An empty rotation list, a parameter out of range (epsilon must
+    lie in (0, 1/2)) or a grid of more than 2**20 columns (2R/pitch above
+    it, or not finite) is a ValueError."""
     given = list(rotations)
     if not given:
         raise ValueError("at least one rotation is required")
@@ -571,5 +527,4 @@ def disk_cover_scan(epsilon, radius, pitch, n_max: int, N_max: int, refine_round
                          report.failing_count, report.witness))
             if report.certified:
                 return rows
-            del report  # freed before the next step runs
     return rows

@@ -14,7 +14,7 @@ import numbers
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isfinite, isqrt
 
 __all__ = [
     "GaussianInt",
@@ -418,6 +418,17 @@ def exact_gaussian_rational(z) -> GaussianRational:
     if not cmath.isfinite(z):
         raise ValueError(f"{z} is not finite")
     return GaussianRational.from_fractions(z.real, z.imag)
+
+
+def _half_width(epsilon) -> Fraction:
+    """The stripe half-width as an exact Fraction in (0, 1/2); a float is
+    taken at its binary value, and a non-finite one is refused."""
+    if isinstance(epsilon, float) and not isfinite(epsilon):
+        raise ValueError(f"stripe half-width must be finite, got {epsilon}")
+    eps = Fraction(epsilon)
+    if not 0 < eps < Fraction(1, 2):
+        raise ValueError("stripe half-width must lie in (0, 1/2)")
+    return eps
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,7 +18,6 @@ on diagonal(q) for all q, r in A.  Halving is harmless on the p-adic side
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ from .gaussian import (
     GaussianRational,
     P5,
     P13,
+    _half_width,
     _least_exponent,
     _split_power,
     abs_at,
@@ -260,11 +260,7 @@ def evaluate(x: SolenoidPoint | ExactPoint, r) -> Fraction:
 def stripe_membership(x, theta, epsilon) -> bool:
     """Whether the pairing value against theta lies strictly within epsilon of
     zero on the circle; a float epsilon is taken at its binary value."""
-    if isinstance(epsilon, float) and not math.isfinite(epsilon):
-        raise ValueError(f"stripe half-width {epsilon} is not finite")
-    eps = Fraction(epsilon)
-    if not 0 < eps < Fraction(1, 2):
-        raise ValueError("stripe half-width must lie in (0, 1/2)")
+    eps = _half_width(epsilon)
     v = evaluate(x, theta)
     return min(v, 1 - v) < eps
 

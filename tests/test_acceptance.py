@@ -396,7 +396,7 @@ def test_criterion_15_certified_disk_cover_scan():
             break
     assert found is not None, "no family in the scan certified the disk"
     n, big_n, n_rot, report = found
-    assert not report.failing_cells
+    assert report.failing_count == 0
     dt = _elapsed(t0)
     assert dt < 600.0
     print(

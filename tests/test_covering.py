@@ -35,6 +35,7 @@ from pyjama.covering import (
     verify_obstruction,
 )
 from pyjama.disk import certified_disk_cover, disk_cover_scan, irrational_triple, theta_prime
+from pyjama.solenoid import SolenoidPoint, stripe_membership
 
 from _util import (
     clip_halfplane,
@@ -561,6 +562,8 @@ def test_half_width_outside_its_interval_is_refused(epsilon):
         verify_obstruction(1, 1, 2, 5, epsilon)
     with pytest.raises(ValueError, match="stripe half-width must"):
         obstruction_catalog(epsilon, 2, 5)
+    with pytest.raises(ValueError, match="stripe half-width must"):
+        stripe_membership(SolenoidPoint.zero(), 1, epsilon)
 
 
 def test_half_width_float_is_taken_at_its_binary_value():
@@ -608,8 +611,9 @@ def test_theta_prime():
 def test_certified_disk_cover_negative():
     report = certified_disk_cover([1 + 0j, 1j], 0.45, 3.0, 0.01)
     assert not report.certified
-    assert report.failing_cells
-    for x, y in report.failing_cells:
+    fx, fy = _failing_cells([1 + 0j, 1j], 0.45, 3.0, 0.01, report.rounds_used)
+    assert fx.size == report.failing_count > 0
+    for x, y in zip(fx.tolist(), fy.tolist()):
         dx = abs(x - math.floor(x) - 0.5)
         dy = abs(y - math.floor(y) - 0.5)
         assert dx <= 0.06 and dy <= 0.06
@@ -672,8 +676,8 @@ def test_certified_disk_cover_refinement():
     rough = certified_disk_cover([1 + 0j, 1j], 0.4, 1.0, 0.2)
     refined = certified_disk_cover([1 + 0j, 1j], 0.4, 1.0, 0.2, refine_rounds=4)
     assert not refined.certified
-    rough_area = len(rough.failing_cells) * rough.pitch**2
-    refined_area = len(refined.failing_cells) * refined.pitch**2
+    rough_area = rough.failing_count * rough.pitch**2
+    refined_area = refined.failing_count * refined.pitch**2
     assert refined_area <= rough_area
 
 
@@ -684,6 +688,24 @@ def test_certified_disk_cover_nan_rotation_covers_nothing():
     assert not report.certified
     assert report.failing_count == 600
     assert report == certified_disk_cover([1j], 0.45, 3.0, 0.1)
+
+
+def _failing_cells(rotations, eps, radius, pitch, rounds):
+    """The failing cells of the last level of a run of
+    ``certified_disk_cover(rotations, eps, radius, pitch)`` that used
+    ``rounds`` refinement rounds, rebuilt from the kernel, since a report
+    keeps no cell: the grid's failing half, then ``rounds`` times its
+    children's, unfolded with the mirror images, as raw arrays in the order
+    the kernel keeps them.  The witness search changes no cell's verdict,
+    so it is left out."""
+    rots = [complex(t) for t in rotations]
+    eps, radius, h = disk._disk_parameters(eps, radius, pitch, rounds)
+    hx, hy, _, _ = disk._failing_half(*disk._grid(radius, h), eps, radius, h, rots)
+    for _ in range(rounds):
+        h /= 2
+        hx, hy, _, _ = disk._failing_half(*disk._children(hx, hy, h / 2), eps, radius, h, rots)
+    size = disk._level_size(hx, hy)
+    return disk._mirrored_slice(hx, size, 0, size), disk._mirrored_slice(hy, size, 0, size)
 
 
 def _disk_reference(rotations, eps, R, h, refine_rounds, stop=True):
@@ -774,9 +796,8 @@ def test_certified_disk_cover_matches_full_mask_reference(case):
     assert report.rounds_used == used
     assert report.cells_checked == checked
     assert report.failing_count == len(cells)
-    assert report.failing_cells == cells
-    assert all(type(x) is float and type(y) is float for x, y in report.failing_cells)
-    assert [a.tobytes() for a in report._failing] == [a.tobytes() for a in raw]
+    got = _failing_cells(rots, eps, radius, pitch, report.rounds_used)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in raw]
     assert report.witness == (None if witness is None else GaussianRational.from_fractions(*witness))
 
 
@@ -970,8 +991,8 @@ def _assert_mirrored(fx, fy):
 def test_certified_disk_cover_fails_mirror_pairs(case):
     rots, eps, radius, pitch, rounds = case
     report = certified_disk_cover(rots, eps, radius, pitch, refine_rounds=rounds)
-    _assert_mirrored(*report._failing)
-    _assert_mirrored(*certified_disk_cover(rots, eps, radius, pitch)._failing)  # the grid level
+    _assert_mirrored(*_failing_cells(rots, eps, radius, pitch, report.rounds_used))
+    _assert_mirrored(*_failing_cells(rots, eps, radius, pitch, 0))  # the grid level
 
 
 def test_certified_disk_cover_centres_the_grid():
@@ -979,15 +1000,11 @@ def test_certified_disk_cover_centres_the_grid():
     # side, so the failing cells near x = +-0.4 form a set closed under
     # z -> -z (with the overhang on one side only, they did not)
     report = certified_disk_cover([1 + 0j], 0.45, 0.42, 0.1)
-    cells = set(report.failing_cells)
+    fx, fy = _failing_cells([1 + 0j], 0.45, 0.42, 0.1, report.rounds_used)
+    cells = set(zip(fx.tolist(), fy.tolist()))
+    assert len(cells) == report.failing_count
     assert cells and cells == {(0.0 - x, 0.0 - y) for x, y in cells}
     assert all(abs(abs(x) - 0.4) < 1e-12 for x, _ in cells)
-
-
-def _assert_same_disk_cover(report, fresh):
-    assert report == fresh  # every scalar field
-    for got, want in zip(report._failing, fresh._failing):
-        assert got.tobytes() == want.tobytes()  # the same cells in the same order
 
 
 def test_certified_disk_cover_mirror_pairs_in_blocks_of_seven(monkeypatch):
@@ -1005,11 +1022,12 @@ def test_children_stream_matches_the_whole_level(rotations, eps, radius):
     # blocks cross the half/mirror seam of the parent level and the seam
     # between the (-,-) and (+,-) children at every offset
     report = certified_disk_cover(rotations, eps, radius, 0.2)  # the grid level
-    fx, fy = report._failing
+    fx, fy = _failing_cells(rotations, eps, radius, 0.2, 0)
     off = 0.05
     want_x = np.concatenate([fx + -off, fx + off])
     want_y = np.concatenate([fy + -off, fy + -off])
-    size, cells = disk._children(*report._failing_half, off)
+    half = (fx.size + 1) // 2
+    size, cells = disk._children(fx[:half], fy[:half], off)
     assert size == want_x.size == 2 * report.failing_count
     for block in range(1, size + 1):
         got = [cells(a, min(a + block, size)) for a in range(0, size, block)]
@@ -1035,51 +1053,42 @@ def test_certified_disk_cover_memory_follows_the_failing_half(monkeypatch):
     assert report.failing_count == 194344
     assert peak < 2 * cell * report.failing_count
     assert peak < 3 * 2**20  # 3.79 MiB when a report held its last round's failing half
-    # the last round is counted: the report keeps the first half of the
-    # first round's failing cells, byte for byte, and nothing of the second
-    parent = certified_disk_cover(rotations, 0.25, 20, 0.1, refine_rounds=1)
-    assert [a.tobytes() for a in report._held] == [a.tobytes() for a in parent._failing_half]
-    half = sum(a.nbytes for a in report._held)
-    assert half == cell * parent.failing_count // 2
-    assert held < half + 2**16
+    # the report keeps scalars only: no level of cells outlives the run
+    assert held < 2**14
 
 
-def test_certified_disk_cover_rebuilds_its_last_round(monkeypatch):
+def test_certified_disk_cover_counts_its_last_round(monkeypatch):
     rotations = theta_prime(1, 1)[:6]
-    # still failing after its last round: each read of the failing cells
-    # tests the held parents' children again, with the same bytes
+    # still failing after its last round, which counts the cells it fails
     report = certified_disk_cover(rotations, 0.3, 2.0, 0.2, refine_rounds=2)
     assert not report.certified and report.rounds_used == 2
-    first, second = report._failing, report._failing
-    assert first[0] is not second[0]
-    assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
-    assert report.failing_count == len(report.failing_cells) == first[0].size == 54
-    # certified in its last round: the report holds nothing
+    fx, _ = _failing_cells(rotations, 0.3, 2.0, 0.2, 2)
+    assert report.failing_count == fx.size == 54
+    # certified in its last round
     report = certified_disk_cover(rotations, 0.35, 2.0, 0.2, refine_rounds=3)
-    assert report.certified and report.rounds_used == 3
-    assert [a.size for a in report._held] == [0, 0] and report._counted is None
-    assert report.failing_cells == ()
-    # certified in round 3 of 5: no round is counted, each keeps its half
+    assert report.certified and report.rounds_used == 3 and report.failing_count == 0
+    # certified in round 3 of 5: no round is counted
     counted = []
     count = disk._failing_count
     monkeypatch.setattr(disk, "_failing_count",
                         lambda *args: counted.append(args) or count(*args))
     early = certified_disk_cover(rotations, 0.35, 2.0, 0.2, refine_rounds=5)
     assert early == report and early.rounds_used == 3 and not counted
-    assert [a.size for a in early._held] == [0, 0] and early._counted is None
     assert certified_disk_cover(rotations, 0.35, 2.0, 0.2, refine_rounds=3) == report
     assert len(counted) == 1
 
 
 def _assert_scan_matches_fresh_runs(monkeypatch, eps, radius, pitch, n_max, N_max, rounds):
     """Every row of the scan is a fresh run of theta_prime(n, N), the step's
-    report is that run's byte for byte, and the grid half the step carries
-    is, byte for byte, the failing half of a fresh run without refinement."""
+    report equals that run's, the rotations the step refines with fail the
+    same cells in the same order, byte for byte, and the grid half the step
+    carries is, byte for byte, the failing half of a fresh run without
+    refinement."""
     steps = []
 
-    def spy(gx, gy, *args):
-        report = refined(gx, gy, *args)
-        steps.append(((gx, gy), report))
+    def spy(gx, gy, in_disk, witness, eps, R, h, rotations, *args):
+        report = refined(gx, gy, in_disk, witness, eps, R, h, rotations, *args)
+        steps.append(((gx, gy), list(rotations), report))  # a copy: the scan extends its list
         return report
 
     refined = disk._refined
@@ -1091,21 +1100,25 @@ def _assert_scan_matches_fresh_runs(monkeypatch, eps, radius, pitch, n_max, N_ma
     assert not any(certified[:-1])  # the rows end with the first certified step
     if not certified[-1]:
         assert len(rows) == n_max * (N_max + 1)
-    for (n, N, count, *scalars), (grid_half, report) in zip(rows, steps):
+    for (n, N, count, *scalars), (grid_half, step_rotations, report) in zip(rows, steps):
         rotations = theta_prime(n, N)
         fresh = certified_disk_cover(rotations, eps, radius, pitch, refine_rounds=rounds)
-        assert count == len(rotations)
+        assert count == len(rotations) == len(step_rotations)
         assert scalars == [fresh.certified, fresh.cells_checked, fresh.failing_count,
                            fresh.witness]
-        _assert_same_disk_cover(report, fresh)
+        assert report == fresh  # every field
+        cells = _failing_cells(step_rotations, eps, radius, pitch, report.rounds_used)
+        fresh_cells = _failing_cells(rotations, eps, radius, pitch, fresh.rounds_used)
+        assert [a.tobytes() for a in cells] == [a.tobytes() for a in fresh_cells]
         # the fresh run checks its witness against the float rotations, the
         # scan against the rotations they round: both hold
         if report.witness is not None:
             bounds = float_literal_bounds(eps, radius)
             assert uncovered_oracle(report.witness, *bounds, theta_prime_forms(n, N))
             assert uncovered_oracle(report.witness, *bounds, plain_forms(rotations))
-        grid = certified_disk_cover(rotations, eps, radius, pitch)._failing_half
-        assert [a.tobytes() for a in grid_half] == [a.tobytes() for a in grid]
+        gx, gy = _failing_cells(rotations, eps, radius, pitch, 0)
+        half = (gx.size + 1) // 2
+        assert [a.tobytes() for a in grid_half] == [gx[:half].tobytes(), gy[:half].tobytes()]
 
 
 @pytest.mark.parametrize("eps, pitch, n_max", [(0.2, 0.2, 2), (0.2, 0.25, 2), (0.25, 0.1, 1)])

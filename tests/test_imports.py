@@ -13,6 +13,9 @@ entry or its package name behind, which would break
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -194,7 +197,10 @@ def test_package_namespace_is_lazy_and_complete():
         module = importlib.import_module(f"pyjama.{home}")
         assert getattr(pyjama, home) is module
         for name in names:
-            assert getattr(pyjama, name) is getattr(module, name)
+            value = getattr(module, name)
+            assert getattr(pyjama, name) is value
+            if isinstance(value, (type, types.FunctionType)):
+                assert value.__module__ == module.__name__  # listed where it is defined
             # resolved anew on every read, so a patched name is never left here
             assert name not in vars(pyjama)
     namespace = {}
@@ -202,3 +208,16 @@ def test_package_namespace_is_lazy_and_complete():
     assert set(namespace) - {"__builtins__"} == PACKAGE_NAMES
     with pytest.raises(AttributeError, match="no attribute 'disk_cover_scan'"):
         pyjama.disk_cover_scan
+
+
+def test_error_names_load_only_gaussian():
+    # the package's errors are defined in gaussian, so reading them from the
+    # package namespace loads no module that only re-exports them
+    script = ("import sys, pyjama; pyjama.PrecisionError; pyjama.TorsionUnitError; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pyjama'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['pyjama', 'pyjama.gaussian']\n"
