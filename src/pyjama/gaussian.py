@@ -142,13 +142,6 @@ class GaussianInt:
         q = _coerce(other)
         return NotImplemented if q is None else q / GaussianRational(self)
 
-    def exact_div(self, other: "GaussianInt") -> "GaussianInt":
-        """Exact quotient self/other in Z[i]; ValueError if not divisible."""
-        q = try_exact_div(self, other)
-        if q is None:
-            raise ValueError(f"{self} is not divisible by {other} in Z[i]")
-        return q
-
     def __complex__(self) -> complex:
         return complex(self.re, self.im)
 
@@ -160,12 +153,6 @@ class GaussianInt:
 
     def __repr__(self) -> str:
         return f"GaussianInt({self.re}, {self.im})"
-
-    @classmethod
-    def parse(cls, text: str) -> "GaussianInt":
-        """Parse 'a+bi' (also bare integers and pure-imaginary forms)."""
-        q = GaussianRational.parse(text)
-        return q.to_gaussian_int()
 
 
 def _as_gint(x) -> GaussianInt | None:

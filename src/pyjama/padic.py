@@ -3,16 +3,16 @@
 ``PadicNumber(p, precision_k, valuation, unit_digits)`` is the one p-adic
 value type: an integer valuation plus a unit part stored modulo
 p**precision_k, with a distinguished zero marker that remembers the
-absolute precision at which a cancellation happened.  The module also owns
-the canonical Hensel lifts of sqrt(-1) (one per prime, sign fixed so the
-barred prime site becomes the non-unit under embedding), the embedding of
-Q(i) into each field, exact p-adic fractional parts and multiplicative
-closure indices.
+absolute precision at which a cancellation happened.  Its arithmetic is
+the ring operations +, - and *: nothing in the package divides p-adic
+numbers or raises them to a power.  The module also owns the canonical
+Hensel lifts of sqrt(-1) (one per prime, sign fixed so the barred prime
+site becomes the non-unit under embedding), the embedding of Q(i) into each
+field, exact p-adic fractional parts and multiplicative closure indices.
 """
 
 from __future__ import annotations
 
-import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -111,14 +111,6 @@ class PadicNumber:
         return cls(p, k, None, 0, abs_prec)
 
     @classmethod
-    def from_unit(cls, p: int, k: int, valuation: int, unit: int) -> "PadicNumber":
-        _check_site(p, k)  # before p**k is formed
-        u = unit % p**k
-        if u == 0 or u % p == 0:
-            raise ValueError(f"{unit} is not a unit mod {p}^{k}")
-        return cls(p, k, valuation, u)
-
-    @classmethod
     def from_rational(cls, x: Fraction | int, p: int, k: int) -> "PadicNumber":
         _check_site(p, k)  # before p**k is formed
         x = Fraction(x)
@@ -142,10 +134,6 @@ class PadicNumber:
         if self.zero_abs is None:
             return Fraction(0)
         return Fraction(self.p) ** (-self.zero_abs)
-
-    def agrees(self, other: "PadicNumber") -> bool:
-        """True when self - other vanishes at the comparable precision."""
-        return (self - other).is_zero
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -222,36 +210,6 @@ class PadicNumber:
         u = self.unit_digits * other.unit_digits % p**k
         return PadicNumber(p, k, self.valuation + other.valuation, u)
 
-    def __truediv__(self, other: "PadicNumber") -> "PadicNumber":
-        if not isinstance(other, PadicNumber):
-            return NotImplemented
-        self._require_same_p(other)
-        if other.is_zero:
-            if other.zero_abs is None:
-                raise ZeroDivisionError("p-adic division by exact zero")
-            raise PrecisionError(
-                f"division by O({other.p}^{other.zero_abs}): divisor may be zero"
-            )
-        p = self.p
-        k = min(self.precision_k, other.precision_k)
-        if self.is_zero:
-            if self.zero_abs is None:
-                return PadicNumber.zero(p, k)
-            return PadicNumber.zero(p, k, self.zero_abs - other.valuation)
-        u = self.unit_digits * pow(other.unit_digits, -1, p**k) % p**k
-        return PadicNumber(p, k, self.valuation - other.valuation, u)
-
-    def __pow__(self, e: int) -> "PadicNumber":
-        if self.is_zero:
-            if e > 0:
-                if self.zero_abs is None:
-                    return self
-                return PadicNumber.zero(self.p, self.precision_k, self.zero_abs * e)
-            raise ZeroDivisionError("nonpositive power of p-adic zero")
-        p, k = self.p, self.precision_k
-        u = pow(self.unit_digits, e, p**k)
-        return PadicNumber(p, k, self.valuation * e, u)
-
     # -- fractional part ----------------------------------------------------
 
     def frac_part(self) -> Fraction:
@@ -285,31 +243,6 @@ class PadicNumber:
             # the precision is implied when it is max(1, n)
             return f"0 mod {p}^{n}" + (f" k={k}" if k != max(1, n) else "")
         return f"{p}^{self.valuation} * {self.unit_digits} mod {p}^{k}"
-
-    _FORM = _re.compile(
-        r"^(\d+)\^(-?\d+) \* (\d+) mod (\d+)\^(\d+)$"
-    )
-    _ZERO_FORM = _re.compile(r"^0 mod (\d+)\^(-?\d+)(?: k=(\d+))?$")
-
-    @classmethod
-    def parse(cls, text: str, *, p: int | None = None, precision: int | None = None) -> "PadicNumber":
-        s = text.strip()
-        if s == "0":
-            if p is None or precision is None:
-                raise ValueError("parsing exact zero requires p and precision")
-            return cls.zero(p, precision)
-        m = cls._ZERO_FORM.match(s)
-        if m:
-            pp, n, k = m.groups()
-            n = int(n)
-            return cls.zero(int(pp), int(k) if k else precision or max(1, n), n)
-        m = cls._FORM.match(s)
-        if m is None:
-            raise ValueError(f"cannot parse p-adic literal {text!r}")
-        p1, v, u, p2, k = (int(g) for g in m.groups())
-        if p1 != p2:
-            raise ValueError(f"mismatched primes in {text!r}")
-        return cls(p1, k, v, u)
 
 
 def embed(q: GaussianRational | GaussianInt | Fraction | int, p: int, k: int) -> PadicNumber:
@@ -353,6 +286,7 @@ def closure_index(u: PadicNumber, k: int | None = None) -> int:
     p = u.p
     if k is None:
         k = u.precision_k
+    _check_site(p, k)
     if k > u.precision_k:
         raise PrecisionError(f"need {k} digits, only {u.precision_k} stored")
     mod = p**k

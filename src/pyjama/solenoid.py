@@ -10,9 +10,9 @@ A point is interpreted through its evaluation pairing with A: a triple
 
 The diagonal image of q in A that this pairing annihilates is the *twisted*
 triple (q, i5(q/2), i13(q/2)): for every y in A the real part of y and the
-two fractional parts of i_p(y/2) agree mod 1, which makes the pairing vanish
-on diagonal(q) for all q, r in A.  Halving is harmless on the p-adic side
-(2 is a unit at 5 and 13), so the fundamental domain is still
+two fractional parts of i_p(y/2) agree mod 1, which makes the pairing of
+that triple with r vanish for all q, r in A.  Halving is harmless on the
+p-adic side (2 is a unit at 5 and 13), so the fundamental domain is still
 [0,1)^2 x Z5 x Z13.
 """
 
@@ -110,14 +110,6 @@ class SolenoidPoint:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, precision_k: int = DEFAULT_PRECISION) -> "SolenoidPoint":
-        return cls(
-            GaussianRational(0),
-            PadicNumber.zero(5, precision_k),
-            PadicNumber.zero(13, precision_k),
-        )
-
-    @classmethod
     def from_complex(cls, w, precision_k: int = DEFAULT_PRECISION) -> "SolenoidPoint":
         """The purely complex point; evaluate(from_complex(w), r) = Re(w*r) mod 1,
         with a float or complex w taken at its binary value."""
@@ -127,28 +119,7 @@ class SolenoidPoint:
             PadicNumber.zero(13, precision_k),
         )
 
-    @classmethod
-    def diagonal(cls, q, precision_k: int = DEFAULT_PRECISION) -> "SolenoidPoint":
-        """The twisted diagonal triple (q, i5(q/2), i13(q/2)); it evaluates to
-        zero against every element of A exactly when q itself lies in A."""
-        qq = as_gaussian_rational(q)
-        half = qq / 2
-        return cls(qq, embed(half, 5, precision_k), embed(half, 13, precision_k))
-
-    # -- structure -----------------------------------------------------------
-
-    def __add__(self, other: "SolenoidPoint") -> "SolenoidPoint":
-        if not isinstance(other, SolenoidPoint):
-            return NotImplemented
-        return SolenoidPoint(self._z + other._z, self._a + other._a, self._b + other._b)
-
-    def __sub__(self, other: "SolenoidPoint") -> "SolenoidPoint":
-        if not isinstance(other, SolenoidPoint):
-            return NotImplemented
-        return SolenoidPoint(self._z - other._z, self._a - other._a, self._b - other._b)
-
-    def __neg__(self) -> "SolenoidPoint":
-        return SolenoidPoint(-self._z, -self._a, -self._b)
+    # -- value protocol ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SolenoidPoint):
@@ -164,21 +135,13 @@ class SolenoidPoint:
     def __repr__(self) -> str:
         return f"SolenoidPoint({self._z!r}, {self._a!r}, {self._b!r})"
 
-    def agrees(self, other: "SolenoidPoint") -> bool:
-        """Componentwise agreement at the comparable p-adic precision."""
-        return (
-            self._z == other._z
-            and self._a.agrees(other._a)
-            and self._b.agrees(other._b)
-        )
-
 
 @dataclass(frozen=True)
 class ExactPoint:
     """A diagonal point shifted by a purely complex offset, kept fully exact.
 
-    Denotes diagonal(q) + from_complex(offset_w); classification only applies
-    when offset_w = 0.  Evaluation needs no p-adic precision at all.
+    Denotes the triple (q - offset_w, i5(q/2), i13(q/2)); classification only
+    applies when offset_w = 0.  Evaluation needs no p-adic precision at all.
     """
 
     q: GaussianRational
@@ -203,12 +166,6 @@ class ExactPoint:
     def same_class(self, other: "ExactPoint") -> bool:
         """Whether the two exact points denote the same point of the quotient."""
         return self.offset_w == other.offset_w and in_A(self.q - other.q)
-
-    def to_solenoid(self, precision_k: int = DEFAULT_PRECISION) -> SolenoidPoint:
-        diag = SolenoidPoint.diagonal(self.q, precision_k)
-        if not self.offset_w:
-            return diag
-        return diag + SolenoidPoint.from_complex(self.offset_w, precision_k)
 
     def __str__(self) -> str:
         return f"({self.q}; {self.offset_w})"

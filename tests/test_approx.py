@@ -92,7 +92,7 @@ def test_strong_approx_random_targets():
 
 
 def test_strong_approx_precision_errors():
-    shallow = PadicNumber.from_unit(5, 2, 0, 7)  # unit known mod 5^2 only
+    shallow = PadicNumber(5, 2, 0, 7)  # unit known mod 5^2 only
     with pytest.raises(PrecisionError):
         strong_approx(0j, shallow, F(1, 5**4))
     blurred = PadicNumber.zero(5, 6, 1)  # only known to be O(5^1)

@@ -563,7 +563,7 @@ def test_half_width_outside_its_interval_is_refused(epsilon):
     with pytest.raises(ValueError, match="stripe half-width must"):
         obstruction_catalog(epsilon, 2, 5)
     with pytest.raises(ValueError, match="stripe half-width must"):
-        stripe_membership(SolenoidPoint.zero(), 1, epsilon)
+        stripe_membership(SolenoidPoint.from_complex(0), 1, epsilon)
 
 
 def test_half_width_float_is_taken_at_its_binary_value():

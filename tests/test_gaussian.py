@@ -27,6 +27,7 @@ from pyjama.gaussian import (
     nearest_gaussian_int,
     theta_power,
     theta_set,
+    try_exact_div,
     unit_circle_elements,
     unit_group_order,
     valuation,
@@ -35,7 +36,7 @@ from pyjama.gaussian import (
 from pyjama.approx import CosetSpec, circle_density
 from pyjama.covering import CoveringConfig, snap_to_lattice, uncovered_region
 from pyjama.padic import PadicNumber, embed, gauss_frac_part
-from pyjama.solenoid import ExactPoint, SolenoidPoint, _require_in_A, classify_point
+from pyjama.solenoid import ExactPoint, _require_in_A, classify_point
 
 from _util import (
     in_A_oracle,
@@ -71,11 +72,10 @@ def test_gaussian_int_arithmetic_matches_complex():
 
 def test_gaussian_int_exact_div():
     g = GaussianInt(1, 2) * GaussianInt(3, -5)
-    assert g.exact_div(GaussianInt(3, -5)) == GaussianInt(1, 2)
-    with pytest.raises(ValueError):
-        GaussianInt(1, 0).exact_div(GaussianInt(1, 2))
+    assert try_exact_div(g, GaussianInt(3, -5)) == GaussianInt(1, 2)
+    assert try_exact_div(GaussianInt(1, 0), GaussianInt(1, 2)) is None
     with pytest.raises(ZeroDivisionError):
-        GaussianInt(1, 0).exact_div(GaussianInt(0, 0))
+        try_exact_div(GaussianInt(1, 0), GaussianInt(0, 0))
 
 
 def test_rational_canonical_form():
@@ -142,15 +142,12 @@ def test_parse_accepts_loose_forms():
     assert GaussianRational.parse("1/2") == Fraction(1, 2)
     assert GaussianRational.parse("4/5i").im == Fraction(4, 5)
     assert GaussianRational.parse(" -3/5 + 4/5 i".replace(" ", "")) == THETA5
-    assert GaussianInt.parse("-4-7i") == GaussianInt(-4, -7)
 
 
 def test_parse_rejects_junk():
     for bad in ("", "3+4j", "1+2+3i", "i+i", "1//2", "+"):
         with pytest.raises(ValueError):
             GaussianRational.parse(bad)
-    with pytest.raises(ValueError):
-        GaussianInt.parse("1/2+0/2i")
 
 
 def test_valuation_pins():
@@ -410,7 +407,6 @@ _GATES = {
     "valuation": lambda x: valuation(x, P5),
     "in_A": in_A,
     "require_in_A": _require_in_A,
-    "SolenoidPoint.diagonal": SolenoidPoint.diagonal,
     "ExactPoint.q": ExactPoint,
     "ExactPoint.offset_w": lambda x: ExactPoint(GaussianRational(1), x),
     "classify_point": classify_point,

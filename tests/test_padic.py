@@ -25,7 +25,7 @@ from pyjama.padic import (
     sqrt_neg1,
 )
 
-from _util import rng, random_a_element, random_gaussian_rational
+from _util import rng, random_gaussian_rational
 
 
 def test_sqrt_neg1_pins():
@@ -95,16 +95,16 @@ def test_embed_is_a_ring_homomorphism():
         w = random_gaussian_rational(r, nonzero=True)
         for p in (5, 13):
             k = 24
-            assert embed(q * w, p, k).agrees(embed(q, p, k) * embed(w, p, k))
+            assert (embed(q * w, p, k) - embed(q, p, k) * embed(w, p, k)).is_zero
             if q + w:
-                assert embed(q + w, p, k).agrees(embed(q, p, k) + embed(w, p, k))
+                assert (embed(q + w, p, k) - (embed(q, p, k) + embed(w, p, k))).is_zero
 
 
 def test_padic_value_construction():
-    x = PadicNumber.from_unit(5, 3, -1, 18)
+    x = PadicNumber(5, 3, -1, 18)
     assert x.valuation == -1 and x.unit_digits == 18
     with pytest.raises(ValueError):
-        PadicNumber.from_unit(5, 3, 0, 10)  # divisible by 5
+        PadicNumber(5, 3, 0, 10)  # divisible by 5
     with pytest.raises(ValueError):
         PadicNumber(7, 2, 0, 1)
     with pytest.raises(ValueError):
@@ -125,36 +125,24 @@ def test_from_rational():
 @pytest.mark.parametrize("make", [
     lambda k: PadicNumber.from_rational(Fraction(7, 3), 5, k),
     lambda k: PadicNumber.from_rational(0, 5, k),
-    lambda k: PadicNumber.from_unit(5, k, 0, 7),
     lambda k: PadicNumber.zero(5, k),
-], ids=["from_rational", "from_rational-zero", "from_unit", "zero"])
+    lambda k: closure_index(embed(THETA13, 5, 4), k),
+], ids=["from_rational", "from_rational-zero", "zero", "closure_index"])
 def test_constructors_reject_precision_below_one(make, k):
     with pytest.raises(ValueError, match="precision_k must be >= 1"):
         make(k)
 
 
 def test_serialization_roundtrip():
-    x = PadicNumber.from_unit(5, 2, -1, 18)
-    assert str(x) == "5^-1 * 18 mod 5^2"
-    assert PadicNumber.parse(str(x)) == x
-    z = PadicNumber.zero(5, 3, 3)
-    assert str(z) == "0 mod 5^3"
-    parsed = PadicNumber.parse(str(z))
-    assert parsed.is_zero and parsed.zero_abs == 3
-    exact = PadicNumber.zero(13, 2)
-    assert str(exact) == "0"
-    assert PadicNumber.parse("0", p=13, precision=2) == exact
-    with pytest.raises(ValueError):
-        PadicNumber.parse("0")
-    with pytest.raises(ValueError):
-        PadicNumber.parse("5^1 * 2 mod 13^4")
-    r = rng(22)
-    for _ in range(100):
-        u = r.randrange(1, 5**6)
-        if u % 5 == 0:
-            continue
-        x = PadicNumber.from_unit(5, 6, r.randint(-5, 5), u)
-        assert PadicNumber.parse(str(x)) == x
+    assert str(PadicNumber(5, 2, -1, 18)) == "5^-1 * 18 mod 5^2"
+    assert str(PadicNumber.zero(13, 2)) == "0"
+    # a marker writes its precision k unless it is max(1, n)
+    for p, k, n, text in ((5, 3, 3, "0 mod 5^3"),
+                          (5, 1, 0, "0 mod 5^0"),
+                          (13, 3, -4, "0 mod 13^-4 k=3"),
+                          (5, 3, 1, "0 mod 5^1 k=3"),
+                          (13, 1, -2, "0 mod 13^-2")):
+        assert str(PadicNumber.zero(p, k, n)) == text
 
 
 def _valuation(x: Fraction, p: int) -> int:
@@ -168,34 +156,10 @@ def _valuation(x: Fraction, p: int) -> int:
     return v
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([5, 13]), st.integers(1, 8), st.sampled_from(["unit", "marker", "exact"]),
-       st.integers(-10, 10), st.integers(1, 13**8 - 1))
-@example(5, 1, "marker", 0, 1)  # "0 mod 5^0"
-@example(13, 3, "marker", -4, 1)  # a negative absolute precision
-@example(5, 2, "exact", 0, 1)
-@example(5, 8, "unit", -10, 5**8 - 1)
-@example(5, 3, "marker", 1, 1)  # "0 mod 5^1 k=3"
-@example(13, 1, "marker", -2, 1)  # k = max(1, n): "0 mod 13^-2"
-def test_padic_parse_round_trip(p, k, form, v, u):
-    if form == "unit":
-        u %= p**k
-        x = PadicNumber.from_unit(p, k, v, u if u % p else u + 1)
-        assert PadicNumber.parse(str(x)) == x
-    else:
-        x = PadicNumber.zero(p, k, v if form == "marker" else None)
-        if form == "marker":
-            # a marker writes its precision unless it is max(1, n), and reads back whole
-            suffix = "" if k == max(1, v) else f" k={k}"
-            assert str(x) == f"0 mod {p}^{v}{suffix}"
-            assert PadicNumber.parse(str(x)) == x
-    assert PadicNumber.parse(str(x), p=p, precision=k) == x
-
-
 # nonzero rationals n/d * p**e; n and d may hold more factors of p
 _RATIONALS = st.tuples(st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6),
                        st.integers(-4, 4))
-_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+_OPS = (operator.add, operator.sub, operator.mul)
 
 
 @pytest.mark.parametrize("p", [5, 13])
@@ -211,8 +175,8 @@ def test_padic_arithmetic_matches_fraction_oracle(p, k, x, y):
     X, Y = PadicNumber.from_rational(x, p, k), PadicNumber.from_rational(y, p, k)
     for op in _OPS:
         want, got = op(x, y), op(X, Y)
-        assert got.agrees(PadicNumber.from_rational(want, p, k)), (op, x, y)
-        if op in (operator.mul, operator.truediv):
+        assert (got - PadicNumber.from_rational(want, p, k)).is_zero, (op, x, y)
+        if op is operator.mul:
             # valuations add, and no digit is lost
             assert got.valuation == _valuation(want, p) and got.precision_k == k
             continue
@@ -222,14 +186,10 @@ def test_padic_arithmetic_matches_fraction_oracle(p, k, x, y):
             assert got.zero_abs == known and (want == 0 or _valuation(want, p) >= known)
         else:
             assert got.valuation == _valuation(want, p) and got.valuation + got.precision_k == known
-    # a divisor that is zero at the stored precision
+    # a difference that is zero at the stored precision
     close = PadicNumber.from_rational(y + Fraction(p) ** (vy + k) * Fraction(1, 1 + p), p, k)
     blur = Y - close
     assert blur.is_zero and blur.zero_abs == vy + k
-    with pytest.raises(PrecisionError):
-        X / blur
-    with pytest.raises(ZeroDivisionError):
-        X / PadicNumber.from_rational(0, p, k)
 
 
 def test_addition_and_cancellation():
@@ -254,24 +214,9 @@ def test_multiplication_division():
     b = PadicNumber.from_rational(Fraction(2, 25), 5, 6)
     prod = a * b
     assert prod.valuation == -3
-    assert prod.agrees(PadicNumber.from_rational(Fraction(14, 125), 5, 6))
-    quot = a / b
-    assert quot.agrees(PadicNumber.from_rational(Fraction(35, 2), 5, 6))
-    assert (a / a).agrees(PadicNumber.from_rational(1, 5, 6))
-    with pytest.raises(ZeroDivisionError):
-        a / PadicNumber.zero(5, 6)
-    with pytest.raises(PrecisionError):
-        a / PadicNumber.zero(5, 6, 4)
+    assert (prod - PadicNumber.from_rational(Fraction(14, 125), 5, 6)).is_zero
     marker = PadicNumber.zero(5, 6, 4)
     assert (marker * a).zero_abs == 4 - 1
-    assert (marker / a).zero_abs == 4 + 1
-
-
-def test_power():
-    a = PadicNumber.from_rational(Fraction(7, 5), 5, 8)
-    assert (a**3).agrees(a * a * a)
-    assert (a**-1).agrees(PadicNumber.from_rational(Fraction(5, 7), 5, 8))
-    assert (a**0).agrees(PadicNumber.from_rational(1, 5, 8))
 
 
 def test_frac_part():
@@ -283,7 +228,7 @@ def test_frac_part():
     with pytest.raises(PrecisionError):
         PadicNumber.zero(5, 4, -1).frac_part()
     with pytest.raises(PrecisionError):
-        PadicNumber.from_unit(5, 2, -3, 7).frac_part()
+        PadicNumber(5, 2, -3, 7).frac_part()
 
 
 def test_frac_part_idempotence():
@@ -294,7 +239,7 @@ def test_frac_part_idempotence():
         u = r.randrange(1, p**8)
         if u % p == 0:
             continue
-        a = PadicNumber.from_unit(p, 8, v, u)
+        a = PadicNumber(p, 8, v, u)
         f = a.frac_part()
         residue = a - PadicNumber.from_rational(f, p, 8)
         assert residue.frac_part() == 0
