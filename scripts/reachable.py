@@ -69,24 +69,20 @@ def defined_functions(src: Path) -> dict[tuple[str, int], tuple[str, int]]:
     function and method defined in the package directory."""
     found = {}
 
-    def visit(module: str, body: list[ast.stmt], prefix: str) -> None:
-        for node in body:
+    def visit(module: str, parent: ast.AST, prefix: str) -> None:
+        for node in ast.iter_child_nodes(parent):
             if isinstance(node, ast.ClassDef):
-                visit(module, node.body, f"{prefix}{node.name}.")
+                visit(module, node, f"{prefix}{node.name}.")
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([node.lineno] + [d.lineno for d in node.decorator_list])
                 found[module, first] = (f"{prefix}{node.name}",
                                         node.end_lineno - first + 1)
-                visit(module, node.body, f"{prefix}{node.name}.<locals>.")
+                visit(module, node, f"{prefix}{node.name}.<locals>.")
             else:
-                # functions defined under if, try, with or a loop
-                for field in ("body", "orelse", "finalbody", "handlers"):
-                    inner = getattr(node, field, None)
-                    if isinstance(inner, list):
-                        visit(module, inner, prefix)
+                visit(module, node, prefix)
 
     for path in sorted(src.glob("*.py")):
-        visit(path.name, ast.parse(path.read_text()).body, "")
+        visit(path.name, ast.parse(path.read_text()), "")
     return found
 
 
