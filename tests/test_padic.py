@@ -1,6 +1,7 @@
 """p-adic arithmetic: canonical roots, embeddings, precision tracking."""
 
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,44 @@ def test_serialization_roundtrip():
                           (5, 3, 1, "0 mod 5^1 k=3"),
                           (13, 1, -2, "0 mod 13^-2")):
         assert str(PadicNumber.zero(p, k, n)) == text
+
+
+def _read(text: str, p: int, k: int) -> PadicNumber:
+    """Rebuild a PadicNumber from its str form; an exact "0" takes p and k from the caller."""
+    if text == "0":
+        return PadicNumber.zero(p, k)
+    m = re.fullmatch(r"0 mod (\d+)\^(-?\d+)(?: k=(\d+))?", text)
+    if m:
+        n = int(m[2])
+        return PadicNumber.zero(int(m[1]), int(m[3]) if m[3] else max(1, n), n)
+    m = re.fullmatch(r"(\d+)\^(-?\d+) \* (\d+) mod (\d+)\^(\d+)", text)
+    assert m and m[1] == m[4], text
+    return PadicNumber(int(m[1]), int(m[5]), int(m[2]), int(m[3]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([5, 13]), st.integers(1, 8), st.sampled_from(["unit", "marker", "exact"]),
+       st.integers(-10, 10), st.integers(1, 13**8 - 1))
+@example(5, 1, "marker", 0, 1)  # "0 mod 5^0"
+@example(13, 3, "marker", -4, 1)  # a negative absolute precision
+@example(5, 2, "exact", 0, 1)
+@example(5, 8, "unit", -10, 5**8 - 1)
+@example(5, 3, "marker", 1, 1)  # "0 mod 5^1 k=3"
+@example(13, 1, "marker", -2, 1)  # k = max(1, n): "0 mod 13^-2"
+def test_padic_parse_round_trip(p, k, form, v, u):
+    # the str form carries every field: reading it back gives the same value
+    if form == "unit":
+        u %= p**k
+        x = PadicNumber(p, k, v, u if u % p else u + 1)
+        assert _read(str(x), p=1, k=1) == x  # p and k come from the text
+    else:
+        x = PadicNumber.zero(p, k, v if form == "marker" else None)
+        if form == "marker":
+            # a marker writes its precision unless it is max(1, n), and reads back whole
+            suffix = "" if k == max(1, v) else f" k={k}"
+            assert str(x) == f"0 mod {p}^{v}{suffix}"
+            assert _read(str(x), p=1, k=1) == x
+    assert _read(str(x), p=p, k=k) == x
 
 
 def _valuation(x: Fraction, p: int) -> int:
