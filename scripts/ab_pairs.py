@@ -18,8 +18,11 @@ It prints one JSON document shaped like the ``BENCH_<n>.json`` files: the
 commits, how the runs were made, the machine, the claimed metric (if
 given), and per workload the seeds, every run's end-to-end metrics, and
 per metric each side's quartiles (``statistics.quantiles(n=4,
-method="inclusive")``) and ``change_wins``, the pairs in which HEAD is
-strictly better in the direction that BENCHMARK.json gives.
+method="inclusive")``), ``parent_iqr`` (the parent's q3 - q1) and
+``change_wins``, the pairs in which HEAD is strictly better in the
+direction that BENCHMARK.json gives.  With ``--claim`` the claim also
+carries ``claim_met``: HEAD wins at least nine tenths of the pairs, and its
+median is better than the parent's by more than ``parent_iqr``.
 """
 
 from __future__ import annotations
@@ -78,10 +81,21 @@ def _summary(runs: dict, metrics: list[dict]) -> dict:
             q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
             entry[side] = {"q1": round(q1, 6), "median": round(median, 6),
                            "q3": round(q3, 6)}
+        entry["parent_iqr"] = round(entry["parent"]["q3"] - entry["parent"]["q1"], 6)
         entry["change_wins"] = sum(sign * (c - p) > 0
                                    for p, c in zip(sides["parent"], sides["change"]))
         out[name] = entry
     return out
+
+
+def _claim_met(entry: dict, better: str, pairs: int) -> bool:
+    """The gain rule on one metric's summary: HEAD wins at least nine tenths
+    of the pairs, ties counting for neither, and its median is better than
+    the parent's by more than the parent's quartile spread."""
+    gain = entry["change"]["median"] - entry["parent"]["median"]
+    if better != "higher":
+        gain = -gain
+    return 10 * entry["change_wins"] >= 9 * pairs and gain > entry["parent_iqr"]
 
 
 def main(argv=None) -> int:
@@ -94,6 +108,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two runs)")
+    claim = None
+    if args.claim:
+        workload, sep, metric = args.claim.partition(":")
+        if not sep:
+            parser.error("--claim must be WORKLOAD:METRIC")
+        claim = {"workload": workload, "metric": metric}
 
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         roots = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -101,6 +121,9 @@ def main(argv=None) -> int:
                    for side, rev in (("parent", args.parent), ("change", "HEAD"))}
         spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
         workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        if claim and (claim["workload"] not in workloads or claim["metric"] not in better):
+            parser.error(f"--claim {args.claim}: no such workload run or end-to-end metric")
         seeds = list(range(args.first_seed, args.first_seed + args.pairs))
         record = {}
         for workload in workloads:
@@ -114,10 +137,12 @@ def main(argv=None) -> int:
             record[workload] = {"seeds": seeds, "runs": runs,
                                 "summary": _summary(runs, spec["end_to_end"])}
 
-    claim = None
-    if args.claim:
-        workload, _, metric = args.claim.partition(":")
-        claim = {"workload": workload, "metric": metric}
+    if claim:
+        metric = claim["metric"]
+        summary = record[claim["workload"]]["summary"][metric]
+        claim["claim_met"] = _claim_met(summary, better[metric], args.pairs)
+        print(f"ab_pairs: claim_met={str(claim['claim_met']).lower()}",
+              file=sys.stderr, flush=True)
     print(json.dumps({
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],

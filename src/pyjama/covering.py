@@ -141,15 +141,16 @@ class CoverReport:
         return buckets
 
     def contains(self, z) -> bool:
-        """Exact membership of a complex point in the (periodic) uncovered set."""
+        """Exact membership of a complex point in the pieces' translates by
+        D*Z[i].  Only the shifts D*(j + ki), j, k in {-1, 0, 1}, of the point
+        reduced into the cell are tried, so it is exact for pieces within one
+        period of the cell, as ``uncovered_region`` builds them."""
         q = as_gaussian_rational(z)
-        # z = (a + bi)/m is reduced modulo the period D and tested, with its
-        # shifts by D and iD, in integers at scale m*N(D)
         a, b, m = q.num.re, q.num.im, q.den
         D, L = self.config.period, self.scale
         dr, di = D.re, D.im
         M = m * D.norm()
-        # (a + bi)/(m*D) = (u + iv)/M, reduced to the cell coordinates [0, 1)
+        # z = (a + bi)/m; (a + bi)/(m*D) = (u + iv)/M in cell coordinates [0, 1)
         u = (a * dr + b * di) % M
         v = (b * dr - a * di) % M
         buckets = self._buckets
@@ -273,21 +274,27 @@ def _subtract_stripes(rings, rotation: GaussianRational, eps: Fraction, scale: i
     the half-turn s(z) = (1+i)D - z of ``uncovered_region`` h becomes
     u*q*Re((1+i)D*theta) - h, a multiple of u*q minus h: s maps the stripe
     family onto itself and reverses the order of the slabs."""
-    a, b, d = rotation.num.re, rotation.num.im, rotation.den
-    p, q = eps.numerator, eps.denominator
-    qa, qb, u = q * a, q * b, d * scale
-    up, uq = u * p, u * q
-    out = []
-    for ring in rings:
-        hs = [qa * x - qb * y for x, y in ring]
-        lo, hi = min(hs), max(hs)
-        # stripes whose closure meets the piece: k_lo .. k_hi
-        k_lo, k_hi = -((up - lo) // uq), (hi + up) // uq
-        if k_lo > k_hi:
-            out.append(ring)
-        elif k_lo < k_hi or lo <= uq * k_lo - up or uq * k_lo + up <= hi:
-            out += _split_slabs(ring, hs, up, uq)
-    return out
+    form = _stripe_form(rotation, eps, scale)
+    return [part for ring in rings for part in _cut(ring, *form)]
+
+
+def _stripe_form(rotation: GaussianRational, eps: Fraction, scale: int):
+    """(q*a, q*b, u*p, u*q) for theta = (a + bi)/d, eps = p/q and u = d*scale."""
+    q, u, num = eps.denominator, rotation.den * scale, rotation.num
+    return q * num.re, q * num.im, u * eps.numerator, u * q
+
+
+def _cut(ring, qa: int, qb: int, up: int, uq: int):
+    """``_subtract_stripes`` of one ring: [ring], [] or its slab parts."""
+    hs = [qa * x - qb * y for x, y in ring]
+    lo, hi = min(hs), max(hs)
+    # stripes whose closure meets the piece: k_lo .. k_hi
+    k_lo, k_hi = -((up - lo) // uq), (hi + up) // uq
+    if k_lo > k_hi:
+        return [ring]
+    if k_lo < k_hi or lo <= uq * k_lo - up or uq * k_lo + up <= hi:
+        return _split_slabs(ring, hs, up, uq)
+    return []
 
 
 def _mirrored(piece, cx: int, cy: int):
@@ -298,6 +305,34 @@ def _mirrored(piece, cx: int, cy: int):
     ring = [(cx - x, cy - y) for x, y in piece[0]]
     k = ring.index(min(ring))
     return tuple(ring[k:] + ring[:k]), piece[1]
+
+
+def _moved(pieces, dx: int, dy: int):
+    """The pieces translated by (dx, dy); the same list when that is zero."""
+    if dx or dy:
+        return [(tuple([(x + dx, y + dy) for x, y in ring]), kind) for ring, kind in pieces]
+    return pieces
+
+
+def _cut_classes(rings, form):
+    """The canonical pieces that the stripes of ``form`` (``_stripe_form``)
+    leave of each ring, as (entry, dx, dy): entry[2] moved by (dx, dy).
+    A translate by t with u*q | h(t) walks the same way (its levels shift by
+    a multiple of 4; every crossing t and its lattice check stay), so a ring
+    is keyed by its first vertex's h mod u*q and its vertices' offsets from
+    that vertex, and only a new key is walked.  An entry is
+    [x0, y0, pieces, doubled area, mirror slot] for the ring that made it."""
+    qa, qb, _, uq = form
+    memo, out = {}, []
+    for ring in rings:
+        x0, y0 = ring[0]
+        key = ((qa * x0 - qb * y0) % uq, tuple([(x - x0, y - y0) for x, y in ring]))
+        entry = memo.get(key)
+        if entry is None:
+            pieces = [_canonicalize(r) for r in _cut(ring, *form)]
+            entry = memo[key] = [x0, y0, pieces, sum(_ring_area2(r) for r, _ in pieces), None]
+        out.append((entry, x0 - entry[0], y0 - entry[1]))
+    return out
 
 
 def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> CoverReport:
@@ -323,10 +358,14 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     With D*theta = a + bi for the first rotation, the centre's stripe value
     is (a - b)/2.  When N(D) is odd, a - b is odd, the centre lies mid-slab
     and n is odd; when 1+i divides D, a - b is even, the centre lies on a
-    stripe's centre line, and n is even with no middle slab.  The raw rings are
-    canonicalized once, after the last rotation (the canonical form depends
-    only on the point set), and a mirrored canonical piece needs only its
-    least vertex brought to the front (``_mirrored``).
+    stripe's centre line, and n is even with no middle slab.
+
+    The last rotation splits each stripe-phase class once (``_cut_classes``):
+    after the first rotations most pieces are translates of a few shapes,
+    and a translate that keeps that rotation's stripes takes its class's
+    canonical pieces (the canonical form depends only on the point set),
+    area and mirror images (s(P + t) = s(P) - t, ``_mirrored``), moved.  A
+    lone rotation cuts its own slabs again, which leaves each one whole.
 
     Every catalog obstruction point is uncovered (each rotation's D*theta is
     one of the norm-N(D) multipliers that ``verify_obstruction`` ranges
@@ -339,15 +378,16 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     slabs = _subtract_stripes(cell, first, eps, scale)
     k = len(slabs) // 2
     lower, middle = slabs[:k], slabs[k : len(slabs) - k]
-    for rotation in rest:
+    for rotation in rest[:-1]:
         lower = _subtract_stripes(lower, rotation, eps, scale)
         middle = _subtract_stripes(middle, rotation, eps, scale)
-    lower = [_canonicalize(ring) for ring in lower]
-    middle = [_canonicalize(ring) for ring in middle]
-    upper = [_mirrored(piece, dr - di, dr + di) for piece in reversed(lower)]
-    pieces = lower + middle + upper
-    area2 = 2 * sum(_ring_area2(ring) for ring, _ in lower)
-    area2 += sum(_ring_area2(ring) for ring, _ in middle)
+    cut = _cut_classes(lower + middle, _stripe_form(config.rotations[-1], eps, scale))
+    pieces = [piece for entry, dx, dy in cut for piece in _moved(entry[2], dx, dy)]
+    for entry, dx, dy in reversed(cut[: len(lower)]):
+        if entry[4] is None:
+            entry[4] = [_mirrored(piece, dr - di, dr + di) for piece in reversed(entry[2])]
+        pieces += _moved(entry[4], -dx, -dy)
+    area2 = sum(entry[3] for entry, _, _ in cut + cut[: len(lower)])
     area = Fraction(area2, 2 * scale * scale)
     matches = tuple(abm for abm, _ in obstruction_catalog(eps, obstruction_m_max, D.norm()))
     report = CoverReport(config, tuple(pieces), scale, area, matches)
