@@ -374,20 +374,20 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     scale = _lattice_scale(D, config.rotations, eps)
     dr, di = D.re * scale, D.im * scale
     cell = [[(0, 0), (dr, di), (dr - di, di + dr), (-di, dr)]]
-    first, *rest = config.rotations
-    slabs = _subtract_stripes(cell, first, eps, scale)
+    slabs = _subtract_stripes(cell, config.rotations[0], eps, scale)
     k = len(slabs) // 2
     lower, middle = slabs[:k], slabs[k : len(slabs) - k]
-    for rotation in rest[:-1]:
+    for rotation in config.rotations[1:-1]:
         lower = _subtract_stripes(lower, rotation, eps, scale)
         middle = _subtract_stripes(middle, rotation, eps, scale)
     cut = _cut_classes(lower + middle, _stripe_form(config.rotations[-1], eps, scale))
+    lower = cut[: len(lower)]  # frees the rings, whose pieces are moved copies
     pieces = [piece for entry, dx, dy in cut for piece in _moved(entry[2], dx, dy)]
-    for entry, dx, dy in reversed(cut[: len(lower)]):
+    for entry, dx, dy in reversed(lower):
         if entry[4] is None:
             entry[4] = [_mirrored(piece, dr - di, dr + di) for piece in reversed(entry[2])]
         pieces += _moved(entry[4], -dx, -dy)
-    area2 = sum(entry[3] for entry, _, _ in cut + cut[: len(lower)])
+    area2 = sum(entry[3] for entry, _, _ in cut + lower)
     area = Fraction(area2, 2 * scale * scale)
     matches = tuple(abm for abm, _ in obstruction_catalog(eps, obstruction_m_max, D.norm()))
     report = CoverReport(config, tuple(pieces), scale, area, matches)
