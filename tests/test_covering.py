@@ -367,12 +367,94 @@ def mirror_configs(draw):
 @example(CoveringConfig([THETA13, THETA5 * THETA13], F(1, 4),
                         P5BAR.generator * P13BAR.generator * GaussianInt(1, 1)))
 def test_half_cell_walk_matches_the_whole_cell(cfg):
+    _assert_matches_the_whole_cell(cfg)
+
+
+def _assert_matches_the_whole_cell(cfg):
     report = uncovered_region(cfg, obstruction_m_max=1)
     pieces, area = whole_cell_pieces(cfg)
     assert report.pieces == pieces  # the same rings and kinds, in the same order
     assert report.total_uncovered_area == area
     whole = dataclasses.replace(report, pieces=pieces, total_uncovered_area=area)
     assert report.report_lines() == whole.report_lines()
+
+
+# the half-widths of the cover-build benchmark configs, where most rings that
+# reach the last rotation are translates of a few shapes
+_WIDE_EPS = (F(2, 5), F(3, 7), F(4, 9), F(9, 20))
+
+
+@st.composite
+def three_rotation_configs(draw):
+    """Three distinct rotations u*theta5**a*theta13**b at N(D) = 325 or 845,
+    with D times 1 (odd N(D)) or 1+i (even), at a wide half-width or one of
+    _TOUCHING_EPS, which leave point pieces."""
+    r, s = draw(st.sampled_from([(2, 1), (1, 2)]))
+    exps = draw(st.lists(st.sampled_from([(a, b) for a in range(r + 1) for b in range(s + 1)]),
+                         min_size=3, max_size=3, unique=True))
+    units = draw(st.lists(st.sampled_from(_UNITS), min_size=3, max_size=3))
+    period = P5BAR.generator ** r * P13BAR.generator ** s
+    period = period * draw(st.sampled_from([GaussianInt(1, 0), GaussianInt(1, 1)]))
+    eps = draw(st.sampled_from(_WIDE_EPS + _TOUCHING_EPS))
+    thetas = theta_set(2)
+    return CoveringConfig([u * thetas[3 * a + b] for u, (a, b) in zip(units, exps)], eps, period)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(three_rotation_configs())
+@example(CoveringConfig([1, THETA13, THETA5], F(1, 4), P5BAR.generator ** 2 * P13BAR.generator))
+@example(CoveringConfig([1, THETA13, THETA5], F(1, 4),
+                        P5BAR.generator ** 2 * P13BAR.generator * GaussianInt(1, 1)))
+@example(CoveringConfig([THETA13, THETA5 * THETA13, THETA5 * THETA13 ** 2], F(9, 20),
+                        P5BAR.generator * P13BAR.generator ** 2))
+def test_class_reuse_matches_the_whole_cell(cfg):
+    _assert_matches_the_whole_cell(cfg)
+
+
+def test_last_rotation_walks_one_ring_per_class(monkeypatch):
+    # the first cover-4225 config of the benchmark catalog
+    cfg = CoveringConfig([1, THETA5 * THETA13, (THETA5 * THETA13) ** 2], F(2, 5),
+                         (P5BAR.generator * P13BAR.generator) ** 2)
+    walks, last = [], {}
+    real_split, real_cut = covering._split_slabs, covering._cut_classes
+
+    def cut_classes(rings, form):
+        before = len(walks)
+        out = real_cut(rings, form)
+        last.update(rings=len(rings), walks=len(walks) - before)
+        return out
+
+    monkeypatch.setattr(covering, "_split_slabs", lambda *args: walks.append(1) or real_split(*args))
+    monkeypatch.setattr(covering, "_cut_classes", cut_classes)
+    _assert_matches_the_whole_cell(cfg)
+    assert last["rings"] == 1862
+    assert 10 * last["walks"] < last["rings"]
+
+
+def test_cut_classes_share_only_same_phase_translates(monkeypatch):
+    # rotation 1 and eps = 1/4 at scale 8: h = 4X, u*q = 32, and stripe k is
+    # the open band 8k - 2 < X < 8k + 2
+    walks = []
+    real_split = covering._split_slabs
+    monkeypatch.setattr(covering, "_split_slabs", lambda *args: walks.append(args) or real_split(*args))
+    across = [(1, 0), (3, 0), (3, 1), (1, 1)]
+    rings = [
+        across,
+        [(x + 8, y) for x, y in across],  # h(t) = 32: the same phase
+        [(x + 4, y) for x, y in across],  # h(t) = 16: another phase
+        across[1:] + across[:1],  # the same ring from another start vertex
+    ]
+    out = covering._cut_classes(rings, covering._stripe_form(GaussianRational(1), F(1, 4), 8))
+    assert len(walks) == 3
+    assert out[1][0] is out[0][0] and out[1][1:] == (8, 0)
+    assert len({id(entry) for entry, _, _ in out}) == 3
+    want = [[_canonicalize(ring) for ring in covering._subtract_stripes([ring], GaussianRational(1), F(1, 4), 8)]
+            for ring in rings]
+    assert [covering._moved(entry[2], dx, dy) for entry, dx, dy in out] == want
+    assert [entry[3] for entry, _, _ in out] == [2, 2, 2, 2]
+    # the other phase keeps 5 <= X <= 6, not the first ring's part moved by 4
+    assert want[2] == [_canonicalize([(5, 0), (6, 0), (6, 1), (5, 1)])]
+    assert want[3] == want[0]
 
 
 def _cut_by_one_rotation(rotation, eps, D):
