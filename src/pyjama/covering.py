@@ -381,7 +381,7 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
         lower = _subtract_stripes(lower, rotation, eps, scale)
         middle = _subtract_stripes(middle, rotation, eps, scale)
     cut = _cut_classes(lower + middle, _stripe_form(config.rotations[-1], eps, scale))
-    lower = cut[: len(lower)]  # frees the rings, whose pieces are moved copies
+    lower = cut[: len(lower)]  # releases the rings before their pieces are copied
     pieces = [piece for entry, dx, dy in cut for piece in _moved(entry[2], dx, dy)]
     for entry, dx, dy in reversed(lower):
         if entry[4] is None:
