@@ -444,11 +444,12 @@ def test_cut_classes_share_only_same_phase_translates(monkeypatch):
         [(x + 4, y) for x, y in across],  # h(t) = 16: another phase
         across[1:] + across[:1],  # the same ring from another start vertex
     ]
-    out = covering._cut_classes(rings, covering._stripe_form(GaussianRational(1), F(1, 4), 8))
+    theta, eps = GaussianRational(1), F(1, 4)
+    out = covering._cut_classes(rings, covering._stripe_form(theta, eps, 8))
     assert len(walks) == 3
     assert out[1][0] is out[0][0] and out[1][1:] == (8, 0)
     assert len({id(entry) for entry, _, _ in out}) == 3
-    want = [[_canonicalize(ring) for ring in covering._subtract_stripes([ring], GaussianRational(1), F(1, 4), 8)]
+    want = [[_canonicalize(part) for part in covering._subtract_stripes([ring], theta, eps, 8)]
             for ring in rings]
     assert [covering._moved(entry[2], dx, dy) for entry, dx, dy in out] == want
     assert [entry[3] for entry, _, _ in out] == [2, 2, 2, 2]
