@@ -204,7 +204,7 @@ def _integer_lift(x: PadicNumber, exponent: int) -> int:
 
 def _check_target_precision(b: PadicNumber, k: int, delta: Fraction) -> None:
     if b.is_zero:
-        if b.zero_abs is not None and Fraction(b.p) ** (-b.zero_abs) > delta:
+        if b.abs_bound() > delta:
             raise PrecisionError(
                 "target is only known to be O(%d^%d), coarser than the "
                 "requested tolerance" % (b.p, b.zero_abs)
@@ -337,8 +337,8 @@ def coset_element(mu, nu, H: CosetSpec) -> GaussianRational:
     two = GaussianRational(GaussianInt(2, 0))
     for c in range(H.m):
         x = uniform**c
-        for d in range(unit_order):
-            reps.append((c, d, x))
+        for _ in range(unit_order):
+            reps.append((c, x))
             x = x * two
 
     def _log_fraction(value: Fraction) -> float:
@@ -347,28 +347,20 @@ def coset_element(mu, nu, H: CosetSpec) -> GaussianRational:
 
     # least power for which every bound can hold for the smallest candidate
     def _n_floor(x: GaussianRational, c: int) -> int:
-        bound = 0
-        lx = 0.5 * _log_fraction(x.abs2())
-        bound = max(bound, math.ceil((_log_fraction(mu) - lx) / log_shrink_c))
-        # opposite site: |x| there is 1, each shrink factor divides by `other`
-        bound = max(
-            bound,
+        return max(
+            0,
+            math.ceil((_log_fraction(mu) - 0.5 * _log_fraction(x.abs2())) / log_shrink_c),
+            # opposite site: |x| there is 1, each shrink factor divides by `other`
             math.ceil(-_log_fraction(mu) / math.log(other)),
+            # own site: |x| = p^-c, each shrink factor multiplies by p^10
+            math.ceil((_log_fraction(nu) + c * math.log(p)) / (10 * math.log(p))),
         )
-        # own site: |x| = p^-c, each shrink factor multiplies by p^10
-        bound = max(
-            bound,
-            math.ceil(
-                (_log_fraction(nu) + c * math.log(p)) / (10 * math.log(p))
-            ),
-        )
-        return max(0, bound)
 
-    n_start = min(_n_floor(x, c) for c, _, x in reps)
+    n_start = min(_n_floor(x, c) for c, x in reps)
     cycle = H.m * unit_order
     power = shrink**n_start
     for n in range(n_start, n_start + cycle + 16):
-        for c, _, x in reps:
+        for c, x in reps:
             if _n_floor(x, c) > n:
                 continue
             r = x * power

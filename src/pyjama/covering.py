@@ -23,7 +23,6 @@ from .gaussian import (
     _half_width,
     as_gaussian_rational,
     gaussian_ints_of_norm,
-    is_sum_of_two_squares,
     nearest_gaussian_int,
     theta_power,
     try_exact_div,
@@ -411,9 +410,10 @@ def _multipliers(normD: int) -> tuple[tuple[int, int], ...]:
     refused: its one multiplier 0 would give every point margin 0."""
     if normD < 1:
         raise ValueError(f"period norm must be at least 1, got {normD}")
-    if not is_sum_of_two_squares(normD):
+    multipliers = tuple((g.re, g.im) for g in gaussian_ints_of_norm(normD))
+    if not multipliers:
         raise ValueError(f"no Gaussian integers have norm {normD}")
-    return tuple((g.re, g.im) for g in gaussian_ints_of_norm(normD))
+    return multipliers
 
 
 def _margin(a: int, b: int, m: int, multipliers) -> int:

@@ -35,7 +35,6 @@ __all__ = [
     "in_A",
     "unit_group_order",
     "gaussian_ints_of_norm",
-    "is_sum_of_two_squares",
     "nearest_gaussian_int",
     "crt",
     "mod_from_rational",
@@ -585,32 +584,14 @@ def gaussian_ints_of_norm(n: int) -> list[GaussianInt]:
     """All Gaussian integers of norm exactly n, sorted by (re, im)."""
     if n < 0:
         raise ValueError("norm is nonnegative")
-    if n == 0:
-        return [GaussianInt(0, 0)]
-    found: set[GaussianInt] = set()
-    for a in range(isqrt(n) + 1):
-        b2 = n - a * a
-        b = isqrt(b2)
-        if b * b != b2:
-            continue
-        for g in (
-            GaussianInt(a, b),
-            GaussianInt(a, -b),
-            GaussianInt(-a, b),
-            GaussianInt(-a, -b),
-            GaussianInt(b, a),
-            GaussianInt(b, -a),
-            GaussianInt(-b, a),
-            GaussianInt(-b, -a),
-        ):
-            found.add(g)
-    return sorted(found, key=lambda g: (g.re, g.im))
-
-
-def is_sum_of_two_squares(n: int) -> bool:
-    if n < 0:
-        return False
-    return any(isqrt(n - a * a) ** 2 == n - a * a for a in range(isqrt(n) + 1))
+    found = []
+    for a in range(-isqrt(n), isqrt(n) + 1):
+        b = isqrt(n - a * a)
+        if b * b == n - a * a:
+            found.append(GaussianInt(a, -b))
+            if b:
+                found.append(GaussianInt(a, b))
+    return found
 
 
 def nearest_gaussian_int(q: GaussianRational) -> GaussianInt:

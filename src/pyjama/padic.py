@@ -129,11 +129,8 @@ class PadicNumber:
     def abs_bound(self) -> Fraction:
         """An upper bound for the p-adic absolute value (exact for nonzero
         values, p**(-zero_abs) for the zero marker, 0 for exact zero)."""
-        if self.valuation is not None:
-            return Fraction(self.p) ** (-self.valuation)
-        if self.zero_abs is None:
-            return Fraction(0)
-        return Fraction(self.p) ** (-self.zero_abs)
+        n = self.zero_abs if self.is_zero else self.valuation
+        return Fraction(0) if n is None else Fraction(self.p) ** (-n)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -152,17 +149,15 @@ class PadicNumber:
             return NotImplemented
         self._require_same_p(other)
         p = self.p
-        if self.is_zero and other.is_zero:
-            if self.zero_abs is None:
-                return other
-            if other.zero_abs is None:
-                return self
-            n = min(self.zero_abs, other.zero_abs)
-            return PadicNumber.zero(p, min(self.precision_k, other.precision_k), n)
         if self.is_zero or other.is_zero:
+            if self.is_zero and self.zero_abs is None:
+                return other
+            if other.is_zero and other.zero_abs is None:
+                return self
+            if self.is_zero and other.is_zero:
+                n = min(self.zero_abs, other.zero_abs)
+                return PadicNumber.zero(p, min(self.precision_k, other.precision_k), n)
             z, x = (self, other) if self.is_zero else (other, self)
-            if z.zero_abs is None:
-                return x
             # x known mod p^(v+k); the O(p^n) term blurs digits from n up
             digits = min(z.zero_abs, x.valuation + x.precision_k) - x.valuation
             if digits < 1:
@@ -194,19 +189,10 @@ class PadicNumber:
         p = self.p
         k = min(self.precision_k, other.precision_k)
         if self.is_zero or other.is_zero:
-            bounds = []
-            for z, x in ((self, other), (other, self)):
-                if not z.is_zero:
-                    continue
-                if z.zero_abs is None:
-                    return PadicNumber.zero(p, k)
-                shift = x.valuation if not x.is_zero else (
-                    x.zero_abs if x.zero_abs is not None else None
-                )
-                if shift is None:
-                    return PadicNumber.zero(p, k)
-                bounds.append(z.zero_abs + shift)
-            return PadicNumber.zero(p, k, min(bounds))
+            # |x*y| = |x|*|y|: an exact zero absorbs, else the levels add
+            m = self.zero_abs if self.is_zero else self.valuation
+            n = other.zero_abs if other.is_zero else other.valuation
+            return PadicNumber.zero(p, k, None if m is None or n is None else m + n)
         u = self.unit_digits * other.unit_digits % p**k
         return PadicNumber(p, k, self.valuation + other.valuation, u)
 

@@ -28,6 +28,7 @@ from .gaussian import GaussianInt
 __all__ = ["render_svg"]
 
 _STRIPE_GRAYS = ("#dcdcdc", "#c4c4c4")
+_SIZE = 560  # the picture's width and height in pixels
 
 
 def _fmt(value) -> str:
@@ -131,14 +132,12 @@ def _obstruction_elements(report: CoverReport, norm: int, shifts) -> list[str]:
     return out
 
 
-def _period_cell_element(report: CoverReport, norm: int) -> str:
-    """The first cell of the period lattice, in ``_lattice_range`` order,
-    that lies wholly inside the window (the cell at 0 when none does)."""
+def _period_cell_element(report: CoverReport, norm: int, shifts) -> str:
+    """The first cell of the period lattice, in ``_shifts`` order, that lies
+    wholly inside the window (the cell at 0 when none does)."""
     p = report.config.period
     offsets = [(0, 0), (p.re, p.im), (p.re - p.im, p.im + p.re), (-p.im, p.re)]
-    reach = _lattice_range(norm)
-    cells = ([(a * p.re - b * p.im + dx, a * p.im + b * p.re + dy) for dx, dy in offsets]
-             for a in reach for b in reach)
+    cells = ([(sx + dx, sy + dy) for dx, dy in offsets] for sx, sy in shifts)
     corners = next((c for c in cells
                     if all(0 <= x <= norm and 0 <= y <= norm for x, y in c)), offsets)
     pts = " ".join(_xy(x, y, norm) for x, y in corners)
@@ -148,7 +147,7 @@ def _period_cell_element(report: CoverReport, norm: int) -> str:
     )
 
 
-def render_svg(report: CoverReport, size: int = 560) -> str:
+def render_svg(report: CoverReport) -> str:
     """Render a covering report as a standalone SVG document (a string)."""
     norm = report.config.period.norm()
     shifts = _shifts(report.config.period, norm)
@@ -156,7 +155,7 @@ def render_svg(report: CoverReport, size: int = 560) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         'xmlns:xlink="http://www.w3.org/1999/xlink" '
-        f'width="{size}" height="{size}" viewBox="0 0 {norm} {norm}">',
+        f'width="{_SIZE}" height="{_SIZE}" viewBox="0 0 {norm} {norm}">',
         f'<rect x="0" y="0" width="{norm}" height="{norm}" fill="#ffffff"/>',
         '<defs><clipPath id="window">'
         f'<rect x="0" y="0" width="{norm}" height="{norm}"/>'
@@ -167,7 +166,7 @@ def render_svg(report: CoverReport, size: int = 560) -> str:
         '<g clip-path="url(#window)">',
         *_stripe_elements(report, norm),
         *_use_elements(report, norm, shifts),
-        _period_cell_element(report, norm),
+        _period_cell_element(report, norm, shifts),
         *_obstruction_elements(report, norm, shifts),
         "</g>",
         "</svg>",

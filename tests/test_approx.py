@@ -251,6 +251,24 @@ def test_coset_element_demanding_both_bounds():
     assert H.contains(r)
 
 
+@pytest.mark.parametrize("H, mu, nu, want", [
+    # demo 04's case, then the cases above; the first candidate that meets
+    # every bound is the one returned
+    (CosetSpec(5, 2, embed(THETA5, 5, 3), 3), F(1, 100), F(100),
+     "110796542/19073486328125+24855644/19073486328125i"),
+    (_full_group_spec(), F(1), F(1), "1/1+0/1i"),
+    (_full_group_spec(), F(1, 10), F(1), "-8874/9765625-6943/9765625i"),
+    (_full_group_spec(), F(1, 100), F(1),
+     "30542627/95367431640625+123224364/95367431640625i"),
+    (_full_group_spec(), F(1, 1000), F(10**6),
+     "584511487254/931322574615478515625-1305550465397/931322574615478515625i"),
+    (CosetSpec(13, 2, PadicNumber.from_rational(1, 13, 2), 2), F(1, 5), F(100),
+     "-632861/137858491849+537382/137858491849i"),
+], ids=["demo-04", "full-group", "mu-1/10", "mu-1/100", "both-bounds", "13-site"])
+def test_coset_element_pins(H, mu, nu, want):
+    assert str(coset_element(mu, nu, H)) == want
+
+
 def test_coset_element_13_site_and_proper_coset():
     one = PadicNumber.from_rational(1, 13, 2)
     H = CosetSpec(p=13, m=2, representative=one, precision_k=2)

@@ -618,8 +618,11 @@ def test_verify_obstruction_pins():
     assert not ok and margin == 0
     ok, margin = verify_obstruction(1, 1, 2, 4, F(1, 4))
     assert not ok and margin == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no Gaussian integers have norm 3$"):
         verify_obstruction(1, 1, 2, 3, F(1, 4))  # 3 is not a sum of two squares
+    for norm in (3, 21):
+        with pytest.raises(ValueError, match=f"^no Gaussian integers have norm {norm}$"):
+            covering._multipliers(norm)
     with pytest.raises(ValueError):
         verify_obstruction(2, 2, 2, 25, F(1, 4))  # not gcd-normalized
     # the parity argument holds across odd norms

@@ -22,7 +22,6 @@ from pyjama.gaussian import (
     exact_gaussian_rational,
     gaussian_ints_of_norm,
     in_A,
-    is_sum_of_two_squares,
     mod_from_rational,
     nearest_gaussian_int,
     theta_power,
@@ -443,8 +442,13 @@ def test_gaussian_ints_of_norm():
     assert len(five) == 12
     assert GaussianInt(3, 4) in five and GaussianInt(-5, 0) in five
     assert all(g.norm() == 25 for g in five)
-    assert is_sum_of_two_squares(25) and is_sum_of_two_squares(2)
-    assert not is_sum_of_two_squares(21)
+    # a brute-force oracle over the square [-isqrt(n), isqrt(n)]^2, on every
+    # small norm and on the catalog's period norms
+    for n in [*range(201), 325, 845, 4225]:
+        r = isqrt(n)
+        want = [GaussianInt(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)
+                if a * a + b * b == n]
+        assert gaussian_ints_of_norm(n) == want, n
 
 
 def test_nearest_gaussian_int():

@@ -6,9 +6,11 @@ A deletion that leaves its import behind (a constant, a helper) shows up
 here, and so does a numpy import outside ``disk.py``.  ``__init__.py``
 imports nothing: its names resolve on first use.  A deletion that leaves a
 private helper, class or constant with no caller in ``src/pyjama`` shows up
-too.  The other direction catches a deletion that leaves its ``__all__``
-entry or its package name behind, which would break
-``from pyjama.gaussian import *`` and every tool that reads ``__all__``.
+too, and so does a function or public method that neither the package, a
+demo nor the acceptance tests read.  The other direction catches a
+deletion that leaves its ``__all__`` entry or its package name behind,
+which would break ``from pyjama.gaussian import *`` and every tool that
+reads ``__all__``.
 """
 
 import ast
@@ -133,25 +135,49 @@ def test_no_orphaned_private_names():
     assert orphaned_private_names(sources) == []
 
 
+def _reads(trees, kinds) -> list[tuple[ast.AST, str]]:
+    """(node, name) for each read in the trees: an attribute ``x.name`` and,
+    when ``kinds`` holds ``ast.Name``, a plain ``name``."""
+    return [(node, node.attr if isinstance(node, ast.Attribute) else node.id)
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, kinds) and not isinstance(node.ctx, ast.Store)]
+
+
+def _unread(fn: ast.FunctionDef, reads) -> bool:
+    """No read outside the function's own body names it."""
+    own = {id(node) for node in ast.walk(fn)}
+    return not any(name == fn.name and id(node) not in own for node, name in reads)
+
+
 def orphaned_public_methods(sources: dict[str, str], readers: list[str]) -> list[str]:
     """``module.Class.method`` for each public method of a class in the
     sources whose name no attribute (``x.name``) outside its own body reads,
     in the sources or in the readers.  It matches names only, so a method
     that shares its name with a live one (``parse``, ``zero``) passes."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    reads = [node for tree in [*trees.values(), *map(ast.parse, readers)]
-             for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
-    found = []
-    for module, tree in sorted(trees.items()):
-        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-            for fn in cls.body:
-                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        or fn.name.startswith("_"):
-                    continue
-                own = {id(node) for node in ast.walk(fn)}
-                if not any(node.attr == fn.name and id(node) not in own for node in reads):
-                    found.append(f"{module}.{cls.name}.{fn.name} (line {fn.lineno})")
-    return found
+    reads = _reads([*trees.values(), *map(ast.parse, readers)], ast.Attribute)
+    return [f"{module}.{cls.name}.{fn.name} (line {fn.lineno})"
+            for module, tree in sorted(trees.items())
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not fn.name.startswith("_") and _unread(fn, reads)]
+
+
+# the PEP 562 hooks of ``__init__.py``, which the import system calls
+_MODULE_HOOKS = {"__getattr__", "__dir__"}
+
+
+def orphaned_functions(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.function`` for each module-level function of the sources
+    whose name no plain name or attribute outside its own body reads, in the
+    sources or in the readers; ``__all__`` entries are strings, not reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = _reads([*trees.values(), *map(ast.parse, readers)], (ast.Name, ast.Attribute))
+    return [f"{module}.{fn.name} (line {fn.lineno})"
+            for module, tree in sorted(trees.items()) for fn in tree.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and fn.name not in _MODULE_HOOKS and _unread(fn, reads)]
 
 
 def test_guard_finds_an_orphaned_public_method():
@@ -171,22 +197,49 @@ def test_guard_finds_an_orphaned_public_method():
         "a.P.recursive (line 6)", "a.P.left (line 8)"]
 
 
+def test_guard_finds_an_orphaned_function():
+    sources = {
+        "a": ("__all__ = ['exported']\n"
+              "def used():\n    return 1\n"
+              "def recursive():\n    return recursive()\n"
+              "def exported():\n    return 2\n"
+              "def shown():\n    return 3\n"
+              "def __getattr__(name):\n    raise AttributeError(name)\n"
+              "class P:\n    def method(self):\n        return used()\n"),
+        "b": "from . import a\nx = a.P().method\n",
+    }
+    demo = "from pyjama import a\nprint(a.shown())\n"
+    assert orphaned_functions(sources, [demo]) == [
+        "a.recursive (line 4)", "a.exported (line 6)"]
+
+
 # ConvexPolygon waits for ROADMAP item 6, which retires it together with
 # CoverReport.uncovered; until then the benchmark's self-check builds it
 _KEPT_CLASSES = {"ConvexPolygon"}
+
+
+def _sources_and_readers() -> tuple[dict[str, str], list[str]]:
+    """The package's modules, and the demos and acceptance tests that read it."""
+    root = SRC.parents[1]
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text() for path in sorted((root / "demos").glob("*.py"))]
+    readers.append((root / "tests" / "test_acceptance.py").read_text())
+    return sources, readers
 
 
 def test_no_orphaned_public_methods():
     """Every public method serves a command, a demo or an acceptance
     criterion: some module of the package, a demo or the acceptance tests
     reads its name."""
-    root = SRC.parents[1]
-    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    readers = [path.read_text() for path in sorted((root / "demos").glob("*.py"))]
-    readers.append((root / "tests" / "test_acceptance.py").read_text())
-    found = [name for name in orphaned_public_methods(sources, readers)
+    found = [name for name in orphaned_public_methods(*_sources_and_readers())
              if name.split(".")[1] not in _KEPT_CLASSES]
     assert found == []
+
+
+def test_no_orphaned_functions():
+    """Every module-level function serves a command, a demo or an acceptance
+    criterion, as every public method does."""
+    assert orphaned_functions(*_sources_and_readers()) == []
 
 
 def numpy_importers() -> list[str]:

@@ -1,5 +1,6 @@
 """p-adic arithmetic: canonical roots, embeddings, precision tracking."""
 
+import math
 import operator
 import re
 from fractions import Fraction
@@ -201,6 +202,40 @@ _RATIONALS = st.tuples(st.integers(-10**6, 10**6).filter(bool), st.integers(1, 1
 _OPS = (operator.add, operator.sub, operator.mul)
 
 
+def _fields(x: PadicNumber) -> tuple:
+    return x.is_zero, x.zero_abs, x.precision_k, str(x)
+
+
+def _zero_rule(op, a: PadicNumber, b: PadicNumber) -> tuple:
+    """``_fields`` of op(a, b) when an operand is zero, by the rule: an exact
+    zero is the identity of + and absorbs *, a sum is known to the coarser
+    absolute precision of its terms, and in a product the levels add."""
+    p, k = a.p, min(a.precision_k, b.precision_k)
+    if op is operator.sub:
+        b = -b
+
+    def marker(n):
+        if n == math.inf:
+            return True, None, k, "0"
+        return True, n, k, f"0 mod {p}^{n}" + ("" if k == max(1, n) else f" k={k}")
+
+    if op is operator.mul:
+        # the level of a value is its valuation, or a marker's exponent
+        level = [math.inf if x.is_zero and x.zero_abs is None else
+                 x.zero_abs if x.is_zero else x.valuation for x in (a, b)]
+        return marker(sum(level))
+    if a.is_zero and a.zero_abs is None:
+        return _fields(b)
+    if b.is_zero and b.zero_abs is None:
+        return _fields(a)
+    known = min(x.zero_abs if x.is_zero else x.valuation + x.precision_k for x in (a, b))
+    x = b if a.is_zero else a
+    if x.is_zero or x.valuation >= known:
+        return marker(known)
+    digits = known - x.valuation
+    return False, None, digits, f"{p}^{x.valuation} * {x.unit_digits % p**digits} mod {p}^{digits}"
+
+
 @pytest.mark.parametrize("p", [5, 13])
 @pytest.mark.parametrize("k", range(1, 9))
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -229,6 +264,14 @@ def test_padic_arithmetic_matches_fraction_oracle(p, k, x, y):
     close = PadicNumber.from_rational(y + Fraction(p) ** (vy + k) * Fraction(1, 1 + p), p, k)
     blur = Y - close
     assert blur.is_zero and blur.zero_abs == vy + k
+    # zero operands at another precision: exact zero and markers O(p^n)
+    zeros, others = ([PadicNumber.zero(p, kz, n) for n in (None, -2, 0, 3)]
+                     for kz in (k % 8 + 1, k))
+    for z in zeros:
+        for w in (X, Y, *others):
+            for a, b in ((z, w), (w, z)):
+                for op in _OPS:
+                    assert _fields(op(a, b)) == _zero_rule(op, a, b), (op, str(a), str(b))
 
 
 def test_addition_and_cancellation():
