@@ -16,6 +16,7 @@ Gaussian-integer grid.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .gaussian import (
     THETA5,
     THETA13,
     _least_exponent,
+    _widest_gap,
     abs_at,
     as_gaussian_rational,
     crt,
@@ -403,19 +405,11 @@ def semigroup_density(eta, delta) -> DensityReport:
             value *= 3
         pow2 *= 2
     sample.sort()
-    best_gap = sample[0] - 0
-    witness = (Fraction(0), sample[0])
-    for lo, hi in zip(sample, sample[1:]):
-        if hi - lo > best_gap:
-            best_gap = hi - lo
-            witness = (lo, hi)
-    if 1 - sample[-1] > best_gap:
-        best_gap = 1 - sample[-1]
-        witness = (sample[-1], Fraction(1))
+    gap, lo, hi = _widest_gap([*sample, Fraction(1)], (sample[0], Fraction(0), sample[0]))
     return DensityReport(
         parameter=eta,
-        max_gap=best_gap,
-        witness_pair=witness,
+        max_gap=gap,
+        witness_pair=(lo, hi),
         threshold=delta,
         sample=tuple(sample),
     )
@@ -435,6 +429,8 @@ def circle_density(theta: GaussianRational, t: complex, M: int) -> DensityReport
         raise ValueError("the rotation is a root of unity; its orbit is "
                          "finite and never dense")
     t = complex(t)
+    if not cmath.isfinite(t):
+        raise ValueError(f"{t} is not finite")
     if t == 0:
         raise ValueError("the sampled point must be nonzero")
     if M < 0:
@@ -450,15 +446,10 @@ def circle_density(theta: GaussianRational, t: complex, M: int) -> DensityReport
         cur *= step
         cur *= radius / abs(cur)
     angles.sort()
-    best_gap = angles[0] + tau - angles[-1]
-    witness = (angles[-1], angles[0])
-    for lo, hi in zip(angles, angles[1:]):
-        if hi - lo > best_gap:
-            best_gap = hi - lo
-            witness = (lo, hi)
+    gap, lo, hi = _widest_gap(angles, (angles[0] + tau - angles[-1], angles[-1], angles[0]))
     return DensityReport(
         parameter=M,
-        max_gap=best_gap,
-        witness_pair=witness,
+        max_gap=gap,
+        witness_pair=(lo, hi),
         sample=tuple(angles),
     )

@@ -33,6 +33,7 @@ __all__ = [
     "theta_set",
     "unit_circle_elements",
     "in_A",
+    "as_gaussian_rational",
     "unit_group_order",
     "gaussian_ints_of_norm",
     "nearest_gaussian_int",
@@ -561,6 +562,15 @@ def _least_exponent(n: int, holds) -> int:
         while m % p == 0 and holds(m // p):
             m //= p
     return m
+
+
+def _widest_gap(values, best):
+    """The widest gap (gap, lo, hi) between neighbours of the sorted values,
+    or best if none is strictly wider; a tie keeps the earlier gap."""
+    for lo, hi in zip(values, values[1:]):
+        if hi - lo > best[0]:
+            best = (hi - lo, lo, hi)
+    return best
 
 
 def unit_group_order(n: int) -> int:

@@ -18,6 +18,7 @@ p-adic side (2 is a unit at 5 and 13), so the fundamental domain is still
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from .gaussian import (
     _half_width,
     _least_exponent,
     _split_power,
+    _widest_gap,
     abs_at,
     as_gaussian_rational,
     exact_gaussian_rational,
@@ -69,45 +71,28 @@ def _require_in_A(q) -> GaussianRational:
     return qq
 
 
+@dataclass(frozen=True)
 class SolenoidPoint:
     """A representative triple (z, a, b) with z an exact Gaussian rational
     (a float or complex is taken at its binary value), a a 5-adic number
-    and b a 13-adic number."""
+    and b a 13-adic number; an int or Fraction a or b is embedded at
+    DEFAULT_PRECISION digits."""
 
-    __slots__ = ("_z", "_a", "_b")
+    z: GaussianRational
+    a: PadicNumber
+    b: PadicNumber
 
-    def __init__(self, z, a, b):
-        zq = exact_gaussian_rational(z)
-        if isinstance(a, (int, Fraction)):
-            a = PadicNumber.from_rational(a, 5, DEFAULT_PRECISION)
-        if isinstance(b, (int, Fraction)):
-            b = PadicNumber.from_rational(b, 13, DEFAULT_PRECISION)
-        if not isinstance(a, PadicNumber) or a.p != 5:
+    def __post_init__(self):
+        object.__setattr__(self, "z", exact_gaussian_rational(self.z))
+        for name, p in (("a", 5), ("b", 13)):
+            c = getattr(self, name)
+            if isinstance(c, (int, Fraction)):
+                c = PadicNumber.from_rational(c, p, DEFAULT_PRECISION)
+                object.__setattr__(self, name, c)
+        if not isinstance(self.a, PadicNumber) or self.a.p != 5:
             raise TypeError("second component must be 5-adic")
-        if not isinstance(b, PadicNumber) or b.p != 13:
+        if not isinstance(self.b, PadicNumber) or self.b.p != 13:
             raise TypeError("third component must be 13-adic")
-        object.__setattr__(self, "_z", zq)
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SolenoidPoint is immutable")
-
-    # -- components ----------------------------------------------------------
-
-    @property
-    def z(self) -> GaussianRational:
-        return self._z
-
-    @property
-    def a(self) -> PadicNumber:
-        return self._a
-
-    @property
-    def b(self) -> PadicNumber:
-        return self._b
-
-    # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_complex(cls, w, precision_k: int = DEFAULT_PRECISION) -> "SolenoidPoint":
@@ -119,21 +104,8 @@ class SolenoidPoint:
             PadicNumber.zero(13, precision_k),
         )
 
-    # -- value protocol ------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SolenoidPoint):
-            return NotImplemented
-        return self._z == other._z and self._a == other._a and self._b == other._b
-
-    def __hash__(self) -> int:
-        return hash((self._z, self._a, self._b))
-
     def __str__(self) -> str:
-        return f"({self._z}, {self._a}, {self._b})"
-
-    def __repr__(self) -> str:
-        return f"SolenoidPoint({self._z!r}, {self._a!r}, {self._b!r})"
+        return f"({self.z}, {self.a}, {self.b})"
 
 
 @dataclass(frozen=True)
@@ -183,13 +155,6 @@ def _times(c: PadicNumber, q: GaussianRational) -> PadicNumber:
     return c * embed(q, c.p, c.precision_k)
 
 
-def _frac_times(c: PadicNumber, q: GaussianRational) -> Fraction | int:
-    """The p-adic fractional part of c * i_p(q), which is 0 for exact zero."""
-    if c.is_zero and c.zero_abs is None:
-        return 0
-    return (c * embed(q, c.p, c.precision_k)).frac_part()
-
-
 def _act(qq: GaussianRational, x: SolenoidPoint | ExactPoint):
     """act(qq, x) for qq in A."""
     if isinstance(x, ExactPoint):
@@ -201,7 +166,7 @@ def _evaluate(x: SolenoidPoint | ExactPoint, rr: GaussianRational) -> Fraction:
     """evaluate(x, rr) for rr in A."""
     if isinstance(x, ExactPoint):
         return x.evaluate(rr)
-    return (-(x.z * rr).re + _frac_times(x.a, rr) + _frac_times(x.b, rr)) % 1
+    return (-(x.z * rr).re + _times(x.a, rr).frac_part() + _times(x.b, rr).frac_part()) % 1
 
 
 def act(q, x: SolenoidPoint | ExactPoint):
@@ -337,8 +302,11 @@ def float_orbit_rows(w: complex, m: int, sweep_max: int) -> list[tuple[int, int,
         raise ValueError("exponent step and sweep bound must be positive")
     step5 = complex(theta_power(m, 0))
     step13 = complex(theta_power(0, m))
+    w = complex(w)
+    if not cmath.isfinite(w):
+        raise ValueError(f"{w} is not finite")
     rows = []
-    row_z = -complex(w)
+    row_z = -w
     for r in range(sweep_max + 1):
         z = row_z
         for s in range(sweep_max + 1):
@@ -352,12 +320,7 @@ def float_orbit_rows(w: complex, m: int, sweep_max: int) -> list[tuple[int, int,
 def orbit_max_gap(rows) -> Fraction | float:
     """Largest circular gap that the values of orbit rows leave on the circle."""
     values = sorted(v for _, _, v in rows)
-    best = 1 - values[-1] + values[0]
-    for lo, hi in zip(values, values[1:]):
-        gap = hi - lo
-        if gap > best:
-            best = gap
-    return best
+    return _widest_gap(values, (1 - values[-1] + values[0], values[-1], values[0]))[0]
 
 
 def orbit_eval_sweep(x, m: int, sweep_max: int) -> Fraction:

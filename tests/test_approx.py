@@ -24,6 +24,7 @@ from pyjama.approx import (
     strong_approx,
     strong_approx_3way,
 )
+from pyjama.solenoid import orbit_max_gap
 
 from _util import rng, random_a_element, unit_subgroup_oracle
 
@@ -382,6 +383,70 @@ def test_circle_density_refuses_exactly_the_roots_of_unity():
                 circle_density(q, 1 + 0j, 3)
         else:
             assert len(circle_density(q, 1 + 0j, 3).sample) == 4
+
+
+def test_semigroup_density_tie_goes_to_the_first_gap():
+    # the sample 1/4, 1/2, 3/4, 1 leaves four gaps of 1/4 before the end gap 0
+    report = semigroup_density(F(1, 4), F(1, 2))
+    assert report.sample == (F(1, 4), F(1, 2), F(3, 4), F(1))
+    assert report.max_gap == F(1, 4)
+    assert report.witness_pair == (F(0), F(1, 4))
+
+
+def test_circle_density_wrap_witness():
+    # two points 0 and arg(THETA5) < pi: the gap across 2*pi is the widest
+    report = circle_density(THETA5, 1 + 0j, 1)
+    angles = report.sample
+    assert report.witness_pair == (angles[-1], angles[0])
+    assert report.max_gap == angles[0] + 2 * math.pi - angles[-1]
+
+
+def _first_widest_gap(values, wrap=None):
+    """Brute force: of every gap (gap, lo, hi) between neighbours of the
+    sorted values, after the wrap gap (wrap, values[-1], values[0]) when one
+    is given, the first of the widest."""
+    gaps = [] if wrap is None else [(wrap, values[-1], values[0])]
+    gaps += [(hi - lo, lo, hi) for lo, hi in zip(values, values[1:])]
+    return max(gaps, key=lambda gap: gap[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 200).flatmap(
+    lambda d: st.integers(1, d - 1).map(lambda n: F(n, d))))
+@example(F(1, 4))
+@example(F(1, 6))
+def test_semigroup_density_matches_gap_oracle(eta):
+    sample = sorted(v for r in range(10) for s in range(7) if (v := eta * 2**r * 3**s) <= 1)
+    report = semigroup_density(eta, F(1, 2))
+    assert report.sample == tuple(sample)
+    gap, lo, hi = _first_widest_gap([F(0), *sample, F(1)])
+    assert (report.max_gap, report.witness_pair) == (gap, (lo, hi))
+
+
+_ROTATIONS = [q for q in unit_circle_elements(30) if q**4 != 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_ROTATIONS),
+       st.complex_numbers(min_magnitude=1e-3, max_magnitude=10,
+                          allow_nan=False, allow_infinity=False),
+       st.integers(0, 40))
+def test_circle_density_matches_gap_oracle(theta, t, M):
+    report = circle_density(theta, t, M)
+    angles = list(report.sample)
+    assert angles == sorted(angles) and len(angles) == M + 1
+    gap, lo, hi = _first_widest_gap(angles, angles[0] + 2 * math.pi - angles[-1])
+    assert (report.max_gap, report.witness_pair) == (gap, (lo, hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 7).map(lambda k: F(k, 8)), min_size=1, max_size=12)
+       | st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=12))
+def test_orbit_max_gap_matches_gap_oracle(values):
+    rows = [(0, s, v) for s, v in enumerate(values)]
+    values = sorted(values)
+    gap = _first_widest_gap(values, 1 - values[-1] + values[0])[0]
+    assert orbit_max_gap(rows) == gap
 
 
 # ---------------------------------------------------------------------------

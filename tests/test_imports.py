@@ -278,6 +278,15 @@ def test_every_export_resolves(module):
     assert unresolved_exports(importlib.import_module(f"pyjama.{module[:-3]}")) == []
 
 
+def test_package_names_are_in_their_home_all():
+    # the tracer and ``from pyjama.<home> import *`` both read ``__all__``
+    import pyjama
+
+    for home, names in pyjama._EXPORTS.items():
+        exported = importlib.import_module(f"pyjama.{home}").__all__
+        assert [name for name in names if name not in exported] == [], home
+
+
 # the public names of ``import pyjama``: a name may move to another module,
 # but it stays in the package namespace
 SUBMODULES = {"approx", "covering", "gaussian", "padic", "polygon", "solenoid", "svg"}

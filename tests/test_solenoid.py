@@ -18,6 +18,7 @@ from pyjama.gaussian import (
     theta_set,
     unit_group_order,
 )
+from pyjama.approx import circle_density
 from pyjama.padic import PadicNumber, embed
 from pyjama.solenoid import (
     DEFAULT_PRECISION,
@@ -79,6 +80,28 @@ def test_modes_and_constructors():
     assert SolenoidPoint.from_complex(0) == SolenoidPoint.from_complex(0)
     assert hash(SolenoidPoint.from_complex(0)) == hash(SolenoidPoint.from_complex(0))
     assert str(fc) == f"({-w}, {PadicNumber.zero(5, 24)}, {PadicNumber.zero(13, 24)})"
+
+
+def test_solenoid_point_value_contract():
+    k = DEFAULT_PRECISION
+    for a, b in ((0, 0), (Fraction(1, 5), 3), (-2, Fraction(-4, 169))):
+        short = SolenoidPoint(gr(1, 2, 3), a, b)
+        full = SolenoidPoint(gr(1, 2, 3), PadicNumber.from_rational(a, 5, k),
+                             PadicNumber.from_rational(b, 13, k))
+        assert short == full and hash(short) == hash(full)
+    assert SolenoidPoint(0, 1, 0) != SolenoidPoint(0, 0, 1)
+    x = SolenoidPoint.from_complex(0.5)
+    with pytest.raises(AttributeError):
+        x.z = 0
+    assert x.z == gr(-1, 0, 2)
+    assert repr(x) == f"SolenoidPoint(z={x.z!r}, a={x.a!r}, b={x.b!r})"
+    # a bad complex component is reported before a bad 5-adic one
+    with pytest.raises(TypeError, match="got str"):
+        SolenoidPoint("x", "y", 0)
+    with pytest.raises(ValueError, match="is not finite"):
+        SolenoidPoint(float("nan"), PadicNumber.zero(13, 4), 0)
+    with pytest.raises(TypeError, match="second component must be 5-adic"):
+        SolenoidPoint(0, "y", "z")
 
 
 def test_kernel_identity_random():
@@ -357,6 +380,16 @@ def test_float_orbit_rows_pins():
         float_orbit_rows(1, 0, 3)
     with pytest.raises(ValueError):
         float_orbit_rows(1, 1, 0)
+
+
+def test_non_finite_seeds_are_refused():
+    # as SolenoidPoint.from_complex refuses them: a nan seed would give
+    # all-zero rows (max_gap 1) and a circle gap of 2*pi
+    for bad in (float("nan"), float("inf"), complex(0, float("-inf"))):
+        with pytest.raises(ValueError, match="is not finite"):
+            float_orbit_rows(bad, 1, 3)
+        with pytest.raises(ValueError, match="is not finite"):
+            circle_density(THETA5, bad, 3)
 
 
 def test_act_and_evaluate_reject_rotations_outside_A():
