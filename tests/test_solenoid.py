@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pyjama.approx import circle_density
 from pyjama.gaussian import (
     GaussianInt,
     GaussianRational,
@@ -18,7 +19,6 @@ from pyjama.gaussian import (
     theta_set,
     unit_group_order,
 )
-from pyjama.approx import circle_density
 from pyjama.padic import PadicNumber, embed
 from pyjama.solenoid import (
     DEFAULT_PRECISION,
@@ -383,8 +383,8 @@ def test_float_orbit_rows_pins():
 
 
 def test_non_finite_seeds_are_refused():
-    # as SolenoidPoint.from_complex refuses them: a nan seed would give
-    # all-zero rows (max_gap 1) and a circle gap of 2*pi
+    # as SolenoidPoint.from_complex refuses them: such a seed names no
+    # point, so no gap swept from it is a verdict
     for bad in (float("nan"), float("inf"), complex(0, float("-inf"))):
         with pytest.raises(ValueError, match="is not finite"):
             float_orbit_rows(bad, 1, 3)
