@@ -15,7 +15,6 @@ from pyjama import (
     ExactPoint,
     GaussianInt,
     GaussianRational,
-    SolenoidPoint,
     act,
     classify_point,
     evaluate,
@@ -41,8 +40,9 @@ for num, den in (((1, 1), 2), ((1, 0), 5), ((2, 3), 3)):
         line += f", period exponent {period_exponent(point)}"
     print(line)
 
-# periodic_dense_set(n) returns a finite family of periodic points that is
-# 5^-n 13^-n dense in the solenoid, together with a common period.
+# periodic_dense_set(n) returns the 49^n diagonal points (a + bi)/7^n,
+# 0 <= a, b < 7^n, of the 7^-n torsion layer (all periodic, since 7 is
+# prime to 5 and 13), together with an exponent that fixes every one.
 points, m = periodic_dense_set(1)
 print(len(points), "periodic points with common exponent", m)
 t5, t13 = theta_power(m, 0), theta_power(0, m)
@@ -55,12 +55,12 @@ print("all fixed by theta5^m and theta13^m exactly")
 # are fractions hundreds of digits long, printed here as floats)
 import math
 
-on_circle = SolenoidPoint.from_complex(complex(math.cos(1.0), math.sin(1.0)))
+on_circle = ExactPoint.from_complex(complex(math.cos(1.0), math.sin(1.0)))
 print("orbit gap, |w| = 1, sweep 100:", float(orbit_eval_sweep(on_circle, 1, 100)))
 
 # ...while at modulus 1/4 the values are trapped in [-1/4, 1/4] mod 1 and
 # a gap of at least 1/2 persists forever.
-inside = SolenoidPoint.from_complex(0.25 + 0j)
+inside = ExactPoint.from_complex(0.25 + 0j)
 print("orbit gap, |w| = 1/4, sweep 100:", float(orbit_eval_sweep(inside, 1, 100)))
 
 # evaluate() returns an exact Fraction, for diagonal points as for any other.

@@ -18,10 +18,9 @@ _EXPORTS = {
                  "theta_power", "theta_set", "unit_circle_elements", "valuation"),
     "padic": ("PadicNumber", "closure_index", "embed", "gauss_frac_part", "sqrt_neg1"),
     "polygon": ("ConvexPolygon",),
-    "solenoid": ("ExactPoint", "PointClassification", "SolenoidPoint", "act",
-                 "classify_point", "evaluate", "orbit_eval_rows",
-                 "orbit_eval_sweep", "period_exponent", "periodic_dense_set",
-                 "stripe_membership"),
+    "solenoid": ("ExactPoint", "PointClassification", "act", "classify_point",
+                 "evaluate", "orbit_eval_rows", "orbit_eval_sweep",
+                 "period_exponent", "periodic_dense_set", "stripe_membership"),
     "covering": ("CoveringConfig", "CoverReport", "RationalityReport",
                  "obstruction_catalog", "rationality_check", "snap_to_lattice",
                  "uncovered_region", "verify_obstruction"),

@@ -16,7 +16,6 @@ Gaussian-integer grid.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -428,9 +427,7 @@ def circle_density(theta: GaussianRational, t: complex, M: int) -> DensityReport
     if q**4 == 1:  # the roots of unity in Q(i) are +-1 and +-i
         raise ValueError("the rotation is a root of unity; its orbit is "
                          "finite and never dense")
-    t = complex(t)
-    if not cmath.isfinite(t):
-        raise ValueError(f"{t} is not finite")
+    t = complex(exact_gaussian_rational(t))
     if t == 0:
         raise ValueError("the sampled point must be nonzero")
     if M < 0:

@@ -14,11 +14,13 @@ two fractional parts of i_p(y/2) agree mod 1, which makes the pairing of
 that triple with r vanish for all q, r in A.  Halving is harmless on the
 p-adic side (2 is a unit at 5 and 13), so the fundamental domain is still
 [0,1)^2 x Z5 x Z13.
+
+Every point is an ``ExactPoint``: such a triple shifted by a purely
+complex offset, held exactly.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,11 +41,9 @@ from .gaussian import (
     theta_power,
     unit_group_order,
 )
-from .padic import PadicNumber, embed, gauss_frac_part
+from .padic import gauss_frac_part
 
 __all__ = [
-    "DEFAULT_PRECISION",
-    "SolenoidPoint",
     "ExactPoint",
     "PointClassification",
     "act",
@@ -58,9 +58,6 @@ __all__ = [
     "orbit_eval_sweep",
 ]
 
-#: p-adic digits carried by points constructed without an explicit precision.
-DEFAULT_PRECISION = 24
-
 
 def _require_in_A(q) -> GaussianRational:
     qq = as_gaussian_rational(q)
@@ -69,43 +66,6 @@ def _require_in_A(q) -> GaussianRational:
             f"{qq} lies outside the base ring; its action/evaluation is not well-defined"
         )
     return qq
-
-
-@dataclass(frozen=True)
-class SolenoidPoint:
-    """A representative triple (z, a, b) with z an exact Gaussian rational
-    (a float or complex is taken at its binary value), a a 5-adic number
-    and b a 13-adic number; an int or Fraction a or b is embedded at
-    DEFAULT_PRECISION digits."""
-
-    z: GaussianRational
-    a: PadicNumber
-    b: PadicNumber
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", exact_gaussian_rational(self.z))
-        for name, p in (("a", 5), ("b", 13)):
-            c = getattr(self, name)
-            if isinstance(c, (int, Fraction)):
-                c = PadicNumber.from_rational(c, p, DEFAULT_PRECISION)
-                object.__setattr__(self, name, c)
-        if not isinstance(self.a, PadicNumber) or self.a.p != 5:
-            raise TypeError("second component must be 5-adic")
-        if not isinstance(self.b, PadicNumber) or self.b.p != 13:
-            raise TypeError("third component must be 13-adic")
-
-    @classmethod
-    def from_complex(cls, w, precision_k: int = DEFAULT_PRECISION) -> "SolenoidPoint":
-        """The purely complex point; evaluate(from_complex(w), r) = Re(w*r) mod 1,
-        with a float or complex w taken at its binary value."""
-        return cls(
-            -exact_gaussian_rational(w),
-            PadicNumber.zero(5, precision_k),
-            PadicNumber.zero(13, precision_k),
-        )
-
-    def __str__(self) -> str:
-        return f"({self.z}, {self.a}, {self.b})"
 
 
 @dataclass(frozen=True)
@@ -123,17 +83,15 @@ class ExactPoint:
         object.__setattr__(self, "q", as_gaussian_rational(self.q))
         object.__setattr__(self, "offset_w", as_gaussian_rational(self.offset_w))
 
+    @classmethod
+    def from_complex(cls, w) -> "ExactPoint":
+        """The purely complex point (-w, 0, 0), so that evaluate(from_complex(w),
+        r) = Re(w*r) mod 1; a float or complex w is taken at its binary value."""
+        return cls(0, exact_gaussian_rational(w))
+
     def evaluate(self, r) -> Fraction:
         """Exact pairing value in [0, 1)."""
-        rr = _require_in_A(r)
-        y = self.q * rr
-        total = (
-            -y.re
-            + (self.offset_w * rr).re
-            + gauss_frac_part(y / 2, 5)
-            + gauss_frac_part(y / 2, 13)
-        )
-        return total % 1
+        return _evaluate(self, _require_in_A(r))
 
     def same_class(self, other: "ExactPoint") -> bool:
         """Whether the two exact points denote the same point of the quotient."""
@@ -148,33 +106,27 @@ class ExactPoint:
 # ---------------------------------------------------------------------------
 
 
-def _times(c: PadicNumber, q: GaussianRational) -> PadicNumber:
-    """c * i_p(q); an exact zero stays exact zero at its own precision."""
-    if c.is_zero and c.zero_abs is None:
-        return c
-    return c * embed(q, c.p, c.precision_k)
-
-
-def _act(qq: GaussianRational, x: SolenoidPoint | ExactPoint):
+def _act(qq: GaussianRational, x: ExactPoint) -> ExactPoint:
     """act(qq, x) for qq in A."""
-    if isinstance(x, ExactPoint):
-        return ExactPoint(qq * x.q, qq * x.offset_w)
-    return SolenoidPoint(x.z * qq, _times(x.a, qq), _times(x.b, qq))
+    return ExactPoint(qq * x.q, qq * x.offset_w)
 
 
-def _evaluate(x: SolenoidPoint | ExactPoint, rr: GaussianRational) -> Fraction:
-    """evaluate(x, rr) for rr in A."""
-    if isinstance(x, ExactPoint):
-        return x.evaluate(rr)
-    return (-(x.z * rr).re + _times(x.a, rr).frac_part() + _times(x.b, rr).frac_part()) % 1
+def _evaluate(x: ExactPoint, rr: GaussianRational) -> Fraction:
+    """evaluate(x, rr) for rr in A: Re(offset_w*rr) - Re(q*rr) plus the two
+    p-adic fractional parts of i_p(q*rr/2)."""
+    y = x.q * rr
+    total = (x.offset_w * rr).re - y.re
+    if y:  # i_p(0) has no fractional part
+        total += gauss_frac_part(y / 2, 5) + gauss_frac_part(y / 2, 13)
+    return total % 1
 
 
-def act(q, x: SolenoidPoint | ExactPoint):
+def act(q, x: ExactPoint) -> ExactPoint:
     """Componentwise multiplication by the three embeddings of q in A."""
     return _act(_require_in_A(q), x)
 
 
-def evaluate(x: SolenoidPoint | ExactPoint, r) -> Fraction:
+def evaluate(x: ExactPoint, r) -> Fraction:
     """The exact pairing value of the point against r in A, in [0, 1)."""
     return _evaluate(x, _require_in_A(r))
 
@@ -270,9 +222,7 @@ def periodic_dense_set(n: int) -> tuple[list[ExactPoint], int]:
 # ---------------------------------------------------------------------------
 
 
-def orbit_eval_rows(
-    x: SolenoidPoint | ExactPoint, m: int, sweep_max: int
-) -> list[tuple[int, int, Fraction]]:
+def orbit_eval_rows(x: ExactPoint, m: int, sweep_max: int) -> list[tuple[int, int, Fraction]]:
     """Rows (r, s, value) of the pairing of the rotated point against 1, for
     rotation exponents (m*r, m*s) over the full grid 0 <= r, s <= sweep_max."""
     if m < 1 or sweep_max < 1:
@@ -294,7 +244,7 @@ def orbit_eval_rows(
 
 
 def float_orbit_rows(w: complex, m: int, sweep_max: int) -> list[tuple[int, int, float]]:
-    """``orbit_eval_rows(SolenoidPoint.from_complex(w), m, sweep_max)`` in
+    """``orbit_eval_rows(ExactPoint.from_complex(w), m, sweep_max)`` in
     floats: the value at (r, s) is -Re(z) mod 1, in [0, 1), for z = -w times
     the rotation, stepped by one rounded complex product per row and per
     sample."""
@@ -302,9 +252,7 @@ def float_orbit_rows(w: complex, m: int, sweep_max: int) -> list[tuple[int, int,
         raise ValueError("exponent step and sweep bound must be positive")
     step5 = complex(theta_power(m, 0))
     step13 = complex(theta_power(0, m))
-    w = complex(w)
-    if not cmath.isfinite(w):
-        raise ValueError(f"{w} is not finite")
+    w = complex(exact_gaussian_rational(w))
     rows = []
     row_z = -w
     for r in range(sweep_max + 1):

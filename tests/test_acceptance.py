@@ -30,7 +30,6 @@ from pyjama.gaussian import (
 from pyjama.padic import closure_index, embed, sqrt_neg1
 from pyjama.solenoid import (
     ExactPoint,
-    SolenoidPoint,
     act,
     classify_point,
     orbit_eval_sweep,
@@ -347,7 +346,7 @@ def test_criterion_13_membership_matches_stripe_oracle():
                 r.randrange(1, 40),
             )
             direct = not any(
-                stripe_membership(SolenoidPoint.from_complex(z), th, eps)
+                stripe_membership(ExactPoint.from_complex(z), th, eps)
                 for th in config.rotations
             )
             assert report.contains(z) == direct, (i, z)
@@ -365,10 +364,10 @@ def test_criterion_14_orbit_sweep_gap_dichotomy():
     (gap < 0.05 by M = 100) while a modulus-1/4 seed never can (gap >= 1/4
     at every sweep size)."""
     t0 = time.monotonic()
-    on_circle = SolenoidPoint.from_complex(complex(math.cos(0.37), math.sin(0.37)))
+    on_circle = ExactPoint.from_complex(complex(math.cos(0.37), math.sin(0.37)))
     gap = orbit_eval_sweep(on_circle, 1, 100)
     assert gap < 0.05
-    inside = SolenoidPoint.from_complex(0.25 + 0j)
+    inside = ExactPoint.from_complex(0.25 + 0j)
     small_gaps = [orbit_eval_sweep(inside, 1, M) for M in (10, 40, 100)]
     for g in small_gaps:
         assert g >= 0.25

@@ -35,7 +35,7 @@ from pyjama.covering import (
     verify_obstruction,
 )
 from pyjama.disk import certified_disk_cover, disk_cover_scan, irrational_triple, theta_prime
-from pyjama.solenoid import SolenoidPoint, stripe_membership
+from pyjama.solenoid import ExactPoint, stripe_membership
 
 from _util import (
     clip_halfplane,
@@ -649,7 +649,7 @@ def test_half_width_outside_its_interval_is_refused(epsilon):
     with pytest.raises(ValueError, match="stripe half-width must"):
         obstruction_catalog(epsilon, 2, 5)
     with pytest.raises(ValueError, match="stripe half-width must"):
-        stripe_membership(SolenoidPoint.from_complex(0), 1, epsilon)
+        stripe_membership(ExactPoint.from_complex(0), 1, epsilon)
 
 
 def test_half_width_float_is_taken_at_its_binary_value():

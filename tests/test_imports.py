@@ -294,7 +294,7 @@ PACKAGE_NAMES = SUBMODULES | {
     "ConvexPolygon", "CosetSpec", "CoverReport", "CoveringConfig", "DensityReport",
     "ExactPoint", "GaussianInt", "GaussianRational", "P13", "P13BAR", "P5", "P5BAR",
     "PadicNumber", "PointClassification", "PrecisionError", "PrimeSite",
-    "RationalityReport", "SITES", "SolenoidPoint", "THETA13", "THETA5",
+    "RationalityReport", "SITES", "THETA13", "THETA5",
     "TorsionUnitError", "abs_at", "act", "as_gaussian_rational", "circle_density",
     "classify_point", "closure_index", "coset_element", "embed", "evaluate",
     "gauss_frac_part", "in_A", "obstruction_catalog", "orbit_eval_rows",

@@ -19,11 +19,9 @@ from pyjama.gaussian import (
     theta_set,
     unit_group_order,
 )
-from pyjama.padic import PadicNumber, embed
+from pyjama.padic import embed
 from pyjama.solenoid import (
-    DEFAULT_PRECISION,
     ExactPoint,
-    SolenoidPoint,
     act,
     classify_point,
     evaluate,
@@ -43,65 +41,82 @@ def gr(re, im=0, den=1):
     return GaussianRational(GaussianInt(re, im), den)
 
 
-def triple(q, w=0, k=DEFAULT_PRECISION):
-    """The point ExactPoint(q, w) denotes, at k p-adic digits: the twisted
-    diagonal triple of q with w taken off its complex component."""
-    return SolenoidPoint(q - w, embed(q / 2, 5, k), embed(q / 2, 13, k))
+def triple(q, w=0, k=24):
+    """The triple (z, a, b) that ExactPoint(q, w) denotes, at k p-adic
+    digits: the twisted diagonal triple of q with w taken off its complex
+    component."""
+    return q - w, embed(q / 2, 5, k), embed(q / 2, 13, k)
+
+
+def _rotate_reference(q, z, a, b):
+    return z * q, a * embed(q, 5, a.precision_k), b * embed(q, 13, b.precision_k)
+
+
+def _pairing(t, r):
+    """The pairing of the triple t = (z, a, b) with r, read off the p-adic
+    components: every component multiplied by its embedding of r and every
+    fractional part taken, zero or not."""
+    z, a, b = _rotate_reference(r, *t)
+    return (-z.re + a.frac_part() + b.frac_part()) % 1
 
 
 def test_modes_and_constructors():
-    x = SolenoidPoint.from_complex(0)
-    assert x.z == 0 and isinstance(x.z, GaussianRational)
-    assert x.a.is_zero and x.b.is_zero
-    # a float or complex component is taken at its binary value
-    y = SolenoidPoint(0.25 + 0.5j, PadicNumber.zero(5, 8), PadicNumber.zero(13, 8))
-    assert y.z == gr(1, 2, 4)
-    assert SolenoidPoint(0.1, 0, 0).z == GaussianRational.from_fractions(Fraction(0.1))
+    x = ExactPoint.from_complex(0)
+    assert x == ExactPoint(0) and not x.q and not x.offset_w
+    assert isinstance(x.q, GaussianRational) and isinstance(x.offset_w, GaussianRational)
+    # a float or complex w is taken at its binary value
+    assert ExactPoint.from_complex(0.25 + 0.5j).offset_w == gr(1, 2, 4)
+    assert ExactPoint.from_complex(0.1).offset_w == GaussianRational.from_fractions(
+        Fraction(0.1))
     w = gr(1, 1, 2)
-    fc = SolenoidPoint.from_complex(w)
-    assert fc.z == -w
-    assert SolenoidPoint.from_complex(0.5 + 0.0j).z == gr(-1, 0, 2)
-    assert SolenoidPoint.from_complex(0.3 - 0.7j).z == -GaussianRational.from_fractions(
+    fc = ExactPoint.from_complex(w)
+    assert fc == ExactPoint(0, w) and triple(fc.q, fc.offset_w)[0] == -w
+    assert ExactPoint.from_complex(0.5 + 0.0j).offset_w == gr(1, 0, 2)
+    assert ExactPoint.from_complex(0.3 - 0.7j).offset_w == GaussianRational.from_fractions(
         Fraction(0.3), Fraction(-0.7))
     with pytest.raises(TypeError):
-        SolenoidPoint("x", PadicNumber.zero(5, 4), PadicNumber.zero(13, 4))
+        ExactPoint("x")
     with pytest.raises(TypeError):
-        SolenoidPoint.from_complex("0.5")
+        ExactPoint.from_complex("0.5")
     for bad in (float("nan"), float("inf"), complex(0, float("-inf"))):
-        with pytest.raises(ValueError):
-            SolenoidPoint(bad, 0, 0)
-        with pytest.raises(ValueError):
-            SolenoidPoint.from_complex(bad)
-    with pytest.raises(TypeError):
-        SolenoidPoint(0, PadicNumber.zero(13, 4), PadicNumber.zero(13, 4))
+        with pytest.raises(ValueError, match="is not finite"):
+            ExactPoint.from_complex(bad)
+        # only from_complex takes a float
+        with pytest.raises(TypeError):
+            ExactPoint(0, bad)
     # immutability and value semantics
     with pytest.raises(AttributeError):
         x.unexpected = 1
-    assert SolenoidPoint.from_complex(0) == SolenoidPoint.from_complex(0)
-    assert hash(SolenoidPoint.from_complex(0)) == hash(SolenoidPoint.from_complex(0))
-    assert str(fc) == f"({-w}, {PadicNumber.zero(5, 24)}, {PadicNumber.zero(13, 24)})"
+    assert ExactPoint.from_complex(0) == ExactPoint.from_complex(0)
+    assert hash(ExactPoint.from_complex(0)) == hash(ExactPoint.from_complex(0))
+    assert str(fc) == f"({GaussianRational(0)}; {w})"
 
 
 def test_solenoid_point_value_contract():
-    k = DEFAULT_PRECISION
-    for a, b in ((0, 0), (Fraction(1, 5), 3), (-2, Fraction(-4, 169))):
-        short = SolenoidPoint(gr(1, 2, 3), a, b)
-        full = SolenoidPoint(gr(1, 2, 3), PadicNumber.from_rational(a, 5, k),
-                             PadicNumber.from_rational(b, 13, k))
+    # int, Fraction and GaussianInt values equal and hash like their
+    # GaussianRationals
+    for (q, w), exact in (((0, 0), (gr(0), gr(0))),
+                          ((Fraction(1, 5), 3), (gr(1, 0, 5), gr(3))),
+                          ((GaussianInt(-2, 1), Fraction(-4, 169)), (gr(-2, 1), gr(-4, 0, 169)))):
+        short, full = ExactPoint(q, w), ExactPoint(*exact)
         assert short == full and hash(short) == hash(full)
-    assert SolenoidPoint(0, 1, 0) != SolenoidPoint(0, 0, 1)
-    x = SolenoidPoint.from_complex(0.5)
+        assert type(short.q) is type(short.offset_w) is GaussianRational
+    assert ExactPoint(0, 1) != ExactPoint(1, 0)
+    x = ExactPoint.from_complex(0.5)
     with pytest.raises(AttributeError):
-        x.z = 0
-    assert x.z == gr(-1, 0, 2)
-    assert repr(x) == f"SolenoidPoint(z={x.z!r}, a={x.a!r}, b={x.b!r})"
-    # a bad complex component is reported before a bad 5-adic one
+        x.q = 0
+    assert x.q == 0 and x.offset_w == gr(1, 0, 2)
+    assert repr(x) == f"ExactPoint(q={x.q!r}, offset_w={x.offset_w!r})"
+    # a bad q is reported before a bad offset
     with pytest.raises(TypeError, match="got str"):
-        SolenoidPoint("x", "y", 0)
+        ExactPoint("x", 0.5)
+    with pytest.raises(TypeError, match="got float"):
+        ExactPoint(0, 0.5)
+    # from_complex: a non-finite w is a ValueError, a non-number a TypeError
     with pytest.raises(ValueError, match="is not finite"):
-        SolenoidPoint(float("nan"), PadicNumber.zero(13, 4), 0)
-    with pytest.raises(TypeError, match="second component must be 5-adic"):
-        SolenoidPoint(0, "y", "z")
+        ExactPoint.from_complex(float("nan"))
+    with pytest.raises(TypeError, match="got str"):
+        ExactPoint.from_complex("x")
 
 
 def test_kernel_identity_random():
@@ -110,7 +125,8 @@ def test_kernel_identity_random():
         q = random_a_element(r_)
         r = random_a_element(r_)
         assert ExactPoint(q).evaluate(r) == 0
-        assert evaluate(triple(q, 0, 32), r) == 0
+        assert evaluate(ExactPoint(q), r) == 0
+        assert _pairing(triple(q, 0, 32), r) == 0
 
 
 def test_evaluate_from_complex_and_pins():
@@ -118,15 +134,17 @@ def test_evaluate_from_complex_and_pins():
     for _ in range(40):
         w = random_gaussian_rational(r_)
         r = random_a_element(r_)
-        assert evaluate(SolenoidPoint.from_complex(w), r) == (w * r).re % 1
-    # the pinned triple (0, 1/5, 0) pairs with 1 to 1/5
-    x = SolenoidPoint(0, Fraction(1, 5), 0)
+        assert evaluate(ExactPoint.from_complex(w), r) == (w * r).re % 1
+    # the purely complex 1/5 point pairs with 1 to 1/5
+    x = ExactPoint.from_complex(gr(1, 0, 5))
     assert evaluate(x, 1) == Fraction(1, 5)
     assert not stripe_membership(x, 1, Fraction(1, 5))
     assert stripe_membership(x, 1, Fraction(1, 4))
     # and a purely complex 1/2 point misses the width-1/4 stripe
-    assert not stripe_membership(SolenoidPoint.from_complex(gr(1, 0, 2)), 1, Fraction(1, 4))
-    assert stripe_membership(SolenoidPoint.from_complex(0), THETA5, Fraction(1, 100))
+    assert not stripe_membership(ExactPoint.from_complex(gr(1, 0, 2)), 1, Fraction(1, 4))
+    assert stripe_membership(ExactPoint.from_complex(0), THETA5, Fraction(1, 100))
+    # the half-odd diagonal point pairs with 1 to 1/2
+    assert evaluate(ExactPoint(gr(1, 1, 2)), 1) == Fraction(1, 2)
     # a float half-width is taken at its binary value, and 0.2 lies above 1/5
     assert stripe_membership(x, 1, 0.2) and not stripe_membership(x, 1, 0.125)
     for bad in (Fraction(1, 2), 0.5, float("inf"), float("nan")):
@@ -138,7 +156,7 @@ def test_evaluate_from_complex_and_pins():
 
 def test_act_examples():
     q = gr(1, 1, 2)
-    x = triple(q)
+    x = ExactPoint(q)
     assert act(1, x) == x
     # the generator rotation moves the half-integer diagonal point to an
     # equivalent representative: the difference of diagonals is in the ring
@@ -146,14 +164,18 @@ def test_act_examples():
     assert moved == gr(-2, 2) / GaussianRational(P5BAR.generator)
     assert in_A(moved)
     assert ExactPoint(THETA5 * q).same_class(ExactPoint(q))
-    # action on purely complex points is plain rotation
+    # the action is componentwise multiplication of the denoted triple
     r_ = rng(13)
     for _ in range(20):
         w = random_gaussian_rational(r_)
+        q = random_gaussian_rational(r_)
         r = random_a_element(r_)
-        lhs = evaluate(act(THETA5, SolenoidPoint.from_complex(w)), r)
-        rhs = evaluate(SolenoidPoint.from_complex(THETA5 * w), r)
-        assert lhs == rhs
+        moved = act(THETA5, ExactPoint(q, w))
+        assert triple(moved.q, moved.offset_w) == _rotate_reference(THETA5, *triple(q, w))
+        # on purely complex points it is plain rotation
+        lhs = evaluate(act(THETA5, ExactPoint.from_complex(w)), r)
+        rhs = evaluate(ExactPoint.from_complex(THETA5 * w), r)
+        assert lhs == rhs == _pairing(_rotate_reference(THETA5, *triple(gr(0), w)), r)
     with pytest.raises(ValueError):
         act(gr(1, 0, 3), x)
 
@@ -164,10 +186,11 @@ def test_action_evaluation_adjunction():
     for _ in range(15):
         q = random_a_element(r_)
         w = random_gaussian_rational(r_)
-        x = triple(q, w, 32)
+        x = ExactPoint(q, w)
         r = random_a_element(r_)
         theta = thetas[r_.randrange(len(thetas))]
         assert evaluate(act(theta, x), r) == evaluate(x, theta * r)
+        assert evaluate(x, theta * r) == _pairing(triple(q, w, 32), theta * r)
 
 
 def test_estar_pullback():
@@ -176,9 +199,9 @@ def test_estar_pullback():
     eps = Fraction(1, 4)
     for _ in range(25):
         w = random_gaussian_rational(r_)
-        x = SolenoidPoint.from_complex(w, 32)
-        theta = thetas[r_.randrange(len(thetas))]
-        assert stripe_membership(x, theta, eps) == stripe_membership(act(theta, x), 1, eps)
+        for x in (ExactPoint.from_complex(w), ExactPoint(random_gaussian_rational(r_), w)):
+            theta = thetas[r_.randrange(len(thetas))]
+            assert stripe_membership(x, theta, eps) == stripe_membership(act(theta, x), 1, eps)
 
 
 def test_exact_point_pairing_matches_solenoid():
@@ -188,7 +211,7 @@ def test_exact_point_pairing_matches_solenoid():
         w = random_gaussian_rational(r_)
         r = random_a_element(r_)
         p = ExactPoint(q, w)
-        assert p.evaluate(r) == evaluate(triple(q, w, 40), r)
+        assert p.evaluate(r) == evaluate(p, r) == _pairing(triple(q, w, 40), r)
 
 
 def test_classify_pins():
@@ -279,60 +302,47 @@ def test_periodic_dense_set():
 
 
 def test_orbit_rows_and_sweep():
-    rows = orbit_eval_rows(SolenoidPoint.from_complex(0), 1, 2)
+    rows = orbit_eval_rows(ExactPoint.from_complex(0), 1, 2)
     assert len(rows) == 9
     assert all(v == 0 for _, _, v in rows)
     assert {(r, s) for r, s, _ in rows} == {(r, s) for r in range(3) for s in range(3)}
-    assert orbit_eval_sweep(SolenoidPoint.from_complex(0), 1, 2) == 1
+    assert orbit_eval_sweep(ExactPoint.from_complex(0), 1, 2) == 1
     # a unit-size complex point fills in the circle as the sweep grows
-    w = SolenoidPoint.from_complex(1.0 + 0.0j)
+    w = ExactPoint.from_complex(1.0 + 0.0j)
     g10 = orbit_eval_sweep(w, 1, 10)
     g30 = orbit_eval_sweep(w, 1, 30)
     assert g30 < g10 < 1
     # a radius-1/4 point pairs into [-1/4, 1/4] only: a fixed gap remains
-    small = SolenoidPoint.from_complex(0.25 + 0.0j)
+    small = ExactPoint.from_complex(0.25 + 0.0j)
     assert orbit_eval_sweep(small, 1, 20) >= 0.25
     # exact points sweep exactly
-    gap = orbit_eval_sweep(SolenoidPoint.from_complex(gr(1, 0, 4), 16), 1, 6)
+    gap = orbit_eval_sweep(ExactPoint.from_complex(gr(1, 0, 4)), 1, 6)
     assert isinstance(gap, Fraction) and gap >= Fraction(1, 4)
     with pytest.raises(ValueError):
         orbit_eval_sweep(w, 0, 3)
 
 
-def _rotate_reference(q, z, a, b):
-    return z * q, a * embed(q, 5, a.precision_k), b * embed(q, 13, b.precision_k)
-
-
 def _orbit_reference(x, m, sweep_max):
-    """Orbit rows with every p-adic component multiplied by its embedding and
-    every fractional part taken, zero or not."""
+    """Orbit rows of the triple that the point denotes, with every p-adic
+    component multiplied by its embedding."""
     step5, step13 = theta_power(m, 0), theta_power(0, m)
-
-    def value(z, a, b):
-        one = GaussianRational(1)
-        t5 = (a * embed(one, 5, a.precision_k)).frac_part()
-        t13 = (b * embed(one, 13, b.precision_k)).frac_part()
-        return (-z.re + t5 + t13) % 1
-
     rows = []
-    row = (x.z, x.a, x.b)
+    row = triple(x.q, x.offset_w)
     for r in range(sweep_max + 1):
         point = row
         for s in range(sweep_max + 1):
-            rows.append((r, s, value(*point)))
+            rows.append((r, s, _pairing(point, GaussianRational(1))))
             point = _rotate_reference(step13, *point)
         row = _rotate_reference(step5, *row)
     return rows
 
 
 @pytest.mark.parametrize("point", [
-    SolenoidPoint.from_complex(0.3 + 0.2j),
-    SolenoidPoint.from_complex(-0.8 + 0.9j, 16),
-    SolenoidPoint(0.3 + 0.2j, PadicNumber.from_rational(Fraction(3, 25), 5, 24),
-                  PadicNumber.from_rational(Fraction(7, 13), 13, 24)),
-    SolenoidPoint(gr(1, 2, 3), PadicNumber.from_rational(Fraction(2, 5), 5, 12),
-                  PadicNumber.from_rational(Fraction(-4, 169), 13, 12)),
-    SolenoidPoint(0.5 - 0.4j, PadicNumber.zero(5, 24, 20), PadicNumber.zero(13, 24)),
+    ExactPoint.from_complex(0.3 + 0.2j),
+    ExactPoint.from_complex(-0.8 + 0.9j),
+    ExactPoint(gr(3, 1, 25), gr(7, 2, 13)),
+    ExactPoint(gr(1, 2, 3)),
+    ExactPoint(gr(2, -1, 5 * 169), ExactPoint.from_complex(0.5 - 0.4j).offset_w),
 ])
 @pytest.mark.parametrize("m", [1, 2])
 def test_orbit_rows_match_full_padic_reference(point, m):
@@ -344,7 +354,7 @@ def test_orbit_rows_match_full_padic_reference(point, m):
     assert orbit_max_gap(rows) == orbit_eval_sweep(point, m, 4)
     q = theta_power(m, 1)
     moved = act(q, point)
-    assert (moved.z, moved.a, moved.b) == _rotate_reference(q, point.z, point.a, point.b)
+    assert triple(moved.q, moved.offset_w) == _rotate_reference(q, *triple(point.q, point.offset_w))
 
 
 def _circle_dist(u, v):
@@ -360,7 +370,7 @@ def test_float_orbit_rows_error_budget(w, m, sweep_max):
     # the CLI's float sweep stays within 1e-12 (circular) of the exact rows
     # for |w| <= 2, m <= 2 and sweeps up to 30
     rows = float_orbit_rows(w, m, sweep_max)
-    exact = orbit_eval_rows(SolenoidPoint.from_complex(w), m, sweep_max)
+    exact = orbit_eval_rows(ExactPoint.from_complex(w), m, sweep_max)
     assert [(r, s) for r, s, _ in rows] == [(r, s) for r, s, _ in exact]
     for (_, _, got), (_, _, want) in zip(rows, exact):
         assert type(got) is float and 0.0 <= got < 1.0
@@ -383,17 +393,22 @@ def test_float_orbit_rows_pins():
 
 
 def test_non_finite_seeds_are_refused():
-    # as SolenoidPoint.from_complex refuses them: such a seed names no
+    # as ExactPoint.from_complex refuses them: such a seed names no
     # point, so no gap swept from it is a verdict
     for bad in (float("nan"), float("inf"), complex(0, float("-inf"))):
         with pytest.raises(ValueError, match="is not finite"):
             float_orbit_rows(bad, 1, 3)
         with pytest.raises(ValueError, match="is not finite"):
             circle_density(THETA5, bad, 3)
+    # and, like it, they read no string
+    with pytest.raises(TypeError, match="got str"):
+        float_orbit_rows("0.5", 1, 1)
+    with pytest.raises(TypeError, match="got str"):
+        circle_density(THETA5, "1", 2)
 
 
 def test_act_and_evaluate_reject_rotations_outside_A():
-    for x in (SolenoidPoint.from_complex(0.3 + 0.2j), SolenoidPoint.from_complex(0),
+    for x in (ExactPoint.from_complex(0.3 + 0.2j), ExactPoint.from_complex(0),
               ExactPoint(gr(1, 2, 7))):
         for q in (gr(1, 0, 3), gr(1, 1, 5), gr(2, 1, 13)):
             with pytest.raises(ValueError):
