@@ -39,7 +39,7 @@ print("val of theta13 at 5:", embed(THETA13, 5, 8).valuation, "(a unit)")
 
 # closure_index measures how much of the unit group a rotation generates:
 # index 1 means the closed subgroup generated by theta13 is everything.
-print("closure index of theta13 at 5, precision 4:", closure_index(embed(THETA13, 5, 4), 4))
+print("closure index of theta13 at 5, precision 4:", closure_index(embed(THETA13, 5, 4)))
 
 # Strong approximation: one ring element that is simultaneously within
 # delta of a complex target and within delta of a 5-adic target.
@@ -50,7 +50,7 @@ q = strong_approx(z, target, delta)
 print("strong approx:", q)
 qc = complex(Fraction(q.num.re, q.den), Fraction(q.num.im, q.den))
 print("  complex residual:", abs(qc - z))
-print("  5-adic residual bound:", (embed(q, 5, 14) - target).abs_bound())
+print("  5-adic residual bound:", embed(q, 5, 14).distance(target))
 
 # Coset elements: a ring element lying in a prescribed closed coset of the
 # rotation subgroup while being small in modulus and large 5-adically.

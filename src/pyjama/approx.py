@@ -118,12 +118,7 @@ class CosetSpec:
         if x.p != self.p:
             raise ValueError("value lives at a different prime")
         if x.is_zero:
-            if x.zero_abs is None:
-                return False
-            raise PrecisionError(
-                "value is indistinguishable from zero at its precision; "
-                "coset membership is undetermined"
-            )
+            return False
         if x.precision_k < self.precision_k:
             raise PrecisionError(
                 "value carries fewer digits than the membership precision"
@@ -191,29 +186,13 @@ def _least_power(base: int, lo: int, hi: int) -> int:
 def _integer_lift(x: PadicNumber, exponent: int) -> int:
     """The integer in [0, p**exponent) congruent to ``x`` (requires ``x``
     integral and known to at least that many digits)."""
-    mod = x.p**exponent
     if x.is_zero:
-        if x.zero_abs is not None and x.zero_abs < exponent:
-            raise PrecisionError("zero marker too coarse for the lift")
         return 0
     if x.valuation < 0:
         raise ValueError("cannot lift a non-integral value")
     if x.valuation + x.precision_k < exponent:
         raise PrecisionError("not enough digits for the integer lift")
-    return x.unit_digits * x.p**x.valuation % mod
-
-
-def _check_target_precision(b: PadicNumber, k: int, delta: Fraction) -> None:
-    if b.is_zero:
-        if b.abs_bound() > delta:
-            raise PrecisionError(
-                "target is only known to be O(%d^%d), coarser than the "
-                "requested tolerance" % (b.p, b.zero_abs)
-            )
-    elif b.valuation + b.precision_k < k:
-        raise PrecisionError(
-            "target carries too few digits for the requested tolerance"
-        )
+    return x.unit_digits * x.p**x.valuation % x.p**exponent
 
 
 def _approximate(z: GaussianRational, targets, shrink: PrimeSite,
@@ -231,7 +210,9 @@ def _approximate(z: GaussianRational, targets, shrink: PrimeSite,
     sites = []  # (target, k, K) per target
     for b in targets:
         k = _least_power(b.p, dn, dd)  # least k with p^-k <= delta
-        _check_target_precision(b, k, delta)
+        if not b.is_zero and b.valuation + b.precision_k < k:
+            raise PrecisionError(
+                "target carries too few digits for the requested tolerance")
         sites.append((b, k, k if b.is_zero else k + max(0, -b.valuation)))
     e = _least_power(shrink.residue_norm, 2 * dn * dn,
                      math.prod(b.p**k for b, k, _ in sites) * dd * dd)
@@ -240,7 +221,7 @@ def _approximate(z: GaussianRational, targets, shrink: PrimeSite,
                  GaussianRational(shrink.generator**e))
     W = reduce(operator.mul, [_BARRED[b.p].generator**K for b, _, K in sites])
     # the numerator's residue mod p^K at each site, joined by crt
-    lifts = [(0 if b.is_zero else _integer_lift(b * embed(den, b.p, K + 2), K), b.p**K)
+    lifts = [(_integer_lift(b * embed(den, b.p, K + 2), K), b.p**K)
              for b, _, K in sites]
     G, M = lifts[0]
     for B, m in lifts[1:]:
@@ -249,7 +230,7 @@ def _approximate(z: GaussianRational, targets, shrink: PrimeSite,
     q = GaussianRational(GaussianInt(G, 0) + W * h) / den
     # embed counts digits from q's valuation, -j like b's: K + 2 reach p^(k+2)
     if (q - z).abs2() > delta * delta or not all(
-            (embed(q, b.p, K + 2) - b).abs_bound() <= delta for b, _, K in sites):
+            embed(q, b.p, K + 2).distance(b) <= delta for b, _, K in sites):
         raise RuntimeError("approximation certificate failed verification")
     return q, e
 

@@ -438,7 +438,7 @@ def _cmd_density(config, ini, artifacts):
 
 def _cmd_approx(config, ini, artifacts):
     from .approx import strong_approx, strong_approx_3way
-    from .padic import PadicNumber, embed
+    from .padic import embed
 
     z = _field(ini, "approx", "z", _EXACT_POINT)
     delta = _field(ini, "approx", "delta", _RATIONAL)
@@ -448,14 +448,11 @@ def _cmd_approx(config, ini, artifacts):
     lines = ["kind=approx", f"z={z}", f"delta={delta}"]
     z = exact_gaussian_rational(z)  # a float literal at its exact binary value
     if target5_text is not None and target13_text is not None:
-        a = PadicNumber.from_rational(
-            _parse(_RATIONAL, target5_text, "[approx] target5"), 5, precision)
-        b = PadicNumber.from_rational(
-            _parse(_RATIONAL, target13_text, "[approx] target13"), 13,
-            precision)
+        a = embed(_parse(_RATIONAL, target5_text, "[approx] target5"), 5, precision)
+        b = embed(_parse(_RATIONAL, target13_text, "[approx] target13"), 13, precision)
         q = strong_approx_3way(z, a, b, delta)
-        residual_5 = (embed(q, 5, precision) - a).abs_bound()
-        residual_13 = (embed(q, 13, precision) - b).abs_bound()
+        residual_5 = embed(q, 5, precision).distance(a)
+        residual_13 = embed(q, 13, precision).distance(b)
         lines += [
             f"target5={target5_text}",
             f"target13={target13_text}",
@@ -467,10 +464,9 @@ def _cmd_approx(config, ini, artifacts):
     else:
         p = _prime_site(ini, "approx")
         target_text = _field(ini, "approx", "target")
-        b = PadicNumber.from_rational(
-            _parse(_RATIONAL, target_text, "[approx] target"), p, precision)
+        b = embed(_parse(_RATIONAL, target_text, "[approx] target"), p, precision)
         q = strong_approx(z, b, delta)
-        residual_p = (embed(q, p, precision) - b).abs_bound()
+        residual_p = embed(q, p, precision).distance(b)
         lines += [
             f"p={p}",
             f"target={target_text}",
@@ -483,15 +479,13 @@ def _cmd_approx(config, ini, artifacts):
 
 
 def _cmd_closure_index(config, ini, artifacts):
-    from .padic import PadicNumber, closure_index
+    from .padic import closure_index, embed
 
     p = _prime_site(ini, "closure-index")
     k = (_least(ini, "closure-index", "k", 1, "4")
          if config.precision_k is None else config.precision_k)
     u_text = _field(ini, "closure-index", "u")
-    u_rational = _parse(_RATIONAL, u_text, "[closure-index] u")
-    u = PadicNumber.from_rational(u_rational, p, k)
-    index = closure_index(u, k)
+    index = closure_index(embed(_parse(_RATIONAL, u_text, "[closure-index] u"), p, k))
     lines = [
         "kind=closure-index",
         f"p={p}",

@@ -115,18 +115,11 @@ class GaussianInt:
         return GaussianInt(self.re % n, self.im % n)
 
     def __pow__(self, e: int, n: int | None = None) -> "GaussianInt":
-        """self**e, or pow(self, e, n) in Z[i]/n, where a negative e inverts
-        through the conjugate (ValueError for a non-unit)."""
-        base = self
+        """self**e, or pow(self, e, n) in Z[i]/n, for e >= 0."""
         if e < 0:
-            if n is None:
-                raise ValueError("negative power of a GaussianInt; use GaussianRational")
-            t = self.norm() % n
-            if gcd(t, n) != 1:
-                raise ValueError(f"{self} is not invertible mod {n}")
-            base, e = self.conj() * pow(t, -1, n), -e
+            raise ValueError("negative power of a GaussianInt; use GaussianRational")
         reduce = (lambda g: g) if n is None else (lambda g: g % n)
-        out, base = reduce(GaussianInt(1, 0)), reduce(base)
+        out, base = reduce(GaussianInt(1, 0)), reduce(self)
         while True:
             if e & 1:
                 out = reduce(out * base)

@@ -381,7 +381,8 @@ def test_padic_errors_keep_their_tags(tmp_path, capsys, monkeypatch):
     assert padic.TorsionUnitError is gaussian.TorsionUnitError
     assert covering.CertificateError is gaussian.CertificateError
 
-    def short(u, k):
+    def short(u):
+        k = u.precision_k
         raise padic.PrecisionError(f"need {k + 1} digits, only {k} stored")
 
     monkeypatch.setattr(padic, "closure_index", short)
@@ -418,6 +419,49 @@ def test_approx_three_way(tmp_path, capsys):
     assert code == 0
     report = (out / "report.txt").read_text()
     assert "residual_5=" in report and "residual_13=" in report
+
+
+_BAR = {5: gaussian.P5BAR, 13: gaussian.P13BAR}
+
+
+def _residual_oracle(q, target, p, precision):
+    """|q - target|_p as far as both embedded to ``precision`` digits show it:
+    the difference's valuation, capped at the coarser absolute precision."""
+
+    def v(x):
+        return math.inf if x == 0 else gaussian.valuation(x, _BAR[p])
+
+    n = min(v(q - target), min(v(q), v(target)) + precision)
+    return F(0) if n == math.inf else F(p) ** -n
+
+
+@pytest.mark.parametrize("ini, argv, want", [
+    ("z = 3/7+1/3i\np = 5\ntarget = 7/3\ndelta = 1/10000\n", [],
+     {"residual_padic": "1/15625"}),
+    ("z = 3/7+1/3i\np = 13\ntarget = 0\ndelta = 1/100\n", [], {}),
+    ("z = 2\np = 5\ntarget = 2\ndelta = 1/100\n", [],
+     {"residual_padic": "1/152587890625"}),
+    ("z = 2\ntarget5 = 2\ntarget13 = 2\ndelta = 1/100\n", ["--precision", "6"],
+     {"residual_5": "1/15625", "residual_13": "1/4826809"}),
+], ids=["exact", "zero-target", "bound", "three-way"])
+def test_approx_padic_residuals_match_oracle(tmp_path, capsys, ini, argv, want):
+    cfg = _write(tmp_path / "a.ini", "[approx]\n" + ini)
+    out = tmp_path / "out"
+    code, _ = _run(capsys, "approx", "--config", cfg, "--out", str(out), *argv)
+    assert code == 0
+    lines = (out / "report.txt").read_text().splitlines()[1:]  # after the header
+    fields = dict(line.split("=", 1) for line in lines)
+    precision = int(argv[1]) if argv else 16
+    q = GaussianRational.parse(fields["q"])
+    residuals = ({"residual_5": (5, fields["target5"]), "residual_13": (13, fields["target13"])}
+                 if "target5" in fields else
+                 {"residual_padic": (int(fields["p"]), fields["target"])})
+    for name, (p, text) in residuals.items():
+        got = F(fields[name])
+        assert got == _residual_oracle(q, F(text), p, precision), name
+        if F(text) == 0:  # an exact zero target: the residual is |q|_p itself
+            assert got == gaussian.abs_at(q, _BAR[p])
+    assert {name: fields[name] for name in want} == want
 
 
 def test_closure_index_command(tmp_path, capsys):
