@@ -66,18 +66,12 @@ class GaussianInt:
     re: int = 0
     im: int = 0
 
-    def conj(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
-
     def norm(self) -> int:
         """re**2 + im**2; multiplicative."""
         return self.re * self.re + self.im * self.im
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
-
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
 
     def __add__(self, other):
         other = _as_gint(other)
@@ -86,18 +80,6 @@ class GaussianInt:
         return GaussianInt(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_gint(other)
-        if other is None:
-            return NotImplemented
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _as_gint(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         other = _as_gint(other)
@@ -128,24 +110,8 @@ class GaussianInt:
                 return out
             base = reduce(base * base)
 
-    def __truediv__(self, other) -> "GaussianRational":
-        return GaussianRational(self) / other
-
-    def __rtruediv__(self, other) -> "GaussianRational":
-        q = _coerce(other)
-        return NotImplemented if q is None else q / GaussianRational(self)
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __abs__(self) -> float:
-        return abs(complex(self))
-
     def __str__(self) -> str:
         return f"{self.re}{self.im:+d}i"
-
-    def __repr__(self) -> str:
-        return f"GaussianInt({self.re}, {self.im})"
 
 
 def _as_gint(x) -> GaussianInt | None:
@@ -161,10 +127,10 @@ def try_exact_div(g: GaussianInt, d: GaussianInt) -> GaussianInt | None:
     n = d.norm()
     if n == 0:
         raise ZeroDivisionError("division by zero Gaussian integer")
-    t = g * d.conj()
-    if t.re % n or t.im % n:
+    re, im = g.re * d.re + g.im * d.im, g.im * d.re - g.re * d.im  # g * conj(d)
+    if re % n or im % n:
         return None
-    return GaussianInt(t.re // n, t.im // n)
+    return GaussianInt(re // n, im // n)
 
 
 class GaussianRational:
@@ -221,9 +187,6 @@ class GaussianRational:
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
-    def conj(self) -> "GaussianRational":
-        return GaussianRational(GaussianInt(self._a, -self._b), self._d)
-
     def abs2(self) -> Fraction:
         """Modulus squared, an exact rational."""
         return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
@@ -265,12 +228,6 @@ class GaussianRational:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = _coerce(other)
         if o is None:
@@ -290,12 +247,6 @@ class GaussianRational:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, e: int) -> "GaussianRational":
         # the constructor's gcd reduction restores lowest terms:
@@ -419,9 +370,6 @@ class PrimeSite:
     generator: GaussianInt
     residue_norm: int
 
-    def __str__(self) -> str:
-        return self.tag
-
 
 P5 = PrimeSite("P5", GaussianInt(1, 2), 5)
 P5BAR = PrimeSite("P5bar", GaussianInt(1, -2), 5)
@@ -442,16 +390,11 @@ def _split_power(n: int, p: int) -> tuple[int, int]:
 
 
 def _int_valuation(g: GaussianInt, site: PrimeSite) -> int:
-    pi = site.generator
-    pib = pi.conj()
-    n = site.residue_norm
+    """How many times the site's generator divides the nonzero g."""
     v = 0
-    while True:
-        t = g * pib
-        if t.re % n or t.im % n:
-            return v
-        g = GaussianInt(t.re // n, t.im // n)
+    while (g := try_exact_div(g, site.generator)) is not None:
         v += 1
+    return v
 
 
 def valuation(q: GaussianRational | GaussianInt | int, site: PrimeSite) -> int:

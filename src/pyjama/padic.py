@@ -176,16 +176,17 @@ def embed(q: GaussianRational | GaussianInt | Fraction | int, p: int, k: int) ->
     _check_site(p, k)
     if not q:
         return PadicNumber.zero(p, k)
-    v = valuation(q, _BARRED[p])
     s, d = _split_power(q.den, p)
-    vn = v + s  # valuation of the numerator a + b*i_p
-    root = sqrt_neg1(p, vn + k)
-    mod = p ** (vn + k)
-    n = (q.num.re + q.num.im * root) % mod
-    if n % p**vn:
-        raise ArithmeticError("numerator valuation disagrees with trial division")
-    u = (n // p**vn) * pow(d, -1, p**k) % p**k
-    return PadicNumber(p, k, v, u)
+    a, b = q.num.re, q.num.im
+    if b:
+        vn = valuation(q, _BARRED[p]) + s  # valuation of the numerator a + b*i_p
+        n = (a + b * sqrt_neg1(p, vn + k)) % p ** (vn + k)
+        if n % p**vn:
+            raise ArithmeticError("numerator valuation disagrees with trial division")
+        n //= p**vn
+    else:  # a rational: v_p of the numerator, with no root of -1
+        vn, n = _split_power(a, p)
+    return PadicNumber(p, k, vn - s, n * pow(d, -1, p**k) % p**k)
 
 
 def gauss_frac_part(q: GaussianRational | GaussianInt | Fraction | int, p: int) -> Fraction:

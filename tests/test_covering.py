@@ -947,6 +947,22 @@ def test_certified_disk_cover_passes_over_a_rejected_candidate(monkeypatch):
                                                                                          F(-11, 16))
 
 
+def test_theta_prime_1_2_misses_the_plane_at_three_tenths():
+    # theta'(1, 2) covers every disk of radius <= 80 at eps = 0.3 (README's
+    # eps table), yet this point, |z| ~ 1.6e8, keeps 39/125 from every
+    # integer in Re(z*phi) for all 27 rotations phi: a disk's least N is
+    # not the plane's.  sqrt(3) is enclosed as the scan's witness check
+    # encloses it; a 60-digit evaluation gives a least distance of 0.31240
+    x, y = -157468467.68756822, 17148781.62507193
+    root = math.isqrt(3 << 128)
+    forms = [disk._rotation_form(t) for t in theta_set(2)]
+    forms += [disk._rotation_form(t, 1, sign, root) for sign in (1, -1) for t in theta_set(2)]
+    assert len(forms) == 27
+    radius = Fraction(2 * 10**8)
+    assert disk._clear(x, y, radius, Fraction(39, 125), forms)
+    assert not disk._clear(x, y, radius, Fraction(313, 1000), forms)
+
+
 def test_disk_cover_witness_under_optimize():
     # the exact re-check is an if, not an assert: under -O the rejected
     # candidates stay rejected and a scan names the same witnesses

@@ -10,7 +10,8 @@ too, and so does a function or public method that neither the package, a
 demo nor the acceptance tests read.  The other direction catches a
 deletion that leaves its ``__all__`` entry or its package name behind,
 which would break ``from pyjama.gaussian import *`` and every tool that
-reads ``__all__``.
+reads ``__all__``.  The dunder methods of the exact scalars are pinned, so
+an operator added to one of them shows up as well.
 """
 
 import ast
@@ -339,3 +340,46 @@ def test_error_names_load_only_gaussian():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "['pyjama', 'pyjama.gaussian']\n"
+
+
+def class_dunders(source: str, name: str) -> set[str]:
+    """The dunder methods that class ``name`` of the source defines in its
+    body, by ``def`` or by aliasing another method (``__radd__ = __add__``);
+    what a dataclass generates is not listed."""
+    cls = next(node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    names = {stmt.name for stmt in cls.body if isinstance(stmt, ast.FunctionDef)}
+    names.update(target.id for stmt in cls.body
+                 if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Name)
+                 for target in stmt.targets if isinstance(target, ast.Name))
+    return {n for n in names if n.startswith("__") and n.endswith("__")}
+
+
+def test_guard_finds_a_class_dunder():
+    source = ("class A:\n    __slots__ = ('x',)\n    def __add__(self, o):\n        return o\n"
+              "    __radd__ = __add__\n    def norm(self):\n        return 1\n"
+              "class B:\n    def __sub__(self, o):\n        return o\n")
+    assert class_dunders(source, "A") == {"__add__", "__radd__"}
+
+
+# The operators of the exact scalars.  A command, a demo or an acceptance
+# test enters each one here but two that ``scripts/reachable.py`` still lists:
+# the immutability guard ``GaussianRational.__setattr__`` and
+# ``PadicNumber.__str__``.  An operator joins a set only after reachable.py
+# shows that one of those enters it, and one that leaves its class leaves its
+# set.
+SCALAR_DUNDERS = {
+    ("gaussian.py", "GaussianInt"): {
+        "__add__", "__bool__", "__mod__", "__mul__", "__pow__", "__radd__", "__rmul__",
+        "__str__"},
+    ("gaussian.py", "GaussianRational"): {
+        "__abs__", "__add__", "__bool__", "__complex__", "__eq__", "__hash__", "__init__",
+        "__mul__", "__neg__", "__pow__", "__radd__", "__repr__", "__rmul__",
+        "__setattr__", "__str__", "__sub__", "__truediv__"},
+    ("padic.py", "PadicNumber"): {"__mul__", "__post_init__", "__str__"},
+}
+
+
+@pytest.mark.parametrize("module, name", sorted(SCALAR_DUNDERS))
+def test_exact_scalar_operators_are_pinned(module, name):
+    assert class_dunders((SRC / module).read_text(), name) == SCALAR_DUNDERS[module, name]

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pyjama.gaussian import (
+    P5,
     P5BAR,
+    P13,
     P13BAR,
     THETA13,
     GaussianInt,
@@ -65,13 +67,13 @@ def test_unsupported_prime_is_rejected(call):
 def test_embed_pins():
     i5 = embed(GaussianInt(0, 1), 5, 1)
     assert i5.valuation == 0 and i5.unit_digits == 3
-    for p, bar in ((5, P5BAR), (13, P13BAR)):
+    for p, site, bar in ((5, P5, P5BAR), (13, P13, P13BAR)):
         for k in range(1, 9):
             img = embed(bar.generator, p, k)
             assert img.valuation == 1
             one = embed(1, p, k)
             assert one.valuation == 0 and one.unit_digits == 1
-            unbarred = embed(bar.generator.conj(), p, k)
+            unbarred = embed(site.generator, p, k)  # the conjugate of bar's
             assert unbarred.valuation == 0
 
 
