@@ -28,7 +28,7 @@ from pyjama import (
 # they represent the origin of the quotient.
 q = GaussianRational(GaussianInt(7, -2)) / GaussianRational(GaussianInt(1, -2))
 r = GaussianRational(GaussianInt(2, 5))
-print("diagonal pairing:", ExactPoint(q).evaluate(r))
+print("diagonal pairing:", evaluate(ExactPoint(q), r))
 
 # Every exact rational point is torsion; the interesting split is whether
 # the rotation action has it periodic.

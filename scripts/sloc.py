@@ -3,10 +3,11 @@
     python3 scripts/sloc.py [SRC]
 
 SRC defaults to ``src/pyjama``.  For each ``*.py`` file it prints the
-``wc -l`` count (every line) and the code-line count: the lines that carry
-a token of code, so blank lines, comments and docstrings (any string that
-stands alone as a statement) are not counted.  The last row holds the
-totals of both columns.
+``wc -l`` count (every line), the code-line count (the lines that carry a
+token of code, so blank lines, comments and docstrings, any string that
+stands alone as a statement, are not counted) and the number of nodes in
+its ``ast`` tree, which sets the memory that compiling it takes better
+than its lines do.  The last row holds the totals of the three columns.
 """
 
 import ast
@@ -32,18 +33,22 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def ast_nodes(source: str) -> int:
+    return sum(1 for _ in ast.walk(ast.parse(source)))
+
+
 def main(argv: list[str]) -> None:
     src = Path(argv[1]) if len(argv) > 1 else \
         Path(__file__).resolve().parents[1] / "src" / "pyjama"
     rows = []
     for path in sorted(src.glob("*.py")):
         source = path.read_text()
-        rows.append((path.name, source.count("\n"), code_lines(source)))
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+        rows.append((path.name, source.count("\n"), code_lines(source), ast_nodes(source)))
+    rows.append(("total", *(sum(r[i] for r in rows) for i in (1, 2, 3))))
     width = max(len(r[0]) for r in rows)
-    print(f"{'module':{width}}  {'lines':>6}  {'code':>6}")
-    for name, lines, code in rows:
-        print(f"{name:{width}}  {lines:>6}  {code:>6}")
+    print(f"{'module':{width}}  {'lines':>6}  {'code':>6}  {'nodes':>6}")
+    for name, lines, code, nodes in rows:
+        print(f"{name:{width}}  {lines:>6}  {code:>6}  {nodes:>6}")
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .gaussian import (
     PrimeSite,
     THETA5,
     THETA13,
+    _folded,
     _least_exponent,
     _widest_gap,
     abs_at,
@@ -196,7 +197,7 @@ def _integer_lift(x: PadicNumber, exponent: int) -> int:
 
 
 def _approximate(z: GaussianRational, targets, shrink: PrimeSite,
-                 delta: Fraction) -> tuple[GaussianRational, int]:
+                 delta) -> tuple[GaussianRational, int]:
     """q = (G + W*h)/den within delta of z and of every p-adic target, and
     the exponent e of ``shrink`` in den; every residual is re-checked.
 
@@ -206,6 +207,9 @@ def _approximate(z: GaussianRational, targets, shrink: PrimeSite,
     at every target's prime; rounding in the lattice W*Z[i]/den leaves
     |q - z|^2 at most prod p^k / (2*N(shrink)^e), below delta^2 for this e.
     """
+    delta = Fraction(delta)
+    if delta <= 0:
+        raise ValueError("tolerance must be positive")
     dn, dd = delta.numerator, delta.denominator
     sites = []  # (target, k, K) per target
     for b in targets:
@@ -244,9 +248,6 @@ def strong_approx(z, b: PadicNumber, delta) -> GaussianRational:
     tolerance.  Both bounds are re-verified before returning; a target known
     to fewer digits than the tolerance requires raises PrecisionError.
     """
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("tolerance must be positive")
     if not isinstance(b, PadicNumber):
         raise TypeError("the local target must be a p-adic number")
     # powers of the other barred generator shrink the complex radius
@@ -267,9 +268,6 @@ def strong_approx_3way(z, a: PadicNumber, b: PadicNumber,
     disturbing the residue constraints.  As in ``strong_approx`` the complex
     target is taken exactly.
     """
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("tolerance must be positive")
     if not isinstance(a, PadicNumber) or a.p != 5:
         raise TypeError("first local target must be 5-adic")
     if not isinstance(b, PadicNumber) or b.p != 13:
@@ -398,7 +396,7 @@ def semigroup_density(eta, delta) -> DensityReport:
 def circle_density(theta: GaussianRational, t: complex, M: int) -> DensityReport:
     """Sample theta^r * t for 0 <= r <= M and report the largest angular gap
     (radians) between consecutive sample points on their common circle.
-    The sampled angles lie in [0, 2*pi)."""
+    The sampled angles lie in [0, 2*pi); a float overflow is a ValueError."""
     try:
         q = as_gaussian_rational(theta)
     except TypeError:
@@ -414,15 +412,18 @@ def circle_density(theta: GaussianRational, t: complex, M: int) -> DensityReport
     if M < 0:
         raise ValueError("the power count must be nonnegative")
     step = complex(q)
-    radius = abs(t)
     tau = 2 * math.pi
     angles = []
     cur = t
-    for _ in range(M + 1):
-        a = math.atan2(cur.imag, cur.real) % tau  # tau for a tiny negative angle
-        angles.append(a if a < tau else 0.0)
-        cur *= step
-        cur *= radius / abs(cur)
+    try:  # abs raises OverflowError for a modulus beyond the float range
+        radius = abs(t)
+        for _ in range(M + 1):
+            a = math.atan2(cur.imag, cur.real) % tau  # tau for a tiny negative angle
+            angles.append(a if a < tau else _folded(a, tau))
+            cur *= step
+            cur *= radius / abs(cur)
+    except OverflowError:
+        raise ValueError("the float recurrence overflowed: a modulus is not finite") from None
     angles.sort()
     gap, lo, hi = _widest_gap(angles, (angles[0] + tau - angles[-1], angles[-1], angles[0]))
     return DensityReport(

@@ -75,19 +75,15 @@ class CoveringConfig:
         if isinstance(self.epsilon, float):
             raise ValueError("stripe half-width must be an exact rational")
         eps = _half_width(self.epsilon)
-        period = self.period
-        if isinstance(period, int):
-            period = GaussianInt(period, 0)
-        if not isinstance(period, GaussianInt) or not period:
+        if not isinstance(self.period, GaussianInt) or not self.period:
             raise TypeError("period multiplier must be a nonzero Gaussian integer")
         for q in rots:
-            if not (GaussianRational(period) * q).is_gaussian_int():
+            if not (GaussianRational(self.period) * q).is_gaussian_int():
                 raise ValueError(
-                    f"period multiplier {period} is incompatible with rotation {q}"
+                    f"period multiplier {self.period} is incompatible with rotation {q}"
                 )
         object.__setattr__(self, "rotations", tuple(rots))
         object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "period", period)
 
 
 class _Polygons(Sequence):

@@ -74,7 +74,6 @@ class DiskCoverReport:
     all that the CLI prints."""
 
     certified: bool
-    radius: float
     pitch: float
     rounds_used: int
     cells_checked: int
@@ -406,7 +405,6 @@ def _refined(fx, fy, in_disk: int, witness, eps: float, R: float, h: float,
         rounds_used += 1
     return DiskCoverReport(
         certified=failing == 0,
-        radius=R,
         pitch=h,
         rounds_used=rounds_used,
         cells_checked=checked,

@@ -509,6 +509,13 @@ def _widest_gap(values, best):
     return best
 
 
+def _folded(v: float, top: float) -> float:
+    """0.0 for a sample x % top equal to top; NaN (an overflow) is a ValueError."""
+    if v != top:
+        raise ValueError("the float recurrence overflowed: a sample is not a number")
+    return 0.0
+
+
 def unit_group_order(n: int) -> int:
     """Order of the unit group of Z[i]/n for a positive rational integer n.
 

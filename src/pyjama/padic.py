@@ -160,14 +160,6 @@ class PadicNumber:
         c = self.unit_digits % p ** (-v)
         return Fraction(c, p ** (-v))
 
-    # -- serialization ------------------------------------------------------
-
-    def __str__(self) -> str:
-        p, k = self.p, self.precision_k
-        if self.is_zero:
-            return "0"
-        return f"{p}^{self.valuation} * {self.unit_digits} mod {p}^{k}"
-
 
 def embed(q: GaussianRational | GaussianInt | Fraction | int, p: int, k: int) -> PadicNumber:
     """The field embedding of Q(i) determined by the canonical sqrt(-1):

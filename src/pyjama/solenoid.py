@@ -29,6 +29,7 @@ from .gaussian import (
     GaussianRational,
     P5,
     P13,
+    _folded,
     _half_width,
     _least_exponent,
     _split_power,
@@ -72,8 +73,8 @@ def _require_in_A(q) -> GaussianRational:
 class ExactPoint:
     """A diagonal point shifted by a purely complex offset, kept fully exact.
 
-    Denotes the triple (q - offset_w, i5(q/2), i13(q/2)); classification only
-    applies when offset_w = 0.  Evaluation needs no p-adic precision at all.
+    Denotes the triple (q - offset_w, i5(q/2), i13(q/2)); classification
+    takes q alone, a scalar.  Evaluation needs no p-adic precision at all.
     """
 
     q: GaussianRational
@@ -89,16 +90,9 @@ class ExactPoint:
         r) = Re(w*r) mod 1; a float or complex w is taken at its binary value."""
         return cls(0, exact_gaussian_rational(w))
 
-    def evaluate(self, r) -> Fraction:
-        """Exact pairing value in [0, 1)."""
-        return _evaluate(self, _require_in_A(r))
-
     def same_class(self, other: "ExactPoint") -> bool:
         """Whether the two exact points denote the same point of the quotient."""
         return self.offset_w == other.offset_w and in_A(self.q - other.q)
-
-    def __str__(self) -> str:
-        return f"({self.q}; {self.offset_w})"
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +152,10 @@ class PointClassification:
         return self.kind == "periodic"
 
 
-def _diagonal_rational(q) -> GaussianRational:
-    if isinstance(q, ExactPoint):
-        if q.offset_w:
-            raise ValueError("classification requires a zero complex offset")
-        return q.q
-    return as_gaussian_rational(q)
-
-
 def classify_point(q) -> PointClassification:
     """Every Gaussian rational gives a torsion point; it is periodic exactly
     when its absolute values at the two unbarred sites are at most 1."""
-    qq = _diagonal_rational(q)
+    qq = as_gaussian_rational(q)
     if not qq:
         return PointClassification("periodic", Fraction(0), Fraction(0))
     a5 = abs_at(qq, P5)
@@ -186,12 +172,10 @@ def period_exponent(q) -> int:
     point are powers of the barred primes, units of A.  So A/nA = Z[i]/n,
     and the search divides that order by its primes while the rotations
     still fix the residue x of n*q."""
-    qq = _diagonal_rational(q)
+    qq = as_gaussian_rational(q)
     cls = classify_point(qq)
     if not cls.is_periodic:
         raise ValueError(f"{qq} is not periodic (witness {cls.abs_p5}, {cls.abs_p13})")
-    if not qq:
-        return 1
     n = _split_power(_split_power(qq.den, 5)[1], 13)[1]
     x = mod_from_rational(qq * n, n)
     gens = [mod_from_rational(theta_power(*e), n) for e in ((1, 0), (0, 1))]
@@ -247,7 +231,7 @@ def float_orbit_rows(w: complex, m: int, sweep_max: int) -> list[tuple[int, int,
     """``orbit_eval_rows(ExactPoint.from_complex(w), m, sweep_max)`` in
     floats: the value at (r, s) is -Re(z) mod 1, in [0, 1), for z = -w times
     the rotation, stepped by one rounded complex product per row and per
-    sample."""
+    sample.  A NaN sample, of a recurrence that overflowed, is a ValueError."""
     if m < 1 or sweep_max < 1:
         raise ValueError("exponent step and sweep bound must be positive")
     step5 = complex(theta_power(m, 0))
@@ -259,7 +243,7 @@ def float_orbit_rows(w: complex, m: int, sweep_max: int) -> list[tuple[int, int,
         z = row_z
         for s in range(sweep_max + 1):
             v = (-z.real) % 1.0  # 1.0 when -z.real is a tiny negative number
-            rows.append((r, s, v if v < 1.0 else 0.0))
+            rows.append((r, s, v if v < 1.0 else _folded(v, 1.0)))
             z *= step13
         row_z *= step5
     return rows

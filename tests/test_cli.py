@@ -547,6 +547,36 @@ def test_finite_float_points_still_parse(tmp_path, capsys, field):
     assert cli._point("-2.5i") == complex(0, -2.5)
 
 
+@pytest.mark.parametrize("field, literal, message", [
+    # a product overflows to inf, whose sample (-inf) % 1.0 is NaN
+    ("orbit-w", "1.7e308+1.7e308i", "a sample is not a number"),
+    # abs(t) overflows, and so does the modulus of theta * t on the top float
+    ("density-t", "1.5e308+1.5e308i", "a modulus is not finite"),
+    ("density-t", "1.7976931348623157e308", "a modulus is not finite"),
+], ids=["orbit-w", "density-t", "density-t-max"])
+def test_overflowing_seeds_exit_two(tmp_path, capsys, field, literal, message):
+    # finite seeds whose float recurrence overflows are input faults, never a
+    # verdict read from NaN samples folded to 0.0 (exit 1) nor error=internal
+    command, ini = _POINT_INIS[field]
+    cfg = _write(tmp_path / "p.ini", ini.format(literal) + "gap_below = 1/2\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == f"command={command} exit=2 error=input\n"
+    assert f"the float recurrence overflowed: {message}" in captured.err
+    assert not out.exists()
+
+
+def test_orbit_folds_a_tiny_negative_sample_to_zero(tmp_path, capsys):
+    # -(1e-300) % 1.0 rounds to 1.0, the same point of the circle as 0.0
+    cfg = _write(tmp_path / "o.ini", "[orbit]\nw = -1e-300\nm = 1\nsweep = 1\n")
+    out = tmp_path / "out"
+    code, summary = _run(capsys, "orbit", "--config", cfg, "--out", str(out))
+    assert code == 0
+    assert (out / "orbit.csv").read_text().splitlines()[1] == "0,0,0.0"
+
+
 _DISK_INI = ("[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
              "n_max = {n_max}\nN_max = {N_max}\nrefine_rounds = {rounds}\n")
 

@@ -611,6 +611,45 @@ def test_membership_matches_direct_stripe_evaluation():
     assert checked_uncovered > 0
 
 
+@st.composite
+def cell_edge_points(draw):
+    """A config of ``small_configs`` (N(D) <= 325), a denominator n and up to
+    24 points z/n on the edges and corners of its period cell: z = (j + ki)*D
+    with j or k in {0, n}, each moved by D*(s + ti) for s, t in {-1, 0, 1}."""
+    cfg = draw(small_configs())
+    n = draw(st.integers(1, 24))
+    side, end, shift = st.integers(0, n), st.sampled_from([0, n]), st.integers(-1, 1)
+    edge = st.tuples(end, side) | st.tuples(side, end)
+    points = draw(st.lists(st.tuples(edge, shift, shift), min_size=1, max_size=24))
+    return cfg, n, [(j + n * s, k + n * t) for (j, k), s, t in points]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cell_edge_points())
+def test_membership_on_cell_edges_matches_the_audit_stripe_test(case):
+    # points on the cell's edges and corners, and every piece vertex there
+    # with its translates by D*(s + ti), s, t in {-1, 0, 1}, against the
+    # direct stripe test of the verify-covering audit, as the CLI writes it:
+    # Re(theta*z/n) is r/M, and z/n is uncovered when every rotation keeps it
+    # epsilon off Z
+    cfg, n, points = case
+    report = uncovered_region(cfg, obstruction_m_max=1)
+    D, L = cfg.period, report.scale
+    LN = L * D.norm()
+    probes = [(GaussianInt(j, k) * D, n) for j, k in points]
+    for ring, _ in report.pieces:
+        for x, y in ring:
+            # (x + iy)/(L*D) has a cell coordinate 0 or 1: the vertex is on an edge
+            if (x * D.re + y * D.im) % LN == 0 or (y * D.re - x * D.im) % LN == 0:
+                probes += [(GaussianInt(x, y) + GaussianInt(s, t) * D * L, L)
+                           for s in (-1, 0, 1) for t in (-1, 0, 1)]
+    p, q = cfg.epsilon.numerator, cfg.epsilon.denominator
+    for z, m in probes:
+        values = ((t.num.re * z.re - t.num.im * z.im, t.den * m) for t in cfg.rotations)
+        direct = all(min(r % M, -r % M) * q >= p * M for r, M in values)
+        assert report.contains(GaussianRational(z, m)) == direct
+
+
 def test_verify_obstruction_pins():
     ok, margin = verify_obstruction(1, 1, 2, 25, F(1, 4))
     assert ok and margin == F(1, 2)

@@ -363,11 +363,10 @@ def test_guard_finds_a_class_dunder():
 
 
 # The operators of the exact scalars.  A command, a demo or an acceptance
-# test enters each one here but two that ``scripts/reachable.py`` still lists:
-# the immutability guard ``GaussianRational.__setattr__`` and
-# ``PadicNumber.__str__``.  An operator joins a set only after reachable.py
-# shows that one of those enters it, and one that leaves its class leaves its
-# set.
+# test enters each one here but one that ``scripts/reachable.py`` still
+# lists: the immutability guard ``GaussianRational.__setattr__``.  An
+# operator joins a set only after reachable.py shows that one of those enters
+# it, and one that leaves its class leaves its set.
 SCALAR_DUNDERS = {
     ("gaussian.py", "GaussianInt"): {
         "__add__", "__bool__", "__mod__", "__mul__", "__pow__", "__radd__", "__rmul__",
@@ -376,7 +375,7 @@ SCALAR_DUNDERS = {
         "__abs__", "__add__", "__bool__", "__complex__", "__eq__", "__hash__", "__init__",
         "__mul__", "__neg__", "__pow__", "__radd__", "__repr__", "__rmul__",
         "__setattr__", "__str__", "__sub__", "__truediv__"},
-    ("padic.py", "PadicNumber"): {"__mul__", "__post_init__", "__str__"},
+    ("padic.py", "PadicNumber"): {"__mul__", "__post_init__"},
 }
 
 
