@@ -163,6 +163,8 @@ def _period(ini, section: str, default: str) -> GaussianInt:
     period = _field(ini, section, "period", _GAUSSIAN, default)
     if not period.is_gaussian_int():
         raise InputError(f"[{section}] period: must be a Gaussian integer")
+    if not period:
+        raise InputError(f"[{section}] period: must be a nonzero Gaussian integer")
     return period.to_gaussian_int()
 
 

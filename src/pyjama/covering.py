@@ -34,6 +34,7 @@ from .polygon import (
     _ring_area2,
     _ring_contains,
     _ring_dist_sq,
+    _ring_kind,
 )
 
 __all__ = [
@@ -96,21 +97,21 @@ class _Polygons(Sequence):
         return len(self._pieces)
 
     def __getitem__(self, index: int) -> ConvexPolygon:
-        ring, kind = self._pieces[operator.index(index)]
-        return ConvexPolygon(ring, kind, self._scale)
+        return ConvexPolygon(self._pieces[operator.index(index)], self._scale)
 
 
 @dataclass(frozen=True)
 class CoverReport:
     """Exact certificate for the uncovered part of one period parallelogram.
 
-    ``pieces`` are its closed convex pieces as (ring, kind) pairs: canonical
-    integer rings at the lattice scale ``scale`` (a vertex (X, Y) is the
-    point (X + iY)/scale).  Membership, distances, the report text and the
-    SVG all work on them; ``uncovered`` shows them as ConvexPolygons."""
+    ``pieces`` are its closed convex pieces as canonical integer rings at
+    the lattice scale ``scale`` (a vertex (X, Y) is the point
+    (X + iY)/scale); a ring's vertex count gives its kind.  Membership,
+    distances, the report text and the SVG all work on them; ``uncovered``
+    shows them as ConvexPolygons."""
 
     config: CoveringConfig
-    pieces: tuple[tuple[Ring, str], ...]
+    pieces: tuple[Ring, ...]
     scale: int
     total_uncovered_area: Fraction
     obstruction_matches: tuple[tuple[int, int, int], ...]
@@ -122,14 +123,14 @@ class CoverReport:
     @cached_property
     def _buckets(self) -> dict:
         """Unit-grid spatial hash of the pieces: bucket (i, j) lists
-        (ring, kind, integer bounding box) for every piece whose box meets
+        (ring, integer bounding box) for every piece whose box meets
         [i, i+1) x [j, j+1)."""
         L = self.scale
         buckets: dict[tuple[int, int], list] = {}
-        for ring, kind in self.pieces:
+        for ring in self.pieces:
             xs = [x for x, _ in ring]
             ys = [y for _, y in ring]
-            entry = (ring, kind, (min(xs), max(xs), min(ys), max(ys)))
+            entry = (ring, (min(xs), max(xs), min(ys), max(ys)))
             for ix in range(min(xs) // L, max(xs) // L + 1):
                 for iy in range(min(ys) // L, max(ys) // L + 1):
                     buckets.setdefault((ix, iy), []).append(entry)
@@ -153,9 +154,9 @@ class CoverReport:
             for k in (v, v - M, v + M):
                 x, y = j * dr - k * di, j * di + k * dr  # the point (x + iy)/M
                 xl, yl = x * L, y * L
-                for ring, kind, (x0, x1, y0, y1) in buckets.get((x // M, y // M), ()):
+                for ring, (x0, x1, y0, y1) in buckets.get((x // M, y // M), ()):
                     if (M * x0 <= xl <= M * x1 and M * y0 <= yl <= M * y1
-                            and _ring_contains(ring, kind, xl, yl, M)):
+                            and _ring_contains(ring, xl, yl, M)):
                         return True
         return False
 
@@ -176,9 +177,9 @@ class CoverReport:
             f"uncovered_count={len(self.pieces)}",
             f"total_uncovered_area={self.total_uncovered_area}",
         ]
-        for i, (ring, kind) in enumerate(self.pieces):
+        for i, ring in enumerate(self.pieces):
             verts = ";".join(f"{frac(x)},{frac(y)}" for x, y in ring)
-            lines.append(f"polygon {i} kind={kind} vertices={verts}")
+            lines.append(f"polygon {i} kind={_ring_kind(ring)} vertices={verts}")
         # every catalog point lies in the uncovered region: distance 0
         for a, b, m in self.obstruction_matches:
             lines.append(f"obstruction a={a} b={b} m={m} distance_sq=0")
@@ -292,21 +293,21 @@ def _cut(ring, qa: int, qb: int, up: int, uq: int):
     return []
 
 
-def _mirrored(piece, cx: int, cy: int):
-    """The canonical piece s(piece) for the half-turn s(X, Y) = (cx - X, cy - Y):
+def _mirrored(ring, cx: int, cy: int):
+    """The canonical ring s(ring) for the half-turn s(X, Y) = (cx - X, cy - Y):
     the mapped ring rotated to its least vertex.  A half-turn keeps a ring
     counterclockwise and reverses the lexicographic order, so this also
     swaps a segment's two ends and maps a point."""
-    ring = [(cx - x, cy - y) for x, y in piece[0]]
+    ring = [(cx - x, cy - y) for x, y in ring]
     k = ring.index(min(ring))
-    return tuple(ring[k:] + ring[:k]), piece[1]
+    return tuple(ring[k:] + ring[:k])
 
 
-def _moved(pieces, dx: int, dy: int):
-    """The pieces translated by (dx, dy); the same list when that is zero."""
+def _moved(rings, dx: int, dy: int):
+    """The rings translated by (dx, dy); the same list when that is zero."""
     if dx or dy:
-        return [(tuple([(x + dx, y + dy) for x, y in ring]), kind) for ring, kind in pieces]
-    return pieces
+        return [tuple([(x + dx, y + dy) for x, y in ring]) for ring in rings]
+    return rings
 
 
 def _cut_classes(rings, form):
@@ -325,7 +326,7 @@ def _cut_classes(rings, form):
         entry = memo.get(key)
         if entry is None:
             pieces = [_canonicalize(r) for r in _cut(ring, *form)]
-            entry = memo[key] = [x0, y0, pieces, sum(_ring_area2(r) for r, _ in pieces), None]
+            entry = memo[key] = [x0, y0, pieces, sum(map(_ring_area2, pieces)), None]
         out.append((entry, x0 - entry[0], y0 - entry[1]))
     return out
 
@@ -508,8 +509,8 @@ class RationalityReport:
     period_exceeds_threshold: bool
 
 
-def _refined_lattice_dist_sq(ring, kind: str, scale: int, D: GaussianInt, n: int) -> Fraction:
-    """Exact squared distance from the piece (ring, kind) at ``scale`` to the
+def _refined_lattice_dist_sq(ring, scale: int, D: GaussianInt, n: int) -> Fraction:
+    """Exact squared distance from the canonical ring at ``scale`` to the
     nearest point of D*Z[i]/n that is not a period point; in integers at
     scale S = scale*n, with the vertices n*(X, Y) and the candidate
     D*(j + ki)/n at scale*D*(j + ki)."""
@@ -525,7 +526,7 @@ def _refined_lattice_dist_sq(ring, kind: str, scale: int, D: GaussianInt, n: int
     j, k = (cx * dr + cy * di + T) // (2 * T), (cy * dr - cx * di + T) // (2 * T)
     if j % n == 0 and k % n == 0:
         j += 1
-    best = _ring_dist_sq(pts, kind, scale * (dr * j - di * k), scale * (di * j + dr * k))
+    best = _ring_dist_sq(pts, scale * (dr * j - di * k), scale * (di * j + dr * k))
     # every candidate that can do better lies within r of the box: scan the
     # box padded by r, nearest bound (squared distance to the box) first
     r = isqrt(best[0] // best[1]) + 1
@@ -543,7 +544,7 @@ def _refined_lattice_dist_sq(ring, kind: str, scale: int, D: GaussianInt, n: int
     for bound, x, y in candidates:
         if bound * best[1] >= best[0]:
             break
-        num, den = _ring_dist_sq(pts, kind, x, y)
+        num, den = _ring_dist_sq(pts, x, y)
         if num * best[1] < best[0] * den:
             best = num, den
     return Fraction(best[0], best[1] * (scale * n) ** 2)
@@ -558,8 +559,7 @@ def rationality_check(config: CoveringConfig, n: int) -> RationalityReport:
     report = uncovered_region(config)
     D = config.period
     distances = tuple(
-        _refined_lattice_dist_sq(ring, kind, report.scale, D, n)
-        for ring, kind in report.pieces
+        _refined_lattice_dist_sq(ring, report.scale, D, n) for ring in report.pieces
     )
     max_d = max(distances, default=Fraction(0))
     threshold = 40 * n * n + 20 * n

@@ -1,14 +1,15 @@
 """Exact convex pieces on an integer lattice: canonical construction, closed
 membership, point distances, and area bookkeeping.
 
-A piece is a ring of integer vertices at a positive scale L, the vertex
-(X, Y) standing for the point (X/L, Y/L); every predicate below is an
+A piece is a canonical ring of integer vertices at a positive scale L, the
+vertex (X, Y) standing for the point (X/L, Y/L); every predicate below is an
 integer cross or dot product, so it is exact at no extra cost.
 ``ConvexPolygon`` shows such a ring with ``Fraction`` vertices.
 
-Degenerate (zero-area) pieces are kept and flagged as segments or points
-rather than discarded: parts of an uncovered-region certificate can
-legitimately have empty interior.
+Degenerate (zero-area) pieces are kept rather than discarded: parts of an
+uncovered-region certificate can legitimately have empty interior.  A
+canonical ring's vertex count gives its kind: one vertex is a point, two
+are a segment and three or more a polygon (``_ring_kind``).
 """
 
 from __future__ import annotations
@@ -24,25 +25,23 @@ Ring = tuple[tuple[int, int], ...]
 
 class ConvexPolygon:
     """A closed convex region with exact rational vertices in
-    counterclockwise cyclic order; degenerate regions carry kind "segment"
+    counterclockwise cyclic order; degenerate regions have kind "segment"
     or "point" instead of "polygon".  It is stored as a canonical integer
-    ring at the least scale that holds its vertices.  With ``kind`` given,
+    ring at the least scale that holds its vertices.  With ``scale`` given,
     ``vertices`` must already be a canonical integer ring at ``scale``."""
 
-    __slots__ = ("_ring", "_scale", "_kind")
+    __slots__ = ("_ring", "_scale")
 
-    def __init__(self, vertices, kind: str | None = None, scale: int = 1):
-        if kind is None:
+    def __init__(self, vertices, scale: int | None = None):
+        if scale is None:
             pts = [(Fraction(x), Fraction(y)) for x, y in vertices]
             if not pts:
                 raise ValueError("a convex polygon needs at least one vertex")
             scale = math.lcm(*(c.denominator for p in pts for c in p))
-            vertices, kind = _canonicalize([(int(x * scale), int(y * scale))
-                                            for x, y in pts])
+            vertices = _canonicalize([(int(x * scale), int(y * scale)) for x, y in pts])
         g = math.gcd(scale, *(c for v in vertices for c in v))
         object.__setattr__(self, "_ring", tuple((x // g, y // g) for x, y in vertices))
         object.__setattr__(self, "_scale", scale // g)
-        object.__setattr__(self, "_kind", kind)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexPolygon is immutable")
@@ -54,24 +53,23 @@ class ConvexPolygon:
 
     @property
     def kind(self) -> str:
-        return self._kind
+        return _ring_kind(self._ring)
 
     @property
     def is_degenerate(self) -> bool:
-        return self._kind != "polygon"
+        return len(self._ring) < 3
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexPolygon):
             return NotImplemented
-        return (self._ring, self._scale, self._kind) == (
-            other._ring, other._scale, other._kind)
+        return (self._ring, self._scale) == (other._ring, other._scale)
 
     def __hash__(self) -> int:
-        return hash((self._ring, self._scale, self._kind))
+        return hash((self._ring, self._scale))
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({x}, {y})" for x, y in self.vertices)
-        return f"ConvexPolygon[{self._kind}]({pts})"
+        return f"ConvexPolygon[{self.kind}]({pts})"
 
     # -- measurements --------------------------------------------------------
 
@@ -99,23 +97,28 @@ class ConvexPolygon:
 
     def contains(self, point) -> bool:
         """Closed membership test."""
-        return _ring_contains(self._ring, self._kind, *self._point(point))
+        return _ring_contains(self._ring, *self._point(point))
 
     def dist_sq_to_point(self, point) -> Fraction:
         """Exact squared Euclidean distance from the closed region."""
         x, y, m = self._point(point)
         ring = [(m * vx, m * vy) for vx, vy in self._ring]
-        num, den = _ring_dist_sq(ring, self._kind, x, y)
+        num, den = _ring_dist_sq(ring, x, y)
         return Fraction(num, den * (m * self._scale) ** 2)
 
 
-def _ring_contains(ring, kind: str, x: int, y: int, m: int = 1) -> bool:
+def _ring_kind(ring) -> str:
+    """The kind of a canonical ring, from its vertex count."""
+    return ("point", "segment", "polygon")[min(len(ring), 3) - 1]
+
+
+def _ring_contains(ring, x: int, y: int, m: int = 1) -> bool:
     """Closed membership of the point (x/m, y/m), in the ring's units, in
-    the canonical piece (ring, kind); m > 0."""
-    if kind == "point":
+    the canonical ring; m > 0."""
+    if len(ring) == 1:
         (px, py), = ring
         return px * m == x and py * m == y
-    if kind == "segment":
+    if len(ring) == 2:
         (x0, y0), (x1, y1) = ring
         return ((x1 - x0) * (y - m * y0) == (y1 - y0) * (x - m * x0)
                 and m * min(x0, x1) <= x <= m * max(x0, x1)
@@ -128,10 +131,10 @@ def _ring_contains(ring, kind: str, x: int, y: int, m: int = 1) -> bool:
     return True
 
 
-def _ring_dist_sq(ring, kind: str, x: int, y: int) -> tuple[int, int]:
-    """Squared distance from the point (x, y) to the closed piece, all in
-    the ring's units, as an integer fraction (num, den) with den > 0."""
-    if kind == "polygon" and _ring_contains(ring, kind, x, y):
+def _ring_dist_sq(ring, x: int, y: int) -> tuple[int, int]:
+    """Squared distance from the point (x, y) to the closed canonical ring,
+    all in the ring's units, as an integer fraction (num, den) with den > 0."""
+    if len(ring) > 2 and _ring_contains(ring, x, y):
         return 0, 1
     best = None
     sx, sy = ring[-1]
@@ -161,20 +164,20 @@ def _ring_area2(ring) -> int:
     return total
 
 
-def _canonicalize(pts: list[tuple[int, int]]) -> tuple[Ring, str]:
+def _canonicalize(pts: list[tuple[int, int]]) -> Ring:
     """Canonical (counterclockwise, no repeated or collinear vertices,
     lexicographically least vertex first) form of a convex ring of integer
-    vertices, and its kind."""
+    vertices: one vertex for a point, two ends for a segment."""
     # drop consecutive duplicates (cyclically)
     ring = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
     while len(ring) > 1 and ring[0] == ring[-1]:
         ring.pop()
     distinct = sorted(set(ring))
     if len(distinct) == 1:
-        return (distinct[0],), "point"
+        return (distinct[0],)
     area2 = _ring_area2(ring)
     if area2 == 0:
-        return (distinct[0], distinct[-1]), "segment"
+        return (distinct[0], distinct[-1])
     if area2 < 0:
         ring.reverse()
     # drop collinear middle vertices: on a convex ring these are exactly the
@@ -183,7 +186,7 @@ def _canonicalize(pts: list[tuple[int, int]]) -> tuple[Ring, str]:
             if (q[0] - p[0]) * (r[1] - p[1]) != (q[1] - p[1]) * (r[0] - p[0])]
     if len(ring) < 3:
         distinct = sorted(set(ring))
-        return (distinct[0], distinct[-1]), "segment"
+        return (distinct[0], distinct[-1])
     start = ring.index(min(ring))
     ring = ring[start:] + ring[:start]
-    return tuple(ring), "polygon"
+    return tuple(ring)

@@ -81,12 +81,12 @@ def _cell_elements(report: CoverReport, norm: int) -> list[str]:
     L = report.scale
     top = L * norm
     out = []
-    for ring, kind in report.pieces:
+    for ring in report.pieces:
         pts = [(_fmt(x / L), _fmt((top - y) / L)) for x, y in ring]
-        if kind == "polygon":
+        if len(pts) > 2:
             points = " ".join(f"{x},{y}" for x, y in pts)
             out.append(f'<polygon points="{points}" fill="#000000"/>')
-        elif kind == "segment":
+        elif len(pts) == 2:
             (x1, y1), (x2, y2) = pts
             out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                        'stroke="#000000" stroke-width="0.030000"/>')
@@ -102,8 +102,8 @@ def _use_elements(report: CoverReport, norm: int, shifts) -> list[str]:
     if not report.pieces:
         return []
     L = report.scale
-    xs = [x for ring, _ in report.pieces for x, _ in ring]
-    ys = [y for ring, _ in report.pieces for _, y in ring]
+    xs = [x for ring in report.pieces for x, _ in ring]
+    ys = [y for ring in report.pieces for _, y in ring]
     x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     top = L * norm
     return [

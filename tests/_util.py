@@ -185,10 +185,8 @@ def with_pieces(report: CoverReport, polys) -> CoverReport:
     rings at their least common scale."""
     polys = list(polys)
     scale = math.lcm(*(c.denominator for p in polys for v in p.vertices for c in v))
-    pieces = tuple(
-        (tuple((int(x * scale), int(y * scale)) for x, y in p.vertices), p.kind)
-        for p in polys
-    )
+    pieces = tuple(tuple((int(x * scale), int(y * scale)) for x, y in p.vertices)
+                   for p in polys)
     return CoverReport(report.config, pieces, scale, report.total_uncovered_area,
                        report.obstruction_matches)
 
@@ -204,7 +202,7 @@ def whole_cell_pieces(config):
     for rotation in config.rotations:
         rings = _subtract_stripes(rings, rotation, eps, scale)
     pieces = tuple(_canonicalize(ring) for ring in rings)
-    area = Fraction(sum(_ring_area2(ring) for ring, _ in pieces), 2 * scale * scale)
+    area = Fraction(sum(map(_ring_area2, pieces)), 2 * scale * scale)
     return pieces, area
 
 

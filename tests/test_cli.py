@@ -72,6 +72,39 @@ def test_verify_covering_no_svg_and_audit(tmp_path, capsys):
     assert "audit points=60 seed=7 mismatches=0" in report
 
 
+# the touching-stripes config of test_covering.py: the stripe edges of one
+# rotation pass through the crossings of the other's, so two pieces are points
+TOUCHING_INI = """\
+[covering]
+rotations = -5/13+12/13i; -33/65-56/65i
+epsilon = 1/4
+period = -4-7i
+audit_points = 64
+"""
+
+
+def test_verify_covering_reports_and_draws_point_pieces(tmp_path, capsys):
+    cfg = _write(tmp_path / "touch.ini", TOUCHING_INI)
+    out = tmp_path / "out"
+    code, summary = _run(capsys, "verify-covering", "--config", cfg,
+                         "--out", str(out), "--seed", "3")
+    assert code == 1
+    assert "uncovered_pieces=65 area=65/4" in summary
+    report = (out / "report.txt").read_text().splitlines()
+    assert [line for line in report if "kind=point" in line] == [
+        "polygon 0 kind=point vertices=21/4,-3",
+        "polygon 64 kind=point vertices=-9/4,-8",
+    ]
+    assert "audit points=64 seed=3 mismatches=0" in report
+    svg = (out / "cover.svg").read_text()
+    cell = svg[svg.index('<g id="cell">'):svg.index("</g></defs>")]
+    # a point piece is a dot at (x, norm - y) in SVG units, norm = 65
+    assert [line for line in cell.splitlines() if 'r="0.060000"' in line] == [
+        '<circle cx="5.250000" cy="68.000000" r="0.060000" fill="#000000"/>',
+        '<circle cx="-2.250000" cy="73.000000" r="0.060000" fill="#000000"/>',
+    ]
+
+
 def test_exit_two_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     bad = _write(tmp_path / "bad.ini",
@@ -593,7 +626,9 @@ _DISK_INI = ("[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
      "input", "error: m_max must be positive"),
     # the zero period has no cell: not a catalog with every margin 0 (exit 1)
     ("obstructions", "[obstructions]\nepsilon = 1/4\nm_max = 2\nperiod = 0\n", [],
-     "input", "error: period norm must be at least 1, got 0\n"),
+     "input", "error: [obstructions] period: must be a nonzero Gaussian integer\n"),
+    ("verify-covering", FIGURE_INI.replace("1-2i", "0"), [],
+     "input", "error: [covering] period: must be a nonzero Gaussian integer\n"),
     # a precision below one digit is refused before the command runs, not
     # replaced by the command's default
     ("approx", "[approx]\nz = 0\np = 5\ntarget = 1/5\ndelta = 1/10\n",
@@ -635,6 +670,7 @@ _DISK_INI = ("[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
     ("verify-covering", FIGURE_INI + "audit_points = -1\n", ["--no-svg"],
      "input", "error: [covering] audit_points: must be at least 0, got -1\n"),
 ], ids=["precision", "torsion-unit", "input", "obstructions-period-zero",
+        "covering-period-zero",
         "precision-zero", "precision-negative",
         "disk-n-max", "disk-N-max", "disk-refine-rounds", "disk-epsilon-wide",
         "disk-epsilon-negative", "disk-grid-overflow", "disk-grid-subnormal", "disk-grid-huge",
@@ -648,6 +684,37 @@ def test_error_tags(tmp_path, capsys, command, ini, argv, tag, message):
     assert code == 2
     assert captured.out == f"command={command} exit=2 error={tag}\n"
     assert captured.err.startswith(message)
+    assert not out.exists()
+
+
+# (command, its section, a config of that section without the named key)
+_MISSING_KEYS = [
+    ("verify-covering", "covering", "rotations", "epsilon = 1/4\n"),
+    ("obstructions", "obstructions", "m_max", "epsilon = 1/4\n"),
+    ("irrational-cover", "disk", "n_max",
+     "epsilon = 0.45\nradius = 1.0\npitch = 0.05\nN_max = 0\n"),
+    ("approx", "approx", "target", "z = 0\np = 5\ndelta = 1/10\n"),
+    ("orbit", "orbit", "w", "m = 1\nsweep = 3\n"),
+]
+
+
+@pytest.mark.parametrize("missing", ["section", "key"])
+@pytest.mark.parametrize("command, section, key, body", _MISSING_KEYS,
+                         ids=[row[0] for row in _MISSING_KEYS])
+def test_missing_section_or_key_exits_two(tmp_path, capsys, command, section, key, body,
+                                          missing):
+    if missing == "section":
+        ini, message = "[unused]\nkey = 1\n", f"error: missing section [{section}]\n"
+    else:
+        ini, message = f"[{section}]\n{body}", \
+            f"error: missing key '{key}' in section [{section}]\n"
+    cfg = _write(tmp_path / "m.ini", ini)
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == f"command={command} exit=2 error=input\n"
+    assert captured.err == message
     assert not out.exists()
 
 

@@ -203,8 +203,8 @@ def test_lattice_subtraction_matches_fraction_oracle(cfg):
 
 
 def test_touching_stripes_leave_point_pieces():
-    kinds = [kind for _, kind in uncovered_region(TOUCHING_CONFIG, obstruction_m_max=1).pieces]
-    assert kinds.count("point") == 2 and "segment" not in kinds
+    sizes = [len(ring) for ring in uncovered_region(TOUCHING_CONFIG, obstruction_m_max=1).pieces]
+    assert sizes.count(1) == 2 and 2 not in sizes
 
 
 def test_off_lattice_crossing_raises():
@@ -373,7 +373,7 @@ def test_half_cell_walk_matches_the_whole_cell(cfg):
 def _assert_matches_the_whole_cell(cfg):
     report = uncovered_region(cfg, obstruction_m_max=1)
     pieces, area = whole_cell_pieces(cfg)
-    assert report.pieces == pieces  # the same rings and kinds, in the same order
+    assert report.pieces == pieces  # the same rings, in the same order
     assert report.total_uncovered_area == area
     whole = dataclasses.replace(report, pieces=pieces, total_uncovered_area=area)
     assert report.report_lines() == whole.report_lines()
@@ -477,7 +477,7 @@ def test_middle_slab_holds_the_cell_centre(index, eps):
         assert n % 2 == 1
         # the centre (1+i)D/2 at scale 2L lies in the middle slab and no other
         centre = (L * (period.re - period.im), L * (period.re + period.im), 2)
-        inside = [_ring_contains(*_canonicalize(ring), *centre) for ring in slabs]
+        inside = [_ring_contains(_canonicalize(ring), *centre) for ring in slabs]
         assert inside == [j == n // 2 for j in range(n)]
         # s maps the j-th slab onto the (n-1-j)-th
         canonical = [_canonicalize(ring) for ring in slabs]
@@ -637,7 +637,7 @@ def test_membership_on_cell_edges_matches_the_audit_stripe_test(case):
     D, L = cfg.period, report.scale
     LN = L * D.norm()
     probes = [(GaussianInt(j, k) * D, n) for j, k in points]
-    for ring, _ in report.pieces:
+    for ring in report.pieces:
         for x, y in ring:
             # (x + iy)/(L*D) has a cell coordinate 0 or 1: the vertex is on an edge
             if (x * D.re + y * D.im) % LN == 0 or (y * D.re - x * D.im) % LN == 0:
@@ -1402,8 +1402,8 @@ def test_rationality_check():
 ])
 def test_refined_lattice_distance_matches_window_brute_force(cfg, n):
     report = uncovered_region(cfg, obstruction_m_max=1)
-    for (ring, kind), poly in zip(report.pieces, report.uncovered):
-        got = covering._refined_lattice_dist_sq(ring, kind, report.scale, cfg.period, n)
+    for ring, poly in zip(report.pieces, report.uncovered):
+        got = covering._refined_lattice_dist_sq(ring, report.scale, cfg.period, n)
         assert got == _window_brute_force(poly, cfg.period, n)
 
 
@@ -1442,8 +1442,7 @@ def test_integer_rationality_distance_matches_fraction_brute_force(case):
     report, n, chosen = case
     D = report.config.period
     for i in chosen:
-        ring, kind = report.pieces[i]
-        got = covering._refined_lattice_dist_sq(ring, kind, report.scale, D, n)
+        got = covering._refined_lattice_dist_sq(report.pieces[i], report.scale, D, n)
         assert got == _window_brute_force(report.uncovered[i], D, n)
 
 
@@ -1461,7 +1460,7 @@ def test_rationality_distance_of_any_piece_matches_fraction_brute_force(points, 
     poly = ConvexPolygon(points)
     scale = math.lcm(*(c.denominator for v in poly.vertices for c in v))
     ring = tuple((int(x * scale), int(y * scale)) for x, y in poly.vertices)
-    got = covering._refined_lattice_dist_sq(ring, poly.kind, scale, D, n)
+    got = covering._refined_lattice_dist_sq(ring, scale, D, n)
     assert got == _window_brute_force(poly, D, n)
 
 

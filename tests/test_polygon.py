@@ -38,6 +38,21 @@ def test_degenerate_flags():
         ConvexPolygon([])
 
 
+def test_a_canonical_ring_gives_its_kind():
+    # a ring at a given scale is taken as canonical, and its vertex count is
+    # its kind: there is no second word that could disagree with it
+    for ring, kind in [(((0, 0),), "point"), (((0, 0), (2, 0)), "segment"),
+                       (((0, 0), (2, 0), (0, 2)), "polygon")]:
+        piece = ConvexPolygon(ring, 4)
+        assert piece.kind == kind and piece.is_degenerate == (kind != "polygon")
+        assert piece == ConvexPolygon([(F(x, 4), F(y, 4)) for x, y in ring])
+        assert repr(piece).startswith(f"ConvexPolygon[{kind}](")
+    tri = ConvexPolygon(((0, 0), (2, 0), (0, 2)), 1)
+    assert tri.area() == 2 and tri.contains((0, 0))
+    with pytest.raises(TypeError):
+        ConvexPolygon(((0, 0), (2, 0), (0, 2)), "point", 1)
+
+
 def test_area_and_bbox():
     sq = unit_square()
     assert sq.area2() == 2 and sq.area() == 1
