@@ -223,7 +223,7 @@ def _cmd_verify_covering(config, ini, artifacts):
     from .covering import uncovered_region
 
     cover = _covering_config(ini)
-    m_max = _field(ini, "covering", "obstruction_m_max", _INTEGER, "2")
+    m_max = _least(ini, "covering", "obstruction_m_max", 1, "2")
     report = uncovered_region(cover, obstruction_m_max=m_max)
     lines = report.report_lines()
 
@@ -265,9 +265,9 @@ def _cmd_obstructions(config, ini, artifacts):
     from .covering import obstruction_catalog
 
     epsilon = _field(ini, "obstructions", "epsilon", _RATIONAL)
-    m_max = _field(ini, "obstructions", "m_max", _INTEGER)
+    m_max = _least(ini, "obstructions", "m_max", 1)
     norm = _period(ini, "obstructions", "1-2i").norm()
-    entries = obstruction_catalog(epsilon, m_max, norm)
+    entries = _checked("obstructions", obstruction_catalog, epsilon, m_max, norm)
     lines = [
         "kind=obstructions",
         f"epsilon={epsilon}",
@@ -445,14 +445,14 @@ def _cmd_approx(config, ini, artifacts):
     z = _field(ini, "approx", "z", _EXACT_POINT)
     delta = _field(ini, "approx", "delta", _RATIONAL)
     precision = 16 if config.precision_k is None else config.precision_k
-    target5_text = _field(ini, "approx", "target5", default=None)
-    target13_text = _field(ini, "approx", "target13", default=None)
     lines = ["kind=approx", f"z={z}", f"delta={delta}"]
     z = exact_gaussian_rational(z)  # a float literal at its exact binary value
-    if target5_text is not None and target13_text is not None:
+    if ini.has_option("approx", "target5") or ini.has_option("approx", "target13"):
+        target5_text = _field(ini, "approx", "target5")
+        target13_text = _field(ini, "approx", "target13")
         a = embed(_parse(_RATIONAL, target5_text, "[approx] target5"), 5, precision)
         b = embed(_parse(_RATIONAL, target13_text, "[approx] target13"), 13, precision)
-        q = strong_approx_3way(z, a, b, delta)
+        q = _checked("approx", strong_approx_3way, z, a, b, delta)
         residual_5 = embed(q, 5, precision).distance(a)
         residual_13 = embed(q, 13, precision).distance(b)
         lines += [
@@ -467,7 +467,7 @@ def _cmd_approx(config, ini, artifacts):
         p = _prime_site(ini, "approx")
         target_text = _field(ini, "approx", "target")
         b = embed(_parse(_RATIONAL, target_text, "[approx] target"), p, precision)
-        q = strong_approx(z, b, delta)
+        q = _checked("approx", strong_approx, z, b, delta)
         residual_p = embed(q, p, precision).distance(b)
         lines += [
             f"p={p}",

@@ -3,8 +3,9 @@ membership, point distances, and area bookkeeping.
 
 A piece is a canonical ring of integer vertices at a positive scale L, the
 vertex (X, Y) standing for the point (X/L, Y/L); every predicate below is an
-integer cross or dot product, so it is exact at no extra cost.
-``ConvexPolygon`` shows such a ring with ``Fraction`` vertices.
+integer cross or dot product, so it is exact at no extra cost.  These ring
+kernels are the package's only geometry predicates; ``ConvexPolygon`` is a
+read-only view of a ring, with ``Fraction`` vertices and its kind.
 
 Degenerate (zero-area) pieces are kept rather than discarded: parts of an
 uncovered-region certificate can legitimately have empty interior.  A
@@ -24,11 +25,13 @@ Ring = tuple[tuple[int, int], ...]
 
 
 class ConvexPolygon:
-    """A closed convex region with exact rational vertices in
-    counterclockwise cyclic order; degenerate regions have kind "segment"
-    or "point" instead of "polygon".  It is stored as a canonical integer
-    ring at the least scale that holds its vertices.  With ``scale`` given,
-    ``vertices`` must already be a canonical integer ring at ``scale``."""
+    """A read-only view of a canonical ring: exact rational vertices in
+    counterclockwise cyclic order, and a kind ("polygon", "segment" or
+    "point").  ``vertices`` must be those of a closed convex region in cyclic
+    order, in either orientation; other input is not checked.  The ring is
+    canonical at the least scale that holds the vertices; with ``scale``
+    given, ``vertices`` must already be a canonical integer ring at
+    ``scale``."""
 
     __slots__ = ("_ring", "_scale")
 
@@ -55,10 +58,6 @@ class ConvexPolygon:
     def kind(self) -> str:
         return _ring_kind(self._ring)
 
-    @property
-    def is_degenerate(self) -> bool:
-        return len(self._ring) < 3
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexPolygon):
             return NotImplemented
@@ -70,41 +69,6 @@ class ConvexPolygon:
     def __repr__(self) -> str:
         pts = ", ".join(f"({x}, {y})" for x, y in self.vertices)
         return f"ConvexPolygon[{self.kind}]({pts})"
-
-    # -- measurements --------------------------------------------------------
-
-    def area2(self) -> Fraction:
-        """Twice the enclosed area (exact, nonnegative; 0 when degenerate)."""
-        return Fraction(_ring_area2(self._ring), self._scale**2)
-
-    def area(self) -> Fraction:
-        return self.area2() / 2
-
-    def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        xs = [x for x, _ in self._ring]
-        ys = [y for _, y in self._ring]
-        L = self._scale
-        return (Fraction(min(xs), L), Fraction(max(xs), L),
-                Fraction(min(ys), L), Fraction(max(ys), L))
-
-    # -- predicates ----------------------------------------------------------
-
-    def _point(self, point) -> tuple[int, int, int]:
-        """(X, Y, m) with the point (X/m, Y/m) in the ring's units."""
-        x, y = Fraction(point[0]), Fraction(point[1])
-        m = math.lcm(x.denominator, y.denominator)
-        return int(x * m * self._scale), int(y * m * self._scale), m
-
-    def contains(self, point) -> bool:
-        """Closed membership test."""
-        return _ring_contains(self._ring, *self._point(point))
-
-    def dist_sq_to_point(self, point) -> Fraction:
-        """Exact squared Euclidean distance from the closed region."""
-        x, y, m = self._point(point)
-        ring = [(m * vx, m * vy) for vx, vy in self._ring]
-        num, den = _ring_dist_sq(ring, x, y)
-        return Fraction(num, den * (m * self._scale) ** 2)
 
 
 def _ring_kind(ring) -> str:

@@ -180,6 +180,14 @@ def fraction_dist_sq(poly: ConvexPolygon, point) -> Fraction:
     return min(_segment_dist_sq(p, pts[i - 1], pts[i]) for i in range(len(pts)))
 
 
+def fraction_area(poly: ConvexPolygon) -> Fraction:
+    """Enclosed area of the piece (shoelace over its counterclockwise
+    vertices; 0 for a segment or a point)."""
+    pts = poly.vertices
+    return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts[-1:] + pts[:-1], pts)),
+               Fraction(0)) / 2
+
+
 def with_pieces(report: CoverReport, polys) -> CoverReport:
     """The report with the given ConvexPolygons as its pieces, as integer
     rings at their least common scale."""

@@ -331,6 +331,13 @@ def test_circle_density_single_point():
     assert report.max_gap == pytest.approx(2 * math.pi)
 
 
+def test_circle_density_without_threshold_has_no_verdict():
+    report = circle_density(THETA5, 1 + 0j, 20)
+    assert report.is_dense is None
+    assert [field for field, _ in report.csv_rows()] == [
+        "parameter", "max_gap", "witness_lo", "witness_hi"]
+
+
 def test_circle_density_aperiodic_rotation():
     report = circle_density(THETA5, 1 + 0j, 200)
     assert report.max_gap < 2 * math.pi / 20

@@ -1,13 +1,13 @@
-"""Every cover-build catalog job of the benchmark writes the report bytes
-recorded in ``perfbench/expected.json``, and every adelic-scan disk job
-(``irrational-cover``, whose verdict alone is recorded there), one longer
-disk scan and every
-approximation job of the first round of schedule seed 0 (which the benchmark
-checks only with oracles) writes the report bytes pinned below, as every
-adelic-scan orbit job does its ``report.txt`` and ``orbit.csv`` bytes: each
-job runs through ``pyjama.cli.main`` in this process, and its exit code and
-the sha256 (first 16 hex digits) of those files must match.  The
-benchmark's files are only read."""
+"""Every cover-build and cover-query catalog job of the benchmark writes
+the report bytes recorded in ``perfbench/expected.json``, and every
+adelic-scan disk job (``irrational-cover``, whose verdict alone is recorded
+there), one longer disk scan and every approximation job of the first round
+of schedule seed 0 (which the benchmark checks only with oracles) writes the
+report bytes pinned below, as every adelic-scan orbit job does its
+``report.txt`` and ``orbit.csv`` bytes: each job runs through
+``pyjama.cli.main`` in this process, and its exit code and the sha256
+(first 16 hex digits) of those files must match.  The benchmark's files
+are only read."""
 
 import contextlib
 import hashlib
@@ -40,6 +40,7 @@ def _load_workloads():
 
 WORKLOADS = _load_workloads()
 JOBS = [job for _, jobs in sorted(WORKLOADS.catalog("cover-build").items()) for job in jobs]
+QUERY_JOBS = [job for _, jobs in sorted(WORKLOADS.catalog("cover-query").items()) for job in jobs]
 DISK_JOBS = WORKLOADS.catalog("adelic-scan")["disk"]
 EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())
 # report.txt digests of the disk jobs, from scripts/catalog_digest.py; their
@@ -117,6 +118,16 @@ def test_catalog_has_every_cover_build_job():
 
 @pytest.mark.parametrize("job", JOBS, ids=lambda job: f"{job.cls}-{job.key}")
 def test_cover_build_report_bytes(job, tmp_path):
+    assert _run(job, tmp_path) == (EXPECTED[job.key]["exit"], EXPECTED[job.key]["digest"])
+
+
+def test_catalog_has_every_cover_query_job():
+    assert len(QUERY_JOBS) == 170
+    assert all(job.key in EXPECTED and "digest" in EXPECTED[job.key] for job in QUERY_JOBS)
+
+
+@pytest.mark.parametrize("job", QUERY_JOBS, ids=lambda job: f"{job.cls}-{job.key}")
+def test_cover_query_report_bytes(job, tmp_path):
     assert _run(job, tmp_path) == (EXPECTED[job.key]["exit"], EXPECTED[job.key]["digest"])
 
 

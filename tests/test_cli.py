@@ -528,6 +528,17 @@ def test_unknown_command_rejected(capsys):
     capsys.readouterr()
 
 
+def test_run_refuses_an_unknown_command(tmp_path, capsys):
+    # run is public, though main's parser refuses such a command before it
+    out = tmp_path / "out"
+    config = RunConfig(command="nope", input_path=str(tmp_path / "x.ini"), output_dir=str(out))
+    assert run(config) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "command=nope exit=2 error=unknown-command\n"
+    assert captured.err == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, ini", [
     ("irrational-cover", "[disk]\nepsilon = 0.45\nradius = inf\npitch = 0.05\n"
                          "n_max = 1\nN_max = 0\n"),
@@ -621,9 +632,21 @@ _DISK_INI = ("[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
     # -1 is a root of unity, so the closure of its powers is finite
     ("closure-index", "[closure-index]\nu = -1\np = 5\n", [],
      "torsion-unit", "error: 624 mod 5^4 is a root of unity"),
-    # a ValueError raised inside the catalog builder, not by the config reader
+    # a builder's own ValueError, not the config reader's: 5 is not a unit at 5
+    ("closure-index", "[closure-index]\nu = 5\np = 5\n", [],
+     "input", "error: closure_index needs a unit (valuation 0)\n"),
+    # the builders' ValueErrors, and the keys they would come from, name
+    # their section
     ("obstructions", "[obstructions]\nepsilon = 1/4\nm_max = 0\n", [],
-     "input", "error: m_max must be positive"),
+     "input", "error: [obstructions] m_max: must be at least 1, got 0\n"),
+    ("verify-covering", FIGURE_INI + "obstruction_m_max = 0\n", ["--no-svg"],
+     "input", "error: [covering] obstruction_m_max: must be at least 1, got 0\n"),
+    ("obstructions", "[obstructions]\nepsilon = 3/5\nm_max = 2\n", [],
+     "input", "error: [obstructions]: stripe half-width must lie in (0, 1/2)\n"),
+    ("approx", "[approx]\nz = 0\np = 5\ntarget = 1/5\ndelta = 0\n", [],
+     "input", "error: [approx]: tolerance must be positive\n"),
+    ("approx", "[approx]\nz = 0\ntarget5 = 1/5\ntarget13 = 1/13\ndelta = 0\n", [],
+     "input", "error: [approx]: tolerance must be positive\n"),
     # the zero period has no cell: not a catalog with every margin 0 (exit 1)
     ("obstructions", "[obstructions]\nepsilon = 1/4\nm_max = 2\nperiod = 0\n", [],
      "input", "error: [obstructions] period: must be a nonzero Gaussian integer\n"),
@@ -669,7 +692,9 @@ _DISK_INI = ("[disk]\nepsilon = 0.45\nradius = 1.0\npitch = 0.05\n"
     # a negative count would run no audit yet print audit_mismatches=0
     ("verify-covering", FIGURE_INI + "audit_points = -1\n", ["--no-svg"],
      "input", "error: [covering] audit_points: must be at least 0, got -1\n"),
-], ids=["precision", "torsion-unit", "input", "obstructions-period-zero",
+], ids=["precision", "torsion-unit", "input", "obstructions-m-max",
+        "covering-obstruction-m-max", "obstructions-epsilon-wide", "approx-delta-zero",
+        "approx-3way-delta-zero", "obstructions-period-zero",
         "covering-period-zero",
         "precision-zero", "precision-negative",
         "disk-n-max", "disk-N-max", "disk-refine-rounds", "disk-epsilon-wide",
@@ -695,12 +720,16 @@ _MISSING_KEYS = [
      "epsilon = 0.45\nradius = 1.0\npitch = 0.05\nN_max = 0\n"),
     ("approx", "approx", "target", "z = 0\np = 5\ndelta = 1/10\n"),
     ("orbit", "orbit", "w", "m = 1\nsweep = 3\n"),
+    # either target of a three-way approximation makes the other required
+    ("approx", "approx", "target13", "z = 0\ntarget5 = 1/5\ndelta = 1/10\n"),
+    ("approx", "approx", "target5", "z = 0\ntarget13 = 1/13\ndelta = 1/10\n"),
 ]
 
 
 @pytest.mark.parametrize("missing", ["section", "key"])
 @pytest.mark.parametrize("command, section, key, body", _MISSING_KEYS,
-                         ids=[row[0] for row in _MISSING_KEYS])
+                         ids=[*(row[0] for row in _MISSING_KEYS[:5]),
+                              "approx-target13", "approx-target5"])
 def test_missing_section_or_key_exits_two(tmp_path, capsys, command, section, key, body,
                                           missing):
     if missing == "section":

@@ -40,6 +40,7 @@ from pyjama.solenoid import ExactPoint, stripe_membership
 from _util import (
     clip_halfplane,
     float_literal_bounds,
+    fraction_area,
     fraction_contains,
     fraction_dist_sq,
     plain_forms,
@@ -199,7 +200,7 @@ def test_lattice_subtraction_matches_fraction_oracle(cfg):
     report = uncovered_region(cfg, obstruction_m_max=1)
     oracle = _fraction_uncovered(cfg)
     assert tuple(report.uncovered) == tuple(oracle)  # vertices and kind, in order
-    assert report.total_uncovered_area == sum((p.area() for p in oracle), F(0))
+    assert report.total_uncovered_area == sum(map(fraction_area, oracle), F(0))
 
 
 def test_touching_stripes_leave_point_pieces():
@@ -273,10 +274,10 @@ def test_stripe_clip_area_additivity(case):
     stripe = clip_halfplane(poly, a, b, c + w)
     if stripe is not None:
         stripe = clip_halfplane(stripe, -a, -b, -(c - w))
-    stripe_area2 = 0 if stripe is None else L * L * stripe.area2()
+    stripe_area2 = 0 if stripe is None else 2 * L * L * fraction_area(stripe)
     assert sum(_ring_area2(part) for part in parts) + stripe_area2 == L * L * _ring_area2(ring)
     pieces = [below, above, stripe]
-    assert sum((p.area() for p in pieces if p is not None), F(0)) == poly.area()
+    assert sum(map(fraction_area, filter(None, pieces)), F(0)) == fraction_area(poly)
 
 
 @st.composite
@@ -324,7 +325,7 @@ def test_split_slabs_matches_fraction_oracle(case):
                    for x, y in part)
         assert all((q[0] - p[0]) * (r[1] - p[1]) >= (q[1] - p[1]) * (r[0] - p[0])
                    for p, q, r in zip(part[-1:] + part[:-1], part, part[1:] + part[:1]))
-    assert [_ring_area2(part) for part in parts] == [L * L * p.area2() for p in oracle]
+    assert [_ring_area2(part) for part in parts] == [2 * L * L * fraction_area(p) for p in oracle]
 
 
 # extra period factors: 1+i, 1-i and 2 make N(D) even (an even slab count),
@@ -580,11 +581,11 @@ def test_area_bookkeeping_inclusion_exclusion():
     )
     t1, t2 = cfg.rotations
     eps = cfg.epsilon
-    a1 = sum((p.area() for p in _closed_slab_pieces(domain, t1, eps)), F(0))
-    a2 = sum((p.area() for p in _closed_slab_pieces(domain, t2, eps)), F(0))
+    a1 = sum(map(fraction_area, _closed_slab_pieces(domain, t1, eps)), F(0))
+    a2 = sum(map(fraction_area, _closed_slab_pieces(domain, t2, eps)), F(0))
     both = F(0)
     for p1 in _closed_slab_pieces(domain, t1, eps):
-        both += sum((q.area() for q in _closed_slab_pieces(p1, t2, eps)), F(0))
+        both += sum(map(fraction_area, _closed_slab_pieces(p1, t2, eps)), F(0))
     union = a1 + a2 - both
     report = uncovered_region(cfg)
     assert report.total_uncovered_area + union == D.norm()
@@ -1410,7 +1411,8 @@ def test_refined_lattice_distance_matches_window_brute_force(cfg, n):
 def _window_brute_force(poly, D, n):
     """The least Fraction-oracle distance from the piece to every candidate
     of the window that _refined_lattice_dist_sq scans."""
-    xmin, xmax, ymin, ymax = poly.bounding_box()
+    xs, ys = zip(*poly.vertices)
+    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     pad = F(2 * (math.isqrt(D.norm()) + 1), n)
     scale = GaussianRational(GaussianInt(n, 0)) / GaussianRational(D)
     images = [GaussianRational.from_fractions(x, y) * scale
