@@ -296,8 +296,8 @@ def _cut(ring, qa: int, qb: int, up: int, uq: int):
 def _mirrored(ring, cx: int, cy: int):
     """The canonical ring s(ring) for the half-turn s(X, Y) = (cx - X, cy - Y):
     the mapped ring rotated to its least vertex.  A half-turn keeps a ring
-    counterclockwise and reverses the lexicographic order, so this also
-    swaps a segment's two ends and maps a point."""
+    counterclockwise and reverses the lexicographic order, and it maps a
+    point to a point."""
     ring = [(cx - x, cy - y) for x, y in ring]
     k = ring.index(min(ring))
     return tuple(ring[k:] + ring[:k])

@@ -7,16 +7,21 @@ integer cross or dot product, so it is exact at no extra cost.  These ring
 kernels are the package's only geometry predicates; ``ConvexPolygon`` is a
 read-only view of a ring, with ``Fraction`` vertices and its kind.
 
-Degenerate (zero-area) pieces are kept rather than discarded: parts of an
-uncovered-region certificate can legitimately have empty interior.  A
-canonical ring's vertex count gives its kind: one vertex is a point, two
-are a segment and three or more a polygon (``_ring_kind``).
+The domain is the closed convex rings in cyclic order, points and polygons
+only: a canonical ring of one vertex is a point, of three or more a polygon
+(``_ring_kind``); no uncovered region holds a segment.  ``_canonicalize``
+raises ``CertificateError`` for any other ring of two or more distinct
+vertices: one of zero area (a segment, a bowtie) or one that turns right (a
+concave ring).  A ring that winds around more than once is not detected; no
+stripe walk can make one.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .gaussian import CertificateError
 
 __all__ = ["ConvexPolygon"]
 
@@ -26,12 +31,12 @@ Ring = tuple[tuple[int, int], ...]
 
 class ConvexPolygon:
     """A read-only view of a canonical ring: exact rational vertices in
-    counterclockwise cyclic order, and a kind ("polygon", "segment" or
-    "point").  ``vertices`` must be those of a closed convex region in cyclic
-    order, in either orientation; other input is not checked.  The ring is
-    canonical at the least scale that holds the vertices; with ``scale``
-    given, ``vertices`` must already be a canonical integer ring at
-    ``scale``."""
+    counterclockwise cyclic order, and a kind ("polygon" or "point").
+    ``vertices`` must be a point or a closed convex region in cyclic order,
+    in either orientation; CertificateError otherwise, except that a ring
+    winding more than once is not detected.  The ring is canonical at the
+    least scale that holds the vertices; with ``scale`` given, ``vertices``
+    must already be a canonical integer ring at ``scale``."""
 
     __slots__ = ("_ring", "_scale")
 
@@ -73,7 +78,7 @@ class ConvexPolygon:
 
 def _ring_kind(ring) -> str:
     """The kind of a canonical ring, from its vertex count."""
-    return ("point", "segment", "polygon")[min(len(ring), 3) - 1]
+    return "point" if len(ring) == 1 else "polygon"
 
 
 def _ring_contains(ring, x: int, y: int, m: int = 1) -> bool:
@@ -82,11 +87,6 @@ def _ring_contains(ring, x: int, y: int, m: int = 1) -> bool:
     if len(ring) == 1:
         (px, py), = ring
         return px * m == x and py * m == y
-    if len(ring) == 2:
-        (x0, y0), (x1, y1) = ring
-        return ((x1 - x0) * (y - m * y0) == (y1 - y0) * (x - m * x0)
-                and m * min(x0, x1) <= x <= m * max(x0, x1)
-                and m * min(y0, y1) <= y <= m * max(y0, y1))
     x0, y0 = ring[-1]
     for x1, y1 in ring:
         if (x1 - x0) * (y - m * y0) < (y1 - y0) * (x - m * x0):
@@ -98,7 +98,7 @@ def _ring_contains(ring, x: int, y: int, m: int = 1) -> bool:
 def _ring_dist_sq(ring, x: int, y: int) -> tuple[int, int]:
     """Squared distance from the point (x, y) to the closed canonical ring,
     all in the ring's units, as an integer fraction (num, den) with den > 0."""
-    if len(ring) > 2 and _ring_contains(ring, x, y):
+    if len(ring) > 1 and _ring_contains(ring, x, y):
         return 0, 1
     best = None
     sx, sy = ring[-1]
@@ -130,27 +130,24 @@ def _ring_area2(ring) -> int:
 
 def _canonicalize(pts: list[tuple[int, int]]) -> Ring:
     """Canonical (counterclockwise, no repeated or collinear vertices,
-    lexicographically least vertex first) form of a convex ring of integer
-    vertices: one vertex for a point, two ends for a segment."""
+    lexicographically least vertex first) form of a point or a convex ring
+    of integer vertices; CertificateError for a ring of two or more distinct
+    vertices with zero area or a right turn."""
     # drop consecutive duplicates (cyclically)
     ring = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
     while len(ring) > 1 and ring[0] == ring[-1]:
         ring.pop()
-    distinct = sorted(set(ring))
-    if len(distinct) == 1:
-        return (distinct[0],)
+    if len(ring) == 1:
+        return (ring[0],)
     area2 = _ring_area2(ring)
-    if area2 == 0:
-        return (distinct[0], distinct[-1])
     if area2 < 0:
         ring.reverse()
-    # drop collinear middle vertices: on a convex ring these are exactly the
-    # vertices that are not corners
-    ring = [q for p, q, r in zip(ring[-1:] + ring[:-1], ring, ring[1:] + ring[:1])
-            if (q[0] - p[0]) * (r[1] - p[1]) != (q[1] - p[1]) * (r[0] - p[0])]
-    if len(ring) < 3:
-        distinct = sorted(set(ring))
-        return (distinct[0], distinct[-1])
+    # the turn at each vertex: a convex ring has no right turn, and its
+    # corners are the vertices with a left turn (the others are collinear)
+    turns = [((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]), q)
+             for p, q, r in zip(ring[-1:] + ring[:-1], ring, ring[1:] + ring[:1])]
+    if area2 == 0 or min(turns)[0] < 0:
+        raise CertificateError(f"the ring {tuple(pts)} is neither a point nor a convex polygon")
+    ring = [q for turn, q in turns if turn]
     start = ring.index(min(ring))
-    ring = ring[start:] + ring[:start]
-    return tuple(ring)
+    return tuple(ring[start:] + ring[:start])

@@ -86,10 +86,6 @@ def _cell_elements(report: CoverReport, norm: int) -> list[str]:
         if len(pts) > 2:
             points = " ".join(f"{x},{y}" for x, y in pts)
             out.append(f'<polygon points="{points}" fill="#000000"/>')
-        elif len(pts) == 2:
-            (x1, y1), (x2, y2) = pts
-            out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                       'stroke="#000000" stroke-width="0.030000"/>')
         else:
             (x, y), = pts
             out.append(f'<circle cx="{x}" cy="{y}" r="0.060000" fill="#000000"/>')

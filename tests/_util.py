@@ -9,6 +9,8 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from pyjama.covering import CoverReport, _lattice_scale, _subtract_stripes
 from pyjama.gaussian import (
     P5,
@@ -125,18 +127,16 @@ def _crossing(s, e, fs, fe):
     return (s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1]))
 
 
-def clip_halfplane(poly: ConvexPolygon, a, b, c) -> ConvexPolygon | None:
-    """Sutherland-Hodgman intersection of the piece with the closed
-    halfplane a*x + b*y <= c, or None when it is empty."""
+def clip_halfplane(pts, a, b, c) -> list:
+    """Sutherland-Hodgman intersection of a ring of vertices in cyclic order
+    (a convex ring, a segment's two ends or one point) with the closed
+    halfplane a*x + b*y <= c: its vertices in the halfplane and its edges'
+    crossings with the line, in the ring's order; empty when the
+    intersection is."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    pts = poly.vertices
-    if poly.kind == "point":
-        (x, y), = pts
-        return poly if a * x + b * y <= c else None
-    ring = list(pts) if poly.kind == "polygon" else [pts[0], pts[1]]
+    pts = list(pts)
     out = []
-    for i, s in enumerate(ring):
-        e = ring[(i + 1) % len(ring)]
+    for s, e in zip(pts, pts[1:] + pts[:1]):
         fs = a * s[0] + b * s[1] - c
         fe = a * e[0] + b * e[1] - c
         if fs <= 0:
@@ -145,7 +145,7 @@ def clip_halfplane(poly: ConvexPolygon, a, b, c) -> ConvexPolygon | None:
                 out.append(_crossing(s, e, fs, fe))
         elif fe < 0:
             out.append(_crossing(s, e, fs, fe))
-    return ConvexPolygon(out) if out else None
+    return out
 
 
 def fraction_contains(poly: ConvexPolygon, point) -> bool:
@@ -154,11 +154,6 @@ def fraction_contains(poly: ConvexPolygon, point) -> bool:
     pts = poly.vertices
     if poly.kind == "point":
         return p == pts[0]
-    if poly.kind == "segment":
-        s, e = pts
-        return (_cross(s, e, p) == 0
-                and min(s[0], e[0]) <= p[0] <= max(s[0], e[0])
-                and min(s[1], e[1]) <= p[1] <= max(s[1], e[1]))
     return all(_cross(pts[i], pts[(i + 1) % len(pts)], p) >= 0
                for i in range(len(pts)))
 
@@ -180,12 +175,40 @@ def fraction_dist_sq(poly: ConvexPolygon, point) -> Fraction:
     return min(_segment_dist_sq(p, pts[i - 1], pts[i]) for i in range(len(pts)))
 
 
-def fraction_area(poly: ConvexPolygon) -> Fraction:
-    """Enclosed area of the piece (shoelace over its counterclockwise
-    vertices; 0 for a segment or a point)."""
-    pts = poly.vertices
+def fraction_area(pts) -> Fraction:
+    """Signed area (shoelace) of a ring of vertices in cyclic order: the
+    enclosed area of a counterclockwise convex ring, 0 for a segment or a
+    point."""
+    pts = list(pts)
     return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts[-1:] + pts[:-1], pts)),
                Fraction(0)) / 2
+
+
+def hull(points) -> list:
+    """Convex hull (monotone chain) of Fraction points, counterclockwise:
+    one point, a segment's two ends, or the corners of a polygon."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower, upper = half(pts), half(reversed(pts))
+    return lower[:-1] + upper[:-1] or pts[:1]
+
+
+def convex_pieces(point, max_points: int):
+    """Hypothesis strategy: the hulls of 1 to ``max_points`` points drawn
+    from ``point``, the package's ring domain only: points and polygons,
+    never a segment."""
+    return (st.lists(point, min_size=1, max_size=max_points)
+            .map(hull).filter(lambda h: len(h) != 2))
 
 
 def with_pieces(report: CoverReport, polys) -> CoverReport:

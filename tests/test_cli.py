@@ -146,6 +146,24 @@ def test_failed_certificate_exits_two(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_a_segment_piece_exits_two(tmp_path, capsys, monkeypatch):
+    # a stripe walk that left a 2-vertex ring would make a segment piece,
+    # which is outside the ring domain: canonicalizing it fails the certificate
+    monkeypatch.setattr(covering, "_cut", lambda ring, *form: [((0, 0), (1, 0))])
+    cfg = _write(tmp_path / "fig.ini",
+                 FIGURE_INI + "[rationality]\nrefinement = 2\n")
+    out = tmp_path / "out"
+    for command in ("verify-covering", "rationality-check"):
+        code = main([command, "--config", cfg, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == (f"command={command} exit=2 "
+                                "error=certificate\n")
+        assert captured.err.splitlines() == [
+            "error: the ring ((0, 0), (1, 0)) is neither a point nor a convex polygon"]
+        assert not out.exists()
+
+
 def test_unexpected_exception_exits_two_internal(tmp_path, capsys, monkeypatch):
     # any exception outside the known error kinds is a fault of the program:
     # exit 2 with error=internal, one error line, no traceback, no artifact

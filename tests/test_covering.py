@@ -39,6 +39,7 @@ from pyjama.solenoid import ExactPoint, stripe_membership
 
 from _util import (
     clip_halfplane,
+    convex_pieces,
     float_literal_bounds,
     fraction_area,
     fraction_contains,
@@ -114,42 +115,39 @@ def test_figure_configuration():
 
 
 def _closed_slab_pieces(domain, rotation, eps):
+    """The nonempty parts of a vertex ring in the closed stripes of one
+    rotation, as raw vertex rings."""
     tr, ti = rotation.re, rotation.im
-    fvals = [tr * x - ti * y for x, y in domain.vertices]
+    fvals = [tr * x - ti * y for x, y in domain]
     pieces = []
     for k in range(math.ceil(min(fvals) - eps), math.floor(max(fvals) + eps) + 1):
-        piece = clip_halfplane(domain, tr, -ti, k + eps)
-        if piece is not None:
-            piece = clip_halfplane(piece, -tr, ti, -(k - eps))
-        if piece is not None:
+        piece = clip_halfplane(clip_halfplane(domain, tr, -ti, k + eps), -tr, ti, -(k - eps))
+        if piece:
             pieces.append(piece)
     return pieces
 
 
 def _fraction_uncovered(cfg):
     """Reference stripe subtraction: each rotation's open stripes cut out of
-    the period cell with the exact Fraction halfplane clip oracle."""
+    the period cell with the exact Fraction halfplane clip oracle, as raw
+    vertex rings."""
     D = cfg.period
-    pieces = [
-        ConvexPolygon(
-            [(0, 0), (D.re, D.im), (D.re - D.im, D.im + D.re), (-D.im, D.re)]
-        )
-    ]
+    pieces = [[(0, 0), (D.re, D.im), (D.re - D.im, D.im + D.re), (-D.im, D.re)]]
     eps = cfg.epsilon
     for theta in cfg.rotations:
         tr, ti = theta.re, theta.im
         out = []
         for piece in pieces:
-            fvals = [tr * x - ti * y for x, y in piece.vertices]
+            fvals = [tr * x - ti * y for x, y in piece]
             cur = piece
             for k in range(math.ceil(min(fvals) - eps), math.floor(max(fvals) + eps) + 1):
                 left = clip_halfplane(cur, tr, -ti, k - eps)
-                if left is not None:
+                if left:
                     out.append(left)
                 cur = clip_halfplane(cur, -tr, ti, -(k + eps))
-                if cur is None:
+                if not cur:
                     break
-            if cur is not None:
+            if cur:
                 out.append(cur)
         pieces = out
     return pieces
@@ -185,9 +183,9 @@ def small_configs(draw, min_rotations=1, epsilons=None):
 # At these half-widths the stripe edges of one rotation pass through the
 # crossings of the others' (at 1/4, 42 of the 2- and 3-rotation configs of
 # small_configs leave point pieces, TOUCHING_CONFIG among them).  Segment
-# pieces cannot occur in a period cell: no two stripe edges of distinct
-# rotations are parallel, and a stripe edge parallel to a cell edge would lie
-# on a stripe center.
+# pieces cannot occur in a period cell: two rotations with parallel stripe
+# edges are theta and -theta, whose stripes are the same, and a stripe edge
+# parallel to a cell edge would lie on a stripe center.
 _TOUCHING_EPS = (F(1, 8), F(1, 6), F(1, 4), F(1, 3), F(3, 8))
 TOUCHING_CONFIG = CoveringConfig([THETA13, THETA5 * THETA13], F(1, 4),
                                  P5BAR.generator * P13BAR.generator)
@@ -199,7 +197,8 @@ TOUCHING_CONFIG = CoveringConfig([THETA13, THETA5 * THETA13], F(1, 4),
 def test_lattice_subtraction_matches_fraction_oracle(cfg):
     report = uncovered_region(cfg, obstruction_m_max=1)
     oracle = _fraction_uncovered(cfg)
-    assert tuple(report.uncovered) == tuple(oracle)  # vertices and kind, in order
+    # vertices and kind, in order
+    assert tuple(report.uncovered) == tuple(map(ConvexPolygon, oracle))
     assert report.total_uncovered_area == sum(map(fraction_area, oracle), F(0))
 
 
@@ -218,37 +217,39 @@ def test_off_lattice_crossing_raises():
         covering._split_slabs(square, [2 * x for x, _ in square], 1, 4)  # h = 1 at x = 1/2
 
 
-# convex integer rings, counterclockwise, down to a segment and a point
-_SHAPES = (
+# convex integer rings, counterclockwise, down to a point: the ring domain
+_PIECES = (
     [(0, 0), (3, 0), (0, 2)],
     [(0, 0), (2, 0), (2, 2), (0, 2)],
     [(1, 0), (3, 0), (4, 2), (3, 4), (1, 4), (0, 2)],
-    [(0, 0), (3, 1)],
     [(1, 1)],
 )
+# and a segment ring, which ``_split_slabs`` splits as any other ring
+_SHAPES = _PIECES + ([(0, 0), (3, 1)],)
 
 
-def _affine_image(draw):
-    """An integer affine image (positive determinant) of one of _SHAPES."""
+def _affine_image(draw, shapes=_SHAPES):
+    """An integer affine image (positive determinant) of one of ``shapes``."""
     d, e = st.integers(1, 3), st.integers(-3, 3)
     m = draw(st.tuples(d, e, e, d).filter(lambda m: m[0] * m[3] > m[1] * m[2]))
     if draw(st.booleans()):  # a half turn keeps the determinant
         m = [-v for v in m]
     tx, ty = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
-    shape = draw(st.sampled_from(_SHAPES))
+    shape = draw(st.sampled_from(shapes))
     return [(m[0] * x + m[1] * y + tx, m[2] * x + m[3] * y + ty) for x, y in shape]
 
 
 def _lattice_split(ring, a, b, t, w, period):
     """``_split_slabs`` of the ring for the stripes
     period*k - w < a*x + b*y + t < period*k + w, at a scale L that puts every
-    crossing on the lattice: the parts as ConvexPolygons, the raw parts and L."""
+    crossing on the lattice: the parts' vertex sets in the ring's units, the
+    raw parts and L."""
     steps = [a * (x0 - x1) + b * (y0 - y1) for (x0, y0), (x1, y1) in zip(ring, ring[-1:] + ring[:-1])]
     L = math.lcm(1, *(abs(v) for v in steps if v))
     scaled = [(L * x, L * y) for x, y in ring]
     hs = [a * x + b * y + L * t for x, y in scaled]
     parts = covering._split_slabs(scaled, hs, L * w, L * period)
-    return [ConvexPolygon([(F(x, L), F(y, L)) for x, y in part]) for part in parts], parts, L
+    return [{(F(x, L), F(y, L)) for x, y in part} for part in parts], parts, L
 
 
 @st.composite
@@ -267,17 +268,13 @@ def test_stripe_clip_area_additivity(case):
     ring, a, b, c, w = case
     # one stripe: the others of its family (period 1000) miss every ring
     split, parts, L = _lattice_split(ring, a, b, -c, w, 1000)
-    poly = ConvexPolygon(ring)
-    below = clip_halfplane(poly, a, b, c - w)
-    above = clip_halfplane(poly, -a, -b, -(c + w))
-    assert split == [p for p in (below, above) if p is not None]
-    stripe = clip_halfplane(poly, a, b, c + w)
-    if stripe is not None:
-        stripe = clip_halfplane(stripe, -a, -b, -(c - w))
-    stripe_area2 = 0 if stripe is None else 2 * L * L * fraction_area(stripe)
+    below = clip_halfplane(ring, a, b, c - w)
+    above = clip_halfplane(ring, -a, -b, -(c + w))
+    assert split == [set(p) for p in (below, above) if p]
+    stripe = clip_halfplane(clip_halfplane(ring, a, b, c + w), -a, -b, -(c - w))
+    stripe_area2 = 2 * L * L * fraction_area(stripe)
     assert sum(_ring_area2(part) for part in parts) + stripe_area2 == L * L * _ring_area2(ring)
-    pieces = [below, above, stripe]
-    assert sum(map(fraction_area, filter(None, pieces)), F(0)) == fraction_area(poly)
+    assert sum(map(fraction_area, [below, above, stripe])) == fraction_area(ring)
 
 
 @st.composite
@@ -307,18 +304,16 @@ def slab_cases(draw):
 def test_split_slabs_matches_fraction_oracle(case):
     ring, a, b, t, w, period = case
     split, parts, L = _lattice_split(ring, a, b, t, w, period)
-    poly = ConvexPolygon(ring)
     hs = [a * x + b * y + t for x, y in ring]
     oracle, slabs = [], []
     for j in range((min(hs) + w) // period - 1, (max(hs) + w) // period + 1):
         # the closed slab period*j + w <= a*x + b*y + t <= period*(j + 1) - w
-        part = clip_halfplane(poly, -a, -b, t - period * j - w)
-        if part is not None:
-            part = clip_halfplane(part, a, b, period * (j + 1) - w - t)
-        if part is not None:
+        part = clip_halfplane(ring, -a, -b, t - period * j - w)
+        part = clip_halfplane(part, a, b, period * (j + 1) - w - t)
+        if part:
             oracle.append(part)
             slabs.append(j)
-    assert split == oracle  # vertices and kind, in increasing h
+    assert split == [set(part) for part in oracle]  # the vertices, in increasing h
     for j, part in zip(slabs, parts):
         # each raw part lies in its slab and is a convex ring in cyclic order
         assert all(L * (period * j + w) <= a * x + b * y + L * t <= L * (period * (j + 1) - w)
@@ -332,8 +327,8 @@ def test_split_slabs_matches_fraction_oracle(case):
 # 1, i and 3 keep it odd (an odd one)
 _PERIOD_FACTORS = tuple(GaussianInt(*g) for g in ((1, 0), (1, 1), (1, -1), (0, 1), (2, 0), (3, 0)))
 # half-widths near 0 and near 1/2, and those that leave point pieces.  No
-# half-width leaves a segment piece in a period cell (see _TOUCHING_EPS), so
-# the segment case of the mirror is checked on its own below.
+# half-width leaves a segment piece in a period cell (see _TOUCHING_EPS), and
+# ``_canonicalize`` refuses one, so every config here checks that too.
 _MIRROR_EPS = (F(1, 100), F(1, 60), F(49, 100), F(29, 60)) + _TOUCHING_EPS
 _UNITS = tuple(GaussianRational(GaussianInt(*u)) for u in ((1, 0), (0, 1), (-1, 0), (0, -1)))
 
@@ -364,6 +359,11 @@ def mirror_configs(draw):
 @example(CoveringConfig([1], F(1, 4)))  # one slab: the middle slab is the whole cut
 @example(CoveringConfig([1], F(1, 4), GaussianInt(1, 1)))  # two slabs, no middle
 @example(CoveringConfig([THETA5, THETA5], F(1, 100), GaussianInt(1, -2)))  # a repeat
+# theta and -theta cut the same stripes, alone, repeated, and around another rotation
+@example(CoveringConfig([THETA5, -THETA5], F(1, 4), GaussianInt(1, -2)))
+@example(CoveringConfig([THETA13, THETA13, -THETA13], F(1, 3), P13BAR.generator))
+@example(CoveringConfig([THETA5 * THETA13, THETA5, -(THETA5 * THETA13)], F(1, 4),
+                        P5BAR.generator * P13BAR.generator * GaussianInt(1, 1)))
 @example(TOUCHING_CONFIG)  # point pieces
 @example(CoveringConfig([THETA13, THETA5 * THETA13], F(1, 4),
                         P5BAR.generator * P13BAR.generator * GaussianInt(1, 1)))
@@ -492,7 +492,7 @@ def test_middle_slab_holds_the_cell_centre(index, eps):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_mirrored_piece_is_the_canonical_mirror_image(data):
-    ring = _affine_image(data.draw)
+    ring = _affine_image(data.draw, _PIECES)
     cx, cy = data.draw(st.integers(-20, 20)), data.draw(st.integers(-20, 20))
     image = [(cx - x, cy - y) for x, y in ring]
     assert covering._mirrored(_canonicalize(ring), cx, cy) == _canonicalize(image)
@@ -571,14 +571,7 @@ def test_stripe_coordinate_is_re_z_theta():
 def test_area_bookkeeping_inclusion_exclusion():
     cfg = figure_config()
     D = cfg.period
-    domain = ConvexPolygon(
-        [
-            (0, 0),
-            (F(D.re), F(D.im)),
-            (F(D.re - D.im), F(D.im + D.re)),
-            (F(-D.im), F(D.re)),
-        ]
-    )
+    domain = [(0, 0), (D.re, D.im), (D.re - D.im, D.im + D.re), (-D.im, D.re)]
     t1, t2 = cfg.rotations
     eps = cfg.epsilon
     a1 = sum(map(fraction_area, _closed_slab_pieces(domain, t1, eps)), F(0))
@@ -1452,13 +1445,13 @@ _near = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(_near, _near), min_size=1, max_size=4),
+@given(convex_pieces(st.tuples(_near, _near), 4),
        st.sampled_from([GaussianInt(1, 0), GaussianInt(1, -2), GaussianInt(2, -3),
                         GaussianInt(-3, -4)]),
        st.integers(2, 4))
 def test_rationality_distance_of_any_piece_matches_fraction_brute_force(points, D, n):
-    # thin triangles, segments and points anywhere near the cell, so that the
-    # nearest candidate often lies outside the piece's bounding box
+    # thin polygons and points anywhere near the cell, so that the nearest
+    # candidate often lies outside the piece's bounding box
     poly = ConvexPolygon(points)
     scale = math.lcm(*(c.denominator for v in poly.vertices for c in v))
     ring = tuple((int(x * scale), int(y * scale)) for x, y in poly.vertices)
@@ -1492,8 +1485,8 @@ def _fraction_periodic_contains(report, polys, z):
 
 @st.composite
 def membership_cases(draw):
-    """A certificate of N(D) <= 65 plus up to three extra pieces (points,
-    segments, triangles on a quarter grid around the cell), random exact
+    """A certificate of N(D) <= 65 plus up to three extra pieces (points and
+    triangles, hulls on a quarter grid around the cell), random exact
     points around the cell, and up to ten certificate pieces and the extras
     to probe at."""
     cfg = draw(small_configs().filter(lambda c: c.period.norm() <= 65))
@@ -1501,11 +1494,8 @@ def membership_cases(draw):
     D = cfg.period
     reach = abs(D.re) + abs(D.im)
     coord = st.integers(-4 * reach, 4 * reach).map(lambda v: F(v, 4))
-    extras = [
-        ConvexPolygon(v)
-        for v in draw(st.lists(st.lists(st.tuples(coord, coord), min_size=1, max_size=3),
-                               max_size=3))
-    ]
+    extras = [ConvexPolygon(v)
+              for v in draw(st.lists(convex_pieces(st.tuples(coord, coord), 3), max_size=3))]
     exact = st.builds(F, st.integers(-30 * reach, 30 * reach), st.integers(1, 12))
     points = draw(st.lists(st.tuples(exact, exact), max_size=30))
     start = draw(st.integers(0, max(0, len(report.pieces) - 10)))

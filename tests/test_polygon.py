@@ -4,9 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pyjama.polygon import ConvexPolygon, _ring_area2, _ring_contains, _ring_dist_sq
+from pyjama.gaussian import CertificateError
+from pyjama.polygon import ConvexPolygon, _canonicalize, _ring_area2, _ring_contains, _ring_dist_sq
 
-from _util import clip_halfplane, fraction_area, fraction_contains, fraction_dist_sq, translate
+from _util import (
+    clip_halfplane,
+    convex_pieces,
+    fraction_area,
+    fraction_contains,
+    fraction_dist_sq,
+    translate,
+)
 
 F = Fraction
 
@@ -60,10 +68,9 @@ def test_canonical_form():
 
 
 def test_degenerate_flags():
-    seg = ConvexPolygon([(0, 0), (1, 2), (2, 4)])
-    assert seg.kind == "segment"
-    assert seg.vertices == ((F(0), F(0)), (F(2), F(4)))
-    assert _area2(seg) == 0
+    # collinear vertices make a segment, which is outside the ring domain
+    with pytest.raises(CertificateError):
+        ConvexPolygon([(0, 0), (1, 2), (2, 4)])
     pt = ConvexPolygon([(3, 4), (3, 4)])
     assert pt.kind == "point"
     assert pt.vertices == ((F(3), F(4)),)
@@ -71,11 +78,28 @@ def test_degenerate_flags():
         ConvexPolygon([])
 
 
+def test_only_points_and_convex_polygons_canonicalize():
+    for ring in (
+        [(0, 0), (2, 0)],  # a segment
+        [(0, 0), (1, 0), (0, 1), (1, 1)],  # a bowtie: zero signed area
+        [(0, 0), (2, 0), (1, 1), (2, 2), (0, 2)],  # concave: a right turn at (1, 1)
+    ):
+        for pts in (ring, ring[::-1]):
+            with pytest.raises(CertificateError):
+                _canonicalize(pts)
+            with pytest.raises(CertificateError):
+                ConvexPolygon(pts)
+    # a clockwise convex ring, with a collinear middle vertex and a repeated
+    # closing vertex, still canonicalizes
+    ring = [(0, 2), (2, 2), (2, 1), (2, 0), (0, 0), (0, 2)]
+    assert _canonicalize(ring) == ((0, 0), (2, 0), (2, 2), (0, 2))
+    assert ConvexPolygon(ring).vertices == ((0, 0), (2, 0), (2, 2), (0, 2))
+
+
 def test_a_canonical_ring_gives_its_kind():
     # a ring at a given scale is taken as canonical, and its vertex count is
     # its kind: there is no second word that could disagree with it
-    for ring, kind in [(((0, 0),), "point"), (((0, 0), (2, 0)), "segment"),
-                       (((0, 0), (2, 0), (0, 2)), "polygon")]:
+    for ring, kind in [(((0, 0),), "point"), (((0, 0), (2, 0), (0, 2)), "polygon")]:
         piece = ConvexPolygon(ring, 4)
         assert piece.kind == kind
         assert piece == ConvexPolygon([(F(x, 4), F(y, 4)) for x, y in ring])
@@ -98,32 +122,31 @@ def test_contains_closed():
     assert _contains(sq, (F(1, 2), F(1, 2)))
     assert _contains(sq, (0, 0)) and _contains(sq, (1, F(1, 2)))  # boundary included
     assert not _contains(sq, (F(3, 2), F(1, 2)))
-    seg = ConvexPolygon([(0, 0), (2, 2)])
-    assert _contains(seg, (1, 1))
-    assert not _contains(seg, (1, 0)) and not _contains(seg, (3, 3))
+    pt = ConvexPolygon([(1, 1)])
+    assert _contains(pt, (1, 1))
+    assert not _contains(pt, (1, 0)) and not _contains(pt, (F(1, 2), F(1, 2)))
 
 
 def test_clip_halfplane():
-    # the Fraction clip oracle of tests/_util.py
-    sq = unit_square()
+    # the Fraction clip oracle of tests/_util.py, on raw vertex rings
+    sq = unit_square().vertices
     left = clip_halfplane(sq, 1, 0, F(1, 2))  # x <= 1/2
-    assert left == ConvexPolygon([(0, 0), (F(1, 2), 0), (F(1, 2), 1), (0, 1)])
+    assert ConvexPolygon(left) == ConvexPolygon([(0, 0), (F(1, 2), 0), (F(1, 2), 1), (0, 1)])
     assert fraction_area(left) == F(1, 2)
-    # clipping to the boundary line leaves a flagged segment
+    # clipping to the boundary line leaves a segment, which is no piece
     edge = clip_halfplane(sq, 1, 0, 0)  # x <= 0
-    assert edge.kind == "segment"
-    assert edge.vertices == ((F(0), F(0)), (F(0), F(1)))
-    assert clip_halfplane(sq, 1, 0, -1) is None
+    assert set(edge) == {(0, 0), (0, 1)} and fraction_area(edge) == 0
+    with pytest.raises(CertificateError):
+        ConvexPolygon(edge)
+    assert clip_halfplane(sq, 1, 0, -1) == []
     # diagonal cut through two vertices
     tri = clip_halfplane(sq, 1, 1, 1)  # x + y <= 1
     assert fraction_area(tri) == F(1, 2)
-    # clipping degenerate pieces
-    seg = ConvexPolygon([(0, 0), (2, 0)])
-    half = clip_halfplane(seg, 1, 0, 1)
-    assert half.kind == "segment" and half.vertices == ((F(0), F(0)), (F(1), F(0)))
-    pt = ConvexPolygon([(1, 1)])
-    assert clip_halfplane(pt, 1, 0, 0) is None
-    assert clip_halfplane(pt, 1, 0, 2) == pt
+    # clipping degenerate rings
+    half = clip_halfplane([(0, 0), (2, 0)], 1, 0, 1)
+    assert set(half) == {(0, 0), (1, 0)}
+    assert clip_halfplane([(1, 1)], 1, 0, 0) == []
+    assert clip_halfplane([(1, 1)], 1, 0, 2) == [(1, 1)]
 
 
 def test_dist_sq_to_point():
@@ -131,9 +154,9 @@ def test_dist_sq_to_point():
     assert _dist_sq(sq, (F(1, 2), F(1, 2))) == 0
     assert _dist_sq(sq, (2, F(1, 2))) == 1
     assert _dist_sq(sq, (2, 2)) == 2
-    seg = ConvexPolygon([(0, 0), (2, 0)])
-    assert _dist_sq(seg, (1, 3)) == 9
-    assert _dist_sq(seg, (-1, 0)) == 1
+    flat = ConvexPolygon([(0, 0), (1, -1), (2, 0)])  # nearest an edge's inside or end
+    assert _dist_sq(flat, (1, 3)) == 9
+    assert _dist_sq(flat, (-1, 0)) == 1
     pt = ConvexPolygon([(1, 1)])
     assert _dist_sq(pt, (4, 5)) == 25
 
@@ -141,10 +164,10 @@ def test_dist_sq_to_point():
 def test_translate():
     sq = translate(unit_square(), F(1, 2), -1)
     assert sq.vertices[0] == (F(1, 2), -1)
-    assert sq.kind == "polygon" and fraction_area(sq) == 1
-    seg = translate(ConvexPolygon([(0, 0), (1, 0)]), 0, 1)
-    assert seg.kind == "segment"
-    assert seg.vertices == ((F(0), F(1)), (F(1), F(1)))
+    assert sq.kind == "polygon" and fraction_area(sq.vertices) == 1
+    pt = translate(ConvexPolygon([(0, 0)]), 0, 1)
+    assert pt.kind == "point"
+    assert pt.vertices == ((F(0), F(1)),)
 
 
 def test_least_scale_and_immutability():
@@ -162,42 +185,21 @@ _coord = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=6),
+@given(convex_pieces(st.tuples(_coord, _coord), 6),
        st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8))
-@example([(0, 1), (F(5, 2), 1)], [(3, 1), (-1, 1), (1, F(3, 2))])  # horizontal
-@example([(1, 0), (1, F(5, 2))], [(1, 3), (1, -1), (F(3, 2), 1)])  # vertical
+@example([(0, 1), (F(5, 2), 1), (1, F(13, 12))], [(3, 1), (-1, 1), (1, F(3, 2))])  # horizontal
+@example([(1, 0), (F(13, 12), 1), (1, F(5, 2))], [(1, 3), (1, -1), (F(3, 2), 1)])  # vertical
 def test_integer_predicates_match_fraction_oracle(vertices, points):
-    # hulls of random points (polygons, segments and points), probed at
-    # random points, at every vertex and edge midpoint, and just past each
-    # edge's ends on its line
-    poly = ConvexPolygon(_hull(vertices))
+    # hulls of random points (polygons and points), probed at random points,
+    # at every vertex and edge midpoint, and just past each edge's ends on
+    # its line
+    poly = ConvexPolygon(vertices)
     verts = poly.vertices
     probes = list(points)
     for (px, py), (x, y) in zip(verts[-1:] + verts[:-1], verts):
         probes += [(x, y), ((x + px) / 2, (y + py) / 2),
                    (2 * x - px, 2 * y - py), (2 * px - x, 2 * py - y)]
-    assert _area2(poly) == 2 * fraction_area(poly)
+    assert _area2(poly) == 2 * fraction_area(verts)
     for p in probes:
         assert _contains(poly, p) == fraction_contains(poly, p)
         assert _dist_sq(poly, p) == fraction_dist_sq(poly, p)
-
-
-def _hull(points):
-    """Convex hull (monotone chain) of Fraction points, counterclockwise."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return pts
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and (
-                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
-            ) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower, upper = half(pts), half(reversed(pts))
-    return lower[:-1] + upper[:-1] or pts[:1]

@@ -16,7 +16,7 @@ from pyjama.gaussian import (
 )
 from pyjama.polygon import ConvexPolygon
 
-from _util import clip_halfplane, translate, with_pieces
+from _util import clip_halfplane, convex_pieces, translate, with_pieces
 
 F = Fraction
 SVG = "{http://www.w3.org/2000/svg}"
@@ -28,12 +28,12 @@ def _fmt(value) -> str:
 
 
 def _window_clip(piece, norm):
-    """The piece clipped to the closed window [0, norm]^2 by the Fraction
-    oracle, or None."""
+    """The vertex set of the piece clipped to the closed window [0, norm]^2
+    by the Fraction oracle; empty when they do not meet."""
+    pts = piece.vertices
     for a, b, c in ((-1, 0, 0), (1, 0, norm), (0, -1, 0), (0, 1, norm)):
-        if piece is not None:
-            piece = clip_halfplane(piece, a, b, c)
-    return piece
+        pts = clip_halfplane(pts, a, b, c)
+    return frozenset(pts)
 
 
 def _reference(report):
@@ -49,7 +49,7 @@ def _reference(report):
     for poly in report.uncovered:
         for shift in shifts:
             piece = _window_clip(translate(poly, shift.re, shift.im), norm)
-            if piece is not None:
+            if piece:
                 placed[piece] += 1
     head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -109,10 +109,6 @@ def _cell_element(poly, norm):
     if poly.kind == "polygon":
         points = " ".join(f"{x},{y}" for x, y in pts)
         return "polygon", {"points": points, "fill": "#000000"}
-    if poly.kind == "segment":
-        (x1, y1), (x2, y2) = pts
-        return "line", {"x1": x1, "y1": y1, "x2": x2, "y2": y2,
-                        "stroke": "#000000", "stroke-width": "0.030000"}
     (x, y), = pts
     return "circle", {"cx": x, "cy": y, "r": "0.060000", "fill": "#000000"}
 
@@ -151,7 +147,7 @@ def _check_against_reference(report):
         assert (GaussianRational(GaussianInt(sx, sy)) / GaussianRational(D)).is_gaussian_int()
         for poly in pieces:
             piece = _window_clip(translate(poly, sx, sy), norm)
-            if piece is not None:
+            if piece:
                 placed[piece] += 1
     assert placed == want_placed
     return text
@@ -162,7 +158,7 @@ def svg_reports(draw):
     """A run of consecutive pieces from the certificate of 1-3 rotations of
     theta_set(2) at eps = p/q < 1/2 and their least period (N(D) <= 65),
     plus up to two extra pieces with 1-3 vertices on a half-integer grid
-    around the period cell (points, segments and triangles), many of them on
+    around the period cell (points and triangles, as hulls), many of them on
     the window edges once shifted.  The reference places every piece at
     every shift, so the pieces are capped at about 2,000 placements."""
     box = [(a, b) for a in range(3) for b in range(2) if 5**a * 13**b <= 65]
@@ -191,7 +187,7 @@ def svg_reports(draw):
         st.integers(2 * x_lo, 2 * x_hi).map(lambda v: F(v, 2)),
         st.integers(2 * y_lo, 2 * y_hi).map(lambda v: F(v, 2)),
     )
-    extras = draw(st.lists(st.lists(coord, min_size=1, max_size=3), max_size=2))
+    extras = draw(st.lists(convex_pieces(coord, 3), max_size=2))
     room = max(1, 2000 // len(svg._lattice_range(period.norm())) ** 2 - len(extras))
     start = draw(st.integers(0, max(0, len(report.pieces) - room)))
     pieces = list(report.uncovered)[start : start + room]
@@ -206,20 +202,20 @@ def test_render_svg_matches_direct_placement(report):
 
 def test_render_svg_edge_pieces():
     # pieces on the window edges and corners at every shift: a point on a
-    # lattice corner, segments along the cell edges, the whole cell
+    # lattice corner, thin triangles on the cell edges, the whole cell
     cfg = CoveringConfig([1, THETA5], F(1, 4), GaussianInt(1, -2))
     report = uncovered_region(cfg)
     extras = [
         ConvexPolygon([(0, 0)]),
-        ConvexPolygon([(0, 0), (1, -2)]),
-        ConvexPolygon([(0, 0), (2, 1)]),
+        ConvexPolygon([(0, 0), (1, -2), (1, -1)]),
+        ConvexPolygon([(0, 0), (1, 0), (2, 1)]),
         ConvexPolygon([(F(1, 2), F(1, 2))]),
         ConvexPolygon([(0, 0), (1, -2), (3, -1), (2, 1)]),
     ]
-    assert {p.kind for p in extras} == {"point", "segment", "polygon"}
+    assert {p.kind for p in extras} == {"point", "polygon"}
     edge = with_pieces(report, list(report.uncovered) + extras)
     drawn = _check_against_reference(edge)
-    assert drawn.count("<line ") > 0 and drawn.count('r="0.060000"') > 0
+    assert "<line " not in drawn and drawn.count('r="0.060000"') > 0
     # one dot per obstruction placement inside the window
     assert drawn.count('r="0.100000"') == sum(
         line.count('r="0.100000"') for line in _reference(edge)[0])
