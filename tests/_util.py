@@ -134,7 +134,6 @@ def clip_halfplane(pts, a, b, c) -> list:
     crossings with the line, in the ring's order; empty when the
     intersection is."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    pts = list(pts)
     out = []
     for s, e in zip(pts, pts[1:] + pts[:1]):
         fs = a * s[0] + b * s[1] - c
@@ -179,7 +178,6 @@ def fraction_area(pts) -> Fraction:
     """Signed area (shoelace) of a ring of vertices in cyclic order: the
     enclosed area of a counterclockwise convex ring, 0 for a segment or a
     point."""
-    pts = list(pts)
     return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts[-1:] + pts[:-1], pts)),
                Fraction(0)) / 2
 
