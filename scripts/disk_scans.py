@@ -17,15 +17,16 @@ revision from before the disk cover had its own module:
     catalog-3  disk_cover_scan(0.25, 20, 0.1, 1, 3, 2)    jobs' scans
     eps-0.05   disk_cover_scan(0.05, 80, 0.05, 2, 8, 2)   demo 06 at R = 80
 
-It exits 1 if any scan's rows differ between the sides, or between the
-runs of one side, and otherwise prints, per scan and side, the median time
-in ms, its quartiles and the median minor page faults over all N * K runs.
-N defaults to 3 and K to 5.
+It prints, per scan and side, the median time in ms, its quartiles and the
+median minor page faults over all N * K runs.  If any scan's rows differ
+between the sides, or between the runs of one side, it then prints the
+rows that differ, parent's first, and exits 1.  N defaults to 3 and K to 5.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import io
 import json
 import os
@@ -110,21 +111,30 @@ def main(argv=None) -> int:
     print(f"parent {commits['parent'][:12]}  change {commits['change'][:12]}  "
           f"{args.passes} passes x {args.repeats} runs a side")
     print(f"{'scan':<10}  {'side':<6}  {'median ms':>9}  {'q1-q3 ms':>15}  {'minflt':>7}")
-    same = True
+    differ = []
     for name in SCANS:
         rows = {side: {json.dumps(run[name]["rows"]) for run in side_runs}
                 for side, side_runs in runs.items()}
         if len(rows["parent"] | rows["change"]) != 1:
-            same = False
-            print(f"disk_scans: {name}: the rows differ", file=sys.stderr)
+            differ.append(name)
         for side, side_runs in runs.items():
             ms = [t for run in side_runs for t in run[name]["ms"]]
             faults = [f for run in side_runs for f in run[name]["minflt"]]
             q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
             print(f"{name:<10}  {side:<6}  {median:>9.2f}  {f'{q1:.2f}-{q3:.2f}':>15}  "
                   f"{statistics.median(faults):>7.0f}")
-    print("rows identical" if same else "ROWS DIFFER")
-    return 0 if same else 1
+    for name in differ:
+        print(f"{name}: rows that differ (- parent, + change)")
+        for side, side_runs in runs.items():
+            if any(run[name]["rows"] != side_runs[0][name]["rows"] for run in side_runs):
+                print(f"  the {side} runs differ among themselves")
+        diff = difflib.unified_diff(runs["parent"][0][name]["rows"],
+                                    runs["change"][0][name]["rows"], lineterm="", n=0)
+        for line in diff:
+            if not line.startswith(("---", "+++", "@@")):
+                print(f"  {line}")
+    print("ROWS DIFFER" if differ else "rows identical")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

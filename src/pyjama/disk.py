@@ -9,7 +9,6 @@ This is the one module that imports numpy; the exact certificates live in
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -65,10 +64,11 @@ class DiskCoverReport:
     ``pitch`` is the cell side of the last round run and ``failing_count``
     the number of cells at that pitch that no rotation covers; ``certified``
     means there are none.  ``witness`` is None or an uncovered point: the
-    centre z of a failing cell, exact as a Gaussian rational with a
-    power-of-two denominator, that lies in the disk and outside every open
-    stripe of every rotation.  It proves that the rotations miss the disk,
-    so no refinement could certify it; it is checked exactly (see
+    centre z of a failing cell of any level the run tested, its last round
+    included, exact as a Gaussian rational with a power-of-two denominator,
+    that lies in the disk and outside every open stripe of every rotation;
+    it ends the run at its level.  It proves that the rotations miss the
+    disk, so no refinement could certify it; it is checked exactly (see
     ``_clear``), also against the decimal literals that the float half-width
     and radius round.  A report holds these scalars and no cell; they are
     all that the CLI prints."""
@@ -125,36 +125,28 @@ def _children(hx: np.ndarray, hy: np.ndarray, off: float):
 
 def _failing_level(
     xs: np.ndarray, ys: np.ndarray, reach_sq: float, rotations: list[complex], slack: float,
-    clear_at: tuple[float, float] | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """One refinement level: the cells whose center lies within the disk's
     reach (``x*x + y*y <= reach_sq``) and that no rotation holds deeper than
-    ``slack`` inside a stripe, in their given order, the number of cells in
-    the disk, and the survivors' clear mask (None without ``clear_at``).
-
-    With ``clear_at = (disk_sq, eps)`` the same pass keeps a second mask: the
-    cell lies in the disk (``x*x + y*y <= disk_sq``) and no rotation holds
-    it less than ``eps`` from the nearest integer, two more ufuncs per
-    rotation on the same distances.  Its cells are the witness candidates;
-    with disk_sq <= reach_sq and slack <= eps, every one survives.
+    ``slack`` inside a stripe, in their given order, and the number of cells
+    in the disk.
 
     The in-disk test and every rotation's stripe test AND into one mask,
     computed with in-place ufuncs in buffers allocated once per call.  The
     cells are compacted only when fewer than half of them are still alive,
     and once at the end.  Once the live cells times the rotations left are
     at most ``_BATCH``, the live cells are compacted and those rotations
-    tested in one 2-D pass, whose ``np.fmin`` over the rotations feeds both
-    tests.  Each cell goes through the same float operations as when every
-    rotation is tested on every cell, so both masks are those of separate
-    passes.  The test is ``~(d < slack)``: a rotation with a NaN part covers
-    no cell, and ``np.fmin`` passes over its NaN."""
+    tested in one 2-D pass, whose ``np.fmin`` over the rotations is the
+    least distance.  Each cell goes through the same float operations as
+    when every rotation is tested on every cell, so the mask is that of
+    separate passes.  The test is ``~(d < slack)``: a rotation with a NaN
+    part covers no cell, and ``np.fmin`` passes over its NaN."""
     v, w = np.empty((2, xs.size))
     hit, alive = np.empty((2, xs.size), dtype=bool)
     np.multiply(xs, xs, out=v)
     np.multiply(ys, ys, out=w)
     np.add(v, w, out=v)
     np.less_equal(v, reach_sq, out=alive)
-    clear = None if clear_at is None else v <= clear_at[0]
     checked = live = int(np.count_nonzero(alive))
     for i, t in enumerate(rotations):
         if live == 0:
@@ -163,8 +155,6 @@ def _failing_level(
         if batch or 2 * live < xs.size:
             keep = np.flatnonzero(alive)
             xs, ys = xs.take(keep), ys.take(keep)
-            if clear is not None:
-                clear = clear.take(keep)
             v, w, hit, alive = v[:live], w[:live], hit[:live], alive[:live]
             alive.fill(True)
         if batch:  # the rest at once, as a live x rotations table
@@ -185,18 +175,15 @@ def _failing_level(
             np.abs(v, out=v)
         np.less(v, slack, out=hit)
         np.greater(alive, hit, out=alive)  # alive and not hit
-        if clear is not None:
-            np.less(v, clear_at[1], out=hit)
-            np.greater(clear, hit, out=clear)
         live = int(np.count_nonzero(alive))
         if batch:
             break
     keep = np.flatnonzero(alive)
-    return xs.take(keep), ys.take(keep), checked, None if clear is None else clear.take(keep)
+    return xs.take(keep), ys.take(keep), checked
 
 
 # cells per call of _failing_level: a block's centers and its two float64
-# work buffers take 1 MiB and its three masks 96 KiB, which stay in a 2 MiB
+# work buffers take 1 MiB and its two masks 64 KiB, which stay in a 2 MiB
 # per-core L2 cache
 _BLOCK = 2**15
 # live cells times rotations left at or below which _failing_level tests the
@@ -214,61 +201,42 @@ def _reach_and_slack(epsilon: float, radius: float, pitch: float) -> tuple[float
 
 
 def _failing_half(
-    size: int, cells, epsilon: float, radius: float, pitch: float, rotations,
-    exact: list | None = None, earlier: Sequence[complex] = (),
-) -> tuple[np.ndarray, np.ndarray, int, GaussianRational | None]:
+    size: int, cells, epsilon: float, radius: float, pitch: float, rotations: list[complex],
+    exact: list, tested: list[complex] | None = None, last: bool = False,
+) -> tuple[np.ndarray, np.ndarray, int, int, GaussianRational | None]:
     """``_failing_level`` on the first half of a level of cells of side
     ``pitch``, closed under z -> -z, in blocks of ``_BLOCK`` consecutive
     cells, all full but the last: the failing cells, the blocks' survivors
-    joined, the level's in-disk count and its witness.  The half has
-    ``size`` cells and ``cells(a, b)`` makes its cells a..b-1, so a level is
-    never held whole.  A middle cell (0, 0), its own mirror and in the disk
-    (reach_sq > 0), ends the half.
+    joined, the level's failing and in-disk counts and its witness.  The
+    half has ``size`` cells and ``cells(a, b)`` makes its cells a..b-1, so a
+    level is never held whole.  A middle cell (0, 0), its own mirror and in
+    the disk (reach_sq > 0), ends the half.
 
-    With ``exact`` (every rotation of the step, in the form ``_clear``
-    reads) the level is searched for a witness in the same pass: each
-    block's candidates, the cells of its clear mask at eps and R**2, go to
-    ``_witness`` in turn, with ``earlier`` the rotations the blocks' cells
-    were not tested with here, until one is confirmed; later blocks build no
-    mask.  Without ``exact``, or when no candidate is confirmed, the witness
-    is None."""
+    The cells are tested with ``tested`` (default: ``rotations``).  The
+    level is searched for a witness in the same pass: each block's
+    survivors go to ``_witness`` with ``rotations``, every rotation of the
+    step, and ``exact``, the same rotations in the form ``_clear`` reads,
+    until one is confirmed; the witness is None when none is.  With
+    ``last`` no survivor is kept, only counted: the failing cells returned
+    are empty."""
     reach_sq, slack = _reach_and_slack(epsilon, radius, pitch)
-    clear_at = None if exact is None else (radius * radius, epsilon)
-    fx, fy, checked, witness = [np.empty(0)], [np.empty(0)], 0, None
+    fx, fy, failing, checked, witness = [np.empty(0)], [np.empty(0)], 0, 0, None
+    # with ``last``, each block's survivors live until the next block's
+    # replace them: freed at once, they left the heap top free, and the
+    # allocator gave it back to the system only for the next block to fault
+    # it in again
     for a in range(0, size, _BLOCK):
-        x, y, n, clear = _failing_level(*cells(a, min(a + _BLOCK, size)), reach_sq,
-                                        rotations, slack, clear_at)
-        fx.append(x)
-        fy.append(y)
+        x, y, n = _failing_level(*cells(a, min(a + _BLOCK, size)), reach_sq,
+                                 rotations if tested is None else tested, slack)
+        if witness is None and x.size:
+            witness = _witness(x, y, epsilon, radius, rotations, exact)
+        failing += _level_size(x, y)  # only the middle cell lies at (0, 0)
         checked += n
-        if clear is not None and clear.any():
-            witness = _witness(x[clear], y[clear], epsilon, radius, earlier, exact)
-            if witness is not None:
-                clear_at = None
+        if not last:
+            fx.append(x)
+            fy.append(y)
     middle = size > 0 and all(a[0] == 0 for a in cells(size - 1, size))
-    return np.concatenate(fx), np.concatenate(fy), 2 * checked - middle, witness
-
-
-def _failing_count(
-    size: int, cells, epsilon: float, radius: float, pitch: float, rotations
-) -> tuple[int, int]:
-    """The number of failing cells and of cells in the disk of a refined
-    level whose first half is as in ``_failing_half``; no cell is kept and
-    none is searched.  Each is twice the half's, since a refined level has
-    no middle cell: a child of side h lies h/2 from its parent along each
-    axis, and each coordinate of its parent is 0 (a grid cell) or at least h
-    in magnitude, so each of the child's is at least h/2, h/2 being a
-    float."""
-    reach_sq, slack = _reach_and_slack(epsilon, radius, pitch)
-    failing = checked = 0
-    # each block's survivors live until the next block's replace them: freed
-    # at once, they left the heap top free, and the allocator gave it back
-    # to the system only for the next block to fault it in again
-    for a in range(0, size, _BLOCK):
-        x, _, n, _ = _failing_level(*cells(a, min(a + _BLOCK, size)), reach_sq, rotations, slack)
-        failing += x.size
-        checked += n
-    return 2 * failing, 2 * checked
+    return np.concatenate(fx), np.concatenate(fy), failing, 2 * checked - middle, witness
 
 
 # bits of the enclosure sqrt(4n^2 - 1) in [s, s + 1] / 2**_ROOT_BITS that
@@ -317,16 +285,15 @@ def _clear(x: float, y: float, radius: Fraction, clearance: Fraction, exact) -> 
     return True
 
 
-def _witness(xs, ys, epsilon: float, radius: float, earlier, exact):
-    """The first of a block's candidates ``xs, ys`` (in the disk and at
-    least ``epsilon`` from the nearest integer under every rotation the
-    block was tested with) that is float-clear of the ``earlier`` rotations
-    too and that ``_clear`` confirms for clearance eps + ulp(eps) within
+def _witness(xs, ys, epsilon: float, radius: float, rotations, exact):
+    """The first of a block's survivors ``xs, ys`` that lies in the disk and
+    at least ``epsilon`` from the nearest integer under every one of
+    ``rotations`` in floats (``_failing_level`` at reach R**2 and slack
+    eps) and that ``_clear`` confirms for clearance eps + ulp(eps) within
     radius R - ulp(R), which also hold for the decimal literals that round to
     the floats eps and R: a Gaussian rational, or None.  A candidate that
     ``_clear`` rejects is passed over."""
-    if earlier:
-        xs, ys, _, _ = _failing_level(xs, ys, radius * radius, earlier, epsilon)
+    xs, ys, _ = _failing_level(xs, ys, radius * radius, rotations, epsilon)
     clearance = Fraction(epsilon) + Fraction(math.ulp(epsilon))
     inside = Fraction(radius) - Fraction(math.ulp(radius))
     for x, y in zip(xs.tolist(), ys.tolist()):
@@ -383,26 +350,19 @@ def _refined(fx, fy, in_disk: int, witness, eps: float, R: float, h: float,
     """The report of a run whose grid level left the first half ``fx, fy``
     failing out of ``in_disk`` grid cells in the disk, and named ``witness``
     (None or a Gaussian rational), after up to ``refine_rounds`` rounds that
-    split each failing cell into four.  A level that holds a witness ends
-    the run.  Each level kept for a next round is searched for one as its
-    cells are tested (``_failing_half`` with ``exact``, the rotations in the
-    form ``_clear`` reads).  Each round but the last keeps its failing half
-    for the next; the last round only counts its failing cells, and is not
-    searched.  The report keeps no cell."""
-    checked = in_disk
-    rounds_used = 0
-    while witness is None and rounds_used < refine_rounds - 1 and fx.size:
+    split each failing cell into four.  Each round's level is searched for a
+    witness as its cells are tested (``_failing_half``, with ``exact`` the
+    rotations in the form ``_clear`` reads), and a level that holds one ends
+    the run.  Each round but the last keeps its failing half for the next;
+    the last only counts its failing cells.  The report keeps no cell."""
+    checked, failing, rounds_used = in_disk, _level_size(fx, fy), 0
+    while witness is None and failing and rounds_used < refine_rounds:
         h /= 2
-        fx, fy, cells, witness = _failing_half(*_children(fx, fy, h / 2), eps, R, h,
-                                               rotations, exact)
-        checked += cells
         rounds_used += 1
-    failing = _level_size(fx, fy)
-    if witness is None and rounds_used < refine_rounds and fx.size:
-        h /= 2
-        failing, cells = _failing_count(*_children(fx, fy, h / 2), eps, R, h, rotations)
+        fx, fy, failing, cells, witness = _failing_half(
+            *_children(fx, fy, h / 2), eps, R, h, rotations, exact,
+            last=rounds_used == refine_rounds)
         checked += cells
-        rounds_used += 1
     return DiskCoverReport(
         certified=failing == 0,
         pitch=h,
@@ -422,14 +382,15 @@ def certified_disk_cover(
     by 1-Lipschitz continuity of the stripe coordinate).  Each refinement
     round splits every failing cell into four and tests them again.
 
-    The grid level and each level that a further round would refine are
-    searched for a witness, a failing centre in the disk that no open stripe
-    holds (see ``DiskCoverReport``), in the pass that tests their cells: the
-    kernel's clear mask proposes it, block by block, and ``_clear`` confirms
-    it exactly against the rotations as given: a Gaussian rational exactly,
-    a float or complex at its binary value; a rotation that is not finite
-    covers nothing.  A level that holds a witness ends the run, not
-    certified; the last round is counted and not searched.
+    Every level, the grid and each round's, the last included, is searched
+    for a witness, a failing centre in the disk that no open stripe holds
+    (see ``DiskCoverReport``), in the pass that tests its cells: block by
+    block, ``_failing_level`` at slack epsilon and reach R**2 proposes the
+    block's survivors that no rotation holds within epsilon, and ``_clear``
+    confirms one exactly against the rotations as given: a Gaussian rational
+    exactly, a float or complex at its binary value; a rotation that is not
+    finite covers nothing.  A level that holds a witness ends the run, not
+    certified.
 
     The grid's n = max(1, ceil(2R/pitch)) columns and rows are centred on
     the disk, at pitch * (j - (n - 1)/2); when 2R/pitch is not an integer
@@ -445,12 +406,12 @@ def certified_disk_cover(
     cells are made from their index, children from their parent's cells, so
     the grid and a level's children are never held whole.  Each level but
     the last keeps the first half of its failing cells for the next round;
-    the last refinement round only counts its failing cells, and the
-    report keeps counts and the witness only.  So memory follows the
-    failing half of the parent of the last level, and is given back on
-    return.  An empty rotation list, a parameter out of range (epsilon must
-    lie in (0, 1/2)) or a grid of more than 2**20 columns (2R/pitch above
-    it, or not finite) is a ValueError."""
+    the last refinement round holds one block's survivors at a time and
+    only counts them, and the report keeps counts and the witness only.  So
+    memory follows the failing half of the parent of the last level, and is
+    given back on return.  An empty rotation list, a parameter out of range
+    (epsilon must lie in (0, 1/2)) or a grid of more than 2**20 columns
+    (2R/pitch above it, or not finite) is a ValueError."""
     given = list(rotations)
     if not given:
         raise ValueError("at least one rotation is required")
@@ -462,7 +423,7 @@ def certified_disk_cover(
             exact.append(_rotation_form(exact_gaussian_rational(t)))
         except ValueError:
             exact.append(None)
-    fx, fy, in_disk, witness = _failing_half(*_grid(R, h), eps, R, h, rots, exact)
+    fx, fy, _, in_disk, witness = _failing_half(*_grid(R, h), eps, R, h, rots, exact)
     return _refined(fx, fy, in_disk, witness, eps, R, h, rots, exact, refine_rounds)
 
 
@@ -488,15 +449,15 @@ def disk_cover_scan(epsilon, radius, pitch, n_max: int, N_max: int, refine_round
     only the first half of the grid cells still failing and their in-disk
     count, and tests on them only the 3(2N + 1) rotations new at N, those
     zeta * theta5**r * theta13**s with max(r, s) = N; refinement tests every
-    rotation.  The grid pass searches the carried cells as it tests them,
-    and so sees only the new rotations: a block's candidates go through
-    ``_failing_level`` once more, at slack epsilon and reach R**2, with the
-    rotations from before N, and then through ``_clear``.  The rows, and
-    the failing cells in their order, are those of fresh runs, but for the
-    exact check of a witness, which a fresh run makes against the float
-    rotations.  No finished step's failing cells are kept.  The parameters
-    are checked as by ``certified_disk_cover``; n_max below 1 or N_max below
-    0 is a ValueError."""
+    rotation, and so does the witness search: on the grid pass, a block's
+    survivors of the new rotations go through ``_failing_level`` at slack
+    epsilon and reach R**2 with every rotation of the step, as on every
+    level, and then through ``_clear``.  The rows, and the failing cells in
+    their order, are those of fresh runs, but for the exact check of a
+    witness, which a fresh run makes against the float rotations.  No
+    finished step's failing cells are kept.  The parameters are checked as
+    by ``certified_disk_cover``; n_max below 1 or N_max below 0 is a
+    ValueError."""
     eps, R, h = _disk_parameters(epsilon, radius, pitch, refine_rounds)
     if n_max < 1 or N_max < 0:
         raise ValueError("need n_max >= 1 and N_max >= 0")
@@ -515,8 +476,8 @@ def disk_cover_scan(epsilon, radius, pitch, n_max: int, N_max: int, refine_round
             # the signs of irrational_triple's zeta, conj(zeta) and 1
             exact += [_rotation_form(theta, n, sign, root) for sign in (1, -1, 0)
                       for theta in shells[N]]
-            gx, gy, count, witness = _failing_half(*level, eps, R, h, new, exact, rots)
             rots += new
+            gx, gy, _, count, witness = _failing_half(*level, eps, R, h, rots, exact, new)
             if N == 0:
                 in_disk = count
             level = gx.size, lambda a, b, gx=gx, gy=gy: (gx[a:b], gy[a:b])

@@ -46,7 +46,7 @@ EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())
 # report.txt digests of the disk jobs, from scripts/catalog_digest.py; their
 # non-certified scan rows name a witness or "none"
 DISK_DIGESTS = {
-    "0e88c49a8c4b6244": "04ea4de0e71dfbdd",
+    "0e88c49a8c4b6244": "9be5279901604b0c",
     "2fb7081c516db00d": "c818e69c33a3ed5c",
     "f6f647bde6619770": "1cbc68bed636bf7c",
 }

@@ -816,13 +816,15 @@ def _failing_cells(rotations, eps, radius, pitch, rounds):
     keeps no cell: the grid's failing half, then ``rounds`` times its
     children's, unfolded with the mirror images, as raw arrays in the order
     the kernel keeps them.  The witness search changes no cell's verdict,
-    so it is left out."""
+    so it runs with no exact rotation (``exact=[]``) and its witness is
+    dropped."""
     rots = [complex(t) for t in rotations]
     eps, radius, h = disk._disk_parameters(eps, radius, pitch, rounds)
-    hx, hy, _, _ = disk._failing_half(*disk._grid(radius, h), eps, radius, h, rots)
+    hx, hy, *_ = disk._failing_half(*disk._grid(radius, h), eps, radius, h, rots, [])
     for _ in range(rounds):
         h /= 2
-        hx, hy, _, _ = disk._failing_half(*disk._children(hx, hy, h / 2), eps, radius, h, rots)
+        hx, hy, *_ = disk._failing_half(*disk._children(hx, hy, h / 2), eps, radius, h,
+                                        rots, [])
     size = disk._level_size(hx, hy)
     return disk._mirrored_slice(hx, size, 0, size), disk._mirrored_slice(hy, size, 0, size)
 
@@ -830,8 +832,8 @@ def _failing_cells(rotations, eps, radius, pitch, rounds):
 def _disk_reference(rotations, eps, R, h, refine_rounds, stop=True):
     """Every rotation tested on every cell: the failing cells sorted, and
     as raw arrays in the order the kernel keeps them, and the witness as a
-    float pair or None.  With ``stop``, the grid level and each level that a
-    further round refines are searched for a witness first: the first
+    float pair or None.  With ``stop``, every level, the grid and each
+    round's, the last included, is searched for a witness: the first
     centre of the level's first half in the disk and at least eps from the
     nearest integer under every rotation in floats that ``uncovered_oracle``
     confirms, and a level that holds one ends the run."""
@@ -878,7 +880,7 @@ def _disk_reference(rotations, eps, R, h, refine_rounds, stop=True):
         checked += int(keep.sum())
         fx, fy = failing(cx[keep], cy[keep], eps - half_diag)
         rounds += 1
-        if stop and rounds < refine_rounds:
+        if stop:
             found = witness(fx, fy)
     cells = tuple(sorted((float(x), float(y)) for x, y in zip(fx, fy)))
     return not cells, h, rounds, checked, cells, (fx, fy), found
@@ -954,13 +956,34 @@ def test_certified_disk_cover_witness_in_blocks_of_seven(monkeypatch):
     test_certified_disk_cover_witness_is_uncovered()
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(disk_configs())
+@example(([1 + 0j], 0.375, 1.0, 0.25, 1))  # a witness in round 1 of 1
+@example(([1 + 0j, 1j], 0.4, 1.0, 0.2, 0))  # a witness on the grid, the only level
+@example((theta_prime(1, 1)[:6], 0.3, 2.0, 0.2, 3))  # no witness, not certified
+def test_certified_disk_cover_searches_its_last_round(case):
+    # every level a run tests is searched, the last round's too: a witness
+    # that a run of k rounds or one of k + 1 finds within k rounds is found
+    # by both, on the same level, with the same report
+    rots, eps, radius, pitch, rounds = case
+    report = certified_disk_cover(rots, eps, radius, pitch, refine_rounds=rounds)
+    deeper = certified_disk_cover(rots, eps, radius, pitch, refine_rounds=rounds + 1)
+    for run in (report, deeper):
+        if run.witness is not None:
+            assert uncovered_oracle(run.witness, *float_literal_bounds(eps, radius),
+                                    plain_forms(rots))
+    if report.witness is not None or (deeper.witness is not None
+                                      and deeper.rounds_used <= rounds):
+        assert deeper == report
+
+
 def test_certified_disk_cover_passes_over_a_rejected_candidate(monkeypatch):
     # stripes |x - k| < 3/8 and grid centres at odd multiples of 1/8: the
     # columns x = +-3/8, +-5/8 lie exactly float(eps) from a stripe, so the
     # float test proposes their centres and the exact test, which asks for
     # eps + ulp(eps), rejects every one.  No grid centre is uncovered, and
     # the run refines as without the witness search; the child at
-    # x = -7/16 is uncovered, found when round 1 is kept for round 2
+    # x = -7/16 is uncovered, found in round 1, the last round of the run
     checked = []
     clear = disk._clear
 
@@ -969,15 +992,19 @@ def test_certified_disk_cover_passes_over_a_rejected_candidate(monkeypatch):
         return checked[-1][1]
 
     monkeypatch.setattr(disk, "_clear", spy)
-    report = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25, refine_rounds=1)
+    grid = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25)
     assert checked and {(abs(x), ok) for x, ok in checked} <= {(0.375, False), (0.625, False)}
-    assert report.witness is None and report.rounds_used == 1
+    assert grid.witness is None and grid.rounds_used == 0
+    rejected = len(checked)
+    report = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25, refine_rounds=1)
+    assert checked[rejected:2 * rejected] == checked[:rejected]
+    assert checked[-1] == (-0.4375, True) and not any(ok for _, ok in checked[:-1])
+    assert report.rounds_used == 1
+    assert report.witness == GaussianRational.from_fractions(F(-7, 16), F(-11, 16))
     _, h, _, cells_checked, cells, _, _ = _disk_reference([1 + 0j], 0.375, 1.0, 0.25, 1,
                                                            stop=False)
     assert (report.pitch, report.cells_checked, report.failing_count) == (h, cells_checked, len(cells))
-    deeper = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25, refine_rounds=2)
-    assert deeper.rounds_used == 1 and deeper.witness == GaussianRational.from_fractions(F(-7, 16),
-                                                                                         F(-11, 16))
+    assert certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25, refine_rounds=2) == report
 
 
 def test_theta_prime_1_2_misses_the_plane_at_three_tenths():
@@ -1001,8 +1028,10 @@ def test_disk_cover_witness_under_optimize():
     # candidates stay rejected and a scan names the same witnesses
     script = textwrap.dedent("""
         from pyjama.disk import certified_disk_cover, disk_cover_scan
-        rejected = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25, refine_rounds=1)
-        print(rejected.witness, rejected.rounds_used)
+        grid = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25)
+        print(grid.witness, grid.rounds_used)
+        child = certified_disk_cover([1 + 0j], 0.375, 1.0, 0.25, refine_rounds=1)
+        print(child.witness, child.rounds_used)
         for row in disk_cover_scan(0.2, 4.0, 0.25, 1, 1, refine_rounds=2):
             print(row[-1])
     """)
@@ -1013,7 +1042,8 @@ def test_disk_cover_witness_under_optimize():
     assert done.returncode == 0, done.stderr
     rows = disk_cover_scan(0.2, 4.0, 0.25, 1, 1, refine_rounds=2)
     assert all(row[-1] is not None for row in rows)
-    assert done.stdout.splitlines() == ["None 1", *(str(row[-1]) for row in rows)]
+    assert done.stdout.splitlines() == ["None 0", "-7/16-11/16i 1",
+                                        *(str(row[-1]) for row in rows)]
 
 
 @st.composite
@@ -1064,32 +1094,27 @@ _TIES = (np.tile(np.arange(-7, 8, 2) / 8, 8), np.repeat(np.arange(-7, 8, 2) / 8,
 @example((*(a.ravel() for a in np.meshgrid(*2 * [0.1 * (np.arange(40) - 19.5)])),
           theta_prime(1, 1), 0.2, 2.0, 0.1))
 def test_failing_level_matches_two_separate_passes(case):
-    # the kernel's survivors and clear mask, in one pass, are byte for byte
-    # those of two passes over every cell, one at the slack and reach, one
-    # at eps and R**2; in blocks, each block's candidates go to _witness
+    # the kernel's survivors, in one pass, are byte for byte those of a pass
+    # over every cell at the slack and reach; in blocks, the candidates that
+    # _witness draws from the blocks' survivors are byte for byte those of a
+    # pass at eps and R**2, in order
     xs, ys, rots, eps, radius, pitch = case
     reach_sq, slack = disk._reach_and_slack(eps, radius, pitch)
     alive = _two_passes(xs, ys, rots, reach_sq, slack)
     clear = _two_passes(xs, ys, rots, radius * radius, eps)
     assert not (clear & ~alive).any()
-    fx, fy, checked, got = disk._failing_level(xs, ys, reach_sq, rots, slack,
-                                               (radius * radius, eps))
+    fx, fy, checked = disk._failing_level(xs, ys, reach_sq, rots, slack)
     assert [fx.tobytes(), fy.tobytes()] == [xs[alive].tobytes(), ys[alive].tobytes()]
-    assert got.tobytes() == clear[alive].tobytes()
     assert checked == np.count_nonzero(xs * xs + ys * ys <= reach_sq)
-    plain = disk._failing_level(xs, ys, reach_sq, rots, slack)
-    assert [a.tobytes() for a in plain[:2]] == [fx.tobytes(), fy.tobytes()]
-    assert plain[2:] == (checked, None)
-    # in blocks: no candidate is confirmed, so every block's go to _witness
+    # in blocks: no candidate is confirmed, so _clear sees every one
     seen = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(disk, "_witness", lambda x, y, *args: seen.append((x, y)))
-        hx, hy, _, found = disk._failing_half(xs.size, lambda a, b: (xs[a:b], ys[a:b]),
-                                              eps, radius, pitch, rots, exact=[])
+        m.setattr(disk, "_clear", lambda x, y, *args: seen.append((x, y)))
+        hx, hy, _, _, found = disk._failing_half(xs.size, lambda a, b: (xs[a:b], ys[a:b]),
+                                                 eps, radius, pitch, rots, [])
     assert found is None
     assert [hx.tobytes(), hy.tobytes()] == [fx.tobytes(), fy.tobytes()]
-    assert all(x.size for x, _ in seen)
-    cx, cy = (np.concatenate([np.empty(0), *(cell[i] for cell in seen)]) for i in (0, 1))
+    cx, cy = (np.array([cell[i] for cell in seen], dtype=float) for i in (0, 1))
     assert [cx.tobytes(), cy.tobytes()] == [xs[clear].tobytes(), ys[clear].tobytes()]
 
 
@@ -1202,15 +1227,26 @@ def test_certified_disk_cover_counts_its_last_round(monkeypatch):
     # certified in its last round
     report = certified_disk_cover(rotations, 0.35, 2.0, 0.2, refine_rounds=3)
     assert report.certified and report.rounds_used == 3 and report.failing_count == 0
-    # certified in round 3 of 5: no round is counted
-    counted = []
-    count = disk._failing_count
-    monkeypatch.setattr(disk, "_failing_count",
-                        lambda *args: counted.append(args) or count(*args))
+    # certified in round 3 of 5: no round is counted.  A counted round
+    # keeps no cell and gives the level's failing count
+    calls = []
+    half = disk._failing_half
+
+    def spy(*args, **kwargs):
+        fx, _, failing, _, _ = got = half(*args, **kwargs)
+        calls.append((kwargs.get("last", False), fx.size, failing))
+        return got
+
+    monkeypatch.setattr(disk, "_failing_half", spy)
     early = certified_disk_cover(rotations, 0.35, 2.0, 0.2, refine_rounds=5)
-    assert early == report and early.rounds_used == 3 and not counted
+    assert early == report and early.rounds_used == 3
+    assert [last for last, _, _ in calls] == [False] * 4
+    calls.clear()
     assert certified_disk_cover(rotations, 0.35, 2.0, 0.2, refine_rounds=3) == report
-    assert len(counted) == 1
+    assert [last for last, _, _ in calls] == [False, False, False, True]
+    calls.clear()
+    certified_disk_cover(rotations, 0.3, 2.0, 0.2, refine_rounds=2)
+    assert calls[-1] == (True, 0, 54)
 
 
 def _assert_scan_matches_fresh_runs(monkeypatch, eps, radius, pitch, n_max, N_max, rounds):
@@ -1352,6 +1388,19 @@ def test_certified_disk_cover_small_epsilon_scan():
     assert [witness is not None for *_, witness in rows] == [True] * 6 + [False] * 2
     for n, N, *_, witness in rows[:6]:
         assert uncovered_oracle(witness, *float_literal_bounds(0.05, 20.0), theta_prime_forms(n, N))
+
+
+def test_disk_cover_scan_searches_its_last_round():
+    # eps = 0.1, R = 20, 4 rounds: step N = 4 holds its witness on its last
+    # level, the one that a 5-round run keeps for a fifth round; searching
+    # it changes no cell count
+    rows = disk_cover_scan(0.1, 20, 0.1, 1, 8, refine_rounds=4)
+    assert [row[:6] for row in rows[4:]] == [(1, 4, 75, False, 136696, 110),
+                                             (1, 5, 108, True, 128312, 0)]
+    witness = rows[4][6]
+    assert witness is not None
+    assert uncovered_oracle(witness, *float_literal_bounds(0.1, 20.0), theta_prime_forms(1, 4))
+    assert disk_cover_scan(0.1, 20, 0.1, 1, 4, refine_rounds=5)[4] == rows[4]
 
 
 def test_snap_to_lattice_round_trip():
