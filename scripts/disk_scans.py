@@ -4,10 +4,10 @@
 
 Run from inside the git checkout.  It writes ``git archive`` copies of
 PARENT and CHANGE (default HEAD) into one temporary directory (``TMPDIR``
-picks where), as ``scripts/ab_pairs.py`` does.  Each pass starts one fresh
-process per side, alternating which side goes first, and each process
-imports its side's ``src`` and runs K rounds of the scans below, one after
-the other, timing each call of ``disk_cover_scan`` with
+picks where) with ``scripts/ab_pairs.py``'s ``_checkout``.  Each pass
+starts one fresh process per side, alternating which side goes first, and
+each process imports its side's ``src`` and runs K rounds of the scans
+below, one after the other, timing each call of ``disk_cover_scan`` with
 ``time.perf_counter`` and counting its minor page faults (``ru_minflt``).
 The scan is taken from ``pyjama.disk``, or from ``pyjama.covering`` in a
 revision from before the disk cover had its own module:
@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import io
 import json
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
+
+from ab_pairs import _checkout
 
 SCANS = {
     "catalog-1": (0.2, 20, 0.2, 2, 3, 2),
@@ -67,17 +67,6 @@ for _ in range(repeats):
         out[name]["rows"] = text
 print(json.dumps(out))
 """
-
-
-def _checkout(rev: str, where: Path) -> str:
-    """Extract the files of ``rev`` into ``where``; the full commit hash."""
-    def git(*args):
-        return subprocess.run(["git", *args], check=True, capture_output=True).stdout
-    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
-    where.mkdir()
-    with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tar:
-        tar.extractall(where, filter="data")
-    return commit
 
 
 def _side(root: Path, repeats: int) -> dict:

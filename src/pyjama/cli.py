@@ -220,7 +220,7 @@ def _csv(header, rows) -> bytes:
 
 
 def _cmd_verify_covering(config, ini, artifacts):
-    from .covering import uncovered_region
+    from .covering import _margin, uncovered_region
 
     cover = _covering_config(ini)
     m_max = _least(ini, "covering", "obstruction_m_max", 1, "2")
@@ -235,13 +235,12 @@ def _cmd_verify_covering(config, ini, artifacts):
         rng = random.Random(config.seed)
         grid = 8 * cover.period.norm()
         p, q = cover.epsilon.numerator, cover.epsilon.denominator
+        # (u + iv)/grid*D is uncovered when its margin under each D*theta meets eps
+        forms = [(g.re, g.im) for g in ((t * cover.period).num for t in cover.rotations)]
         for _ in range(audit_points):
-            # the point z/grid of the cell; Re(theta*z/grid) mod 1 is r/M
-            z = GaussianInt(rng.randrange(grid), rng.randrange(grid)) * cover.period
-            values = ((t.num.re * z.re - t.num.im * z.im, t.den * grid)
-                      for t in cover.rotations)
-            direct = all(min(r % M, -r % M) * q >= p * M for r, M in values)
-            mismatches += report.contains(GaussianRational(z, grid)) != direct
+            u, v = rng.randrange(grid), rng.randrange(grid)
+            direct = _margin(u, v, grid, forms) * q >= p * grid
+            mismatches += report._cell_contains(u, v, grid) != direct
         lines.append(f"audit points={audit_points} seed={config.seed} "
                      f"mismatches={mismatches}")
 

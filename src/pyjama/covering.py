@@ -102,11 +102,10 @@ class _Polygons(Sequence):
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Exact certificate for the uncovered part of one period parallelogram.
-
-    ``pieces`` are its closed convex pieces as canonical integer rings at
-    the lattice scale ``scale`` (a vertex (X, Y) is the point
-    (X + iY)/scale); a ring's vertex count gives its kind.  Membership,
+    """Exact certificate for the uncovered part of one period parallelogram:
+    ``pieces``, the closed cell minus the open stripes, as convex canonical
+    integer rings at the lattice scale ``scale`` (a vertex (X, Y) is the
+    point (X + iY)/scale) whose vertex count gives their kind.  Membership,
     distances, the report text and the SVG all work on them; ``uncovered``
     shows them as ConvexPolygons."""
 
@@ -136,29 +135,25 @@ class CoverReport:
                     buckets.setdefault((ix, iy), []).append(entry)
         return buckets
 
-    def contains(self, z) -> bool:
-        """Exact membership of a complex point in the pieces' translates by
-        D*Z[i].  Only the shifts D*(j + ki), j, k in {-1, 0, 1}, of the point
-        reduced into the cell are tried, so it is exact for pieces within one
-        period of the cell, as ``uncovered_region`` builds them."""
-        q = as_gaussian_rational(z)
-        a, b, m = q.num.re, q.num.im, q.den
+    def _cell_contains(self, u: int, v: int, M: int) -> bool:
+        """Whether the point (u + iv)/M * D of the cell, 0 <= u, v < M, lies
+        in a piece of the one bucket that holds it."""
         D, L = self.config.period, self.scale
-        dr, di = D.re, D.im
-        M = m * D.norm()
-        # z = (a + bi)/m; (a + bi)/(m*D) = (u + iv)/M in cell coordinates [0, 1)
-        u = (a * dr + b * di) % M
-        v = (b * dr - a * di) % M
-        buckets = self._buckets
-        for j in (u, u - M, u + M):
-            for k in (v, v - M, v + M):
-                x, y = j * dr - k * di, j * di + k * dr  # the point (x + iy)/M
-                xl, yl = x * L, y * L
-                for ring, (x0, x1, y0, y1) in buckets.get((x // M, y // M), ()):
-                    if (M * x0 <= xl <= M * x1 and M * y0 <= yl <= M * y1
-                            and _ring_contains(ring, xl, yl, M)):
-                        return True
+        x, y = u * D.re - v * D.im, u * D.im + v * D.re  # the point (x + iy)/M
+        xl, yl = x * L, y * L
+        for ring, (x0, x1, y0, y1) in self._buckets.get((x // M, y // M), ()):
+            if (M * x0 <= xl <= M * x1 and M * y0 <= yl <= M * y1
+                    and _ring_contains(ring, xl, yl, M)):
+                return True
         return False
+
+    def contains(self, z) -> bool:
+        """Exact membership of a complex point, reduced into the cell by
+        D*Z[i]: the stripes are D-periodic, so no other translate is tried."""
+        q, D = as_gaussian_rational(z), self.config.period
+        a, b, M = q.num.re, q.num.im, q.den * D.norm()
+        # z = (a + bi)/m; (a + bi)/(m*D) = (u + iv)/M in cell coordinates [0, 1)
+        return self._cell_contains((a * D.re + b * D.im) % M, (b * D.re - a * D.im) % M, M)
 
     def report_lines(self) -> list[str]:
         """Structured-text serialization (exact), from the ``kind=`` line on."""
@@ -363,9 +358,9 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     area and mirror images (s(P + t) = s(P) - t, ``_mirrored``), moved.  A
     lone rotation cuts its own slabs again, which leaves each one whole.
 
-    Every catalog obstruction point is uncovered (each rotation's D*theta is
-    one of the norm-N(D) multipliers that ``verify_obstruction`` ranges
-    over), which is re-checked exactly."""
+    Every catalog point (a + bi)/m * D is uncovered (each rotation's D*theta
+    is a norm-N(D) multiplier of ``verify_obstruction``), which is
+    re-checked exactly at its cell coordinates (a + bi)/m."""
     D, eps = config.period, config.epsilon
     scale = _lattice_scale(D, config.rotations, eps)
     dr, di = D.re * scale, D.im * scale
@@ -388,7 +383,7 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     matches = tuple(abm for abm, _ in obstruction_catalog(eps, obstruction_m_max, D.norm()))
     report = CoverReport(config, tuple(pieces), scale, area, matches)
     for a, b, m in matches:
-        if not report.contains(GaussianRational(GaussianInt(a, b) * D, m)):
+        if not report._cell_contains(a, b, m):
             raise CertificateError(
                 f"obstruction certificate violated: ({a}, {b}, {m}) is in the "
                 "catalog but its point is not in the uncovered region"

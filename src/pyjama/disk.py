@@ -294,6 +294,8 @@ def _witness(xs, ys, epsilon: float, radius: float, rotations, exact):
     the floats eps and R: a Gaussian rational, or None.  A candidate that
     ``_clear`` rejects is passed over."""
     xs, ys, _ = _failing_level(xs, ys, radius * radius, rotations, epsilon)
+    if not xs.size:
+        return None
     clearance = Fraction(epsilon) + Fraction(math.ulp(epsilon))
     inside = Fraction(radius) - Fraction(math.ulp(radius))
     for x, y in zip(xs.tolist(), ys.tolist()):

@@ -42,14 +42,12 @@ from _util import (
     convex_pieces,
     float_literal_bounds,
     fraction_area,
-    fraction_contains,
     fraction_dist_sq,
     plain_forms,
     rng,
     theta_prime_forms,
     uncovered_oracle,
     whole_cell_pieces,
-    with_pieces,
 )
 
 F = Fraction
@@ -621,27 +619,33 @@ def cell_edge_points(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(cell_edge_points())
 def test_membership_on_cell_edges_matches_the_audit_stripe_test(case):
-    # points on the cell's edges and corners, and every piece vertex there
-    # with its translates by D*(s + ti), s, t in {-1, 0, 1}, against the
-    # direct stripe test of the verify-covering audit, as the CLI writes it:
-    # Re(theta*z/n) is r/M, and z/n is uncovered when every rotation keeps it
-    # epsilon off Z
+    # points on the cell's edges and corners, and every piece vertex there,
+    # each with its translates by D*(s + ti), s, t in {-1, 0, 1}, at cell
+    # coordinates (u + iv)/M, against the direct stripe test of the
+    # verify-covering audit, as the CLI writes it: the obstruction margin of
+    # (u + iv)/M under the multipliers D*theta meets epsilon.  That test is
+    # also the per-rotation one it replaced, where Re(theta*z/M) is r/W for
+    # z = (u + iv)*D
     cfg, n, points = case
     report = uncovered_region(cfg, obstruction_m_max=1)
     D, L = cfg.period, report.scale
     LN = L * D.norm()
-    probes = [(GaussianInt(j, k) * D, n) for j, k in points]
+    probes = [(j, k, n) for j, k in points]
     for ring in report.pieces:
         for x, y in ring:
-            # (x + iy)/(L*D) has a cell coordinate 0 or 1: the vertex is on an edge
-            if (x * D.re + y * D.im) % LN == 0 or (y * D.re - x * D.im) % LN == 0:
-                probes += [(GaussianInt(x, y) + GaussianInt(s, t) * D * L, L)
-                           for s in (-1, 0, 1) for t in (-1, 0, 1)]
+            # (x + iy)/(L*D) = (u + iv)/LN; a coordinate 0 or 1 puts it on an edge
+            u, v = x * D.re + y * D.im, y * D.re - x * D.im
+            if u % LN == 0 or v % LN == 0:
+                probes += [(u + s * LN, v + t * LN, LN) for s in (-1, 0, 1) for t in (-1, 0, 1)]
     p, q = cfg.epsilon.numerator, cfg.epsilon.denominator
-    for z, m in probes:
-        values = ((t.num.re * z.re - t.num.im * z.im, t.den * m) for t in cfg.rotations)
-        direct = all(min(r % M, -r % M) * q >= p * M for r, M in values)
-        assert report.contains(GaussianRational(z, m)) == direct
+    forms = [(g.re, g.im) for g in ((t * D).num for t in cfg.rotations)]
+    for u, v, M in probes:
+        direct = covering._margin(u, v, M, forms) * q >= p * M
+        z = GaussianInt(u, v) * D
+        values = ((t.num.re * z.re - t.num.im * z.im, t.den * M) for t in cfg.rotations)
+        assert direct == all(min(r % W, -r % W) * q >= p * W for r, W in values)
+        assert report._cell_contains(u % M, v % M, M) == direct
+        assert report.contains(GaussianRational(z, M)) == direct
 
 
 def test_verify_obstruction_pins():
@@ -1517,49 +1521,27 @@ def _stripe_uncovered(cfg, z):
     return True
 
 
-def _fraction_periodic_contains(report, polys, z):
-    """Fraction-oracle membership of z in the period translates of the given
-    pieces: z reduced to the cell, then tried at the nine shifts by
-    D*(j + ki), j, k in {-1, 0, 1}."""
-    D = GaussianRational(report.config.period)
-    w = z / D
-    base = GaussianRational.from_fractions(w.re % 1, w.im % 1) * D
-    for j in (-1, 0, 1):
-        for k in (-1, 0, 1):
-            p = base + D * GaussianRational(GaussianInt(j, k))
-            if any(fraction_contains(poly, (p.re, p.im)) for poly in polys):
-                return True
-    return False
-
-
 @st.composite
 def membership_cases(draw):
-    """A certificate of N(D) <= 65 plus up to three extra pieces (points and
-    triangles, hulls on a quarter grid around the cell), random exact
-    points around the cell, and up to ten certificate pieces and the extras
-    to probe at."""
+    """A certificate of N(D) <= 65, random exact points around the cell, and
+    up to ten of its pieces to probe at."""
     cfg = draw(small_configs().filter(lambda c: c.period.norm() <= 65))
     report = uncovered_region(cfg, obstruction_m_max=1)
     D = cfg.period
     reach = abs(D.re) + abs(D.im)
-    coord = st.integers(-4 * reach, 4 * reach).map(lambda v: F(v, 4))
-    extras = [ConvexPolygon(v)
-              for v in draw(st.lists(convex_pieces(st.tuples(coord, coord), 3), max_size=3))]
     exact = st.builds(F, st.integers(-30 * reach, 30 * reach), st.integers(1, 12))
     points = draw(st.lists(st.tuples(exact, exact), max_size=30))
     start = draw(st.integers(0, max(0, len(report.pieces) - 10)))
-    return (report, extras, [GaussianRational.from_fractions(x, y) for x, y in points],
-            list(report.uncovered)[start:start + 10] + extras)
+    return (report, [GaussianRational.from_fractions(x, y) for x, y in points],
+            list(report.uncovered)[start:start + 10])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(membership_cases())
 def test_integer_membership_matches_fraction_oracle(case):
-    report, extras, points, probed = case
+    report, points, probed = case
     cfg = report.config
     D = GaussianRational(cfg.period)
-    alone = with_pieces(report, extras)
-    mixed = with_pieces(report, list(report.uncovered) + extras)
     probes = list(points)
     for poly in probed:
         # every vertex, every edge midpoint, and the points just past each
@@ -1575,11 +1557,62 @@ def test_integer_membership_matches_fraction_oracle(case):
         for s in shifts:
             w = z + s
             # the certificate's pieces tile the stripe complement exactly
-            stripes = _stripe_uncovered(cfg, w)
-            assert report.contains(w) == stripes
-            extra = _fraction_periodic_contains(report, extras, w)
-            assert alone.contains(w) == extra
-            assert mixed.contains(w) == (stripes or extra)
+            assert report.contains(w) == _stripe_uncovered(cfg, w)
+
+
+class _CountedBuckets(dict):
+    """A bucket hash that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+_cell_point = st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 12))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_configs(), st.lists(_cell_point, max_size=12))
+def test_contains_looks_up_one_bucket(cfg, points):
+    # the pieces are the closed cell minus the D-periodic open stripes, so
+    # the point reduced into the cell is the only one to test: one bucket
+    # per call, whether it is uncovered or not.  0 lies on every stripe's
+    # centre line; the first piece's vertices are uncovered
+    report = uncovered_region(cfg, obstruction_m_max=1)
+    buckets = report.__dict__["_buckets"] = _CountedBuckets(report._buckets)
+    D, L = GaussianRational(cfg.period), report.scale
+    probes = [GaussianRational(0)]
+    probes += [GaussianRational(GaussianInt(a, b), m) * D for a, b, m in points]
+    probes += [GaussianRational.from_fractions(F(x, L), F(y, L))
+               for ring in report.pieces[:1] for x, y in ring]
+    for z in probes:
+        before = buckets.lookups
+        assert report.contains(z) == _stripe_uncovered(cfg, z)
+        assert buckets.lookups == before + 1, z
+
+
+@st.composite
+def cell_points(draw):
+    """A config of ``small_configs``, a denominator M and up to 24 cell
+    coordinates 0 <= u, v < M, each 0 about half the time."""
+    cfg = draw(small_configs())
+    M = draw(st.integers(1, 60))
+    coord = st.just(0) | st.integers(0, M - 1)
+    return cfg, M, draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=24))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cell_points())
+def test_cell_membership_matches_fraction_stripe_oracle(case):
+    # the point (u + iv)/M * D of the cell, against the Fraction stripe test
+    cfg, M, points = case
+    report = uncovered_region(cfg, obstruction_m_max=1)
+    D = GaussianRational(cfg.period)
+    for u, v in points:
+        z = GaussianRational(GaussianInt(u, v), M) * D
+        assert report._cell_contains(u, v, M) == _stripe_uncovered(cfg, z), (u, v, M)
 
 
 def test_obstruction_margin_matches_fraction_formula():
