@@ -49,7 +49,7 @@ for job in jobs:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = cli.main(argv)
-            except Exception as exc:  # a known defect escapes as a traceback
+            except Exception as exc:  # its name stands in for the exit code; the next job runs
                 code = type(exc).__name__
         summary = " ".join(part for part in stdout.getvalue().split()
                            if not part.startswith("report="))

@@ -247,28 +247,6 @@ def _split_slabs(ring, hs, up: int, uq: int):
     return [part for part in slabs if part]
 
 
-def _subtract_stripes(rings, rotation: GaussianRational, eps: Fraction, scale: int):
-    """Cut the open stripes of one rotation out of convex integer rings at
-    the given lattice scale; the rings left, raw as the walks made them.
-
-    For theta = (a + bi)/d and eps = p/q, a vertex's stripe value
-    h = q*(a*X - b*Y) is q*u times Re(z*theta), u = d*scale, and stripe k is
-    the open band u*(q*k - p) < h < u*(q*k + p).  [min h, max h] decides
-    first: a piece that meets no stripe closure passes unchanged, and a piece
-    inside one open stripe is dropped.  Any other piece is split into its
-    parts in the closed slabs between the stripes by one ``_split_slabs``
-    walk, which emits them in increasing h; the rings come out in the order
-    of their input, each one's parts in increasing h.
-
-    Every part is the piece's point set cut by one closed slab, so the output
-    depends only on the point sets, not on how a raw ring lists them.  Under
-    the half-turn s(z) = (1+i)D - z of ``uncovered_region`` h becomes
-    u*q*Re((1+i)D*theta) - h, a multiple of u*q minus h: s maps the stripe
-    family onto itself and reverses the order of the slabs."""
-    form = _stripe_form(rotation, eps, scale)
-    return [part for ring in rings for part in _cut(ring, *form)]
-
-
 def _stripe_form(rotation: GaussianRational, eps: Fraction, scale: int):
     """(q*a, q*b, u*p, u*q) for theta = (a + bi)/d, eps = p/q and u = d*scale."""
     q, u, num = eps.denominator, rotation.den * scale, rotation.num
@@ -276,7 +254,23 @@ def _stripe_form(rotation: GaussianRational, eps: Fraction, scale: int):
 
 
 def _cut(ring, qa: int, qb: int, up: int, uq: int):
-    """``_subtract_stripes`` of one ring: [ring], [] or its slab parts."""
+    """Cut the open stripes of one rotation, given by its ``_stripe_form``,
+    out of a convex integer ring: [ring], [] or its parts, raw as the walk
+    made them.
+
+    For theta = (a + bi)/d and eps = p/q, a vertex's stripe value
+    h = q*(a*X - b*Y) is q*u times Re(z*theta), u = d*scale, and stripe k is
+    the open band u*(q*k - p) < h < u*(q*k + p).  [min h, max h] decides
+    first: a ring that meets no stripe closure passes unchanged, and a ring
+    inside one open stripe is dropped.  Any other ring is split into its
+    parts in the closed slabs between the stripes by one ``_split_slabs``
+    walk, which emits them in increasing h.
+
+    Every part is the ring's point set cut by one closed slab, so the parts'
+    point sets depend only on the ring's, not on how a raw ring lists it.
+    Under the half-turn s(z) = (1+i)D - z of ``uncovered_region`` h becomes
+    u*q*Re((1+i)D*theta) - h, a multiple of u*q minus h: s maps the stripe
+    family onto itself and reverses the order of the slabs."""
     hs = [qa * x - qb * y for x, y in ring]
     lo, hi = min(hs), max(hs)
     # stripes whose closure meets the piece: k_lo .. k_hi
@@ -306,24 +300,23 @@ def _moved(rings, dx: int, dy: int):
 
 
 def _cut_classes(rings, form):
-    """The canonical pieces that the stripes of ``form`` (``_stripe_form``)
-    leave of each ring, as (entry, dx, dy): entry[2] moved by (dx, dy).
-    A translate by t with u*q | h(t) walks the same way (its levels shift by
-    a multiple of 4; every crossing t and its lattice check stay), so a ring
-    is keyed by its first vertex's h mod u*q and its vertices' offsets from
-    that vertex, and only a new key is walked.  An entry is
-    [x0, y0, pieces, doubled area, mirror slot] for the ring that made it."""
+    """``_cut`` of each ring by the stripes of ``form`` (``_stripe_form``),
+    in input order, as (entry, dx, dy): the ring's raw parts are entry[2]
+    moved by (dx, dy).  A translate by t with u*q | h(t) walks the same way
+    (its levels shift by a multiple of 4; every crossing t and its lattice
+    check stay), so a ring is keyed by its first vertex's h mod u*q and its
+    vertices' offsets from that vertex, and only a new key is walked.  An
+    entry is [x0, y0, parts] for the ring that made it, shared by its
+    class."""
     qa, qb, _, uq = form
-    memo, out = {}, []
+    memo = {}
     for ring in rings:
         x0, y0 = ring[0]
         key = ((qa * x0 - qb * y0) % uq, tuple([(x - x0, y - y0) for x, y in ring]))
         entry = memo.get(key)
         if entry is None:
-            pieces = [_canonicalize(r) for r in _cut(ring, *form)]
-            entry = memo[key] = [x0, y0, pieces, sum(map(_ring_area2, pieces)), None]
-        out.append((entry, x0 - entry[0], y0 - entry[1]))
-    return out
+            entry = memo[key] = [x0, y0, _cut(ring, *form)]
+        yield entry, x0 - entry[0], y0 - entry[1]
 
 
 def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> CoverReport:
@@ -331,9 +324,9 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     stripe, as exact convex pieces, with matching obstruction tuples.
 
     The stripes are subtracted on integer vertices at the lattice scale of
-    ``_lattice_scale`` by ``_subtract_stripes``: each piece passes whole,
-    is dropped inside one open stripe, or is split into its closed slabs in
-    one walk that sorts its vertices and edge crossings by their slab level.
+    ``_lattice_scale`` by ``_cut``: each piece passes whole, is dropped
+    inside one open stripe, or is split into its closed slabs in one walk
+    that sorts its vertices and edge crossings by their slab level.
 
     Only half of the cell is walked.  Since D*theta is a Gaussian integer
     for every rotation, each stripe family is symmetric under the half-turn
@@ -345,18 +338,21 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     increasing h and s reverses h under every rotation, so by induction over
     the rotations the upper slabs' pieces are the mirror images of the lower
     slabs' pieces in reverse order.  The pieces are listed as the whole-cell
-    walk lists them: lower, middle, then the mirrored lower half reversed.
-    With D*theta = a + bi for the first rotation, the centre's stripe value
-    is (a - b)/2.  When N(D) is odd, a - b is odd, the centre lies mid-slab
-    and n is odd; when 1+i divides D, a - b is even, the centre lies on a
-    stripe's centre line, and n is even with no middle slab.
+    walk lists them: lower, middle, then the lower pieces mirrored, in
+    reverse.  With D*theta = a + bi for the first rotation, the centre's
+    stripe value is (a - b)/2.  When N(D) is odd, a - b is odd, the centre
+    lies mid-slab and n is odd; when 1+i divides D, a - b is even, the
+    centre lies on a stripe's centre line, and n is even with no middle
+    slab.
 
-    The last rotation splits each stripe-phase class once (``_cut_classes``):
-    after the first rotations most pieces are translates of a few shapes,
-    and a translate that keeps that rotation's stripes takes its class's
-    canonical pieces (the canonical form depends only on the point set),
-    area and mirror images (s(P + t) = s(P) - t, ``_mirrored``), moved.  A
-    lone rotation cuts its own slabs again, which leaves each one whole.
+    Every later rotation splits each stripe-phase class once
+    (``_cut_classes``): after the first rotation most pieces are translates
+    of a few shapes, and a translate that keeps a rotation's stripes takes
+    its class's raw parts, moved.  At the last rotation each class's parts
+    become canonical pieces and a doubled area once (the canonical form
+    depends only on the point set), and the upper half is each lower piece
+    ``_mirrored``.  A lone rotation cuts its own slabs again, which leaves
+    each one whole.
 
     Every catalog point (a + bi)/m * D is uncovered (each rotation's D*theta
     is a norm-N(D) multiplier of ``verify_obstruction``), which is
@@ -364,22 +360,23 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     D, eps = config.period, config.epsilon
     scale = _lattice_scale(D, config.rotations, eps)
     dr, di = D.re * scale, D.im * scale
-    cell = [[(0, 0), (dr, di), (dr - di, di + dr), (-di, dr)]]
-    slabs = _subtract_stripes(cell, config.rotations[0], eps, scale)
+    cell = [(0, 0), (dr, di), (dr - di, di + dr), (-di, dr)]
+    slabs = _cut(cell, *_stripe_form(config.rotations[0], eps, scale))
     k = len(slabs) // 2
     lower, middle = slabs[:k], slabs[k : len(slabs) - k]
     for rotation in config.rotations[1:-1]:
-        lower = _subtract_stripes(lower, rotation, eps, scale)
-        middle = _subtract_stripes(middle, rotation, eps, scale)
-    cut = _cut_classes(lower + middle, _stripe_form(config.rotations[-1], eps, scale))
+        form = _stripe_form(rotation, eps, scale)
+        lower, middle = ([part for entry, dx, dy in _cut_classes(rings, form)
+                          for part in _moved(entry[2], dx, dy)] for rings in (lower, middle))
+    cut = list(_cut_classes(lower + middle, _stripe_form(config.rotations[-1], eps, scale)))
+    for entry in {id(entry): entry for entry, _, _ in cut}.values():  # each class once
+        entry[2] = [_canonicalize(ring) for ring in entry[2]]
+        entry.append(sum(map(_ring_area2, entry[2])))
     lower = cut[: len(lower)]  # releases the rings before their pieces are copied
     pieces = [piece for entry, dx, dy in cut for piece in _moved(entry[2], dx, dy)]
-    for entry, dx, dy in reversed(lower):
-        if entry[4] is None:
-            entry[4] = [_mirrored(piece, dr - di, dr + di) for piece in reversed(entry[2])]
-        pieces += _moved(entry[4], -dx, -dy)
-    area2 = sum(entry[3] for entry, _, _ in cut + lower)
-    area = Fraction(area2, 2 * scale * scale)
+    half = sum(len(entry[2]) for entry, _, _ in lower)
+    pieces += [_mirrored(piece, dr - di, dr + di) for piece in reversed(pieces[:half])]
+    area = Fraction(sum(entry[3] for entry, _, _ in cut + lower), 2 * scale * scale)
     matches = tuple(abm for abm, _ in obstruction_catalog(eps, obstruction_m_max, D.norm()))
     report = CoverReport(config, tuple(pieces), scale, area, matches)
     for a, b, m in matches:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from pyjama.covering import CoverReport, _lattice_scale, _subtract_stripes
+from pyjama.covering import CoverReport, _cut, _lattice_scale, _stripe_form
 from pyjama.gaussian import (
     P5,
     P5BAR,
@@ -229,7 +229,8 @@ def whole_cell_pieces(config):
     dr, di = D.re * scale, D.im * scale
     rings = [[(0, 0), (dr, di), (dr - di, di + dr), (-di, dr)]]
     for rotation in config.rotations:
-        rings = _subtract_stripes(rings, rotation, eps, scale)
+        form = _stripe_form(rotation, eps, scale)
+        rings = [part for ring in rings for part in _cut(ring, *form)]
     pieces = tuple(_canonicalize(ring) for ring in rings)
     area = Fraction(sum(map(_ring_area2, pieces)), 2 * scale * scale)
     return pieces, area

@@ -131,7 +131,7 @@ def test_exit_two_writes_nothing(tmp_path, capsys):
 def test_failed_certificate_exits_two(tmp_path, capsys, monkeypatch):
     # with no uncovered pieces the catalog obstruction points go missing, so
     # the certificate's own re-check fails
-    monkeypatch.setattr(covering, "_subtract_stripes", lambda *args: [])
+    monkeypatch.setattr(covering, "_cut", lambda *args: [])
     cfg = _write(tmp_path / "fig.ini",
                  FIGURE_INI + "[rationality]\nrefinement = 2\n")
     out = tmp_path / "out"

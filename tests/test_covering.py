@@ -384,14 +384,15 @@ _WIDE_EPS = (F(2, 5), F(3, 7), F(4, 9), F(9, 20))
 
 
 @st.composite
-def three_rotation_configs(draw):
-    """Three distinct rotations u*theta5**a*theta13**b at N(D) = 325 or 845,
-    with D times 1 (odd N(D)) or 1+i (even), at a wide half-width or one of
-    _TOUCHING_EPS, which leave point pieces."""
+def box_configs(draw, sizes=(3, 3)):
+    """sizes[0] to sizes[1] distinct rotations u*theta5**a*theta13**b of the
+    exponent box of N(D) = 325 or 845, with D times 1 (odd N(D)) or 1+i
+    (even), at a wide half-width or one of _TOUCHING_EPS, which leave point
+    pieces."""
     r, s = draw(st.sampled_from([(2, 1), (1, 2)]))
     exps = draw(st.lists(st.sampled_from([(a, b) for a in range(r + 1) for b in range(s + 1)]),
-                         min_size=3, max_size=3, unique=True))
-    units = draw(st.lists(st.sampled_from(_UNITS), min_size=3, max_size=3))
+                         min_size=sizes[0], max_size=sizes[1], unique=True))
+    units = draw(st.lists(st.sampled_from(_UNITS), min_size=len(exps), max_size=len(exps)))
     period = P5BAR.generator ** r * P13BAR.generator ** s
     period = period * draw(st.sampled_from([GaussianInt(1, 0), GaussianInt(1, 1)]))
     eps = draw(st.sampled_from(_WIDE_EPS + _TOUCHING_EPS))
@@ -400,13 +401,20 @@ def three_rotation_configs(draw):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(three_rotation_configs())
+@given(box_configs())
 @example(CoveringConfig([1, THETA13, THETA5], F(1, 4), P5BAR.generator ** 2 * P13BAR.generator))
 @example(CoveringConfig([1, THETA13, THETA5], F(1, 4),
                         P5BAR.generator ** 2 * P13BAR.generator * GaussianInt(1, 1)))
 @example(CoveringConfig([THETA13, THETA5 * THETA13, THETA5 * THETA13 ** 2], F(9, 20),
                         P5BAR.generator * P13BAR.generator ** 2))
 def test_class_reuse_matches_the_whole_cell(cfg):
+    _assert_matches_the_whole_cell(cfg)
+
+
+# 4-6 rotations: the middle rotations, not only the last, reuse classes
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(box_configs((4, 6)))
+def test_class_reuse_at_every_rotation_matches_the_whole_cell(cfg):
     _assert_matches_the_whole_cell(cfg)
 
 
@@ -419,7 +427,7 @@ def test_last_rotation_walks_one_ring_per_class(monkeypatch):
 
     def cut_classes(rings, form):
         before = len(walks)
-        out = real_cut(rings, form)
+        out = list(real_cut(rings, form))
         last.update(rings=len(rings), walks=len(walks) - before)
         return out
 
@@ -428,6 +436,16 @@ def test_last_rotation_walks_one_ring_per_class(monkeypatch):
     _assert_matches_the_whole_cell(cfg)
     assert last["rings"] == 1862
     assert 10 * last["walks"] < last["rings"]
+
+
+def test_theta_set_2_walks_one_ring_per_class_at_every_rotation(monkeypatch):
+    walks = []
+    real_split = covering._split_slabs
+    monkeypatch.setattr(covering, "_split_slabs", lambda *args: walks.append(1) or real_split(*args))
+    cfg = CoveringConfig(theta_set(2), F(3, 10), (P5BAR.generator * P13BAR.generator) ** 2)
+    report = uncovered_region(cfg, obstruction_m_max=1)
+    assert len(report.pieces) == 169
+    assert len(walks) == 908  # 5,252 when every middle rotation walked every ring
 
 
 def test_cut_classes_share_only_same_phase_translates(monkeypatch):
@@ -444,14 +462,15 @@ def test_cut_classes_share_only_same_phase_translates(monkeypatch):
         across[1:] + across[:1],  # the same ring from another start vertex
     ]
     theta, eps = GaussianRational(1), F(1, 4)
-    out = covering._cut_classes(rings, covering._stripe_form(theta, eps, 8))
+    form = covering._stripe_form(theta, eps, 8)
+    out = list(covering._cut_classes(rings, form))
     assert len(walks) == 3
     assert out[1][0] is out[0][0] and out[1][1:] == (8, 0)
     assert len({id(entry) for entry, _, _ in out}) == 3
-    want = [[_canonicalize(part) for part in covering._subtract_stripes([ring], theta, eps, 8)]
-            for ring in rings]
-    assert [covering._moved(entry[2], dx, dy) for entry, dx, dy in out] == want
-    assert [entry[3] for entry, _, _ in out] == [2, 2, 2, 2]
+    want = [[list(part) for part in covering._cut(ring, *form)] for ring in rings]
+    assert [[list(part) for part in covering._moved(entry[2], dx, dy)]
+            for entry, dx, dy in out] == want
+    want = [[_canonicalize(part) for part in parts] for parts in want]
     # the other phase keeps 5 <= X <= 6, not the first ring's part moved by 4
     assert want[2] == [_canonicalize([(5, 0), (6, 0), (6, 1), (5, 1)])]
     assert want[3] == want[0]
@@ -461,8 +480,8 @@ def _cut_by_one_rotation(rotation, eps, D):
     """The first rotation's raw slabs of the period cell, and the scale."""
     L = covering._lattice_scale(D, [rotation], eps)
     dr, di = D.re * L, D.im * L
-    cell = [[(0, 0), (dr, di), (dr - di, di + dr), (-di, dr)]]
-    return covering._subtract_stripes(cell, rotation, eps, L), L
+    cell = [(0, 0), (dr, di), (dr - di, di + dr), (-di, dr)]
+    return covering._cut(cell, *covering._stripe_form(rotation, eps, L)), L
 
 
 @pytest.mark.parametrize("eps", [F(1, 100), F(1, 4), F(49, 100)])
@@ -496,7 +515,7 @@ def test_mirrored_piece_is_the_canonical_mirror_image(data):
     assert covering._mirrored(_canonicalize(ring), cx, cy) == _canonicalize(image)
 
 
-def test_subtract_stripes_decides_from_the_value_range(monkeypatch):
+def test_cut_decides_from_the_value_range(monkeypatch):
     # rotation 1 and eps = 1/4 at scale 8: h = 4X, and stripe k is the open
     # band 8k - 2 < X < 8k + 2
     calls = []
@@ -505,17 +524,17 @@ def test_subtract_stripes_decides_from_the_value_range(monkeypatch):
     inside = [(-1, 0), (1, 0), (1, 5), (-1, 5)]
     between = [(3, 0), (5, 0), (5, 5), (3, 5)]
     across = [(1, 0), (3, 0), (3, 1), (1, 1)]
-    subtract = covering._subtract_stripes
-    assert subtract([inside], GaussianRational(1), F(1, 4), 8) == []
-    assert subtract([between], GaussianRational(1), F(1, 4), 8) == [between]
+    form = covering._stripe_form(GaussianRational(1), F(1, 4), 8)
+    assert covering._cut(inside, *form) == []
+    assert covering._cut(between, *form) == [between]
     assert calls == []
-    out = subtract([across], GaussianRational(1), F(1, 4), 8)
+    out = covering._cut(across, *form)
     assert [ConvexPolygon(ring) for ring in out] == [ConvexPolygon([(2, 0), (3, 0), (3, 1), (2, 1)])]
     assert len(calls) == 1
 
 
 def test_missing_obstruction_point_raises(monkeypatch):
-    monkeypatch.setattr(covering, "_subtract_stripes", lambda *args: [])
+    monkeypatch.setattr(covering, "_cut", lambda *args: [])
     with pytest.raises(RuntimeError, match="obstruction certificate"):
         uncovered_region(figure_config())
 
@@ -534,7 +553,7 @@ def test_certificate_checks_survive_optimize_flag():
         else:
             raise SystemExit("off-lattice crossing not detected")
         cfg = covering.CoveringConfig([1, THETA5], Fraction(1, 4), GaussianInt(1, -2))
-        covering._subtract_stripes = lambda *args: []
+        covering._cut = lambda *args: []
         try:
             covering.uncovered_region(cfg)
         except RuntimeError:
