@@ -292,31 +292,33 @@ def _mirrored(ring, cx: int, cy: int):
     return tuple(ring[k:] + ring[:k])
 
 
-def _moved(rings, dx: int, dy: int):
-    """The rings translated by (dx, dy); the same list when that is zero."""
+def _moved(ring, dx: int, dy: int):
+    """The ring translated by (dx, dy); the same ring when that is zero."""
     if dx or dy:
-        return [tuple([(x + dx, y + dy) for x, y in ring]) for ring in rings]
-    return rings
+        return tuple([(x + dx, y + dy) for x, y in ring])
+    return ring
 
 
-def _cut_classes(rings, form):
-    """``_cut`` of each ring by the stripes of ``form`` (``_stripe_form``),
-    in input order, as (entry, dx, dy): the ring's raw parts are entry[2]
-    moved by (dx, dy).  A translate by t with u*q | h(t) walks the same way
-    (its levels shift by a multiple of 4; every crossing t and its lattice
-    check stay), so a ring is keyed by its first vertex's h mod u*q and its
-    vertices' offsets from that vertex, and only a new key is walked.  An
-    entry is [x0, y0, parts] for the ring that made it, shared by its
-    class."""
+def _cut_classes(items, form):
+    """``_cut`` of each translate (ring, dx, dy), the ring moved by (dx, dy),
+    by the stripes of ``form`` (``_stripe_form``), in input order, as
+    (parts, dx', dy'): the translate's raw parts are ``parts`` moved by
+    (dx', dy').  A translate by t with u*q | h(t) walks the same way (its
+    levels shift by a multiple of 4; every crossing t and its lattice check
+    stay), so a translate is keyed by its moved first vertex's h mod u*q and
+    the ring's vertex offsets from that vertex, and only a new key is moved
+    and walked.  A memo entry (x1, y1, parts) holds the moved first vertex
+    and the parts of the translate that made it, shared by its class."""
     qa, qb, _, uq = form
     memo = {}
-    for ring in rings:
+    for ring, dx, dy in items:
         x0, y0 = ring[0]
-        key = ((qa * x0 - qb * y0) % uq, tuple([(x - x0, y - y0) for x, y in ring]))
+        x1, y1 = x0 + dx, y0 + dy
+        key = ((qa * x1 - qb * y1) % uq, tuple([(x - x0, y - y0) for x, y in ring]))
         entry = memo.get(key)
         if entry is None:
-            entry = memo[key] = [x0, y0, _cut(ring, *form)]
-        yield entry, x0 - entry[0], y0 - entry[1]
+            entry = memo[key] = (x1, y1, _cut(_moved(ring, dx, dy), *form))
+        yield entry[2], x1 - entry[0], y1 - entry[1]
 
 
 def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> CoverReport:
@@ -345,14 +347,16 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     centre lies on a stripe's centre line, and n is even with no middle
     slab.
 
-    Every later rotation splits each stripe-phase class once
-    (``_cut_classes``): after the first rotation most pieces are translates
-    of a few shapes, and a translate that keeps a rotation's stripes takes
-    its class's raw parts, moved.  At the last rotation each class's parts
-    become canonical pieces and a doubled area once (the canonical form
-    depends only on the point set), and the upper half is each lower piece
-    ``_mirrored``.  A lone rotation cuts its own slabs again, which leaves
-    each one whole.
+    From the slabs on, a piece is a translate (ring, dx, dy), and every
+    later rotation runs one ``_cut_classes`` over the lower and middle
+    translates together, so both share one memo: after the first rotation
+    most pieces are translates of a few shapes, and a translate that keeps
+    a rotation's stripes takes its class's raw parts, offset.  A moved ring
+    is made only for a new class's walk and for the report.  At the end
+    each distinct part becomes canonical once (the canonical form depends
+    only on the point set, so it commutes with the move), and the upper
+    half is each lower piece ``_mirrored``.  With one rotation the slabs
+    are the pieces.
 
     Every catalog point (a + bi)/m * D is uncovered (each rotation's D*theta
     is a norm-N(D) multiplier of ``verify_obstruction``), which is
@@ -362,21 +366,17 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
     dr, di = D.re * scale, D.im * scale
     cell = [(0, 0), (dr, di), (dr - di, di + dr), (-di, dr)]
     slabs = _cut(cell, *_stripe_form(config.rotations[0], eps, scale))
-    k = len(slabs) // 2
-    lower, middle = slabs[:k], slabs[k : len(slabs) - k]
-    for rotation in config.rotations[1:-1]:
-        form = _stripe_form(rotation, eps, scale)
-        lower, middle = ([part for entry, dx, dy in _cut_classes(rings, form)
-                          for part in _moved(entry[2], dx, dy)] for rings in (lower, middle))
-    cut = list(_cut_classes(lower + middle, _stripe_form(config.rotations[-1], eps, scale)))
-    for entry in {id(entry): entry for entry, _, _ in cut}.values():  # each class once
-        entry[2] = [_canonicalize(ring) for ring in entry[2]]
-        entry.append(sum(map(_ring_area2, entry[2])))
-    lower = cut[: len(lower)]  # releases the rings before their pieces are copied
-    pieces = [piece for entry, dx, dy in cut for piece in _moved(entry[2], dx, dy)]
-    half = sum(len(entry[2]) for entry, _, _ in lower)
-    pieces += [_mirrored(piece, dr - di, dr + di) for piece in reversed(pieces[:half])]
-    area = Fraction(sum(entry[3] for entry, _, _ in cut + lower), 2 * scale * scale)
+    k = len(slabs) // 2  # the first k translates are the lower ones, the rest the middle
+    items = [(slab, 0, 0) for slab in slabs[: len(slabs) - k]]
+    for rotation in config.rotations[1:]:
+        cut = list(_cut_classes(items, _stripe_form(rotation, eps, scale)))
+        k = sum(len(parts) for parts, _, _ in cut[:k])
+        items = [(part, dx, dy) for parts, dx, dy in cut for part in parts]
+    canonical = {id(part): part for part, _, _ in items}  # each part object once
+    canonical = {key: _canonicalize(part) for key, part in canonical.items()}
+    pieces = [_moved(canonical[id(part)], dx, dy) for part, dx, dy in items]
+    pieces += [_mirrored(piece, dr - di, dr + di) for piece in reversed(pieces[:k])]
+    area = Fraction(sum(map(_ring_area2, pieces)), 2 * scale * scale)
     matches = tuple(abm for abm, _ in obstruction_catalog(eps, obstruction_m_max, D.norm()))
     report = CoverReport(config, tuple(pieces), scale, area, matches)
     for a, b, m in matches:

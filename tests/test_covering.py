@@ -445,7 +445,24 @@ def test_theta_set_2_walks_one_ring_per_class_at_every_rotation(monkeypatch):
     cfg = CoveringConfig(theta_set(2), F(3, 10), (P5BAR.generator * P13BAR.generator) ** 2)
     report = uncovered_region(cfg, obstruction_m_max=1)
     assert len(report.pieces) == 169
-    assert len(walks) == 908  # 5,252 when every middle rotation walked every ring
+    # 908 at 12e6737, whose lower and middle halves kept separate memos;
+    # 5,252 when every middle rotation walked every ring
+    assert len(walks) == 796
+
+
+def test_theta_set_2_memory_follows_the_classes():
+    # pieces carried as translates share their class's parts: 1.8-2.0 MiB
+    # here, 2.8-3.2 MiB at 12e6737, whose middle rotations moved every part
+    # into fresh vertex tuples
+    cfg = CoveringConfig(theta_set(2), F(1, 4), (P5BAR.generator * P13BAR.generator) ** 2)
+    tracemalloc.start()
+    try:
+        report = uncovered_region(cfg, obstruction_m_max=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.pieces) == 995
+    assert peak < 2560 * 1024
 
 
 def test_cut_classes_share_only_same_phase_translates(monkeypatch):
@@ -455,21 +472,25 @@ def test_cut_classes_share_only_same_phase_translates(monkeypatch):
     real_split = covering._split_slabs
     monkeypatch.setattr(covering, "_split_slabs", lambda *args: walks.append(args) or real_split(*args))
     across = [(1, 0), (3, 0), (3, 1), (1, 1)]
-    rings = [
-        across,
-        [(x + 8, y) for x, y in across],  # h(t) = 32: the same phase
-        [(x + 4, y) for x, y in across],  # h(t) = 16: another phase
-        across[1:] + across[:1],  # the same ring from another start vertex
+    items = [
+        (across, 0, 0),
+        ([(x + 8, y) for x, y in across], 0, 0),  # h(t) = 32: the same phase
+        (across, 4, 0),  # h(t) = 16: another phase, walked moved
+        (across[1:] + across[:1], 0, 0),  # the same ring from another start vertex
+        ([(x - 8, y) for x, y in across], 16, 0),  # the point set of the second item
     ]
     theta, eps = GaussianRational(1), F(1, 4)
     form = covering._stripe_form(theta, eps, 8)
-    out = list(covering._cut_classes(rings, form))
+    out = list(covering._cut_classes(items, form))
     assert len(walks) == 3
     assert out[1][0] is out[0][0] and out[1][1:] == (8, 0)
-    assert len({id(entry) for entry, _, _ in out}) == 3
-    want = [[list(part) for part in covering._cut(ring, *form)] for ring in rings]
-    assert [[list(part) for part in covering._moved(entry[2], dx, dy)]
-            for entry, dx, dy in out] == want
+    # the ring's offset -8 and the item's 16 compose to the second item's 8
+    assert out[4][0] is out[1][0] and out[4][1:] == out[1][1:]
+    assert len({id(parts) for parts, _, _ in out}) == 3
+    want = [[list(part) for part in covering._cut(covering._moved(ring, dx, dy), *form)]
+            for ring, dx, dy in items]
+    assert [[list(covering._moved(part, dx, dy)) for part in parts]
+            for parts, dx, dy in out] == want
     want = [[_canonicalize(part) for part in parts] for parts in want]
     # the other phase keeps 5 <= X <= 6, not the first ring's part moved by 4
     assert want[2] == [_canonicalize([(5, 0), (6, 0), (6, 1), (5, 1)])]
