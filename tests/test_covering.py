@@ -451,9 +451,9 @@ def test_theta_set_2_walks_one_ring_per_class_at_every_rotation(monkeypatch):
 
 
 def test_theta_set_2_memory_follows_the_classes():
-    # pieces carried as translates share their class's parts: 1.8-2.0 MiB
-    # here, 2.8-3.2 MiB at 12e6737, whose middle rotations moved every part
-    # into fresh vertex tuples
+    # pieces carried as translates share their class's parts: a peak of
+    # 1.8-2.0 MiB, against 2.8-3.2 MiB at 12e6737, whose middle rotations
+    # moved every part into fresh vertex tuples
     cfg = CoveringConfig(theta_set(2), F(1, 4), (P5BAR.generator * P13BAR.generator) ** 2)
     tracemalloc.start()
     try:
