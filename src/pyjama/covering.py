@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .gaussian import (
 from .polygon import (
     ConvexPolygon,
     Ring,
+    _RingText,
     _canonicalize,
     _ring_area2,
     _ring_contains,
@@ -125,14 +127,16 @@ class CoverReport:
         (ring, integer bounding box) for every piece whose box meets
         [i, i+1) x [j, j+1)."""
         L = self.scale
-        buckets: dict[tuple[int, int], list] = {}
+        buckets = defaultdict(list)
         for ring in self.pieces:
             xs = [x for x, _ in ring]
             ys = [y for _, y in ring]
-            entry = (ring, (min(xs), max(xs), min(ys), max(ys)))
-            for ix in range(min(xs) // L, max(xs) // L + 1):
-                for iy in range(min(ys) // L, max(ys) // L + 1):
-                    buckets.setdefault((ix, iy), []).append(entry)
+            x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+            entry = (ring, (x0, x1, y0, y1))
+            rows = range(y0 // L, y1 // L + 1)
+            for ix in range(x0 // L, x1 // L + 1):
+                for iy in rows:
+                    buckets[ix, iy].append(entry)
         return buckets
 
     def _cell_contains(self, u: int, v: int, M: int) -> bool:
@@ -157,12 +161,7 @@ class CoverReport:
 
     def report_lines(self) -> list[str]:
         """Structured-text serialization (exact), from the ``kind=`` line on."""
-        cfg, L = self.config, self.scale
-
-        def frac(v: int) -> str:  # str(Fraction(v, L)), without the Fraction
-            g = gcd(v, L)
-            return str(v // g) if g == L else f"{v // g}/{L // g}"
-
+        cfg, text = self.config, _RingText(self.scale)
         lines = [
             "kind=cover",
             f"epsilon={cfg.epsilon}",
@@ -173,8 +172,7 @@ class CoverReport:
             f"total_uncovered_area={self.total_uncovered_area}",
         ]
         for i, ring in enumerate(self.pieces):
-            verts = ";".join(f"{frac(x)},{frac(y)}" for x, y in ring)
-            lines.append(f"polygon {i} kind={_ring_kind(ring)} vertices={verts}")
+            lines.append(f"polygon {i} kind={_ring_kind(ring)} vertices={text(ring)}")
         # every catalog point lies in the uncovered region: distance 0
         for a, b, m in self.obstruction_matches:
             lines.append(f"obstruction a={a} b={b} m={m} distance_sq=0")
@@ -432,23 +430,33 @@ def obstruction_catalog(
     epsilon, m_max: int, normD: int
 ) -> list[tuple[tuple[int, int, int], Fraction]]:
     """All gcd-normalized tuples (a, b, m) with m <= m_max whose obstruction
-    margin meets epsilon, sorted by margin descending."""
+    margin meets epsilon, sorted by margin descending, then by (a, b, m).
+
+    The multipliers of one norm are closed under g -> i*g and g -> conj(g),
+    so the margin is constant on each orbit of (a, b) mod m under sign
+    changes and swap.  One margin is taken per orbit, at its representative
+    0 <= b <= a <= m/2, and the sort key -r*K/m, K = lcm(1..m_max), is an
+    integer."""
     eps = _half_width(epsilon)
     if m_max < 1:
         raise ValueError("m_max must be positive")
     multipliers = _multipliers(normD)
     p, q = eps.numerator, eps.denominator
+    K = math.lcm(*range(1, m_max + 1))
     found = []
     for m in range(1, m_max + 1):
-        for a in range(m):
-            for b in range(m):
+        for a in range(m // 2 + 1):
+            for b in range(a + 1):
                 if gcd(a, b, m) != 1:
                     continue
                 r = _margin(a, b, m, multipliers)
                 if r * q >= p * m:
-                    found.append(((a, b, m), Fraction(r, m)))
-    found.sort(key=lambda item: (-item[1], item[0]))
-    return found
+                    key, margin = -r * (K // m), Fraction(r, m)
+                    orbit = {(x % m, y % m) for s, t in ((a, b), (b, a))
+                             for x in (s, -s) for y in (t, -t)}
+                    found += [(key, x, y, m, margin) for x, y in orbit]
+    found.sort()
+    return [((a, b, m), margin) for _, a, b, m, margin in found]
 
 
 # ---------------------------------------------------------------------------

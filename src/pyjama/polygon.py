@@ -81,6 +81,24 @@ def _ring_kind(ring) -> str:
     return "point" if len(ring) == 1 else "polygon"
 
 
+class _RingText(dict):
+    """The exact text of integer rings at one scale L, "x,y;x,y;...": a
+    coordinate v is str(Fraction(v, L)), written as v // g and this table's
+    entry for g = gcd(v, L), "" when g = L and "/{L // g}" otherwise."""
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def __missing__(self, g: int) -> str:
+        text = self[g] = "" if g == self.scale else f"/{self.scale // g}"
+        return text
+
+    def __call__(self, ring) -> str:
+        L, gcd = self.scale, math.gcd
+        return ";".join([f"{x // (g := gcd(x, L))}{self[g]},{y // (h := gcd(y, L))}{self[h]}"
+                         for x, y in ring])
+
+
 def _ring_contains(ring, x: int, y: int, m: int = 1) -> bool:
     """Closed membership of the point (x/m, y/m), in the ring's units, in
     the canonical ring; m > 0."""

@@ -11,7 +11,8 @@ shift at which their joint bounding box meets the window; the window's
 ``clipPath`` clips what sticks out.  Each ``<use>`` names the cell by both
 ``href`` (SVG 2) and ``xlink:href`` (for SVG 1.1 viewers).  The obstruction
 dots are one ``<circle>`` per placement inside the window.  Shifts, dots and
-the period cell are computed in integers.
+the period cell are solved in integers, one interval per lattice row
+(``_placements``).
 
 The output is presentation only — certificates live in the report file — and
 is byte-deterministic: fixed ordering, fixed styles, every plane coordinate
@@ -45,12 +46,26 @@ def _lattice_range(norm: int) -> range:
     return range(-reach, reach + 1)
 
 
-def _shifts(period: GaussianInt, norm: int) -> list[tuple[int, int]]:
-    """The period-lattice translations period * (a + b*i) that the picture
-    tries, for a, b in ``_lattice_range``, as (x, y) integer pairs."""
-    reach = _lattice_range(norm)
-    return [(period.re * a - period.im * b, period.im * a + period.re * b)
-            for a in reach for b in reach]
+def _placements(period: GaussianInt, n: int, x_lo, x_hi, y_lo, y_hi):
+    """The period-lattice translations (sx, sy) = period * (a + b*i), for a
+    and b in ``_lattice_range`` in (a, b) order, with x_lo <= n*sx <= x_hi
+    and y_lo <= n*sy <= y_hi; for each row a the interval of b is solved in
+    integers, so no other translation is tried."""
+    reach = _lattice_range(period.norm())
+    pr, pi = period.re, period.im
+    for a in reach:
+        first, last = reach.start, reach.stop - 1
+        # n*sx = n*pr*a - n*pi*b and n*sy = n*pi*a + n*pr*b: lo <= c*b <= hi
+        for c, lo, hi in ((-n * pi, x_lo - n * pr * a, x_hi - n * pr * a),
+                          (n * pr, y_lo - n * pi * a, y_hi - n * pi * a)):
+            if c < 0:
+                c, lo, hi = -c, -hi, -lo
+            if c:
+                first, last = max(first, -(-lo // c)), min(last, hi // c)
+            elif lo > 0 or hi < 0:
+                last = first - 1
+        for b in range(first, last + 1):
+            yield pr * a - pi * b, pi * a + pr * b
 
 
 def _stripe_elements(report: CoverReport, norm: int) -> list[str]:
@@ -92,7 +107,7 @@ def _cell_elements(report: CoverReport, norm: int) -> list[str]:
     return out
 
 
-def _use_elements(report: CoverReport, norm: int, shifts) -> list[str]:
+def _use_elements(report: CoverReport, norm: int) -> list[str]:
     """One ``<use>`` of the cell per shift at which the pieces' bounding box
     meets the window; a plane shift (sx, sy) is (sx, -sy) in SVG units."""
     if not report.pieces:
@@ -100,43 +115,42 @@ def _use_elements(report: CoverReport, norm: int, shifts) -> list[str]:
     L = report.scale
     xs = [x for ring in report.pieces for x, _ in ring]
     ys = [y for ring in report.pieces for _, y in ring]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     top = L * norm
     return [
         f'<use href="#cell" xlink:href="#cell" x="{sx}" y="{-sy}"/>'
-        for sx, sy in shifts
-        if x0 + L * sx <= top and x1 + L * sx >= 0
-        and y0 + L * sy <= top and y1 + L * sy >= 0
+        for sx, sy in _placements(report.config.period, L, -max(xs),
+                                  top - min(xs), -max(ys), top - min(ys))
     ]
 
 
-def _obstruction_elements(report: CoverReport, norm: int, shifts) -> list[str]:
+def _obstruction_elements(report: CoverReport, norm: int) -> list[str]:
     period = report.config.period
     out = []
     for a, b, m in report.obstruction_matches:
         # the point (a + bi)/m * period is (bx + i*by)/m
         bx = a * period.re - b * period.im
         by = a * period.im + b * period.re
-        for sx, sy in shifts:
+        for sx, sy in _placements(period, m, -bx, m * norm - bx,
+                                  -by, m * norm - by):
             x, y = bx + m * sx, by + m * sy
-            if 0 <= x <= m * norm and 0 <= y <= m * norm:
-                out.append(
-                    f'<circle cx="{_fmt(x / m)}" cy="{_fmt((m * norm - y) / m)}" '
-                    'r="0.100000" fill="#000000" '
-                    'stroke="#ffffff" stroke-width="0.020000"/>'
-                )
+            out.append(
+                f'<circle cx="{_fmt(x / m)}" cy="{_fmt((m * norm - y) / m)}" '
+                'r="0.100000" fill="#000000" '
+                'stroke="#ffffff" stroke-width="0.020000"/>'
+            )
     return out
 
 
-def _period_cell_element(report: CoverReport, norm: int, shifts) -> str:
-    """The first cell of the period lattice, in ``_shifts`` order, that lies
-    wholly inside the window (the cell at 0 when none does)."""
+def _period_cell_element(report: CoverReport, norm: int) -> str:
+    """The first cell of the period lattice, in ``_placements`` order, that
+    lies wholly inside the window (the cell at 0 when none does)."""
     p = report.config.period
     offsets = [(0, 0), (p.re, p.im), (p.re - p.im, p.im + p.re), (-p.im, p.re)]
-    cells = ([(sx + dx, sy + dy) for dx, dy in offsets] for sx, sy in shifts)
-    corners = next((c for c in cells
-                    if all(0 <= x <= norm and 0 <= y <= norm for x, y in c)), offsets)
-    pts = " ".join(_xy(x, y, norm) for x, y in corners)
+    xs = [x for x, _ in offsets]
+    ys = [y for _, y in offsets]
+    sx, sy = next(_placements(p, 1, -min(xs), norm - max(xs),
+                              -min(ys), norm - max(ys)), (0, 0))
+    pts = " ".join(_xy(sx + dx, sy + dy, norm) for dx, dy in offsets)
     return (
         f'<polygon points="{pts}" fill="none" stroke="#333333" '
         'stroke-width="0.030000" stroke-dasharray="0.150000,0.100000"/>'
@@ -146,7 +160,6 @@ def _period_cell_element(report: CoverReport, norm: int, shifts) -> str:
 def render_svg(report: CoverReport) -> str:
     """Render a covering report as a standalone SVG document (a string)."""
     norm = report.config.period.norm()
-    shifts = _shifts(report.config.period, norm)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -161,9 +174,9 @@ def render_svg(report: CoverReport) -> str:
         '</g></defs>',
         '<g clip-path="url(#window)">',
         *_stripe_elements(report, norm),
-        *_use_elements(report, norm, shifts),
-        _period_cell_element(report, norm, shifts),
-        *_obstruction_elements(report, norm, shifts),
+        *_use_elements(report, norm),
+        _period_cell_element(report, norm),
+        *_obstruction_elements(report, norm),
         "</g>",
         "</svg>",
     ]

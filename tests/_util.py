@@ -1,6 +1,7 @@
 """Shared helpers for the seeded randomized tests, a valuation oracle for
-A-membership, Fraction oracles for the integer geometry kernels, and a
-Fraction oracle for the uncovered points of a disk cover."""
+A-membership, Fraction oracles for the integer geometry kernels, the
+obstruction catalog's brute force, and a Fraction oracle for the uncovered
+points of a disk cover."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from pyjama.gaussian import (
     GaussianInt,
     GaussianRational,
     as_gaussian_rational,
+    gaussian_ints_of_norm,
     theta_set,
     valuation,
 )
@@ -234,6 +236,24 @@ def whole_cell_pieces(config):
     pieces = tuple(_canonicalize(ring) for ring in rings)
     area = Fraction(sum(map(_ring_area2, pieces)), 2 * scale * scale)
     return pieces, area
+
+
+def catalog_oracle(epsilon: Fraction, m_max: int, normD: int) -> list:
+    """``obstruction_catalog`` as first written: every gcd-normalized (a, b)
+    mod m for m <= m_max, each with its own margin over every multiplier of
+    norm normD, sorted by Fraction margin descending, then by (a, b, m)."""
+    multipliers = gaussian_ints_of_norm(normD)
+    found = []
+    for m in range(1, m_max + 1):
+        for a in range(m):
+            for b in range(m):
+                if math.gcd(a, b, m) != 1:
+                    continue
+                r = min(min(v, m - v) for v in ((g.re * a - g.im * b) % m for g in multipliers))
+                if Fraction(r, m) >= epsilon:
+                    found.append(((a, b, m), Fraction(r, m)))
+    found.sort(key=lambda item: (-item[1], item[0]))
+    return found
 
 
 # -- a Fraction oracle for disk-cover witnesses --------------------------------

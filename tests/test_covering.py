@@ -38,6 +38,7 @@ from pyjama.disk import certified_disk_cover, disk_cover_scan, irrational_triple
 from pyjama.solenoid import ExactPoint, stripe_membership
 
 from _util import (
+    catalog_oracle,
     clip_halfplane,
     convex_pieces,
     float_literal_bounds,
@@ -750,6 +751,21 @@ def test_obstruction_catalog():
             GaussianInt(1, -2)
         )
         assert report.contains(point)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 60).flatmap(lambda q: st.tuples(st.integers(1, (q - 1) // 2),
+                                                      st.just(q))),
+       st.integers(1, 12),
+       st.sampled_from([1, 2, 5, 10, 13, 25, 50, 65, 325, 4225]))
+@example((1, 3), 1, 1)
+@example((1, 4), 12, 4225)
+@example((9, 20), 2, 1)
+def test_obstruction_catalog_matches_brute_force(pq, m_max, norm):
+    # one margin per orbit under sign changes and swap, against every (a, b)
+    # mod m on its own; m_max = 1 holds only (0, 0, 1), of margin 0
+    eps = F(*pq)
+    assert obstruction_catalog(eps, m_max, norm) == catalog_oracle(eps, m_max, norm)
 
 
 def test_irrational_triple():

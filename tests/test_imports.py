@@ -11,11 +11,13 @@ demo nor the acceptance tests read.  The other direction catches a
 deletion that leaves its ``__all__`` entry or its package name behind,
 which would break ``from pyjama.gaussian import *`` and every tool that
 reads ``__all__``.  The dunder methods of the exact scalars are pinned, so
-an operator added to one of them shows up as well.
+an operator added to one of them shows up as well.  So does growth that takes
+``covering.py`` over its compile-memory step.
 """
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -260,6 +262,24 @@ def numpy_importers() -> list[str]:
 def test_only_the_disk_cover_imports_numpy():
     # every command but irrational-cover starts without numpy's import
     assert numpy_importers() == ["disk.py"]
+
+
+def compile_peaks() -> dict[str, int]:
+    """The ``tracemalloc`` peak in bytes of ``compile()`` of each source
+    module, as ``scripts/sloc.py`` reads it."""
+    spec = importlib.util.spec_from_file_location("sloc", SRC.parents[1] / "scripts" / "sloc.py")
+    sloc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sloc)
+    return {path.name: sloc.compile_peak(path.read_text(), path)
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_covering_compiles_below_the_memory_step():
+    # compiling covering.py steps up by about 0.3 MiB between about 4,540
+    # and 4,570 AST nodes, which an import without cached bytecode pays;
+    # below the step it peaks under cli.py, above it over cli.py
+    peaks = compile_peaks()
+    assert peaks["covering.py"] <= peaks["cli.py"], peaks
 
 
 def unresolved_exports(module: types.ModuleType) -> list[str]:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pyjama.gaussian import CertificateError
-from pyjama.polygon import ConvexPolygon, _canonicalize, _ring_area2, _ring_contains, _ring_dist_sq
+from pyjama.polygon import (
+    ConvexPolygon,
+    _RingText,
+    _canonicalize,
+    _ring_area2,
+    _ring_contains,
+    _ring_dist_sq,
+)
 
 from _util import (
     clip_halfplane,
@@ -203,3 +210,27 @@ def test_integer_predicates_match_fraction_oracle(vertices, points):
     for p in probes:
         assert _contains(poly, p) == fraction_contains(poly, p)
         assert _dist_sq(poly, p) == fraction_dist_sq(poly, p)
+
+
+
+@st.composite
+def scaled_rings(draw):
+    """A scale L and a ring of 1-6 integer vertices, each coordinate 0, a
+    multiple of L or any integer, negative about half the time."""
+    L = draw(st.integers(1, 10**4))
+    coord = st.one_of(st.just(0), st.integers(-50, 50).map(lambda k: k * L),
+                      st.integers(-10**6, 10**6))
+    return L, draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scaled_rings())
+@example((1, [(0, 0), (-1, 3)]))
+@example((12, [(-24, 0), (-7, 18)]))
+def test_ring_text_writes_each_coordinate_as_its_fraction(case):
+    # one table serves every ring of a report: 0, negative v and multiples
+    # of L come out as str(Fraction(v, L)), such as "0" and "-2", never "/1"
+    L, ring = case
+    text = _RingText(L)
+    for part in (ring, ring[::-1], ring[:1]):
+        assert text(part) == ";".join(f"{F(x, L)},{F(y, L)}" for x, y in part)

@@ -156,8 +156,8 @@ def _check_against_reference(report):
 @st.composite
 def svg_reports(draw):
     """A run of consecutive pieces from the certificate of 1-3 rotations of
-    theta_set(2) at eps = p/q < 1/2 and their least period (N(D) <= 65),
-    plus up to two extra pieces with 1-3 vertices on a half-integer grid
+    theta_set(2) at eps = p/q < 1/2 and their least period (N(D) <= 65)
+    times a unit, or times 1+i and a unit, plus up to two extra pieces with 1-3 vertices on a half-integer grid
     around the period cell (points and triangles, as hulls), many of them on
     the window edges once shifted.  The reference places every piece at
     every shift, so the pieces are capped at about 2,000 placements."""
@@ -173,7 +173,8 @@ def svg_reports(draw):
     )
     period = P5BAR.generator ** max(a for a, _ in exps) * P13BAR.generator ** max(
         b for _, b in exps
-    )
+    ) * draw(st.sampled_from([GaussianInt(*g) for g in
+                              ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1))]))
     q = draw(st.integers(3, 30))
     p = draw(st.integers(1, (q - 1) // 2))
     thetas = theta_set(2)
@@ -194,10 +195,32 @@ def svg_reports(draw):
     return with_pieces(report, pieces + [ConvexPolygon(v) for v in extras])
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(svg_reports())
 def test_render_svg_matches_direct_placement(report):
     _check_against_reference(report)
+
+
+_bounds = st.lists(st.integers(-600, 600), min_size=2, max_size=2).map(sorted)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any),
+       st.integers(1, 6), _bounds, _bounds)
+def test_placements_solve_every_lattice_row(period, n, xs, ys):
+    # the rows' solved intervals give exactly the shifts of the whole
+    # lattice range inside the bounds, in (a, b) order; a zero component of
+    # the period leaves one bound independent of b
+    period = GaussianInt(*period)
+    (x_lo, x_hi), (y_lo, y_hi) = xs, ys
+    reach = svg._lattice_range(period.norm())
+    want = []
+    for a in reach:
+        for b in reach:
+            shift = period * GaussianInt(a, b)
+            if x_lo <= n * shift.re <= x_hi and y_lo <= n * shift.im <= y_hi:
+                want.append((shift.re, shift.im))
+    assert list(svg._placements(period, n, *xs, *ys)) == want
 
 
 def test_render_svg_edge_pieces():
