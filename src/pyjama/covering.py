@@ -393,11 +393,13 @@ def uncovered_region(config: CoveringConfig, obstruction_m_max: int = 3) -> Cove
 
 @lru_cache(maxsize=64)
 def _multipliers(normD: int) -> tuple[tuple[int, int], ...]:
-    """The period multipliers of norm normD as (re, im) pairs.  Norm 0 is
-    refused: its one multiplier 0 would give every point margin 0."""
+    """The period multipliers of norm normD as (re, im) pairs, one of each
+    pair g, -g (the one above (0, 0)), which give the same circle distances.
+    Norm 0 is refused: its one multiplier 0 would give every point margin 0."""
     if normD < 1:
         raise ValueError(f"period norm must be at least 1, got {normD}")
-    multipliers = tuple((g.re, g.im) for g in gaussian_ints_of_norm(normD))
+    multipliers = tuple((g.re, g.im) for g in gaussian_ints_of_norm(normD)
+                        if (g.re, g.im) > (0, 0))
     if not multipliers:
         raise ValueError(f"no Gaussian integers have norm {normD}")
     return multipliers
@@ -406,8 +408,9 @@ def _multipliers(normD: int) -> tuple[tuple[int, int], ...]:
 def _margin(a: int, b: int, m: int, multipliers) -> int:
     """m times the obstruction margin of (a + bi)/m: the least circle
     distance min(r, m - r) of r = (g.re*a - g.im*b) mod m over the
-    multipliers g."""
-    return min(min(r, m - r) for r in ((gr * a - gi * b) % m for gr, gi in multipliers))
+    multipliers g, which is min(min r, m - max r)."""
+    rs = [(gr * a - gi * b) % m for gr, gi in multipliers]
+    return min(min(rs), m - max(rs))
 
 
 def verify_obstruction(
