@@ -129,8 +129,7 @@ class CoverReport:
         L = self.scale
         buckets = defaultdict(list)
         for ring in self.pieces:
-            xs = [x for x, _ in ring]
-            ys = [y for _, y in ring]
+            xs, ys = zip(*ring)
             x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
             entry = (ring, (x0, x1, y0, y1))
             rows = range(y0 // L, y1 // L + 1)
