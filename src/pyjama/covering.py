@@ -31,12 +31,12 @@ from .gaussian import (
 from .polygon import (
     ConvexPolygon,
     Ring,
-    _RingText,
     _canonicalize,
     _ring_area2,
     _ring_contains,
     _ring_dist_sq,
     _ring_kind,
+    _rings_text,
 )
 
 __all__ = [
@@ -160,7 +160,7 @@ class CoverReport:
 
     def report_lines(self) -> list[str]:
         """Structured-text serialization (exact), from the ``kind=`` line on."""
-        cfg, text = self.config, _RingText(self.scale)
+        cfg = self.config
         lines = [
             "kind=cover",
             f"epsilon={cfg.epsilon}",
@@ -170,8 +170,9 @@ class CoverReport:
             f"uncovered_count={len(self.pieces)}",
             f"total_uncovered_area={self.total_uncovered_area}",
         ]
-        for i, ring in enumerate(self.pieces):
-            lines.append(f"polygon {i} kind={_ring_kind(ring)} vertices={text(ring)}")
+        texts = _rings_text(self.pieces, self.scale)
+        for i, (ring, verts) in enumerate(zip(self.pieces, texts)):
+            lines.append(f"polygon {i} kind={_ring_kind(ring)} vertices={verts}")
         # every catalog point lies in the uncovered region: distance 0
         for a, b, m in self.obstruction_matches:
             lines.append(f"obstruction a={a} b={b} m={m} distance_sq=0")

@@ -81,10 +81,9 @@ def _ring_kind(ring) -> str:
     return "point" if len(ring) == 1 else "polygon"
 
 
-class _RingText(dict):
-    """The exact text of integer rings at one scale L, "x,y;x,y;...": a
-    coordinate v is str(Fraction(v, L)), written as v // g and this table's
-    entry for g = gcd(v, L), "" when g = L and "/{L // g}" otherwise."""
+class _Denominators(dict):
+    """The text after v // g of str(Fraction(v, L)) for each g = gcd(v, L):
+    "" when g = L and "/{L // g}" otherwise, made on first use."""
 
     def __init__(self, scale: int):
         self.scale = scale
@@ -93,10 +92,18 @@ class _RingText(dict):
         text = self[g] = "" if g == self.scale else f"/{self.scale // g}"
         return text
 
-    def __call__(self, ring) -> str:
-        L, gcd = self.scale, math.gcd
-        return ";".join([f"{x // (g := gcd(x, L))}{self[g]},{y // (h := gcd(y, L))}{self[h]}"
-                         for x, y in ring])
+
+def _rings_text(rings, scale: int) -> list[str]:
+    """The exact text "x,y;x,y;..." of each integer ring at ``scale``, every
+    coordinate v as str(Fraction(v, scale)), through one ``_Denominators``."""
+    over, gcd, out = _Denominators(scale), math.gcd, []
+    for ring in rings:
+        parts = []
+        for x, y in ring:
+            g, h = gcd(x, scale), gcd(y, scale)
+            parts.append(f"{x // g}{over[g]},{y // h}{over[h]}")
+        out.append(";".join(parts))
+    return out
 
 
 def _ring_contains(ring, x: int, y: int, m: int = 1) -> bool:

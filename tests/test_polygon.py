@@ -7,11 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from pyjama.gaussian import CertificateError
 from pyjama.polygon import (
     ConvexPolygon,
-    _RingText,
     _canonicalize,
     _ring_area2,
     _ring_contains,
     _ring_dist_sq,
+    _rings_text,
 )
 
 from _util import (
@@ -212,7 +212,6 @@ def test_integer_predicates_match_fraction_oracle(vertices, points):
         assert _dist_sq(poly, p) == fraction_dist_sq(poly, p)
 
 
-
 @st.composite
 def scaled_rings(draw):
     """A scale L and a ring of 1-6 integer vertices, each coordinate 0, a
@@ -231,6 +230,6 @@ def test_ring_text_writes_each_coordinate_as_its_fraction(case):
     # one table serves every ring of a report: 0, negative v and multiples
     # of L come out as str(Fraction(v, L)), such as "0" and "-2", never "/1"
     L, ring = case
-    text = _RingText(L)
-    for part in (ring, ring[::-1], ring[:1]):
-        assert text(part) == ";".join(f"{F(x, L)},{F(y, L)}" for x, y in part)
+    parts = [ring, ring[::-1], ring[:1]]
+    assert _rings_text(parts, L) == [";".join(f"{F(x, L)},{F(y, L)}" for x, y in part)
+                                     for part in parts]
