@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 from .gaussian import (
     CertificateError,
@@ -516,34 +516,28 @@ def _refined_lattice_dist_sq(ring, scale: int, D: GaussianInt, n: int) -> Fracti
     """Exact squared distance from the canonical ring at ``scale`` to the
     nearest point of D*Z[i]/n that is not a period point; in integers at
     scale S = scale*n, with the vertices n*(X, Y) and the candidate
-    D*(j + ki)/n at scale*D*(j + ki)."""
+    D*(j + ki)/n at scale*D*(j + ki).  The refined point nearest to any
+    point p is p's rounding in the basis D/n; when that is a period point,
+    an axis neighbour is within sqrt(1.25) steps.  So the answer lies in one
+    window, j and k from floor - 1 to ceil + 1 of the box corners'
+    coordinates, whose candidates are tried nearest bound first."""
     dr, di, T = D.re, D.im, scale * D.norm()
     pts = [(n * x, n * y) for x, y in ring]
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
+    xs, ys = zip(*pts)
     x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    # a first candidate: the refined point nearest the box center, moved off
-    # the period lattice; (x + iy)/S has the coordinates
-    # (x*dr + y*di, y*dr - x*di)/T in the basis D/n
-    cx, cy = x0 + x1, y0 + y1  # twice the center
-    j, k = (cx * dr + cy * di + T) // (2 * T), (cy * dr - cx * di + T) // (2 * T)
-    if j % n == 0 and k % n == 0:
-        j += 1
-    best = _ring_dist_sq(pts, scale * (dr * j - di * k), scale * (di * j + dr * k))
-    # every candidate that can do better lies within r of the box: scan the
-    # box padded by r, nearest bound (squared distance to the box) first
-    r = isqrt(best[0] // best[1]) + 1
-    corners = [(x, y) for x in (x0 - r, x1 + r) for y in (y0 - r, y1 + r)]
+    # (x + iy)/S has the coordinates (x*dr + y*di, y*dr - x*di)/T in D/n
+    corners = [(x, y) for x in (x0, x1) for y in (y0, y1)]
     js = [x * dr + y * di for x, y in corners]
     ks = [y * dr - x * di for x, y in corners]
     candidates = []
-    for j in range(min(js) // T, -(-max(js) // T) + 1):
-        for k in range(min(ks) // T, -(-max(ks) // T) + 1):
-            x, y = scale * (dr * j - di * k), scale * (di * j + dr * k)
-            dx, dy = max(x0 - x, x - x1, 0), max(y0 - y, y - y1, 0)
-            if (j % n or k % n) and (dx * dx + dy * dy) * best[1] < best[0]:
+    for j in range(min(js) // T - 1, -(-max(js) // T) + 2):
+        for k in range(min(ks) // T - 1, -(-max(ks) // T) + 2):
+            if j % n or k % n:
+                x, y = scale * (dr * j - di * k), scale * (di * j + dr * k)
+                dx, dy = max(x0 - x, x - x1, 0), max(y0 - y, y - y1, 0)
                 candidates.append((dx * dx + dy * dy, x, y))
     candidates.sort()
+    best = 1, 0  # no distance yet: 1/0 stands for infinity
     for bound, x, y in candidates:
         if bound * best[1] >= best[0]:
             break

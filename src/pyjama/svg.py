@@ -5,18 +5,20 @@ open stripes of each rotation in alternating gray levels, the uncovered
 pieces (tiled by the period lattice) in black, the certified rational
 obstruction points as black dots, and one cell of the period lattice dashed.
 
-The uncovered pieces of one cell are written once, inside
-``<defs><g id="cell">``, and placed by one ``<use>`` per period-lattice
-shift at which their joint bounding box meets the window; the window's
-``clipPath`` clips what sticks out.  Each ``<use>`` names the cell by both
-``href`` (SVG 2) and ``xlink:href`` (for SVG 1.1 viewers).  The obstruction
-dots are one ``<circle>`` per placement inside the window.  Shifts, dots and
-the period cell are solved in integers, one interval per lattice row
-(``_placements``).
+Each rotation's stripes are one ``<pattern>`` in ``<defs>`` that tiles one
+band with period 1, and one window ``<rect>`` filled with it.  The
+uncovered pieces of one cell are written once, inside ``<defs><g
+id="cell">``, and placed by one ``<use>`` per period-lattice shift at which
+their joint bounding box meets the window; the window's ``clipPath`` clips
+what sticks out.  Each ``<use>`` names the cell by both ``href`` (SVG 2) and
+``xlink:href`` (for SVG 1.1 viewers).  The obstruction dots are one
+``<circle>`` per placement inside the window.  Shifts, dots and the period
+cell are solved in integers, one interval per lattice row (``_placements``).
 
 The output is presentation only — certificates live in the report file — and
 is byte-deterministic: fixed ordering, fixed styles, every plane coordinate
-emitted with six decimal places and every ``<use>`` offset as an integer.
+and pattern number emitted with six decimal places and every ``<use>``
+offset as an integer.
 """
 
 from __future__ import annotations
@@ -68,27 +70,28 @@ def _placements(period: GaussianInt, n: int, x_lo, x_hi, y_lo, y_hi):
             yield pr * a - pi * b, pi * a + pr * b
 
 
-def _stripe_elements(report: CoverReport, norm: int) -> list[str]:
-    eps = float(report.config.epsilon)
-    corners = [(0.0, 0.0), (float(norm), 0.0), (0.0, float(norm)),
-               (float(norm), float(norm))]
-    out = []
-    for index, rotation in enumerate(report.config.rotations):
-        theta = complex(rotation)
-        conj = theta.conjugate()
-        fvals = [(theta * complex(x, y)).real for x, y in corners]
-        svals = [(theta * complex(x, y)).imag for x, y in corners]
-        s_lo, s_hi = min(svals) - 1.0, max(svals) + 1.0
-        fill = _STRIPE_GRAYS[index % 2]
-        for k in range(math.ceil(min(fvals) - eps),
-                       math.floor(max(fvals) + eps) + 1):
-            pts = []
-            for c, s in ((k - eps, s_lo), (k + eps, s_lo),
-                         (k + eps, s_hi), (k - eps, s_hi)):
-                z = complex(c, s) * conj
-                pts.append(_xy(z.real, z.imag, norm))
-            out.append(f'<polygon points="{" ".join(pts)}" fill="{fill}"/>')
-    return out
+def _stripe_elements(report: CoverReport, norm: int) -> tuple[list[str], list[str]]:
+    """Per rotation theta = c + si, a ``<pattern>`` for ``<defs>`` and a
+    window ``<rect>`` filled with it.  In SVG units (X, Y) = (x, norm - y),
+    Re(z*theta) = c*X + s*Y - s*norm is the pattern's first coordinate u
+    under matrix(c s -s c s*norm*c s*norm*s).  The tile, 1 wide at -eps and
+    4*norm tall around the window, holds at its origin a rect 2*eps wide:
+    the band -eps <= u < eps."""
+    eps = report.config.epsilon
+    patterns, fills = [], []
+    for index, theta in enumerate(report.config.rotations):
+        c, s = theta.re, theta.im
+        matrix = " ".join(map(_fmt, (c, s, -s, c, s * norm * c, s * norm * s)))
+        patterns.append(
+            f'<pattern id="stripes{index}" patternUnits="userSpaceOnUse" '
+            f'patternTransform="matrix({matrix})" x="{_fmt(-eps)}" '
+            f'y="{_fmt(-2 * norm)}" width="{_fmt(1)}" height="{_fmt(4 * norm)}">'
+            f'<rect width="{_fmt(2 * eps)}" height="{_fmt(4 * norm)}" '
+            f'fill="{_STRIPE_GRAYS[index % 2]}"/></pattern>'
+        )
+        fills.append(f'<rect x="0" y="0" width="{norm}" height="{norm}" '
+                     f'fill="url(#stripes{index})"/>')
+    return patterns, fills
 
 
 def _cell_elements(report: CoverReport, norm: int) -> list[str]:
@@ -160,6 +163,7 @@ def _period_cell_element(report: CoverReport, norm: int) -> str:
 def render_svg(report: CoverReport) -> str:
     """Render a covering report as a standalone SVG document (a string)."""
     norm = report.config.period.norm()
+    patterns, fills = _stripe_elements(report, norm)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -169,11 +173,12 @@ def render_svg(report: CoverReport) -> str:
         '<defs><clipPath id="window">'
         f'<rect x="0" y="0" width="{norm}" height="{norm}"/>'
         '</clipPath>',
+        *patterns,
         '<g id="cell">',
         *_cell_elements(report, norm),
         '</g></defs>',
         '<g clip-path="url(#window)">',
-        *_stripe_elements(report, norm),
+        *fills,
         *_use_elements(report, norm),
         _period_cell_element(report, norm),
         *_obstruction_elements(report, norm),

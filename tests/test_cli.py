@@ -105,6 +105,25 @@ def test_verify_covering_reports_and_draws_point_pieces(tmp_path, capsys):
     ]
 
 
+def test_verify_covering_draws_a_real_period(tmp_path, capsys):
+    # the period 5 has no imaginary part, so a lattice row's x bound does not
+    # depend on b; every obstruction point in the closed 25 x 25 window is a dot
+    cfg = _write(tmp_path / "real.ini", FIGURE_INI.replace("1-2i", "5"))
+    out = tmp_path / "out"
+    code, summary = _run(capsys, "verify-covering", "--config", cfg,
+                         "--out", str(out))
+    assert code == 1
+    svg = (out / "cover.svg").read_text()
+    assert 'viewBox="0 0 25 25"' in svg
+    matches = [[int(field.split("=")[1]) for field in line.split()[1:4]]
+               for line in (out / "report.txt").read_text().splitlines()
+               if line.startswith("obstruction ")]
+    assert matches
+    want = sum(0 <= F(5 * a, m) + 5 * j <= 25 and 0 <= F(5 * b, m) + 5 * k <= 25
+               for a, b, m in matches for j in range(-9, 10) for k in range(-9, 10))
+    assert svg.count('r="0.100000"') == want > 0
+
+
 def test_exit_two_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     bad = _write(tmp_path / "bad.ini",

@@ -1,3 +1,6 @@
+import math
+import random
+import re
 import xml.etree.ElementTree as ET
 from collections import Counter
 from fractions import Fraction
@@ -37,10 +40,10 @@ def _window_clip(piece, norm):
 
 
 def _reference(report):
-    """The picture drawn the direct way, in Fraction arithmetic: the header
-    and stripe lines, the period cell and the obstruction dots as document
-    lines, and the multiset of non-empty window-clipped pieces of every
-    uncovered piece at every shift of ``svg._lattice_range``."""
+    """The picture drawn the direct way, in Fraction arithmetic, without its
+    stripe lines: the header, the period cell and the obstruction dots as
+    document lines, and the multiset of non-empty window-clipped pieces of
+    every uncovered piece at every shift of ``svg._lattice_range``."""
     period = report.config.period
     norm = period.norm()
     reach = svg._lattice_range(norm)
@@ -64,7 +67,6 @@ def _reference(report):
         '</g></defs>',
         '<g clip-path="url(#window)">',
     ]
-    head += svg._stripe_elements(report, norm)
     # the first cell of the lattice, in range order, inside the window
     d = (F(period.re), F(period.im))
     di = (F(-period.im), F(period.re))
@@ -116,15 +118,24 @@ def _cell_element(poly, norm):
 def _check_against_reference(report):
     """Render the report; the ``<defs>`` cell must hold exactly its pieces,
     every ``<use>`` of it expanded at its offset and clipped at the window
-    must give the reference's placed pieces, and every other line must be
-    the reference's."""
+    must give the reference's placed pieces, the stripe patterns must follow
+    the ``clipPath`` and their window rects must open the clipped group, and
+    every other line must be the reference's."""
     norm = report.config.period.norm()
     text = svg.render_svg(report)
     want_lines, want_placed = _reference(report)
 
     lines = text.splitlines()
+    count = len(report.config.rotations)
+    clip = lines.index('<g clip-path="url(#window)">')
     start, end = lines.index('<g id="cell">'), lines.index("</g></defs>")
-    other = lines[:start + 1] + lines[end:]
+    assert start == 4 + count
+    assert all(line.startswith(f'<pattern id="stripes{i}" ')
+               for i, line in enumerate(lines[4:start]))
+    assert lines[clip + 1:clip + 1 + count] == [
+        f'<rect x="0" y="0" width="{norm}" height="{norm}" fill="url(#stripes{i})"/>'
+        for i in range(count)]
+    other = lines[:4] + [lines[start]] + lines[end:clip + 1] + lines[clip + 1 + count:]
     assert [line for line in other if not line.startswith("<use ")] == want_lines
     assert text.endswith("\n")
 
@@ -194,6 +205,90 @@ def svg_reports(draw):
     start = draw(st.integers(0, max(0, len(report.pieces) - room)))
     pieces = list(report.uncovered)[start : start + room]
     return with_pieces(report, pieces + [ConvexPolygon(v) for v in extras])
+
+
+_GRAYS = ("#dcdcdc", "#c4c4c4")
+
+
+def _check_stripes(report, r, count=200):
+    """The stripe oracle.  Each rotation has one ``<pattern>`` in ``<defs>``
+    and one window ``<rect>`` filled with it, and nothing else is gray.  At
+    ``count`` random exact window points the pattern, read back from its
+    attributes and evaluated in Fraction arithmetic, paints exactly the
+    points z whose Re(z*theta) lies within eps of an integer.  Points within
+    1e-4 + delta of a band edge are skipped, where delta is the most that
+    the pattern's first coordinate differs from Re(z*theta) on the window
+    (at a corner, as the difference is affine); delta must stay within what
+    six-decimal matrix entries allow, 4e-6*N(D)."""
+    cfg = report.config
+    norm = cfg.period.norm()
+    root = ET.fromstring(svg.render_svg(report))
+    patterns = root.findall(f"{SVG}defs/{SVG}pattern")
+    group = root.find(f"{SVG}g")
+    fills = [el for el in group if el.get("fill", "").startswith("url(#stripes")]
+    assert len(patterns) == len(fills) == len(cfg.rotations)
+    assert [el.tag for el in root.iter() if el.get("fill") in _GRAYS] == [
+        SVG + "rect"] * len(patterns)
+    points = []
+    for _ in range(count):
+        q = r.randrange(1, 10**6)
+        points.append((F(r.randrange(norm * q + 1), q), F(r.randrange(norm * q + 1), q)))
+    corners = [(X, Y) for X in (0, norm) for Y in (0, norm)]
+    checked = 0
+    for index, (theta, pattern, fill) in enumerate(zip(cfg.rotations, patterns, fills)):
+        assert fill.tag == SVG + "rect" and fill.attrib == {
+            "x": "0", "y": "0", "width": str(norm), "height": str(norm),
+            "fill": f"url(#stripes{index})"}
+        assert pattern.get("id") == f"stripes{index}"
+        assert pattern.get("patternUnits") == "userSpaceOnUse"
+        a, b, c, d, e, f = map(F, re.fullmatch(
+            r"matrix\(([^)]*)\)", pattern.get("patternTransform")).group(1).split())
+        x0, y0, w, h = (F(pattern.get(k)) for k in ("x", "y", "width", "height"))
+        band, = pattern
+        assert band.tag == SVG + "rect" and band.get("fill") == _GRAYS[index % 2]
+        assert "x" not in band.attrib and "y" not in band.attrib
+        assert F(band.get("height")) >= h
+        width = F(band.get("width"))
+        det = a * d - b * c
+
+        def pattern_coords(X, Y):
+            X, Y = X - e, Y - f
+            return (d * X - c * Y) / det, (a * Y - b * X) / det
+
+        def stripe_coord(X, Y):  # Re(z*theta) at z = X + (norm - Y)i
+            return theta.re * X - theta.im * (norm - Y)
+
+        # no tile edge crosses the window
+        assert all(y0 < pattern_coords(X, Y)[1] < y0 + h for X, Y in corners)
+        delta = max(abs(pattern_coords(X, Y)[0] - stripe_coord(X, Y))
+                    for X, Y in corners)
+        assert delta <= F(4, 10**6) * norm
+        for X, Y in points:
+            u = stripe_coord(X, Y)
+            dist = min(u - math.floor(u), math.ceil(u) - u)
+            if abs(dist - cfg.epsilon) < F(1, 10**4) + delta:
+                continue
+            painted = (pattern_coords(X, Y)[0] - x0) % w < width
+            assert painted == (dist < cfg.epsilon), (index, X, Y)
+            checked += 1
+    assert checked >= count * len(patterns) * 9 // 10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(svg_reports(), st.randoms(use_true_random=False))
+def test_stripe_patterns_paint_exactly_the_stripes(report, r):
+    _check_stripes(report, r)
+
+
+def test_stripe_patterns_at_norm_4225():
+    # three rotations at N(D) = 4225: two stripe elements per rotation, not
+    # one polygon per stripe, and the pattern still paints the exact bands
+    thetas = theta_set(2)
+    period = (P5BAR.generator * P13BAR.generator) ** 2
+    cfg = CoveringConfig([thetas[1], thetas[3], thetas[4]], F(2, 5), period)
+    report = uncovered_region(cfg, obstruction_m_max=1)
+    assert period.norm() == 4225
+    _check_stripes(report, random.Random(0), count=2000)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
