@@ -4,7 +4,9 @@ adelic-scan disk job (``irrational-cover``, whose verdict alone is recorded
 there), one longer disk scan and every approximation job of the first round
 of schedule seed 0 (which the benchmark checks only with oracles) writes the
 report bytes pinned below, as every adelic-scan orbit job does its
-``report.txt`` and ``orbit.csv`` bytes: each job runs through
+``report.txt`` and ``orbit.csv`` bytes, every density job its
+``report.txt`` and ``density.csv`` bytes, and every classify and
+closure-index job its ``report.txt`` bytes: each job runs through
 ``pyjama.cli.main`` in this process, and its exit code and the sha256
 (first 16 hex digits) of those files must match.  The benchmark's files
 are only read."""
@@ -226,3 +228,86 @@ def test_catalog_has_every_pinned_orbit_job():
 @pytest.mark.parametrize("job", ORBIT_JOBS, ids=lambda job: f"{job.cls}-{job.key}")
 def test_orbit_report_and_csv_bytes(job, tmp_path):
     assert _run(job, tmp_path, ("report.txt", "orbit.csv")) == ORBIT_DIGESTS[job.key]
+
+
+# the density jobs' (exit code, report.txt digest, density.csv digest), from
+# scripts/catalog_digest.py
+DENSITY_JOBS = WORKLOADS.catalog("adelic-scan")["density"]
+DENSITY_DIGESTS = {
+    "989b8fa7ca120b58": (0, "8fc2cabf520f00b8", "a8491e3642e5b581"),
+    "9766d7615825b60e": (1, "188d66b5e638b7eb", "b50e9d6144e82877"),
+    "1c566e143be61ab3": (0, "6c08c11aac8b1556", "5360fc2553c0f436"),
+    "e3497f5533c6e11e": (1, "b59f9e4037a46732", "26326d6c8863f0f7"),
+    "6d8d045fad05f515": (0, "be4bee4aa10495fd", "01da4200bfee4e06"),
+    "c22972e4fe8f3536": (0, "e737c952956c906d", "b59c6c14da160858"),
+    "119cc3b4ede915d5": (0, "21e4272cd46b6c52", "c110378452a6c371"),
+    "b0a9b8bf8450816b": (0, "ad141b178fe7c8c2", "30140f5978357263"),
+    "dde3959b539f7c0f": (0, "7437fcfc50c1960a", "2d5b7adabcaf0434"),
+    "eb0d2c8cd383613a": (0, "e7fe8319a55c103e", "ec82334186bc6dd4"),
+    "2abed0b43618c11f": (0, "1e3b9034229369b2", "f2995edb973007b8"),
+    "02ab49a1639a2e60": (0, "5be384bec7a56a80", "6b8cd098209ba25d"),
+}
+# the classify and closure-index jobs' (exit code, report.txt digest), from
+# scripts/catalog_digest.py
+SCALAR_JOBS = [*WORKLOADS.catalog("adelic-scan")["classify"],
+               *WORKLOADS.catalog("adelic-scan")["closure-index"]]
+SCALAR_DIGESTS = {
+    "c5c65bbe285030b3": (0, "207f1dd93fffbc5a"),
+    "d5e52a854392c33c": (0, "a8dc0b922927c7a4"),
+    "c875f400ca26e2f8": (0, "69f9302b126afa95"),
+    "751b667400a3b4bb": (0, "6d00fb46b2906d8d"),
+    "0a0c9bed061140c8": (0, "38897153c3241898"),
+    "b8805dd29f0f524e": (0, "6a90963dfa22f183"),
+    "17c2c801c8e013ee": (0, "55a06bc60580996d"),
+    "a5c83713246d22b1": (0, "d295b8e4d2570dc4"),
+    "dbcdf570254e45a4": (0, "b28cd58bbeb3d73d"),
+    "d51384fb5677315e": (0, "054d6dc0d0501f9b"),
+    "14cea9939398ea47": (0, "be1035ca48e44cf6"),
+    "7fa8008b9729700a": (0, "dc6b8557bf03c401"),
+    "6b3504268dd0b6a8": (0, "bbb16f5fbf614287"),
+    "acee65ed1a684c11": (0, "dc066ff7d8c09e09"),
+    "3a86d57a86a2de84": (0, "9da3d632416e6b8c"),
+    "fbd3739df1fe8cb3": (0, "a340ccf7dde0e247"),
+    "5878976efbb4b727": (0, "71ace1a0559a611c"),
+    "966d69fe46ba69be": (0, "6759561a1593cae6"),
+    "366b533894671dc0": (0, "8c33e7eda5f3615a"),
+    "06f372ac1af4e9e7": (0, "8aba6c5409dea9f5"),
+    "3c95842c7253dd85": (0, "74b4f857bc7fb14e"),
+    "8d5ea6a646a52d7d": (0, "23649bef52427fca"),
+    "bea9b35b995a27fd": (0, "8c3df98278a30012"),
+    "f737bdf37c43eb5c": (0, "aa7f5694ec31fec8"),
+    "00c373b64b329aa5": (0, "9ab22b28d90d9226"),
+    "fcfc88546239c436": (0, "76ca89adf3099463"),
+    "03d51d90f84723ad": (0, "61ca168d5216c0fd"),
+    "6c9dc7be02c30b9e": (0, "0ff56a7a79e41b23"),
+    "865417646e737c66": (0, "dcecb73800db8aab"),
+    "162d9756e992878c": (0, "b3c51123adfff101"),
+    "badc59224021af7e": (0, "80b1fd9268902d1e"),
+    "1c18f390f650ff34": (0, "80e061433847faae"),
+    "b911aa6473359f13": (0, "4c1401a198c3c8aa"),
+    "684fa2e06096c5b9": (0, "acbb5469e6be3209"),
+    "6470e8556db1543d": (0, "d3365560a80afa2e"),
+    "9ebaa2c9e004a44b": (0, "92886b409ba98fec"),
+    "182b845400c51a97": (0, "2831e371f7c59063"),
+    "27010bd4d8c424b9": (0, "c0fdad508100a821"),
+    "deec51d863405068": (0, "f99a3a789e4283d8"),
+    "8b6e297d792aafc4": (0, "5f14a6ad764ae10e"),
+    "69de469c8167ccee": (0, "0ea7c6bcc01c9e6a"),
+    "1531820e8381c7f2": (0, "aba5b04fe804a66e"),
+}
+
+
+def test_catalog_has_every_pinned_density_and_scalar_job():
+    assert len(DENSITY_JOBS) == 12 and len(SCALAR_JOBS) == 18 + 24
+    assert sorted(job.key for job in DENSITY_JOBS) == sorted(DENSITY_DIGESTS)
+    assert sorted(job.key for job in SCALAR_JOBS) == sorted(SCALAR_DIGESTS)
+
+
+@pytest.mark.parametrize("job", DENSITY_JOBS, ids=lambda job: f"{job.cls}-{job.key}")
+def test_density_report_and_csv_bytes(job, tmp_path):
+    assert _run(job, tmp_path, ("report.txt", "density.csv")) == DENSITY_DIGESTS[job.key]
+
+
+@pytest.mark.parametrize("job", SCALAR_JOBS, ids=lambda job: f"{job.cls}-{job.key}")
+def test_classify_and_closure_index_report_bytes(job, tmp_path):
+    assert _run(job, tmp_path) == SCALAR_DIGESTS[job.key]
