@@ -367,29 +367,30 @@ def coset_element(mu, nu, H: CosetSpec) -> GaussianRational:
 
 def semigroup_density(eta, delta) -> DensityReport:
     """Enumerate {eta * 2^r * 3^s <= 1}, sort it, and report the largest gap
-    of the sample inside [0, 1] — gaps to the endpoints 0 and 1 count."""
+    of the sample inside [0, 1] — gaps to the endpoints 0 and 1 count.  With
+    eta = p/q it sorts k = 2^r*3^s <= q//p and measures gaps as integers over q."""
     eta = Fraction(eta)
     delta = Fraction(delta)
     if not 0 < eta < 1:
         raise ValueError("scale must lie strictly between 0 and 1")
     if not 0 < delta < 1:
         raise ValueError("density tolerance must lie strictly between 0 and 1")
-    sample = []
-    pow2 = eta
-    while pow2 <= 1:
-        value = pow2
-        while value <= 1:
-            sample.append(value)
-            value *= 3
+    p, q = eta.numerator, eta.denominator
+    top, ks, pow2 = q // p, [], 1
+    while pow2 <= top:
+        k = pow2
+        while k <= top:
+            ks.append(k)
+            k *= 3
         pow2 *= 2
-    sample.sort()
-    gap, lo, hi = _widest_gap([*sample, Fraction(1)], (sample[0], Fraction(0), sample[0]))
+    ks.sort()
+    gap, lo, hi = _widest_gap([*(p * k for k in ks), q], (p, 0, p))
     return DensityReport(
         parameter=eta,
-        max_gap=gap,
-        witness_pair=(lo, hi),
+        max_gap=Fraction(gap, q),
+        witness_pair=(Fraction(lo, q), Fraction(hi, q)),
         threshold=delta,
-        sample=tuple(sample),
+        sample=tuple(Fraction(p * k, q) for k in ks),
     )
 
 

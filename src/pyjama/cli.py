@@ -7,6 +7,14 @@ experiment, writes a versioned report (header line ``pyjama-report v1``)
 plus any figures into the output directory, and prints a one-line
 ``key=value`` summary on stdout.
 
+A config is what ``configparser.ConfigParser(interpolation=None)`` reads,
+keys case-sensitive: ``[section]`` headers, ``key = value`` lines split at the
+first ``=`` or ``:``, ``#`` and ``;`` comments, blank lines, and deeper
+indented continuation lines joined to the value by newlines; ``[DEFAULT]``
+keys hold in every section.  Anything else (a line before any header, with
+no delimiter or no key, a section or key given twice) exits 2 with
+``error=input`` and a message naming the file and the line.
+
 Exit codes: 0 = verified/certified, 1 = checked and found false,
 2 = input or precision error, a certificate that failed its own re-check,
 or any other exception (``error=internal``).  Nothing is written on exit 2,
@@ -17,8 +25,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import configparser
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -74,17 +80,42 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _load_ini(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
+def _load_ini(path: str) -> dict[str, dict[str, str]]:
+    """{section: {key: value}} of a config (see the module docstring)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except OSError as exc:
+        with open(path, "rb") as handle:  # text mode's newlines, without its wrapper
+            lines = handle.read().decode().replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    except (OSError, UnicodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise InputError(f"malformed config file {path}: {exc}") from exc
-    return parser
+    sections, seen, keys, value, indent = {"DEFAULT": {}}, set(), None, None, 0
+    for lineno, line in enumerate(lines, 1):
+        text, depth = line.strip(), len(line) - len(line.lstrip())
+        if text.startswith(("#", ";")) or not (text or value):
+            continue
+        if value is not None and (depth > indent or not text):
+            value.append(text)  # a blank line counts only before a continuation
+            continue
+        indent, close = depth, text.rfind("]")
+        if text[0] == "[" and close > 1:
+            name, value = text[1:close], None
+            if name in seen and name != "DEFAULT":
+                raise InputError(f"config file {path}, line {lineno}: "
+                                 f"section [{name}] given twice")
+            seen.add(name)
+            keys = sections.setdefault(name, {})
+            continue
+        eq, colon = text.find("="), text.find(":")
+        cut = eq if colon < 0 or 0 <= eq < colon else colon  # the first delimiter
+        key = text[:cut].rstrip()
+        if keys is None or cut <= 0 or (name, key) in seen:
+            problem = ("no [section] header above it" if keys is None
+                       else "not a 'key = value' line" if cut <= 0 else f"key '{key}' given twice")
+            raise InputError(f"config file {path}, line {lineno}: {problem}")
+        seen.add((name, key))
+        value = keys[key] = [text[cut + 1:].strip()]
+    defaults = sections.pop("DEFAULT")
+    return {name: {key: "\n".join(v).rstrip() for key, v in {**defaults, **own}.items()}
+            for name, own in sections.items()}
 
 
 def _number(text: str) -> float:
@@ -138,10 +169,10 @@ def _field(ini, section: str, key: str, kind=None, default=_REQUIRED):
     """``[section] key`` read by ``kind`` (the raw text when None); a
     missing key takes ``default`` (a literal, or None for no value), and is
     an InputError when it has none."""
-    if ini.has_section(section) and ini.has_option(section, key):
-        text = ini.get(section, key).strip()
+    if key in ini.get(section, ()):
+        text = ini[section][key].strip()
     elif default is _REQUIRED:
-        if not ini.has_section(section):
+        if section not in ini:
             raise InputError(f"missing section [{section}]")
         raise InputError(f"missing key '{key}' in section [{section}]")
     elif default is None:
@@ -210,13 +241,8 @@ def _text(lines) -> bytes:
 
 
 def _csv(header, rows) -> bytes:
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().encode("utf-8")
+    # csv.writer's CRLF rows: no field here (ints, floats, Fractions, names) needs quoting
+    return "".join(",".join(map(str, row)) + "\r\n" for row in (header, *rows)).encode()
 
 
 def _cmd_verify_covering(config, ini, artifacts):
@@ -352,8 +378,7 @@ def _cmd_orbit(config, ini, artifacts):
     sweep = _field(ini, "orbit", "sweep", _INTEGER, "30")
     rows = _checked("orbit", float_orbit_rows, w, m, sweep)
     gap = orbit_max_gap(rows)
-    artifacts.append(("orbit.csv", _csv(
-        ["r", "s", "value"], ((r, s, repr(v)) for r, s, v in rows))))
+    artifacts.append(("orbit.csv", _csv(["r", "s", "value"], rows)))  # str(float) is its repr
     lines = [
         "kind=orbit",
         f"w={w}",
@@ -429,11 +454,10 @@ def _cmd_density(config, ini, artifacts):
             code = 0 if dense else 1
     else:
         raise InputError(f"[density] kind: unknown density kind {kind!r}")
-    samples = ((f"sample_{i}", str(v)) for i, v in enumerate(report.sample))
-    artifacts.append(("density.csv", _csv(
-        ["field", "value"], [*report.csv_rows(), *samples])))
-    lines = ["kind=density", f"flavor={kind}"]
-    lines.extend(f"{k}={v}" for k, v in report.csv_rows())
+    rows = report.csv_rows()
+    samples = ((f"sample_{i}", v) for i, v in enumerate(report.sample))
+    artifacts.append(("density.csv", _csv(["field", "value"], [*rows, *samples])))
+    lines = ["kind=density", f"flavor={kind}", *(f"{k}={v}" for k, v in rows)]
     return code, fields, lines
 
 
@@ -446,7 +470,7 @@ def _cmd_approx(config, ini, artifacts):
     precision = 16 if config.precision_k is None else config.precision_k
     lines = ["kind=approx", f"z={z}", f"delta={delta}"]
     z = exact_gaussian_rational(z)  # a float literal at its exact binary value
-    if ini.has_option("approx", "target5") or ini.has_option("approx", "target13"):
+    if "target5" in ini["approx"] or "target13" in ini["approx"]:
         target5_text = _field(ini, "approx", "target5")
         target13_text = _field(ini, "approx", "target13")
         a = embed(_parse(_RATIONAL, target5_text, "[approx] target5"), 5, precision)

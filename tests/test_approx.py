@@ -411,13 +411,20 @@ def _first_widest_gap(values, wrap=None):
     return max(gaps, key=lambda gap: gap[0])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 200).flatmap(
-    lambda d: st.integers(1, d - 1).map(lambda n: F(n, d))))
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(2, 200), st.integers(201, 10**12)).flatmap(
+    lambda d: st.one_of(st.integers(1, d - 1), st.integers(1, min(d - 1, 60)))
+    .map(lambda n: F(n, d))))
 @example(F(1, 4))
 @example(F(1, 6))
+@example(F(1, 10**8))
 def test_semigroup_density_matches_gap_oracle(eta):
-    sample = sorted(v for r in range(10) for s in range(7) if (v := eta * 2**r * 3**s) <= 1)
+    # every eta * 2^r * 3^s <= 1 as a Fraction product: 3^s <= 2^r * 3^s <=
+    # 1/eta <= eta's denominator q < 2^bits, so r and s stay below bits;
+    # small denominators tie gaps often, and the first tied gap must win
+    bits = eta.denominator.bit_length()
+    sample = sorted(v for r in range(bits) for s in range(bits)
+                    if (v := eta * 2**r * 3**s) <= 1)
     report = semigroup_density(eta, F(1, 2))
     assert report.sample == tuple(sample)
     gap, lo, hi = _first_widest_gap([F(0), *sample, F(1)])

@@ -1,12 +1,17 @@
+import configparser
+import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pyjama import cli, covering, gaussian, padic
 from pyjama.cli import COMMANDS, RunConfig, main, run
@@ -798,3 +803,128 @@ def test_parser_options(monkeypatch, command):
     with pytest.raises(SystemExit) as exc:
         main([command])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the config reader and the CSV writer against the standard library's
+# ---------------------------------------------------------------------------
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+_INDENT = st.sampled_from([" ", "  ", "\t", "    "])
+_NAMES = st.sampled_from(["a", "b", "DEFAULT", "x y", "a]b", " s "])
+_KEYS = st.sampled_from(["k", "K", "j", "x y", "[k", ""])
+_VALUES = st.sampled_from(["", "1", "1/2", "a = b", "p: q", "# x", "; y", "[c]", "v =",
+                           "x\x0c", "\x85y", "\u2028", "\x0b"])
+_INI_LINE = st.one_of(
+    # a header, with what may follow its last "]"
+    st.builds("{}[{}]{}".format, _SPACE, _NAMES, st.sampled_from(["", " ", " tail", "]"])),
+    # a key line with either delimiter and spaces around it
+    st.builds("{}{}{}{}{}{}".format, _SPACE, _KEYS, _SPACE, st.sampled_from("=:"), _SPACE,
+              _VALUES),
+    st.builds("{}{}{}".format, _SPACE, st.sampled_from("#;"), _VALUES),  # a comment
+    _SPACE,  # a blank line
+    st.builds("{}{}".format, _INDENT, _VALUES),  # a continuation, or not
+    st.sampled_from(["junk", "[]", "[", "k v"]),  # no delimiter
+)
+_INI_TEXT = st.builds(
+    lambda first, lines, end: first + end.join(lines) + end,
+    st.sampled_from(["", "[a]\n", "[DEFAULT]\n"]), st.lists(_INI_LINE, max_size=12),
+    st.sampled_from(["\n", "\r\n", "\r", ""]))
+
+
+@pytest.fixture(scope="module")
+def ini_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ini")
+
+
+@settings(max_examples=600, deadline=None)
+@given(_INI_TEXT)
+@example(FIGURE_INI)
+@example("[DEFAULT]\nepsilon: 1/4\n[covering]\nrotations =\n    1;\n\n    -3/5+4/5i\n\n")
+@example("[a]\nk = 1\n  # a comment inside a value\n  2\n[DEFAULT]\nk = 3\n[DEFAULT]\nj = 4\n")
+@example("[a]\nk = 1\n[a]\n")
+@example("[DEFAULT]\nk = 1\n[DEFAULT]\nk = 2\n")
+@example("k = 1\n[a]\n")
+@example("[a]\n= 1\n")
+@example("[a]\nk v\n")
+def test_config_reader_matches_configparser(ini_dir, text):
+    # the reader gives configparser's {section: {key: value}} wherever
+    # configparser accepts a file, and an InputError naming the file and a
+    # line wherever it raises: the line of configparser's error, or an
+    # earlier one when configparser defers a bad line to the end of the file
+    path = ini_dir / "c.ini"
+    path.write_bytes(text.encode("utf-8"))
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except configparser.Error as exc:
+        with pytest.raises(cli.InputError) as refused:
+            cli._load_ini(str(path))
+        found = re.fullmatch(rf"config file {re.escape(str(path))}, line (\d+): .+",
+                             str(refused.value))
+        assert found
+        if type(exc) is configparser.ParsingError:
+            assert int(found[1]) == exc.errors[0][0]
+        else:
+            assert int(found[1]) <= exc.lineno
+    else:
+        assert cli._load_ini(str(path)) == {name: dict(parser[name])
+                                            for name in parser.sections()}
+
+
+def test_config_grammar_reaches_the_command(tmp_path, capsys):
+    # a [DEFAULT] key, a ':' delimiter, comments and a rotation list over
+    # continuation lines give the figure's report
+    reports = []
+    for name, text in (("plain.ini", FIGURE_INI),
+                       ("grammar.ini", "# the README figure\n[DEFAULT]\nepsilon: 1/4\n\n"
+                                       "[covering]\nrotations =\n    1;\n    ; a comment\n"
+                                       "\n    -3/5+4/5i\nperiod = 1-2i\n")):
+        out = tmp_path / f"out-{name}"
+        assert main(["verify-covering", "--config", _write(tmp_path / name, text),
+                     "--out", str(out), "--no-svg"]) == 1
+        reports.append((out / "report.txt").read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
+# (config text, the line the reader refuses, its message)
+_REFUSED_CONFIGS = [
+    ("[classify]\nq = 1/2\n[classify]\nq = 1/3\n", 3, "section [classify] given twice"),
+    ("[classify]\nq = 1/2\nq = 1/3\n", 3, "key 'q' given twice"),
+    ("[DEFAULT]\nq = 1\n[DEFAULT]\nq = 2\n[classify]\n", 4, "key 'q' given twice"),
+    ("; q\nq = 1/2\n[classify]\n", 2, "no [section] header above it"),
+    ("[classify]\nq 1/2\n", 2, "not a 'key = value' line"),
+    ("[classify]\n  = 1/2\n", 2, "not a 'key = value' line"),
+]
+
+
+@pytest.mark.parametrize("text, line, problem", _REFUSED_CONFIGS,
+                         ids=["section-twice", "key-twice", "default-key-twice",
+                              "no-header", "no-delimiter", "empty-key"])
+def test_refused_configs_exit_two(tmp_path, capsys, text, line, problem):
+    cfg = _write(tmp_path / "r.ini", text)
+    out = tmp_path / "out"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "command=classify exit=2 error=input\n"
+    assert captured.err == f"error: config file {cfg}, line {line}: {problem}\n"
+    assert not out.exists()
+
+
+_CSV_FIELDS = st.one_of(
+    st.integers(), st.floats(), st.floats().map(repr), st.fractions(),
+    st.sampled_from(["field", "value", "r", "s", "sample_0", "parameter", "True", "False"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CSV_FIELDS, min_size=1, max_size=4),
+       st.lists(st.lists(_CSV_FIELDS, max_size=4), max_size=6))
+def test_csv_matches_csv_writer(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert cli._csv(header, rows) == buffer.getvalue().encode("utf-8")
