@@ -914,6 +914,17 @@ def test_refused_configs_exit_two(tmp_path, capsys, text, line, problem):
     assert not out.exists()
 
 
+def test_undecodable_config_names_its_file(tmp_path, capsys):
+    cfg = tmp_path / "latin1.ini"
+    cfg.write_bytes(b"[classify]\nq = 1/2 # \xe9\n")
+    out = tmp_path / "out"
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "command=classify exit=2 error=input\n"
+    assert captured.err.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec")
+    assert not out.exists()
+
+
 _CSV_FIELDS = st.one_of(
     st.integers(), st.floats(), st.floats().map(repr), st.fractions(),
     st.sampled_from(["field", "value", "r", "s", "sample_0", "parameter", "True", "False"]))

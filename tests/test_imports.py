@@ -3,16 +3,17 @@ private module-level name is used somewhere in the package, and every
 name a module exports resolves.
 
 A deletion that leaves its import behind (a constant, a helper) shows up
-here, and so does a numpy import outside ``disk.py``.  ``__init__.py``
-imports nothing: its names resolve on first use.  A deletion that leaves a
-private helper, class or constant with no caller in ``src/pyjama`` shows up
-too, and so does a function or public method that neither the package, a
-demo nor the acceptance tests read.  The other direction catches a
-deletion that leaves its ``__all__`` entry or its package name behind,
-which would break ``from pyjama.gaussian import *`` and every tool that
-reads ``__all__``.  The dunder methods of the exact scalars are pinned, so
-an operator added to one of them shows up as well.  So does growth that takes
-``covering.py`` over its compile-memory step.
+here, and so does a numpy import outside ``disk.py`` or any import of
+``configparser`` or ``csv``.  ``__init__.py`` imports nothing: its names
+resolve on first use.  A deletion that leaves a private helper, class or
+constant with no caller in ``src/pyjama`` shows up too, and so does a
+function or public method that neither the package, a demo nor the
+acceptance tests read.  The other direction catches a deletion that
+leaves its ``__all__`` entry or its package name behind, which would
+break ``from pyjama.gaussian import *`` and every tool that reads
+``__all__``.  The dunder methods of the exact scalars are pinned, so an
+operator added to one of them shows up as well.  So does growth that
+takes ``covering.py`` over its compile-memory step.
 """
 
 import ast
@@ -245,15 +246,15 @@ def test_no_orphaned_functions():
     assert orphaned_functions(*_sources_and_readers()) == []
 
 
-def numpy_importers() -> list[str]:
-    """The source modules, ``__init__.py`` included, that import numpy
+def importers(module: str) -> list[str]:
+    """The source modules, ``__init__.py`` included, that import the module
     anywhere, inside a function as well as at the top."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            if any(name.split(".")[0] == "numpy" for name in names):
+            if any(name.split(".")[0] == module for name in names):
                 found.append(path.name)
                 break
     return found
@@ -261,7 +262,13 @@ def numpy_importers() -> list[str]:
 
 def test_only_the_disk_cover_imports_numpy():
     # every command but irrational-cover starts without numpy's import
-    assert numpy_importers() == ["disk.py"]
+    assert importers("numpy") == ["disk.py"]
+
+
+def test_no_module_imports_configparser_or_csv():
+    # the CLI reads configs and writes CSV rows itself; the standard
+    # library's parser and writer are the oracles of its tests
+    assert importers("configparser") == importers("csv") == []
 
 
 def compile_peaks() -> dict[str, int]:
