@@ -7,13 +7,13 @@ Runs each job of ``perfbench/workloads.catalog(WORKLOAD)`` through
 adelic-scan, whose approximation jobs draw their targets from the schedule,
 it runs those of the first round of the fixed schedule seed 0 as well.  It
 prints one line per job: workload, class, job key, exit code (or the name
-of the exception that escaped), and the
-sha256 (first 16 hex digits) of every artifact a job can write:
-``report.txt``, ``cover.svg``, ``orbit.csv`` and ``density.csv`` ("-" when a
-file is not written), then of the stdout summary line without its
-``report=`` field and of stderr (job directory paths replaced by a fixed
-name), so it covers what a CLI user sees.  Run it on two checkouts and diff
-the outputs to check that a change keeps every byte:
+of the exception that escaped), and the sha256 (first 16 hex digits) of
+every artifact a job can write: ``report.txt``, ``cover.svg``,
+``orbit.csv`` and ``density.csv`` ("-" when a file is not written), then of
+the stdout summary line without its ``report=`` field and of stderr (job
+directory paths replaced by a fixed name), so it covers what a CLI user
+sees.  Run it on two checkouts and diff the outputs to check that a change
+keeps every byte:
 
     python3 scripts/catalog_digest.py OLD/src all > old.txt
     python3 scripts/catalog_digest.py src all > new.txt
