@@ -17,8 +17,10 @@ no delimiter or no key, a section or key given twice) exits 2 with
 
 Exit codes: 0 = verified/certified, 1 = checked and found false,
 2 = input or precision error, a certificate that failed its own re-check,
-or any other exception (``error=internal``).  Nothing is written on exit 2,
-and no traceback is shown.
+an output that could not be written (``error=output``), or any other
+exception (``error=internal``).  No traceback is shown.  Nothing is
+written on exit 2, but for a failed write, which can leave the files
+written before it.
 """
 
 from __future__ import annotations
@@ -141,18 +143,13 @@ def _exact_point(text: str) -> GaussianRational | complex:
     return value
 
 
-def _point(text: str) -> complex:
-    return complex(_exact_point(text))
-
-
 # (reader, what a literal must be) pairs for _parse and _field; a reader
 # raises ValueError, ZeroDivisionError or OverflowError on a bad literal
 _RATIONAL = (Fraction, "a rational 'p/q' literal")
 _INTEGER = (int, "an integer")
 _NUMBER = (_number, "a finite number")
 _GAUSSIAN = (GaussianRational.parse, "a Gaussian rational 'a/d+b/di' literal")
-_POINT = (_point, "a point literal")
-_EXACT_POINT = (_exact_point, "a point literal")
+_POINT = (_exact_point, "a point literal")
 
 _REQUIRED = object()
 
@@ -230,19 +227,32 @@ def _covering_config(ini):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (exit_code, summary_fields, report lines from
+# command handlers: each returns (verdict, summary_fields, report lines from
 # ``kind=`` on) and appends any other (filename, bytes) artifacts; ``run``
-# adds the report header, and writes every artifact only on success
+# alone turns the verdict into exit 0 or 1, adds the report header, and
+# writes the artifacts once the handler has returned
 # ---------------------------------------------------------------------------
 
 
-def _text(lines) -> bytes:
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _word(value):
+    """A bool as ``true`` or ``false``, as reports and summaries spell it;
+    any other value as itself."""
+    return str(value).lower() if isinstance(value, bool) else value
 
 
 def _csv(header, rows) -> bytes:
     # csv.writer's CRLF rows: no field here (ints, floats, Fractions, names) needs quoting
     return "".join(",".join(map(str, row)) + "\r\n" for row in (header, *rows)).encode()
+
+
+def _gap_below(ini, section: str, gap: float, fields: dict) -> float | None:
+    """The optional ``[section] gap_below``, or None; when it is given,
+    ``fields["dense"]``, the command's verdict, says whether ``gap`` is
+    below it."""
+    threshold = _field(ini, section, "gap_below", _NUMBER, None)
+    if threshold is not None:
+        fields["dense"] = gap < threshold
+    return threshold
 
 
 def _cmd_verify_covering(config, ini, artifacts):
@@ -276,14 +286,14 @@ def _cmd_verify_covering(config, ini, artifacts):
         artifacts.append(("cover.svg", render_svg(report).encode("utf-8")))
     covered = not report.pieces
     fields = {
-        "covered": str(covered).lower(),
+        "covered": covered,
         "uncovered_pieces": len(report.pieces),
         "area": report.total_uncovered_area,
         "obstructions": len(report.obstruction_matches),
     }
     if audit_points:
         fields["audit_mismatches"] = mismatches
-    return (0 if covered else 1), fields, lines
+    return covered, fields, lines
 
 
 def _cmd_obstructions(config, ini, artifacts):
@@ -302,7 +312,7 @@ def _cmd_obstructions(config, ini, artifacts):
     # the catalog keeps only the tuples whose exact margin meets epsilon
     for (a, b, m), margin in entries:
         lines.append(f"obstruction a={a} b={b} m={m} margin={margin} verified=true")
-    return (0 if entries else 1), {"count": len(entries)}, lines
+    return bool(entries), {"count": len(entries)}, lines
 
 
 def _cmd_irrational_cover(config, ini, artifacts):
@@ -336,12 +346,11 @@ def _cmd_irrational_cover(config, ini, artifacts):
             f"failing={failing}"
         )
     n, N, _, certified, *_ = rows[-1]
+    fields = {"certified": certified}
     if certified:
         lines.append(f"certified_pair n={n} N={N}")
-    fields = {"certified": str(certified).lower()}
-    if certified:
         fields.update(n=n, N=N)
-    return (0 if certified else 1), fields, lines
+    return certified, fields, lines
 
 
 def _cmd_rationality_check(config, ini, artifacts):
@@ -355,25 +364,21 @@ def _cmd_rationality_check(config, ini, artifacts):
         f"refinement={report.refinement}",
         f"polygon_count={report.polygon_count}",
         f"max_distance_sq={report.max_distance_sq}",
-        f"within_bound={str(report.within_bound).lower()}",
+        f"within_bound={_word(report.within_bound)}",
         f"period_norm={report.period_norm}",
         f"threshold={report.threshold}",
-        f"period_exceeds_threshold="
-        f"{str(report.period_exceeds_threshold).lower()}",
+        f"period_exceeds_threshold={_word(report.period_exceeds_threshold)}",
     ]
     for index, dist in enumerate(report.distances_sq):
         lines.append(f"polygon {index} distance_sq={dist}")
-    fields = {
-        "within_bound": str(report.within_bound).lower(),
-        "max_distance_sq": report.max_distance_sq,
-    }
-    return (0 if report.within_bound else 1), fields, lines
+    fields = {"within_bound": report.within_bound, "max_distance_sq": report.max_distance_sq}
+    return report.within_bound, fields, lines
 
 
 def _cmd_orbit(config, ini, artifacts):
     from .solenoid import float_orbit_rows, orbit_max_gap
 
-    w = _field(ini, "orbit", "w", _POINT)
+    w = complex(_field(ini, "orbit", "w", _POINT))
     m = _field(ini, "orbit", "m", _INTEGER, "1")
     sweep = _field(ini, "orbit", "sweep", _INTEGER, "30")
     rows = _checked("orbit", float_orbit_rows, w, m, sweep)
@@ -385,18 +390,13 @@ def _cmd_orbit(config, ini, artifacts):
         f"m={m}",
         f"sweep={sweep}",
         f"samples={len(rows)}",
-        f"max_gap={gap!r}",
+        f"max_gap={gap}",
     ]
-    code = 0
-    fields = {"max_gap": repr(gap), "samples": len(rows)}
-    threshold = _field(ini, "orbit", "gap_below", _NUMBER, None)
+    fields = {"max_gap": gap, "samples": len(rows)}
+    threshold = _gap_below(ini, "orbit", gap, fields)
     if threshold is not None:
-        dense = gap < threshold
-        lines.append(f"gap_below={threshold}")
-        lines.append(f"dense={str(dense).lower()}")
-        fields["dense"] = str(dense).lower()
-        code = 0 if dense else 1
-    return code, fields, lines
+        lines += [f"gap_below={threshold}", f"dense={_word(fields['dense'])}"]
+    return fields.get("dense", True), fields, lines
 
 
 def _cmd_classify(config, ini, artifacts):
@@ -410,19 +410,16 @@ def _cmd_classify(config, ini, artifacts):
         f"q={q}",
         "torsion=true",
         f"classification={result.kind}",
-        f"periodic={str(periodic).lower()}",
+        f"periodic={_word(periodic)}",
         f"abs5={result.abs_p5}",
         f"abs13={result.abs_p13}",
     ]
-    fields = {
-        "classification": result.kind,
-        "periodic": str(periodic).lower(),
-    }
+    fields = {"classification": result.kind, "periodic": periodic}
     if periodic:
         m = period_exponent(q)
         lines.append(f"m={m}")
         fields["m"] = m
-    return 0, fields, lines
+    return True, fields, lines
 
 
 def _cmd_density(config, ini, artifacts):
@@ -433,74 +430,51 @@ def _cmd_density(config, ini, artifacts):
         eta = _field(ini, "density", "eta", _RATIONAL)
         delta = _field(ini, "density", "delta", _RATIONAL)
         report = _checked("density", semigroup_density, eta, delta)
-        verdict = bool(report.is_dense)
-        code = 0 if verdict else 1
-        fields = {
-            "kind": "semigroup",
-            "max_gap": report.max_gap,
-            "dense": str(verdict).lower(),
-        }
+        fields = {"kind": kind, "max_gap": report.max_gap, "dense": bool(report.is_dense)}
     elif kind == "circle":
         theta = _field(ini, "density", "theta", _GAUSSIAN)
         t = _field(ini, "density", "t", _POINT, "1")
         M = _field(ini, "density", "M", _INTEGER)
         report = _checked("density", circle_density, theta, t, M)
-        code = 0
-        fields = {"kind": "circle", "max_gap": repr(report.max_gap)}
-        threshold = _field(ini, "density", "gap_below", _NUMBER, None)
-        if threshold is not None:
-            dense = report.max_gap < threshold
-            fields["dense"] = str(dense).lower()
-            code = 0 if dense else 1
+        fields = {"kind": kind, "max_gap": report.max_gap}  # a float: str is repr
+        _gap_below(ini, "density", report.max_gap, fields)
     else:
         raise InputError(f"[density] kind: unknown density kind {kind!r}")
     rows = report.csv_rows()
     samples = ((f"sample_{i}", v) for i, v in enumerate(report.sample))
     artifacts.append(("density.csv", _csv(["field", "value"], [*rows, *samples])))
     lines = ["kind=density", f"flavor={kind}", *(f"{k}={v}" for k, v in rows)]
-    return code, fields, lines
+    return fields.get("dense", True), fields, lines
 
 
 def _cmd_approx(config, ini, artifacts):
     from .approx import strong_approx, strong_approx_3way
     from .padic import embed
 
-    z = _field(ini, "approx", "z", _EXACT_POINT)
+    z = _field(ini, "approx", "z", _POINT)
     delta = _field(ini, "approx", "delta", _RATIONAL)
     precision = 16 if config.precision_k is None else config.precision_k
     lines = ["kind=approx", f"z={z}", f"delta={delta}"]
     z = exact_gaussian_rational(z)  # a float literal at its exact binary value
+    # (key, prime site) of each target: both sites, or the one site p
     if "target5" in ini["approx"] or "target13" in ini["approx"]:
-        target5_text = _field(ini, "approx", "target5")
-        target13_text = _field(ini, "approx", "target13")
-        a = embed(_parse(_RATIONAL, target5_text, "[approx] target5"), 5, precision)
-        b = embed(_parse(_RATIONAL, target13_text, "[approx] target13"), 13, precision)
-        q = _checked("approx", strong_approx_3way, z, a, b, delta)
-        residual_5 = embed(q, 5, precision).distance(a)
-        residual_13 = embed(q, 13, precision).distance(b)
-        lines += [
-            f"target5={target5_text}",
-            f"target13={target13_text}",
-            f"q={q}",
-            f"residual_complex={abs(q - z)!r}",
-            f"residual_5={residual_5}",
-            f"residual_13={residual_13}",
-        ]
+        sites, build = [("target5", 5), ("target13", 13)], strong_approx_3way
     else:
         p = _prime_site(ini, "approx")
-        target_text = _field(ini, "approx", "target")
-        b = embed(_parse(_RATIONAL, target_text, "[approx] target"), p, precision)
-        q = _checked("approx", strong_approx, z, b, delta)
-        residual_p = embed(q, p, precision).distance(b)
-        lines += [
-            f"p={p}",
-            f"target={target_text}",
-            f"q={q}",
-            f"residual_complex={abs(q - z)!r}",
-            f"residual_padic={residual_p}",
-        ]
+        sites, build = [("target", p)], strong_approx
+        lines.append(f"p={p}")
+    # a missing target is reported before a malformed one
+    texts = [_field(ini, "approx", key) for key, _ in sites]
+    targets = [embed(_parse(_RATIONAL, text, f"[approx] {key}"), p, precision)
+               for (key, p), text in zip(sites, texts)]
+    q = _checked("approx", build, z, *targets, delta)
+    lines += [f"{key}={text}" for (key, _), text in zip(sites, texts)]
+    lines += [f"q={q}", f"residual_complex={abs(q - z)!r}"]
+    # residual_5 and residual_13, or residual_padic at the one site
+    lines += [f"residual_{key[6:] or 'padic'}={embed(q, p, precision).distance(target)}"
+              for (key, p), target in zip(sites, targets)]
     lines.append("verified=true")
-    return 0, {"q": str(q).replace(" ", ""), "verified": "true"}, lines
+    return True, {"q": str(q).replace(" ", ""), "verified": True}, lines
 
 
 def _cmd_closure_index(config, ini, artifacts):
@@ -518,7 +492,7 @@ def _cmd_closure_index(config, ini, artifacts):
         f"u={u_text}",
         f"index={index}",
     ]
-    return 0, {"index": index, "k": k}, lines
+    return True, {"index": index, "k": k}, lines
 
 
 _DISPATCH = {
@@ -541,13 +515,14 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def _summary(command: str, code: int, fields: dict) -> str:
-    parts = [f"command={command}", f"exit={code}"]
-    parts.extend(f"{key}={value}" for key, value in fields.items())
-    return " ".join(parts)
+    return " ".join([f"command={command}", f"exit={code}",
+                     *(f"{key}={_word(value)}" for key, value in fields.items())])
 
 
 # (exception, summary tag, message prefix), matched in order: the first row
-# an exception is an instance of decides; TorsionUnitError is a ValueError
+# an exception is an instance of decides; TorsionUnitError is a ValueError.
+# The config reader turns its own OSError into an InputError, so an OSError
+# is a failed write of the output
 _ERRORS = (
     (InputError, "input", ""),
     (PrecisionError, "precision", "insufficient precision: "),
@@ -555,35 +530,39 @@ _ERRORS = (
     (CertificateError, "certificate", ""),
     (ValueError, "input", ""),
     (TypeError, "input", ""),
+    (OSError, "output", "cannot write output: "),
     (Exception, "internal", "internal: "),  # any other: a fault of the program
 )
 
 
 def run(config: RunConfig) -> int:
     """Execute one command; artifacts are built in memory and written only
-    when the run reaches a verdict (exit 0 or 1), never on exit 2."""
+    when the run reaches a verdict (exit 0 or 1).  A failed write exits 2
+    and can leave the files written before it."""
     if config.command not in _DISPATCH:
         print(_summary(config.command, 2, {"error": "unknown-command"}))
         return 2
     artifacts: list[tuple[str, bytes]] = []
+    out_dir = Path(config.output_dir)
     try:
         if config.precision_k is not None and config.precision_k < 1:
             raise InputError(
                 f"--precision must be at least 1, got {config.precision_k}")
         ini = _load_ini(config.input_path)
-        code, fields, lines = _DISPATCH[config.command](config, ini, artifacts)
-    except tuple(kind for kind, _, _ in _ERRORS) as exc:
+        verdict, fields, lines = _DISPATCH[config.command](config, ini, artifacts)
+        report = "\n".join([_REPORT_HEADER, *lines]) + "\n"
+        artifacts.append(("report.txt", report.encode("utf-8")))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, data in artifacts:
+            (out_dir / name).write_bytes(data)
+    except Exception as exc:  # every row of _ERRORS, whose last is Exception
         tag, prefix = next((tag, prefix) for kind, tag, prefix in _ERRORS
                            if isinstance(exc, kind))
         print(f"error: {prefix}{exc}", file=sys.stderr)
         print(_summary(config.command, 2, {"error": tag}))
         return 2
-    artifacts.append(("report.txt", _text([_REPORT_HEADER, *lines])))
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, data in artifacts:
-        (out_dir / name).write_bytes(data)
     fields["report"] = str(out_dir / "report.txt")
+    code = 0 if verdict else 1
     print(_summary(config.command, code, fields))
     return code
 

@@ -206,6 +206,25 @@ def test_unexpected_exception_exits_two_internal(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_a_failed_write_exits_two(tmp_path, capsys):
+    # --out naming a file, or a report path that is a directory, is an output
+    # error: exit 2 with one error line and no traceback, never exit 1; the
+    # files written before the failed one stay
+    cfg = _write(tmp_path / "o.ini", "[orbit]\nw = 1\nm = 1\nsweep = 2\n")
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir" / "report.txt").mkdir(parents=True)
+    for where, errno in (("file", 17), ("dir", 21)):
+        out = tmp_path / where
+        code = main(["orbit", "--config", cfg, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "command=orbit exit=2 error=output\n"
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: cannot write output: [Errno {errno}] ")
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert (tmp_path / "dir" / "orbit.csv").read_bytes().startswith(b"r,s,value\r\n")
+
+
 def test_parser_is_built_once_and_keeps_its_defaults(monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
@@ -550,6 +569,89 @@ def test_closure_index_command(tmp_path, capsys):
     assert "index=4" in report
 
 
+_CIRCLE_INI = "[density]\nkind = circle\ntheta = -3/5+4/5i\nt = 1\nM = 200\n"
+_SCAN_INI = "[disk]\nepsilon = {}\nradius = {}\npitch = 0.05\nn_max = 1\nN_max = 0\n"
+
+# (command, config, options, the exact summary line) for each command and
+# each way its verdict can go; {report} stands for the report's path
+_SUMMARIES = {
+    "approx": ("approx", "[approx]\nz = 0\np = 5\ntarget = 1/5\ndelta = 1/10\n", [],
+               "command=approx exit=0 q=27/845-31/845i verified=true report={report}"),
+    "approx-3way": (
+        "approx", "[approx]\nz = 1/3+1/2i\ntarget5 = 1/5\ntarget13 = 0\ndelta = 1/10\n", [],
+        "command=approx exit=0 q=534/1715+863/1715i verified=true report={report}"),
+    "orbit": ("orbit", "[orbit]\nw = 1\nm = 1\nsweep = 10\n", [],
+              "command=orbit exit=0 max_gap=0.03353482581142131 samples=121 report={report}"),
+    "orbit-gap-met": (
+        "orbit", "[orbit]\nw = 1\nm = 1\nsweep = 10\ngap_below = 0.9\n", [],
+        "command=orbit exit=0 max_gap=0.03353482581142131 samples=121 dense=true "
+        "report={report}"),
+    "orbit-gap-missed": (
+        "orbit", "[orbit]\nw = 1/4\nm = 1\nsweep = 10\ngap_below = 1/4\n", [],
+        "command=orbit exit=1 max_gap=0.500035012166717 samples=121 dense=false "
+        "report={report}"),
+    "density-circle": (
+        "density", _CIRCLE_INI, [],
+        "command=density exit=0 kind=circle max_gap=0.05605543807844349 report={report}"),
+    "density-circle-gap-met": (
+        "density", _CIRCLE_INI + "gap_below = 0.5\n", [],
+        "command=density exit=0 kind=circle max_gap=0.05605543807844349 dense=true "
+        "report={report}"),
+    "density-circle-gap-missed": (
+        "density", _CIRCLE_INI + "gap_below = 1/1000\n", [],
+        "command=density exit=1 kind=circle max_gap=0.05605543807844349 dense=false "
+        "report={report}"),
+    "density-semigroup": (
+        "density", "[density]\neta = 1/1000000\ndelta = 1/10\n", [],
+        "command=density exit=0 kind=semigroup max_gap=3753/62500 dense=true report={report}"),
+    "density-semigroup-sparse": (
+        "density", "[density]\neta = 1/10\ndelta = 1/100\n", [],
+        "command=density exit=1 kind=semigroup max_gap=1/5 dense=false report={report}"),
+    "irrational-cover": (
+        "irrational-cover", _SCAN_INI.format("0.45", "1.0"), [],
+        "command=irrational-cover exit=0 certified=true n=1 N=0 report={report}"),
+    "irrational-cover-missed": (
+        "irrational-cover", _SCAN_INI.format("0.2", "2.0"), [],
+        "command=irrational-cover exit=1 certified=false report={report}"),
+    "verify-covering-audit": (
+        "verify-covering", FIGURE_INI + "audit_points = 60\n", ["--no-svg", "--seed", "7"],
+        "command=verify-covering exit=1 covered=false uncovered_pieces=7 area=5/4 "
+        "obstructions=1 audit_mismatches=0 report={report}"),
+    "obstructions-none": (
+        "obstructions", "[obstructions]\nepsilon = 1/4\nm_max = 1\n", [],
+        "command=obstructions exit=1 count=0 report={report}"),
+    "obstructions": (
+        "obstructions", "[obstructions]\nepsilon = 9/20\nm_max = 2\nperiod = 1-2i\n", [],
+        "command=obstructions exit=0 count=1 report={report}"),
+    "rationality-check": (
+        "rationality-check", FIGURE_INI + "[rationality]\nrefinement = 2\n", [],
+        "command=rationality-check exit=0 within_bound=true max_distance_sq=5/64 "
+        "report={report}"),
+    "classify-periodic": (
+        "classify", "[classify]\nq = 1/2+1/2i\n", [],
+        "command=classify exit=0 classification=periodic periodic=true m=1 report={report}"),
+    "classify-torsion-only": (
+        "classify", "[classify]\nq = 1/5\n", [],
+        "command=classify exit=0 classification=torsion_only periodic=false "
+        "report={report}"),
+    "closure-index": ("closure-index", "[closure-index]\nu = 6\np = 5\n", [],
+                      "command=closure-index exit=0 index=4 k=4 report={report}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SUMMARIES))
+def test_summary_lines(tmp_path, capsys, case):
+    # the whole stdout line, recorded before the handlers shared one verdict
+    # path: the exit code, each field's spelling and order, and no stderr
+    command, ini, argv, summary = _SUMMARIES[case]
+    out = tmp_path / "out"
+    code = main([command, "--config", _write(tmp_path / "s.ini", ini), "--out", str(out), *argv])
+    captured = capsys.readouterr()
+    assert captured.out == summary.format(report=out / "report.txt") + "\n"
+    assert captured.out.split()[1] == f"exit={code}"
+    assert captured.err == ""
+
+
 def test_run_config_reproducibility(tmp_path, capsys):
     cfg = _write(tmp_path / "fig.ini", FIGURE_INI + "audit_points = 40\n")
     outs = []
@@ -629,8 +731,8 @@ def test_finite_float_points_still_parse(tmp_path, capsys, field):
     code = main([command, "--config", cfg, "--out", str(out)])
     assert code in (0, 1), capsys.readouterr()
     assert (out / "report.txt").exists()
-    assert cli._point("0.6 + 0.8i") == complex(0.6, 0.8)
-    assert cli._point("-2.5i") == complex(0, -2.5)
+    assert complex(cli._exact_point("0.6 + 0.8i")) == complex(0.6, 0.8)
+    assert complex(cli._exact_point("-2.5i")) == complex(0, -2.5)
 
 
 @pytest.mark.parametrize("field, literal, message", [

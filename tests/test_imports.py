@@ -13,7 +13,7 @@ leaves its ``__all__`` entry or its package name behind, which would
 break ``from pyjama.gaussian import *`` and every tool that reads
 ``__all__``.  The dunder methods of the exact scalars are pinned, so an
 operator added to one of them shows up as well.  So does growth that
-takes ``covering.py`` over its compile-memory step.
+takes a module past the parser's 4,096-token compile-memory step.
 """
 
 import ast
@@ -271,23 +271,37 @@ def test_no_module_imports_configparser_or_csv():
     assert importers("configparser") == importers("csv") == []
 
 
-def compile_peaks() -> dict[str, int]:
-    """The ``tracemalloc`` peak in bytes of ``compile()`` of each source
-    module, as ``scripts/sloc.py`` reads it."""
+def _sloc() -> types.ModuleType:
     spec = importlib.util.spec_from_file_location("sloc", SRC.parents[1] / "scripts" / "sloc.py")
     sloc = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sloc)
+    return sloc
+
+
+def compile_peaks() -> dict[str, int]:
+    """The ``tracemalloc`` peak in bytes of ``compile()`` of each source
+    module, as ``scripts/sloc.py`` reads it."""
+    sloc = _sloc()
     return {path.name: sloc.compile_peak(path.read_text(), path)
             for path in sorted(SRC.glob("*.py"))}
 
 
+def test_every_module_is_below_the_token_step():
+    # Python 3.11's parser doubles its token array as it fills it, so
+    # compiling a module of 4,096 or more parser tokens (scripts/sloc.py's
+    # count) peaks about 0.23 MiB higher, which an import without cached
+    # bytecode pays: padded copies of cli.py read 1,610 KiB at 4,093 tokens
+    # and 1,843 KiB at 4,101
+    sloc = _sloc()
+    tokens = {path.name: sloc.parser_tokens(path.read_text()) for path in SRC.glob("*.py")}
+    assert {name: n for name, n in tokens.items() if n >= 4_096} == {}
+
+
 def test_covering_compiles_below_the_memory_step():
-    # compiling covering.py steps up by about 0.3 MiB between about 4,540
-    # and 4,570 AST nodes, which an import without cached bytecode pays;
-    # below the step it peaks under cli.py, above it over cli.py.  cli.py
-    # has passed a step of its own (about 3,900-3,960 nodes) and peaks at
-    # about 1,880 KiB, so covering.py is also held under 1,600 KiB: padded
-    # copies peaked at 1,442 KiB with 4,453 nodes and 1,683 KiB with 4,509
+    # covering.py (3,915 tokens) and cli.py (4,061) are the modules nearest
+    # the 4,096-token step; below it covering.py peaks under cli.py, at
+    # about 1,400 KiB, and past it would read well over 1,600 KiB, as cli.py
+    # read 1,843 KiB at 4,101 tokens
     peaks = compile_peaks()
     assert peaks["covering.py"] <= peaks["cli.py"], peaks
     assert peaks["covering.py"] <= 1_600 * 1024, peaks
