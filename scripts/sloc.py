@@ -10,9 +10,9 @@ stands alone as a statement, are not counted), the number of nodes in its
 as ``tracemalloc`` reads it, and its parser tokens (every ``tokenize``
 token but COMMENT, NL and ENCODING; an f-string is one token).  That peak is
 what an import pays when no bytecode is cached, and the tokens set it:
-Python 3.11's parser doubles its token array as it fills, so the peak steps
-up by about 0.2 MiB once a file passes 4,096 tokens.  The last row holds the
-totals of the five columns.
+Python 3.11's parser doubles its token array as it fills it, so the peak
+steps up by about 0.23 MiB at 4,096 tokens.  The last row holds the totals
+of the five columns.
 """
 
 import ast
