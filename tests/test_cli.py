@@ -641,8 +641,8 @@ _SUMMARIES = {
 
 @pytest.mark.parametrize("case", sorted(_SUMMARIES))
 def test_summary_lines(tmp_path, capsys, case):
-    # the whole stdout line, recorded before the handlers shared one verdict
-    # path: the exit code, each field's spelling and order, and no stderr
+    # the whole stdout line: the exit code, and each field's spelling and
+    # order, a bool as true or false; nothing goes to stderr
     command, ini, argv, summary = _SUMMARIES[case]
     out = tmp_path / "out"
     code = main([command, "--config", _write(tmp_path / "s.ini", ini), "--out", str(out), *argv])
